@@ -1,10 +1,11 @@
 """Memo-invalidation rule: mutations of memoized state must invalidate.
 
 The tree memoizes aggressively — the forest compiles an arena from
-``trees_``, ``FleetIndex`` mirrors host capacity in O(1) counters,
-``BlockScoreCache`` keys score tables on ``(fingerprint, kind,
-version)``, ``ModelRegistry`` keys baseline-IPC memos on a model version
-token.  Every one of those stays correct only because each mutation path
+``trees_``, ``FleetIndex`` mirrors host capacity in O(1) counters and
+buckets hosts by free-node state, ``BlockScoreCache`` keys score tables
+and their per-state answers on ``(fingerprint, kind, version)``,
+``ModelRegistry`` keys baseline-IPC memos on a model version token.
+Every one of those stays correct only because each mutation path
 bumps the matching version or drops the derived structure.  This rule
 encodes those pairings in a small registry (:data:`CACHE_SURFACES`) so
 the static check and the runtime debug hooks
@@ -126,11 +127,37 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         ),
     ),
     CacheSurface(
+        name="fleet-state-buckets",
+        class_name="FleetIndex",
+        module_suffix="scheduler/index.py",
+        declared={
+            # The goal-aware policy picks hosts from the (shape,
+            # free-node mask) buckets alone, so every path that changes
+            # a host's free nodes must re-file it.  _resize may only
+            # early-out on an unchanged *mask*: an unchanged free count
+            # (one block swapped for another) is still a state change.
+            "register": ("_mask_of", "_enter_state"),
+            "_resize": ("_mask_of", "_leave_state", "_enter_state"),
+        },
+        runtime_check=(
+            "FleetIndex.assert_consistent + state-query-vs-scan replay "
+            "(tests/scheduler/test_index.py)"
+        ),
+    ),
+    CacheSurface(
         name="block-score-tables",
         class_name="BlockScoreCache",
         module_suffix="core/blockscores.py",
         guarded_attrs=("_versions",),
         invalidators=("_tables",),
+        declared={
+            # Per-state answers (BlockStateMemo) live inside the entries
+            # of _tables, keyed at the shape's current version, so the
+            # version bump that drops a shape's tables drops its state
+            # memo in the same step.
+            "states": ("_versions", "_tables"),
+            "invalidate": ("_versions", "_tables"),
+        },
         exempt_methods=("clear", "assert_version_consistency"),
         runtime_check="BlockScoreCache.assert_version_consistency",
     ),

@@ -35,7 +35,9 @@ from repro.core.blockscores import (
     SCORE_TOLERANCE,
     BlockScoreCache,
     BlockScoreTable,
+    BlockStateMemo,
     block_score_table,
+    block_state_memo,
     scores_match,
 )
 from repro.core.model import HpeModel, ModelEvaluation, PlacementModel
@@ -109,9 +111,11 @@ __all__ = [
     "DEFAULT_ENUMERATION_CACHE",
     "BlockScoreCache",
     "BlockScoreTable",
+    "BlockStateMemo",
     "DEFAULT_BLOCK_SCORE_CACHE",
     "SCORE_TOLERANCE",
     "block_score_table",
+    "block_state_memo",
     "scores_match",
     "cached_block_score_table",
     "cached_enumerate_important_placements",

@@ -15,19 +15,32 @@ scores every node subset of one machine shape exactly once and keeps
   matching a target interconnect score is a bucket probe instead of a
   combinations loop.
 
-Lookups are *bit-for-bit equivalent* to the naive loop in
-``FleetHost.find_block``: the same tolerance rules
+Lookups are *bit-for-bit equivalent* to the naive loop
+(:func:`search_blocks`): the same tolerance rules
 (:func:`repro.scheduler.fleet.scores_match`), the same tie-breaking (first
 block in combinations order wins), the same floats (scores come from the
 same scorer).  ``tests/core/test_blockscores.py`` asserts the equivalence
 exhaustively.
 
-Tables are cached per ``(machine fingerprint, scorer kind)`` in a
+Above the table sits a second, coarser collapse.  The answer to "which
+block does a host grant?" depends on the host only through *which of its
+nodes are free*, and an n-node shape has at most 2^n such states however
+many hosts share it.  :class:`BlockStateMemo` keys the answer on
+``(free-node bitmask, block size, target score)`` and computes it once per
+shape: :meth:`~repro.scheduler.fleet.FleetHost.find_block` reads it for
+one host, and :meth:`~repro.scheduler.index.FleetIndex.lowest_host` reads
+it once per distinct state *present in the fleet* instead of once per
+host.  A :class:`BlockScoreTable` is a state memo whose misses are table
+lookups.
+
+Memos are cached per ``(machine fingerprint, scorer kind)`` in a
 :class:`BlockScoreCache` (same accounting scheme as
 :class:`repro.core.memo.EnumerationCache`); all hosts of one shape share
-one table.  Machines with more than :data:`MAX_TABLE_NODES` nodes would
-need exponentially many entries, so :func:`block_score_table` returns
-``None`` for them and callers fall back to the loop.
+one.  Machines with more than :data:`MAX_TABLE_NODES` nodes would need
+exponentially many table entries, so :func:`block_score_table` returns
+``None`` for them; :func:`block_state_memo` still serves them, its misses
+filled by the combinations loop (:func:`search_blocks`), so callers have
+one path for every shape.
 """
 
 from __future__ import annotations
@@ -53,6 +66,19 @@ _BUCKET_DECIMALS = 3
 SCORE_TOLERANCE = 5e-4
 
 
+def node_mask(nodes: Iterable[int]) -> int:
+    """The bitmask with bit ``n`` set for every node id ``n``."""
+    mask = 0
+    for node in nodes:
+        mask |= 1 << node
+    return mask
+
+
+def mask_nodes(mask: int) -> List[int]:
+    """The node ids of a bitmask, ascending."""
+    return [node for node in range(mask.bit_length()) if mask >> node & 1]
+
+
 def scores_match(score: float, target: float) -> bool:
     """Whether two interconnect scores identify the same block class.
 
@@ -70,6 +96,90 @@ def scores_match(score: float, target: float) -> bool:
         abs(score - target) <= SCORE_TOLERANCE
         or round(score, _BUCKET_DECIMALS) == round(target, _BUCKET_DECIMALS)
     )
+
+
+def search_blocks(
+    free: Iterable[int],
+    size: int,
+    scorer,
+    target_score: float | None = None,
+) -> Tuple[int, ...] | None:
+    """The combinations loop: the reference every table and memo answer
+    must equal.
+
+    With ``target_score`` the first block of ``size`` free nodes (in
+    ``itertools.combinations`` order over the sorted free nodes) whose
+    score matches per :func:`scores_match`; without, the best-scoring
+    block, first-in-order on ties.
+    """
+    nodes = sorted(free)
+    if size > len(nodes):
+        return None
+    best: Tuple[int, ...] | None = None
+    best_score = float("-inf")
+    for combo in itertools.combinations(nodes, size):
+        score = scorer(frozenset(combo))
+        if target_score is not None:
+            if scores_match(score, target_score):
+                return combo
+            continue
+        if score > best_score:
+            best_score = score
+            best = combo
+    return best
+
+
+class BlockStateMemo:
+    """Block-search answers of one machine shape, one per free-node state.
+
+    ``(free-node mask, size, target score) -> block | None`` is a pure
+    function of the shape and the scorer, so it is computed on first ask
+    and shared by every host that is ever in that state.  Entries are
+    bounded by ``2^n states x n sizes x distinct targets`` (targets are
+    the interconnect scores of a shape's important placements — a
+    handful); only states some host actually reached are stored.
+
+    This base class fills misses with :func:`search_blocks` and serves
+    shapes too large to tabulate; :class:`BlockScoreTable` overrides
+    :meth:`find` with table lookups.
+    """
+
+    def __init__(self, machine: MachineTopology, scorer) -> None:
+        self.machine = machine
+        self._scorer = scorer
+        self._states: Dict[
+            Tuple[int, int, float | None], Tuple[int, ...] | None
+        ] = {}
+
+    @property
+    def n_states(self) -> int:
+        """Memoized ``(mask, size, target)`` answers held."""
+        return len(self._states)
+
+    def find(
+        self,
+        free: Set[int],
+        size: int,
+        *,
+        target_score: float | None = None,
+    ) -> Tuple[int, ...] | None:
+        """Unmemoized block search over an explicit free-node set."""
+        if size < 1:
+            raise ValueError("block size must be >= 1")
+        return search_blocks(free, size, self._scorer, target_score)
+
+    def find_mask(
+        self, mask: int, size: int, target_score: float | None = None
+    ) -> Tuple[int, ...] | None:
+        """:meth:`find` for the free-node set ``mask`` encodes, memoized."""
+        key = (mask, size, target_score)
+        try:
+            return self._states[key]
+        except KeyError:
+            block = self._states[key] = self.find(
+                set(mask_nodes(mask)), size, target_score=target_score
+            )
+            return block
 
 
 class _SizeTable:
@@ -155,7 +265,7 @@ class _SizeTable:
         return cached
 
 
-class BlockScoreTable:
+class BlockScoreTable(BlockStateMemo):
     """Every node subset of one machine shape, scored exactly once.
 
     Parameters
@@ -174,7 +284,7 @@ class BlockScoreTable:
                 f"{machine.name} has {machine.n_nodes} nodes; block-score "
                 f"tables are capped at {MAX_TABLE_NODES} (2^n subsets)"
             )
-        self.machine = machine
+        super().__init__(machine, scorer)
         nodes = tuple(machine.nodes)
         self._sizes: Dict[int, _SizeTable] = {
             size: _SizeTable(nodes, size, scorer)
@@ -237,10 +347,12 @@ class BlockScoreTable:
 
 
 class BlockScoreCache:
-    """Fingerprint-keyed memo cache of block-score tables.
+    """Fingerprint-keyed memo cache of block-score tables and state memos.
 
     Keys are ``(machine fingerprint, scorer kind)``; all hosts with the
-    same shape share one table per kind.  Kinds:
+    same shape share one :class:`BlockStateMemo` per kind — a
+    :class:`BlockScoreTable` up to :data:`MAX_TABLE_NODES` nodes, the
+    loop-filled base memo above.  Kinds:
 
     * ``"interconnect"`` — ``machine.interconnect.aggregate_bandwidth``,
       the scorer of the heuristic fleet policies, the rebalancer, and (via
@@ -253,7 +365,7 @@ class BlockScoreCache:
     _KINDS = ("interconnect", "zero")
 
     def __init__(self) -> None:
-        self._tables: Dict[Tuple, BlockScoreTable] = {}
+        self._tables: Dict[Tuple, BlockStateMemo] = {}
         #: fingerprint -> current version.  Entries are keyed with the
         #: version current at build time, so bumping a shape's version
         #: (model promotion) orphans exactly that shape's tables — every
@@ -262,31 +374,40 @@ class BlockScoreCache:
         self._hits = 0
         self._misses = 0
 
-    def get(
+    def states(
         self, machine: MachineTopology, kind: str = "interconnect"
-    ) -> BlockScoreTable | None:
-        """The shared table for a shape, or None for untabulable machines."""
+    ) -> BlockStateMemo:
+        """The shared state memo for a shape: its table when the shape is
+        tabulable, the loop-filled memo otherwise."""
         if kind not in self._KINDS:
             raise ValueError(
                 f"unknown scorer kind {kind!r}; choose from {self._KINDS}"
             )
-        if machine.n_nodes > MAX_TABLE_NODES:
-            return None
         fingerprint = machine.fingerprint()
         key = (fingerprint, kind, self._versions.get(fingerprint, 0))
-        table = self._tables.get(key)
-        if table is not None:
+        memo = self._tables.get(key)
+        if memo is not None:
             self._hits += 1
-            return table
+            return memo
         self._misses += 1
         if kind == "zero":
             scorer = lambda block: 0.0  # noqa: E731
         else:
             interconnect = machine.interconnect
             scorer = lambda block: interconnect.aggregate_bandwidth(block)  # noqa: E731
-        table = BlockScoreTable(machine, scorer)
-        self._tables[key] = table
-        return table
+        if machine.n_nodes > MAX_TABLE_NODES:
+            memo = BlockStateMemo(machine, scorer)
+        else:
+            memo = BlockScoreTable(machine, scorer)
+        self._tables[key] = memo
+        return memo
+
+    def get(
+        self, machine: MachineTopology, kind: str = "interconnect"
+    ) -> BlockScoreTable | None:
+        """The shared table for a shape, or None for untabulable machines."""
+        memo = self.states(machine, kind)
+        return memo if isinstance(memo, BlockScoreTable) else None
 
     def version(self, fingerprint: Tuple) -> int:
         """The shape's current table version (0 until first invalidation)."""
@@ -298,11 +419,12 @@ class BlockScoreCache:
 
         Called on model promotion.  The block *scores* are pure functions
         of the shape, but each table accumulates memoized target-match
-        lists (``near_cache``/``match_cache``) for exactly the target
-        scores the retiring model version asked about; a promoted version
-        asks about different candidate placements, so the stale lists are
-        dropped with the table and the next lookup rebuilds for the new
-        version's working set.  Other shapes' entries are untouched.
+        lists (``near_cache``/``match_cache``) and per-state answers
+        (:class:`BlockStateMemo`) for exactly the target scores the
+        retiring model version asked about; a promoted version asks about
+        different candidate placements, so both are dropped with the
+        table and the next lookup rebuilds for the new version's working
+        set.  Other shapes' entries are untouched.
         """
         version = self._versions.get(fingerprint, 0) + 1
         self._versions[fingerprint] = version
@@ -351,3 +473,11 @@ def block_score_table(
     """The process-wide shared table for a machine shape (None when the
     machine is too large to tabulate)."""
     return DEFAULT_BLOCK_SCORE_CACHE.get(machine, kind)
+
+
+def block_state_memo(
+    machine: MachineTopology, kind: str = "interconnect"
+) -> BlockStateMemo:
+    """The process-wide shared state memo for a machine shape (every
+    shape has one, tabulable or not)."""
+    return DEFAULT_BLOCK_SCORE_CACHE.states(machine, kind)

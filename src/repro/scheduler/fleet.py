@@ -20,8 +20,11 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.core.blockscores import (  # noqa: F401  (re-exported API)
     SCORE_TOLERANCE,
-    BlockScoreTable,
+    BlockStateMemo,
+    mask_nodes,
+    node_mask,
     scores_match,
+    search_blocks,
 )
 from repro.core.placements import Placement
 from repro.scheduler.index import FleetIndex
@@ -111,7 +114,10 @@ class FleetHost:
     ) -> None:
         self.host_id = host_id
         self.machine = machine
-        self._free_nodes: set = set(machine.nodes)
+        #: Free nodes as a bitmask (bit n = node n is free): the host's
+        #: whole placement-relevant state in one hashable int, which is
+        #: what the fleet index buckets hosts by.
+        self._free_mask: int = (1 << machine.n_nodes) - 1
         self._placements: Dict[int, Placement] = {}
         self._used_threads = 0
         self._location_index = location_index
@@ -122,12 +128,16 @@ class FleetHost:
     # ------------------------------------------------------------------
 
     @property
+    def free_mask(self) -> int:
+        return self._free_mask
+
+    @property
     def free_nodes(self) -> FrozenSet[int]:
-        return frozenset(self._free_nodes)
+        return frozenset(mask_nodes(self._free_mask))
 
     @property
     def n_free_nodes(self) -> int:
-        return len(self._free_nodes)
+        return self._free_mask.bit_count()
 
     @property
     def placements(self) -> Dict[int, Placement]:
@@ -146,7 +156,7 @@ class FleetHost:
 
     @property
     def node_utilization(self) -> float:
-        return 1.0 - len(self._free_nodes) / self.machine.n_nodes
+        return 1.0 - self.n_free_nodes / self.machine.n_nodes
 
     @property
     def largest_free_block(self) -> int:
@@ -159,7 +169,7 @@ class FleetHost:
         small for the next container), which is what the lifecycle
         engine's fragmentation timeline tracks.
         """
-        return len(self._free_nodes)
+        return self.n_free_nodes
 
     # ------------------------------------------------------------------
     # Block search and allocation
@@ -172,7 +182,7 @@ class FleetHost:
         *,
         target_score: float | None = None,
         exclude: Iterable[int] = (),
-        table: BlockScoreTable | None = None,
+        table: BlockStateMemo | None = None,
     ) -> Tuple[int, ...] | None:
         """A free node block of ``size`` nodes.
 
@@ -191,34 +201,18 @@ class FleetHost:
         highest interconnect bandwidth).
 
         With a ``table`` (a shared per-shape
-        :class:`~repro.core.blockscores.BlockScoreTable` built from the
-        same scorer), both answers come from precomputed lookups instead
-        of re-scoring combinations — bit-for-bit the same block.
+        :class:`~repro.core.blockscores.BlockStateMemo` built from the
+        same scorer — a :class:`~repro.core.blockscores.BlockScoreTable`
+        for tabulable shapes), the answer is read from the shape's
+        per-state memo, computed once for all hosts in this state —
+        bit-for-bit the same block.
         """
         if size < 1:
             raise ValueError("block size must be >= 1")
+        avail = self._free_mask & ~node_mask(exclude)
         if table is not None:
-            return table.find(
-                self._free_nodes,
-                size,
-                target_score=target_score,
-                exclude=exclude,
-            )
-        free = sorted(self._free_nodes - set(exclude))
-        if size > len(free):
-            return None
-        best: Tuple[int, ...] | None = None
-        best_score = float("-inf")
-        for combo in itertools.combinations(free, size):
-            score = scorer(frozenset(combo))
-            if target_score is not None:
-                if scores_match(score, target_score):
-                    return combo
-                continue
-            if score > best_score:
-                best_score = score
-                best = combo
-        return best
+            return table.find_mask(avail, size, target_score)
+        return search_blocks(mask_nodes(avail), size, scorer, target_score)
 
     def allocate(self, request_id: int, placement: Placement) -> None:
         """Claim the placement's nodes for a request.
@@ -243,19 +237,21 @@ class FleetHost:
                 f"request {request_id} is already placed on host "
                 f"{self._location_index[request_id]} in this fleet"
             )
-        nodes = set(placement.nodes)
-        unknown = sorted(nodes - set(self.machine.nodes))
-        if unknown:
+        mask = node_mask(placement.nodes)
+        if mask >> self.machine.n_nodes:
+            unknown = [
+                n for n in placement.nodes if n >= self.machine.n_nodes
+            ]
             raise UnknownNodeError(
                 f"nodes {unknown} do not exist on host {self.host_id} "
                 f"({self.machine.name} has nodes 0..{self.machine.n_nodes - 1})"
             )
-        if not nodes <= self._free_nodes:
-            taken = sorted(nodes - self._free_nodes)
+        if mask & ~self._free_mask:
+            taken = mask_nodes(mask & ~self._free_mask)
             raise NodesBusyError(
                 f"nodes {taken} are not free on host {self.host_id}"
             )
-        self._free_nodes -= nodes
+        self._free_mask &= ~mask
         self._placements[request_id] = placement
         self._used_threads += placement.vcpus
         if self._location_index is not None:
@@ -268,7 +264,7 @@ class FleetHost:
         placement = self._placements.pop(request_id, None)
         if placement is None:
             raise KeyError(f"request {request_id} is not on host {self.host_id}")
-        self._free_nodes |= set(placement.nodes)
+        self._free_mask |= node_mask(placement.nodes)
         self._used_threads -= placement.vcpus
         if self._location_index is not None:
             self._location_index.pop(request_id, None)

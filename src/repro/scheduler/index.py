@@ -25,6 +25,19 @@ buckets instead of scanning:
 * *fleet free-node total / used threads / largest free block?* — counter
   reads, making the lifecycle fragmentation sample O(1) per event.
 
+A second, finer bucketing answers the goal-aware policy's question —
+*which is the lowest-id host that can grant a block of this size with this
+interconnect score?*  Whether a host can is a pure function of its shape
+and of **which** of its nodes are free, so hosts are also bucketed by
+``(machine fingerprint, free-node bitmask)`` and
+:meth:`FleetIndex.lowest_host` asks the shape's
+:class:`~repro.core.blockscores.BlockStateMemo` once per distinct state
+present (at most 2^n, a few dozen in practice), never once per host.
+Each state bucket keeps its ids in a lazy-deletion heap, so its
+lowest id is a peek; stale entries are compacted away once they outnumber
+the live ones, which keeps bucket storage linear in the number of hosts
+under arbitrarily long churn.
+
 The index is an accelerator, not an oracle: policies constructed with
 ``indexed=False`` take the original linear-scan path, and
 ``tests/scheduler/test_index.py`` asserts both that every counter matches
@@ -34,13 +47,49 @@ linear scans make bit-for-bit identical decisions.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from repro.topology.machine import MachineTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.core.blockscores import BlockStateMemo
     from repro.core.placements import Placement
     from repro.scheduler.fleet import FleetHost
+
+
+class _StateBucket:
+    """The hosts of one shape that share one free-node mask.
+
+    ``live`` is the truth; ``heap`` holds every live id (plus ids that
+    have since left, deleted lazily), so the lowest live id is a peek
+    instead of a scan of the bucket.
+    """
+
+    __slots__ = ("live", "heap")
+
+    def __init__(self) -> None:
+        self.live: Set[int] = set()
+        self.heap: List[int] = []
+
+    def add(self, host_id: int) -> None:
+        self.live.add(host_id)
+        heapq.heappush(self.heap, host_id)
+
+    def discard(self, host_id: int) -> None:
+        self.live.discard(host_id)
+        if len(self.heap) > 2 * len(self.live):
+            # Stale entries outnumber live ones: rebuild (a sorted list
+            # is a valid heap), so storage stays O(live) however long
+            # hosts churn through this state.
+            self.heap = sorted(self.live)
+
+    def lowest(self) -> int:
+        """Lowest live host id (the bucket must not be empty)."""
+        heap, live = self.heap, self.live
+        while heap[0] not in live:
+            heapq.heappop(heap)
+        return heap[0]
 
 
 class FleetIndex:
@@ -58,9 +107,14 @@ class FleetIndex:
         self._host_ids: Dict[Tuple, Set[int]] = {}
         #: fingerprint -> free-node count -> host ids (the buckets).
         self._buckets: Dict[Tuple, Dict[int, Set[int]]] = {}
-        #: host id -> current free-node count (the index's own view, so a
-        #: resize never trusts the caller for the *old* bucket).
-        self._free_of: Dict[int, int] = {}
+        #: fingerprint -> free-node mask -> hosts in exactly that state.
+        #: Empty buckets are deleted, so a shape's dict lists the distinct
+        #: states present.
+        self._states: Dict[Tuple, Dict[int, _StateBucket]] = {}
+        #: host id -> current free-node mask (the index's own view, so a
+        #: resize never trusts the caller for the *old* buckets; the old
+        #: free count is its popcount).
+        self._mask_of: Dict[int, int] = {}
         #: free-node count -> number of hosts, across all shapes.
         self._size_count: Dict[int, int] = {}
         self._max_free = 0
@@ -85,17 +139,19 @@ class FleetIndex:
 
     def register(self, host: "FleetHost") -> None:
         """Add a host with its *current* state to the index."""
-        if host.host_id in self._free_of:
+        if host.host_id in self._mask_of:
             raise ValueError(f"host {host.host_id} is already indexed")
         machine = host.machine
         fingerprint = machine.fingerprint()
         self._machines.setdefault(fingerprint, machine)
         self._host_ids.setdefault(fingerprint, set()).add(host.host_id)
-        free = host.n_free_nodes
+        mask = host.free_mask
+        free = mask.bit_count()
         self._buckets.setdefault(fingerprint, {}).setdefault(
             free, set()
         ).add(host.host_id)
-        self._free_of[host.host_id] = free
+        self._mask_of[host.host_id] = mask
+        self._enter_state(fingerprint, mask, host.host_id)
         self._size_count[free] = self._size_count.get(free, 0) + 1
         self._max_free = max(self._max_free, free)
         self.free_nodes_total += free
@@ -122,21 +178,44 @@ class FleetIndex:
     def record_fit_failure(self) -> None:
         self.fit_failures += 1
 
+    def _enter_state(
+        self, fingerprint: Tuple, mask: int, host_id: int
+    ) -> None:
+        states = self._states.setdefault(fingerprint, {})
+        bucket = states.get(mask)
+        if bucket is None:
+            bucket = states[mask] = _StateBucket()
+        bucket.add(host_id)
+
+    def _leave_state(
+        self, fingerprint: Tuple, mask: int, host_id: int
+    ) -> None:
+        states = self._states[fingerprint]
+        bucket = states[mask]
+        bucket.discard(host_id)
+        if not bucket.live:
+            del states[mask]
+
     def _resize(self, host: "FleetHost") -> None:
-        """Move a host to the bucket matching its current free count."""
+        """Move a host to the buckets matching its current free nodes."""
         host_id = host.host_id
-        old = self._free_of[host_id]
-        new = host.n_free_nodes
-        if new == old:
+        old_mask = self._mask_of[host_id]
+        new_mask = host.free_mask
+        if new_mask == old_mask:
             return
         fingerprint = host.machine.fingerprint()
+        self._leave_state(fingerprint, old_mask, host_id)
+        self._enter_state(fingerprint, new_mask, host_id)
+        self._mask_of[host_id] = new_mask
+        old, new = old_mask.bit_count(), new_mask.bit_count()
+        if new == old:
+            return
         buckets = self._buckets[fingerprint]
         bucket = buckets[old]
         bucket.discard(host_id)
         if not bucket:
             del buckets[old]
         buckets.setdefault(new, set()).add(host_id)
-        self._free_of[host_id] = new
         self.free_nodes_total += new - old
 
         count = self._size_count[old] - 1
@@ -188,6 +267,38 @@ class FleetIndex:
                 found.extend(ids)
         return found
 
+    def emptiest_host(self, fingerprint: Tuple) -> Tuple[int, int]:
+        """``(free-node count, host id)`` of an indexed shape's host with
+        the most free nodes, lowest id on ties — read off the shape's
+        largest non-empty bucket, not a scan of its hosts."""
+        buckets = self._buckets[fingerprint]
+        free = max(buckets)
+        return free, min(buckets[free])
+
+    def lowest_host(
+        self,
+        fingerprint: Tuple,
+        memo: "BlockStateMemo",
+        size: int,
+        target_score: float | None = None,
+    ) -> int | None:
+        """Lowest id among one shape's hosts that can grant a ``size``-node
+        block matching ``target_score`` (any block when None).
+
+        ``memo`` is the shape's block-state memo: one lookup per distinct
+        free-node state present, one heap peek per feasible state — the
+        number of hosts never enters.
+        """
+        best: int | None = None
+        find = memo.find_mask
+        for mask, bucket in self._states.get(fingerprint, {}).items():
+            if find(mask, size, target_score) is None:
+                continue
+            lowest = bucket.lowest()
+            if best is None or lowest < best:
+                best = lowest
+        return best
+
     # ------------------------------------------------------------------
     # Debugging / test support
     # ------------------------------------------------------------------
@@ -215,7 +326,14 @@ class FleetIndex:
         )
         for host in hosts:
             fingerprint = host.machine.fingerprint()
-            assert self._free_of.get(host.host_id) == host.n_free_nodes
+            assert self._mask_of.get(host.host_id) == host.free_mask, (
+                f"host {host.host_id} mask {self._mask_of.get(host.host_id)}"
+                f" != {host.free_mask}"
+            )
+            state = self._states.get(fingerprint, {}).get(host.free_mask)
+            assert state is not None and host.host_id in state.live, (
+                f"host {host.host_id} not in its state bucket"
+            )
             assert host.host_id in self._buckets.get(fingerprint, {}).get(
                 host.n_free_nodes, set()
             ), f"host {host.host_id} not in its ({host.n_free_nodes}) bucket"
@@ -227,6 +345,23 @@ class FleetIndex:
         }
         assert indexed == {h.host_id for h in hosts}, (
             "index tracks a different host set than the fleet"
+        )
+        assert set(self._mask_of) == indexed, "mask map tracks other hosts"
+        in_states: List[int] = []
+        for states in self._states.values():
+            for mask, bucket in states.items():
+                assert bucket.live, f"empty state bucket {mask:#x} kept"
+                assert bucket.live <= set(bucket.heap), (
+                    f"state bucket {mask:#x}: live id missing from its heap"
+                )
+                assert len(bucket.heap) <= 2 * len(bucket.live), (
+                    f"state bucket {mask:#x}: stale heap entries not "
+                    "compacted"
+                )
+                assert bucket.lowest() == min(bucket.live)
+                in_states.extend(bucket.live)
+        assert sorted(in_states) == sorted(indexed), (
+            "state buckets do not partition the fleet's hosts"
         )
         sizes: Dict[int, int] = {}
         for host in hosts:

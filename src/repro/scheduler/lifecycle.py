@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.core.blockscores import block_score_table
+from repro.core.blockscores import block_state_memo
 from repro.core.placements import Placement
 from repro.migration.memory import ContainerMemory
 from repro.migration.planner import MigrationPlanner
@@ -540,23 +540,22 @@ class LifecycleScheduler:
         together they free enough nodes within ``reject_penalty_seconds``.
         """
         # Distinct shapes come from the fleet index (O(#shapes), not a
-        # host scan); a shape's compatible hosts from its id buckets.
+        # host scan), and so does each compatible shape's emptiest host
+        # (its largest non-empty bucket): most free nodes wins, lowest
+        # host id on ties.
         index = self.fleet.index
-        shapes: Dict[Tuple, int | None] = {}
-        compatible: List[FleetHost] = []
+        emptiest: List[Tuple[int, int, int]] = []
         for key, machine in index.machines():
-            shapes[key] = self.policy.min_block_nodes(machine, request.vcpus)
-            if shapes[key] is not None:
-                compatible.extend(
-                    self.fleet.hosts[host_id]
-                    for host_id in index.host_ids(key)
-                )
-        if not compatible:
+            needed = self.policy.min_block_nodes(machine, request.vcpus)
+            if needed is not None:
+                free, host_id = index.emptiest_host(key)
+                emptiest.append((free, -host_id, needed))
+        if not emptiest:
             return []
 
-        target = max(compatible, key=lambda h: (h.n_free_nodes, -h.host_id))
-        needed = shapes[target.machine.fingerprint()]
-        deficit = needed - target.n_free_nodes
+        free, negated_id, needed = max(emptiest)
+        target = self.fleet.hosts[-negated_id]
+        deficit = needed - free
         if deficit <= 0:
             # Not a fragmentation reject: a big-enough block already
             # exists, so the policy failed for some other reason and
@@ -623,8 +622,7 @@ class LifecycleScheduler:
         Candidates come from the fleet index's same-shape buckets —
         fullest-first is ascending free-count bucket order, and hosts
         whose free count cannot cover the victim's block are never
-        visited.  Block search goes through the shared per-shape score
-        table.
+        visited.  Block search reads the shared per-shape state memo.
         """
         index = self.fleet.index
         buckets = index.buckets(source.machine.fingerprint())
@@ -637,7 +635,7 @@ class LifecycleScheduler:
         ]
         machine = source.machine
         scorer = lambda nodes: machine.interconnect.aggregate_bandwidth(nodes)  # noqa: E731
-        table = block_score_table(machine, "interconnect")
+        table = block_state_memo(machine, "interconnect")
         target_score = scorer(frozenset(placement.nodes))
         for exact in (target_score, None):
             for host in candidates:

@@ -23,14 +23,13 @@ a batch must see earlier allocations) and return one
 from __future__ import annotations
 
 import abc
-import heapq
 import inspect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.blockscores import BlockScoreTable, block_score_table
+from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.enumeration import ImportantPlacementSet
 from repro.core.placements import Placement
 from repro.ml.arena import predict_fused
@@ -38,20 +37,6 @@ from repro.scheduler.fleet import Fleet, FleetHost, minimal_shape
 from repro.scheduler.registry import ModelRegistry
 from repro.scheduler.requests import PlacementRequest
 from repro.topology.machine import MachineTopology
-
-
-def _in_id_order(host_ids: List[int]) -> Iterator[int]:
-    """Yield host ids ascending without sorting them all up front.
-
-    Candidate sets from the fleet index are unordered, but the linear-scan
-    path visits hosts in id order, so the indexed path must too.  Almost
-    every search accepts one of its first candidates, so a heap (O(n)
-    heapify, O(log n) per id actually consumed) beats a full sort.
-    Consumes the list it is given.
-    """
-    heapq.heapify(host_ids)
-    while host_ids:
-        yield heapq.heappop(host_ids)
 
 
 @dataclass
@@ -174,8 +159,8 @@ class _HeuristicFleetPolicy(FleetPolicy):
         When True (the default), host selection queries the fleet's
         incremental :class:`~repro.scheduler.index.FleetIndex` — only
         hosts whose bucketed largest free block can fit the request are
-        visited, and block search uses the shared per-shape
-        :class:`~repro.core.blockscores.BlockScoreTable`.  ``False`` takes
+        visited, and block search reads the shared per-shape
+        :class:`~repro.core.blockscores.BlockStateMemo`.  ``False`` takes
         the original linear scan over ``fleet.hosts``; both paths make
         bit-for-bit identical decisions (asserted in
         ``tests/scheduler/test_index.py``).
@@ -269,7 +254,7 @@ class _HeuristicFleetPolicy(FleetPolicy):
         block = host.find_block(
             n_nodes,
             lambda nodes: machine.interconnect.aggregate_bandwidth(nodes),
-            table=block_score_table(machine, "interconnect"),
+            table=block_state_memo(machine, "interconnect"),
         )
         placement = Placement(machine, block, request.vcpus, l2_share=l2_share)
         host.allocate(request.request_id, placement)
@@ -347,6 +332,18 @@ class SpreadFleetPolicy(_HeuristicFleetPolicy):
         )
 
 
+class _SearchPlan(NamedTuple):
+    """What the indexed host search needs for one ``(shape, vcpus)`` key,
+    resolved once per batch instead of once per request."""
+
+    fingerprint: Tuple
+    placements: ImportantPlacementSet
+    by_request: Dict[int, np.ndarray]
+    memo: BlockStateMemo
+    #: Interconnect score of each important placement, by index.
+    targets: Tuple[float, ...]
+
+
 class GoalAwareFleetPolicy(FleetPolicy):
     """The paper's model-driven policy lifted to the fleet.
 
@@ -373,10 +370,11 @@ class GoalAwareFleetPolicy(FleetPolicy):
     probe_duration_s:
         Simulated probe length ("for a couple of seconds", Section 1).
     indexed:
-        When True (default), host selection queries the fleet index and
-        block search uses shared per-shape score tables; False takes the
-        original triple-loop linear scan.  Decisions are bit-for-bit
-        identical either way.
+        When True (default), host selection asks the fleet index for the
+        lowest-id host per free-node *state* (one shared per-shape memo
+        lookup per distinct state, one ``find_block`` per placement);
+        False takes the original triple-loop linear scan.  Decisions are
+        bit-for-bit identical either way.
     """
 
     name = "ml"
@@ -404,12 +402,13 @@ class GoalAwareFleetPolicy(FleetPolicy):
         self.predict_calls = 0
         self.predicted_rows = 0
         #: id(placements) -> (placements, scorer, per-index target scores)
-        #: — the indexed hot path resolves these once per placement set
-        #: instead of once per candidate host.  LRU-bounded: entries keep
-        #: their placement set strongly referenced (so a cached id can
-        #: never be recycled), which without eviction would pin every set
-        #: a long churn run ever saw; the bound evicts the stalest entry
-        #: instead of growing without limit.
+        #: — the indexed path resolves these once per placement set, not
+        #: once per batch (a batch is often a single request).
+        #: LRU-bounded: entries keep their placement set strongly
+        #: referenced (so a cached id can never be recycled), which
+        #: without eviction would pin every set a long churn run ever
+        #: saw; the bound evicts the stalest entry instead of growing
+        #: without limit.
         self._target_cache: Dict[int, Tuple] = {}
         self._target_cache_max = 32
 
@@ -538,6 +537,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     (machine, vcpus, group, placements, model, features)
                 )
         predictions: Dict[Tuple, Tuple] = {}
+        #: vcpus -> one plan per hostable shape, in shape order.
+        searches: Dict[int, List[_SearchPlan]] = {}
         if plans:
             outputs = predict_fused(
                 [(model.forest, features) for _, _, _, _, model, features in plans]
@@ -551,94 +552,92 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     request.request_id: vectors[row]
                     for row, request in enumerate(group)
                 }
-                predictions[(machine.fingerprint(), vcpus)] = (
-                    placements,
-                    by_request,
-                )
+                fingerprint = machine.fingerprint()
+                predictions[(fingerprint, vcpus)] = (placements, by_request)
+                if self.indexed:
+                    kind = (
+                        "interconnect"
+                        if placements.concerns.bandwidth_concern is not None
+                        else "zero"
+                    )
+                    searches.setdefault(vcpus, []).append(
+                        _SearchPlan(
+                            fingerprint,
+                            placements,
+                            by_request,
+                            block_state_memo(machine, kind),
+                            self._scorer_and_targets(placements)[1],
+                        )
+                    )
 
         # Phase 2: place each request, in arrival order.
-        decisions = []
-        for request in requests:
-            decisions.append(self._place_one(request, fleet, predictions))
-        return decisions
-
-    def _place_one(
-        self,
-        request: PlacementRequest,
-        fleet: Fleet,
-        predictions: Dict[Tuple, Tuple],
-    ) -> FleetDecision:
         if self.indexed:
-            return self._place_one_indexed(request, fleet, predictions)
-        return self._place_one_linear(request, fleet, predictions)
+            place, keyed = self._place_one_indexed, searches
+        else:
+            place, keyed = self._place_one_linear, predictions
+        return [place(request, fleet, keyed) for request in requests]
 
     def _place_one_indexed(
         self,
         request: PlacementRequest,
         fleet: Fleet,
-        predictions: Dict[Tuple, Tuple],
+        searches: Dict[int, List[_SearchPlan]],
     ) -> FleetDecision:
         """The linear triple loop ``(exact, rank, host)`` with the host
-        dimension answered by index buckets: per candidate rank only the
-        hosts whose bucketed largest free block fits that placement are
-        visited, in the same id order the linear scan uses."""
+        dimension collapsed: per candidate rank the fleet index names the
+        lowest-id host whose free-node *state* admits the block (one memo
+        lookup per distinct state present, not one ``find_block`` per
+        host), and only that winner is searched and allocated for real."""
         index = fleet.index
-        orders: Dict[Tuple, List[int]] = {}
-        entries: Dict[Tuple, Tuple] = {}
-        tables: Dict[Tuple, BlockScoreTable | None] = {}
-        scorers: Dict[Tuple, Tuple] = {}
-        for fingerprint, machine in index.machines():
-            entry = predictions.get((fingerprint, request.vcpus))
-            if entry is None:
-                continue
-            placements, by_request = entry
-            entries[fingerprint] = entry
-            orders[fingerprint] = self._preference_order(
-                placements,
-                by_request[request.request_id],
-                request.goal_fraction,
-            )
-            kind = (
-                "interconnect"
-                if placements.concerns.bandwidth_concern is not None
-                else "zero"
-            )
-            tables[fingerprint] = block_score_table(machine, kind)
-            scorers[fingerprint] = self._scorer_and_targets(placements)
-        if not orders:
+        plans = searches.get(request.vcpus)
+        if not plans:
             return FleetDecision(request, reject_reason="infeasible")
         if index.free_nodes_total == 0:
             return FleetDecision(request, reject_reason="capacity")
+        request_id = request.request_id
+        orders = [
+            self._preference_order(
+                plan.placements,
+                plan.by_request[request_id],
+                request.goal_fraction,
+            )
+            for plan in plans
+        ]
 
-        max_rank = max(len(order) for order in orders.values())
+        max_rank = max(len(order) for order in orders)
         for exact in (True, False):
             for rank in range(max_rank):
-                candidates: List[int] = []
-                for fingerprint, order in orders.items():
+                hits: List[Tuple] = []
+                for plan, order in zip(plans, orders):
                     if rank >= len(order):
                         continue
-                    placements, _ = entries[fingerprint]
-                    needed = placements[order[rank]].n_nodes
-                    candidates.extend(index.candidates(fingerprint, needed))
-                for host_id in _in_id_order(candidates):
-                    host = fleet.hosts[host_id]
-                    fingerprint = host.machine.fingerprint()
-                    placements, by_request = entries[fingerprint]
-                    scorer, targets = scorers[fingerprint]
-                    candidate_index = orders[fingerprint][rank]
-                    decision = self._try_candidate(
-                        request,
-                        host,
-                        placements,
-                        by_request[request.request_id],
-                        candidate_index,
-                        exact=exact,
-                        table=tables[fingerprint],
-                        scorer=scorer,
-                        target_score=targets[candidate_index],
+                    candidate = order[rank]
+                    host_id = index.lowest_host(
+                        plan.fingerprint,
+                        plan.memo,
+                        plan.placements[candidate].n_nodes,
+                        plan.targets[candidate] if exact else None,
                     )
-                    if decision is not None:
-                        return decision
+                    if host_id is not None:
+                        hits.append((host_id, candidate, plan))
+                if not hits:
+                    continue
+                # A host has one shape, so ids never tie across plans.
+                host_id, candidate, plan = min(hits, key=lambda hit: hit[0])
+                decision = self._try_candidate(
+                    request,
+                    fleet.hosts[host_id],
+                    plan.placements,
+                    plan.by_request[request_id],
+                    candidate,
+                    exact=exact,
+                    table=plan.memo,
+                )
+                if decision is None:
+                    raise RuntimeError(
+                        f"fleet index out of sync with host {host_id}"
+                    )
+                return decision
         return FleetDecision(request, reject_reason="capacity")
 
     def _place_one_linear(
@@ -707,24 +706,16 @@ class GoalAwareFleetPolicy(FleetPolicy):
         index: int,
         *,
         exact: bool,
-        table: BlockScoreTable | None = None,
-        scorer=None,
-        target_score: float | None = None,
+        table: BlockStateMemo | None = None,
     ) -> FleetDecision | None:
-        if scorer is None:
-            scorer = self._scorer(placements)
+        scorer = self._scorer(placements)
         candidate = placements[index]
-        if exact:
-            if target_score is None:
-                target_score = scorer(frozenset(candidate.nodes))
-            block = host.find_block(
-                candidate.n_nodes,
-                scorer,
-                target_score=target_score,
-                table=table,
-            )
-        else:
-            block = host.find_block(candidate.n_nodes, scorer, table=table)
+        block = host.find_block(
+            candidate.n_nodes,
+            scorer,
+            target_score=scorer(frozenset(candidate.nodes)) if exact else None,
+            table=table,
+        )
         if block is None:
             return None
         realized = Placement(

@@ -44,12 +44,21 @@ on any reply.  ``send`` stamps the reply deadline, ``recv`` polls only
 the remaining budget, and ``reply_ready`` / ``gather_connection`` /
 ``recv_deadline`` are the gather surface
 ``multiprocessing.connection.wait`` selects over.
+
+A process worker that has just answered waits for its next message by
+polling the pipe for a short, bounded while before it blocks
+(:func:`_await_message`).  The front end's turnaround between two
+messages is well under a millisecond, and a core that is put to sleep and
+woken for every message runs the next burst cold (on a virtualized host a
+halted vCPU is handed to somebody else), which made the process
+transport's speed depend on whatever else kept the machine awake.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -482,6 +491,43 @@ class InlineShardClient:
         pass
 
 
+#: Longest a process worker polls its pipe for the next message before it
+#: blocks.  Covers the front end's turnaround between two messages of a
+#: busy stream (a few hundred microseconds); an idle worker gives up after
+#: one budget and sleeps like any blocked reader.
+POLL_SECONDS = 0.002
+#: One poll-and-yield pass takes tens of microseconds.  A pass that took
+#: longer than this was descheduled — something else wants this core — so
+#: the worker stops polling and blocks: only a core nobody asked for is
+#: ever kept busy.
+POLL_LOST_SECONDS = 0.0002
+
+
+def _await_message(connection, poll: bool) -> bool:
+    """Wait until ``connection`` is readable; returns whether the wait was
+    short enough (under :data:`POLL_SECONDS`) that the next one should
+    start by polling.
+
+    With ``poll`` the pipe is polled, yielding the core between passes,
+    until the message is there, the budget is spent, or a pass shows the
+    core was taken; then (and without ``poll``, at once) the wait blocks.
+    Polling after a short wait and blocking after a long one is the
+    adaptive-spin rule: a worker in a busy stream never sleeps between
+    messages, one in a sparse stream wastes at most one budget per burst.
+    """
+    start = previous = time.perf_counter()
+    while poll:
+        if connection.poll(0):
+            return True
+        os.sched_yield()
+        now = time.perf_counter()
+        if now - previous > POLL_LOST_SECONDS or now - start > POLL_SECONDS:
+            break
+        previous = now
+    connection.poll(None)
+    return time.perf_counter() - start < POLL_SECONDS
+
+
 def _shard_worker_main(
     connection, shard_id: int, config_data: Dict, parent_connection=None
 ) -> None:
@@ -495,8 +541,13 @@ def _shard_worker_main(
         # never EOF this worker's recv().
         parent_connection.close()
     worker = ShardWorker(shard_id, ScheduleConfig.from_dict(config_data))
+    # Yielding between passes is what keeps the polling polite; where
+    # the platform cannot yield, the worker only ever blocks in recv().
+    can_poll = hasattr(os, "sched_yield")
+    poll = False
     while True:
         try:
+            poll = can_poll and _await_message(connection, poll)
             message = connection.recv()
         except (EOFError, OSError):
             return  # parent hung up (crashed or closed): exit cleanly

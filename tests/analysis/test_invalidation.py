@@ -116,6 +116,34 @@ class FleetHost:
 """
         assert findings_of(source) == []
 
+    def test_resize_that_skips_the_state_buckets_flagged(self):
+        # The pre-mask _resize: keyed on the free *count*, it never
+        # re-files the host under its new free-node mask.
+        source = """
+class FleetIndex:
+    def _resize(self, host):
+        if host.n_free_nodes == self._free_of[host.host_id]:
+            return
+        self._capacity.on_resize(host.machine, 0, host.n_free_nodes)
+"""
+        findings = findings_of(source)
+        assert len(findings) == 1
+        message = findings[0].message
+        assert "fleet-state-buckets" in message
+        for token in ("_mask_of", "_leave_state", "_enter_state"):
+            assert token in message
+
+    def test_state_memo_stored_outside_the_versioned_tables_flagged(self):
+        source = """
+class BlockScoreCache:
+    def states(self, machine, kind):
+        return self._memos.setdefault((machine, kind), object())
+"""
+        findings = findings_of(source)
+        assert len(findings) == 1
+        assert "block-score-tables" in findings[0].message
+        assert "_versions, _tables" in findings[0].message
+
     def test_promotion_must_touch_every_token(self):
         source = """
 class ModelServer:

@@ -17,7 +17,11 @@ from repro.core.blockscores import (
     MAX_TABLE_NODES,
     BlockScoreCache,
     BlockScoreTable,
+    BlockStateMemo,
     block_score_table,
+    block_state_memo,
+    mask_nodes,
+    node_mask,
 )
 from repro.core.memo import cached_block_score_table
 from repro.core.placements import Placement
@@ -32,6 +36,19 @@ from repro.topology import (
 
 def _interconnect_scorer(machine):
     return lambda nodes: machine.interconnect.aggregate_bandwidth(nodes)
+
+
+def _jumbo():
+    """A shape one node too large to tabulate."""
+    return (
+        TopologyBuilder("jumbo")
+        .nodes(MAX_TABLE_NODES + 1)
+        .l2_groups_per_node(2, threads_per_l2=2)
+        .dram_bandwidth(10000.0)
+        .cache_sizes(l3_mb=8.0, l2_kb=512.0)
+        .symmetric_interconnect(bandwidth_mbps=6000.0)
+        .build()
+    )
 
 
 def _naive_find(free, size, scorer, *, target_score=None, exclude=()):
@@ -145,19 +162,106 @@ class TestBlockScoreTable:
             2, scorer, target_score=target, table=table
         ) == host.find_block(2, scorer, target_score=target)
 
+    @pytest.mark.parametrize(
+        "factory", [amd_opteron_6272, intel_xeon_e7_4830_v3]
+    )
+    def test_mask_keyed_lookup_equals_find_for_every_mask(self, factory):
+        machine = factory()
+        scorer = _interconnect_scorer(machine)
+        table = BlockScoreTable(machine, scorer)
+        sizes = range(1, machine.n_nodes + 1)
+        targets = {
+            size: sorted(
+                {
+                    scorer(frozenset(c))
+                    for c in itertools.combinations(machine.nodes, size)
+                }
+            )
+            for size in sizes
+        }
+        asked = 0
+        for mask in range(2**machine.n_nodes):
+            free = set(mask_nodes(mask))
+            assert node_mask(free) == mask
+            for size in sizes:
+                for target in [None, -1.0] + targets[size]:
+                    expected = table.find(free, size, target_score=target)
+                    # First ask fills the memo, the second reads it.
+                    assert table.find_mask(mask, size, target) == expected
+                    assert table.find_mask(mask, size, target) == expected
+                    asked += 1
+        assert table.n_states == asked
+
+    def test_find_block_exclude_reads_the_excluded_state(self):
+        machine = amd_opteron_6272()
+        scorer = _interconnect_scorer(machine)
+        table = BlockScoreTable(machine, scorer)
+        host = FleetHost(0, machine)
+        host.allocate(1, Placement(machine, (0, 3), 16, l2_share=2))
+        assert host.free_mask == 0b11110110
+        for exclude in ((), (1,), (1, 2, 4), tuple(machine.nodes)):
+            assert host.find_block(
+                2, scorer, exclude=exclude, table=table
+            ) == _naive_find(host.free_nodes, 2, scorer, exclude=exclude)
+
     def test_oversized_machine_rejected(self):
-        machine = (
-            TopologyBuilder("jumbo")
-            .nodes(MAX_TABLE_NODES + 1)
-            .l2_groups_per_node(2, threads_per_l2=2)
-            .dram_bandwidth(10000.0)
-            .cache_sizes(l3_mb=8.0, l2_kb=512.0)
-            .symmetric_interconnect(bandwidth_mbps=6000.0)
-            .build()
-        )
+        machine = _jumbo()
         with pytest.raises(ValueError, match="capped"):
             BlockScoreTable(machine, lambda block: 0.0)
         assert block_score_table(machine) is None
+
+
+class TestLoopFilledStateMemo:
+    """Shapes above MAX_TABLE_NODES get the same memo, filled by the
+    combinations loop instead of a table."""
+
+    def test_answers_equal_the_loop_and_are_computed_once(self):
+        machine = _jumbo()
+        calls = []
+
+        def scorer(block):
+            calls.append(block)
+            return machine.interconnect.aggregate_bandwidth(block)
+
+        memo = BlockStateMemo(machine, scorer)
+        rng = random.Random(3)
+        target = machine.interconnect.aggregate_bandwidth((0, 1))
+        for _ in range(40):
+            mask = rng.getrandbits(machine.n_nodes)
+            for size, wanted in ((1, None), (2, target), (2, -1.0), (3, None)):
+                expected = _naive_find(
+                    mask_nodes(mask),
+                    size,
+                    machine.interconnect.aggregate_bandwidth,
+                    target_score=wanted,
+                )
+                assert memo.find_mask(mask, size, wanted) == expected
+                scored = len(calls)
+                assert memo.find_mask(mask, size, wanted) == expected
+                assert len(calls) == scored  # second ask never re-scores
+
+    def test_cache_serves_untabulable_shapes_and_drops_them_with_the_table(
+        self,
+    ):
+        cache = BlockScoreCache()
+        jumbo, amd = _jumbo(), amd_opteron_6272()
+        memo = cache.states(jumbo)
+        assert not isinstance(memo, BlockScoreTable)
+        assert cache.get(jumbo) is None  # no table, as before
+        assert cache.states(jumbo) is memo  # one per shape
+        assert cache.states(amd) is cache.get(amd)  # the table is the memo
+        memo.find_mask(0b111, 2)
+        cache.get(amd).find_mask(0b111, 2)
+        cache.invalidate(jumbo.fingerprint())
+        cache.invalidate(amd.fingerprint())
+        assert cache.states(jumbo) is not memo
+        assert cache.states(jumbo).n_states == 0
+        assert cache.get(amd).n_states == 0
+        cache.assert_version_consistency()
+
+    def test_module_level_helper_shares_default_cache(self):
+        machine = amd_opteron_6272()
+        assert block_state_memo(machine) is block_score_table(machine)
 
 
 class TestBlockScoreCache:

@@ -4,16 +4,26 @@ Two contracts:
 
 * **consistency** — after any sequence of allocations, releases, and
   migrations, every index counter and bucket equals what a from-scratch
-  recomputation over the hosts produces (randomized replay);
+  recomputation over the hosts produces, and the state-keyed host query
+  equals a brute-force scan over the hosts (randomized replay on a fleet
+  that includes a shape too large to tabulate);
 * **equivalence** — policies running on the index pick exactly the hosts
   and placements the original linear scans pick, on both the one-shot
   reference request stream and the churning lifecycle stream.
 """
 
+import itertools
 import random
 
 import pytest
 
+from repro.core.blockscores import (
+    MAX_TABLE_NODES,
+    BlockScoreCache,
+    BlockScoreTable,
+    scores_match,
+)
+from repro.core.memo import cached_enumerate_important_placements
 from repro.core.placements import Placement
 from repro.scheduler import (
     Fleet,
@@ -29,13 +39,74 @@ from repro.scheduler import (
     generate_request_stream,
     minimal_shape,
 )
-from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from repro.topology import (
+    TopologyBuilder,
+    amd_opteron_6272,
+    intel_xeon_e7_4830_v3,
+)
 
 
 def _mixed_fleet():
     return Fleet.mixed(
         [(amd_opteron_6272(), 6), (intel_xeon_e7_4830_v3(), 5)]
     )
+
+
+def _jumbo():
+    """A shape above MAX_TABLE_NODES (no block-score table exists for it):
+    a ring with alternating link bandwidths, so block scores differ."""
+    n = MAX_TABLE_NODES + 1
+    return (
+        TopologyBuilder("jumbo")
+        .nodes(n)
+        .l2_groups_per_node(2, threads_per_l2=2)
+        .dram_bandwidth(10000.0)
+        .cache_sizes(l3_mb=8.0, l2_kb=512.0)
+        .asymmetric_interconnect(
+            {(i, (i + 1) % n): 4000.0 + 1500.0 * (i % 3) for i in range(n)}
+        )
+        .build()
+    )
+
+
+def _naive_find(free, size, scorer, target):
+    """The pre-table find_block loop, verbatim: the oracle."""
+    nodes = sorted(free)
+    if size > len(nodes):
+        return None
+    best, best_score = None, float("-inf")
+    for combo in itertools.combinations(nodes, size):
+        score = scorer(frozenset(combo))
+        if target is not None:
+            if scores_match(score, target):
+                return combo
+            continue
+        if score > best_score:
+            best_score, best = score, combo
+    return best
+
+
+def _state_queries(machine):
+    """Every ``(size, target)`` the state-keyed query is checked for on one
+    shape: each block size with no target, plus the interconnect scores of
+    the shape's important placements (of hand-picked blocks on the jumbo
+    shape, whose enumeration would take minutes)."""
+    scorer = machine.interconnect.aggregate_bandwidth
+    if machine.n_nodes > MAX_TABLE_NODES:
+        sizes = (1, 2, machine.n_nodes)
+        blocks = [(0,), (0, 1), (1, 2), (0, 2), (0, 1, 2, 3), (1, 4, 7, 10)]
+    else:
+        sizes = range(1, machine.n_nodes + 1)
+        blocks = [
+            placement.nodes
+            for vcpus in (8, 16, 32)
+            for placement in cached_enumerate_important_placements(
+                machine, vcpus
+            )
+        ]
+    queries = {(size, None) for size in sizes}
+    queries.update((len(block), scorer(block)) for block in blocks)
+    return sorted(queries, key=lambda q: (q[0], q[1] is not None, q[1] or 0.0))
 
 
 class TestIndexCounters:
@@ -98,13 +169,53 @@ class TestIndexCounters:
 
 class TestRandomizedReplayConsistency:
     """Replay random allocate/release/migration sequences and recompute
-    every counter from scratch after each step."""
+    every counter from scratch — and every state-keyed host query by a
+    brute-force scan over ``fleet.hosts`` — after each step."""
+
+    @staticmethod
+    def _assert_queries_match_scan(fleet, cache, queries, oracle):
+        for fingerprint, machine in fleet.index.machines():
+            scorer = machine.interconnect.aggregate_bandwidth
+            memo = cache.states(machine, "interconnect")
+            for size, target in queries[fingerprint]:
+                expected = None
+                for host in fleet.hosts:
+                    if host.machine.fingerprint() != fingerprint:
+                        continue
+                    key = (fingerprint, host.free_nodes, size, target)
+                    if key not in oracle:
+                        oracle[key] = _naive_find(
+                            host.free_nodes, size, scorer, target
+                        )
+                    if oracle[key] is not None:
+                        expected = host.host_id
+                        break
+                assert (
+                    fleet.index.lowest_host(fingerprint, memo, size, target)
+                    == expected
+                ), (machine.name, size, target)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_replay(self, seed):
         rng = random.Random(seed)
-        fleet = _mixed_fleet()
+        fleet = Fleet.mixed(
+            [
+                (amd_opteron_6272(), 6),
+                (intel_xeon_e7_4830_v3(), 5),
+                (_jumbo(), 2),
+            ]
+        )
         index = fleet.index
+        cache = BlockScoreCache()
+        queries = {
+            fingerprint: _state_queries(machine)
+            for fingerprint, machine in index.machines()
+        }
+        assert [
+            isinstance(cache.states(machine), BlockScoreTable)
+            for _, machine in index.machines()
+        ] == [True, True, False]
+        oracle = {}  # the brute-force scan's own per-state memo
         live = {}  # request_id -> host_id
         next_id = 1
         for step in range(300):
@@ -162,6 +273,59 @@ class TestRandomizedReplayConsistency:
                 )
                 live[request_id] = dest.host_id
             index.assert_consistent(fleet.hosts)
+            self._assert_queries_match_scan(fleet, cache, queries, oracle)
+
+
+class TestLongChurnStaysBounded:
+    """The state buckets and the per-shape state memo are the structures
+    this index adds; neither may grow with the length of the run."""
+
+    def test_bucket_storage_and_state_memo_bounded(self):
+        rng = random.Random(7)
+        machine = amd_opteron_6272()
+        fleet = Fleet.homogeneous(machine, 12)
+        index = fleet.index
+        memo = BlockScoreCache().states(machine, "interconnect")
+        queries = _state_queries(machine)
+        live = []
+        events = peak_storage = 0
+        next_id = 1
+        while events < 20_000:
+            host = rng.choice(fleet.hosts)
+            if live and (rng.random() < 0.5 or host.n_free_nodes == 0):
+                fleet.release(live.pop(rng.randrange(len(live))))
+            elif host.n_free_nodes:
+                n_nodes = rng.randint(1, min(4, host.n_free_nodes))
+                nodes = rng.sample(sorted(host.free_nodes), n_nodes)
+                host.allocate(
+                    next_id, Placement(machine, nodes, 8 * n_nodes, l2_share=2)
+                )
+                live.append(next_id)
+                next_id += 1
+            else:
+                continue
+            events += 1
+            size, target = rng.choice(queries)
+            index.lowest_host(machine.fingerprint(), memo, size, target)
+            if events % 500 == 0:
+                index.assert_consistent(fleet.hosts)
+            peak_storage = max(
+                peak_storage,
+                sum(
+                    len(bucket.heap)
+                    for bucket in index._states[machine.fingerprint()].values()
+                ),
+            )
+        index.assert_consistent(fleet.hosts)
+        # Lazy-deletion heaps are compacted once stale ids outnumber
+        # live ones, so storage is O(hosts) however long the run.
+        assert peak_storage <= 2 * len(fleet.hosts)
+        targets = {target for _, target in queries}
+        assert memo.n_states <= (
+            2**machine.n_nodes * machine.n_nodes * len(targets)
+        )
+        # ... and it is the states, not the events, that fill the memo.
+        assert memo.n_states <= 2**machine.n_nodes * len(queries)
 
 
 def _decision_fingerprints(report):

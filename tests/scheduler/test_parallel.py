@@ -15,8 +15,10 @@ The contracts under test:
   of the ``--no-overlap`` sequential baseline, on both transports.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -29,6 +31,7 @@ from repro.scheduler import (
     ShardError,
     ShardTimeoutError,
 )
+from repro.scheduler.shard import POLL_SECONDS, _await_message
 from tests.scheduler.test_service import CHURN_REFERENCE, _fingerprints
 
 
@@ -160,6 +163,54 @@ class TestProcessSplitProtocol:
                 os.kill(client._process.pid, signal.SIGCONT)
         finally:
             client.close()
+
+
+class TestWorkerPolling:
+    """The process worker's wait for its next message: poll after a short
+    wait, block after a long one, never burn more than one budget."""
+
+    @pytest.mark.parametrize("poll", [False, True])
+    def test_waiting_message_returns_at_once(self, poll):
+        parent, child = multiprocessing.Pipe()
+        try:
+            parent.send({"op": "summary"})
+            assert _await_message(child, poll) is True
+            assert child.recv() == {"op": "summary"}
+        finally:
+            parent.close()
+            child.close()
+
+    @pytest.mark.parametrize("poll", [False, True])
+    def test_long_wait_blocks_and_stops_the_polling(self, poll):
+        parent, child = multiprocessing.Pipe()
+        delay = 50 * POLL_SECONDS
+        timer = threading.Timer(delay, parent.send, args=({"op": "stop"},))
+        try:
+            cpu_before = time.process_time()
+            start = time.perf_counter()
+            timer.start()
+            assert _await_message(child, poll) is False
+            waited = time.perf_counter() - start
+            burned = time.process_time() - cpu_before
+            assert waited >= delay * 0.9
+            # At most one polling budget of CPU (with slack for the
+            # timer thread), not the whole wait.
+            assert burned < delay / 2
+            assert child.recv() == {"op": "stop"}
+        finally:
+            timer.cancel()
+            parent.close()
+            child.close()
+
+    def test_hung_up_pipe_ends_the_wait(self):
+        parent, child = multiprocessing.Pipe()
+        parent.close()
+        try:
+            _await_message(child, True)
+            with pytest.raises(EOFError):
+                child.recv()
+        finally:
+            child.close()
 
 
 class TestOverlapEquivalence:
