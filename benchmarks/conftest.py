@@ -58,18 +58,27 @@ BENCH_PREDICT_JSON = os.path.abspath(
 
 
 def _current_commit() -> str:
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """The checked-out commit, with ``+src`` appended when the program under
+    ``src/`` differs from it — numbers measured on a modified tree must
+    not pass for the parent commit's."""
+
+    def git(*arguments: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *arguments],
             capture_output=True,
             text=True,
             cwd=os.path.dirname(BENCH_JSON),
             timeout=10,
         )
-        commit = result.stdout.strip()
-        return commit or "unknown"
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD").stdout.strip()
+        modified = git("diff", "--quiet", "HEAD", "--", "src").returncode == 1
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+    if not commit:
+        return "unknown"
+    return f"{commit}+src" if modified else commit
 
 
 def record_bench(scenario: str, payload: dict, *, path: str | None = None) -> None:

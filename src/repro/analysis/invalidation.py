@@ -4,7 +4,8 @@ The tree memoizes aggressively — the forest compiles an arena from
 ``trees_``, ``FleetIndex`` mirrors host capacity in O(1) counters and
 buckets hosts by free-node state, ``BlockScoreCache`` keys score tables
 and their per-state answers on ``(fingerprint, kind, version)``,
-``ModelRegistry`` keys baseline-IPC memos on a model version token.
+``ModelRegistry`` keys baseline-IPC memos on a model version token,
+``ArtifactStore`` hands every registry the same trained entries.
 Every one of those stays correct only because each mutation path
 bumps the matching version or drops the derived structure.  This rule
 encodes those pairings in a small registry (:data:`CACHE_SURFACES`) so
@@ -173,6 +174,23 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             ),
         },
         runtime_check="ModelRegistry.assert_version_consistency",
+    ),
+    CacheSurface(
+        name="artifact-store",
+        class_name="ArtifactStore",
+        module_suffix="scheduler/artifacts.py",
+        # Every registry of the process is served the same entries, so
+        # they go in whole and sealed read-only and are never written
+        # afterwards: any method that touches _entries in place (get's
+        # insert, refresh and evict are the only ones) must be the one
+        # that seals what it inserts.
+        guarded_attrs=("_entries",),
+        invalidators=("_sealed",),
+        exempt_methods=("clear",),
+        runtime_check=(
+            "stored arrays are read-only and a sibling registry survives "
+            "promotion (tests/scheduler/test_artifact_store.py)"
+        ),
     ),
     CacheSurface(
         name="shard-respawn-state",

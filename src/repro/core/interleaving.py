@@ -26,8 +26,6 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Set
 
-import networkx as nx
-
 from repro.core.placements import Placement
 from repro.core.policies import MlPolicy
 from repro.perfsim.simulator import PerformanceSimulator
@@ -43,15 +41,9 @@ _SAFE_COMM_INTENSITY = 0.15
 def _links_used_within(machine: MachineTopology, nodes: Iterable[int]) -> Set[FrozenSet[int]]:
     """Interconnect links that traffic internal to ``nodes`` routes over
     (union over all shortest paths between member pairs)."""
-    node_list = sorted(set(nodes))
-    graph = nx.Graph()
-    graph.add_nodes_from(machine.interconnect.nodes)
-    for link in machine.interconnect.links:
-        a, b = sorted(link)
-        graph.add_edge(a, b)
     used: Set[FrozenSet[int]] = set()
-    for a, b in itertools.combinations(node_list, 2):
-        for path in nx.all_shortest_paths(graph, a, b):
+    for a, b in itertools.combinations(sorted(set(nodes)), 2):
+        for path in machine.interconnect.shortest_paths(a, b):
             used.update(frozenset(pair) for pair in zip(path, path[1:]))
     return used
 

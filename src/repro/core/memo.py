@@ -110,6 +110,12 @@ class EnumerationCache:
         self._entries[key] = result
         return result
 
+    def __contains__(self, key: Tuple[MachineTopology, int]) -> bool:
+        """Whether ``(machine, vcpus)`` would be served without running the
+        pipeline.  Not counted as a lookup."""
+        machine, vcpus = key
+        return (machine.fingerprint(), int(vcpus)) in self._entries
+
     def info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, len(self._entries))
 
@@ -119,10 +125,16 @@ class EnumerationCache:
         self._misses = 0
 
 
-#: Process-wide default cache, used by the fleet scheduler registry (and by
+#: Entries the process-wide cache keeps.  A fleet sees a handful of
+#: ``(shape, vcpus)`` keys; the bound only matters to a long-lived process
+#: that keeps meeting new shapes.
+ENUMERATION_CACHE_MAX = 256
+
+#: Process-wide default cache, used by every fleet scheduler registry (each
+#: :class:`~repro.scheduler.registry.ModelRegistry` is a view of it) and by
 #: anyone who wants cross-call memoization without threading a cache
-#: object through their API).
-DEFAULT_ENUMERATION_CACHE = EnumerationCache()
+#: object through their API.
+DEFAULT_ENUMERATION_CACHE = EnumerationCache(ENUMERATION_CACHE_MAX)
 
 
 def cached_enumerate_important_placements(

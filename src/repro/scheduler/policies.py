@@ -753,6 +753,22 @@ POLICIES: Dict[str, type] = {
 }
 
 
+def _factory(name: str):
+    try:
+        return POLICIES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown policy {name!r}; registered: "
+            f"{', '.join(sorted(POLICIES))}"
+        )
+
+
+def is_model_driven(name: str) -> bool:
+    """Whether the named policy's constructor takes a registry — the
+    model-driven policies do, the heuristic ones make no predictions."""
+    return "registry" in inspect.signature(_factory(name)).parameters
+
+
 def make_policy(
     name: str,
     *,
@@ -768,14 +784,7 @@ def make_policy(
     and a uniform call site beats a per-policy constructor matrix.
     Extra keyword arguments go to the constructor verbatim.
     """
-    try:
-        factory = POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {name!r}; registered: "
-            f"{', '.join(sorted(POLICIES))}"
-        )
-    parameters = inspect.signature(factory).parameters
-    if "registry" in parameters:
+    factory = _factory(name)
+    if is_model_driven(name):
         return factory(registry, indexed=indexed, **kwargs)
     return factory(indexed=indexed, **kwargs)

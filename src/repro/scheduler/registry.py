@@ -3,16 +3,27 @@ simulators.
 
 Everything the paper trains or enumerates is keyed by ``(machine shape,
 vCPU count)``, and a fleet sees only a handful of distinct keys across
-thousands of requests.  The registry memoizes all of it:
+thousands of requests.  What is a pure function of the key and the
+registry's parameters is computed once per process and *shared*: the
+registry holds per-registry views filled from the process-wide
+:data:`~repro.core.memo.DEFAULT_ENUMERATION_CACHE` and
+:data:`~repro.scheduler.artifacts.DEFAULT_ARTIFACT_STORE`, so a second
+registry with equal parameters (another shard, a respawned worker) is
+served the same objects without enumerating or fitting anything:
 
-* **important placements** through an :class:`~repro.core.memo.EnumerationCache`
-  (the memoization can be disabled to reproduce the naive per-request
-  pipeline — the benchmark's baseline);
+* **important placements** — the memoization can be disabled to reproduce
+  the naive per-request pipeline (the benchmark's baseline);
 * **prediction models** — one fitted :class:`~repro.core.model.PlacementModel`
-  per key.  The canonical input pair from :mod:`repro.experiments` is used
+  per key, and the :class:`~repro.core.training.TrainingSet` it was fitted
+  on.  The canonical input pair from :mod:`repro.experiments` is used
   when the key matches the paper's evaluation; other keys fall back to a
   fixed (first, last) pair rather than paying the minutes-long automatic
-  search per shape;
+  search per shape.
+
+The views are only ever *rebound* (online learning promotes a fresh model
+into one registry's view; its siblings and the store keep the original).
+What depends on a registry's own history stays private to it:
+
 * **simulators** — one :class:`~repro.perfsim.simulator.PerformanceSimulator`
   per shape, standing in for the fleet's measurement plane;
 * **noise-free IPC evaluations** — the grader's inputs.  The baseline
@@ -33,13 +44,14 @@ from repro.core.enumeration import (
     ImportantPlacementSet,
     enumerate_important_placements,
 )
-from repro.core.memo import CacheInfo, EnumerationCache
+from repro.core.memo import DEFAULT_ENUMERATION_CACHE, CacheInfo
 from repro.core.model import PlacementModel
 from repro.core.placements import Placement
-from repro.core.training import TrainingSet, build_training_set
-from repro.experiments import CANONICAL_PAIRS, paper_vcpus, training_corpus
+from repro.core.training import TrainingSet
+from repro.experiments import CANONICAL_PAIRS, paper_vcpus
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.perfsim.workload import WorkloadProfile
+from repro.scheduler.artifacts import DEFAULT_ARTIFACT_STORE
 from repro.scheduler.fleet import minimal_shape
 from repro.topology.machine import MachineTopology
 
@@ -81,16 +93,21 @@ class ModelRegistry:
         self.n_synthetic = n_synthetic
         self.seed = seed
         self.memoize_ipc = memoize_ipc
-        self.enumeration_cache = EnumerationCache()
         #: Enumeration pipeline runs that bypassed the cache (naive mode).
         self.uncached_enumerations = 0
+        #: (fingerprint, vcpus) -> this registry's view of the process-wide
+        #: enumeration cache's placement sets and the artifact store's
+        #: models and training sets.  Entries are rebound, never written
+        #: through: the objects are shared.
+        self._placements: Dict[Tuple, ImportantPlacementSet] = {}
         self._models: Dict[Tuple, PlacementModel] = {}
-        #: (fingerprint, vcpus) -> the TrainingSet the key's model was
-        #: fitted on, retained so online retraining can warm-start (append
-        #: rows) instead of re-simulating the whole corpus.
+        #: Retained so online retraining can warm-start (append rows to a
+        #: fresh copy) instead of re-simulating the whole corpus.
         self._training_sets: Dict[Tuple, TrainingSet] = {}
+        #: Memoized placement lookups that ran the pipeline / did not.
+        self._enumeration_misses = 0
+        self._enumeration_hits = 0
         self._simulators: Dict[Tuple, PerformanceSimulator] = {}
-        self._corpus: List[WorkloadProfile] | None = None
         #: (fingerprint, vcpus, profile, model-version token) -> baseline
         #: (denominator) IPC.
         self._baseline_ipc: Dict[Tuple, float] = {}
@@ -105,11 +122,28 @@ class ModelRegistry:
         self, machine: MachineTopology, vcpus: int
     ) -> ImportantPlacementSet:
         """Important placements for the key — memoized unless the registry
-        was built with ``memoize_enumeration=False``."""
-        if self.memoize_enumeration:
-            return self.enumeration_cache.get(machine, vcpus)
-        self.uncached_enumerations += 1
-        return enumerate_important_placements(machine, vcpus)
+        was built with ``memoize_enumeration=False``.
+
+        A memoized lookup counts as a miss only when it is the one that
+        made the process-wide cache run the pipeline; a registry served
+        from a cache another registry (or the service front end) already
+        filled reports hits alone.
+        """
+        if not self.memoize_enumeration:
+            self.uncached_enumerations += 1
+            return enumerate_important_placements(machine, vcpus)
+        key = (machine.fingerprint(), int(vcpus))
+        placements = self._placements.get(key)
+        if placements is None:
+            if (machine, vcpus) in DEFAULT_ENUMERATION_CACHE:
+                self._enumeration_hits += 1
+            else:
+                self._enumeration_misses += 1
+            placements = DEFAULT_ENUMERATION_CACHE.get(machine, vcpus)
+            self._placements[key] = placements
+        else:
+            self._enumeration_hits += 1
+        return placements
 
     def simulator(self, machine: MachineTopology) -> PerformanceSimulator:
         key = machine.fingerprint()
@@ -160,7 +194,7 @@ class ModelRegistry:
             )
 
     def model(self, machine: MachineTopology, vcpus: int) -> PlacementModel:
-        """A fitted model for the key, trained once and reused.
+        """A fitted model for the key, trained once per process and reused.
 
         Model fitting is always memoized, even in naive mode: refitting per
         request would swamp the enumeration/prediction costs the naive
@@ -168,28 +202,18 @@ class ModelRegistry:
         """
         key = (machine.fingerprint(), int(vcpus))
         model = self._models.get(key)
-        if model is not None:
-            return model
-        if self._corpus is None:
-            self._corpus = training_corpus(
-                seed=self.seed + 42, n_synthetic=self.n_synthetic
+        if model is None:
+            artifacts = DEFAULT_ARTIFACT_STORE.get(
+                machine,
+                vcpus,
+                placements=self.placements(machine, vcpus),
+                input_pair=self.input_pair(machine, vcpus),
+                seed=self.seed,
+                n_estimators=self.n_estimators,
+                n_synthetic=self.n_synthetic,
             )
-        pair = self.input_pair(machine, vcpus)
-        training_set = build_training_set(
-            machine,
-            vcpus,
-            self._corpus,
-            simulator=self.simulator(machine),
-            baseline_index=pair[0],
-        )
-        model = PlacementModel(
-            input_pair=pair,
-            n_estimators=self.n_estimators,
-            random_state=self.seed,
-        )
-        model.fit(training_set)
-        self._models[key] = model
-        self._training_sets[key] = training_set
+            model = self._models[key] = artifacts.model
+            self._training_sets[key] = artifacts.training_set
         return model
 
     def training_set(
@@ -419,6 +443,19 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------
 
+    def enumeration_info(self) -> CacheInfo:
+        """Accounting of this registry's memoized placement lookups: a
+        miss ran the Algorithm 1-3 pipeline, a hit was served from the
+        registry's view or from the process-wide cache."""
+        return CacheInfo(
+            self._enumeration_hits,
+            self._enumeration_misses,
+            len(self._placements),
+        )
+
     def enumeration_runs(self) -> int:
-        """Total times the Algorithm 1-3 pipeline actually executed."""
-        return self.enumeration_cache.info().misses + self.uncached_enumerations
+        """Times this registry's lookups made the Algorithm 1-3 pipeline
+        execute.  Summed over every registry of a process (the service
+        adds its front end's) this is the process-wide count; a registry
+        served entirely from an already warm cache reports 0."""
+        return self._enumeration_misses + self.uncached_enumerations

@@ -120,7 +120,15 @@ class FleetReport:
     thread_utilization: float = 0.0
     node_utilization: float = 0.0
     busiest_host_utilization: float = 0.0
+    #: Memoized important-placement lookups of the reporting registries
+    #: (a service report adds its front end's): a miss made the
+    #: process-wide enumeration cache run the Algorithm 1-3 pipeline, a
+    #: hit was served from a registry's view or from that cache.
     cache_info: CacheInfo | None = None
+    #: Pipeline executions those registries caused, naive-mode runs
+    #: included.  Whoever asks the cache first is charged; a registry
+    #: served from an already warm cache (a shard behind a front end, a
+    #: respawned worker) reports 0.
     enumeration_runs: int = 0
     predict_calls: int = 0
     predicted_rows: int = 0
@@ -177,7 +185,7 @@ class FleetReport:
             thread_utilization=fleet.thread_utilization,
             node_utilization=fleet.node_utilization,
             busiest_host_utilization=max(per_host) if per_host else 0.0,
-            cache_info=registry.enumeration_cache.info(),
+            cache_info=registry.enumeration_info(),
             enumeration_runs=registry.enumeration_runs(),
             predict_calls=getattr(policy, "predict_calls", 0),
             predicted_rows=getattr(policy, "predicted_rows", 0),

@@ -65,7 +65,8 @@ from repro.scheduler.lifecycle import (
     MigrationRecord,
 )
 from repro.scheduler.faults import FaultInjectingClient, FaultPlan
-from repro.scheduler.policies import FleetDecision
+from repro.scheduler.policies import FleetDecision, is_model_driven
+from repro.scheduler.registry import ModelRegistry
 from repro.scheduler.requests import PlacementRequest
 from repro.scheduler.scheduler import FleetReport, GradedDecision
 from repro.scheduler.shard import (
@@ -459,6 +460,12 @@ class SchedulerService:
                 seed=config.seed,
             )
         self._sleep = time.sleep
+        #: The front end's own view of the artifact store, filled before
+        #: any client exists: inline shards then find every model they
+        #: will serve already trained, forked workers inherit them, and
+        #: so does every later respawn — recovery replays the journal
+        #: without fitting anything.
+        self._registry = self._warm_artifact_store()
         self.clients = [self._make_client(shard) for shard in range(n)]
         self.summaries: List[ShardSummary] = [
             self._initial_summary(shard) for shard in range(n)
@@ -503,6 +510,26 @@ class SchedulerService:
         self._outbox: List[List[List]] = [[] for _ in range(n)]
         #: (machine name, vcpus) -> minimal block nodes | None, memoized.
         self._needed: Dict[Tuple[str, int], int | None] = {}
+
+    def _warm_artifact_store(self) -> ModelRegistry:
+        """Train every ``(shape, vcpus)`` key this service routes, through
+        a registry built like the shards' — once per process, whatever
+        the shard count.  Heuristic policies never consult a model, so
+        only a model-driven policy pays for this; in naive mode every
+        ``placements`` call is a pipeline run charged to the report, so
+        the shards are left to train on first use as before."""
+        registry = self.config.build_registry()
+        if self.config.naive or not is_model_driven(self.config.policy):
+            return registry
+        for machine in self._by_name.values():
+            for vcpus in sorted(set(self.config.vcpus)):
+                try:
+                    trainable = len(registry.placements(machine, vcpus)) >= 2
+                except ValueError:  # a size this shape cannot host
+                    continue
+                if trainable:  # the model needs an input pair
+                    registry.model(machine, vcpus)
+        return registry
 
     def _make_client(self, shard: int):
         """Build (or rebuild, on recovery) one shard's client, re-wrapped
@@ -762,11 +789,13 @@ class SchedulerService:
 
     def _recover_shard(self, shard: int) -> Dict | None:
         """Rebuild a dead shard: respawn the worker from the serialized
-        config, reset the front-end's cached :class:`ShardSummary` (the
-        fresh worker is empty until the replay finishes), and replay the
-        journal in sequence order to reconstruct the shard's exact
-        pre-crash state.  Pending departures in ``self._outbox[shard]``
-        were never journaled and survive untouched — they ride after the
+        config (its registry is served from the artifact store the front
+        end filled at start-up, so nothing is re-trained), reset the
+        front-end's cached :class:`ShardSummary` (the fresh worker is
+        empty until the replay finishes), and replay the journal in
+        sequence order to reconstruct the shard's exact pre-crash state.
+        Pending departures in ``self._outbox[shard]`` were never
+        journaled and survive untouched — they ride after the
         shard is back UP.  Replay is idempotent (worker-side sequence
         dedup), and a fault firing mid-replay just restarts the rebuild:
         fault actions fire at most once, so the loop converges.  Returns
@@ -1623,8 +1652,8 @@ class SchedulerService:
                 response, _ = self._send(shard, {"op": "report"})
                 reports.append(response["report"])
 
-        def merged_cache(key: str) -> CacheInfo | None:
-            infos = [
+        def merged_cache(key: str, *own: CacheInfo) -> CacheInfo | None:
+            infos = list(own) + [
                 CacheInfo.from_dict(r[key])
                 for r in reports
                 if r[key] is not None
@@ -1692,8 +1721,11 @@ class SchedulerService:
             busiest_host_utilization=max(
                 r["busiest_host_utilization"] for r in reports
             ),
-            cache_info=merged_cache("cache_info"),
-            enumeration_runs=sum(r["enumeration_runs"] for r in reports),
+            cache_info=merged_cache(
+                "cache_info", self._registry.enumeration_info()
+            ),
+            enumeration_runs=self._registry.enumeration_runs()
+            + sum(r["enumeration_runs"] for r in reports),
             predict_calls=sum(r["predict_calls"] for r in reports),
             predicted_rows=sum(r["predicted_rows"] for r in reports),
             ipc_cache_info=merged_cache("ipc_cache_info"),

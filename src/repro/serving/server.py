@@ -307,9 +307,10 @@ class ModelServer(ModelRegistry):
         incumbent.retired_time = time
         candidate.status = VersionStatus.ACTIVE
         candidate.promoted_time = time
-        # Keep the base-class store pointing at the serving model so any
+        # Rebind this registry's own view to the serving model so any
         # code path reading ModelRegistry state (or bypassing the chain)
-        # agrees with the chain.
+        # agrees with the chain.  v1 is shared through the artifact store:
+        # it and every sibling registry keep serving it untouched.
         self._models[key] = candidate.model
 
         stale = [

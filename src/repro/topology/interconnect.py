@@ -24,9 +24,7 @@ Two quantities matter to the rest of the system:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 #: A link is identified by the unordered pair of node ids it connects.
 Link = FrozenSet[int]
@@ -82,15 +80,36 @@ class Interconnect:
                 raise ValueError(f"duplicate link ({a}, {b})")
             self._links[link] = float(bandwidth)
 
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(n_nodes))
-        for link, bandwidth in self._links.items():
+        neighbours: List[List[int]] = [[] for _ in range(n_nodes)]
+        for link in self._links:
             a, b = sorted(link)
-            self._graph.add_edge(a, b, bandwidth=bandwidth)
-        if n_nodes > 1 and not nx.is_connected(self._graph):
-            raise ValueError("interconnect graph must be connected")
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        #: source -> node -> hop count, and source -> node -> the
+        #: neighbours one hop closer to the source (every shortest path
+        #: back to the source leaves through one of them).
+        self._hops: Dict[int, Dict[int, int]] = {}
+        self._toward: Dict[int, Dict[int, List[int]]] = {}
+        for source in range(n_nodes):
+            hops = {source: 0}
+            toward: Dict[int, List[int]] = {source: []}
+            frontier = [source]
+            while frontier:
+                reached = []
+                for node in frontier:
+                    for neighbour in neighbours[node]:
+                        if neighbour not in hops:
+                            hops[neighbour] = hops[node] + 1
+                            toward[neighbour] = []
+                            reached.append(neighbour)
+                        if hops[neighbour] == hops[node] + 1:
+                            toward[neighbour].append(node)
+                frontier = reached
+            if len(hops) < n_nodes:
+                raise ValueError("interconnect graph must be connected")
+            self._hops[source] = hops
+            self._toward[source] = toward
 
-        self._hops = dict(nx.all_pairs_shortest_path_length(self._graph))
         self._effective: Dict[Link, float] = {}
         for a, b in itertools.combinations(range(n_nodes), 2):
             self._effective[_as_link(a, b)] = self._compute_effective(a, b)
@@ -184,6 +203,17 @@ class Interconnect:
             for a, b in itertools.combinations(range(self._n_nodes), 2)
         )
 
+    def shortest_paths(self, a: int, b: int) -> List[List[int]]:
+        """Every minimum-hop route from ``a`` to ``b``, each as the list of
+        nodes visited (both ends included), in no particular order."""
+        toward = self._toward[a]
+        paths = [[b]]
+        for _ in range(self.hop_distance(a, b)):
+            paths = [
+                path + [closer] for path in paths for closer in toward[path[-1]]
+            ]
+        return [path[::-1] for path in paths]
+
     def latency_ns(self, a: int, b: int) -> float:
         """Memory access latency between a thread on node ``a`` and memory on
         node ``b``."""
@@ -202,7 +232,7 @@ class Interconnect:
         # divide by the hop count to account for store-and-forward and for
         # sharing the intermediate links.
         best_bottleneck = 0.0
-        for path in nx.all_shortest_paths(self._graph, a, b):
+        for path in self.shortest_paths(a, b):
             bottleneck = min(
                 self._links[_as_link(u, v)] for u, v in zip(path, path[1:])
             )

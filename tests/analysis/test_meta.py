@@ -91,6 +91,17 @@ class TestCanonicalInjections:
         assert findings[0].path.endswith("ml/forest.py")
         assert "grow" in findings[0].message
 
+    def test_unsealed_entry_in_artifact_store(self):
+        findings = inject(
+            "scheduler/artifacts.py",
+            "entry = _sealed(TrainedArtifacts(training_set, model))",
+            "entry = TrainedArtifacts(training_set, model)",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert findings[0].path.endswith("scheduler/artifacts.py")
+        assert "artifact-store" in findings[0].message
+
     def test_numpy_scalar_in_shard_message(self):
         findings = inject(
             "scheduler/shard.py",

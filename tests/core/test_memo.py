@@ -5,6 +5,7 @@ import pytest
 from repro.core import enumerate_important_placements
 from repro.core.memo import (
     DEFAULT_ENUMERATION_CACHE,
+    ENUMERATION_CACHE_MAX,
     EnumerationCache,
     cached_enumerate_important_placements,
 )
@@ -136,7 +137,21 @@ class TestEnumerationCache:
         assert cache.info().misses == 1
 
 
+    def test_contains_neither_counts_nor_enumerates(self):
+        cache = EnumerationCache()
+        machine = amd_opteron_6272()
+        assert (machine, 16) not in cache
+        cache.get(machine, 16)
+        assert (amd_opteron_6272(), 16) in cache  # keyed by fingerprint
+        assert (machine, 8) not in cache
+        info = cache.info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+
 class TestModuleLevelCache:
+    def test_default_cache_is_bounded(self):
+        assert DEFAULT_ENUMERATION_CACHE.maxsize == ENUMERATION_CACHE_MAX
+
     def test_cached_convenience_function(self):
         machine = intel_xeon_e7_4830_v3()
         before = DEFAULT_ENUMERATION_CACHE.info()

@@ -18,9 +18,13 @@ The contracts under test, in rough order of importance:
 """
 
 import json
+import multiprocessing
+from unittest import mock
 
 import pytest
 
+from repro.core import memo
+from repro.core.model import PlacementModel
 from repro.scheduler import (
     FaultAction,
     FaultInjectingClient,
@@ -456,6 +460,61 @@ class TestCrashRecovery:
         report, stats = _serve(config, faults=plan)
         assert _report_signature(report) == _report_signature(plain)
         assert stats.crashes == 2
+
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    def test_respawn_replays_without_training(
+        self, workers, empty_artifact_store
+    ):
+        """Recovery time must not depend on training time: the front end
+        trains every key once, before any worker exists, and a respawned
+        shard — in-process or forked — replays its journal on the models
+        it finds in the artifact store."""
+        if workers == "process" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the store only when forked")
+        # Shared memory, so calls made inside forked workers count too.
+        fits = multiprocessing.Value("i", 0)
+        enumerations = multiprocessing.Value("i", 0)
+
+        def counted(counter, function):
+            def wrapper(*args, **kwargs):
+                with counter.get_lock():
+                    counter.value += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        config = ScheduleConfig(
+            **CHURN_REFERENCE,
+            shards=2,
+            window=4,
+            backoff_base_s=0.0,
+            workers=workers,
+            request_timeout_s=20.0,
+        )
+        plan = FaultPlan.kill_each_shard_once(2, seed=config.seed)
+        with mock.patch.object(
+            PlacementModel, "fit", counted(fits, PlacementModel.fit)
+        ), mock.patch.object(
+            memo,
+            "enumerate_important_placements",
+            counted(enumerations, memo.enumerate_important_placements),
+        ):
+            with SchedulerService(config, faults=plan) as service:
+                # Two vCPU classes on one shape, trained by the front end.
+                assert (fits.value, enumerations.value) == (2, 2)
+                report = service.serve()
+                stats = service.stats
+                shard_reports = [
+                    client.request({"op": "report"})["report"]
+                    for client in service.clients
+                ]
+        assert stats.crashes == 2
+        assert stats.journal_replays == 2
+        assert (fits.value, enumerations.value) == (2, 2)
+        assert [r["enumeration_runs"] for r in shard_reports] == [0, 0]
+        assert report.enumeration_runs == 2
+        plain, _ = _serve(config)
+        assert _report_signature(report) == _report_signature(plain)
 
     def test_health_returns_to_up_after_recovery(self):
         config = _fast_config()

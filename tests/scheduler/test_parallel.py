@@ -15,14 +15,17 @@ The contracts under test:
   of the ``--no-overlap`` sequential baseline, on both transports.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.core.memo import DEFAULT_ENUMERATION_CACHE
 from repro.scheduler import (
     InlineShardClient,
     ProcessShardClient,
@@ -31,7 +34,11 @@ from repro.scheduler import (
     ShardError,
     ShardTimeoutError,
 )
-from repro.scheduler.shard import POLL_SECONDS, _await_message
+from repro.scheduler.shard import (
+    POLL_SECONDS,
+    _await_message,
+    _shard_worker_main,
+)
 from tests.scheduler.test_service import CHURN_REFERENCE, _fingerprints
 
 
@@ -211,6 +218,63 @@ class TestWorkerPolling:
                 child.recv()
         finally:
             child.close()
+
+
+class TestWorkersInheritTheArtifactStore:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the store only when forked",
+    )
+    def test_forked_shards_train_nothing(self, empty_artifact_store):
+        """The front end trains before it spawns, so process shards report
+        no enumeration of their own and the merged counts equal the inline
+        transport's: one run per key per service, whatever the transport."""
+        config = ScheduleConfig(**CHURN_REFERENCE, shards=2, window=4)
+        inline, _ = _serve(config)
+        DEFAULT_ENUMERATION_CACHE.clear()
+        empty_artifact_store.clear()
+        with SchedulerService(replace(config, workers="process")) as service:
+            trained = empty_artifact_store.info().misses
+            forked = service.serve()
+            shard_reports = [
+                client.request({"op": "report"})["report"]
+                for client in service.clients
+            ]
+        assert trained == 2  # vCPU classes 8 and 32 on one shape
+        assert [r["enumeration_runs"] for r in shard_reports] == [0, 0]
+        assert forked.enumeration_runs == inline.enumeration_runs == 2
+        assert forked.cache_info.misses == inline.cache_info.misses == 2
+        assert _signature(forked) == _signature(inline)
+
+
+    def test_worker_freezes_the_heap_it_started_with(self):
+        """A worker never frees what it inherited, so its collector must
+        not walk it (and copy every inherited page by writing GC
+        headers): the heap is frozen before the shard is built."""
+        context = multiprocessing.get_context()
+        parent, child = context.Pipe()
+        verdict, answer = context.Pipe(duplex=False)
+        config = ScheduleConfig(**CHURN_REFERENCE, shards=1, policy="first-fit")
+        process = context.Process(
+            target=_serve_then_report_frozen,
+            args=(child, config.to_dict(), answer),
+            daemon=True,
+        )
+        process.start()
+        try:
+            parent.send({"op": "stop"})
+            parent.recv()
+            assert verdict.poll(20.0)
+            assert verdict.recv() > 0
+        finally:
+            process.join(5.0)
+            for end in (parent, child, verdict, answer):
+                end.close()
+
+
+def _serve_then_report_frozen(connection, config_data, answer):
+    _shard_worker_main(connection, 0, config_data)
+    answer.send(gc.get_freeze_count())
 
 
 class TestOverlapEquivalence:

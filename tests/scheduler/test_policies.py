@@ -236,13 +236,14 @@ class TestGoalAwarePolicy:
 
 
 class TestRegistry:
-    def test_memoizes_models_and_enumeration(self):
+    def test_memoizes_models_and_enumeration(self, empty_artifact_store):
         registry = ModelRegistry(n_estimators=4, n_synthetic=2)
         machine = amd_opteron_6272()
         first = registry.model(machine, 16)
         second = registry.model(amd_opteron_6272(), 16)
         assert second is first
-        assert registry.enumeration_runs() == registry.enumeration_cache.info().misses
+        assert registry.enumeration_runs() == 1
+        assert registry.enumeration_runs() == registry.enumeration_info().misses
         registry.placements(machine, 16)
         runs = registry.enumeration_runs()
         registry.placements(amd_opteron_6272(), 16)

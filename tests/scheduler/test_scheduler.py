@@ -127,7 +127,7 @@ class TestFleetScheduler:
             100.0 * report.violations / report.goal_bearing
         )
 
-    def test_memoized_runs_once_per_key(self):
+    def test_memoized_runs_once_per_key(self, empty_artifact_store):
         registry = ModelRegistry(n_estimators=6, n_synthetic=2, seed=0)
         requests = generate_request_stream(12, seed=6, vcpus_choices=(8, 16))
         report = _ml_scheduler(4, registry, batch_size=4).run(requests)

@@ -127,3 +127,34 @@ class TestLatency:
     def test_mean_pairwise_latency_empty_rejected(self):
         with pytest.raises(ValueError):
             ring(4).mean_pairwise_latency_ns([])
+
+
+class TestShortestPathsAgainstNetworkx:
+    """The hand-rolled BFS against networkx (a dev dependency only)."""
+
+    @staticmethod
+    def _graphs():
+        from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+
+        yield amd_opteron_6272().interconnect
+        yield intel_xeon_e7_4830_v3().interconnect
+        yield ring(7)
+        # A path with a chord and a pendant node: unequal route counts.
+        yield Interconnect(
+            6,
+            {(0, 1): 5.0, (1, 2): 7.0, (2, 3): 3.0, (0, 4): 2.0, (4, 2): 9.0, (3, 5): 1.0},
+        )
+
+    def test_hops_and_paths_match(self):
+        nx = pytest.importorskip("networkx")
+        for ic in self._graphs():
+            graph = nx.Graph()
+            graph.add_nodes_from(ic.nodes)
+            graph.add_edges_from(tuple(link) for link in ic.links)
+            for a, b in itertools.permutations(ic.nodes, 2):
+                assert ic.hop_distance(a, b) == nx.shortest_path_length(graph, a, b)
+                ours = sorted(ic.shortest_paths(a, b))
+                assert ours == sorted(nx.all_shortest_paths(graph, a, b))
+
+    def test_path_to_self(self):
+        assert ring(4).shortest_paths(2, 2) == [[2]]
