@@ -29,11 +29,10 @@ scenario.  Set ``REPRO_BENCH_SMOKE=1`` for the tiny CI configuration.
 
 from __future__ import annotations
 
-import os
 import time
 
 from conftest import BENCH_SMOKE as SMOKE
-from conftest import record_bench
+from conftest import record_bench, usable_cores
 
 from repro.scheduler import ScheduleConfig, SchedulerService
 
@@ -56,14 +55,7 @@ SPEEDUP_FLOOR = 2.0
 MIN_CORES_FOR_FLOOR = 4
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
-CORES = _usable_cores()
+CORES = usable_cores()
 
 
 def _config(hosts: int, shards: int, overlap: bool) -> ScheduleConfig:
@@ -206,7 +198,6 @@ def test_parallel_dispatch(report):
             f"vcpus {list(VCPUS)}, seed {SEED}",
             "requests": N_REQUESTS,
             "transport": "process",
-            "cpu_cores": CORES,
             "headline": {
                 "hosts": HEADLINE[0],
                 "shards": HEADLINE[1],

@@ -1,28 +1,33 @@
-"""Forest-inference benchmark: arena-compiled vs per-tree prediction.
+"""Forest-inference benchmark: the compiled arena vs per-tree prediction.
 
 The goal-aware scheduler consults its forest per fleet event on a handful
-of rows; at the paper's 100-tree ensemble size the per-tree path pays
-~100 small numpy descents of fixed dispatch overhead per call, which is
-the dominant serving cost after PR 3/PR 4.  This benchmark times both
-paths in the two regimes that matter:
+of rows, so what a prediction pays is the fixed dispatch cost of its numpy
+passes.  A compiled arena (``repro.ml.arena``) answers from per-feature bit
+tables when the forest fits them — every tree within 64 leaves, tables
+within a byte budget — and by one lock-step descent over the stacked node
+arrays otherwise; the per-tree path (a Python loop of one descent per tree)
+is the oracle for both.  Two scenarios, one on each side of that rule:
 
-* **small batch** (1-32 rows — one scheduling event's worth), where the
-  arena's single fused descent amortizes all dispatch overhead and must
-  clear a **5x** floor (asserted in full mode);
-* **large batch** (training-set-scale row counts, timed at the
-  ``ARENA_MAX_ROWS`` cutover boundary — the largest batch the arena still
-  serves), where both paths are memory-bound and the arena must simply
-  not lose; past the cutover ``predict()`` routes to the per-tree path,
-  which wins that regime.
+* **fleet** — 40 trees x 5 outputs fitted on 50 rows, the size of the
+  fleet scheduler's models, at 1 / 2 / 8 / 32 rows per call: bit tables
+  vs the lock-step descent of the same trees (compiled under a byte
+  budget of zero) vs per-tree.  The tables must clear **2x** over
+  lock-step at <= 8 rows (asserted in full mode);
+* **predict** — the paper's 100-tree ensemble fitted on 400 rows, whose
+  trees outgrow one mask word, so the arena serves it by lock-step
+  descent.  Small batches (1-32 rows) must clear **5x** over per-tree
+  (full mode); the large batch, timed at the ``ARENA_MAX_ROWS`` cutover
+  (the largest the arena still serves), must simply not lose.
 
-The equivalence gate runs in *every* mode, smoke included: arena and
-per-tree predictions must be bit-for-bit identical on every timed input,
-or the build fails.  Results go to ``BENCH_predict.json``.
+The equivalence gate runs in *every* mode, smoke included: every compiled
+form must equal the per-tree path bit for bit on every timed input, mean
+and std, or the build fails.  Results go to ``BENCH_predict.json``.
 """
 
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 from conftest import BENCH_PREDICT_JSON
@@ -30,26 +35,35 @@ from conftest import BENCH_SMOKE as SMOKE
 from conftest import record_bench
 
 from repro.ml import RandomForestRegressor
+from repro.ml import arena as arena_module
+from repro.ml.arena import ForestArena
 
+SEED = 21
 N_TREES = 100
 N_OUTPUTS = 9  # a performance vector's width on the paper's AMD shape
 TRAIN_ROWS = 120 if SMOKE else 400
 SMALL_BATCHES = (1, 8, 32)
 LARGE_BATCH = 1024 if SMOKE else 4096  # == ARENA_MAX_ROWS in full mode
-SEED = 21
 #: Acceptance floor: arena speedup over per-tree in the small-batch regime.
 SMALL_BATCH_FLOOR = 5.0
 
+FLEET_TREES = 40  # ModelRegistry's default forest size
+FLEET_OUTPUTS = 5
+FLEET_TRAIN_ROWS = 50  # 18 paper workloads + 32 synthetic
+FLEET_BATCHES = (1, 2, 8, 32)
+#: Acceptance floor: bit tables over lock-step at <= 8 rows per call.
+FLEET_FLOOR = 2.0
 
-def _fitted_forest():
+
+def _fitted_forest(n_trees, n_outputs, train_rows):
     rng = np.random.default_rng(SEED)
-    X = rng.uniform(-1.0, 1.0, size=(TRAIN_ROWS, 3))
-    weights = rng.normal(size=(3, N_OUTPUTS))
+    X = rng.uniform(-1.0, 1.0, size=(train_rows, 3))
+    weights = rng.normal(size=(3, n_outputs))
     Y = np.tanh(X @ weights) + rng.normal(
-        scale=0.05, size=(TRAIN_ROWS, N_OUTPUTS)
+        scale=0.05, size=(train_rows, n_outputs)
     )
     return RandomForestRegressor(
-        n_estimators=N_TREES, random_state=SEED
+        n_estimators=n_trees, random_state=SEED
     ).fit(X, Y)
 
 
@@ -69,17 +83,26 @@ def _time_calls(fn, X, *, min_calls, min_seconds=0.15):
     return best
 
 
+def _assert_equivalent(arena, forest, X, what):
+    """The hard gate, every mode: identical bits, mean and std."""
+    assert np.array_equal(arena.predict(X), forest.predict_per_tree(X)), (
+        f"{what} diverged from the per-tree path at {len(X)} rows"
+    )
+    assert np.array_equal(
+        arena.predict_std(X), forest.predict_std_per_tree(X)
+    ), f"{what} predict_std diverged at {len(X)} rows"
+
+
 def test_arena_inference_equivalent_and_fast(report):
-    forest = _fitted_forest()
+    forest = _fitted_forest(N_TREES, N_OUTPUTS, TRAIN_ROWS)
+    assert forest.arena().bit_tables is None, "the over-the-rule cell"
     rng = np.random.default_rng(SEED + 1)
-    # Warm both lazy compilations outside the timed region.
-    warm = rng.uniform(-1.0, 1.0, size=(4, 3))
-    forest.predict(warm)
-    forest.predict_per_tree(warm)
+    forest.predict_per_tree(rng.uniform(-1.0, 1.0, size=(4, 3)))  # warm
 
     lines = [
         f"forest inference, {N_TREES} trees x {N_OUTPUTS} outputs "
-        f"(train rows {TRAIN_ROWS}, seed {SEED}{', SMOKE' if SMOKE else ''}):",
+        f"(train rows {TRAIN_ROWS}, seed {SEED}{', SMOKE' if SMOKE else ''}), "
+        "served by lock-step descent:",
         "",
         f"{'rows':>6} {'per-tree calls/s':>17} {'arena calls/s':>14} "
         f"{'speedup':>8}",
@@ -88,14 +111,7 @@ def test_arena_inference_equivalent_and_fast(report):
     small_speedups = []
     for rows in (*SMALL_BATCHES, LARGE_BATCH):
         X = rng.uniform(-1.5, 1.5, size=(rows, 3))
-
-        # The hard gate, every mode: identical bits, mean and std.
-        assert np.array_equal(forest.predict(X), forest.predict_per_tree(X)), (
-            f"arena diverged from the per-tree path at {rows} rows"
-        )
-        assert np.array_equal(
-            forest.predict_std(X), forest.predict_std_per_tree(X)
-        ), f"arena predict_std diverged at {rows} rows"
+        _assert_equivalent(forest.arena(), forest, X, "arena")
 
         min_calls = 3 if rows == LARGE_BATCH else 20
         pertree_cps = _time_calls(
@@ -132,6 +148,7 @@ def test_arena_inference_equivalent_and_fast(report):
             f"seed {SEED}",
             "trees": N_TREES,
             "outputs": N_OUTPUTS,
+            "kernel": "lock-step",
             "by_batch_rows": results,
             "small_batch_min_speedup": round(min(small_speedups), 2),
             "equivalent": True,
@@ -145,4 +162,80 @@ def test_arena_inference_equivalent_and_fast(report):
         )
         assert results[str(LARGE_BATCH)]["speedup"] >= 0.9, (
             "arena must not lose the large-batch regime"
+        )
+
+
+def test_fleet_forest_bit_tables_equivalent_and_fast(report):
+    forest = _fitted_forest(FLEET_TREES, FLEET_OUTPUTS, FLEET_TRAIN_ROWS)
+    bits = forest.arena()
+    assert bits.bit_tables is not None, "the under-the-rule cell"
+    with mock.patch.object(arena_module, "BIT_TABLE_MAX_BYTES", 0):
+        lockstep = ForestArena(forest.trees_)
+    assert lockstep.bit_tables is None
+    table_kb = sum(table.nbytes for _, _, table in bits.bit_tables) / 1024
+    rng = np.random.default_rng(SEED + 2)
+    forest.predict_per_tree(rng.uniform(-1.0, 1.0, size=(4, 3)))  # warm
+
+    lines = [
+        f"fleet-shaped forest, {FLEET_TREES} trees x {FLEET_OUTPUTS} outputs "
+        f"(train rows {FLEET_TRAIN_ROWS}, seed {SEED}, bit tables "
+        f"{table_kb:.0f} KiB{', SMOKE' if SMOKE else ''}):",
+        "",
+        f"{'rows':>6} {'per-tree calls/s':>17} {'lock-step calls/s':>18} "
+        f"{'bit-table calls/s':>18} {'vs lock-step':>13}",
+    ]
+    results = {}
+    for rows in FLEET_BATCHES:
+        X = rng.uniform(-1.5, 1.5, size=(rows, 3))
+        _assert_equivalent(bits, forest, X, "bit tables")
+        _assert_equivalent(lockstep, forest, X, "lock-step descent")
+
+        pertree_cps = _time_calls(forest.predict_per_tree, X, min_calls=20)
+        lockstep_cps = _time_calls(lockstep.predict, X, min_calls=20)
+        bits_cps = _time_calls(bits.predict, X, min_calls=20)
+        results[str(rows)] = {
+            "pertree_calls_per_second": round(pertree_cps, 1),
+            "lockstep_calls_per_second": round(lockstep_cps, 1),
+            "bits_calls_per_second": round(bits_cps, 1),
+            "speedup_over_lockstep": round(bits_cps / lockstep_cps, 2),
+        }
+        lines.append(
+            f"{rows:>6} {pertree_cps:>17.1f} {lockstep_cps:>18.1f} "
+            f"{bits_cps:>18.1f} {bits_cps / lockstep_cps:>12.1f}x"
+        )
+
+    floor_cells = [
+        results[str(rows)]["speedup_over_lockstep"]
+        for rows in FLEET_BATCHES
+        if rows <= 8
+    ]
+    lines += [
+        "",
+        "equivalence gate: bit tables == lock-step == per-tree bit-for-bit "
+        "on every timed input, predict and predict_std (asserted)",
+        f"<= 8 rows per call: min speedup over lock-step "
+        f"{min(floor_cells):.1f}x (acceptance floor {FLEET_FLOOR:.0f}x, "
+        "full mode)",
+    ]
+    report("predict_fleet", "\n".join(lines))
+
+    record_bench(
+        "predict_fleet",
+        {
+            "scenario": f"{FLEET_TREES}-tree x {FLEET_OUTPUTS}-output forest "
+            f"fitted on {FLEET_TRAIN_ROWS} rows, seed {SEED}",
+            "trees": FLEET_TREES,
+            "outputs": FLEET_OUTPUTS,
+            "kernel": "bit-tables",
+            "bit_table_kib": round(table_kb, 1),
+            "by_batch_rows": results,
+            "min_speedup_over_lockstep_le_8_rows": round(min(floor_cells), 2),
+            "equivalent": True,
+        },
+        path=BENCH_PREDICT_JSON,
+    )
+    if not SMOKE:
+        assert min(floor_cells) >= FLEET_FLOOR, (
+            f"bit tables must clear {FLEET_FLOOR}x over the lock-step "
+            f"descent at <= 8 rows, got {min(floor_cells):.1f}x"
         )

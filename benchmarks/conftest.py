@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -81,6 +82,14 @@ def _current_commit() -> str:
     return f"{commit}+src" if modified else commit
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
+
 def record_bench(scenario: str, payload: dict, *, path: str | None = None) -> None:
     """Merge one scenario's numbers into a committed trajectory file
     (``BENCH_fleet.json`` by default; pass ``path`` for others).
@@ -89,7 +98,9 @@ def record_bench(scenario: str, payload: dict, *, path: str | None = None) -> No
     (and future ones) share the file without clobbering each other.
     Smoke runs record under a separate ``<scenario>_smoke`` key, so the
     committed full-size trajectory survives a developer (or CI) running
-    the documented ``REPRO_BENCH_SMOKE=1`` command.
+    the documented ``REPRO_BENCH_SMOKE=1`` command.  Every cell is stamped
+    with what it was measured on: the commit, the cores this process may
+    run on, and the interpreter.
     """
     if path is None:
         path = BENCH_JSON
@@ -104,7 +115,13 @@ def record_bench(scenario: str, payload: dict, *, path: str | None = None) -> No
     data["commit"] = commit
     scenarios = data.setdefault("scenarios", {})
     key = f"{scenario}_smoke" if BENCH_SMOKE else scenario
-    scenarios[key] = {"commit": commit, "smoke": BENCH_SMOKE, **payload}
+    scenarios[key] = {
+        "commit": commit,
+        "cpu_cores": usable_cores(),
+        "python": platform.python_version(),
+        "smoke": BENCH_SMOKE,
+        **payload,
+    }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -1,7 +1,9 @@
 """Memo-invalidation rule: mutations of memoized state must invalidate.
 
-The tree memoizes aggressively — the forest compiles an arena from
-``trees_``, ``FleetIndex`` mirrors host capacity in O(1) counters and
+The tree memoizes aggressively — the forest compiles an arena (node
+arrays and bit tables) from ``trees_``, the simulator keeps the constant
+prefix of its noise seeds, ``FleetIndex`` mirrors host capacity in O(1)
+counters and
 buckets hosts by free-node state, ``BlockScoreCache`` keys score tables
 and their per-state answers on ``(fingerprint, kind, version)``,
 ``ModelRegistry`` keys baseline-IPC memos on a model version token,
@@ -76,6 +78,10 @@ class CacheSurface:
     #: Methods on the class exempt from the guarded-attr check (the
     #: invalidation primitives themselves).
     exempt_methods: Tuple[str, ...] = ()
+    #: Dotted paths of state computed from the guarded attributes and
+    #: dropped with the invalidators — named so that the table's own
+    #: tests resolve each to a real attribute.
+    derived: Tuple[str, ...] = ()
     #: The runtime check that verifies the same invariant dynamically.
     runtime_check: str = ""
 
@@ -89,9 +95,43 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         invalidators=("_arena",),
         setter_resets=("trees_",),
         exempt_methods=("trees_",),
+        # The arena is compiled whole from trees_ — bit tables included,
+        # in ForestArena.__init__ — and held only by _arena, so the one
+        # `_arena = None` drops node arrays and tables together.  Sealed
+        # arenas reach workers by fork, never over the shard wire.
+        derived=(
+            "repro.ml.arena.ForestArena.bit_tables",
+            "repro.ml.arena.ForestArena.leaf_values",
+            "repro.ml.arena.ForestArena.leaf_base",
+        ),
         runtime_check=(
-            "arena-vs-per-tree bit-for-bit equivalence "
-            "(tests/ml/test_arena.py)"
+            "arena-vs-per-tree bit-for-bit equivalence on both sides of "
+            "the bit-table rule (tests/ml/test_arena.py)"
+        ),
+    ),
+    CacheSurface(
+        name="noise-seed-prefixes",
+        class_name="PerformanceSimulator",
+        module_suffix="perfsim/simulator.py",
+        # _noise_prefixes[(profile name, nodes, l2_share)] is the CRC of
+        # the noise seed's constant prefix: a pure function of its key
+        # and of `seed` and `machine`, which only the constructor
+        # assigns — nothing to invalidate while that holds, so a method
+        # that changes either in place must drop the memo, and the one
+        # method that fills it must derive entries from exactly those.
+        guarded_attrs=("seed", "machine"),
+        invalidators=("_noise_prefixes",),
+        declared={
+            "_noise_multiplier": (
+                "_noise_prefixes",
+                "seed",
+                "machine",
+                "_stable_seed",
+            ),
+        },
+        runtime_check=(
+            "cached-prefix vs seven-part-seed equality on 10k draws "
+            "(tests/perfsim/test_simulator.py)"
         ),
     ),
     CacheSurface(

@@ -61,7 +61,11 @@ def _pair_features(ipc_i: np.ndarray, ipc_j: np.ndarray) -> np.ndarray:
     ipc_j = np.asarray(ipc_j, dtype=float)
     if np.any(ipc_i <= 0):
         raise ValueError("performance observations must be positive")
-    return np.column_stack([ipc_i, ipc_j, ipc_j / ipc_i])
+    features = np.empty((len(ipc_i), 3))
+    features[:, 0] = ipc_i
+    features[:, 1] = ipc_j
+    np.divide(ipc_j, ipc_i, out=features[:, 2])
+    return features
 
 
 class PlacementModel:
@@ -279,9 +283,9 @@ class PlacementModel:
 
     @property
     def forest(self) -> RandomForestRegressor:
-        """The fitted forest — the fused arena path
-        (:func:`repro.ml.arena.predict_fused`) evaluates many models'
-        forests in one call and needs direct access."""
+        """The fitted forest — :func:`repro.ml.arena.predict_fused`
+        evaluates many models' forests in one call and needs direct
+        access."""
         if self._forest is None:
             raise RuntimeError("model is not fitted")
         return self._forest

@@ -9,7 +9,8 @@ algorithms on plain numpy:
 * :mod:`repro.ml.tree` — multi-output CART regression trees;
 * :mod:`repro.ml.forest` — bagged random forests over those trees;
 * :mod:`repro.ml.arena` — arena-compiled forest inference: whole-forest
-  (and fused multi-forest) prediction as one lock-step numpy descent;
+  prediction from per-feature bit tables (QuickScorer), with a lock-step
+  numpy descent for forests the tables do not fit;
 * :mod:`repro.ml.kmeans` — k-means++ with Lloyd iterations and the
   silhouette coefficient;
 * :mod:`repro.ml.selection` — sequential forward feature selection;

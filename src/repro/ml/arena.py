@@ -1,42 +1,59 @@
-"""Arena-compiled forest inference: one numpy pass per prediction.
+"""Arena-compiled forest inference: bit tables, not tree descent.
 
-The per-tree prediction path is already vectorized *within* a tree (all
-rows descend the flattened node arrays in lock-step), but a forest call
-still runs a Python loop of ``n_estimators`` separate descents — at fleet
-scale, where the model is consulted per scheduling event on a handful of
-rows, the fixed numpy dispatch overhead of ~100 small passes dominates the
-arithmetic.  The arena removes the loop:
+At fleet scale the model is consulted per scheduling event on a handful
+of rows, so the fixed dispatch cost of many small numpy passes — not
+arithmetic — is what a prediction pays.  :class:`ForestArena` compiles a
+fitted forest once, where it is built (``RandomForestRegressor.arena()``,
+which the artifact store calls before sealing an entry), into one of two
+forms:
 
-* :class:`ForestArena` stacks every tree's flattened ``(feature,
-  threshold, left, right, values)`` arrays into one contiguous arena with
-  per-tree root offsets (child indices are rebased to the arena, so the
-  descent needs no per-tree bookkeeping);
-* prediction evaluates all ``rows x trees`` *lanes* in one lock-step
-  descent — one numpy pass per tree level for the whole forest — then
-  gathers the leaf-value matrix and reduces over the tree axis;
-* :func:`predict_fused` goes one step further for the scheduler's batched
-  hot path: many ``(forest, X)`` groups (one per ``(machine shape, vCPU
-  count)`` key of a batch) are concatenated into a single descent over one
-  fused arena, so one fleet event costs one forest call however many keys
-  it spans.
+* **bit tables** (QuickScorer): each tree's leaves are numbered left to
+  right and every internal node owns a 64-bit mask that clears the leaves
+  of its *left* subtree — the leaves a row can no longer reach once the
+  node's test ``x[f] <= threshold`` fails.  Per feature, the forest's
+  thresholds are sorted and the masks prefix-ANDed per tree into a
+  ``(n_thresholds + 1, n_trees)`` ``uint64`` table, so row ``k`` holds,
+  for every tree, the AND of all failed tests when ``k`` thresholds lie
+  strictly below the value.  A prediction is one ``searchsorted`` and one
+  row gather per feature, an ``&`` across features, and the lowest set
+  bit of each word is the exit leaf: about ten numpy calls however deep
+  the trees are.
+* **lock-step descent** (:func:`repro.ml.tree.descend_flat` over the
+  stacked node arrays, one pass per tree level) for forests the tables do
+  not fit.
 
-Bit-for-bit equivalence with the per-tree path is the design invariant,
-not an accident: lanes are laid out tree-major, so the gathered leaf
-tensor is exactly the ``(n_trees, n_rows, n_outputs)`` C-contiguous array
-``np.stack([tree.predict(X) ...])`` would produce, and the same
-``np.mean``/``std`` reduction is applied to it.  Tests and the
-``bench_predict`` gate assert equality, including after ``grow``/
-``prune``/``warm_refit``.
+The choice is made once per compiled arena and is a pure function of the
+forest: every tree has at most :data:`MAX_LEAVES` leaves (one machine
+word) and the tables take at most :data:`BIT_TABLE_MAX_BYTES` (they grow
+with thresholds x trees: the fleet's 40-tree arenas need about 0.4 MB,
+a 100-tree forest fitted on 400 rows would need about 80 MB).  There is
+no parameter, flag or environment variable.
+
+Bit-for-bit equivalence with the per-tree path is the design invariant:
+both forms gather the same ``(n_trees, n_rows, n_outputs)`` C-contiguous
+tensor ``np.stack([tree.predict(X) ...])`` builds, and the same
+``add.reduce / n_trees`` (what ``np.mean`` computes) or ``std`` reduces
+it.  Tests and the ``bench_predict`` gate assert equality on both sides
+of the rule, including after ``grow``/``prune``/``warm_refit``.
+:func:`predict_fused` is a loop over its groups: fusing several forests
+into one descent only ever paid for the dispatch cost the tables removed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.ml.tree import descend_flat
+
+#: Leaves one ``uint64`` mask can number; a forest with a larger tree
+#: takes the lock-step descent.
+MAX_LEAVES = 64
+#: Byte budget of one arena's bit tables ((internal nodes + features) x
+#: trees x 8); a forest over it takes the lock-step descent.
+BIT_TABLE_MAX_BYTES = 8 << 20
 
 
 @dataclass
@@ -47,9 +64,9 @@ class ArenaStats:
     forests_compiled: int = 0
     #: Arena predict/predict_std calls (single-forest).
     predict_calls: int = 0
-    #: Fused multi-forest calls (one per goal-aware batch).
+    #: Multi-forest calls (one per goal-aware batch).
     fused_calls: int = 0
-    #: (row x tree) lanes descended across all calls.
+    #: (row x tree) lanes evaluated across all calls.
     lanes_evaluated: int = 0
 
 
@@ -64,7 +81,7 @@ class ForestArena:
     Built from the trees' own flattened arrays (leaf values carried
     verbatim), so evaluating the arena is bit-for-bit identical to
     evaluating the trees.  Instances are immutable; the forest caches one
-    and replaces it wholesale when refitted.
+    and replaces it — bit tables included — wholesale when refitted.
     """
 
     __slots__ = (
@@ -78,6 +95,9 @@ class ForestArena:
         "n_features",
         "n_outputs",
         "squeeze",
+        "bit_tables",
+        "leaf_values",
+        "leaf_base",
     )
 
     def __init__(self, trees: Sequence) -> None:
@@ -112,7 +132,65 @@ class ForestArena:
         )
         self.values = np.vstack([flat[4] for flat in flats])
         self.roots = offsets[:-1].astype(np.intp)
+        self._compile_bit_tables(offsets)
         ARENA_STATS.forests_compiled += 1
+
+    def _compile_bit_tables(self, offsets: np.ndarray) -> None:
+        """Build the per-feature tables, or record that the forest is over
+        the rule (``bit_tables = None``).
+
+        Relies on the flat format's depth-first preorder: a node's left
+        subtree is the index range ``[left, right)``, and leaves met in
+        index order are the tree's leaves left to right.
+        """
+        is_leaf = self.feature < 0
+        leaves_before = np.concatenate(([0], np.cumsum(is_leaf)))
+        first_leaf = leaves_before[offsets]  # per tree, plus the total
+        internal = np.flatnonzero(~is_leaf)
+        table_bytes = (len(internal) + self.n_features) * self.n_trees * 8
+        self.bit_tables = self.leaf_values = self.leaf_base = None
+        if (
+            not len(internal)  # nothing to test: the descent is a no-op
+            or np.diff(first_leaf).max() > MAX_LEAVES
+            or table_bytes > BIT_TABLE_MAX_BYTES
+        ):
+            return
+        tree_of = np.searchsorted(offsets, internal, side="right") - 1
+        lo = leaves_before[self.left[internal]]
+        width = (leaves_before[self.right[internal]] - lo).astype(np.uint64)
+        one = np.uint64(1)
+        # At most 63 leaves sit left of a node, so the shifts never wrap.
+        mask = ~(
+            ((one << width) - one)
+            << (lo - first_leaf[tree_of]).astype(np.uint64)
+        )
+        # Sorted by (feature, threshold): each feature's nodes are one run.
+        order = np.lexsort((self.threshold[internal], self.feature[internal]))
+        runs = np.searchsorted(
+            self.feature[internal][order], np.arange(self.n_features + 1)
+        )
+        tables = []
+        for feature, (start, end) in enumerate(zip(runs[:-1], runs[1:])):
+            if start == end:
+                continue  # no tree tests this feature
+            nodes = order[start:end]
+            table = np.full((end - start + 1, self.n_trees), ~np.uint64(0))
+            table[np.arange(1, len(table)), tree_of[nodes]] = mask[nodes]
+            np.bitwise_and.accumulate(table, axis=0, out=table)
+            tables.append((feature, self.threshold[internal[nodes]], table))
+        self.bit_tables = tuple(tables)
+        self.leaf_values = self.values[is_leaf]
+        # frexp's exponent of the lowest set bit is its index plus one.
+        self.leaf_base = (first_leaf[:-1] - 1)[:, None]
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        """Every array the arena owns — what the artifact store seals."""
+        owned = [self.feature, self.threshold, self.left, self.right,
+                 self.values, self.roots]
+        if self.bit_tables is not None:
+            owned += [self.leaf_values, self.leaf_base]
+            owned += [a for _, *pair in self.bit_tables for a in pair]
+        return tuple(owned)
 
     # ------------------------------------------------------------------
 
@@ -132,142 +210,62 @@ class ForestArena:
 
         Shape ``(n_trees, n_rows, n_outputs)`` (outputs squeezed for 1-d
         targets) — byte-for-byte the array ``np.stack([tree.predict(X) for
-        tree in trees])`` builds, produced by a single lane descent.
+        tree in trees])`` builds.
         """
         X = self._check_X(X)
         n = len(X)
-        lane_row = np.tile(np.arange(n, dtype=np.intp), self.n_trees)
-        position = np.repeat(self.roots, n)
-        descend_flat(
-            self.feature, self.threshold, self.left, self.right,
-            X, lane_row, position,
-        )
-        ARENA_STATS.lanes_evaluated += len(position)
-        stacked = self.values[position].reshape(self.n_trees, n, self.n_outputs)
-        if self.squeeze:
-            stacked = stacked[:, :, 0]
-        return stacked
+        ARENA_STATS.lanes_evaluated += n * self.n_trees
+        if self.bit_tables is None:
+            position = np.repeat(self.roots, n)
+            descend_flat(
+                self.feature, self.threshold, self.left, self.right, X,
+                np.tile(np.arange(n, dtype=np.intp), self.n_trees), position,
+            )
+            stacked = self.values[position].reshape(
+                self.n_trees, n, self.n_outputs
+            )
+        else:
+            bits = None
+            for feature, cuts, table in self.bit_tables:
+                # side="left": a row exactly on a threshold passes `<=`.
+                hit = table.take(cuts.searchsorted(X[:, feature]), axis=0)
+                bits = hit if bits is None else np.bitwise_and(bits, hit, bits)
+            np.bitwise_and(bits, -bits, out=bits)  # isolate the lowest bit
+            exponent = np.frexp(bits.astype(float))[1]
+            # order="C": the reduction below must see the per-tree layout.
+            leaf = np.add(exponent.T, self.leaf_base, order="C")
+            stacked = self.leaf_values.take(leaf, axis=0)
+        return stacked[:, :, 0] if self.squeeze else stacked
+
+    def _mean(self, X: np.ndarray) -> np.ndarray:
+        # Exactly np.mean(stacked, axis=0), minus its Python wrapper.
+        return np.add.reduce(self.stacked(X), axis=0) / self.n_trees
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Forest mean in one traversal + one reduction."""
+        """Forest mean: one evaluation + one reduction."""
         ARENA_STATS.predict_calls += 1
-        return np.mean(self.stacked(X), axis=0)
+        return self._mean(X)
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
-        """Per-row std across trees in one traversal + one reduction."""
+        """Per-row std across trees: one evaluation + one reduction."""
         ARENA_STATS.predict_calls += 1
         return self.stacked(X).std(axis=0)
 
 
-class _FusedArena:
-    """Several arenas' structural arrays concatenated with offsets.
-
-    Only the four descent arrays are merged (rebased like the per-tree
-    arrays were); leaf values stay in each member arena, gathered per
-    group after the shared descent.  Cached across calls because the
-    scheduler serves a handful of long-lived models per batch.
-    """
-
-    __slots__ = ("arenas", "feature", "threshold", "left", "right",
-                 "roots", "node_base")
-
-    def __init__(self, arenas: Tuple[ForestArena, ...]) -> None:
-        self.arenas = arenas
-        counts = np.array([len(a.feature) for a in arenas], dtype=np.intp)
-        bases = np.concatenate(([0], np.cumsum(counts)))
-        self.node_base = bases[:-1]
-        self.feature = np.concatenate([a.feature for a in arenas])
-        self.threshold = np.concatenate([a.threshold for a in arenas])
-        self.left = np.concatenate(
-            [a.left + base for a, base in zip(arenas, self.node_base)]
-        )
-        self.right = np.concatenate(
-            [a.right + base for a, base in zip(arenas, self.node_base)]
-        )
-        self.roots = [
-            a.roots + base for a, base in zip(arenas, self.node_base)
-        ]
-
-
-#: id-keyed fused-arena memo.  Arenas are immutable and long-lived (they
-#: live on registry models), so identity keys are stable; entries keep
-#: strong references, and hits verify identity so a recycled id can never
-#: serve another arena's fusion.  LRU-bounded like the policy target
-#: cache: a hit refreshes recency and only the stalest combination is
-#: evicted, so alternating fleets (or fresh arenas minted by retraining
-#: promotions) never dump every hot fusion at once.
-_FUSED_CACHE: Dict[Tuple[int, ...], _FusedArena] = {}
-_FUSED_CACHE_MAX = 32
-
-
-def _fused_arena(arenas: Tuple[ForestArena, ...]) -> _FusedArena:
-    key = tuple(id(a) for a in arenas)
-    entry = _FUSED_CACHE.get(key)
-    if entry is not None and all(
-        a is b for a, b in zip(entry.arenas, arenas)
-    ):
-        del _FUSED_CACHE[key]  # refresh recency (dicts keep insert order)
-        _FUSED_CACHE[key] = entry
-        return entry
-    while len(_FUSED_CACHE) >= _FUSED_CACHE_MAX:
-        _FUSED_CACHE.pop(next(iter(_FUSED_CACHE)))
-    entry = _FusedArena(arenas)
-    _FUSED_CACHE[key] = entry
-    return entry
-
-
 def predict_fused(plans: Sequence[Tuple[object, np.ndarray]]) -> List[np.ndarray]:
-    """Evaluate many ``(forest, X)`` groups in one lock-step descent.
+    """Evaluate many ``(forest, X)`` groups — one per ``(shape, vcpus)``
+    key of a scheduler batch — as one accounted call.
 
-    Each group's rows are predicted by its own forest; all groups' lanes
-    are concatenated (with node-index and row-index offsets) and descend
-    the fused arena together, so the whole batch costs one numpy pass per
-    tree level regardless of how many groups — i.e. how many ``(shape,
-    vcpus)`` keys — it spans.  The returned list holds, per group, exactly
-    what ``forest.predict(X)`` returns, bit for bit.
+    The returned list holds, per group, exactly what ``forest.predict(X)``
+    returns, bit for bit.  Groups must agree on the feature count.
     """
     if not plans:
         return []
-    arenas = tuple(forest.arena() for forest, _ in plans)
-    Xs = [arena._check_X(X) for arena, (_, X) in zip(arenas, plans)]
+    arenas = [forest.arena() for forest, _ in plans]
     widths = {arena.n_features for arena in arenas}
     if len(widths) > 1:
         raise ValueError(
             f"fused groups disagree on feature count: {sorted(widths)}"
         )
-    fused = _fused_arena(arenas)
-
-    lane_rows: List[np.ndarray] = []
-    positions: List[np.ndarray] = []
-    bounds: List[Tuple[int, int, int]] = []  # (lane start, lane end, rows)
-    row_base = 0
-    lane_base = 0
-    for group, (arena, X) in enumerate(zip(arenas, Xs)):
-        n = len(X)
-        lane_rows.append(
-            row_base + np.tile(np.arange(n, dtype=np.intp), arena.n_trees)
-        )
-        positions.append(np.repeat(fused.roots[group], n))
-        lanes = arena.n_trees * n
-        bounds.append((lane_base, lane_base + lanes, n))
-        row_base += n
-        lane_base += lanes
-
-    X_all = np.vstack(Xs)
-    lane_row = np.concatenate(lane_rows)
-    position = np.concatenate(positions)
-    descend_flat(
-        fused.feature, fused.threshold, fused.left, fused.right,
-        X_all, lane_row, position,
-    )
     ARENA_STATS.fused_calls += 1
-    ARENA_STATS.lanes_evaluated += len(position)
-
-    outputs: List[np.ndarray] = []
-    for group, (arena, (start, end, n)) in enumerate(zip(arenas, bounds)):
-        local = position[start:end] - fused.node_base[group]
-        stacked = arena.values[local].reshape(arena.n_trees, n, arena.n_outputs)
-        if arena.squeeze:
-            stacked = stacked[:, :, 0]
-        outputs.append(np.mean(stacked, axis=0))
-    return outputs
+    return [arena._mean(X) for arena, (_, X) in zip(arenas, plans)]

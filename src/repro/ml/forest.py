@@ -15,12 +15,13 @@ import numpy as np
 from repro.ml.arena import ForestArena
 from repro.ml.tree import DecisionTreeRegressor
 
-#: Row count above which predict() takes the per-tree path instead of the
-#: arena.  The arena wins the dispatch-bound regime (few rows, many trees
-#: — the scheduler's per-event calls, up to ~45x at 1 row); at several
-#: thousand rows both paths are memory-bound and the arena's (rows x
-#: trees) lane gather starts losing (~0.8x at 8k rows).  The two paths
-#: are bit-for-bit identical, so the cutover is free to correctness.
+#: Row count above which predict() takes the per-tree path instead of an
+#: arena in lock-step form (one whose forest its bit tables do not fit).
+#: That form wins the dispatch-bound regime (few rows, many trees); at
+#: several thousand rows both paths are memory-bound and its (rows x
+#: trees) lane gather starts losing (~0.8x at 8k rows).  Bit tables win at
+#: every size.  The paths are bit-for-bit identical, so the cutover is
+#: free to correctness.
 ARENA_MAX_ROWS = 4096
 
 
@@ -80,15 +81,23 @@ class RandomForestRegressor:
         self._arena: ForestArena | None = None
 
     def arena(self) -> ForestArena:
-        """The forest compiled into one contiguous arena — built lazily on
-        first use, cached until ``fit``/``grow``/``prune`` (or any
-        ``trees_`` reassignment) invalidates it.  Evaluating the arena is
-        bit-for-bit identical to the per-tree path."""
+        """The forest compiled into one contiguous arena, bit tables
+        included (:mod:`repro.ml.arena`) — built on first request, cached
+        until ``fit``/``grow``/``prune`` (or any ``trees_`` reassignment)
+        drops it whole.  Evaluating the arena is bit-for-bit identical to
+        the per-tree path."""
         if not self._trees:
             raise RuntimeError("arena() requested before fit()")
         if self._arena is None:
             self._arena = ForestArena(self._trees)
         return self._arena
+
+    def _per_tree_wins(self, X: np.ndarray) -> bool:
+        return (
+            np.ndim(X) == 2
+            and len(X) > ARENA_MAX_ROWS
+            and self.arena().bit_tables is None
+        )
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
@@ -196,19 +205,20 @@ class RandomForestRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Forest mean over all rows of ``X`` at once.
 
-        Runs on the compiled arena: every ``(row, tree)`` lane descends in
-        lock-step, so a whole forest call is one vectorized traversal plus
-        one reduction instead of a Python loop of per-tree passes.  The
-        arena carries the leaf values verbatim and the reduction sees the
-        exact tensor the per-tree path would stack, so results are
-        bit-for-bit identical to :meth:`predict_per_tree` (asserted by
-        tests and the ``bench_predict`` gate).  Batches past
-        :data:`ARENA_MAX_ROWS` take the per-tree path, which wins the
-        memory-bound regime.
+        Runs on the compiled arena: every ``(row, tree)`` lane's leaf is
+        read off the forest's bit tables (or, for forests they do not
+        fit, found by one lock-step descent), so a whole forest call is a
+        few numpy passes plus one reduction instead of a Python loop of
+        per-tree passes.  The arena carries the leaf values verbatim and
+        the reduction sees the exact tensor the per-tree path would stack,
+        so results are bit-for-bit identical to :meth:`predict_per_tree`
+        (asserted by tests and the ``bench_predict`` gate).  Batches past
+        :data:`ARENA_MAX_ROWS` take the per-tree path when the arena is
+        in lock-step form.
         """
         if not self.trees_:
             raise RuntimeError("predict() called before fit()")
-        if np.ndim(X) == 2 and len(X) > ARENA_MAX_ROWS:
+        if self._per_tree_wins(X):
             return self.predict_per_tree(X)
         return self.arena().predict(X)
 
@@ -228,7 +238,7 @@ class RandomForestRegressor:
         bit-for-bit identical to :meth:`predict_std_per_tree`."""
         if not self.trees_:
             raise RuntimeError("predict_std() called before fit()")
-        if np.ndim(X) == 2 and len(X) > ARENA_MAX_ROWS:
+        if self._per_tree_wins(X):
             return self.predict_std_per_tree(X)
         return self.arena().predict_std(X)
 

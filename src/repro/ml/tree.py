@@ -69,8 +69,9 @@ def descend_flat(
     place; ``lane_row`` maps lanes to rows of ``X``.  A single tree's
     prediction is the ``lane_row = arange(n)``, ``position = zeros(n)``
     special case; the forest arena stacks many trees' lanes into one call
-    (:mod:`repro.ml.arena`).  Kept next to the flat-array format it
-    interprets so the single-tree and arena descents can never diverge.
+    for forests its bit tables do not fit (:mod:`repro.ml.arena`).  Kept
+    next to the flat-array format it interprets so the single-tree and
+    arena descents can never diverge.
     """
     active = np.nonzero(feature[position] >= 0)[0]
     while len(active):
@@ -258,6 +259,8 @@ class DecisionTreeRegressor:
         evaluation.  Built lazily on the first predict() and kept for the
         tree's lifetime; the arrays carry the leaf values verbatim, so the
         flattened evaluation is bit-for-bit identical to walking the graph.
+        Nodes are laid out in depth-first preorder, left child first —
+        :attr:`depth` and the arena's bit tables rely on it.
         """
         assert self._root is not None
         nodes: List[_Node] = []

@@ -136,19 +136,14 @@ class ArtifactStore:
 
 
 def _sealed(entry: TrainedArtifacts) -> TrainedArtifacts:
-    """Make the entry's training matrices and compiled arena read-only."""
+    """Make the entry's training matrices and compiled arena — node
+    arrays and bit tables, built here and never again — read-only."""
     training_set = entry.training_set
-    arena = entry.model.forest.arena()
     for array in (
         training_set.ipc,
         training_set.vectors,
         training_set.hpe_features,
-        arena.feature,
-        arena.threshold,
-        arena.left,
-        arena.right,
-        arena.values,
-        arena.roots,
+        *entry.model.forest.arena().arrays(),
     ):
         array.flags.writeable = False
     return entry

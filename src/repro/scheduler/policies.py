@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -340,8 +340,11 @@ class _SearchPlan(NamedTuple):
     placements: ImportantPlacementSet
     by_request: Dict[int, np.ndarray]
     memo: BlockStateMemo
-    #: Interconnect score of each important placement, by index.
+    #: The placement set's block scorer, each important placement's
+    #: interconnect score and its node count, by index.
+    scorer: Callable
     targets: Tuple[float, ...]
+    sizes: Tuple[int, ...]
 
 
 class GoalAwareFleetPolicy(FleetPolicy):
@@ -349,10 +352,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
 
     One batch, one forest call: requests sharing a (machine shape, vCPU
     count) key are probed together through the registry's vectorized
-    probe helper, every key's feature matrix is concatenated, and the
-    whole batch descends the fused forest arena in a single
-    :func:`~repro.ml.arena.predict_fused` call.  Important placements
-    come from the registry's memo cache.
+    probe helper and every key's feature matrix goes to its compiled
+    forest arena in a single :func:`~repro.ml.arena.predict_fused` call.
+    Important placements come from the registry's memo cache.
 
     Parameters
     ----------
@@ -401,8 +403,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
         #: forest call per decide_batch, however many keys it spans.
         self.predict_calls = 0
         self.predicted_rows = 0
-        #: id(placements) -> (placements, scorer, per-index target scores)
-        #: — the indexed path resolves these once per placement set, not
+        #: id(placements) -> (placements, scorer, per-index target scores,
+        #: per-index node counts) — resolved once per placement set, not
         #: once per batch (a batch is often a single request).
         #: LRU-bounded: entries keep their placement set strongly
         #: referenced (so a cached id can never be recycled), which
@@ -471,8 +473,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
         return lambda nodes: bandwidth.score_nodes(nodes)
 
     def _scorer_and_targets(self, placements: ImportantPlacementSet):
-        """The placement set's scorer plus each candidate's target score,
-        computed once per set (they are pure functions of it).
+        """The placement set's scorer plus each candidate's target score
+        and node count, computed once per set (pure functions of it).
 
         LRU eviction: a memoized registry serves a handful of long-lived
         sets that always stay resident; an unmemoized one mints a fresh
@@ -487,42 +489,48 @@ class GoalAwareFleetPolicy(FleetPolicy):
             # Refresh recency (dict preserves insertion order).
             del self._target_cache[key]
             self._target_cache[key] = entry
-            return entry[1], entry[2]
+            return entry[1:]
         while len(self._target_cache) >= self._target_cache_max:
             self._target_cache.pop(next(iter(self._target_cache)))
         scorer = self._scorer(placements)
         targets = tuple(
             scorer(frozenset(candidate.nodes)) for candidate in placements
         )
-        entry = (placements, scorer, targets)
+        sizes = tuple(candidate.n_nodes for candidate in placements)
+        entry = (placements, scorer, targets, sizes)
         self._target_cache[key] = entry
-        return entry[1], entry[2]
+        return entry[1:]
 
     def _preference_order(
         self,
-        placements: ImportantPlacementSet,
+        sizes: Sequence[int],
         vector: np.ndarray,
         goal_fraction: float | None,
     ) -> List[int]:
         """Candidate important-placement indices, most preferred first:
         goal-meeting (or, for best-effort requests, near-best) ones
-        cheapest-first, then the rest by prediction."""
-        indices = list(range(len(placements)))
+        cheapest-first (``sizes`` holds their node counts), then the rest
+        by prediction; ties keep index order."""
+        predicted = vector.tolist()
         if goal_fraction is None:
-            threshold = self.best_effort_slack * float(max(vector))
+            threshold = self.best_effort_slack * max(predicted)
         else:
             threshold = goal_fraction * (1.0 + self.safety_margin)
-        meeting = [k for k in indices if vector[k] >= threshold]
-        rest = [k for k in indices if vector[k] < threshold]
-        meeting.sort(key=lambda k: (placements[k].n_nodes, -vector[k]))
-        rest.sort(key=lambda k: -vector[k])
-        return meeting + rest
+        meeting = sorted(
+            (sizes[k], -value, k)
+            for k, value in enumerate(predicted)
+            if value >= threshold
+        )
+        rest = sorted(
+            (-value, k) for k, value in enumerate(predicted) if value < threshold
+        )
+        return [key[-1] for key in meeting + rest]
 
     def decide_batch(self, requests, fleet):
         # Phase 1: probe and assemble features per (shape, vcpus) key,
         # then predict the *whole batch* — every group of every shape —
-        # through one fused arena call: one fleet event, one forest call,
-        # however many keys the batch spans.
+        # in one predict_fused call per fleet event, however many keys the
+        # batch spans.
         groups: Dict[int, List[PlacementRequest]] = {}
         for request in requests:
             groups.setdefault(request.vcpus, []).append(request)
@@ -566,7 +574,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
                             placements,
                             by_request,
                             block_state_memo(machine, kind),
-                            self._scorer_and_targets(placements)[1],
+                            *self._scorer_and_targets(placements),
                         )
                     )
 
@@ -597,9 +605,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
         request_id = request.request_id
         orders = [
             self._preference_order(
-                plan.placements,
-                plan.by_request[request_id],
-                request.goal_fraction,
+                plan.sizes, plan.by_request[request_id], request.goal_fraction
             )
             for plan in plans
         ]
@@ -615,7 +621,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     host_id = index.lowest_host(
                         plan.fingerprint,
                         plan.memo,
-                        plan.placements[candidate].n_nodes,
+                        plan.sizes[candidate],
                         plan.targets[candidate] if exact else None,
                     )
                     if host_id is not None:
@@ -630,7 +636,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     plan.placements,
                     plan.by_request[request_id],
                     candidate,
-                    exact=exact,
+                    scorer=plan.scorer,
+                    target=plan.targets[candidate] if exact else None,
                     table=plan.memo,
                 )
                 if decision is None:
@@ -648,6 +655,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
     ) -> FleetDecision:
         feasible_anywhere = False
         orders: Dict[Tuple, List[int]] = {}
+        scoring: Dict[Tuple, Tuple] = {}
         for host in fleet.hosts:
             key = (host.machine.fingerprint(), request.vcpus)
             entry = predictions.get(key)
@@ -656,8 +664,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
             feasible_anywhere = True
             if key not in orders:
                 placements, by_request = entry
+                scoring[key] = self._scorer_and_targets(placements)
                 orders[key] = self._preference_order(
-                    placements, by_request[request.request_id],
+                    scoring[key][2], by_request[request.request_id],
                     request.goal_fraction,
                 )
         if not feasible_anywhere:
@@ -683,7 +692,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     if order is None or rank >= len(order):
                         continue
                     placements, by_request = predictions[key]
-                    if placements[order[rank]].n_nodes > host.n_free_nodes:
+                    scorer, targets, sizes = scoring[key]
+                    if sizes[order[rank]] > host.n_free_nodes:
                         continue
                     decision = self._try_candidate(
                         request,
@@ -691,7 +701,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
                         placements,
                         by_request[request.request_id],
                         order[rank],
-                        exact=exact,
+                        scorer=scorer,
+                        target=targets[order[rank]] if exact else None,
                     )
                     if decision is not None:
                         return decision
@@ -705,16 +716,16 @@ class GoalAwareFleetPolicy(FleetPolicy):
         vector: np.ndarray,
         index: int,
         *,
-        exact: bool,
+        scorer: Callable,
+        target: float | None,
         table: BlockStateMemo | None = None,
     ) -> FleetDecision | None:
-        scorer = self._scorer(placements)
+        """Allocate the candidate on ``host`` if a free block admits it:
+        one scoring exactly ``target`` (the prediction then transfers
+        verbatim), or, with ``target`` None, any block of its size."""
         candidate = placements[index]
         block = host.find_block(
-            candidate.n_nodes,
-            scorer,
-            target_score=scorer(frozenset(candidate.nodes)) if exact else None,
-            table=table,
+            candidate.n_nodes, scorer, target_score=target, table=table
         )
         if block is None:
             return None
@@ -732,7 +743,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
             placement=realized,
             placement_id=index + 1,
             predicted_relative=float(vector[index]),
-            block_exact=exact,
+            block_exact=target is not None,
         )
 
 

@@ -36,7 +36,7 @@ What depends on a registry's own history stays private to it:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -370,31 +370,24 @@ class ModelRegistry:
                     for profile, repetition in zip(profiles, repetitions)
                 ]
             )
+        memo = self._solo_ipc
         fingerprint = machine.fingerprint()
-        deterministic = np.empty(len(profiles))
-        missing: Dict[WorkloadProfile, List[int]] = {}
-        for row, profile in enumerate(profiles):
-            value = self._solo_ipc.get((fingerprint, profile, placement))
-            if value is None:
-                missing.setdefault(profile, []).append(row)
-            else:
-                self._ipc_hits += 1
-                deterministic[row] = value
-        if missing:
-            fresh_profiles = list(missing)
-            fresh_values = simulator.measured_ipc_batch(
-                fresh_profiles, [placement], noise=False
+        keys = [(fingerprint, profile, placement) for profile in profiles]
+        found = [memo.get(key) for key in keys]
+        # Distinct never-seen profiles are simulated together; a repeat in
+        # the same group would have hit the just-filled memo.
+        fresh = list(
+            dict.fromkeys(k for k, value in zip(keys, found) if value is None)
+        )
+        if fresh:
+            values = simulator.measured_ipc_batch(
+                [profile for _, profile, _ in fresh], [placement], noise=False
             )[:, 0]
-            for profile, value in zip(fresh_profiles, fresh_values):
-                rows = missing[profile]
-                # Sequential accounting: first occurrence missed, any
-                # repeats in the same group would have hit the just-filled
-                # memo.
-                self._ipc_misses += 1
-                self._ipc_hits += len(rows) - 1
-                self._solo_ipc[(fingerprint, profile, placement)] = float(value)
-                for row in rows:
-                    deterministic[row] = value
+            memo.update(zip(fresh, values.tolist()))
+            found = [memo[key] for key in keys]
+        self._ipc_misses += len(fresh)
+        self._ipc_hits += len(keys) - len(fresh)
+        deterministic = np.array(found)
         noise = np.array(
             [
                 simulator.measured_ipc_noise(

@@ -170,6 +170,18 @@ class TestTable:
         for surface in CACHE_SURFACES:
             assert surface.runtime_check, surface.name
 
+    def test_derived_state_resolves_to_real_attributes(self):
+        import importlib
+
+        derived = [
+            path for surface in CACHE_SURFACES for path in surface.derived
+        ]
+        assert "repro.ml.arena.ForestArena.bit_tables" in derived
+        for path in derived:
+            module_name, class_name, attribute = path.rsplit(".", 2)
+            owner = getattr(importlib.import_module(module_name), class_name)
+            assert hasattr(owner, attribute), path
+
     def test_registry_hooks_exist(self):
         # The table references runtime debug hooks by name; keep the
         # static table and the dynamic API pointing at real methods.

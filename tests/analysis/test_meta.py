@@ -91,6 +91,18 @@ class TestCanonicalInjections:
         assert findings[0].path.endswith("ml/forest.py")
         assert "grow" in findings[0].message
 
+    def test_noise_prefix_that_ignores_the_simulator_seed(self):
+        findings = inject(
+            "perfsim/simulator.py",
+            "self.seed, self.machine.name, *key, \"\"",
+            "0, self.machine.name, *key, \"\"",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert findings[0].path.endswith("perfsim/simulator.py")
+        assert "noise-seed-prefixes" in findings[0].message
+        assert "seed" in findings[0].message
+
     def test_unsealed_entry_in_artifact_store(self):
         findings = inject(
             "scheduler/artifacts.py",

@@ -10,7 +10,7 @@ every layer: tree, forest, and placement model.
 import numpy as np
 import pytest
 
-from repro.core.model import PlacementModel
+from repro.core.model import PlacementModel, _pair_features
 from repro.core.training import build_training_set
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
@@ -65,11 +65,45 @@ class TestForestBatching:
         X = rng.normal(size=(80, 3))
         Y = rng.normal(size=(80, 6))
         forest = RandomForestRegressor(n_estimators=15, random_state=7).fit(X, Y)
+        assert forest.arena().bit_tables is not None
         X_test = rng.normal(size=(33, 3))
         batched = forest.predict(X_test)
         for k in range(len(X_test)):
             single = forest.predict(X_test[k : k + 1])[0]
             assert np.array_equal(batched[k], single)
+
+    def test_batch_matches_singles_past_one_mask_word(self):
+        """240 training rows grow trees of more than 64 leaves: the forest
+        is served by the lock-step descent, with the same guarantee."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(240, 3))
+        forest = RandomForestRegressor(n_estimators=7, random_state=7).fit(
+            X, rng.normal(size=(240, 2))
+        )
+        assert forest.arena().bit_tables is None
+        X_test = rng.normal(size=(17, 3))
+        batched = forest.predict(X_test)
+        assert np.array_equal(batched, forest.predict_per_tree(X_test))
+        for k in range(len(X_test)):
+            assert np.array_equal(
+                batched[k], forest.predict(X_test[k : k + 1])[0]
+            )
+
+
+class TestPairFeatures:
+    def test_preallocated_matrix_equals_column_stack(self):
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 2, 37):
+            ipc_i = rng.uniform(0.2, 3.0, size=n)
+            ipc_j = rng.uniform(0.2, 3.0, size=n)
+            features = _pair_features(ipc_i, ipc_j)
+            reference = np.column_stack([ipc_i, ipc_j, ipc_j / ipc_i])
+            assert features.shape == (n, 3) and features.flags.c_contiguous
+            assert np.array_equal(features, reference)
+
+    def test_misaligned_observations_rejected(self):
+        with pytest.raises(ValueError):
+            _pair_features(np.ones(3), np.ones(4))
 
 
 class TestPlacementModelBatching:

@@ -1,6 +1,8 @@
 """Unit tests for the performance simulator, including the Figure-1
 reproduction targets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.perfsim import (
     paper_workloads,
     workload_by_name,
 )
+from repro.perfsim.simulator import _stable_seed
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 
 
@@ -93,6 +96,70 @@ class TestBasics:
             "interconnect",
             "comm_latency",
         }
+
+
+class TestNoiseSeed:
+    def test_cached_prefix_equals_the_seven_part_seed(self, amd):
+        """The CRC of the seed text is continued from a prefix cached per
+        (profile name, placement); every draw equals the one seeded by
+        hashing all seven parts afresh — also for a profile whose name
+        holds the separator."""
+        simulator = PerformanceSimulator(amd, seed=5)
+        profiles = paper_workloads()[:4] + [
+            replace(workload_by_name("gcc"), name="a|b|"),
+            replace(workload_by_name("gcc"), name="|"),
+        ]
+        placements = list(important_placements(amd, 16))[:5] + [
+            Placement.balanced(amd, range(8), 16, use_smt=False)
+        ]
+        rng = np.random.default_rng(0)
+        draws = 0
+        for profile in profiles:
+            for placement in placements:
+                for _ in range(300):
+                    repetition = int(rng.integers(0, 2**40))
+                    extra = int(rng.integers(0, 50))
+                    seed = _stable_seed(
+                        simulator.seed,
+                        amd.name,
+                        profile.name,
+                        placement.nodes,
+                        placement.l2_share,
+                        repetition,
+                        extra,
+                    )
+                    sigma = profile.phase_noise / np.sqrt(3.0 / 10.0)
+                    expected = float(
+                        np.exp(np.random.default_rng(seed).normal(0.0, sigma))
+                    )
+                    assert expected == simulator._noise_multiplier(
+                        profile, placement, 3.0, repetition, extra=extra
+                    )
+                    draws += 1
+        assert draws >= 10_000
+        assert len(simulator._noise_prefixes) == len(profiles) * len(placements)
+
+    def test_prefix_memo_starts_over_when_full(self, amd, monkeypatch):
+        """A stream of one-off workload names cannot grow the memo past
+        its bound, and a dropped prefix is recomputed to the same seed."""
+        placement = Placement.balanced(amd, [0, 1], 16, use_smt=True)
+        profiles = [
+            replace(workload_by_name("gcc"), name=f"one-off-{k}")
+            for k in range(8)
+        ]
+        unbounded = PerformanceSimulator(amd, seed=5)
+        expected = [
+            unbounded._noise_multiplier(profile, placement, 3.0, k)
+            for k, profile in enumerate(profiles)
+        ]
+        monkeypatch.setattr("repro.perfsim.simulator._NOISE_PREFIX_MAX", 3)
+        bounded = PerformanceSimulator(amd, seed=5)
+        for _ in range(2):
+            for k, profile in enumerate(profiles):
+                assert expected[k] == bounded._noise_multiplier(
+                    profile, placement, 3.0, k
+                )
+                assert len(bounded._noise_prefixes) <= 3
 
 
 class TestPerformanceVector:

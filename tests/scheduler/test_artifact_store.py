@@ -162,6 +162,8 @@ class TestImmutability:
             arena.values,
             arena.threshold,
             arena.left,
+            *(table for _, _, table in arena.bit_tables),
+            *arena.arrays(),
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

@@ -181,6 +181,35 @@ class TestGoalAwarePolicy:
         assert id(sets[2]) in policy._target_cache
         assert id(sets[3]) not in policy._target_cache
 
+    def test_preference_order_matches_the_keyed_sorts(self, registry):
+        """The tuple sort over precomputed node counts orders candidates
+        exactly as the two stable keyed sorts it replaced, ties included
+        (coarse predictions tie often)."""
+        import numpy as np
+
+        def reference(policy, sizes, vector, goal_fraction):
+            indices = list(range(len(sizes)))
+            if goal_fraction is None:
+                threshold = policy.best_effort_slack * float(max(vector))
+            else:
+                threshold = goal_fraction * (1.0 + policy.safety_margin)
+            meeting = [k for k in indices if vector[k] >= threshold]
+            rest = [k for k in indices if vector[k] < threshold]
+            meeting.sort(key=lambda k: (sizes[k], -vector[k]))
+            rest.sort(key=lambda k: -vector[k])
+            return meeting + rest
+
+        policy = GoalAwareFleetPolicy(registry)
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            sizes = tuple(int(size) for size in rng.integers(1, 5, size=n))
+            vector = np.round(rng.uniform(0.6, 1.3, size=n), 1)
+            for goal in (None, 0.9, 1.0):
+                assert policy._preference_order(
+                    sizes, vector, goal
+                ) == reference(policy, sizes, vector, goal)
+
     def test_goal_bearing_prefers_cheap_placements(self, registry):
         fleet = Fleet.homogeneous(amd_opteron_6272(), 1)
         policy = GoalAwareFleetPolicy(registry)
