@@ -10,8 +10,8 @@ lifetimes, 8-32 vCPU containers) is replayed at fleet sizes from 10k to
   arrivals routed from per-shard summaries and decided in windows of 16
   per shard, departures deferred into batched per-shard messages.
 
-Everything runs in one process (inline transport — every message still
-JSON round-trips), so the measured speedup is *algorithmic*, not
+Everything runs in one process (inline transport — messages are handed
+to the shard unserialized), so the measured speedup is *algorithmic*, not
 parallelism: each shard's candidate scans cover 1/4 of the hosts, the
 window amortizes the policy's fused forest call across 16 arrivals, and
 departures stop costing a round trip each.  The host-scan term grows

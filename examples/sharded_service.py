@@ -16,11 +16,12 @@ tables, and model registry), and a thin front-end
   placement state lives only on the shards, the router's summaries are
   allowed to be wrong.
 
-Every message crosses a JSON wire boundary even with the default
-in-process transport (``workers="process"`` moves each shard into a
-real child process with the same bytes on the pipe), and a single-shard
-service is decision-for-decision identical to the monolithic engine —
-sharding changes where decisions happen, never what they are.
+Every message is a dict of flat, JSON-safe rows (``repro.scheduler.wire``):
+the default in-process transport hands it to the shard as is, and
+``workers="process"`` moves each shard into a real child process with
+the same message pickled onto a pipe.  A single-shard service is
+decision-for-decision identical to the monolithic engine — sharding
+changes where decisions happen, never what they are.
 
 Run:  python examples/sharded_service.py
 """

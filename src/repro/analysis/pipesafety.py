@@ -1,23 +1,30 @@
 """Pipe-safety rule: shard transport payloads must be JSON-safe.
 
 The sharded scheduler service speaks one message protocol over two
-transports: ``InlineShardClient`` pushes every payload through
-``json.dumps``/``loads`` precisely so the in-process path cannot cheat,
-and ``ProcessShardClient`` moves the same dicts over a
-``multiprocessing.Pipe``.  A numpy scalar or a dataclass instance
-survives pickling over the pipe but not JSON — the two transports then
-disagree, which is exactly the divergence the single-shard-equals-
-monolith gate in ``tests/scheduler/test_service.py`` exists to prevent.
+transports: ``ProcessShardClient`` pickles each message onto a
+``multiprocessing.Pipe``, and ``InlineShardClient`` hands the very same
+object to an in-process worker without serializing anything.  Neither
+would notice a numpy scalar or a dataclass instance in a payload — both
+pickle, both survive a function call — but the write-ahead journal's
+stored form (``ShardJournal.to_dict``) and the benchmark's tracer write
+the same payloads as JSON, and a mutable object shared by reference
+across the inline boundary would let one side edit the other's state.
+The guarantee that the in-process path cannot cheat used to be paid per
+message (a ``json.dumps``/``loads`` pair in the inline client); it now
+rests on three checks that cost nothing at serving time: this rule,
+the JSON-round-tripping test client under ``tests/scheduler/`` that the
+equivalence gates run through, and the inline ≡ process digest gates.
 
-The rule scopes itself to the transport modules
-(``scheduler/shard.py``, ``scheduler/service.py``) and inspects payload
-roots only: arguments of ``.send``/``.request``/``._send`` calls, and
-return values of ``handle``/``_handle_*``/``*_message``/``to_dict``
-functions, following local variable assignments.  Inside a payload
-expression, calls into the ``numpy`` namespace, wire-class
-constructors, and ``from_dict`` calls are flagged; conversion wrappers
-(``float``/``int``/``str``/``bool``/``len``/``round``, ``.to_dict()``/
-``.tolist()``/``.item()``) terminate the descent as known-safe.
+The rule scopes itself to the transport modules (``scheduler/shard.py``,
+``scheduler/service.py``, the row codec ``scheduler/wire.py``, ...) and
+inspects payload roots only: arguments of ``.send``/``.request``/
+``._send`` calls, and return values of ``handle``/``_handle_*``/
+``*_message``/``encode_*``/``to_dict`` functions, following local
+variable assignments.  Inside a payload expression, calls into the
+``numpy`` namespace, wire-class constructors, and ``from_dict`` calls
+are flagged; conversion wrappers (``float``/``int``/``str``/``bool``/
+``len``/``round``, ``.to_dict()``/``.tolist()``/``.item()``) terminate
+the descent as known-safe.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ from repro.analysis.engine import Finding, ModuleInfo, Rule
 #: Module path suffixes that speak the shard wire protocol.  The
 #: supervision layer journals and replays the same wire messages
 #: (supervisor.py) and the fault layer forwards them (faults.py), so
-#: both are payload-bearing modules.
+#: both are payload-bearing modules; the row codec (wire.py) builds what
+#: all of them carry.
 TRANSPORT_SUFFIXES = (
     "scheduler/shard.py",
     "scheduler/service.py",
+    "scheduler/wire.py",
     "scheduler/supervisor.py",
     "scheduler/faults.py",
     "scheduler/capacity.py",
@@ -85,6 +94,7 @@ def _payload_function(name: str) -> bool:
         name == "handle"
         or name.startswith("_handle")
         or name.endswith("_message")
+        or name.startswith("encode_")
         or name == "to_dict"
     )
 
@@ -92,11 +102,12 @@ def _payload_function(name: str) -> bool:
 class PipeSafetyRule(Rule):
     """Flag non-JSON-safe values in shard transport payloads.
 
-    Motivated by the transport-equivalence gate
-    (``tests/scheduler/test_service.py``): inline clients JSON-round-trip
-    every message, so a numpy scalar that would ride a
-    ``multiprocessing.Pipe`` unnoticed fails the JSON path — this rule
-    catches it before either transport runs.
+    Motivated by the transport-equivalence gates: a numpy scalar rides
+    a ``multiprocessing.Pipe`` (and an in-process hand-off) unnoticed
+    and fails the first time the payload is stored as JSON — this rule
+    catches it before either transport runs, and
+    ``tests/scheduler/test_json_transport.py`` catches what static
+    inspection cannot see.
     """
 
     id = "pipe-safety"

@@ -165,6 +165,11 @@ class Placement:
         return self._l2_share
 
     @property
+    def l3_groups_per_node(self) -> int:
+        """L3 groups used per node, resolved (never None)."""
+        return self._l3_groups_per_node
+
+    @property
     def uses_smt(self) -> bool:
         """True when any L2 group hosts more than one vCPU."""
         return self._l2_share > 1

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Deque, Dict, List
 
 from repro.scheduler.shard import ShardCrashError, ShardTimeoutError
 
@@ -218,7 +219,7 @@ class FaultInjectingClient:
         self._latched: str | None = None
         #: Outcomes of split-protocol sends, oldest first, consumed by
         #: recv(): ("ok" | "drop" | "wedge", fired message index | None).
-        self._outcomes: List[tuple] = []
+        self._outcomes: Deque[tuple] = deque()
 
     def request(self, message: Dict, timeout_s: float | None = None) -> Dict:
         if self._latched == "crash":
@@ -288,7 +289,7 @@ class FaultInjectingClient:
     def recv(self, timeout_s: float | None = None) -> Dict:
         if not self._outcomes:
             return self.inner.recv(timeout_s)
-        kind, index = self._outcomes.pop(0)
+        kind, index = self._outcomes.popleft()
         if kind == "wedge":
             raise ShardTimeoutError(
                 self.shard_id,
@@ -339,7 +340,7 @@ class FaultInjectingClient:
         return self.inner.recv_deadline()
 
     def kill(self) -> None:
-        self._outcomes = []
+        self._outcomes.clear()
         self.inner.kill()
 
     def close(self) -> None:

@@ -77,7 +77,8 @@ class FleetDecision:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """JSON-safe decision trace (the shard <-> front-end payload)."""
+        """JSON-safe decision trace (the report format; shard messages
+        carry :mod:`repro.scheduler.wire` rows instead)."""
         return {
             "request": self.request.to_dict(),
             "host_id": self.host_id,

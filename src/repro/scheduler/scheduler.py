@@ -59,7 +59,8 @@ class GradedDecision:
         return text
 
     def to_dict(self) -> Dict:
-        """JSON-safe graded trace (the shard <-> front-end payload)."""
+        """JSON-safe graded trace (the report format; shard messages
+        carry :mod:`repro.scheduler.wire` rows instead)."""
         return {
             "decision": self.decision.to_dict(),
             "achieved_relative": self.achieved_relative,

@@ -48,7 +48,7 @@ fault handling stays deterministic too.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from typing import Dict, List, Sequence, Tuple
 
@@ -59,11 +59,7 @@ from repro.scheduler.capacity import initial_capacity
 from repro.scheduler.config import ScheduleConfig
 from repro.scheduler.events import EventKind, events_from_requests
 from repro.scheduler.fleet import minimal_shape
-from repro.scheduler.lifecycle import (
-    ChurnStats,
-    FragmentationSample,
-    MigrationRecord,
-)
+from repro.scheduler.lifecycle import ChurnStats, FragmentationSample
 from repro.scheduler.faults import FaultInjectingClient, FaultPlan
 from repro.scheduler.policies import FleetDecision, is_model_driven
 from repro.scheduler.registry import ModelRegistry
@@ -83,6 +79,7 @@ from repro.scheduler.supervisor import (
     ShardDownError,
     ShardSupervisor,
 )
+from repro.scheduler.wire import decode_churn, decode_graded, encode_arrival
 
 
 @dataclass
@@ -347,9 +344,13 @@ def merge_churn_stats(
     shards but only once at the service.
     """
     if len(per_shard) == 1:
-        merged = ChurnStats.from_dict(per_shard[0].to_dict())
-        merged.arrivals = arrivals
-        return merged
+        only = per_shard[0]
+        return replace(
+            only,
+            arrivals=arrivals,
+            migrations=list(only.migrations),
+            fragmentation_timeline=list(only.fragmentation_timeline),
+        )
     merged = ChurnStats(
         arrivals=arrivals,
         departures=sum(s.departures for s in per_shard),
@@ -360,30 +361,31 @@ def merge_churn_stats(
         (m for s in per_shard for m in s.migrations),
         key=lambda m: (m.time, m.triggered_by, m.request_id),
     )
-    latest = {
-        shard: sample for shard, sample in enumerate(initial)
-    }
-    tagged = [
+    # (shard, position) is unique, so the sort never compares samples.
+    tagged = sorted(
         (sample.time, shard, position, sample)
         for shard, stats in enumerate(per_shard)
         for position, sample in enumerate(stats.fragmentation_timeline)
-    ]
-    tagged.sort(key=lambda item: (item[0], item[1], item[2]))
+    )
+    # Running totals: a sample replaces its shard's previous one, so each
+    # sum moves by the difference (all integers: exact) and only the
+    # largest block needs a pass over the shards' latest values.
+    latest = list(initial)
+    free = sum(s.free_nodes_total for s in latest)
+    active = sum(s.active_containers for s in latest)
+    failures = sum(s.fit_failures for s in latest)
+    blocks = [s.largest_free_block for s in latest]
+    timeline = merged.fragmentation_timeline
     for event_time, shard, _, sample in tagged:
+        previous = latest[shard]
         latest[shard] = sample
-        merged.fragmentation_timeline.append(
+        free += sample.free_nodes_total - previous.free_nodes_total
+        active += sample.active_containers - previous.active_containers
+        failures += sample.fit_failures - previous.fit_failures
+        blocks[shard] = sample.largest_free_block
+        timeline.append(
             FragmentationSample(
-                time=event_time,
-                free_nodes_total=sum(
-                    s.free_nodes_total for s in latest.values()
-                ),
-                largest_free_block=max(
-                    s.largest_free_block for s in latest.values()
-                ),
-                active_containers=sum(
-                    s.active_containers for s in latest.values()
-                ),
-                fit_failures=sum(s.fit_failures for s in latest.values()),
+                event_time, free, max(blocks), active, failures
             )
         )
     return merged
@@ -636,18 +638,38 @@ class SchedulerService:
     # Wire helpers
     # ------------------------------------------------------------------
 
-    def _globalize(self, entry: GradedDecision, shard: int) -> GradedDecision:
-        """Translate a shard-local host id to the global fleet id."""
-        if entry.decision.host_id is not None:
-            entry.decision.host_id = (
-                entry.decision.host_id * self.config.shards + shard
+    def _from_wire(
+        self,
+        shard: int,
+        response: Dict,
+        requests: Sequence[PlacementRequest],
+    ) -> List[GradedDecision]:
+        """Decode a window reply: one graded row per request sent, in
+        order, each re-attached to the request this front end holds
+        (the reply does not echo it) and with its shard-local host id
+        translated to the global fleet id."""
+        rows = response["graded"]
+        if len(rows) != len(requests):
+            raise ShardError(
+                shard,
+                f"reply grades {len(rows)} request(s), "
+                f"{len(requests)} were sent",
             )
-        return entry
-
-    def _from_wire(self, data: Dict, shard: int) -> GradedDecision:
-        return self._globalize(
-            GradedDecision.from_dict(data, self._by_name), shard
-        )
+        entries = []
+        for row, request in zip(rows, requests):
+            if row[0] != request.request_id:
+                raise ShardError(
+                    shard,
+                    f"reply row is for request {row[0]}, expected "
+                    f"{request.request_id} at this position",
+                )
+            entry = decode_graded(row, request, self._by_name)
+            if entry.decision.host_id is not None:
+                entry.decision.host_id = (
+                    entry.decision.host_id * self.config.shards + shard
+                )
+            entries.append(entry)
+        return entries
 
     def _update_summary(self, shard: int, response: Dict) -> None:
         self.summaries[shard] = ShardSummary.from_dict(response["summary"])
@@ -1158,11 +1180,7 @@ class SchedulerService:
                 # inline respawn-and-replay: these arrivals rode through
                 # a fault window.
                 self.stats.degraded_arrivals += len(positions)
-            per_request = elapsed / len(positions)
-            for position, graded in zip(positions, response["graded"]):
-                entry = self._from_wire(graded, shard)
-                entry.decision_seconds = per_request
-                results[position] = entry
+            self._collect(shard, response, elapsed, items, positions, results)
 
     def _dispatch_window(
         self,
@@ -1207,13 +1225,33 @@ class SchedulerService:
                 continue
             if outcome.faulted or flush_faulted.get(shard, False):
                 self.stats.degraded_arrivals += len(positions)
-            per_request = outcome.elapsed / len(positions)
-            for position, graded in zip(
-                positions, outcome.response["graded"]
-            ):
-                entry = self._from_wire(graded, shard)
-                entry.decision_seconds = per_request
-                results[position] = entry
+            self._collect(
+                shard,
+                outcome.response,
+                outcome.elapsed,
+                items,
+                positions,
+                results,
+            )
+
+    def _collect(
+        self,
+        shard: int,
+        response: Dict,
+        elapsed: float,
+        items: Sequence[Tuple[PlacementRequest, float]],
+        positions: Sequence[int],
+        results: List[GradedDecision | None],
+    ) -> None:
+        """File one shard's window reply under its items' positions, the
+        round trip's time shared equally among them."""
+        entries = self._from_wire(
+            shard, response, [items[position][0] for position in positions]
+        )
+        per_request = elapsed / len(positions)
+        for position, entry in zip(positions, entries):
+            entry.decision_seconds = per_request
+            results[position] = entry
 
     def _begin_round(self) -> frozenset:
         """Recover shards whose deferred-recovery window has elapsed;
@@ -1247,18 +1285,15 @@ class SchedulerService:
     def _window_message(
         self, op: str, items: Sequence[Tuple[PlacementRequest, float]]
     ) -> Dict:
+        """One window slice for one shard; ``arrive`` and ``decide``
+        carry the same arrival rows under their own key."""
+        rows = [
+            encode_arrival(request, event_time)
+            for request, event_time in items
+        ]
         if op == "decide":
-            return {
-                "op": "decide",
-                "requests": [request.to_dict() for request, _ in items],
-            }
-        return {
-            "op": "arrive",
-            "events": [
-                [request.to_dict(), event_time]
-                for request, event_time in items
-            ],
-        }
+            return {"op": "decide", "requests": rows}
+        return {"op": "arrive", "events": rows}
 
     # ------------------------------------------------------------------
     # Admission control (repro serve --admission)
@@ -1436,7 +1471,7 @@ class SchedulerService:
                 tried.add(next_shard)
                 continue
             accumulated += elapsed
-            entry = self._from_wire(response["graded"][0], next_shard)
+            [entry] = self._from_wire(next_shard, response, [request])
             entry.decision_seconds = accumulated
             shard = next_shard
             tried.add(next_shard)
@@ -1479,7 +1514,7 @@ class SchedulerService:
                 response, elapsed = self._send(shard, message)
             except ShardDownError:
                 continue  # that one died too; re-rank the survivors
-            entry = self._from_wire(response["graded"][0], shard)
+            [entry] = self._from_wire(shard, response, [request])
             entry.decision_seconds = elapsed
             return self._retry_if_rejected(
                 entry, shard, request, event_time, op
@@ -1741,19 +1776,13 @@ class SchedulerService:
     def _localized_churn(self, data: Dict, shard: int) -> ChurnStats:
         """Rebuild one shard's churn stats with migration host ids
         translated to global fleet ids."""
-        stats = ChurnStats.from_dict(data)
+        stats = decode_churn(data)
         n = self.config.shards
         stats.migrations = [
-            MigrationRecord(
-                time=m.time,
-                request_id=m.request_id,
-                workload=m.workload,
+            replace(
+                m,
                 source_host=m.source_host * n + shard,
                 dest_host=m.dest_host * n + shard,
-                engine=m.engine,
-                seconds=m.seconds,
-                moved_gb=m.moved_gb,
-                triggered_by=m.triggered_by,
             )
             for m in stats.migrations
         ]

@@ -11,30 +11,46 @@ shard's hosts, so its candidate scans are ``1/n_shards`` the size, and a
 window of routed arrivals is decided in one policy batch so the fused
 forest call amortizes per shard.
 
-Everything crossing the shard boundary is a JSON-safe dict built from
-the wire surface (``to_dict`` / ``from_dict``): requests in, graded
-decision traces out, with a :class:`ShardSummary` piggybacked on every
-response so the router's view refreshes for free.  The
-:class:`InlineShardClient` runs the worker in-process but still pushes
-every message through ``json.dumps``/``loads`` — the wire format is
-exercised on every transport, not just the multiprocess one — while
-:class:`ProcessShardClient` runs the same worker loop in a separate
-process connected by a pipe.
+Messages are dicts of JSON-safe scalars and *rows*
+(:mod:`repro.scheduler.wire`): an arrival is one flat tuple with its
+workload profile as a nested row, a graded decision is one flat tuple
+that does not echo the request (the front end re-attaches the one it
+sent, by position, and checks the echoed id), and a
+:class:`ShardSummary` rides on every response so the router's view
+refreshes for free.  Rows are immutable, so :class:`InlineShardClient`
+hands a message straight to the in-process worker and serializes
+nothing; :class:`ProcessShardClient` pickles the same message onto a
+pipe.  That no payload works on one transport only is established off
+the request path — ``repro lint``'s pipe-safety rule, the
+JSON-round-tripping client the equivalence gates run through
+(``tests/scheduler/test_json_transport.py``), and the inline ≡ process
+decision digests — not by a ``json.dumps``/``loads`` pair per message.
 
-Worker message protocol (all payloads JSON-safe dicts):
+Worker message protocol (every payload JSON-safe and picklable):
 
 ========= ==========================================================
 op        meaning
 ========= ==========================================================
-arrive    lifecycle arrivals: ``events=[[request_dict, time], ...]``
-          decided in one ``step_batch`` window; returns graded traces
+arrive    lifecycle arrivals: ``events=[arrival_row, ...]`` decided
+          in one ``step_batch`` window; returns ``graded=[row, ...]``,
+          one graded row per arrival, in order
 depart    lifecycle departures: ``events=[[request_id, time], ...]``
           (a departure needs nothing but the id); frees placements
-decide    one-shot batch (no churn): ``requests=[request_dict, ...]``
+decide    one-shot batch (no churn): ``requests=[arrival_row, ...]``,
+          the same rows and the same ``graded`` reply as ``arrive``
 summary   just the shard's routing summary
-report    the shard's full FleetReport payload (without decisions)
+report    the shard's counters in the FleetReport format (without
+          decisions), its churn statistics row-coded: migrations as
+          rows, the fragmentation timeline as one column per field
 stop      shut the worker down (process transport exits its loop)
 ========= ==========================================================
+
+``arrival_row`` is ``(request_id, vcpus, goal_fraction, arrival_time,
+lifetime, profile_row, event_time)``; a graded row is ``(request_id,
+host_id, placement_row | None, placement_id, predicted_relative,
+block_exact, reject_reason, achieved_relative, violated,
+decision_seconds)``.  Supervised messages add ``seq``, and every
+response carries ``summary`` (and echoes ``seq``).
 
 Both clients expose the protocol twice: the classic blocking
 ``request(message)`` round trip, and the split ``send(message)`` /
@@ -57,18 +73,23 @@ transport's speed depend on whatever else kept the machine awake.
 from __future__ import annotations
 
 import gc
-import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
 from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
-from repro.scheduler.requests import PlacementRequest
 from repro.scheduler.capacity import CapacityTracker, CapacityVector
 from repro.scheduler.scheduler import FleetReport, GradedDecision, grade_decision
+from repro.scheduler.wire import (
+    ProfileMemo,
+    decode_arrival,
+    encode_churn,
+    encode_graded,
+)
 from repro.topology.machine import MachineTopology
 
 
@@ -253,6 +274,8 @@ class ShardWorker:
         if getattr(config, "admission", False):
             self.capacity = CapacityTracker(self.fleet.index, config.vcpus)
         self._next_seq = 0
+        #: Decoded workload profiles, validated once per distinct row.
+        self._profiles = ProfileMemo()
         #: One-shot ("decide") accounting, separate from the lifecycle
         #: engine's graded list.
         self._one_shot_graded: List[GradedDecision] = []
@@ -270,7 +293,9 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def handle(self, message: Dict) -> Dict:
-        """Process one protocol message; returns the JSON-safe response."""
+        """Process one protocol message; returns the response, which the
+        caller may hold but must not mutate (a same-``seq`` retry is
+        answered with the same object)."""
         seq = message.get("seq")
         if seq is not None and seq <= self._applied_seq:
             if seq == self._applied_seq and self._last_response is not None:
@@ -291,9 +316,7 @@ class ShardWorker:
         elif op == "summary":
             response = {}
         elif op == "report":
-            response = {
-                "report": self.report().to_dict(include_decisions=False)
-            }
+            response = {"report": self._report_payload()}
         elif op == "stop":
             response = {"stopped": True}
         else:
@@ -310,37 +333,29 @@ class ShardWorker:
             self._last_response = response
         return response
 
-    def _event(
-        self, kind: EventKind, request_data: Dict, event_time: float
-    ) -> LifecycleEvent:
-        event = LifecycleEvent(
-            event_time,
-            self._next_seq,
-            kind,
-            PlacementRequest.from_dict(request_data),
-        )
-        self._next_seq += 1
-        return event
-
     def _handle_arrive(self, events: Sequence) -> Dict:
-        window = self.engine.step_batch(
-            [
-                self._event(EventKind.ARRIVAL, request_data, event_time)
-                for request_data, event_time in events
-            ]
-        )
-        return {"graded": [entry.to_dict() for entry in window]}
+        arrivals = []
+        for row in events:
+            request, event_time = decode_arrival(row, self._profiles)
+            arrivals.append(
+                LifecycleEvent(
+                    event_time, self._next_seq, EventKind.ARRIVAL, request
+                )
+            )
+            self._next_seq += 1
+        window = self.engine.step_batch(arrivals)
+        return {"graded": [encode_graded(entry) for entry in window]}
 
     def _handle_depart(self, events: Sequence) -> Dict:
         for request_id, event_time in events:
             self.engine.depart(request_id, event_time)
         return {"departed": len(events)}
 
-    def _handle_decide(self, requests: Sequence[Dict]) -> Dict:
+    def _handle_decide(self, requests: Sequence) -> Dict:
         """One-shot batch: decide + grade, no lifecycle bookkeeping —
         exactly what :class:`~repro.scheduler.scheduler.FleetScheduler`
         does with one of its batches."""
-        batch = [PlacementRequest.from_dict(data) for data in requests]
+        batch = [decode_arrival(row, self._profiles)[0] for row in requests]
         start = time.perf_counter()
         decisions = self.policy.decide_batch(batch, self.fleet)
         per_request = (time.perf_counter() - start) / max(len(batch), 1)
@@ -350,7 +365,18 @@ class ShardWorker:
             entry.decision_seconds = per_request
             graded.append(entry)
         self._one_shot_graded.extend(graded)
-        return {"graded": [entry.to_dict() for entry in graded]}
+        return {"graded": [encode_graded(entry) for entry in graded]}
+
+    def _report_payload(self) -> Dict:
+        """The ``report`` reply: this shard's counters in the report
+        format, its churn statistics row-coded (the fragmentation
+        timeline has one sample per event — the one part of a report
+        that grows with the stream)."""
+        report = self.report()
+        payload = replace(report, churn=None).to_dict(include_decisions=False)
+        if report.churn is not None:
+            payload["churn"] = encode_churn(report.churn)
+        return payload
 
     # ------------------------------------------------------------------
     # State views
@@ -408,10 +434,10 @@ class ShardWorker:
 class InlineShardClient:
     """In-process shard: the worker lives in the caller's process.
 
-    Every message and response still round-trips through JSON, so the
-    inline transport exercises the identical wire surface the process
-    transport ships over its pipe — a payload that only works inline is
-    a bug this client catches immediately.
+    Messages are immutable rows under a dict the worker only reads, so
+    ``send`` hands the message straight to ``worker.handle`` and buffers
+    the reply as is — no copy, no serialization (the module docstring
+    says where "a payload that only works inline" is caught instead).
 
     The client speaks the split protocol (:meth:`send` then
     :meth:`recv`) the overlapped dispatcher uses; because the worker is
@@ -433,23 +459,20 @@ class InlineShardClient:
             shard_id, config, machines=machines
         )
         #: Responses produced at send time, awaiting recv, oldest first.
-        self._pending: List[Dict] = []
+        self._pending: Deque[Dict] = deque()
 
     def send(self, message: Dict, timeout_s: float | None = None) -> None:
         """Deliver one message; the response buffers until :meth:`recv`."""
         if self.worker is None:
             raise ShardCrashError(self.shard_id, "worker was killed")
-        payload = json.loads(json.dumps(message))
-        self._pending.append(
-            json.loads(json.dumps(self.worker.handle(payload)))
-        )
+        self._pending.append(self.worker.handle(message))
 
     def recv(self, timeout_s: float | None = None) -> Dict:
         if not self._pending:
             raise ShardError(
                 self.shard_id, "recv() without a pending send()"
             )
-        return self._pending.pop(0)
+        return self._pending.popleft()
 
     def request(self, message: Dict, timeout_s: float | None = None) -> Dict:
         self.send(message, timeout_s)
@@ -488,7 +511,7 @@ class InlineShardClient:
         every later request raises :class:`ShardCrashError` — the same
         contract a dead process presents to the front-end."""
         self.worker = None
-        self._pending = []
+        self._pending.clear()
 
     def close(self) -> None:  # symmetric with ProcessShardClient
         pass
@@ -575,10 +598,11 @@ class ProcessShardClient:
 
     The child rebuilds its fleet, registry, and policy from the
     serialized :class:`~repro.scheduler.config.ScheduleConfig` — nothing
-    but JSON-safe dicts crosses the pipe.  Trained models never travel on
-    the wire: a forked child inherits the parent's artifact store, and a
-    child started any other way trains the same artifacts from the same
-    seed and preset names the parent used.
+    but dicts of JSON-safe scalars and rows crosses the pipe.  Trained
+    models never travel on the wire: a forked child inherits the
+    parent's artifact store, and a child started any other way trains
+    the same artifacts from the same seed and preset names the parent
+    used.
 
     The split protocol is where the parallelism lives: :meth:`send`
     writes the message and stamps its reply deadline (monotonic clock,
@@ -599,10 +623,10 @@ class ProcessShardClient:
         self.timeout_s = timeout_s
         #: In-flight sends, oldest first: (reply deadline or None,
         #: expected response seq or None).
-        self._in_flight: List[List] = []
+        self._in_flight: Deque[tuple] = deque()
         #: Replies drained off the pipe (to keep its buffers empty during
         #: pipelined batches) but not yet returned by recv().
-        self._drained: List[Dict] = []
+        self._drained: Deque[Dict] = deque()
         parent, child = multiprocessing.Pipe()
         self._connection = parent
         self._process = multiprocessing.Process(
@@ -629,7 +653,7 @@ class ProcessShardClient:
                 self.shard_id,
                 f"worker pipe closed ({type(error).__name__})",
             ) from error
-        self._in_flight.append([deadline, message.get("seq")])
+        self._in_flight.append((deadline, message.get("seq")))
 
     def recv(self, timeout_s: float | None = None) -> Dict:
         """Collect the oldest in-flight reply.
@@ -645,13 +669,13 @@ class ProcessShardClient:
             raise ShardError(
                 self.shard_id, "recv() without a pending send()"
             )
-        deadline, expected = self._in_flight.pop(0)
+        deadline, expected = self._in_flight.popleft()
         if timeout_s is not None:
             deadline = time.monotonic() + timeout_s
         try:
             while True:
                 if self._drained:
-                    reply = self._drained.pop(0)
+                    reply = self._drained.popleft()
                 else:
                     remaining = (
                         None
@@ -742,8 +766,8 @@ class ProcessShardClient:
     def kill(self) -> None:
         """Hard-kill the worker (no stop handshake) and release the pipe —
         what a crash fault does, and close()'s last resort."""
-        self._in_flight = []
-        self._drained = []
+        self._in_flight.clear()
+        self._drained.clear()
         try:
             if self._process.is_alive():
                 self._process.terminate()

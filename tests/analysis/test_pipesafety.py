@@ -69,7 +69,55 @@ class Worker:
         assert [f.rule for f in findings] == ["pipe-safety"]
 
 
+    def test_numpy_scalar_in_encoded_row_flagged(self):
+        source = """
+import numpy as np
+
+def encode_graded(entry):
+    return (entry.request_id, np.float64(entry.seconds), entry.violated)
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["pipe-safety"]
+        assert "numpy.float64" in findings[0].message
+
+    def test_wire_object_in_encoded_row_flagged(self):
+        source = """
+def encode_arrival(request, event_time):
+    return (request.request_id, PlacementRequest(1, request.profile, 8), event_time)
+"""
+        findings = findings_of(source)
+        assert len(findings) == 1
+        assert "PlacementRequest" in findings[0].message
+
+
 class TestTrueNegatives:
+    def test_rows_of_attribute_reads_clean(self):
+        source = """
+from operator import attrgetter
+
+profile_row = attrgetter("name", "ipc_base")
+
+def encode_arrival(request, event_time):
+    return (request.request_id, profile_row(request.profile), event_time)
+
+def decode_arrival(row):
+    return PlacementRequest(*row)
+"""
+        assert findings_of(source) == []
+
+    def test_row_codec_module_is_in_scope(self):
+        source = """
+import numpy as np
+
+def encode_graded(entry):
+    return (np.int64(entry.host_id),)
+"""
+        assert analyze_source(
+            source,
+            path="src/repro/scheduler/wire.py",
+            rules=["pipe-safety"],
+        )
+
     def test_to_dict_values_clean(self):
         source = """
 class Worker:

@@ -60,11 +60,12 @@ FAST_REFERENCE = dict(
 
 
 def _arrival(request_id, *, vcpus=8, event_time=0.0):
-    """One wire-form arrival event pair for hand-built messages."""
+    """One wire-form arrival row for hand-built messages."""
     from repro.scheduler import generate_request_stream
+    from repro.scheduler.wire import encode_arrival
 
     request = generate_request_stream(1, seed=request_id, vcpus_choices=(vcpus,))[0]
-    return [request.to_dict(), event_time]
+    return encode_arrival(request, event_time)
 
 
 def _fast_config(**overrides):

@@ -1,16 +1,23 @@
 """Round-trip tests for the wire surface.
 
-Every type that crosses the shard boundary (or the ``--emit-json``
-output) must survive ``to_dict`` -> ``json.dumps`` -> ``json.loads`` ->
-``from_dict`` without losing information: the inline transport JSON-
-round-trips every message, so a lossy payload would silently change
-decisions.  The tests push real objects (produced by real scheduler
-runs, not hand-built minimal ones) through an actual JSON round trip.
+Two formats cross process boundaries.  Shard messages are row-coded
+(:mod:`repro.scheduler.wire`): arrivals in, graded rows out, churn
+statistics in the ``report`` reply — each must decode to an equal
+object after a JSON round trip *and* after a pickle round trip, because
+the inline transport hands rows over untouched, the process transport
+pickles them, and journals and traces may store them as JSON.  Reports
+and summaries (``--emit-json``, ``ShardSummary``) use ``to_dict`` ->
+``json`` -> ``from_dict``.  The tests push real objects (produced by
+real scheduler runs, not hand-built minimal ones) through an actual
+round trip.
 """
 
+import dataclasses
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.memo import CacheInfo
 from repro.core.serialize import machines_by_name
@@ -38,7 +45,33 @@ from repro.scheduler import (
     generate_request_stream,
     initial_capacity,
 )
+from repro.perfsim.generator import WorkloadGenerator
+from repro.perfsim.workload import WorkloadProfile
+from repro.scheduler.admission import (
+    REASON_BROWNOUT,
+    REASON_CAPACITY,
+    REASON_DEADLINE,
+    REASON_EVICTED,
+    REASON_EXPIRED,
+    REASON_INFEASIBLE,
+    REASON_QUEUE_FULL,
+)
+from repro.scheduler.policies import FleetDecision
 from repro.scheduler.scheduler import FleetReport
+from repro.scheduler.service import SchedulerService, merge_churn_stats
+from repro.scheduler.shard import ShardError
+from repro.scheduler.wire import (
+    PROFILE_FIELDS,
+    TIMELINE_COLUMNS,
+    ProfileMemo,
+    decode_arrival,
+    decode_churn,
+    decode_graded,
+    encode_arrival,
+    encode_churn,
+    encode_graded,
+    profile_row,
+)
 from repro.serving.online import OnlineStats
 
 
@@ -74,6 +107,277 @@ def churn_report():
 @pytest.fixture(scope="module")
 def machines():
     return machines_by_name(ScheduleConfig(machine="mixed", hosts=2).machine_list())
+
+
+def pickled(payload):
+    """What the process transport does to a message."""
+    return pickle.loads(pickle.dumps(payload))
+
+
+_fraction = st.floats(0.0, 1.0)
+_positive = st.floats(1e-9, 1e9)
+_demand = st.floats(0.0, 1e9)
+
+
+@st.composite
+def _hand_built_profiles(draw):
+    n_tasks = draw(st.integers(1, 10_000))
+    return WorkloadProfile(
+        name=draw(st.text(min_size=1)),  # quotes, pipes, emoji, controls
+        ipc_base=draw(_positive),
+        working_set_mb=draw(_positive),
+        shared_fraction=draw(_fraction),
+        cache_sensitivity=draw(_fraction),
+        membw_per_vcpu=draw(_demand),
+        numa_locality=draw(_fraction),
+        comm_intensity=draw(_fraction),
+        comm_latency_sensitivity=draw(_fraction),
+        comm_bytes_per_vcpu=draw(_demand),
+        smt_affinity=draw(st.floats(-1.0, 1.0)),
+        phase_noise=draw(_demand),
+        memory_gb=draw(_positive),
+        page_cache_fraction=draw(_fraction),
+        n_tasks=n_tasks,
+        n_processes=draw(st.integers(1, n_tasks)),
+        metric_name=draw(st.text()),
+    )
+
+
+#: Jittered one-off profiles exactly as a ``--jitter`` stream mints them.
+_jittered_profiles = st.builds(
+    lambda seed, jitter: WorkloadGenerator(
+        seed=seed, jitter=jitter, namespace="wire"
+    ).sample_one(),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 0.6),
+)
+
+_requests = st.builds(
+    PlacementRequest,
+    request_id=st.integers(0, 2**53),
+    profile=st.one_of(_hand_built_profiles(), _jittered_profiles),
+    vcpus=st.integers(1, 256),
+    goal_fraction=st.one_of(st.none(), st.floats(1e-6, 4.0)),
+    arrival_time=st.floats(0.0, 1e9),
+    lifetime=st.one_of(st.none(), st.floats(1e-6, 1e9)),
+)
+
+REJECT_REASONS = (
+    "capacity",
+    "infeasible",
+    REASON_INFEASIBLE,
+    REASON_CAPACITY,
+    REASON_QUEUE_FULL,
+    REASON_EVICTED,
+    REASON_DEADLINE,
+    REASON_EXPIRED,
+    REASON_BROWNOUT,
+)
+
+
+def _graded_fields(entry):
+    """Every field of a graded decision and of the decision inside it,
+    by declaration — what a row must carry, except the request."""
+    decision = {
+        f.name: getattr(entry.decision, f.name)
+        for f in dataclasses.fields(entry.decision)
+    }
+    graded = {
+        f.name: getattr(entry, f.name)
+        for f in dataclasses.fields(entry)
+        if f.name != "decision"
+    }
+    return decision, graded
+
+
+class TestRowCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(request=_requests, event_time=st.floats(0.0, 1e9))
+    def test_arrival_rows_survive_json_and_pickle(self, request, event_time):
+        row = encode_arrival(request, event_time)
+        for carried in (row, wire(row), pickled(row)):
+            assert decode_arrival(carried, ProfileMemo()) == (
+                request,
+                event_time,
+            )
+        assert pickled(row) == row  # tuples all the way down: hashable
+        assert hash(row) == hash(pickled(row))
+
+    def test_profile_row_covers_exactly_the_declared_fields(self):
+        declared = tuple(f.name for f in dataclasses.fields(WorkloadProfile))
+        assert PROFILE_FIELDS == declared
+        profile = WorkloadGenerator(seed=4, jitter=0.3).sample_one()
+        row = profile_row(profile)
+        assert row == tuple(getattr(profile, name) for name in declared)
+        assert WorkloadProfile(*row) == profile
+
+    def test_arrival_row_covers_every_request_field(self):
+        request = generate_churn_stream(3, seed=8, vcpus_choices=(8,))[-1]
+        rebuilt, _ = decode_arrival(
+            encode_arrival(request, 2.5), ProfileMemo()
+        )
+        for f in dataclasses.fields(PlacementRequest):
+            assert getattr(rebuilt, f.name) == getattr(request, f.name)
+
+    def test_profile_memo_validates_once_and_stays_bounded(self):
+        memo = ProfileMemo(bound=8)
+        generator = WorkloadGenerator(seed=1, jitter=0.4, namespace="memo")
+        for _ in range(8 * 3 + 5):
+            row = profile_row(generator.sample_one())
+            first = memo(row)
+            assert memo(list(row)) is first  # JSON form hits the same entry
+            assert 0 < len(memo) <= memo.bound
+        with pytest.raises(ValueError, match="ipc_base"):
+            memo(("bad", -1.0) + row[2:])  # validation still runs on a miss
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        request=_requests,
+        pick=st.integers(0, 10_000),
+        reason=st.sampled_from(REJECT_REASONS),
+        seconds=st.floats(0.0, 10.0),
+    )
+    def test_graded_rows_survive_json_and_pickle(
+        self, churn_report, request, pick, reason, seconds
+    ):
+        amd = machines_by_name(
+            ScheduleConfig(machine="amd", hosts=1).machine_list()
+        )
+        placed = [g for g in churn_report.decisions if g.decision.placed]
+        model = placed[pick % len(placed)]
+        entries = [
+            # A placement as the ML policy made it, re-attached to a
+            # request the shard never echoes back.
+            GradedDecision(
+                dataclasses.replace(model.decision, request=request),
+                model.achieved_relative,
+                model.violated,
+                seconds,
+            ),
+            # A shard-side or admission reject: no host, no placement.
+            GradedDecision(
+                FleetDecision(request, reject_reason=reason),
+                decision_seconds=seconds,
+            ),
+        ]
+        for entry in entries:
+            row = encode_graded(entry)
+            assert row[0] == request.request_id
+            for carried in (row, wire(row), pickled(row)):
+                rebuilt = decode_graded(carried, request, amd)
+                assert rebuilt.decision.request is request
+                assert _graded_fields(rebuilt) == _graded_fields(entry)
+
+    def test_reply_for_another_request_raises_shard_error(self):
+        config = ScheduleConfig(
+            machine="amd", hosts=2, requests=2, policy="first-fit", shards=2
+        )
+        one, other = generate_request_stream(2, seed=3, vcpus_choices=(8,))
+        with SchedulerService(config) as service:
+            response = service.clients[0].request(
+                {"op": "decide", "requests": [encode_arrival(one, 0.0)]}
+            )
+            [entry] = service._from_wire(0, response, [one])
+            assert entry.decision.request is one
+            with pytest.raises(ShardError, match="expected 2 at this position"):
+                service._from_wire(0, response, [other])
+            with pytest.raises(ShardError, match="grades 1 request"):
+                service._from_wire(0, response, [one, other])
+
+    def test_churn_stats_cross_as_columns(self, churn_report):
+        record = MigrationRecord(
+            time=9.25,
+            request_id=4,
+            workload="gcc",
+            source_host=1,
+            dest_host=3,
+            engine="criu",
+            seconds=12.5,
+            moved_gb=1.75,
+            triggered_by=9,
+        )
+        stats = dataclasses.replace(churn_report.churn, migrations=[record])
+        payload = encode_churn(stats)
+        assert len(payload["timeline"]) == len(TIMELINE_COLUMNS) == 5
+        assert all(
+            len(column) == len(stats.fragmentation_timeline) > 0
+            for column in payload["timeline"]
+        )
+        for carried in (payload, wire(payload), pickled(payload)):
+            assert decode_churn(carried) == stats
+        assert decode_churn(wire(encode_churn(ChurnStats()))) == ChurnStats()
+
+
+def _merge_by_summing(per_shard, initial):
+    """The merged timeline as first written: carry each shard's latest
+    sample forward and re-sum all of them at every event."""
+    latest = dict(enumerate(initial))
+    tagged = sorted(
+        (
+            (sample.time, shard, position, sample)
+            for shard, stats in enumerate(per_shard)
+            for position, sample in enumerate(stats.fragmentation_timeline)
+        ),
+        key=lambda item: item[:3],
+    )
+    timeline = []
+    for event_time, shard, _, sample in tagged:
+        latest[shard] = sample
+        timeline.append(
+            FragmentationSample(
+                time=event_time,
+                free_nodes_total=sum(
+                    s.free_nodes_total for s in latest.values()
+                ),
+                largest_free_block=max(
+                    s.largest_free_block for s in latest.values()
+                ),
+                active_containers=sum(
+                    s.active_containers for s in latest.values()
+                ),
+                fit_failures=sum(s.fit_failures for s in latest.values()),
+            )
+        )
+    return timeline
+
+
+_samples = st.builds(
+    FragmentationSample,
+    time=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 7.25]),  # ties across shards
+    free_nodes_total=st.integers(0, 64),
+    largest_free_block=st.integers(0, 8),
+    active_containers=st.integers(0, 40),
+    fit_failures=st.integers(0, 9),
+)
+
+
+class TestChurnMerge:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        timelines=st.lists(
+            st.lists(_samples, max_size=12), min_size=2, max_size=4
+        ),
+        data=st.data(),
+    )
+    def test_running_totals_equal_the_resummed_timeline(self, timelines, data):
+        per_shard = [
+            ChurnStats(fragmentation_timeline=timeline)
+            for timeline in timelines
+        ]
+        initial = [data.draw(_samples) for _ in timelines]
+        merged = merge_churn_stats(per_shard, arrivals=7, initial=initial)
+        assert merged.fragmentation_timeline == _merge_by_summing(
+            per_shard, initial
+        )
+        assert merged.arrivals == 7
+
+    def test_single_shard_merge_is_an_independent_copy(self, churn_report):
+        stats = churn_report.churn
+        merged = merge_churn_stats([stats], arrivals=99, initial=[])
+        assert merged.arrivals == 99
+        assert dataclasses.replace(merged, arrivals=stats.arrivals) == stats
+        merged.fragmentation_timeline.clear()
+        assert stats.fragmentation_timeline
 
 
 class TestRequestWire:
@@ -313,7 +617,7 @@ class TestSummaryWire:
         worker = ShardWorker(0, config)
         for request in generate_request_stream(8, seed=1, vcpus_choices=(8,)):
             worker.handle(
-                {"op": "arrive", "events": [[request.to_dict(), 0.0]]}
+                {"op": "arrive", "events": [encode_arrival(request, 0.0)]}
             )
         summary = worker.summary()
         assert summary.active_containers > 0  # live, not the empty shard
@@ -390,7 +694,7 @@ class TestCapacityWire:
         worker = ShardWorker(0, config)
         for request in generate_request_stream(8, seed=1, vcpus_choices=(8,)):
             worker.handle(
-                {"op": "arrive", "events": [[request.to_dict(), 0.0]]}
+                {"op": "arrive", "events": [encode_arrival(request, 0.0)]}
             )
         summary = worker.summary()
         assert summary.capacity is not None
