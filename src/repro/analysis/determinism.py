@@ -351,8 +351,8 @@ class UnsortedSetIterRule(Rule):
 class IdOrderingRule(Rule):
     """Flag sorting keyed on ``id()``.
 
-    ``id()`` is a stable *memo key* (``_target_cache`` in
-    ``scheduler/policies.py`` uses it that way, legitimately) but an
+    ``id()`` is a stable *memo key* (the goal-aware policy's lanes in
+    ``scheduler/policies.py`` use it that way, legitimately) but an
     unstable *ordering*: addresses vary run to run, so ``sorted(...,
     key=id)`` breaks the replay equivalences in
     ``tests/scheduler/test_service.py``.  Only ordering positions are

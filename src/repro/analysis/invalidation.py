@@ -6,8 +6,11 @@ prefix of its noise seeds, ``FleetIndex`` mirrors host capacity in O(1)
 counters and
 buckets hosts by free-node state, ``BlockScoreCache`` keys score tables
 and their per-state answers on ``(fingerprint, kind, version)``,
-``ModelRegistry`` keys baseline-IPC memos on a model version token,
-``ArtifactStore`` hands every registry the same trained entries.
+``ModelRegistry`` keys baseline-IPC memos on a model version token and
+keeps noise-free IPCs in per-placement rows, ``ArtifactStore`` hands
+every registry the same trained entries, the goal-aware policy compiles
+a lane per ``(placement set, model)`` pair, the wire decoder interns
+placements.
 Every one of those stays correct only because each mutation path
 bumps the matching version or drops the derived structure.  This rule
 encodes those pairings in a small registry (:data:`CACHE_SURFACES`) so
@@ -119,15 +122,18 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         # assigns — nothing to invalidate while that holds, so a method
         # that changes either in place must drop the memo, and the one
         # method that fills it must derive entries from exactly those.
+        # The two draws that read it fill their misses through it.
         guarded_attrs=("seed", "machine"),
         invalidators=("_noise_prefixes",),
         declared={
-            "_noise_multiplier": (
+            "_noise_prefix": (
                 "_noise_prefixes",
                 "seed",
                 "machine",
                 "_stable_seed",
             ),
+            "_noise_multiplier": ("_noise_prefixes", "_noise_prefix"),
+            "measured_ipc_noise_batch": ("_noise_prefixes", "_noise_prefix"),
         },
         runtime_check=(
             "cached-prefix vs seven-part-seed equality on 10k draws "
@@ -214,6 +220,80 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             ),
         },
         runtime_check="ModelRegistry.assert_version_consistency",
+    ),
+    CacheSurface(
+        name="policy-lanes",
+        class_name="GoalAwareFleetPolicy",
+        module_suffix="scheduler/policies.py",
+        # A lane is compiled from one (placement set, model) pair and
+        # found again by the identity of that pair, so nothing has to
+        # invalidate it as long as (a) every lane is keyed by what
+        # registry.placements() / registry.model() returned in the same
+        # call — a promoted model or a fresh set then simply has no lane
+        # — and (b) the one versioned input, the shape's block-state
+        # memo, is asked for per batch and never stored in a lane.
+        declared={
+            "_lane": ("_lanes", "placements", "model", "id"),
+            "decide_batch": ("_lane", "block_state_memo"),
+        },
+        derived=(
+            "repro.scheduler.policies._Lane.inputs",
+            "repro.scheduler.policies._Lane.forest",
+            "repro.scheduler.policies._Lane.kind",
+            "repro.scheduler.policies._Lane.scorer",
+            "repro.scheduler.policies._Lane.targets",
+            "repro.scheduler.policies._Lane.sizes",
+            "repro.scheduler.policies._Lane.realized",
+        ),
+        runtime_check=(
+            "lanes-dropped-before-every-batch oracle across a promotion "
+            "(tests/scheduler/test_policies.py::TestLanes)"
+        ),
+    ),
+    CacheSurface(
+        name="solo-ipc-rows",
+        class_name="ModelRegistry",
+        module_suffix="scheduler/registry.py",
+        # _solo_ipc[(fingerprint, placement)][profile] is a noise-free
+        # simulation: a pure function of its two keys, so nothing ever
+        # invalidates it — provided whatever adds a row keys it by the
+        # machine's fingerprint (_ipc_row is the one method that does),
+        # both fillers reach rows through it and store exactly what the
+        # simulator returned, and the entry count the report prints is
+        # summed over the rows.
+        guarded_attrs=("_solo_ipc",),
+        invalidators=("fingerprint",),
+        declared={
+            "solo_ipc": ("_ipc_row", "measured_ipc", "_ipc_misses"),
+            "probe_ipc_batch": (
+                "_ipc_row",
+                "measured_ipc_batch",
+                "_ipc_misses",
+                "_ipc_hits",
+            ),
+            "ipc_cache_info": ("_solo_ipc",),
+        },
+        runtime_check=(
+            "batched-vs-sequential value / hit / miss / entry equality "
+            "(tests/scheduler/test_registry_stats.py::TestProbeBatchProperty)"
+        ),
+    ),
+    CacheSurface(
+        name="decoded-placements",
+        class_name="PlacementMemo",
+        module_suffix="scheduler/wire.py",
+        # An interned placement is a pure function of its row and of the
+        # machine the row's name resolves to *for this caller*: every
+        # lookup resolves the name (an unknown one raises there) and a
+        # hit on another machine object is rebuilt, never served.
+        declared={
+            "__call__": ("_placements", "resolve_machine", "machine", "bound"),
+        },
+        runtime_check=(
+            "interned-vs-rebuilt equality and machine identity "
+            "(tests/scheduler/test_wire.py::TestRowCodec::"
+            "test_placement_memo_interns_rows_per_machine)"
+        ),
     ),
     CacheSurface(
         name="artifact-store",

@@ -55,11 +55,9 @@ def _pair_features(ipc_i: np.ndarray, ipc_j: np.ndarray) -> np.ndarray:
 
     Raw IPCs are comparable across workloads (memory-bound applications run
     at low IPC everywhere), and their ratio isolates the placement response;
-    the forest gets both views.
+    the forest gets both views.  Takes arrays: callers convert.
     """
-    ipc_i = np.asarray(ipc_i, dtype=float)
-    ipc_j = np.asarray(ipc_j, dtype=float)
-    if np.any(ipc_i <= 0):
+    if (ipc_i <= 0).any():
         raise ValueError("performance observations must be positive")
     features = np.empty((len(ipc_i), 3))
     features[:, 0] = ipc_i
@@ -296,8 +294,12 @@ class PlacementModel:
         """The forest's feature matrix for aligned observation arrays —
         exactly what :meth:`predict_batch` feeds its forest, exposed so a
         fused multi-model call can assemble per-group features first."""
-        perf_i = np.atleast_1d(np.asarray(perf_i, dtype=float))
-        perf_j = np.atleast_1d(np.asarray(perf_j, dtype=float))
+        perf_i = np.asarray(perf_i, dtype=float)
+        perf_j = np.asarray(perf_j, dtype=float)
+        if not perf_i.ndim:  # a lone observation is a batch of one
+            perf_i = perf_i.reshape(1)
+        if not perf_j.ndim:
+            perf_j = perf_j.reshape(1)
         if perf_i.shape != perf_j.shape or perf_i.ndim != 1:
             raise ValueError(
                 f"perf_i and perf_j must be equal-length 1-d arrays, got "

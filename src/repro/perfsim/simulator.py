@@ -503,6 +503,50 @@ class PerformanceSimulator:
             profile, placement, duration_s, repetition, extra=1_000_003
         )
 
+    def measured_ipc_noise_batch(
+        self,
+        profiles: Sequence[WorkloadProfile],
+        placement: Placement,
+        *,
+        duration_s: float,
+        repetitions: Sequence[int],
+    ) -> List[float]:
+        """:meth:`measured_ipc_noise` for one probe per profile in one
+        placement: entry ``k`` is bit-for-bit ``measured_ipc_noise(
+        profiles[k], placement, duration_s=duration_s, repetition=
+        repetitions[k])``.
+
+        What the row-by-row calls re-derive per probe — the duration
+        check, the ``sqrt`` scale, the prefix-table binding and the
+        placement half of its key — is resolved once per call; the seed
+        CRC, the generator and its one normal draw stay per row (they
+        *are* the probe).  Like the single call, a group of noise-free
+        profiles never looks at ``duration_s``.
+        """
+        prefixes = self._noise_prefixes
+        nodes, l2_share = placement.nodes, placement.l2_share
+        scale = None
+        multipliers: List[float] = []
+        for profile, repetition in zip(profiles, repetitions):
+            if profile.phase_noise <= 0:
+                multipliers.append(1.0)
+                continue
+            if scale is None:
+                if duration_s <= 0:
+                    raise ValueError("duration_s must be positive")
+                scale = float(np.sqrt(max(duration_s, 1e-9) / 10.0))
+            key = (profile.name, nodes, l2_share)
+            prefix = prefixes.get(key)
+            if prefix is None:
+                prefix = self._noise_prefix(key)
+            rng = np.random.default_rng(
+                zlib.crc32(f"{repetition}|1000003".encode("utf-8"), prefix)
+            )
+            multipliers.append(
+                float(np.exp(rng.normal(0.0, profile.phase_noise / scale)))
+            )
+        return multipliers
+
     def performance_vector(
         self,
         profile: WorkloadProfile,
@@ -953,16 +997,22 @@ class PerformanceSimulator:
         key = (profile.name, placement.nodes, placement.l2_share)
         prefix = self._noise_prefixes.get(key)
         if prefix is None:
-            if len(self._noise_prefixes) >= _NOISE_PREFIX_MAX:
-                self._noise_prefixes.clear()  # a stream of one-off names
-            prefix = self._noise_prefixes[key] = _stable_seed(
-                self.seed, self.machine.name, *key, ""
-            )
+            prefix = self._noise_prefix(key)
         rng = np.random.default_rng(
             zlib.crc32(f"{repetition}|{extra}".encode("utf-8"), prefix)
         )
         sigma = profile.phase_noise / np.sqrt(max(duration_s, 1e-9) / 10.0)
         return float(np.exp(rng.normal(0.0, sigma)))
+
+    def _noise_prefix(self, key: Tuple) -> int:
+        """Compute and memoize the seed-prefix CRC of one ``(profile name,
+        nodes, l2_share)`` key (the miss arm of the two noise draws)."""
+        if len(self._noise_prefixes) >= _NOISE_PREFIX_MAX:
+            self._noise_prefixes.clear()  # a stream of one-off names
+        prefix = self._noise_prefixes[key] = _stable_seed(
+            self.seed, self.machine.name, *key, ""
+        )
+        return prefix
 
     def _check_placement(self, placement: Placement) -> None:
         if placement.machine.name != self.machine.name:

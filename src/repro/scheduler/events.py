@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.scheduler.requests import PlacementRequest
 
@@ -49,14 +49,20 @@ class LifecycleEvent:
 
 
 class EventQueue:
-    """A min-heap of lifecycle events, popped in time order."""
+    """A min-heap of lifecycle events, popped in time order.
+
+    Entries are ``(time, seq, event)`` tuples, so the heap orders them
+    with C tuple comparisons instead of the dataclass's Python
+    ``__lt__``; the event itself is only compared when hand-built events
+    share a ``(time, seq)``, and then compares equal.
+    """
 
     def __init__(self, events: Iterable[LifecycleEvent] = ()) -> None:
-        self._heap: List[LifecycleEvent] = list(events)
+        self._heap: List[Tuple[float, int, LifecycleEvent]] = [
+            (event.time, event.seq, event) for event in events
+        ]
         heapq.heapify(self._heap)
-        self._next_seq = (
-            max((event.seq for event in self._heap), default=-1) + 1
-        )
+        self._next_seq = max((seq for _, seq, _ in self._heap), default=-1) + 1
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -69,15 +75,16 @@ class EventQueue:
     ) -> LifecycleEvent:
         event = LifecycleEvent(time, self._next_seq, kind, request)
         self._next_seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def pop(self) -> LifecycleEvent:
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def drain(self) -> Iterator[LifecycleEvent]:
-        while self._heap:
-            yield heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            yield heapq.heappop(heap)[2]
 
 
 def events_from_requests(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.blockscores import block_state_memo
 from repro.core.placements import Placement
@@ -58,9 +58,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.serving.online import OnlineLearner
 
 
-@dataclass(frozen=True)
-class FragmentationSample:
-    """Fleet capacity state right after one lifecycle event."""
+class FragmentationSample(NamedTuple):
+    """Fleet capacity state right after one lifecycle event.
+
+    A named tuple, not a frozen dataclass: one is built per event in the
+    shard, again when the report is decoded and again when timelines are
+    merged, and a tuple is built in C.
+    """
 
     time: float
     free_nodes_total: int
@@ -70,13 +74,7 @@ class FragmentationSample:
     fit_failures: int
 
     def to_dict(self) -> Dict:
-        return {
-            "time": self.time,
-            "free_nodes_total": self.free_nodes_total,
-            "largest_free_block": self.largest_free_block,
-            "active_containers": self.active_containers,
-            "fit_failures": self.fit_failures,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FragmentationSample":
@@ -437,11 +435,11 @@ class LifecycleScheduler:
         index = self.fleet.index
         self.stats.fragmentation_timeline.append(
             FragmentationSample(
-                time=event_time,
-                free_nodes_total=index.free_nodes_total,
-                largest_free_block=index.largest_free_block,
-                active_containers=len(self._active),
-                fit_failures=index.fit_failures - self._fit_failures_before,
+                event_time,
+                index.free_nodes_total,
+                index.largest_free_block,
+                len(self._active),
+                index.fit_failures - self._fit_failures_before,
             )
         )
 

@@ -27,12 +27,13 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-import numpy as np
 
 from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.enumeration import ImportantPlacementSet
+from repro.core.model import PlacementModel
 from repro.core.placements import Placement
 from repro.ml.arena import predict_fused
+from repro.ml.forest import RandomForestRegressor
 from repro.scheduler.fleet import Fleet, FleetHost, minimal_shape
 from repro.scheduler.registry import ModelRegistry
 from repro.scheduler.requests import PlacementRequest
@@ -333,29 +334,57 @@ class SpreadFleetPolicy(_HeuristicFleetPolicy):
         )
 
 
-class _SearchPlan(NamedTuple):
-    """What the indexed host search needs for one ``(shape, vcpus)`` key,
-    resolved once per batch instead of once per request."""
+class _Lane(NamedTuple):
+    """Everything the decision path derives from one ``(placement set,
+    model)`` pair — compiled when the pair is first seen, then read.
 
-    fingerprint: Tuple
+    A lane is a pure function of the two objects it names (both are
+    immutable once served: sets come from the enumeration cache, models
+    are sealed by the artifact store and replaced, never refitted, on
+    promotion), so it is valid exactly as long as the registry still
+    serves that pair; see :meth:`GoalAwareFleetPolicy._lane`.
+    """
+
     placements: ImportantPlacementSet
-    by_request: Dict[int, np.ndarray]
-    memo: BlockStateMemo
-    #: The placement set's block scorer, each important placement's
-    #: interconnect score and its node count, by index.
+    model: PlacementModel
+    fingerprint: Tuple
+    #: The model's two input placements: what arrivals are probed in.
+    inputs: Tuple[Placement, Placement]
+    forest: RandomForestRegressor
+    #: The set's block scorer, its :func:`block_state_memo` kind, and
+    #: each candidate's interconnect score and node count, by index.
+    kind: str
     scorer: Callable
     targets: Tuple[float, ...]
     sizes: Tuple[int, ...]
+    #: Per candidate, ``block -> realized Placement``: validated once per
+    #: distinct block and shared by every request realized on it
+    #: (placements are immutable; hosts only hold references).
+    realized: Tuple[Dict[Tuple[int, ...], Placement], ...]
 
 
 class GoalAwareFleetPolicy(FleetPolicy):
     """The paper's model-driven policy lifted to the fleet.
 
-    One batch, one forest call: requests sharing a (machine shape, vCPU
-    count) key are probed together through the registry's vectorized
-    probe helper and every key's feature matrix goes to its compiled
-    forest arena in a single :func:`~repro.ml.arena.predict_fused` call.
-    Important placements come from the registry's memo cache.
+    A decision is two probe observations, one forest call and a host
+    search; everything else it needs is a pure function of the ``(shape,
+    vCPUs)`` key and lives in that key's **lane** (:class:`_Lane`): the
+    two input placements, the forest, the block scorer with every
+    candidate's target score and size, and the realized placements
+    already validated.  A batch therefore does, per key, one lane lookup,
+    two :meth:`~repro.scheduler.registry.ModelRegistry.probe_ipc_batch`
+    calls and one feature assembly; one
+    :func:`~repro.ml.arena.predict_fused` call across all keys; and per
+    request a preference sort over Python floats and a walk down it.
+
+    Lanes are found through ``registry.placements()`` /
+    ``registry.model()`` on every batch, by the identity of what those
+    return: a promoted model (:class:`~repro.serving.server.ModelServer`)
+    or a fresh placement set (``memoize_enumeration=False``) simply has
+    no lane yet and gets one, the registry's accounting sees the same
+    calls as ever, and nothing has to invalidate anything.  The one
+    *versioned* input, the shape's block-state memo, is fetched per batch
+    for the same reason.  Lanes are LRU-bounded.
 
     Parameters
     ----------
@@ -376,8 +405,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
         When True (default), host selection asks the fleet index for the
         lowest-id host per free-node *state* (one shared per-shape memo
         lookup per distinct state, one ``find_block`` per placement);
-        False takes the original triple-loop linear scan.  Decisions are
-        bit-for-bit identical either way.
+        False takes the original triple-loop linear scan over the same
+        probes and predictions.  Decisions are bit-for-bit identical
+        either way.
     """
 
     name = "ml"
@@ -404,55 +434,50 @@ class GoalAwareFleetPolicy(FleetPolicy):
         #: forest call per decide_batch, however many keys it spans.
         self.predict_calls = 0
         self.predicted_rows = 0
-        #: id(placements) -> (placements, scorer, per-index target scores,
-        #: per-index node counts) — resolved once per placement set, not
-        #: once per batch (a batch is often a single request).
-        #: LRU-bounded: entries keep their placement set strongly
-        #: referenced (so a cached id can never be recycled), which
-        #: without eviction would pin every set a long churn run ever
-        #: saw; the bound evicts the stalest entry instead of growing
-        #: without limit.
-        self._target_cache: Dict[int, Tuple] = {}
-        self._target_cache_max = 32
+        #: (id(placements), id(model)) -> lane, least recently used
+        #: first.  A lane references both objects, so a cached id can
+        #: never be recycled; the bound keeps that from pinning every
+        #: pair a long run ever saw — a memoized registry serves a
+        #: handful of long-lived pairs that stay resident, an unmemoized
+        #: one mints a set per call and only ever evicts its own litter.
+        self._lanes: Dict[Tuple[int, int], _Lane] = {}
+        self._lanes_max = 32
 
     # ------------------------------------------------------------------
 
-    def _group_features(
-        self,
-        machine: MachineTopology,
-        vcpus: int,
-        group: Sequence[PlacementRequest],
-    ) -> Tuple[ImportantPlacementSet, object, np.ndarray] | None:
-        """Probe one (shape, vcpus) group and assemble its forest feature
-        matrix; None when the shape cannot host the group.
-
-        Observation assembly goes through the registry's vectorized probe
-        helper: the memoized deterministic parts of the whole group are
-        gathered (and any misses simulated) in one batched kernel call,
-        only the per-repetition noise draws stay per probe.
-        """
+    def _lane(self, machine: MachineTopology, vcpus: int) -> _Lane | None:
+        """The lane of what the registry serves for a key right now;
+        None when the shape cannot host the key."""
         try:
             placements = self.registry.placements(machine, vcpus)
             model = self.registry.model(machine, vcpus)
         except ValueError:
             return None
-        i, j = model.input_pair
-        profiles = [request.profile for request in group]
-        obs_i = self.registry.probe_ipc_batch(
-            machine,
-            profiles,
-            placements[i],
-            duration_s=self.probe_duration_s,
-            repetitions=[request.request_id for request in group],
-        )
-        obs_j = self.registry.probe_ipc_batch(
-            machine,
-            profiles,
-            placements[j],
-            duration_s=self.probe_duration_s,
-            repetitions=[request.request_id + 1 for request in group],
-        )
-        return placements, model, model.batch_features(obs_i, obs_j)
+        key = (id(placements), id(model))
+        lane = self._lanes.pop(key, None)
+        if lane is None:
+            while len(self._lanes) >= self._lanes_max:
+                del self._lanes[next(iter(self._lanes))]
+            bandwidth = placements.concerns.bandwidth_concern
+            if bandwidth is None:
+                kind, scorer = "zero", lambda nodes: 0.0
+            else:
+                kind, scorer = "interconnect", bandwidth.score_nodes
+            i, j = model.input_pair
+            lane = _Lane(
+                placements,
+                model,
+                machine.fingerprint(),
+                (placements[i], placements[j]),
+                model.forest,
+                kind,
+                scorer,
+                tuple(scorer(frozenset(c.nodes)) for c in placements),
+                tuple(c.n_nodes for c in placements),
+                tuple({} for _ in placements),
+            )
+        self._lanes[key] = lane  # (re)inserted last: most recently used
+        return lane
 
     def min_block_nodes(
         self, machine: MachineTopology, vcpus: int
@@ -466,217 +491,178 @@ class GoalAwareFleetPolicy(FleetPolicy):
         except ValueError:  # unhostable shape, or no important placements
             return None
 
-    @staticmethod
-    def _scorer(placements: ImportantPlacementSet):
-        bandwidth = placements.concerns.bandwidth_concern
-        if bandwidth is None:
-            return lambda nodes: 0.0
-        return lambda nodes: bandwidth.score_nodes(nodes)
-
-    def _scorer_and_targets(self, placements: ImportantPlacementSet):
-        """The placement set's scorer plus each candidate's target score
-        and node count, computed once per set (pure functions of it).
-
-        LRU eviction: a memoized registry serves a handful of long-lived
-        sets that always stay resident; an unmemoized one mints a fresh
-        set per decide_batch, and evicting the least-recently-used entry
-        (rather than wholesale clearing, which would also dump every hot
-        set) keeps memory bounded on long-lived churn runs without
-        re-deriving the sets still in play.
-        """
-        key = id(placements)
-        entry = self._target_cache.get(key)
-        if entry is not None and entry[0] is placements:
-            # Refresh recency (dict preserves insertion order).
-            del self._target_cache[key]
-            self._target_cache[key] = entry
-            return entry[1:]
-        while len(self._target_cache) >= self._target_cache_max:
-            self._target_cache.pop(next(iter(self._target_cache)))
-        scorer = self._scorer(placements)
-        targets = tuple(
-            scorer(frozenset(candidate.nodes)) for candidate in placements
-        )
-        sizes = tuple(candidate.n_nodes for candidate in placements)
-        entry = (placements, scorer, targets, sizes)
-        self._target_cache[key] = entry
-        return entry[1:]
-
     def _preference_order(
         self,
         sizes: Sequence[int],
-        vector: np.ndarray,
+        predicted: Sequence[float],
         goal_fraction: float | None,
     ) -> List[int]:
         """Candidate important-placement indices, most preferred first:
         goal-meeting (or, for best-effort requests, near-best) ones
         cheapest-first (``sizes`` holds their node counts), then the rest
         by prediction; ties keep index order."""
-        predicted = vector.tolist()
         if goal_fraction is None:
             threshold = self.best_effort_slack * max(predicted)
         else:
             threshold = goal_fraction * (1.0 + self.safety_margin)
-        meeting = sorted(
-            (sizes[k], -value, k)
-            for k, value in enumerate(predicted)
-            if value >= threshold
-        )
-        rest = sorted(
-            (-value, k) for k, value in enumerate(predicted) if value < threshold
-        )
+        meeting: List[Tuple] = []
+        rest: List[Tuple] = []
+        for k, value in enumerate(predicted):
+            if value >= threshold:
+                meeting.append((sizes[k], -value, k))
+            elif value < threshold:  # a NaN prediction is in neither
+                rest.append((-value, k))
+        meeting.sort()
+        rest.sort()
         return [key[-1] for key in meeting + rest]
 
     def decide_batch(self, requests, fleet):
-        # Phase 1: probe and assemble features per (shape, vcpus) key,
-        # then predict the *whole batch* — every group of every shape —
-        # in one predict_fused call per fleet event, however many keys the
-        # batch spans.
+        # Phase 1: probe each (shape, vcpus) group in its lane's input
+        # placements, then predict the *whole batch* — every group of
+        # every shape — in one predict_fused call per fleet event.
         groups: Dict[int, List[PlacementRequest]] = {}
         for request in requests:
             groups.setdefault(request.vcpus, []).append(request)
+        registry, duration_s = self.registry, self.probe_duration_s
         plans: List[Tuple] = []
         for machine in fleet.shapes:
             for vcpus, group in groups.items():
-                prepared = self._group_features(machine, vcpus, group)
-                if prepared is None:
+                lane = self._lane(machine, vcpus)
+                if lane is None:
                     continue
-                placements, model, features = prepared
-                plans.append(
-                    (machine, vcpus, group, placements, model, features)
+                profiles = [request.profile for request in group]
+                ids = [request.request_id for request in group]
+                obs_i = registry.probe_ipc_batch(
+                    machine,
+                    profiles,
+                    lane.inputs[0],
+                    duration_s=duration_s,
+                    repetitions=ids,
                 )
-        predictions: Dict[Tuple, Tuple] = {}
-        #: vcpus -> one plan per hostable shape, in shape order.
-        searches: Dict[int, List[_SearchPlan]] = {}
+                obs_j = registry.probe_ipc_batch(
+                    machine,
+                    profiles,
+                    lane.inputs[1],
+                    duration_s=duration_s,
+                    repetitions=[request_id + 1 for request_id in ids],
+                )
+                # The block-state memo is versioned (a promotion bumps
+                # it), so it is asked for per batch, never kept in a lane.
+                memo = (
+                    block_state_memo(machine, lane.kind)
+                    if self.indexed
+                    else None
+                )
+                features = lane.model.batch_features(obs_i, obs_j)
+                plans.append((lane, memo, vcpus, ids, features))
+        #: vcpus -> (lane, block-state memo, request id -> prediction row)
+        #: per hostable shape, in shape order.
+        searches: Dict[int, List[Tuple]] = {}
         if plans:
             outputs = predict_fused(
-                [(model.forest, features) for _, _, _, _, model, features in plans]
+                [(lane.forest, features) for lane, _, _, _, features in plans]
             )
             self.predict_calls += 1
-            for (machine, vcpus, group, placements, _, _), vectors in zip(
-                plans, outputs
-            ):
-                self.predicted_rows += len(group)
-                by_request = {
-                    request.request_id: vectors[row]
-                    for row, request in enumerate(group)
-                }
-                fingerprint = machine.fingerprint()
-                predictions[(fingerprint, vcpus)] = (placements, by_request)
-                if self.indexed:
-                    kind = (
-                        "interconnect"
-                        if placements.concerns.bandwidth_concern is not None
-                        else "zero"
-                    )
-                    searches.setdefault(vcpus, []).append(
-                        _SearchPlan(
-                            fingerprint,
-                            placements,
-                            by_request,
-                            block_state_memo(machine, kind),
-                            *self._scorer_and_targets(placements),
-                        )
-                    )
+            for (lane, memo, vcpus, ids, _), vectors in zip(plans, outputs):
+                self.predicted_rows += len(ids)
+                searches.setdefault(vcpus, []).append(
+                    (lane, memo, dict(zip(ids, vectors.tolist())))
+                )
 
         # Phase 2: place each request, in arrival order.
-        if self.indexed:
-            place, keyed = self._place_one_indexed, searches
-        else:
-            place, keyed = self._place_one_linear, predictions
-        return [place(request, fleet, keyed) for request in requests]
+        place = self._place_indexed if self.indexed else self._place_linear
+        return [
+            place(request, fleet, searches.get(request.vcpus))
+            for request in requests
+        ]
 
-    def _place_one_indexed(
+    def _ranked(self, request: PlacementRequest, plans: List[Tuple]):
+        """Per hostable shape ``(lane, memo, the request's prediction
+        row, its preference order)``."""
+        request_id, goal = request.request_id, request.goal_fraction
+        return [
+            (
+                lane,
+                memo,
+                rows[request_id],
+                self._preference_order(lane.sizes, rows[request_id], goal),
+            )
+            for lane, memo, rows in plans
+        ]
+
+    def _place_indexed(
         self,
         request: PlacementRequest,
         fleet: Fleet,
-        searches: Dict[int, List[_SearchPlan]],
+        plans: List[Tuple] | None,
     ) -> FleetDecision:
         """The linear triple loop ``(exact, rank, host)`` with the host
         dimension collapsed: per candidate rank the fleet index names the
         lowest-id host whose free-node *state* admits the block (one memo
         lookup per distinct state present, not one ``find_block`` per
         host), and only that winner is searched and allocated for real."""
-        index = fleet.index
-        plans = searches.get(request.vcpus)
         if not plans:
             return FleetDecision(request, reject_reason="infeasible")
+        index = fleet.index
         if index.free_nodes_total == 0:
             return FleetDecision(request, reject_reason="capacity")
-        request_id = request.request_id
-        orders = [
-            self._preference_order(
-                plan.sizes, plan.by_request[request_id], request.goal_fraction
-            )
-            for plan in plans
-        ]
-
-        max_rank = max(len(order) for order in orders)
+        ranked = self._ranked(request, plans)
+        max_rank = max(len(order) for *_, order in ranked)
         for exact in (True, False):
             for rank in range(max_rank):
-                hits: List[Tuple] = []
-                for plan, order in zip(plans, orders):
+                best_host = None
+                for entry in ranked:
+                    lane, memo, _, order = entry
                     if rank >= len(order):
                         continue
                     candidate = order[rank]
                     host_id = index.lowest_host(
-                        plan.fingerprint,
-                        plan.memo,
-                        plan.sizes[candidate],
-                        plan.targets[candidate] if exact else None,
+                        lane.fingerprint,
+                        memo,
+                        lane.sizes[candidate],
+                        lane.targets[candidate] if exact else None,
                     )
-                    if host_id is not None:
-                        hits.append((host_id, candidate, plan))
-                if not hits:
+                    # A host has one shape, so ids never tie across lanes.
+                    if host_id is not None and (
+                        best_host is None or host_id < best_host
+                    ):
+                        best_host, best, choice = host_id, entry, candidate
+                if best_host is None:
                     continue
-                # A host has one shape, so ids never tie across plans.
-                host_id, candidate, plan = min(hits, key=lambda hit: hit[0])
+                lane, memo, vector, _ = best
                 decision = self._try_candidate(
                     request,
-                    fleet.hosts[host_id],
-                    plan.placements,
-                    plan.by_request[request_id],
-                    candidate,
-                    scorer=plan.scorer,
-                    target=plan.targets[candidate] if exact else None,
-                    table=plan.memo,
+                    fleet.hosts[best_host],
+                    lane,
+                    vector,
+                    choice,
+                    target=lane.targets[choice] if exact else None,
+                    table=memo,
                 )
                 if decision is None:
                     raise RuntimeError(
-                        f"fleet index out of sync with host {host_id}"
+                        f"fleet index out of sync with host {best_host}"
                     )
                 return decision
         return FleetDecision(request, reject_reason="capacity")
 
-    def _place_one_linear(
+    def _place_linear(
         self,
         request: PlacementRequest,
         fleet: Fleet,
-        predictions: Dict[Tuple, Tuple],
+        plans: List[Tuple] | None,
     ) -> FleetDecision:
-        feasible_anywhere = False
-        orders: Dict[Tuple, List[int]] = {}
-        scoring: Dict[Tuple, Tuple] = {}
-        for host in fleet.hosts:
-            key = (host.machine.fingerprint(), request.vcpus)
-            entry = predictions.get(key)
-            if entry is None:
-                continue
-            feasible_anywhere = True
-            if key not in orders:
-                placements, by_request = entry
-                scoring[key] = self._scorer_and_targets(placements)
-                orders[key] = self._preference_order(
-                    scoring[key][2], by_request[request.request_id],
-                    request.goal_fraction,
-                )
-        if not feasible_anywhere:
+        if not plans:
             return FleetDecision(request, reject_reason="infeasible")
         candidates = [
             host for host in fleet.hosts if host.n_free_nodes > 0
         ]
         if not candidates:
             return FleetDecision(request, reject_reason="capacity")
+        by_shape = {
+            entry[0].fingerprint: entry
+            for entry in self._ranked(request, plans)
+        }
 
         # Candidate-major search: the most-preferred placement realizable
         # *anywhere* in the fleet wins, so a mediocre placement on an early
@@ -684,26 +670,26 @@ class GoalAwareFleetPolicy(FleetPolicy):
         # free block whose interconnect score matches the candidate exactly
         # (so the prediction transfers verbatim); pass 2 accepts any free
         # block of the right size.
-        max_rank = max(len(order) for order in orders.values())
+        max_rank = max(len(order) for *_, order in by_shape.values())
         for exact in (True, False):
             for rank in range(max_rank):
                 for host in candidates:
-                    key = (host.machine.fingerprint(), request.vcpus)
-                    order = orders.get(key)
-                    if order is None or rank >= len(order):
+                    entry = by_shape.get(host.machine.fingerprint())
+                    if entry is None:
                         continue
-                    placements, by_request = predictions[key]
-                    scorer, targets, sizes = scoring[key]
-                    if sizes[order[rank]] > host.n_free_nodes:
+                    lane, _, vector, order = entry
+                    if rank >= len(order):
+                        continue
+                    candidate = order[rank]
+                    if lane.sizes[candidate] > host.n_free_nodes:
                         continue
                     decision = self._try_candidate(
                         request,
                         host,
-                        placements,
-                        by_request[request.request_id],
-                        order[rank],
-                        scorer=scorer,
-                        target=targets[order[rank]] if exact else None,
+                        lane,
+                        vector,
+                        candidate,
+                        target=lane.targets[candidate] if exact else None,
                     )
                     if decision is not None:
                         return decision
@@ -713,37 +699,38 @@ class GoalAwareFleetPolicy(FleetPolicy):
         self,
         request: PlacementRequest,
         host: FleetHost,
-        placements: ImportantPlacementSet,
-        vector: np.ndarray,
+        lane: _Lane,
+        vector: Sequence[float],
         index: int,
         *,
-        scorer: Callable,
         target: float | None,
         table: BlockStateMemo | None = None,
     ) -> FleetDecision | None:
         """Allocate the candidate on ``host`` if a free block admits it:
         one scoring exactly ``target`` (the prediction then transfers
         verbatim), or, with ``target`` None, any block of its size."""
-        candidate = placements[index]
         block = host.find_block(
-            candidate.n_nodes, scorer, target_score=target, table=table
+            lane.sizes[index], lane.scorer, target_score=target, table=table
         )
         if block is None:
             return None
-        realized = Placement(
-            host.machine,
-            block,
-            request.vcpus,
-            l2_share=candidate.l2_share,
-            l3_groups_per_node=candidate.l3_score // candidate.n_nodes,
-        )
+        realized = lane.realized[index].get(block)
+        if realized is None:
+            candidate = lane.placements[index]
+            realized = lane.realized[index][block] = Placement(
+                host.machine,
+                block,
+                request.vcpus,
+                l2_share=candidate.l2_share,
+                l3_groups_per_node=candidate.l3_score // candidate.n_nodes,
+            )
         host.allocate(request.request_id, realized)
         return FleetDecision(
             request,
             host_id=host.host_id,
             placement=realized,
             placement_id=index + 1,
-            predicted_relative=float(vector[index]),
+            predicted_relative=vector[index],
             block_exact=target is not None,
         )
 

@@ -26,12 +26,13 @@ What depends on a registry's own history stays private to it:
 
 * **simulators** — one :class:`~repro.perfsim.simulator.PerformanceSimulator`
   per shape, standing in for the fleet's measurement plane;
-* **noise-free IPC evaluations** — the grader's inputs.  The baseline
-  (denominator) IPC depends only on ``(shape, vcpus, workload profile)``
-  and the achieved (numerator) IPC only on ``(shape, profile, realized
-  placement)``, both deterministic, so repeated shapes/profiles never
-  re-simulate (:meth:`ModelRegistry.baseline_ipc` /
-  :meth:`ModelRegistry.solo_ipc`).
+* **noise-free IPC evaluations** — the grader's and the prober's
+  inputs.  The baseline (denominator) IPC depends only on ``(shape,
+  vcpus, workload profile)`` and the achieved (numerator) IPC only on
+  ``(shape, realized placement, profile)``, both deterministic, so
+  repeated shapes/profiles never re-simulate
+  (:meth:`ModelRegistry.baseline_ipc` / :meth:`ModelRegistry.solo_ipc`;
+  layout under :class:`ModelRegistry`).
 """
 
 from __future__ import annotations
@@ -58,6 +59,22 @@ from repro.topology.machine import MachineTopology
 
 class ModelRegistry:
     """Lazily built, memoized per-(shape, vcpus) scheduler artifacts.
+
+    Memo layout.  ``_placements`` / ``_models`` / ``_training_sets`` are
+    ``(fingerprint, vcpus)``-keyed views of the process-wide caches.
+    Noise-free IPCs live in **probe rows**: ``_solo_ipc[(fingerprint,
+    placement)]`` is a ``{profile: ipc}`` dict, because the hot caller —
+    :meth:`probe_ipc_batch`, twice per ``(shape, vcpus)`` group of every
+    batch — asks about many profiles in *one* placement: the outer key
+    (a fingerprint that hashes itself once, and the placement) is looked
+    up once per call and each row costs one profile hash, with an
+    all-hit pass that touches nothing else.  :meth:`solo_ipc` reads the
+    same rows one profile at a time; hits and misses are counted per
+    profile either way and :meth:`ipc_cache_info` sums the rows, so the
+    accounting does not show the layout.  ``_baseline_ipc`` stays flat,
+    keyed ``(fingerprint, vcpus, profile, model-version token)``: it is
+    the one memo a promotion must purge.  Rows are pure functions of
+    their keys and are never invalidated.
 
     Parameters
     ----------
@@ -111,8 +128,11 @@ class ModelRegistry:
         #: (fingerprint, vcpus, profile, model-version token) -> baseline
         #: (denominator) IPC.
         self._baseline_ipc: Dict[Tuple, float] = {}
-        #: (fingerprint, profile, placement) -> noise-free solo IPC.
-        self._solo_ipc: Dict[Tuple, float] = {}
+        #: (fingerprint, placement) -> {profile: noise-free solo IPC}.
+        #: Two levels because a probe batch asks about many profiles in
+        #: one placement: the outer key is hashed once per call, the
+        #: inner one once per row.
+        self._solo_ipc: Dict[Tuple, Dict[WorkloadProfile, float]] = {}
         self._ipc_hits = 0
         self._ipc_misses = 0
 
@@ -287,17 +307,26 @@ class ModelRegistry:
             return self.simulator(machine).measured_ipc(
                 profile, placement, noise=False
             )
-        key = (machine.fingerprint(), profile, placement)
-        value = self._solo_ipc.get(key)
+        row = self._ipc_row(machine, placement)
+        value = row.get(profile)
         if value is None:
             self._ipc_misses += 1
-            value = self.simulator(machine).measured_ipc(
+            value = row[profile] = self.simulator(machine).measured_ipc(
                 profile, placement, noise=False
             )
-            self._solo_ipc[key] = value
         else:
             self._ipc_hits += 1
         return value
+
+    def _ipc_row(
+        self, machine: MachineTopology, placement: Placement
+    ) -> Dict[WorkloadProfile, float]:
+        """The memo's ``profile -> IPC`` row of one placement."""
+        key = (machine.fingerprint(), placement)
+        row = self._solo_ipc.get(key)
+        if row is None:
+            row = self._solo_ipc[key] = {}
+        return row
 
     def probe_ipc(
         self,
@@ -345,14 +374,17 @@ class ModelRegistry:
     ) -> np.ndarray:
         """Probe observations for a whole request group in one placement.
 
-        The assembly half of the goal-aware hot path: all memoized
-        deterministic parts are gathered first (misses — distinct profiles
-        the memo has never seen — are simulated together through the
-        vectorized :meth:`~repro.perfsim.simulator.PerformanceSimulator.
+        The assembly half of the goal-aware hot path: the placement's
+        memo row is looked up once and the deterministic parts gathered
+        from it (misses — distinct profiles the row has never seen — are
+        simulated together through the vectorized
+        :meth:`~repro.perfsim.simulator.PerformanceSimulator.
         measured_ipc_batch` kernel), then each probe gets its own fresh
-        noise draw.  Entry ``k`` is bit-for-bit what ``probe_ipc(machine,
-        profiles[k], placement, duration_s=..., repetition=
-        repetitions[k])`` returns, including the hit/miss accounting.
+        noise draw (:meth:`~repro.perfsim.simulator.PerformanceSimulator.
+        measured_ipc_noise_batch`).  Entry ``k`` is bit-for-bit what
+        ``probe_ipc(machine, profiles[k], placement, duration_s=...,
+        repetition=repetitions[k])`` returns, including the hit/miss
+        accounting.
         """
         if len(profiles) != len(repetitions):
             raise ValueError("profiles and repetitions must align")
@@ -370,36 +402,26 @@ class ModelRegistry:
                     for profile, repetition in zip(profiles, repetitions)
                 ]
             )
-        memo = self._solo_ipc
-        fingerprint = machine.fingerprint()
-        keys = [(fingerprint, profile, placement) for profile in profiles]
-        found = [memo.get(key) for key in keys]
-        # Distinct never-seen profiles are simulated together; a repeat in
-        # the same group would have hit the just-filled memo.
-        fresh = list(
-            dict.fromkeys(k for k, value in zip(keys, found) if value is None)
-        )
-        if fresh:
+        row = self._ipc_row(machine, placement)
+        fresh: Sequence[WorkloadProfile] = ()
+        try:
+            found = [row[profile] for profile in profiles]
+        except KeyError:
+            # Distinct never-seen profiles are simulated together; a
+            # repeat in the same group would have hit the just-filled row.
+            fresh = list(dict.fromkeys(p for p in profiles if p not in row))
             values = simulator.measured_ipc_batch(
-                [profile for _, profile, _ in fresh], [placement], noise=False
+                fresh, [placement], noise=False
             )[:, 0]
-            memo.update(zip(fresh, values.tolist()))
-            found = [memo[key] for key in keys]
+            row.update(zip(fresh, values.tolist()))
+            found = [row[profile] for profile in profiles]
         self._ipc_misses += len(fresh)
-        self._ipc_hits += len(keys) - len(fresh)
-        deterministic = np.array(found)
-        noise = np.array(
-            [
-                simulator.measured_ipc_noise(
-                    profile,
-                    placement,
-                    duration_s=duration_s,
-                    repetition=repetition,
-                )
-                for profile, repetition in zip(profiles, repetitions)
-            ]
+        self._ipc_hits += len(found) - len(fresh)
+        noise = simulator.measured_ipc_noise_batch(
+            profiles, placement, duration_s=duration_s, repetitions=repetitions
         )
-        return deterministic * noise
+        # Python-float products: the same IEEE multiply the arrays did.
+        return np.array([ipc * factor for ipc, factor in zip(found, noise)])
 
     def baseline_ipc(
         self, machine: MachineTopology, vcpus: int, profile: WorkloadProfile
@@ -432,7 +454,8 @@ class ModelRegistry:
 
     def ipc_cache_info(self) -> CacheInfo:
         """Hit/miss accounting of the noise-free IPC memo."""
-        return CacheInfo(self._ipc_hits, self._ipc_misses, len(self._solo_ipc))
+        entries = sum(len(row) for row in self._solo_ipc.values())
+        return CacheInfo(self._ipc_hits, self._ipc_misses, entries)
 
     # ------------------------------------------------------------------
 

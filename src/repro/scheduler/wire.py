@@ -44,7 +44,7 @@ from repro.scheduler.scheduler import GradedDecision
 from repro.topology.machine import MachineTopology
 
 PROFILE_FIELDS = tuple(f.name for f in fields(WorkloadProfile))
-TIMELINE_COLUMNS = tuple(f.name for f in fields(FragmentationSample))
+TIMELINE_COLUMNS = FragmentationSample._fields
 _CHURN_COUNTERS = tuple(
     f.name
     for f in fields(ChurnStats)
@@ -93,6 +93,50 @@ class ProfileMemo:
         return profile
 
 
+class PlacementMemo:
+    """Bounded ``placement row -> Placement`` memo: the front end's twin
+    of the policy's realized-placement memo.
+
+    A fleet realizes a few hundred distinct ``(shape, nodes, sharing)``
+    placements however many requests it places, so a decoded reply
+    validates a :class:`~repro.core.placements.Placement` once per
+    distinct row, not once per request.  Placements are immutable, so
+    decisions share them safely.  Cleared when it reaches ``bound``,
+    like :class:`ProfileMemo`; an entry is a pure function of its row and
+    of the machine its name resolves to, which is checked on every hit.
+    """
+
+    def __init__(self, bound: int = 4096) -> None:
+        self.bound = bound
+        self._placements: Dict[tuple, Placement] = {}
+
+    def __len__(self) -> int:
+        return len(self._placements)
+
+    def __call__(
+        self, row: Sequence, machines: Mapping[str, MachineTopology]
+    ) -> Placement:
+        name, nodes, vcpus, l2_share, l3_groups = row
+        key = (name, tuple(nodes), vcpus, l2_share, l3_groups)
+        machine = resolve_machine(name, machines)
+        placement = self._placements.get(key)
+        if placement is None or placement.machine is not machine:
+            if placement is None and len(self._placements) >= self.bound:
+                self._placements.clear()
+            placement = self._placements[key] = Placement(
+                machine,
+                nodes,
+                vcpus,
+                l2_share=l2_share,
+                l3_groups_per_node=l3_groups,
+            )
+        return placement
+
+
+#: The process's decode-side memo (``decode_graded`` keeps its signature).
+_PLACEMENTS = PlacementMemo()
+
+
 def encode_arrival(request: PlacementRequest, event_time: float) -> tuple:
     return (*_request_row(request), profile_row(request.profile), event_time)
 
@@ -129,14 +173,7 @@ def decode_graded(
     checking it is the caller's job (it knows which shard to blame)."""
     _, host_id, placement, *decision, achieved, violated, seconds = row
     if placement is not None:
-        name, nodes, vcpus, l2_share, l3_groups = placement
-        placement = Placement(
-            resolve_machine(name, machines),
-            nodes,
-            vcpus,
-            l2_share=l2_share,
-            l3_groups_per_node=l3_groups,
-        )
+        placement = _PLACEMENTS(placement, machines)
     return GradedDecision(
         FleetDecision(request, host_id, placement, *decision),
         achieved,
@@ -148,10 +185,11 @@ def decode_graded(
 def encode_churn(stats: ChurnStats) -> Dict:
     payload = {name: getattr(stats, name) for name in _CHURN_COUNTERS}
     payload["migrations"] = [_migration_row(m) for m in stats.migrations]
+    # Samples are tuples in column order: the transpose is one zip (which
+    # yields nothing for an empty timeline, hence the explicit columns).
     payload["timeline"] = [
-        [getattr(sample, column) for sample in stats.fragmentation_timeline]
-        for column in TIMELINE_COLUMNS
-    ]
+        list(column) for column in zip(*stats.fragmentation_timeline)
+    ] or [[] for _ in TIMELINE_COLUMNS]
     return payload
 
 
@@ -159,7 +197,7 @@ def decode_churn(payload: Dict) -> ChurnStats:
     return ChurnStats(
         migrations=list(starmap(MigrationRecord, payload["migrations"])),
         fragmentation_timeline=list(
-            starmap(FragmentationSample, zip(*payload["timeline"]))
+            map(FragmentationSample._make, zip(*payload["timeline"]))
         ),
         **{name: payload[name] for name in _CHURN_COUNTERS},
     )

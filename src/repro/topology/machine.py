@@ -22,9 +22,33 @@ threads of one L2 group are contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.topology.interconnect import Interconnect
+
+
+class Fingerprint(tuple):
+    """A machine fingerprint: a plain tuple that hashes itself once.
+
+    The fingerprint sits in the key of every per-shape lookup (registry,
+    fleet index, block-score cache, policy), and hashing the nine fields
+    with the nested interconnect signature on each of them costs more
+    than the lookup.  Equality and the hash *value* are the tuple's own,
+    so a fingerprint and the equal plain tuple (one re-tupled off the
+    wire, say) find each other in a dict.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = value = tuple.__hash__(self)
+            return value
+
+    def __reduce__(self):
+        # String hashes are salted per process: the cached value must
+        # never cross one.
+        return (Fingerprint, (tuple(self),))
 
 
 @dataclass(frozen=True)
@@ -181,7 +205,7 @@ class MachineTopology:
     # Convenience
     # ------------------------------------------------------------------
 
-    def fingerprint(self) -> Tuple:
+    def fingerprint(self) -> Fingerprint:
         """Hashable identity of everything placement enumeration depends on.
 
         Two machines with equal fingerprints have identical concern sets and
@@ -193,20 +217,23 @@ class MachineTopology:
         built for one machine leak into another's simulator.
 
         The tuple is computed once and memoized — fleet schedulers call
-        this per host per request, and every field it reads is frozen.
+        this per host per request, and every field it reads is frozen —
+        and it caches its own hash (:class:`Fingerprint`).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            cached = (
-                self.name,
-                self.n_nodes,
-                self.l2_groups_per_node,
-                self.threads_per_l2,
-                self.l3_groups_per_node,
-                self.dram_bandwidth_mbps,
-                self.l3_size_mb,
-                self.l2_size_kb,
-                self.interconnect.signature(),
+            cached = Fingerprint(
+                (
+                    self.name,
+                    self.n_nodes,
+                    self.l2_groups_per_node,
+                    self.threads_per_l2,
+                    self.l3_groups_per_node,
+                    self.dram_bandwidth_mbps,
+                    self.l3_size_mb,
+                    self.l2_size_kb,
+                    self.interconnect.signature(),
+                )
             )
             # object.__setattr__-free: frozen dataclasses still own a
             # plain __dict__, and writing to it does not trip the freeze.

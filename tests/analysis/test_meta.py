@@ -103,6 +103,40 @@ class TestCanonicalInjections:
         assert "noise-seed-prefixes" in findings[0].message
         assert "seed" in findings[0].message
 
+    def test_lane_that_keeps_the_versioned_block_memo(self):
+        findings = inject(
+            "scheduler/policies.py",
+            "block_state_memo(machine, lane.kind)",
+            "lane.memo",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert findings[0].path.endswith("scheduler/policies.py")
+        assert "policy-lanes" in findings[0].message
+        assert "block_state_memo" in findings[0].message
+
+    def test_ipc_entry_count_that_skips_the_rows(self):
+        findings = inject(
+            "scheduler/registry.py",
+            "sum(len(row) for row in self._solo_ipc.values())",
+            "self._ipc_misses",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "solo-ipc-rows" in findings[0].message
+        assert "ipc_cache_info" in findings[0].message
+
+    def test_decoded_placement_served_without_resolving_its_machine(self):
+        findings = inject(
+            "scheduler/wire.py",
+            "machine = resolve_machine(name, machines)",
+            "machine = machines[name]",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert findings[0].path.endswith("scheduler/wire.py")
+        assert "decoded-placements" in findings[0].message
+
     def test_unsealed_entry_in_artifact_store(self):
         findings = inject(
             "scheduler/artifacts.py",

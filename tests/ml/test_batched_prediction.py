@@ -105,6 +105,29 @@ class TestPairFeatures:
         with pytest.raises(ValueError):
             _pair_features(np.ones(3), np.ones(4))
 
+    def test_batch_features_accepts_what_it_always_did(self):
+        """Lists, scalars, a scalar beside a length-1 array and integer
+        arrays all still convert; a NaN observation is not "non-positive"
+        and flows through to NaN features, as it did with ``np.any``."""
+        model = PlacementModel(input_pair=(0, 1))
+        reference = np.array([[2.0, 3.0, 1.5]])
+        for perf_i, perf_j in (
+            ([2.0], [3.0]),
+            (2.0, 3.0),
+            (2, np.array([3.0])),
+            (np.array([2]), np.array([3])),
+        ):
+            assert np.array_equal(
+                model.batch_features(perf_i, perf_j), reference
+            )
+        features = model.batch_features([np.nan, 1.0], [1.0, np.nan])
+        assert np.isnan(features[0, 0]) and np.isnan(features[0, 2])
+        assert features[1, 0] == 1.0 and np.isnan(features[1, 2])
+        with pytest.raises(ValueError, match="positive"):
+            model.batch_features([1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="equal-length"):
+            model.batch_features(1.0, [1.0, 2.0])
+
 
 class TestPlacementModelBatching:
     @pytest.fixture(scope="class")

@@ -1,11 +1,13 @@
 """Tests for the lifecycle event queue."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.perfsim import workload_by_name
 from repro.scheduler import (
     EventKind,
     EventQueue,
+    LifecycleEvent,
     PlacementRequest,
     events_from_requests,
 )
@@ -37,6 +39,54 @@ class TestEventQueue:
         second = queue.push(2.0, EventKind.DEPARTURE, _request(2))
         assert queue.pop() is first
         assert queue.pop() is second
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        times=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), max_size=40
+        ),
+        prebuilt=st.integers(0, 40),
+    )
+    def test_pops_in_time_then_sequence_order(self, times, prebuilt):
+        """The heap holds ``(time, seq, event)`` tuples; what comes out is
+        the events sorted by ``(time, seq)`` whether they went in through
+        the constructor or through ``push`` (coarse times tie often)."""
+        request = _request(1)
+        events = [
+            LifecycleEvent(time, seq, EventKind.ARRIVAL, request)
+            for seq, time in enumerate(times[:prebuilt])
+        ]
+        queue = EventQueue(events)
+        events += [
+            queue.push(time, EventKind.DEPARTURE, request)
+            for time in times[prebuilt:]
+        ]
+        assert [event.seq for event in events] == list(range(len(times)))
+        popped = list(queue.drain())
+        assert len(popped) == len(events)
+        assert all(
+            a is b
+            for a, b in zip(
+                popped, sorted(events, key=lambda e: (e.time, e.seq))
+            )
+        )
+
+    def test_hand_built_events_may_share_time_and_sequence(self):
+        """Equal ``(time, seq)`` falls through to comparing the events,
+        which order on the same two fields and so compare equal — no
+        ``TypeError`` from comparing requests or kinds."""
+        twins = [
+            LifecycleEvent(1.0, 0, EventKind.ARRIVAL, _request(1)),
+            LifecycleEvent(1.0, 0, EventKind.DEPARTURE, _request(2)),
+            LifecycleEvent(0.5, 0, EventKind.ARRIVAL, _request(3)),
+        ]
+        queue = EventQueue(twins)
+        assert queue.pop() is twins[2]
+        assert {id(queue.pop()), id(queue.pop())} == {
+            id(twins[0]),
+            id(twins[1]),
+        }
+        assert queue.push(2.0, EventKind.ARRIVAL, _request(4)).seq == 1
 
     def test_len_and_bool(self):
         queue = EventQueue()

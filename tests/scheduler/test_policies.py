@@ -151,36 +151,6 @@ class TestGoalAwarePolicy:
         )
         assert ARENA_STATS.fused_calls == before + 1
 
-    def test_target_cache_lru_eviction(self, registry):
-        policy = GoalAwareFleetPolicy(registry)
-        policy._target_cache_max = 3
-
-        class _FakeSet:
-            """Concern-free stand-in with the attributes the scorer needs."""
-
-            class _Concerns:
-                bandwidth_concern = None
-
-            concerns = _Concerns()
-
-            def __iter__(self):
-                return iter(())
-
-        sets = [_FakeSet() for _ in range(5)]
-        for s in sets:
-            policy._scorer_and_targets(s)
-        assert len(policy._target_cache) == 3
-        # Newest three survive, oldest two were evicted.
-        assert id(sets[0]) not in policy._target_cache
-        assert id(sets[1]) not in policy._target_cache
-        assert id(sets[4]) in policy._target_cache
-        # A hit refreshes recency: touch sets[2], insert a new set, and
-        # sets[3] (now the stalest) is the one evicted.
-        policy._scorer_and_targets(sets[2])
-        policy._scorer_and_targets(_FakeSet())
-        assert id(sets[2]) in policy._target_cache
-        assert id(sets[3]) not in policy._target_cache
-
     def test_preference_order_matches_the_keyed_sorts(self, registry):
         """The tuple sort over precomputed node counts orders candidates
         exactly as the two stable keyed sorts it replaced, ties included
@@ -262,6 +232,195 @@ class TestGoalAwarePolicy:
             GoalAwareFleetPolicy(registry, safety_margin=-0.1)
         with pytest.raises(ValueError):
             GoalAwareFleetPolicy(registry, best_effort_slack=0.0)
+
+
+def _signature(decisions):
+    return [
+        (
+            d.request.request_id,
+            d.host_id,
+            d.placement_id,
+            None if d.placement is None else d.placement.nodes,
+            d.predicted_relative,
+            d.block_exact,
+            d.reject_reason,
+        )
+        for d in decisions
+    ]
+
+
+def _mixed_requests(n, first_id=1):
+    workloads = ("gcc", "swaptions", "WTbtree", "kmeans")
+    return [
+        _request(
+            k,
+            vcpus=(8, 16, 8, 32)[k % 4],
+            goal=(None, 0.9, 1.0)[k % 3],
+            workload=workloads[k % 4],
+        )
+        for k in range(first_id, first_id + n)
+    ]
+
+
+class TestLanes:
+    """The per-(placement set, model) lanes under ``decide_batch``."""
+
+    def test_lane_lru_eviction(self, registry):
+        from repro.core.enumeration import enumerate_important_placements
+
+        machine = amd_opteron_6272()
+        model = registry.model(machine, 16)
+
+        class _Serving:
+            """Registry stand-in serving whichever set the test names."""
+
+            current = None
+
+            def placements(self, machine, vcpus):
+                return self.current
+
+            def model(self, machine, vcpus):
+                return model
+
+        serving = _Serving()
+        policy = GoalAwareFleetPolicy(serving)
+        policy._lanes_max = 3
+
+        def lane_of(placements):
+            serving.current = placements
+            return policy._lane(machine, 16)
+
+        def resident(placements):
+            return (id(placements), id(model)) in policy._lanes
+
+        sets = [enumerate_important_placements(machine, 16) for _ in range(5)]
+        lanes = [lane_of(s) for s in sets]
+        assert len(policy._lanes) == 3
+        # Newest three survive, oldest two were evicted.
+        assert not resident(sets[0]) and not resident(sets[1])
+        assert resident(sets[4])
+        # A hit returns the same lane and refreshes recency: touch
+        # sets[2], insert a new set, and sets[3] (now the stalest) is the
+        # one evicted.
+        assert lane_of(sets[2]) is lanes[2]
+        lane_of(enumerate_important_placements(machine, 16))
+        assert resident(sets[2]) and not resident(sets[3])
+        assert len(policy._lanes) == 3
+
+    def test_promotion_between_batches_is_picked_up(self, monkeypatch):
+        """A lane is found by the identity of what the registry serves,
+        so the batch after a ``ModelServer.promote`` predicts with the
+        promoted forest and searches the version-bumped block-state memo.
+        Oracle: the same policy with its lanes dropped before every
+        batch, which cannot carry anything across the promotion."""
+        from repro.core.blockscores import block_state_memo
+        from repro.scheduler import policies
+        from repro.serving import ModelServer
+
+        machine = amd_opteron_6272()
+        requests = [_request(k, vcpus=8, goal=(None, 0.9)[k % 2])
+                    for k in range(1, 25)]
+        forests = []
+        fused = policies.predict_fused
+        monkeypatch.setattr(
+            policies,
+            "predict_fused",
+            lambda plans: forests.append([f for f, _ in plans]) or fused(plans),
+        )
+
+        def run(*, drop_lanes):
+            server = ModelServer(seed=0)
+            policy = GoalAwareFleetPolicy(server)
+            fleet = Fleet.homogeneous(machine, 6)
+
+            def batch(chunk):
+                if drop_lanes:
+                    policy._lanes.clear()
+                return policy.decide_batch(chunk, fleet)
+
+            decisions = batch(requests[:8])
+            retired = server.model(machine, 8)
+            old_memo = block_state_memo(machine, "interconnect")
+            old_states = old_memo.n_states
+            candidate = retired.warm_refit(
+                server.training_set(machine, 8), n_grow=4
+            )
+            server.add_candidate(
+                machine, 8, candidate, time=1.0,
+                n_training_rows=len(server.training_set(machine, 8)),
+            )
+            server.promote(machine, 8, time=2.0)
+            decisions += batch(requests[8:16]) + batch(requests[16:])
+            # The promoted forest predicted every batch after the swap...
+            assert forests[-3] == [retired.forest]
+            assert forests[-2] == forests[-1] == [candidate.forest]
+            assert candidate.forest is not retired.forest
+            # ...and the searches went to the memo the bump minted.
+            new_memo = block_state_memo(machine, "interconnect")
+            assert new_memo is not old_memo
+            assert new_memo.n_states > 0
+            assert old_memo.n_states == old_states
+            return _signature(decisions), policy
+
+        kept, policy = run(drop_lanes=False)
+        dropped, _ = run(drop_lanes=True)
+        assert kept == dropped
+        assert any(row[1] is not None for row in kept[8:])
+        # One lane per model version seen, not one per batch.
+        assert len(policy._lanes) == 2
+
+    def test_unmemoized_enumeration_stays_under_the_bound(self, registry):
+        """``memoize_enumeration=False`` mints a placement set per call,
+        hence a lane per batch: the bound evicts them, and the decisions
+        are the memoized registry's."""
+        naive = ModelRegistry(
+            n_estimators=6, n_synthetic=2, seed=0, memoize_enumeration=False
+        )
+        machine = amd_opteron_6272()
+        requests = _mixed_requests(20)
+        signatures = []
+        for source in (registry, naive):
+            policy = GoalAwareFleetPolicy(source)
+            policy._lanes_max = 4
+            fleet = Fleet.homogeneous(machine, 8)
+            decisions = []
+            for k in range(0, len(requests), 2):
+                decisions += policy.decide_batch(requests[k : k + 2], fleet)
+                assert len(policy._lanes) <= 4
+            signatures.append(_signature(decisions))
+        assert signatures[0] == signatures[1]
+        assert len(policy._lanes) == 4  # the naive run filled and evicted
+        assert naive.uncached_enumerations > 10
+
+    def test_realized_placements_are_shared_across_hosts(self, registry):
+        """Requests realized on the same (candidate, block) of different
+        hosts hold one ``Placement`` object — it is validated once — and
+        still release independently."""
+        machine = amd_opteron_6272()
+        fleet = Fleet.homogeneous(machine, 6)
+        policy = GoalAwareFleetPolicy(registry)
+        decisions = policy.decide_batch(
+            [_request(k, vcpus=32, goal=0.9) for k in range(1, 13)], fleet
+        )
+        by_block = {}
+        for d in decisions:
+            assert d.placed
+            by_block.setdefault((d.placement_id, d.placement.nodes), []).append(d)
+        shared = [group for group in by_block.values() if len(group) > 1]
+        assert shared, "the stream must realize some block on two hosts"
+        for group in shared:
+            assert len({d.host_id for d in group}) == len(group)
+            assert all(d.placement is group[0].placement for d in group)
+        first, second = shared[0][:2]
+        host_a, host_b = fleet.hosts[first.host_id], fleet.hosts[second.host_id]
+        free_b = host_b.free_mask
+        fleet.release(first.request.request_id)
+        assert set(first.placement.nodes) <= host_a.free_nodes
+        assert host_b.free_mask == free_b
+        assert fleet.locate(second.request.request_id) == second.host_id
+        fleet.release(second.request.request_id)
+        assert set(second.placement.nodes) <= host_b.free_nodes
+        fleet.index.assert_consistent(fleet.hosts)
 
 
 class TestRegistry:

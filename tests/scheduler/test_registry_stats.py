@@ -7,6 +7,8 @@ simulator run, re-grades of known keys are hits, and the numbers the memo
 serves are the numbers an unmemoized registry computes.
 """
 
+from hypothesis import given, settings, strategies as st
+
 from repro.scheduler import (
     Fleet,
     LifecycleScheduler,
@@ -183,3 +185,149 @@ class TestProbeIpcBatch:
                 machine, profiles, placement, duration_s=3.0,
                 repetitions=[1],
             )
+
+
+# ----------------------------------------------------------------------
+# Property tests: the batched probe path against its row-by-row twin
+# ----------------------------------------------------------------------
+
+
+def _profile_pool():
+    """Library profiles, noise-free twins of two of them, and one-off
+    names (what a jittered stream mints per request)."""
+    from dataclasses import replace
+
+    from repro.perfsim import paper_workloads
+
+    library = list(paper_workloads())[:6]
+    return (
+        library
+        + [replace(p, phase_noise=0.0) for p in library[:2]]
+        + [replace(library[k % 3], name=f"one-off-{k}") for k in range(8)]
+    )
+
+
+_POOL = _profile_pool()
+_rows = st.lists(
+    st.tuples(
+        st.integers(0, len(_POOL) - 1), st.integers(0, 2**40)
+    ),
+    max_size=7,
+)
+
+
+class TestNoiseBatch:
+    """``measured_ipc_noise_batch`` is ``measured_ipc_noise`` row by row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=_rows,
+        duration_s=st.sampled_from([0.5, 3.0, 10.0]),
+        placement_index=st.integers(0, 3),
+    )
+    def test_equals_row_by_row(self, rows, duration_s, placement_index):
+        from unittest import mock
+
+        from repro.perfsim import PerformanceSimulator
+
+        machine = amd_opteron_6272()
+        placement = ModelRegistry().placements(machine, 16)[placement_index]
+        profiles = [_POOL[k] for k, _ in rows]
+        repetitions = [repetition for _, repetition in rows]
+        # A bound of 3 makes the one-off names overflow the prefix memo
+        # in the middle of a batch.
+        with mock.patch("repro.perfsim.simulator._NOISE_PREFIX_MAX", 3):
+            batch = PerformanceSimulator(machine, seed=5).measured_ipc_noise_batch(
+                profiles,
+                placement,
+                duration_s=duration_s,
+                repetitions=repetitions,
+            )
+            simulator = PerformanceSimulator(machine, seed=5)
+            sequential = [
+                simulator.measured_ipc_noise(
+                    profile,
+                    placement,
+                    duration_s=duration_s,
+                    repetition=repetition,
+                )
+                for profile, repetition in zip(profiles, repetitions)
+            ]
+        assert batch == sequential
+        assert all(type(value) is float for value in batch)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=_rows, duration_s=st.sampled_from([0.0, -1.0]))
+    def test_non_positive_duration_raises_like_the_rows_do(
+        self, rows, duration_s
+    ):
+        """Only a noisy profile ever looks at the duration — a group of
+        noise-free ones is all ones, batched or not."""
+        import pytest
+
+        from repro.perfsim import PerformanceSimulator
+
+        machine = amd_opteron_6272()
+        placement = ModelRegistry().placements(machine, 16)[0]
+        simulator = PerformanceSimulator(machine, seed=5)
+        profiles = [_POOL[k] for k, _ in rows]
+        repetitions = [repetition for _, repetition in rows]
+
+        def batch():
+            return simulator.measured_ipc_noise_batch(
+                profiles,
+                placement,
+                duration_s=duration_s,
+                repetitions=repetitions,
+            )
+
+        if any(profile.phase_noise > 0 for profile in profiles):
+            with pytest.raises(ValueError, match="duration_s"):
+                batch()
+            with pytest.raises(ValueError, match="duration_s"):
+                for profile, repetition in zip(profiles, repetitions):
+                    simulator.measured_ipc_noise(
+                        profile,
+                        placement,
+                        duration_s=duration_s,
+                        repetition=repetition,
+                    )
+        else:
+            assert batch() == [1.0] * len(profiles)
+
+
+class TestProbeBatchProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(groups=st.lists(_rows, min_size=1, max_size=5))
+    def test_groups_mixing_hits_misses_and_repeats(self, groups):
+        """Group after group through one registry — later groups hit what
+        earlier ones filled, and an index drawn twice repeats a profile
+        inside a group — values, hits, misses and entry count equal the
+        one-probe-at-a-time registry's after every group."""
+        machine = amd_opteron_6272()
+        batched = ModelRegistry(seed=0)
+        sequential = ModelRegistry(seed=0)
+        placements = batched.placements(machine, 16)
+        for turn, rows in enumerate(groups):
+            placement = placements[turn % 2]
+            profiles = [_POOL[k] for k, _ in rows]
+            repetitions = [repetition for _, repetition in rows]
+            batch = batched.probe_ipc_batch(
+                machine,
+                profiles,
+                placement,
+                duration_s=3.0,
+                repetitions=repetitions,
+            )
+            expected = [
+                sequential.probe_ipc(
+                    machine,
+                    profile,
+                    placement,
+                    duration_s=3.0,
+                    repetition=repetition,
+                )
+                for profile, repetition in zip(profiles, repetitions)
+            ]
+            assert batch.tolist() == expected
+            assert batched.ipc_cache_info() == sequential.ipc_cache_info()

@@ -63,6 +63,7 @@ from repro.scheduler.shard import ShardError
 from repro.scheduler.wire import (
     PROFILE_FIELDS,
     TIMELINE_COLUMNS,
+    PlacementMemo,
     ProfileMemo,
     decode_arrival,
     decode_churn,
@@ -268,6 +269,44 @@ class TestRowCodec:
                 assert rebuilt.decision.request is request
                 assert _graded_fields(rebuilt) == _graded_fields(entry)
 
+    def test_placement_memo_interns_rows_per_machine(self, churn_report):
+        """Decoded replies share one validated ``Placement`` per distinct
+        row; a row whose name resolves to another machine object is
+        rebuilt for it, and nothing invalid is ever remembered."""
+        config = ScheduleConfig(machine="amd", hosts=1)
+        amd = machines_by_name(config.machine_list())
+        placed = [g for g in churn_report.decisions if g.decision.placed]
+        rows = {encode_graded(g)[2] for g in placed}
+        assert 1 < len(rows) < len(placed)
+        memo = PlacementMemo(bound=len(rows))
+        for entry in placed:
+            row = encode_graded(entry)[2]
+            first = memo(row, amd)
+            assert first == entry.decision.placement
+            assert first.machine is amd[row[0]]
+            assert memo(wire(row), amd) is first  # JSON form, same entry
+            assert 0 < len(memo) <= memo.bound
+        assert len(memo) == len(rows)
+        name, nodes, vcpus, l2_share, l3_groups = row
+        other = machines_by_name(config.machine_list())
+        assert other[name] is not amd[name]
+        rebuilt = memo(row, other)
+        assert rebuilt == first and rebuilt.machine is other[name]
+        assert len(memo) == len(rows)
+        unseen = next(
+            candidate
+            for candidate in ((name, (node,), 8, 2, 1) for node in range(8))
+            if candidate not in rows
+        )
+        memo(unseen, amd)  # one row past the bound: starts over
+        assert len(memo) == 1
+        with pytest.raises(KeyError, match="unknown machine"):
+            memo(("no-such-machine", nodes, vcpus, l2_share, l3_groups), amd)
+        for _ in range(2):  # a miss validates, every time
+            with pytest.raises(ValueError, match="unknown node"):
+                memo((name, (99,), vcpus, l2_share, l3_groups), amd)
+        assert len(memo) == 1
+
     def test_reply_for_another_request_raises_shard_error(self):
         config = ScheduleConfig(
             machine="amd", hosts=2, requests=2, policy="first-fit", shards=2
@@ -306,6 +345,13 @@ class TestRowCodec:
         for carried in (payload, wire(payload), pickled(payload)):
             assert decode_churn(carried) == stats
         assert decode_churn(wire(encode_churn(ChurnStats()))) == ChurnStats()
+        # An empty timeline still crosses as five (empty) columns, and a
+        # column is a list whichever way the samples were transposed.
+        assert encode_churn(ChurnStats())["timeline"] == [[], [], [], [], []]
+        assert all(type(column) is list for column in payload["timeline"])
+        assert TIMELINE_COLUMNS == tuple(
+            FragmentationSample(0.0, 1, 2, 3, 4).to_dict()
+        )
 
 
 def _merge_by_summing(per_shard, initial):

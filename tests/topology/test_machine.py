@@ -136,3 +136,40 @@ class TestConvenience:
         text = toy_machine().summary()
         assert "toy" in text
         assert "NUMA nodes" in text
+
+
+class TestFingerprint:
+    def test_equals_and_hashes_like_the_plain_tuple(self):
+        machine = toy_machine()
+        fingerprint = machine.fingerprint()
+        plain = tuple(fingerprint)
+        assert type(plain) is tuple and plain[0] == "toy"
+        assert fingerprint == plain and plain == fingerprint
+        assert hash(fingerprint) == hash(plain)
+        # Either finds the other in a dict: keys re-tupled off the wire
+        # meet keys taken from a machine.
+        assert {fingerprint: "a"}[plain] == "a"
+        assert {plain: "b"}[fingerprint] == "b"
+        assert machine.fingerprint() is fingerprint
+        assert toy_machine().fingerprint() == fingerprint
+        assert toy_machine(n_nodes=4).fingerprint() != fingerprint
+
+    def test_pickle_round_trip_drops_the_cached_hash(self):
+        """String hashes are salted per process, so the hash a key
+        cached in this process must not travel with it."""
+        import copy
+        import pickle
+
+        machine = toy_machine()
+        fingerprint = machine.fingerprint()
+        hash(fingerprint)
+        assert "_hash" in vars(fingerprint)
+        for clone in (
+            pickle.loads(pickle.dumps(fingerprint)),
+            copy.deepcopy(fingerprint),
+            # The machine carries its memoized fingerprint along.
+            pickle.loads(pickle.dumps(machine)).fingerprint(),
+        ):
+            assert type(clone) is type(fingerprint)
+            assert vars(clone) == {}
+            assert clone == fingerprint and hash(clone) == hash(fingerprint)
