@@ -10,7 +10,8 @@ tables, and model registry), and a thin front-end
   best-fit for the request's shape,
 * **batches** consecutive arrivals into per-shard windows so each shard
   amortizes one fused forest call across the window, and defers
-  departures into per-shard outboxes delivered with the next message,
+  departures into per-shard outboxes that ride inside the shard's next
+  window message,
 * **retries** optimistically on the next-best shard when a stale
   summary routed a request to a shard that turned out to be full —
   placement state lives only on the shards, the router's summaries are

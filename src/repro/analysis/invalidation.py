@@ -321,10 +321,12 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             # must be reset and the journal replayed through a fresh
             # client, or the router trusts pre-crash state.
             "_recover_shard": ("summaries", "journals", "_make_client"),
-            # Deferred departures must survive a down shard: a failed
-            # flush re-queues its pairs on the outbox instead of
-            # dropping them.
-            "_flush_departures": ("_outbox",),
+            # Deferred departures must survive a down shard: the pairs a
+            # message carries leave the outbox through one helper, and a
+            # message whose shard went down puts them back at its front
+            # (or counts the batch) through the other.
+            "_stage_departures": ("_outbox",),
+            "_settle_departures": ("_outbox", "departure_batches"),
         },
         runtime_check=(
             "crash-sweep report convergence "

@@ -23,8 +23,10 @@ inspects payload roots only: arguments of ``.send``/``.request``/
 variable assignments.  Inside a payload expression, calls into the
 ``numpy`` namespace, wire-class constructors, and ``from_dict`` calls
 are flagged; conversion wrappers (``float``/``int``/``str``/``bool``/
-``len``/``round``, ``.to_dict()``/``.tolist()``/``.item()``) terminate
-the descent as known-safe.
+``len``/``round``, ``.to_dict()``/``.tolist()``/``.item()``) and the
+row codec's ``encode_*`` functions (``encode_summary(self.summary())``
+— their own return values are payload roots, scanned where they are
+defined) terminate the descent as known-safe.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ _SAFE_CALLS = frozenset(
 _SAFE_METHODS = frozenset({"to_dict", "tolist", "item", "as_dict"})
 
 #: Classes whose instances are wire *objects* — sending one raw (instead
-#: of its ``to_dict()``) breaks the JSON transport.
+#: of its encoded row or ``to_dict()``) breaks the JSON transport.
 WIRE_CLASSES = frozenset(
     {
         "ShardSummary",
@@ -226,12 +228,15 @@ class PipeSafetyRule(Rule):
                         module,
                         node,
                         f"{name.split('.')[-1]} instance in a pipe payload "
-                        "is not JSON-safe; send its to_dict() output",
+                        "is not JSON-safe; send its encoded row or "
+                        "to_dict() output",
                     )
                 )
                 return
-            if name in _SAFE_CALLS:
-                return  # conversion wrapper: result is JSON-safe
+            if name in _SAFE_CALLS or (
+                name is not None and name.split(".")[-1].startswith("encode_")
+            ):
+                return  # conversion wrapper / row encoder: JSON-safe result
             if (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in _SAFE_METHODS

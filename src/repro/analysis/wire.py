@@ -1,8 +1,8 @@
 """Wire-schema rule: ``to_dict``/``from_dict`` must round-trip every
 declared field.
 
-Reports, summaries, configs and fault plans travel as ``to_dict``
-payloads (``repro/core/serialize.py`` holds the shared helpers:
+Reports, configs and fault plans travel as ``to_dict`` payloads
+(``repro/core/serialize.py`` holds the shared helpers:
 ``tupled``/``listed`` for sequence fields, ``machines_by_name``/
 ``resolve_machine`` for by-name machine references).  A field added to a
 dataclass but forgotten in ``from_dict`` survives the in-process path
@@ -10,12 +10,12 @@ and silently zeroes out across a pipe or in ``--emit-json`` output.
 ``tests/scheduler/test_wire.py`` round-trips a hand-listed set of types;
 this rule proves the property for *every* wire class the tree grows.
 
-Shard *messages* are outside this rule: requests and graded decisions
-cross the shard boundary as rows (``repro/scheduler/wire.py``) whose
-layouts are taken from ``dataclasses.fields``, so there is no
-hand-written key list to keep in step — the pipe-safety rule scans the
-``encode_*`` functions, and a hypothesis property round-trips the rows
-through JSON and pickle.  ``to_dict``/``from_dict`` on
+Shard *messages* are outside this rule: requests, graded decisions and
+shard summaries cross the shard boundary as rows
+(``repro/scheduler/wire.py``) whose layouts are taken from
+``dataclasses.fields``, so there is no hand-written key list to keep in
+step — the pipe-safety rule scans the ``encode_*`` functions, and a
+hypothesis property round-trips the rows through JSON and pickle.  ``to_dict``/``from_dict`` on
 ``PlacementRequest``/``FleetDecision``/``GradedDecision`` remain, as the
 report format, and stay under this rule.
 

@@ -93,8 +93,6 @@ from repro.scheduler.shard import (
     InlineShardClient,
     ProcessShardClient,
     ShardCrashError,
-    ShardError,
-    ShardSummary,
     ShardTimeoutError,
     ShardWorker,
 )
@@ -110,6 +108,7 @@ from repro.scheduler.supervisor import (
     ShardJournal,
     ShardSupervisor,
 )
+from repro.scheduler.wire import ShardError, ShardSummary
 
 __all__ = [
     "add_schedule_arguments",

@@ -100,20 +100,6 @@ class CapacityVector:
         ]
         return "capacity: " + " ".join(parts)
 
-    def to_dict(self) -> Dict:
-        """JSON-safe form (object keys must be strings on the wire)."""
-        return {
-            "counts": {str(vcpus): int(count) for vcpus, count in
-                       sorted(self.counts.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CapacityVector":
-        counts = data["counts"]
-        return cls(
-            counts={int(vcpus): int(count) for vcpus, count in counts.items()}
-        )
-
 
 def brute_force_capacity(
     hosts: Iterable[FleetHost], classes: Sequence[int]

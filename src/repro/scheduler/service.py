@@ -24,25 +24,31 @@ Why it is fast, independent of transport parallelism:
   fused forest call amortizes across the window instead of running per
   event as the monolithic lifecycle engine does;
 * departures are deferred into per-shard outboxes ([id, time] pairs —
-  a release needs nothing else) and ride as one batched message right
-  before the owning shard's next window, so the dominant event type in
-  a churn stream costs no round trips of its own.
+  a release needs nothing else) and ride *inside* the owning shard's
+  next window message, applied before the window is decided, so the
+  dominant event type in a churn stream costs no round trip at all: a
+  routing round is one message per routed shard.
 
 With one shard and a window of one, the service is the monolithic
 :class:`~repro.scheduler.lifecycle.LifecycleScheduler` behind a wire
 protocol: the reference-stream tests assert the decisions are
 bit-for-bit identical.
 
-Dispatch is *overlapped* by default: each phase of a routing round
-(departure flush, then the window itself) journals every mutating
-message first, fires every shard's message, and gathers the replies via
+Dispatch is *overlapped* by default: a routing round builds one window
+message per routed shard (its slice of arrivals plus the departures
+waiting in that shard's outbox), journals every one of them first, fires
+them all, and gathers the replies via
 ``multiprocessing.connection.wait`` — processing them in shard order
 regardless of arrival order, so routing, retries, summaries, and merged
 reports are bit-for-bit those of the sequential ``--no-overlap``
 baseline while the worker processes run their slices concurrently.
 Failures surface at the gather and are resolved sequentially in shard
 order through the same retry/recovery tail the sequential path uses, so
-fault handling stays deterministic too.
+fault handling stays deterministic too; the departures a failed message
+carried go back to the front of the outbox, because the journal entry
+was rolled back and nothing was applied.  The standalone ``depart``
+message remains for the one case with no window to ride: the flush at
+the end of a stream, before the reports.
 """
 
 from __future__ import annotations
@@ -69,8 +75,6 @@ from repro.scheduler.shard import (
     InlineShardClient,
     ProcessShardClient,
     ShardCrashError,
-    ShardError,
-    ShardSummary,
     ShardTimeoutError,
 )
 from repro.scheduler.supervisor import (
@@ -79,7 +83,14 @@ from repro.scheduler.supervisor import (
     ShardDownError,
     ShardSupervisor,
 )
-from repro.scheduler.wire import decode_churn, decode_graded, encode_arrival
+from repro.scheduler.wire import (
+    ShardError,
+    ShardSummary,
+    decode_churn,
+    decode_graded,
+    decode_summary,
+    encode_arrival,
+)
 
 
 @dataclass
@@ -95,8 +106,9 @@ class ServiceStats:
     routed: int = 0
     #: Departures forwarded to their owning shard.
     departures_routed: int = 0
-    #: Batched departure messages actually sent (departures are deferred
-    #: per shard and delivered before the shard's next message).
+    #: Departure batches delivered, each riding on its shard's next
+    #: window message (the end-of-stream remainder as one ``depart``); a
+    #: batch a down shard sent back counts when it finally lands.
     departure_batches: int = 0
     #: Re-route attempts after a shard rejected (stale-summary recovery).
     retries: int = 0
@@ -504,14 +516,17 @@ class SchedulerService:
             self.stats.admission = self.admission.stats
         self.graded: List[GradedDecision] = []
         #: request id -> shard that finally owns it (placed it, or issued
-        #: the terminal rejection) — the departure routing table.
+        #: the terminal rejection) — the departure routing table; an
+        #: entry leaves with its departure.
         self._owner: Dict[int, int] = {}
         #: Per-shard deferred departures ([request_id, time] pairs): a
         #: departure costs no round trip of its own; the batch rides
-        #: immediately before the owning shard's next message.
+        #: inside the owning shard's next window message.
         self._outbox: List[List[List]] = [[] for _ in range(n)]
         #: (machine name, vcpus) -> minimal block nodes | None, memoized.
         self._needed: Dict[Tuple[str, int], int | None] = {}
+        #: vcpus -> in-window routing debit, memoized beside it.
+        self._min_debits: Dict[int, int] = {}
 
     def _warm_artifact_store(self) -> ModelRegistry:
         """Train every ``(shape, vcpus)`` key this service routes, through
@@ -596,8 +611,25 @@ class SchedulerService:
                 self._needed[key] = None
         return self._needed[key]
 
+    def _feasible_shards(self, vcpus: int) -> List[bool]:
+        """Per shard: does its summary show a big-enough free block for
+        ``vcpus`` on some hostable shape?  A function of the summaries
+        alone, so one routing loop asks once per distinct ``vcpus``."""
+        return [
+            any(
+                (needed := self._needed_nodes(name, vcpus)) is not None
+                and entry["largest_free_block"] >= needed
+                for name, entry in summary.shapes.items()
+            )
+            for summary in self.summaries
+        ]
+
     def _rank_shards(
-        self, vcpus: int, debits: Sequence[int], exclude: frozenset = frozenset()
+        self,
+        vcpus: int,
+        debits: Sequence[int],
+        exclude: frozenset = frozenset(),
+        feasible: Sequence[bool] | None = None,
     ) -> List[int]:
         """Shard ids best-first for a request of ``vcpus``.
 
@@ -605,34 +637,33 @@ class SchedulerService:
         hostable shape rank first, by descending (free nodes - in-window
         debits); shards that *look* infeasible or full still rank (last)
         rather than being dropped — the summary may be stale, and the
-        final say belongs to the shard itself.
+        final say belongs to the shard itself.  ``feasible`` is
+        :meth:`_feasible_shards` for ``vcpus``, when the caller already
+        holds it for the current summaries.
         """
+        if feasible is None:
+            feasible = self._feasible_shards(vcpus)
         ranked = []
         for summary in self.summaries:
-            if summary.shard_id in exclude:
+            shard_id = summary.shard_id
+            if shard_id in exclude:
                 continue
-            feasible = False
-            for name, entry in summary.shapes.items():
-                needed = self._needed_nodes(name, vcpus)
-                if needed is not None and (
-                    entry["largest_free_block"] >= needed
-                ):
-                    feasible = True
-                    break
-            free = summary.free_nodes_total - debits[summary.shard_id]
-            ranked.append((not feasible, -free, summary.shard_id))
+            free = summary.free_nodes_total - debits[shard_id]
+            ranked.append((not feasible[shard_id], -free, shard_id))
         ranked.sort()
         return [shard_id for _, _, shard_id in ranked]
 
     def _min_debit(self, vcpus: int) -> int:
         """Nodes to debit from a shard's cached free total when a request
         is routed to it within the current window."""
-        costs = [
-            needed
-            for name in self._by_name
-            if (needed := self._needed_nodes(name, vcpus)) is not None
-        ]
-        return min(costs, default=0)
+        if vcpus not in self._min_debits:
+            costs = [
+                needed
+                for name in self._by_name
+                if (needed := self._needed_nodes(name, vcpus)) is not None
+            ]
+            self._min_debits[vcpus] = min(costs, default=0)
+        return self._min_debits[vcpus]
 
     # ------------------------------------------------------------------
     # Wire helpers
@@ -672,26 +703,29 @@ class SchedulerService:
         return entries
 
     def _update_summary(self, shard: int, response: Dict) -> None:
-        self.summaries[shard] = ShardSummary.from_dict(response["summary"])
+        self.summaries[shard] = decode_summary(response["summary"], shard)
 
     def _send(self, shard: int, message: Dict) -> Tuple[Dict, float]:
-        """One worker round-trip; returns (response, seconds).
+        """One worker round-trip; returns (response, seconds), the
+        departures ``message`` carried settled either way.
 
-        Deferred departures for the shard are delivered first, so the
-        shard always processes its events in stream order.  With the
-        supervisor off this is the plain request path — no sequence
-        numbers, no journaling, nothing extra on the wire.
+        With the supervisor off this is the plain request path — no
+        sequence numbers, no journaling, nothing extra on the wire.
         """
-        if message.get("op") != "depart":
-            self._flush_departures(shard)
         if self.supervisor is None:
             start = time.perf_counter()
             response = self.clients[shard].request(message)
             elapsed = time.perf_counter() - start
             self.stats.shard_service_seconds += elapsed
             self._update_summary(shard, response)
-            return response, elapsed
-        return self._send_supervised(shard, message)
+        else:
+            try:
+                response, elapsed = self._send_supervised(shard, message)
+            except ShardDownError:
+                self._settle_departures(shard, message, delivered=False)
+                raise
+        self._settle_departures(shard, message, delivered=True)
+        return response, elapsed
 
     def _tracked_request(self, shard: int, wire_message: Dict) -> Dict:
         """One supervised round trip, accounted on the supervisor's
@@ -879,20 +913,46 @@ class SchedulerService:
             for other in range(self.config.shards)
         )
 
-    def _flush_departures(self, shard: int) -> None:
-        events = self._outbox[shard]
-        if not events:
+    def _stage_departures(self, shard: int) -> List[List]:
+        """Take the shard's pending departures off its outbox, to ride on
+        the message about to be built (empty: nothing to carry)."""
+        staged, self._outbox[shard] = self._outbox[shard], []
+        return staged
+
+    def _settle_departures(
+        self, shard: int, message: Dict, delivered: bool
+    ) -> None:
+        """Close out the departures ``message`` carried to ``shard``:
+        count the batch once delivered.  When the owner went down with
+        recovery deferred instead, the journal entry was rolled back and
+        nothing was applied — the pairs go back to the front of the
+        outbox and ride again after the shard recovers."""
+        staged = message.get(
+            "events" if message["op"] == "depart" else "departures"
+        )
+        if not staged:
             return
-        self._outbox[shard] = []
-        try:
-            self._send(shard, {"op": "depart", "events": events})
-        except ShardDownError:
-            # The owner went down with recovery deferred: the journal
-            # entry was rolled back, so nothing was applied — re-queue
-            # the pairs; they ride again after the shard recovers.
-            self._outbox[shard] = events + self._outbox[shard]
+        if delivered:
+            self.stats.departure_batches += 1
+        else:
+            self._outbox[shard] = staged + self._outbox[shard]
+
+    def _flush_outboxes(self) -> None:
+        """End of stream: deliver what no window is left to carry, one
+        ``depart`` message per shard with pending departures."""
+        sends = [
+            (shard, {"op": "depart", "events": events})
+            for shard in range(self.config.shards)
+            if (events := self._stage_departures(shard))
+        ]
+        if sends and self.config.overlap:
+            self._dispatch(sends)
             return
-        self.stats.departure_batches += 1
+        for shard, message in sends:
+            try:
+                self._send(shard, message)
+            except ShardDownError:
+                pass  # re-queued by _send
 
     # ------------------------------------------------------------------
     # Overlapped dispatch
@@ -947,14 +1007,25 @@ class SchedulerService:
         the replies, resolve them in shard order.
 
         ``sends`` holds (shard, message) pairs in ascending shard order,
-        at most one per shard; pending departures for every listed shard
-        must already have been delivered (or *be* these messages).
-        Returns one :class:`_DispatchOutcome` per shard — outcomes with
-        ``down`` set carry the :class:`ShardDownError` the sequential
-        loop would have raised for that shard.
+        at most one per shard.  Returns one :class:`_DispatchOutcome`
+        per shard — outcomes with ``down`` set carry the
+        :class:`ShardDownError` the sequential loop would have raised
+        for that shard.  Like :meth:`_send`, settles the departures each
+        message carried before anyone can route to its shard again.
         """
         if self.supervisor is not None:
-            return self._dispatch_supervised(sends)
+            outcomes = self._dispatch_supervised(sends)
+        else:
+            outcomes = self._dispatch_unsupervised(sends)
+        for shard, message in sends:
+            self._settle_departures(
+                shard, message, outcomes[shard].down is None
+            )
+        return outcomes
+
+    def _dispatch_unsupervised(
+        self, sends: Sequence[Tuple[int, Dict]]
+    ) -> Dict[int, _DispatchOutcome]:
         outcomes: Dict[int, _DispatchOutcome] = {}
         starts: Dict[int, float] = {}
         ready_at: Dict[int, float] = {}
@@ -1058,35 +1129,6 @@ class SchedulerService:
             )
         return outcomes
 
-    def _flush_overlapped(self, shards: Sequence[int]) -> Dict[int, bool]:
-        """Deliver the pending departure batches of the given shards in
-        one overlapped dispatch; returns shard -> whether fault handling
-        touched the flush.  A shard that went down with recovery
-        deferred gets its events re-queued, exactly like the sequential
-        :meth:`_flush_departures` path."""
-        sends: List[Tuple[int, Dict]] = []
-        staged: Dict[int, List[List]] = {}
-        for shard in shards:
-            events = self._outbox[shard]
-            if not events:
-                continue
-            self._outbox[shard] = []
-            staged[shard] = events
-            sends.append((shard, {"op": "depart", "events": events}))
-        if not sends:
-            return {}
-        outcomes = self._dispatch(sends)
-        faulted: Dict[int, bool] = {}
-        for shard, _ in sends:
-            outcome = outcomes[shard]
-            if outcome.down is not None:
-                self._outbox[shard] = staged[shard] + self._outbox[shard]
-                faulted[shard] = True
-                continue
-            self.stats.departure_batches += 1
-            faulted[shard] = outcome.faulted
-        return faulted
-
     # ------------------------------------------------------------------
     # Placement rounds
     # ------------------------------------------------------------------
@@ -1106,10 +1148,16 @@ class SchedulerService:
         down = self._begin_round()
         debits = [0] * self.config.shards
         assigned: List[int] = []
+        # No reply arrives inside this loop, so the summaries — and what
+        # they say is feasible for a size — hold still until it ends.
+        feasible: Dict[int, List[bool]] = {}
         for request, _ in items:
-            shard = self._route(request.vcpus, debits, down)
+            vcpus = request.vcpus
+            if vcpus not in feasible:
+                feasible[vcpus] = self._feasible_shards(vcpus)
+            shard = self._route(vcpus, debits, down, feasible[vcpus])
             assigned.append(shard)
-            debits[shard] += self._min_debit(request.vcpus)
+            debits[shard] += self._min_debit(vcpus)
 
         groups: Dict[int, List[int]] = {}
         for position, shard in enumerate(assigned):
@@ -1152,12 +1200,11 @@ class SchedulerService:
         finalized: set,
     ) -> None:
         """The ``--no-overlap`` baseline: one blocking round trip per
-        shard, in shard order (each send flushes that shard's pending
-        departures first)."""
+        shard, in shard order."""
         for shard in sorted(groups):
             positions = groups[shard]
             message = self._window_message(
-                op, [items[position] for position in positions]
+                op, shard, [items[position] for position in positions]
             )
             faults_before = self.stats.crashes + self.stats.timeouts
             try:
@@ -1191,20 +1238,19 @@ class SchedulerService:
         assigned: List[int],
         finalized: set,
     ) -> None:
-        """The overlapped round: flush the pending departures of every
-        shard in this round's groups (one overlapped dispatch), then
-        fire every shard's window message and gather.  Only shards that
-        are about to receive a window message are flushed — flushing an
-        idle shard would refresh its summary earlier than sequential
-        dispatch does and break bit-for-bit routing equivalence."""
+        """The overlapped round: one dispatch — fire every routed shard's
+        window message (its pending departures inside it) and gather.
+        A shard with no slice this round gets no message: delivering an
+        idle shard's departures would refresh its summary earlier than
+        sequential dispatch does and break bit-for-bit routing
+        equivalence."""
         shards = sorted(groups)
         self.stats.overlapped_rounds += 1
-        flush_faulted = self._flush_overlapped(shards)
         sends = [
             (
                 shard,
                 self._window_message(
-                    op, [items[position] for position in groups[shard]]
+                    op, shard, [items[position] for position in groups[shard]]
                 ),
             )
             for shard in shards
@@ -1223,7 +1269,7 @@ class SchedulerService:
                     )
                     finalized.add(position)
                 continue
-            if outcome.faulted or flush_faulted.get(shard, False):
+            if outcome.faulted:
                 self.stats.degraded_arrivals += len(positions)
             self._collect(
                 shard,
@@ -1269,12 +1315,17 @@ class SchedulerService:
         return down
 
     def _route(
-        self, vcpus: int, debits: Sequence[int], exclude: frozenset
+        self,
+        vcpus: int,
+        debits: Sequence[int],
+        exclude: frozenset,
+        feasible: Sequence[bool],
     ) -> int:
         """Best shard for a request, skipping DOWN shards; if *every*
         shard is DOWN, force-recover the lowest-numbered one — the
-        service never refuses to route."""
-        ranked = self._rank_shards(vcpus, debits, exclude=exclude)
+        service never refuses to route (and, the recovery having
+        replaced a summary, ranks afresh)."""
+        ranked = self._rank_shards(vcpus, debits, exclude, feasible)
         if ranked:
             return ranked[0]
         self._recover_shard(sorted(exclude)[0])
@@ -1283,17 +1334,26 @@ class SchedulerService:
         )[0]
 
     def _window_message(
-        self, op: str, items: Sequence[Tuple[PlacementRequest, float]]
+        self,
+        op: str,
+        shard: int,
+        items: Sequence[Tuple[PlacementRequest, float]],
     ) -> Dict:
-        """One window slice for one shard; ``arrive`` and ``decide``
-        carry the same arrival rows under their own key."""
+        """One window slice for ``shard``; ``arrive`` and ``decide``
+        carry the same arrival rows under their own key.  The shard's
+        pending departures are staged onto the message (no key when
+        there are none), so whoever sends it settles them."""
         rows = [
             encode_arrival(request, event_time)
             for request, event_time in items
         ]
         if op == "decide":
-            return {"op": "decide", "requests": rows}
-        return {"op": "arrive", "events": rows}
+            message = {"op": "decide", "requests": rows}
+        else:
+            message = {"op": "arrive", "events": rows}
+        if self._outbox[shard]:
+            message["departures"] = self._stage_departures(shard)
+        return message
 
     # ------------------------------------------------------------------
     # Admission control (repro serve --admission)
@@ -1461,7 +1521,9 @@ class SchedulerService:
                 shard = next_shard
                 continue
             self.stats.retries += 1
-            message = self._window_message(op, [(request, event_time)])
+            message = self._window_message(
+                op, next_shard, [(request, event_time)]
+            )
             try:
                 response, elapsed = self._send(next_shard, message)
             except ShardDownError:
@@ -1509,7 +1571,7 @@ class SchedulerService:
                 self._recover_shard(sorted(exclude)[0])
                 continue
             shard = ranked[0]
-            message = self._window_message(op, [(request, event_time)])
+            message = self._window_message(op, shard, [(request, event_time)])
             try:
                 response, elapsed = self._send(shard, message)
             except ShardDownError:
@@ -1535,15 +1597,16 @@ class SchedulerService:
         Arrivals are buffered into windows of ``config.window``
         consecutive arrivals.  Departures never cost a round trip of
         their own: each is deferred into its owning shard's outbox and
-        delivered (as one batched ``depart`` message) right before that
-        shard's next message, so every shard still sees its own events
-        in stream order.  A departure falling *inside* a buffered
-        window is held until the window flushes — window semantics
-        already trade strict time order within the window for batching,
-        and with ``window=1`` the buffer is empty when every departure
-        arrives, which keeps the single-shard reference stream
-        bit-identical to the monolithic engine.  ``max_events`` bounds
-        ingestion for smoke runs.
+        delivered inside that shard's next window message, applied
+        before the window is decided, so every shard still sees its own
+        events in stream order; what is left when the stream ends goes
+        out as one ``depart`` message per shard.  A departure falling
+        *inside* a buffered window is held until the window flushes —
+        window semantics already trade strict time order within the
+        window for batching, and with ``window=1`` the buffer is empty
+        when every departure arrives, which keeps the single-shard
+        reference stream bit-identical to the monolithic engine.
+        ``max_events`` bounds ingestion for smoke runs.
         """
         if requests is None:
             requests = self.config.build_stream()
@@ -1597,11 +1660,7 @@ class SchedulerService:
         if pending:
             self._place_window(pending, "arrive")
         self._defer_departures(held)
-        if self.config.overlap:
-            self._flush_overlapped(range(self.config.shards))
-        else:
-            for shard in range(self.config.shards):
-                self._flush_departures(shard)
+        self._flush_outboxes()
         elapsed = time.perf_counter() - start
         return self._merge_report(arrivals, elapsed, churn=True)
 
@@ -1648,7 +1707,7 @@ class SchedulerService:
     ) -> None:
         """Queue departures on their owning shards' outboxes."""
         for request_id, event_time in pairs:
-            shard = self._owner.get(request_id)
+            shard = self._owner.pop(request_id, None)
             if shard is None:
                 # Departure of a request whose arrival was never ingested
                 # (max_events cut the stream mid-pair): nothing to free.
@@ -1664,12 +1723,12 @@ class SchedulerService:
         self, n_requests: int, elapsed_seconds: float, *, churn: bool
     ) -> FleetReport:
         # Every shard must answer a report: bring DOWN shards back first
-        # (their outboxes then flush through the report sends below).
+        # (the departures re-queued while they were down go out now).
         self._recover_all()
+        self._flush_outboxes()
         reports = []
         if self.config.overlap:
             shards = range(self.config.shards)
-            self._flush_overlapped(shards)
             outcomes = self._dispatch(
                 [(shard, {"op": "report"}) for shard in shards]
             )

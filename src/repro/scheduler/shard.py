@@ -16,13 +16,14 @@ Messages are dicts of JSON-safe scalars and *rows*
 workload profile as a nested row, a graded decision is one flat tuple
 that does not echo the request (the front end re-attaches the one it
 sent, by position, and checks the echoed id), and a
-:class:`ShardSummary` rides on every response so the router's view
-refreshes for free.  Rows are immutable, so :class:`InlineShardClient`
-hands a message straight to the in-process worker and serializes
-nothing; :class:`ProcessShardClient` pickles the same message onto a
-pipe.  That no payload works on one transport only is established off
-the request path — ``repro lint``'s pipe-safety rule, the
-JSON-round-tripping client the equivalence gates run through
+:class:`~repro.scheduler.wire.ShardSummary` rides on every response as
+one more row, so the router's view refreshes for free.  Rows are
+immutable, so :class:`InlineShardClient` hands a message straight to
+the in-process worker and serializes nothing;
+:class:`ProcessShardClient` pickles the same message onto a pipe.  That
+no payload works on one transport only is established off the request
+path — ``repro lint``'s pipe-safety rule, the JSON-round-tripping
+client the equivalence gates run through
 (``tests/scheduler/test_json_transport.py``), and the inline ≡ process
 decision digests — not by a ``json.dumps``/``loads`` pair per message.
 
@@ -33,11 +34,16 @@ op        meaning
 ========= ==========================================================
 arrive    lifecycle arrivals: ``events=[arrival_row, ...]`` decided
           in one ``step_batch`` window; returns ``graded=[row, ...]``,
-          one graded row per arrival, in order
-depart    lifecycle departures: ``events=[[request_id, time], ...]``
-          (a departure needs nothing but the id); frees placements
+          one graded row per arrival, in order.  The departures the
+          front end deferred for this shard ride along as
+          ``departures=[[request_id, time], ...]`` (a departure needs
+          nothing but the id; the key is absent when there are none)
+          and are applied before the window is decided
 decide    one-shot batch (no churn): ``requests=[arrival_row, ...]``,
-          the same rows and the same ``graded`` reply as ``arrive``
+          the same rows, the same optional ``departures`` and the same
+          ``graded`` reply as ``arrive``
+depart    departures with no window left to ride, at the end of a
+          stream: ``events=[[request_id, time], ...]``
 summary   just the shard's routing summary
 report    the shard's counters in the FleetReport format (without
           decisions), its churn statistics row-coded: migrations as
@@ -50,7 +56,8 @@ lifetime, profile_row, event_time)``; a graded row is ``(request_id,
 host_id, placement_row | None, placement_id, predicted_relative,
 block_exact, reject_reason, achieved_relative, violated,
 decision_seconds)``.  Supervised messages add ``seq``, and every
-response carries ``summary`` (and echoes ``seq``).
+response carries ``summary`` — the summary row of
+:func:`~repro.scheduler.wire.encode_summary` — and echoes ``seq``.
 
 Both clients expose the protocol twice: the classic blocking
 ``request(message)`` round trip, and the split ``send(message)`` /
@@ -77,29 +84,23 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
 from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
-from repro.scheduler.capacity import CapacityTracker, CapacityVector
+from repro.scheduler.capacity import CapacityTracker
 from repro.scheduler.scheduler import FleetReport, GradedDecision, grade_decision
 from repro.scheduler.wire import (
     ProfileMemo,
+    ShardError,
+    ShardSummary,
     decode_arrival,
     encode_churn,
     encode_graded,
+    encode_summary,
 )
 from repro.topology.machine import MachineTopology
-
-
-class ShardError(RuntimeError):
-    """A shard transport failure the front-end can reason about."""
-
-    def __init__(self, shard_id: int, detail: str) -> None:
-        super().__init__(f"shard {shard_id}: {detail}")
-        self.shard_id = shard_id
-        self.detail = detail
 
 
 class ShardCrashError(ShardError):
@@ -114,104 +115,6 @@ class ShardTimeoutError(ShardError):
     wedged worker), which is exactly why retries carry the same sequence
     number: an applied message is answered from the worker's dedup cache
     instead of being applied twice."""
-
-
-@dataclass(frozen=True)
-class ShardSummary:
-    """The cheap per-shard state the front-end routes on.
-
-    Deliberately tiny — a few counters plus one entry per machine
-    *shape* (not per host), so refreshing it costs O(#shapes) reads of
-    the shard's incremental index, and shipping it costs a few hundred
-    bytes however many hosts the shard owns.  The router treats it as
-    *advisory*: between refreshes it goes stale, and a placement routed
-    on stale numbers is recovered by the service's optimistic retry.
-    """
-
-    shard_id: int
-    n_hosts: int
-    free_nodes_total: int
-    total_nodes: int
-    used_threads: int
-    total_threads: int
-    active_containers: int
-    #: machine name -> {"n_hosts", "free_nodes", "largest_free_block"}.
-    shapes: Dict[str, Dict[str, int]]
-    #: Available-space vector (admission mode only; None keeps the
-    #: pre-admission wire payload byte-identical).
-    capacity: "CapacityVector | None" = None
-
-    def to_dict(self) -> Dict:
-        data = {
-            "shard_id": self.shard_id,
-            "n_hosts": self.n_hosts,
-            "free_nodes_total": self.free_nodes_total,
-            "total_nodes": self.total_nodes,
-            "used_threads": self.used_threads,
-            "total_threads": self.total_threads,
-            "active_containers": self.active_containers,
-            "shapes": {
-                name: dict(entry) for name, entry in self.shapes.items()
-            },
-        }
-        if self.capacity is not None:
-            data["capacity"] = self.capacity.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShardSummary":
-        capacity = data.get("capacity")
-        return cls(
-            shard_id=data["shard_id"],
-            n_hosts=data["n_hosts"],
-            free_nodes_total=data["free_nodes_total"],
-            total_nodes=data["total_nodes"],
-            used_threads=data["used_threads"],
-            total_threads=data["total_threads"],
-            active_containers=data["active_containers"],
-            shapes={
-                name: dict(entry)
-                for name, entry in data["shapes"].items()
-            },
-            capacity=(
-                None
-                if capacity is None
-                else CapacityVector.from_dict(capacity)
-            ),
-        )
-
-    @classmethod
-    def initial(
-        cls,
-        shard_id: int,
-        machines: Sequence[MachineTopology],
-        *,
-        capacity: "CapacityVector | None" = None,
-    ) -> "ShardSummary":
-        """The summary of a freshly built (empty) shard — what the router
-        knows before the shard's first response arrives."""
-        shapes: Dict[str, Dict[str, int]] = {}
-        for machine in machines:
-            entry = shapes.setdefault(
-                machine.name,
-                {"n_hosts": 0, "free_nodes": 0, "largest_free_block": 0},
-            )
-            entry["n_hosts"] += 1
-            entry["free_nodes"] += machine.n_nodes
-            entry["largest_free_block"] = max(
-                entry["largest_free_block"], machine.n_nodes
-            )
-        return cls(
-            shard_id=shard_id,
-            n_hosts=len(machines),
-            free_nodes_total=sum(m.n_nodes for m in machines),
-            total_nodes=sum(m.n_nodes for m in machines),
-            used_threads=0,
-            total_threads=sum(m.total_threads for m in machines),
-            active_containers=0,
-            shapes=shapes,
-            capacity=capacity,
-        )
 
 
 class ShardWorker:
@@ -295,7 +198,13 @@ class ShardWorker:
     def handle(self, message: Dict) -> Dict:
         """Process one protocol message; returns the response, which the
         caller may hold but must not mutate (a same-``seq`` retry is
-        answered with the same object)."""
+        answered with the same object).
+
+        A message is applied once or not at all: the ``seq`` check comes
+        first, so a retried or replayed window releases the departures
+        it carries exactly as often as it places its arrivals.  Those
+        are released before the op runs — the order in which the shard
+        would have seen them as a message of their own."""
         seq = message.get("seq")
         if seq is not None and seq <= self._applied_seq:
             if seq == self._applied_seq and self._last_response is not None:
@@ -303,10 +212,13 @@ class ShardWorker:
             return {
                 "deduped": True,
                 "seq": seq,
-                "summary": self.summary().to_dict(),
+                "summary": encode_summary(self.summary()),
             }
         start = time.perf_counter()
         op = message["op"]
+        departures = message.get("departures")
+        if departures:
+            self._handle_depart(departures)
         if op == "arrive":
             response = self._handle_arrive(message["events"])
         elif op == "depart":
@@ -321,7 +233,7 @@ class ShardWorker:
             response = {"stopped": True}
         else:
             raise ValueError(f"unknown shard op {op!r}")
-        response["summary"] = self.summary().to_dict()
+        response["summary"] = encode_summary(self.summary())
         self.busy_seconds += time.perf_counter() - start
         if seq is not None:
             # Echo the sequence number so a client that timed out and

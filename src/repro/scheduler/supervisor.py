@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List
 
-from repro.scheduler.shard import ShardError
+from repro.scheduler.wire import ShardError
 
 #: Shard health states.
 HEALTH_UP = "up"

@@ -12,7 +12,11 @@ fixed-layout row of scalars, not a dict of dicts:
   achieved_relative, violated, decision_seconds)`` — no request echo:
   the front end re-attaches the request it sent, by position;
 * **churn statistics** cross the ``report`` reply with migrations as
-  rows and the fragmentation timeline as one column per sample field.
+  rows and the fragmentation timeline as one column per sample field;
+* a **summary** (:class:`ShardSummary`, on every reply) is its scalar
+  fields as declared, then ``shapes`` as ``(name, n_hosts, free_nodes,
+  largest_free_block)`` sub-rows, then ``capacity`` as sorted ``(vcpus,
+  count)`` pairs or ``None``.
 
 Rows hold JSON-safe scalars only, so a message is immutable on the
 inline transport, pickles small over the pipe, and decodes to equal
@@ -20,19 +24,20 @@ objects after a JSON round trip (tuples come back as lists; decoders
 take both).  A type flattened whole takes its layout from
 ``dataclasses.fields``, so a new field cannot be forgotten.  ``to_dict``
 / ``from_dict`` remain the *report* format; nothing on the shard
-boundary calls them for requests or decisions.
+boundary calls them for requests, decisions or summaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from itertools import starmap
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.core.placements import Placement
 from repro.core.serialize import resolve_machine
 from repro.perfsim.workload import WorkloadProfile
+from repro.scheduler.capacity import CapacityVector
 from repro.scheduler.lifecycle import (
     ChurnStats,
     FragmentationSample,
@@ -42,6 +47,77 @@ from repro.scheduler.policies import FleetDecision
 from repro.scheduler.requests import PlacementRequest
 from repro.scheduler.scheduler import GradedDecision
 from repro.topology.machine import MachineTopology
+
+#: The per-shape entry of a summary, in row order.
+SHAPE_COLUMNS = ("n_hosts", "free_nodes", "largest_free_block")
+
+
+class ShardError(RuntimeError):
+    """A shard boundary failure the front-end can reason about: a
+    transport that broke, or a reply that does not decode."""
+
+    def __init__(self, shard_id: int, detail: str) -> None:
+        super().__init__(f"shard {shard_id}: {detail}")
+        self.shard_id = shard_id
+        self.detail = detail
+
+
+@dataclass(frozen=True)
+class ShardSummary:
+    """The cheap per-shard state the front-end routes on.
+
+    Deliberately tiny — a few counters plus one entry per machine
+    *shape* (not per host), so refreshing it costs O(#shapes) reads of
+    the shard's incremental index, and shipping it costs a few hundred
+    bytes however many hosts the shard owns.  The router treats it as
+    *advisory*: between refreshes it goes stale, and a placement routed
+    on stale numbers is recovered by the service's optimistic retry.
+    """
+
+    shard_id: int
+    n_hosts: int
+    free_nodes_total: int
+    total_nodes: int
+    used_threads: int
+    total_threads: int
+    active_containers: int
+    #: machine name -> {"n_hosts", "free_nodes", "largest_free_block"}.
+    shapes: Dict[str, Dict[str, int]]
+    #: Available-space vector (admission mode only).
+    capacity: "CapacityVector | None" = None
+
+    @classmethod
+    def initial(
+        cls,
+        shard_id: int,
+        machines: Sequence[MachineTopology],
+        *,
+        capacity: "CapacityVector | None" = None,
+    ) -> "ShardSummary":
+        """The summary of a freshly built (empty) shard — what the router
+        knows before the shard's first response arrives."""
+        shapes: Dict[str, Dict[str, int]] = {}
+        for machine in machines:
+            entry = shapes.setdefault(
+                machine.name, dict.fromkeys(SHAPE_COLUMNS, 0)
+            )
+            entry["n_hosts"] += 1
+            entry["free_nodes"] += machine.n_nodes
+            entry["largest_free_block"] = max(
+                entry["largest_free_block"], machine.n_nodes
+            )
+        return cls(
+            shard_id=shard_id,
+            n_hosts=len(machines),
+            free_nodes_total=sum(m.n_nodes for m in machines),
+            total_nodes=sum(m.n_nodes for m in machines),
+            used_threads=0,
+            total_threads=sum(m.total_threads for m in machines),
+            active_containers=0,
+            shapes=shapes,
+            capacity=capacity,
+        )
+
 
 PROFILE_FIELDS = tuple(f.name for f in fields(WorkloadProfile))
 TIMELINE_COLUMNS = FragmentationSample._fields
@@ -64,6 +140,13 @@ _decision_row = attrgetter(
 )
 _grade_row = attrgetter("achieved_relative", "violated", "decision_seconds")
 _migration_row = attrgetter(*(f.name for f in fields(MigrationRecord)))
+_SUMMARY_SCALARS = tuple(
+    f.name
+    for f in fields(ShardSummary)
+    if f.name not in ("shapes", "capacity")
+)
+_summary_row = attrgetter(*_SUMMARY_SCALARS)
+_shape_row = itemgetter(*SHAPE_COLUMNS)
 
 
 class ProfileMemo:
@@ -201,3 +284,38 @@ def decode_churn(payload: Dict) -> ChurnStats:
         ),
         **{name: payload[name] for name in _CHURN_COUNTERS},
     )
+
+
+def encode_summary(summary: ShardSummary) -> tuple:
+    capacity = summary.capacity
+    return (
+        *_summary_row(summary),
+        tuple(
+            (name, *_shape_row(entry))
+            for name, entry in summary.shapes.items()
+        ),
+        None if capacity is None else tuple(sorted(capacity.counts.items())),
+    )
+
+
+def decode_summary(row: Sequence, shard_id: int) -> ShardSummary:
+    """Rebuild the summary shard ``shard_id`` attached to a reply; a row
+    of the wrong shape, or one written by another shard, is a
+    :class:`ShardError` against the shard that sent it."""
+    try:
+        *scalars, shapes, capacity = row
+        summary = ShardSummary(
+            **dict(zip(_SUMMARY_SCALARS, scalars, strict=True)),
+            shapes={
+                name: dict(zip(SHAPE_COLUMNS, columns, strict=True))
+                for name, *columns in shapes
+            },
+            capacity=None if capacity is None else CapacityVector(dict(capacity)),
+        )
+        if summary.shard_id != shard_id:
+            raise ValueError(f"it is the summary of shard {summary.shard_id}")
+    except (TypeError, ValueError) as error:
+        raise ShardError(
+            shard_id, f"malformed summary row: {error}"
+        ) from error
+    return summary

@@ -116,6 +116,24 @@ class FleetHost:
 """
         assert findings_of(source) == []
 
+    def test_settle_that_drops_a_down_shards_departures_flagged(self):
+        # The pairs a failed message carried must go back on the outbox:
+        # a settle helper that only counts loses them for good.
+        source = """
+class SchedulerService:
+    def _stage_departures(self, shard):
+        staged, self._outbox[shard] = self._outbox[shard], []
+        return staged
+
+    def _settle_departures(self, shard, message, delivered):
+        if delivered and message.get("departures"):
+            self.stats.departure_batches += 1
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["memo-invalidation"]
+        assert "_settle_departures" in findings[0].message
+        assert "_outbox" in findings[0].message
+
     def test_resize_that_skips_the_state_buckets_flagged(self):
         # The pre-mask _resize: keyed on the free *count*, it never
         # re-files the host under its new free-node mask.

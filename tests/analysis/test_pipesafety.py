@@ -45,6 +45,34 @@ class Worker:
         assert len(findings) == 1
         assert "ShardSummary" in findings[0].message
 
+    def test_unencoded_summary_in_response_flagged(self):
+        # The reply carries encode_summary(...)'s row; the object itself
+        # assigned into the response is still a finding.
+        source = """
+class Worker:
+    def handle(self, message):
+        response = {}
+        response["summary"] = ShardSummary(self.shard_id, 2)
+        return response
+"""
+        findings = findings_of(source)
+        assert len(findings) == 1
+        assert "ShardSummary" in findings[0].message
+        assert "encoded row" in findings[0].message
+
+    def test_numpy_scalar_in_summary_row_flagged(self):
+        source = """
+import numpy as np
+
+def encode_summary(summary):
+    return (summary.shard_id, np.int64(summary.n_hosts), None)
+"""
+        findings = analyze_source(
+            source, path="src/repro/scheduler/wire.py", rules=["pipe-safety"]
+        )
+        assert [f.rule for f in findings] == ["pipe-safety"]
+        assert "numpy.int64" in findings[0].message
+
     def test_from_dict_in_payload_flagged(self):
         source = """
 class Worker:
@@ -117,6 +145,19 @@ def encode_graded(entry):
             path="src/repro/scheduler/wire.py",
             rules=["pipe-safety"],
         )
+
+    def test_encoded_summary_in_response_clean(self):
+        # encode_* calls are the row codec: their result is JSON-safe
+        # (their own bodies are scanned where they are defined), so the
+        # descent stops there even when the argument is a wire object.
+        source = """
+class Worker:
+    def handle(self, message):
+        response = {"graded": [encode_graded(entry) for entry in message]}
+        response["summary"] = encode_summary(ShardSummary(self.shard_id, 2))
+        return response
+"""
+        assert findings_of(source) == []
 
     def test_to_dict_values_clean(self):
         source = """

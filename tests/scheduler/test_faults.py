@@ -15,6 +15,10 @@ The contracts under test, in rough order of importance:
 * **Degraded operation** — with recovery deferred, arrivals fail over
   to surviving shards, every request is still decided exactly once, and
   queued departures for the dead shard are delivered after recovery.
+* **Departures exactly once** — a window message carries its shard's
+  pending departures, so a fault on it must neither lose them (rolled
+  back: re-queued once, delivered once) nor release twice (replayed or
+  retried: the ``seq`` dedupe answers before anything is applied).
 """
 
 import json
@@ -134,6 +138,72 @@ class _RecordingClient:
 
     def close(self):
         self.inner.close()
+
+
+class _CarriedDepartures:
+    """Client shim noting which of a shard's messages carry departures,
+    by the index its fault schedule is about to give them."""
+
+    def __init__(self, inner, indices):
+        self.inner = inner
+        self.indices = indices
+
+    def __getattr__(self, name):  # transport, gather surface, kill, ...
+        return getattr(self.inner, name)
+
+    def _note(self, message):
+        if message.get("departures") or (
+            message["op"] == "depart" and message["events"]
+        ):
+            self.indices.append(self.inner.schedule.messages_seen)
+
+    def send(self, message, timeout_s=None):
+        self._note(message)
+        self.inner.send(message, timeout_s)
+
+    def request(self, message, timeout_s=None):
+        self._note(message)
+        return self.inner.request(message, timeout_s)
+
+
+def _fault_free_probe(config):
+    """(report, stats, per-shard message counts, per-shard indices of the
+    departure-carrying messages) of the run no fault touches."""
+    with SchedulerService(config, faults=FaultPlan(actions=[])) as probe:
+        carrying = [[] for _ in probe.clients]
+        probe.clients = [
+            _CarriedDepartures(client, indices)
+            for client, indices in zip(probe.clients, carrying)
+        ]
+        report = probe.serve()
+        counts = [s.messages_seen for s in probe._fault_schedules]
+        assert _applied_departures(probe) == probe.stats.departures_routed
+        return report, probe.stats, counts, carrying
+
+
+def _applied_departures(service):
+    """Departure pairs the live shards have applied, replays included: a
+    shard samples its fragmentation timeline once per arrival it handled
+    and once per departure pair, whatever the pair released."""
+    applied = 0
+    for client in service.clients:
+        churn = client.request({"op": "report"})["report"]["churn"]
+        applied += len(churn["timeline"][0]) - churn["arrivals"]
+    return applied
+
+
+def _assert_departed_exactly_once(service, report, plain_stats):
+    """The stream's every container has a lifetime: after ``serve`` the
+    fleet is empty, each placed container was released, and no shard
+    applied a departure pair it had applied before."""
+    for summary in service.summaries:
+        assert summary.active_containers == 0
+        assert summary.used_threads == 0
+        assert summary.free_nodes_total == summary.total_nodes
+    assert report.churn.departures == report.placed
+    assert service.stats.departures_routed == plain_stats.departures_routed
+    assert _applied_departures(service) == plain_stats.departures_routed
+    assert service._owner == {} and not any(service._outbox)
 
 
 def _record_messages(config, faults=None):
@@ -410,21 +480,30 @@ class TestCrashRecovery:
         config = _fast_config(
             requests=24, seed=7, supervised=True, overlap=overlap
         )
-        plain, _ = _serve(config, faults=FaultPlan(actions=[]))
+        plain, plain_stats, message_counts, carrying = _fault_free_probe(
+            config
+        )
         signature = _report_signature(plain)
-        with SchedulerService(config, faults=FaultPlan(actions=[])) as probe:
-            probe.serve()
-            message_counts = [
-                schedule.messages_seen
-                for schedule in probe._fault_schedules
-            ]
         assert all(count > 0 for count in message_counts)
+        assert all(carrying)  # the sweep does crash loaded messages
         arrivals = len(plain.decisions)
         for shard, count in enumerate(message_counts):
             for index in range(count):
-                report, stats = _serve(
+                with SchedulerService(
                     config, faults=FaultPlan.crash_at(shard, index)
-                )
+                ) as service:
+                    report = service.serve()
+                    stats = service.stats
+                    if index in carrying[shard]:
+                        # Journal replay of the merged message: applied
+                        # once on the respawned shard, counted once.
+                        _assert_departed_exactly_once(
+                            service, report, plain_stats
+                        )
+                        assert (
+                            stats.departure_batches
+                            == plain_stats.departure_batches
+                        )
                 ids = [
                     d.decision.request.request_id for d in report.decisions
                 ]
@@ -435,6 +514,68 @@ class TestCrashRecovery:
                 )
                 assert stats.crashes == 1
                 assert stats.journal_replays >= 1
+
+    @pytest.mark.parametrize("recovery_rounds", [0, 2])
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_crashed_message_delivers_its_departures_once(
+        self, overlap, workers, recovery_rounds
+    ):
+        """Crash each message that carries departures, on both
+        transports: with recovery immediate the journal replays it; with
+        recovery deferred the entry is rolled back, the staged pairs go
+        back to the front of the outbox once and ride again after the
+        respawn.  Either way every pair is applied exactly once."""
+        config = _fast_config(
+            requests=24,
+            seed=7,
+            supervised=True,
+            overlap=overlap,
+            workers=workers,
+            recovery_rounds=recovery_rounds,
+            request_timeout_s=20.0 if workers == "process" else None,
+        )
+        plain, plain_stats, _, carrying = _fault_free_probe(config)
+        assert all(carrying)
+        for shard, indices in enumerate(carrying):
+            for index in indices:
+                with SchedulerService(
+                    config, faults=FaultPlan.crash_at(shard, index)
+                ) as service:
+                    report = service.serve()
+                    _assert_departed_exactly_once(
+                        service, report, plain_stats
+                    )
+                    assert service.stats.crashes == 1
+                    assert service.stats.journal_replays >= 1
+                ids = [
+                    d.decision.request.request_id for d in report.decisions
+                ]
+                assert sorted(ids) == sorted(
+                    d.decision.request.request_id for d in plain.decisions
+                )
+                if recovery_rounds == 0:
+                    assert _report_signature(report) == _report_signature(
+                        plain
+                    )
+
+    def test_dropped_reply_retry_does_not_release_twice(self):
+        """The message was applied and its reply lost: the same-``seq``
+        retry is answered from ``_last_response``, so the departures it
+        carries are not applied again."""
+        config = _fast_config(requests=24, seed=7, supervised=True)
+        plain, plain_stats, _, carrying = _fault_free_probe(config)
+        for shard, indices in enumerate(carrying):
+            for index in indices[:3]:
+                plan = FaultPlan(actions=[FaultAction(shard, index, "drop")])
+                with SchedulerService(config, faults=plan) as service:
+                    report = service.serve()
+                    _assert_departed_exactly_once(
+                        service, report, plain_stats
+                    )
+                    assert service.stats.backoff_retries == 1
+                    assert service.stats.journal_replays == 0
+                assert _report_signature(report) == _report_signature(plain)
 
     def test_kill_each_shard_once_on_reference_churn_stream(self):
         """The acceptance gate on the ML reference stream: the seeded

@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 
 from repro.scheduler import FaultPlan, ScheduleConfig, SchedulerService
+from repro.scheduler.wire import decode_summary
 from tests.scheduler.test_faults import _fast_config, _report_signature
 from tests.scheduler.test_service import CHURN_REFERENCE
 
@@ -101,6 +102,31 @@ class TestJsonRoundTripGates:
         assert _report_signature(carried) == _report_signature(process)
         assert _counters(carried_stats) == _counters(plain_stats)
         assert _counters(carried_stats) == _counters(process_stats)
+
+    def test_departures_and_summary_rows_cross_as_json(self):
+        """The two riders are really on the JSON path: the departure
+        pairs a window message brings along, and the summary row every
+        reply brings back (a list by the time it is decoded)."""
+        config = ScheduleConfig(
+            **dict(CHURN_REFERENCE, requests=30), shards=2, window=4
+        )
+        carried = []
+        with SchedulerService(config) as service:
+            _through_json(service)
+            for client in service.clients:
+                handle = client.inner.worker.handle
+
+                def spy(message, handle=handle):
+                    carried.extend(message.get("departures", ()))
+                    return handle(message)
+
+                client.inner.worker.handle = spy
+            service.serve()
+            assert len(carried) > 10
+            for shard, client in enumerate(service.clients):
+                row = client.request({"op": "summary"})["summary"]
+                assert type(row) is list and type(row[-2]) is list
+                assert decode_summary(row, shard) == service.summaries[shard]
 
     def test_one_shot_decide_through_json_matches_plain(self):
         """``decide`` shares the codec with ``arrive``."""

@@ -292,9 +292,40 @@ class TestOverlapEquivalence:
         config = dict(
             CHURN_REFERENCE, shards=2, window=4, supervised=True
         )
-        overlapped, _ = _serve(ScheduleConfig(**config))
-        sequential, _ = _serve(ScheduleConfig(**config, overlap=False))
+
+        def serve(**overrides):
+            with SchedulerService(
+                ScheduleConfig(**config, **overrides)
+            ) as service:
+                report = service.serve()
+                journals = [
+                    journal.to_dict() for journal in service.supervisor.journals
+                ]
+                return report, service.stats, journals
+
+        overlapped, on_stats, on_journals = serve()
+        sequential, off_stats, off_journals = serve(overlap=False)
         assert _signature(overlapped) == _signature(sequential)
+        # The same messages under the same sequence numbers: a window
+        # carries its shard's departures whichever loop sends it.
+        assert on_journals == off_journals
+        carrying = [
+            entry
+            for journal in on_journals
+            for entry in journal["entries"]
+            if entry["message"].get("departures")
+        ]
+        assert len(carrying) > 10
+        assert on_stats.departure_batches == off_stats.departure_batches
+        assert on_stats.departure_batches >= len(carrying)
+        assert replace(
+            on_stats,
+            overlapped_rounds=0,
+            window_wall_seconds=0.0,
+            shard_service_seconds=0.0,
+        ) == replace(
+            off_stats, window_wall_seconds=0.0, shard_service_seconds=0.0
+        )
 
     def test_process_overlap_matches_sequential(self):
         config = dict(

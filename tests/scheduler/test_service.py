@@ -2,6 +2,9 @@
 with the monolithic engines, and the optimistic conflict-retry
 property (every request placed or rejected exactly once)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.perfsim import workload_by_name
@@ -13,8 +16,10 @@ from repro.scheduler import (
     ScheduleConfig,
     SchedulerService,
     ShardSummary,
+    ShardWorker,
     generate_request_stream,
 )
+from repro.scheduler.wire import encode_arrival
 
 #: The churn reference stream: small enough to run the ML policy end to
 #: end in a test, busy enough to exercise departures, fragmentation
@@ -111,8 +116,6 @@ class TestSingleShardEquivalence:
         departures, windows deliberately trade intra-window time order
         for batching: a departure inside the buffer waits for the
         flush.)"""
-        from dataclasses import replace
-
         base = dict(CHURN_REFERENCE, hosts=64)  # roomy: no rejects
         stream = [
             replace(request, lifetime=None)  # immortal: no departures
@@ -271,6 +274,169 @@ class TestConflictRetry:
         assert report.placed == 3
         assert report.churn.departures == 1
         assert report.service.departures_routed == 1
+
+
+def _shard_state(worker, response):
+    """Everything a message can change on a shard, minus wall-clock
+    fields: the reply's graded rows and summary row, the engine's live
+    set and churn statistics, the one-shot ledger, and every host's
+    occupancy.  Also runs the index's from-scratch cross-check."""
+    worker.fleet.index.assert_consistent(worker.fleet.hosts)
+    return (
+        [row[:-1] for row in response["graded"]],  # drop decision_seconds
+        response["summary"],
+        sorted(worker.engine._active),
+        worker.engine.stats.to_dict(),
+        _fingerprints(worker.engine.graded + worker._one_shot_graded),
+        [
+            (host.free_mask, sorted(host.placements))
+            for host in worker.fleet.hosts
+        ],
+    )
+
+
+class TestDeparturesRideTheWindow:
+    """``handle(window + departures)`` is ``handle(depart)`` followed by
+    ``handle(window)``: the front end folded two messages into one, the
+    shard must not be able to tell."""
+
+    CONFIG = dict(
+        machine="mixed", hosts=4, policy="first-fit", churn=True, shards=1
+    )
+
+    def _pair(self, **overrides):
+        config = ScheduleConfig(**dict(self.CONFIG, **overrides))
+        return ShardWorker(0, config), ShardWorker(0, config)
+
+    @staticmethod
+    def _window(op, rows, departures=None, seq=None):
+        key = "requests" if op == "decide" else "events"
+        message = {"op": op, key: rows}
+        if departures is not None:
+            message["departures"] = departures
+        if seq is not None:
+            message["seq"] = seq
+        return message
+
+    def _assert_equivalent(self, op, merged, split, departures, rows):
+        one = merged.handle(self._window(op, rows, departures))
+        split.handle({"op": "depart", "events": departures})
+        two = split.handle(self._window(op, rows))
+        assert _shard_state(merged, one) == _shard_state(split, two)
+        return one
+
+    @pytest.mark.parametrize("op", ["arrive", "decide"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_streams_equal_depart_then_window(self, op, seed):
+        """Random live ids, ids never seen, ids already released and
+        duplicates inside one batch, round after round on one shard."""
+        rng = random.Random(seed)
+        merged, split = self._pair()
+        stream = generate_request_stream(
+            48, seed=seed, vcpus_choices=(8, 16, 32, 64)
+        )
+        seen = []
+        for begin in range(0, len(stream), 6):
+            pool = seen + [10_000 + begin, 10_001 + begin]  # never placed
+            departures = [
+                [rng.choice(pool), float(begin)]
+                for _ in range(rng.randrange(0, 5))
+            ]
+            rows = [
+                encode_arrival(request, float(begin))
+                for request in stream[begin : begin + 6]
+            ]
+            self._assert_equivalent(op, merged, split, departures, rows)
+            seen.extend(request.request_id for request in stream[begin : begin + 6])
+        assert merged.engine.stats.departures == split.engine.stats.departures
+        if op == "arrive":
+            assert merged.engine.stats.departures > 0
+
+    @pytest.mark.parametrize("op", ["arrive", "decide"])
+    def test_empty_batch_on_an_empty_fleet_and_unknown_ids(self, op):
+        merged, split = self._pair()
+        rows = [encode_arrival(_request(1, vcpus=8), 0.0)]
+        # An empty batch is a no-op either way; the service never sends
+        # the key empty, a hand-built message may.
+        absent = merged.handle(self._window(op, rows))
+        empty = split.handle(self._window(op, rows, departures=[]))
+        assert _shard_state(merged, absent) == _shard_state(split, empty)
+        # Nothing placed yet under these ids: releases of unknown ids.
+        rows = [encode_arrival(_request(2, vcpus=8), 1.0)]
+        self._assert_equivalent(op, merged, split, [[7, 1.0], [8, 1.0]], rows)
+
+    def test_departure_frees_the_block_the_window_then_takes(self):
+        """Order inside the message: the releases come first, so an
+        arrival in the same message can take what they freed."""
+        merged, split = self._pair(machine="amd", hosts=1)
+        fill = self._window("arrive", [encode_arrival(_request(1, vcpus=64), 0.0)])
+        for worker in (merged, split):
+            [row] = worker.handle(fill)["graded"]
+            assert row[1] is not None  # placed: the host is now full
+        rows = [encode_arrival(_request(2, vcpus=64), 5.0)]
+        response = self._assert_equivalent(
+            "arrive", merged, split, [[1, 5.0]], rows
+        )
+        [row] = response["graded"]
+        assert row[1] is not None and row[6] is None  # placed, no reject
+        assert sorted(merged.engine._active) == [2]
+
+    def test_retried_window_releases_its_departures_once(self):
+        """The dedupe check comes before the departures are applied: a
+        same-``seq`` retry is answered from the cache, an older ``seq``
+        is acknowledged, and neither releases or samples anything."""
+        [worker, _] = self._pair(machine="amd", hosts=1)
+        worker.handle(
+            self._window("arrive", [encode_arrival(_request(1, vcpus=64), 0.0)], seq=0)
+        )
+        message = self._window(
+            "arrive",
+            [encode_arrival(_request(2, vcpus=64), 5.0)],
+            departures=[[1, 5.0]],
+            seq=1,
+        )
+        first = worker.handle(message)
+        samples = len(worker.engine.stats.fragmentation_timeline)
+        assert worker.handle(message) is first
+        assert worker.handle(dict(message, seq=0))["deduped"] is True
+        assert worker.engine.stats.departures == 1
+        assert worker.engine.stats.arrivals == 2
+        assert len(worker.engine.stats.fragmentation_timeline) == samples
+        assert sorted(worker.engine._active) == [2]
+
+
+class TestOwnerTable:
+    def test_owner_table_holds_live_containers_only(self):
+        """Every arrival gets an owner entry and its departure takes it
+        away again, so a long-running service does not grow with the
+        requests it has ever served."""
+        config = ScheduleConfig(**CHURN_REFERENCE, shards=2, window=4)
+        stream = config.build_stream()
+        assert all(request.lifetime is not None for request in stream)
+        with SchedulerService(config) as service:
+            first = service.serve(stream)
+            assert first.placed > 0
+            assert service._owner == {}
+            assert all(not outbox for outbox in service._outbox)
+            again = [
+                replace(request, request_id=1_000 + request.request_id)
+                for request in stream
+            ]
+            second = service.serve(again)
+            assert len(second.decisions) == 2 * len(stream)
+            assert service._owner == {}
+
+    def test_immortal_containers_keep_their_owner(self):
+        config = ScheduleConfig(
+            machine="amd", hosts=2, policy="first-fit", shards=2, churn=True
+        )
+        requests = [
+            _request(1, vcpus=8, arrival=0.0, lifetime=2.0),
+            _request(2, vcpus=8, arrival=1.0),  # never departs
+        ]
+        with SchedulerService(config) as service:
+            service.serve(requests)
+            assert sorted(service._owner) == [2]
 
 
 class TestServiceSurface:

@@ -2,11 +2,11 @@
 
 Two formats cross process boundaries.  Shard messages are row-coded
 (:mod:`repro.scheduler.wire`): arrivals in, graded rows out, churn
-statistics in the ``report`` reply — each must decode to an equal
-object after a JSON round trip *and* after a pickle round trip, because
-the inline transport hands rows over untouched, the process transport
-pickles them, and journals and traces may store them as JSON.  Reports
-and summaries (``--emit-json``, ``ShardSummary``) use ``to_dict`` ->
+statistics in the ``report`` reply, the shard summary on every reply —
+each must decode to an equal object after a JSON round trip *and* after
+a pickle round trip, because the inline transport hands rows over
+untouched, the process transport pickles them, and journals and traces
+may store them as JSON.  Reports (``--emit-json``) use ``to_dict`` ->
 ``json`` -> ``from_dict``.  The tests push real objects (produced by
 real scheduler runs, not hand-built minimal ones) through an actual
 round trip.
@@ -59,18 +59,20 @@ from repro.scheduler.admission import (
 from repro.scheduler.policies import FleetDecision
 from repro.scheduler.scheduler import FleetReport
 from repro.scheduler.service import SchedulerService, merge_churn_stats
-from repro.scheduler.shard import ShardError
 from repro.scheduler.wire import (
     PROFILE_FIELDS,
     TIMELINE_COLUMNS,
     PlacementMemo,
     ProfileMemo,
+    ShardError,
     decode_arrival,
     decode_churn,
     decode_graded,
+    decode_summary,
     encode_arrival,
     encode_churn,
     encode_graded,
+    encode_summary,
     profile_row,
 )
 from repro.serving.online import OnlineStats
@@ -655,19 +657,83 @@ class TestConfigWire:
         assert rebuilt.vcpus == (4, 8, 12)  # tuple restored, not list
 
 
+def _live_worker(**overrides):
+    """A mixed-fleet (two shapes) shard that has placed eight arrivals."""
+    config = ScheduleConfig(
+        machine="mixed", hosts=4, requests=8, churn=True, shards=1, **overrides
+    )
+    worker = ShardWorker(0, config)
+    for request in generate_request_stream(8, seed=1, vcpus_choices=(8,)):
+        worker.handle(
+            {"op": "arrive", "events": [encode_arrival(request, 0.0)]}
+        )
+    return worker
+
+
+def _assert_summary_row_round_trips(summary):
+    row = encode_summary(summary)
+    json.dumps(row)  # scalars and nested rows only
+    for carried in (row, wire(row), pickled(row)):
+        assert decode_summary(carried, summary.shard_id) == summary
+    return row
+
+
 class TestSummaryWire:
     def test_shard_summary_round_trips_live_state(self):
-        config = ScheduleConfig(
-            machine="mixed", hosts=4, requests=8, churn=True, shards=1
-        )
-        worker = ShardWorker(0, config)
-        for request in generate_request_stream(8, seed=1, vcpus_choices=(8,)):
-            worker.handle(
-                {"op": "arrive", "events": [encode_arrival(request, 0.0)]}
-            )
-        summary = worker.summary()
+        summary = _live_worker().summary()
         assert summary.active_containers > 0  # live, not the empty shard
-        assert ShardSummary.from_dict(wire(summary.to_dict())) == summary
+        assert len(summary.shapes) == 2  # one sub-row per machine shape
+        row = _assert_summary_row_round_trips(summary)
+        # What a reply carries is this row, not the object.
+        assert _live_worker().handle({"op": "summary"})["summary"] == row
+
+    def test_summary_row_covers_every_declared_field(self):
+        names = [f.name for f in dataclasses.fields(ShardSummary)]
+        assert names[-2:] == ["shapes", "capacity"]
+        summary = _live_worker(admission=True).summary()
+        row = encode_summary(summary)
+        assert len(row) == len(names)
+        assert list(row[:-2]) == [getattr(summary, n) for n in names[:-2]]
+        assert row[-2] == tuple(
+            (name, e["n_hosts"], e["free_nodes"], e["largest_free_block"])
+            for name, e in summary.shapes.items()
+        )
+        assert row[-1] == tuple(sorted(summary.capacity.counts.items()))
+
+    def test_initial_summary_round_trips(self):
+        config = ScheduleConfig(machine="mixed", hosts=5, shards=2)
+        machines = config.machine_list()[1::2]
+        for capacity in (None, initial_capacity(machines, config.vcpus)):
+            _assert_summary_row_round_trips(
+                ShardSummary.initial(1, machines, capacity=capacity)
+            )
+
+    @pytest.mark.parametrize(
+        "mangle, match",
+        [
+            (lambda row: row[:-1], "malformed summary row"),
+            (lambda row: (*row, 0), "malformed summary row"),
+            (lambda row: None, "malformed summary row"),
+            (
+                lambda row: (*row[:-2], [["amd", 1, 2]], row[-1]),
+                "malformed summary row",
+            ),
+            (
+                lambda row: (*row[:-1], [[8, 1, 2]]),
+                "malformed summary row",
+            ),
+        ],
+    )
+    def test_malformed_summary_row_raises_shard_error(self, mangle, match):
+        row = encode_summary(_live_worker(admission=True).summary())
+        with pytest.raises(ShardError, match=match) as caught:
+            decode_summary(mangle(row), 0)
+        assert caught.value.shard_id == 0
+
+    def test_summary_of_another_shard_raises_shard_error(self):
+        row = encode_summary(_live_worker().summary())
+        with pytest.raises(ShardError, match="summary of shard 0"):
+            decode_summary(row, 1)
 
 
 class TestReportWire:
@@ -715,8 +781,15 @@ class TestReportWire:
 
 class TestCapacityWire:
     def test_capacity_vector_round_trip_restores_int_keys(self):
-        vector = CapacityVector(counts={8: 12, 16: 6, 32: 0})
-        rebuilt = CapacityVector.from_dict(wire(vector.to_dict()))
+        """A vector crosses inside its summary's row, as sorted pairs:
+        no dict keys for JSON to turn into strings."""
+        vector = CapacityVector(counts={16: 6, 8: 12, 32: 0})
+        summary = dataclasses.replace(
+            _live_worker().summary(), capacity=vector
+        )
+        row = encode_summary(summary)
+        assert row[-1] == ((8, 12), (16, 6), (32, 0))
+        rebuilt = decode_summary(wire(row), 0).capacity
         assert rebuilt == vector
         assert rebuilt.classes == (8, 16, 32)  # int keys, not strings
         assert rebuilt.count(16) == 6
@@ -729,35 +802,22 @@ class TestCapacityWire:
         assert merged.counts == {8: 5, 16: 1, 32: 4}
 
     def test_live_summary_capacity_round_trips(self):
-        config = ScheduleConfig(
-            machine="mixed",
-            hosts=4,
-            requests=8,
-            churn=True,
-            shards=1,
-            admission=True,
-        )
-        worker = ShardWorker(0, config)
-        for request in generate_request_stream(8, seed=1, vcpus_choices=(8,)):
-            worker.handle(
-                {"op": "arrive", "events": [encode_arrival(request, 0.0)]}
-            )
-        summary = worker.summary()
+        summary = _live_worker(admission=True).summary()
         assert summary.capacity is not None
         assert summary.capacity.count(8) is not None
-        rebuilt = ShardSummary.from_dict(wire(summary.to_dict()))
-        assert rebuilt == summary
+        row = _assert_summary_row_round_trips(summary)
+        rebuilt = decode_summary(wire(row), 0)
         assert rebuilt.capacity == summary.capacity
+        assert rebuilt.capacity.classes == summary.capacity.classes  # ints
 
     def test_summary_without_admission_omits_capacity_key(self):
-        """Admission off keeps the pre-admission wire bytes: no
-        ``capacity`` key at all, and old payloads parse to None."""
+        """Admission off ships no capacity vector: the row's last slot
+        is ``None``, and decodes to None."""
         config = ScheduleConfig(machine="amd", hosts=2, requests=4, shards=1)
         worker = ShardWorker(0, config)
-        payload = wire(worker.summary().to_dict())
-        assert "capacity" not in payload
-        rebuilt = ShardSummary.from_dict(payload)
-        assert rebuilt.capacity is None
+        row = wire(encode_summary(worker.summary()))
+        assert row[-1] is None
+        assert decode_summary(row, 0).capacity is None
 
 
 class TestAdmissionWire:
