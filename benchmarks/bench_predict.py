@@ -19,9 +19,20 @@ is the oracle for both.  Two scenarios, one on each side of that rule:
   (full mode); the large batch, timed at the ``ARENA_MAX_ROWS`` cutover
   (the largest the arena still serves), must simply not lose.
 
-The equivalence gate runs in *every* mode, smoke included: every compiled
+A third scenario times the other end of a forest's life:
+
+* **fit_fleet** — the 40-tree fits the preset fleets pay at cold start
+  (every ``(machine preset, vCPU class)`` training set, 50 rows each):
+  ``RandomForestRegressor.fit``, which grows all trees in one pass per
+  distinct node size, vs the one-node-at-a-time recursion it replaced
+  (``tests/ml/oracle_tree.py``).  The batched fit must clear **2.5x**
+  (full mode).
+
+The equivalence gates run in *every* mode, smoke included: every compiled
 form must equal the per-tree path bit for bit on every timed input, mean
-and std, or the build fails.  Results go to ``BENCH_predict.json``.
+and std, and every batched-built tree must equal the recursion's in every
+flat array and importance, or the build fails.  Results go to
+``BENCH_predict.json``.
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ from conftest import record_bench
 from repro.ml import RandomForestRegressor
 from repro.ml import arena as arena_module
 from repro.ml.arena import ForestArena
+from repro.scheduler.registry import ModelRegistry
+from repro.topology.presets import PRESETS
+from tests.ml.oracle_tree import assert_same_forest, forest_problem, oracle_forest
 
 SEED = 21
 N_TREES = 100
@@ -53,6 +67,16 @@ FLEET_TRAIN_ROWS = 50  # 18 paper workloads + 32 synthetic
 FLEET_BATCHES = (1, 2, 8, 32)
 #: Acceptance floor: bit tables over lock-step at <= 8 rows per call.
 FLEET_FLOOR = 2.0
+
+#: (machine preset, vCPU class) keys whose training sets fit_fleet fits.
+FIT_KEYS = (
+    [("amd", 8), ("intel", 8)]
+    if SMOKE
+    else [(name, vcpus) for name in ("amd", "intel") for vcpus in (8, 16, 32)]
+)
+FIT_REPEATS = 2 if SMOKE else 7
+#: Acceptance floor: batched fit over the recursion, all keys together.
+FIT_FLOOR = 2.5
 
 
 def _fitted_forest(n_trees, n_outputs, train_rows):
@@ -238,4 +262,87 @@ def test_fleet_forest_bit_tables_equivalent_and_fast(report):
         assert min(floor_cells) >= FLEET_FLOOR, (
             f"bit tables must clear {FLEET_FLOOR}x over the lock-step "
             f"descent at <= 8 rows, got {min(floor_cells):.1f}x"
+        )
+
+
+def _best_seconds(fn, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_fleet_fit_equals_the_recursion_and_is_fast(report):
+    registry = ModelRegistry(seed=0)
+    lines = [
+        f"fleet forest fit, {FLEET_TREES} trees on each preset training set "
+        f"(seed 0, best of {FIT_REPEATS}{', SMOKE' if SMOKE else ''}):",
+        "",
+        f"{'key':>10} {'rows x outputs':>15} {'nodes':>6} "
+        f"{'recursion s':>12} {'batched s':>10} {'speedup':>8}",
+    ]
+    results = {}
+    oracle_total = batched_total = 0.0
+    for name, vcpus in FIT_KEYS:
+        machine = PRESETS[name]()
+        X, Y = forest_problem(
+            registry.model(machine, vcpus), registry.training_set(machine, vcpus)
+        )
+        forest = RandomForestRegressor(n_estimators=FLEET_TREES, random_state=0)
+
+        # The hard gate, every mode: identical trees, array by array.
+        assert_same_forest(forest.fit(X, Y), oracle_forest(forest, X, Y))
+
+        oracle_s = _best_seconds(lambda: oracle_forest(forest, X, Y), FIT_REPEATS)
+        batched_s = _best_seconds(lambda: forest.fit(X, Y), FIT_REPEATS)
+        oracle_total += oracle_s
+        batched_total += batched_s
+        nodes = sum(len(tree._flat[0]) for tree in forest.trees_)
+        results[f"{name}-{vcpus}"] = {
+            "rows": len(X),
+            "outputs": Y.shape[1],
+            "nodes": nodes,
+            "recursion_fit_seconds": round(oracle_s, 4),
+            "batched_fit_seconds": round(batched_s, 4),
+            "speedup": round(oracle_s / batched_s, 2),
+        }
+        lines.append(
+            f"{name + '-' + str(vcpus):>10} {f'{len(X)} x {Y.shape[1]}':>15} "
+            f"{nodes:>6} {oracle_s:>12.4f} {batched_s:>10.4f} "
+            f"{oracle_s / batched_s:>7.1f}x"
+        )
+
+    speedup = oracle_total / batched_total
+    lines += [
+        "",
+        "equivalence gate: every flat array and importance of every tree "
+        "equals the recursion's (asserted)",
+        f"all keys: recursion {oracle_total:.3f} s, batched "
+        f"{batched_total:.3f} s, {speedup:.1f}x (acceptance floor "
+        f"{FIT_FLOOR}x, full mode)",
+    ]
+    report("predict_fit_fleet", "\n".join(lines))
+
+    record_bench(
+        "fit_fleet",
+        {
+            "scenario": f"{FLEET_TREES}-tree fit on each preset training "
+            "set, registry seed 0",
+            "trees": FLEET_TREES,
+            "numpy": np.__version__,
+            "by_key": results,
+            "recursion_fit_seconds": round(oracle_total, 4),
+            "batched_fit_seconds": round(batched_total, 4),
+            "batched_fits_per_second": round(len(FIT_KEYS) / batched_total, 1),
+            "speedup": round(speedup, 2),
+            "equivalent": True,
+        },
+        path=BENCH_PREDICT_JSON,
+    )
+    if not SMOKE:
+        assert speedup >= FIT_FLOOR, (
+            f"the batched fit must clear {FIT_FLOOR}x over the recursion, "
+            f"got {speedup:.1f}x"
         )

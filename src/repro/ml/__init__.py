@@ -6,7 +6,9 @@ Forward Selection for the HPE baseline's features.  scikit-learn is not
 available in this environment, so this subpackage implements the needed
 algorithms on plain numpy:
 
-* :mod:`repro.ml.tree` — multi-output CART regression trees;
+* :mod:`repro.ml.tree` — multi-output CART regression trees, grown for
+  a whole forest at once (one batched pass per distinct node size) and
+  born as flat node arrays;
 * :mod:`repro.ml.forest` — bagged random forests over those trees;
 * :mod:`repro.ml.arena` — arena-compiled forest inference: whole-forest
   prediction from per-feature bit tables (QuickScorer), with a lock-step

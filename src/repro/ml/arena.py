@@ -78,8 +78,9 @@ ARENA_STATS = ArenaStats()
 class ForestArena:
     """One fitted forest compiled into contiguous parallel arrays.
 
-    Built from the trees' own flattened arrays (leaf values carried
-    verbatim), so evaluating the arena is bit-for-bit identical to
+    Built from the trees' own flat arrays — what a fitted tree *is*;
+    there is no node graph to flatten first — with leaf values carried
+    verbatim, so evaluating the arena is bit-for-bit identical to
     evaluating the trees.  Instances are immutable; the forest caches one
     and replaces it — bit tables included — wholesale when refitted.
     """
@@ -117,7 +118,7 @@ class ForestArena:
                 raise ValueError(
                     "all trees of a forest must share feature/output shape"
                 )
-        flats = [tree._flat or tree._compile() for tree in trees]
+        flats = [tree._fitted() for tree in trees]
         counts = np.array([len(flat[0]) for flat in flats], dtype=np.intp)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         self.feature = np.concatenate([flat[0] for flat in flats])

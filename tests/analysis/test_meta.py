@@ -83,8 +83,8 @@ class TestCanonicalInjections:
     def test_trees_mutation_without_arena_invalidation(self):
         findings = inject(
             "ml/forest.py",
-            "self._arena = None  # appended in place; the setter never saw it",
-            "pass",
+            "self.trees_ = self.trees_ + self._grow_trees(rng, X, y, n_more)",
+            "self.trees_.extend(self._grow_trees(rng, X, y, n_more))",
         )
         assert len(findings) == 1
         assert findings[0].rule == "memo-invalidation"

@@ -19,15 +19,16 @@ from repro.topology import amd_opteron_6272
 
 
 def _reference_tree_predict(tree, X):
-    """Walk the node graph row by row — the pre-vectorization semantics."""
+    """Walk the nodes row by row — the pre-vectorization semantics."""
+    feature, threshold, left, right, values = tree._flat
     out = np.empty((len(X), tree._n_outputs))
     for i, row in enumerate(X):
-        node = tree._root
-        while not node.is_leaf:
+        node = 0
+        while feature[node] >= 0:
             node = (
-                node.left if row[node.feature] <= node.threshold else node.right
+                left[node] if row[feature[node]] <= threshold[node] else right[node]
             )
-        out[i] = node.value
+        out[i] = values[node]
     return out[:, 0] if tree._y_was_1d else out
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import DecisionTreeRegressor
+from repro.ml.tree import descend_flat
 
 
 def step_data(n=200, seed=0):
@@ -76,13 +77,19 @@ class TestFitting:
     def test_min_samples_leaf_respected(self):
         X, y = step_data(n=100)
         tree = DecisionTreeRegressor(min_samples_leaf=20).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf:
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(tree._root)) >= 20
+        feature, threshold, left, right, _ = tree._flat
+        leaf_of = descend_flat(
+            feature,
+            threshold,
+            left,
+            right,
+            X,
+            np.arange(len(X)),
+            np.zeros(len(X), dtype=np.intp),
+        )
+        leaf_sizes = np.bincount(leaf_of)[feature < 0]
+        assert len(leaf_sizes) == tree.n_leaves > 1
+        assert leaf_sizes.min() >= 20
 
     def test_multi_output(self):
         rng = np.random.default_rng(0)
@@ -159,28 +166,24 @@ class TestStructureWithoutRecursion:
     @staticmethod
     def _chain_tree(length):
         """A degenerate left-spine tree of ``length`` internal nodes,
-        built directly from nodes (no fit can be forced this deep)."""
-        from repro.ml.tree import _Node
-
-        leaf_value = np.array([0.0])
-        node = _Node(value=leaf_value, impurity=0.0, n_samples=1)
-        for level in range(length):
-            parent = _Node(
-                value=leaf_value,
-                impurity=1.0,
-                n_samples=2,
-                feature=0,
-                threshold=float(level),
-                left=node,
-                right=_Node(value=leaf_value, impurity=0.0, n_samples=1),
-            )
-            node = parent
+        written directly as preorder arrays (no fit can be forced this
+        deep): internal node ``i`` sits at index ``i``, its left child
+        right behind it, its right leaf after the whole left subtree."""
+        spine = np.arange(length)
+        n_nodes = 2 * length + 1
+        feature = np.full(n_nodes, -1, dtype=np.intp)
+        feature[:length] = 0
+        threshold = np.zeros(n_nodes)
+        threshold[:length] = spine[::-1]
+        left = np.zeros(n_nodes, dtype=np.intp)
+        left[:length] = spine + 1
+        right = np.zeros(n_nodes, dtype=np.intp)
+        right[:length] = 2 * length - spine
         tree = DecisionTreeRegressor()
-        tree._root = node
         tree._n_features = 1
         tree._n_outputs = 1
         tree._y_was_1d = True
-        tree._flat = None
+        tree._flat = (feature, threshold, left, right, np.zeros((n_nodes, 1)))
         return tree
 
     def test_deeper_than_recursion_limit(self):
@@ -200,18 +203,20 @@ class TestStructureWithoutRecursion:
         y = np.sin(X @ np.ones(3))
         fitted = DecisionTreeRegressor(max_depth=5).fit(X, y)
         # Cross-check against an explicit recursive walk.
+        feature, _, left, right, _ = fitted._flat
+
         def walk_depth(node):
-            if node.is_leaf:
+            if feature[node] < 0:
                 return 0
-            return 1 + max(walk_depth(node.left), walk_depth(node.right))
+            return 1 + max(walk_depth(left[node]), walk_depth(right[node]))
 
         def walk_leaves(node):
-            if node.is_leaf:
+            if feature[node] < 0:
                 return 1
-            return walk_leaves(node.left) + walk_leaves(node.right)
+            return walk_leaves(left[node]) + walk_leaves(right[node])
 
-        assert fitted.depth == walk_depth(fitted._root)
-        assert fitted.n_leaves == walk_leaves(fitted._root)
+        assert fitted.depth == walk_depth(0)
+        assert fitted.n_leaves == walk_leaves(0)
 
     def test_unfitted_raises(self):
         tree = DecisionTreeRegressor()

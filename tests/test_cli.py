@@ -251,3 +251,58 @@ class TestCli:
         out = capsys.readouterr().out
         assert "probed" in out
         assert "cheapest placement meeting" in out or "no placement" in out
+
+
+class TestServeFreezesItsFrontEnd:
+    """``repro serve`` is the application PR 14 left the front-end
+    ``gc.freeze()`` to: once, after the service is constructed (models
+    trained, clients built) and before the stream is served — and in no
+    other command, the library included."""
+
+    ARGS = [
+        "--hosts", "4",
+        "--requests", "24",
+        "--policy", "ml",
+        "--vcpus", "8",
+        "--seed", "3",
+    ]
+
+    @pytest.fixture
+    def gc_calls(self, monkeypatch, empty_artifact_store):
+        import gc
+
+        from repro.scheduler import SchedulerService
+        from repro.scheduler.artifacts import DEFAULT_ARTIFACT_STORE
+
+        calls = []
+
+        def record(name):
+            def recorded(*args):
+                calls.append((name, DEFAULT_ARTIFACT_STORE.info().misses))
+
+            return recorded
+
+        serve = SchedulerService.serve
+
+        def recording_serve(service, *args, **kwargs):
+            record("serve")()
+            return serve(service, *args, **kwargs)
+
+        for name in ("collect", "freeze", "unfreeze"):
+            monkeypatch.setattr(gc, name, record(name))
+        monkeypatch.setattr(SchedulerService, "serve", recording_serve)
+        return calls
+
+    def test_serve_freezes_after_warm_up(self, gc_calls, capsys):
+        assert main(["serve", "--shards", "2", *self.ARGS]) == 0
+        assert "placed" in capsys.readouterr().out
+        names = [name for name, _ in gc_calls]
+        assert names == ["collect", "freeze", "serve", "unfreeze"]
+        # Warm by then: the one key this stream needs is already trained,
+        # and serving trains nothing more.
+        assert [fits for _, fits in gc_calls] == [1, 1, 1, 1]
+
+    def test_schedule_does_not_freeze(self, gc_calls, capsys):
+        assert main(["schedule", *self.ARGS]) == 0
+        capsys.readouterr()
+        assert "freeze" not in [name for name, _ in gc_calls]
