@@ -28,7 +28,21 @@ A third scenario times the other end of a forest's life:
   (``tests/ml/oracle_tree.py``).  The batched fit must clear **2.5x**
   (full mode).
 
-The equivalence gates run in *every* mode, smoke included: every compiled
+A fourth pins what the fleet pays around its forest call:
+
+* **probe_row** — ``ModelRegistry.probe_ipc_batch`` on a warm memo row
+  held by the caller (what a policy lane does), 1 / 2 / 5 rows per
+  call, in microseconds per row, split into the *seeded draw* — the
+  generator ``np.random.default_rng(seed)`` builds per row (reported
+  alone as well), its one normal draw and the ``exp``: the probe itself,
+  timed as a bare loop over the same seeds — and *everything else*: memo
+  and prefix lookups, the seed CRC, the multiply and two Python calls.
+  Everything else must stay under **1.5 us per row** at 5 rows per call
+  (full mode; at 1 row per call the two calls' own overhead is most of
+  it and is only reported).
+
+The equivalence gates run in *every* mode, smoke included: the batched
+probe must equal ``probe_ipc`` row by row; every compiled
 form must equal the per-tree path bit for bit on every timed input, mean
 and std, and every batched-built tree must equal the recursion's in every
 flat array and importance, or the build fails.  Results go to
@@ -38,6 +52,7 @@ flat array and importance, or the build fails.  Results go to
 from __future__ import annotations
 
 import time
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -48,6 +63,7 @@ from conftest import record_bench
 from repro.ml import RandomForestRegressor
 from repro.ml import arena as arena_module
 from repro.ml.arena import ForestArena
+from repro.perfsim.library import paper_workloads
 from repro.scheduler.registry import ModelRegistry
 from repro.topology.presets import PRESETS
 from tests.ml.oracle_tree import assert_same_forest, forest_problem, oracle_forest
@@ -77,6 +93,13 @@ FIT_KEYS = (
 FIT_REPEATS = 2 if SMOKE else 7
 #: Acceptance floor: batched fit over the recursion, all keys together.
 FIT_FLOOR = 2.5
+
+PROBE_ROWS = (1, 2, 5)
+PROBE_DURATION_S = 3.0  # GoalAwareFleetPolicy's probe length
+PROBE_CALLS, PROBE_REPEATS = (200, 3) if SMOKE else (3000, 9)
+#: Acceptance ceiling: microseconds per row a probe may spend outside its
+#: seeded draw, at the largest rows-per-call timed.
+PROBE_ASSEMBLY_CEILING_US = 1.5
 
 
 def _fitted_forest(n_trees, n_outputs, train_rows):
@@ -345,4 +368,131 @@ def test_fleet_fit_equals_the_recursion_and_is_fast(report):
         assert speedup >= FIT_FLOOR, (
             f"the batched fit must clear {FIT_FLOOR}x over the recursion, "
             f"got {speedup:.1f}x"
+        )
+
+
+def _best_us_each(*fns, calls=PROBE_CALLS, repeats=PROBE_REPEATS):
+    """Microseconds per call of each function: best of ``repeats`` loops
+    of ``calls``, the functions taking turns so that a slow spell of the
+    machine falls on all of them."""
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for k, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best[k] = min(best[k], (time.perf_counter() - start) / calls)
+    return [1e6 * seconds for seconds in best]
+
+
+class _NullGenerator:
+    """Stands in for a seeded generator: a draw that costs nothing."""
+
+    @staticmethod
+    def normal(loc, scale):
+        return 0.0
+
+
+def _null_rng(seed):
+    return _NullGenerator
+
+
+def test_probe_row_is_on_its_floor(report):
+    machine = PRESETS["amd"]()
+    registry = ModelRegistry(seed=0)
+    placement = registry.placements(machine, 16)[0]
+    held = registry.probe_row(machine, placement)
+    library = paper_workloads()
+
+    lines = [
+        f"probe assembly, warm memo row held by the caller (amd, 16 vCPUs, "
+        f"{PROBE_DURATION_S:g} s probes, best of {PROBE_REPEATS} x "
+        f"{PROBE_CALLS} calls{', SMOKE' if SMOKE else ''}), us per row:",
+        "",
+        f"{'rows/call':>9} {'probe':>7} {'seeded draw':>12} "
+        f"{'(generator)':>12} {'everything else':>16}",
+    ]
+    results = {}
+    for rows in PROBE_ROWS:
+        profiles = library[:rows]
+        ids = list(range(1000, 1000 + rows))
+
+        def probe():
+            return registry.probe_ipc_batch(
+                machine,
+                profiles,
+                placement,
+                duration_s=PROBE_DURATION_S,
+                repetitions=ids,
+                row=held,
+            )
+
+        # The hard gate, every mode: the batch is probe_ipc row by row.
+        assert probe() == [
+            registry.probe_ipc(
+                machine,
+                profile,
+                placement,
+                duration_s=PROBE_DURATION_S,
+                repetition=repetition,
+            )
+            for profile, repetition in zip(profiles, ids)
+        ]
+
+        seeds = [
+            zlib.crc32(f"{i}|1000003".encode(), held.prefixes[p.name])
+            for p, i in zip(profiles, ids)
+        ]
+
+        def generators():
+            return [np.random.default_rng(seed) for seed in seeds]
+
+        probe_us, generator_us = (
+            us / rows for us in _best_us_each(probe, generators)
+        )
+        # The same call with the generator stubbed out: what is left is
+        # everything a probe does besides its seeded draw — measured, not
+        # the difference of two numbers ten times its size.
+        with mock.patch.object(np.random, "default_rng", _null_rng):
+            else_us = _best_us_each(probe)[0] / rows
+        results[str(rows)] = {
+            "probe_us_per_row": round(probe_us, 2),
+            "seeded_draw_us_per_row": round(probe_us - else_us, 2),
+            "generator_us_per_row": round(generator_us, 2),
+            "everything_else_us_per_row": round(else_us, 2),
+        }
+        lines.append(
+            f"{rows:>9} {probe_us:>7.2f} {probe_us - else_us:>12.2f} "
+            f"{generator_us:>12.2f} {else_us:>16.2f}"
+        )
+
+    amortized = results[str(PROBE_ROWS[-1])]["everything_else_us_per_row"]
+    lines += [
+        "",
+        "equivalence gate: probe_ipc_batch == probe_ipc row by row on every "
+        "timed input (asserted)",
+        f"everything else at {PROBE_ROWS[-1]} rows per call: {amortized:.2f} "
+        f"us per row (acceptance ceiling {PROBE_ASSEMBLY_CEILING_US} us, "
+        "full mode)",
+    ]
+    report("predict_probe_row", "\n".join(lines))
+
+    record_bench(
+        "probe_row",
+        {
+            "scenario": "ModelRegistry.probe_ipc_batch, warm row held by "
+            f"the caller, amd x 16 vCPUs, {PROBE_DURATION_S:g} s probes, "
+            "registry seed 0",
+            "numpy": np.__version__,
+            "by_rows_per_call": results,
+            "everything_else_us_per_row_amortized": amortized,
+            "equivalent": True,
+        },
+        path=BENCH_PREDICT_JSON,
+    )
+    if not SMOKE:
+        assert amortized < PROBE_ASSEMBLY_CEILING_US, (
+            f"a probe row may spend {PROBE_ASSEMBLY_CEILING_US} us outside "
+            f"its seeded draw at {PROBE_ROWS[-1]} rows per call, spent "
+            f"{amortized:.2f} us"
         )

@@ -10,7 +10,8 @@ and their per-state answers on ``(fingerprint, kind, version)``,
 keeps noise-free IPCs in per-placement rows, ``ArtifactStore`` hands
 every registry the same trained entries, the goal-aware policy compiles
 a lane per ``(placement set, model)`` pair, the wire decoder interns
-placements.
+placements, and the value objects under all of it — workload profiles
+and placements — cache their own hash (a profile its wire row too).
 Every one of those stays correct only because each mutation path
 bumps the matching version or drops the derived structure.  This rule
 encodes those pairings in a small registry (:data:`CACHE_SURFACES`) so
@@ -116,24 +117,28 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         name="noise-seed-prefixes",
         class_name="PerformanceSimulator",
         module_suffix="perfsim/simulator.py",
-        # _noise_prefixes[(profile name, nodes, l2_share)] is the CRC of
-        # the noise seed's constant prefix: a pure function of its key
+        # _noise_prefixes[(nodes, l2_share)][profile name] is the CRC of
+        # the noise seed's constant prefix: a pure function of its keys
         # and of `seed` and `machine`, which only the constructor
         # assigns — nothing to invalidate while that holds, so a method
         # that changes either in place must drop the memo, and the one
-        # method that fills it must derive entries from exactly those.
-        # The two draws that read it fill their misses through it.
+        # method that fills a table must derive entries from exactly
+        # those.  Tables are handed out (noise_prefixes) and held by
+        # policy lanes, so starting over empties them in place; the two
+        # draws that read a table fill their misses through _noise_prefix.
         guarded_attrs=("seed", "machine"),
         invalidators=("_noise_prefixes",),
         declared={
+            "noise_prefixes": ("_noise_prefixes",),
             "_noise_prefix": (
                 "_noise_prefixes",
+                "clear",
                 "seed",
                 "machine",
                 "_stable_seed",
             ),
-            "_noise_multiplier": ("_noise_prefixes", "_noise_prefix"),
-            "measured_ipc_noise_batch": ("_noise_prefixes", "_noise_prefix"),
+            "_noise_multiplier": ("noise_prefixes", "_noise_prefix"),
+            "measured_ipc_noise_batch": ("noise_prefixes", "_noise_prefix"),
         },
         runtime_check=(
             "cached-prefix vs seven-part-seed equality on 10k draws "
@@ -231,13 +236,17 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         # registry.placements() / registry.model() returned in the same
         # call — a promoted model or a fresh set then simply has no lane
         # — and (b) the one versioned input, the shape's block-state
-        # memo, is asked for per batch and never stored in a lane.
+        # memo, is asked for per batch and never stored in a lane.  The
+        # probe rows a lane holds are resolved by the registry, in the
+        # same call, for the lane's own input placements (probe_row) and
+        # handed back with them: they cannot outlive or mismatch the pair.
         declared={
-            "_lane": ("_lanes", "placements", "model", "id"),
-            "decide_batch": ("_lane", "block_state_memo"),
+            "_lane": ("_lanes", "placements", "model", "id", "probe_row"),
+            "decide_batch": ("_lane", "block_state_memo", "probes", "inputs"),
         },
         derived=(
             "repro.scheduler.policies._Lane.inputs",
+            "repro.scheduler.policies._Lane.probes",
             "repro.scheduler.policies._Lane.forest",
             "repro.scheduler.policies._Lane.kind",
             "repro.scheduler.policies._Lane.scorer",
@@ -258,15 +267,18 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         # simulation: a pure function of its two keys, so nothing ever
         # invalidates it — provided whatever adds a row keys it by the
         # machine's fingerprint (_ipc_row is the one method that does),
-        # both fillers reach rows through it and store exactly what the
-        # simulator returned, and the entry count the report prints is
-        # summed over the rows.
+        # both fillers reach rows through it (the batch through
+        # probe_row, which resolves the row with the shape's simulator
+        # and that simulator's prefix table for the same placement) and
+        # store exactly what the simulator returned, and the entry count
+        # the report prints is summed over the rows.
         guarded_attrs=("_solo_ipc",),
         invalidators=("fingerprint",),
         declared={
             "solo_ipc": ("_ipc_row", "measured_ipc", "_ipc_misses"),
+            "probe_row": ("_ipc_row", "simulator", "noise_prefixes"),
             "probe_ipc_batch": (
-                "_ipc_row",
+                "probe_row",
                 "measured_ipc_batch",
                 "_ipc_misses",
                 "_ipc_hits",
@@ -276,6 +288,52 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         runtime_check=(
             "batched-vs-sequential value / hit / miss / entry equality "
             "(tests/scheduler/test_registry_stats.py::TestProbeBatchProperty)"
+        ),
+    ),
+    CacheSurface(
+        name="profile-identity",
+        class_name="WorkloadProfile",
+        module_suffix="perfsim/workload.py",
+        # _row and _hash are pure functions of the declared fields, and
+        # the dataclass is frozen: never invalidated.  What has to hold
+        # is that the row is the declared fields and nothing else, the
+        # hash is taken over the row, and a pickled profile is rebuilt
+        # from the row alone — the cached hash covers strings, whose
+        # hashes are salted per interpreter, so it must never cross a
+        # process (nor must it reach a wire row: pipe-safety rule).
+        declared={
+            "row": ("_row", "_declared_fields"),
+            "__hash__": ("_hash", "row"),
+            "__reduce__": ("row",),
+        },
+        runtime_check=(
+            "pickle round trip through a subprocess with another "
+            "PYTHONHASHSEED (tests/scheduler/test_identity_caches.py)"
+        ),
+    ),
+    CacheSurface(
+        name="placement-identity",
+        class_name="Placement",
+        module_suffix="core/placements.py",
+        # _hash is taken in __init__ over exactly what __eq__ compares;
+        # no method changes one of those afterwards, and unpickling goes
+        # back through __init__ (_rebuild) instead of copying the value.
+        guarded_attrs=(
+            "_machine",
+            "_nodes",
+            "_vcpus",
+            "_l2_share",
+            "_l3_groups_per_node",
+        ),
+        invalidators=("_hash",),
+        declared={
+            "__init__": ("_hash", "hash"),
+            "__hash__": ("_hash",),
+            "__reduce__": ("_rebuild",),
+        },
+        runtime_check=(
+            "pickle round trip through a subprocess with another "
+            "PYTHONHASHSEED (tests/scheduler/test_identity_caches.py)"
         ),
     ),
     CacheSurface(

@@ -27,6 +27,16 @@ are flagged; conversion wrappers (``float``/``int``/``str``/``bool``/
 row codec's ``encode_*`` functions (``encode_summary(self.summary())``
 — their own return values are payload roots, scanned where they are
 defined) terminate the descent as known-safe.
+
+Value objects on the arrival path cache their identity (a profile's and
+a placement's hash, beside their fields): those caches cover strings,
+whose hashes are salted per interpreter, so they are *process-local* —
+dropped when the object is pickled, and never part of a row.  The rule
+therefore also flags any way a transport module could reach one
+(:data:`PROCESS_LOCAL_ATTRS`): reading it inside a payload, an
+``attrgetter``/``getattr`` naming it anywhere in the module (the row
+codec builds its getters at module level), and ``vars()`` /
+``__dict__`` of anything in a payload, which carry it along.
 """
 
 from __future__ import annotations
@@ -84,6 +94,17 @@ WIRE_CLASSES = frozenset(
 )
 
 
+#: Attributes that hold (or, for ``__dict__``, carry) a process-local
+#: identity cache: ``WorkloadProfile._hash``, ``Placement._hash``,
+#: ``Fingerprint._hash``.  A cached hash is only valid in the interpreter
+#: that computed it.
+PROCESS_LOCAL_ATTRS = frozenset({"_hash", "__dict__"})
+
+#: Calls that read attributes by name: their string arguments are checked
+#: against :data:`PROCESS_LOCAL_ATTRS` wherever they appear.
+_GETTER_CALLS = frozenset({"attrgetter", "getattr"})
+
+
 def _is_transport_module(module: ModuleInfo) -> bool:
     if module.subpackage is None:
         return True  # standalone fixtures opt in by construction
@@ -123,7 +144,37 @@ class PipeSafetyRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(self._check_function(module, node))
+            elif isinstance(node, ast.Call):
+                findings.extend(self._check_getter(module, node))
         return findings
+
+    def _check_getter(
+        self, module: ModuleInfo, call: ast.Call
+    ) -> List[Finding]:
+        """``attrgetter("..._hash")`` / ``getattr(x, "_hash")`` anywhere
+        in a transport module: a row getter that reads an identity cache
+        puts a salted hash on the wire."""
+        name = module.resolve(call.func)
+        if name is None or name.split(".")[-1] not in _GETTER_CALLS:
+            return []
+        return [
+            self._process_local(module, arg, arg.value.split(".")[-1])
+            for arg in call.args
+            if isinstance(arg, ast.Constant)
+            and isinstance(arg.value, str)
+            and arg.value.split(".")[-1] in PROCESS_LOCAL_ATTRS
+        ]
+
+    def _process_local(
+        self, module: ModuleInfo, node: ast.AST, attr: str
+    ) -> Finding:
+        return self.finding(
+            module,
+            node,
+            f"{attr} is a process-local identity cache (string hashes "
+            "are salted per interpreter); a wire row carries declared "
+            "fields only",
+        )
 
     def _check_function(
         self, module: ModuleInfo, func: ast.FunctionDef
@@ -233,6 +284,9 @@ class PipeSafetyRule(Rule):
                     )
                 )
                 return
+            if name == "vars":
+                findings.append(self._process_local(module, node, "__dict__"))
+                return
             if name in _SAFE_CALLS or (
                 name is not None and name.split(".")[-1].startswith("encode_")
             ):
@@ -247,6 +301,9 @@ class PipeSafetyRule(Rule):
                 self._scan(module, child, findings)
             return
         if isinstance(node, ast.Attribute):
+            if node.attr in PROCESS_LOCAL_ATTRS:
+                findings.append(self._process_local(module, node, node.attr))
+                return
             name = module.resolve(node)
             if name is not None and name.startswith("numpy."):
                 findings.append(
@@ -330,6 +387,7 @@ class BlockingDispatchRule(Rule):
 
 __all__ = [
     "BlockingDispatchRule",
+    "PROCESS_LOCAL_ATTRS",
     "PipeSafetyRule",
     "SANCTIONED_DISPATCH",
     "TRANSPORT_SUFFIXES",

@@ -289,23 +289,36 @@ class PlacementModel:
         return self._forest
 
     def batch_features(
-        self, perf_i: np.ndarray, perf_j: np.ndarray
+        self, perf_i: Sequence[float], perf_j: Sequence[float]
     ) -> np.ndarray:
-        """The forest's feature matrix for aligned observation arrays —
-        exactly what :meth:`predict_batch` feeds its forest, exposed so a
-        fused multi-model call can assemble per-group features first."""
-        perf_i = np.asarray(perf_i, dtype=float)
-        perf_j = np.asarray(perf_j, dtype=float)
-        if not perf_i.ndim:  # a lone observation is a batch of one
-            perf_i = perf_i.reshape(1)
-        if not perf_j.ndim:
-            perf_j = perf_j.reshape(1)
-        if perf_i.shape != perf_j.shape or perf_i.ndim != 1:
-            raise ValueError(
-                f"perf_i and perf_j must be equal-length 1-d arrays, got "
-                f"shapes {perf_i.shape} and {perf_j.shape}"
+        """The forest's feature matrix for aligned observations — exactly
+        what :meth:`predict_batch` feeds its forest, exposed so a fused
+        multi-model call can assemble per-group features first.
+
+        The fleet's groups are a handful of Python floats, so the rows
+        are built in Python and converted once: ``b / a`` is the IEEE
+        divide ``np.divide`` performs, so a row equals
+        :func:`_pair_features`'s bit for bit.
+        """
+        try:
+            aligned = len(perf_i) == len(perf_j)
+        except TypeError:  # a lone observation is a batch of one
+            return self.batch_features(
+                np.atleast_1d(perf_i), np.atleast_1d(perf_j)
             )
-        return _pair_features(perf_i, perf_j)
+        if not aligned:
+            raise ValueError(
+                f"perf_i and perf_j must be equal-length sequences, got "
+                f"lengths {len(perf_i)} and {len(perf_j)}"
+            )
+        rows = []
+        for a, b in zip(perf_i, perf_j):
+            if a <= 0:
+                raise ValueError("performance observations must be positive")
+            rows.append((a, b, b / a))
+        if not rows:
+            return np.empty((0, 3))
+        return np.array(rows, dtype=float)
 
     def predict(self, perf_i: float, perf_j: float) -> np.ndarray:
         """Predicted relative-performance vector from two observations.

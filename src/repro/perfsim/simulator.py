@@ -126,10 +126,14 @@ class PerformanceSimulator:
         self.seed = seed
         #: tuple(placements) -> _PlacementArrays, for the batched kernels.
         self._placement_arrays_cache: Dict[Tuple, _PlacementArrays] = {}
-        #: (profile name, nodes, l2_share) -> CRC of the noise seed's
-        #: constant prefix; a pure function of the key, ``seed`` and the
-        #: machine name, none of which change after construction.
-        self._noise_prefixes: Dict[Tuple, int] = {}
+        #: (nodes, l2_share) -> {profile name: CRC of the noise seed's
+        #: constant prefix}; a pure function of the two keys, ``seed`` and
+        #: the machine name, none of which change after construction.
+        #: One table per placement, so a caller that probes the same
+        #: placement again and again (:meth:`noise_prefixes`) keys it
+        #: once and then looks names up.
+        self._noise_prefixes: Dict[Tuple, Dict[str, int]] = {}
+        self._noise_prefix_count = 0
 
     # ------------------------------------------------------------------
     # Single-container model
@@ -510,6 +514,7 @@ class PerformanceSimulator:
         *,
         duration_s: float,
         repetitions: Sequence[int],
+        prefixes: Dict[str, int] | None = None,
     ) -> List[float]:
         """:meth:`measured_ipc_noise` for one probe per profile in one
         placement: entry ``k`` is bit-for-bit ``measured_ipc_noise(
@@ -517,34 +522,33 @@ class PerformanceSimulator:
         repetitions[k])``.
 
         What the row-by-row calls re-derive per probe — the duration
-        check, the ``sqrt`` scale, the prefix-table binding and the
-        placement half of its key — is resolved once per call; the seed
-        CRC, the generator and its one normal draw stay per row (they
-        *are* the probe).  Like the single call, a group of noise-free
-        profiles never looks at ``duration_s``.
+        check, the ``sqrt`` scale and the placement's prefix table
+        (``prefixes``, for a caller that already holds
+        ``noise_prefixes(placement)``) — is resolved once per call; the
+        seed CRC, the generator and its one normal draw stay per row
+        (they *are* the probe).  Like the single call, a group of
+        noise-free profiles never looks at ``duration_s``.
         """
-        prefixes = self._noise_prefixes
-        nodes, l2_share = placement.nodes, placement.l2_share
+        if prefixes is None:
+            prefixes = self.noise_prefixes(placement)
         scale = None
         multipliers: List[float] = []
         for profile, repetition in zip(profiles, repetitions):
-            if profile.phase_noise <= 0:
+            sigma = profile.phase_noise
+            if sigma <= 0:
                 multipliers.append(1.0)
                 continue
             if scale is None:
                 if duration_s <= 0:
                     raise ValueError("duration_s must be positive")
                 scale = float(np.sqrt(max(duration_s, 1e-9) / 10.0))
-            key = (profile.name, nodes, l2_share)
-            prefix = prefixes.get(key)
+            prefix = prefixes.get(profile.name)
             if prefix is None:
-                prefix = self._noise_prefix(key)
+                prefix = self._noise_prefix(prefixes, profile.name, placement)
             rng = np.random.default_rng(
                 zlib.crc32(f"{repetition}|1000003".encode("utf-8"), prefix)
             )
-            multipliers.append(
-                float(np.exp(rng.normal(0.0, profile.phase_noise / scale)))
-            )
+            multipliers.append(float(np.exp(rng.normal(0.0, sigma / scale))))
         return multipliers
 
     def performance_vector(
@@ -994,24 +998,48 @@ class PerformanceSimulator:
         # The seed is _stable_seed(seed, machine, profile, nodes, l2_share,
         # repetition, extra); a CRC continues, so everything up to the
         # repetition is hashed once per (profile name, placement).
-        key = (profile.name, placement.nodes, placement.l2_share)
-        prefix = self._noise_prefixes.get(key)
+        prefixes = self.noise_prefixes(placement)
+        prefix = prefixes.get(profile.name)
         if prefix is None:
-            prefix = self._noise_prefix(key)
+            prefix = self._noise_prefix(prefixes, profile.name, placement)
         rng = np.random.default_rng(
             zlib.crc32(f"{repetition}|{extra}".encode("utf-8"), prefix)
         )
         sigma = profile.phase_noise / np.sqrt(max(duration_s, 1e-9) / 10.0)
         return float(np.exp(rng.normal(0.0, sigma)))
 
-    def _noise_prefix(self, key: Tuple) -> int:
-        """Compute and memoize the seed-prefix CRC of one ``(profile name,
-        nodes, l2_share)`` key (the miss arm of the two noise draws)."""
-        if len(self._noise_prefixes) >= _NOISE_PREFIX_MAX:
-            self._noise_prefixes.clear()  # a stream of one-off names
-        prefix = self._noise_prefixes[key] = _stable_seed(
-            self.seed, self.machine.name, *key, ""
+    def noise_prefixes(self, placement: Placement) -> Dict[str, int]:
+        """The placement's ``profile name -> seed-prefix CRC`` table (the
+        memo both noise draws read and fill).  The table object lives as
+        long as the simulator, so it may be held and passed back to
+        :meth:`measured_ipc_noise_batch`."""
+        key = (placement.nodes, placement.l2_share)
+        prefixes = self._noise_prefixes.get(key)
+        if prefixes is None:
+            prefixes = self._noise_prefixes[key] = {}
+        return prefixes
+
+    def _noise_prefix(
+        self, prefixes: Dict[str, int], name: str, placement: Placement
+    ) -> int:
+        """Compute and memoize the seed-prefix CRC of one profile name in
+        ``prefixes``, the placement's table (the miss arm of the two
+        noise draws)."""
+        if self._noise_prefix_count >= _NOISE_PREFIX_MAX:
+            # A stream of one-off names.  Emptied in place: callers hold
+            # the tables.
+            for table in self._noise_prefixes.values():
+                table.clear()
+            self._noise_prefix_count = 0
+        prefix = prefixes[name] = _stable_seed(
+            self.seed,
+            self.machine.name,
+            name,
+            placement.nodes,
+            placement.l2_share,
+            "",
         )
+        self._noise_prefix_count += 1
         return prefix
 
     def _check_placement(self, placement: Placement) -> None:

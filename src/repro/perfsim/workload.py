@@ -17,8 +17,9 @@ model of that observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,43 @@ class WorkloadProfile:
         generator and by what-if examples)."""
         return replace(self, **overrides)
 
+    # ------------------------------------------------------------------
+    # Identity: computed once per object
+    # ------------------------------------------------------------------
+
+    def row(self) -> Tuple:
+        """The declared fields in declaration order: the profile's wire
+        row (``WorkloadProfile(*row)`` rebuilds an equal profile) and the
+        tuple its hash is taken over.
+
+        Built on first use and kept — every field is frozen.  The two
+        caches live beside the fields in ``__dict__`` and are
+        process-local: a copy made by ``replace`` or by pickling is
+        rebuilt from the row alone and starts without them.
+        """
+        try:
+            return self._row
+        except AttributeError:
+            # Frozen dataclasses still own a plain __dict__; writing to
+            # it does not trip the freeze (as MachineTopology does).
+            self.__dict__["_row"] = row = _declared_fields(self)
+            return row
+
+    def __hash__(self) -> int:
+        # The hash the dataclass would generate, taken once: a profile is
+        # the inner key of every noise-free IPC memo row, looked up
+        # several times per arrival.
+        try:
+            return self._hash
+        except AttributeError:
+            self.__dict__["_hash"] = value = hash(self.row())
+            return value
+
+    def __reduce__(self):
+        # String hashes are salted per process: the cached hash must
+        # never cross one (and the cached row need not).
+        return (WorkloadProfile, self.row())
+
     @property
     def anonymous_gb(self) -> float:
         """Process memory excluding the page cache."""
@@ -148,27 +186,15 @@ class WorkloadProfile:
         """Flat dictionary (tabular reports, and the wire format:
         ``WorkloadProfile(**d)`` / :meth:`from_dict` reconstructs an equal
         profile — every field is a JSON-safe scalar)."""
-        return {
-            "name": self.name,
-            "ipc_base": self.ipc_base,
-            "working_set_mb": self.working_set_mb,
-            "shared_fraction": self.shared_fraction,
-            "cache_sensitivity": self.cache_sensitivity,
-            "membw_per_vcpu": self.membw_per_vcpu,
-            "numa_locality": self.numa_locality,
-            "comm_intensity": self.comm_intensity,
-            "comm_latency_sensitivity": self.comm_latency_sensitivity,
-            "comm_bytes_per_vcpu": self.comm_bytes_per_vcpu,
-            "smt_affinity": self.smt_affinity,
-            "phase_noise": self.phase_noise,
-            "memory_gb": self.memory_gb,
-            "page_cache_fraction": self.page_cache_fraction,
-            "n_tasks": self.n_tasks,
-            "n_processes": self.n_processes,
-            "metric_name": self.metric_name,
-        }
+        return dict(zip(PROFILE_FIELDS, self.row()))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "WorkloadProfile":
         """Inverse of :meth:`as_dict` (validation re-runs in __init__)."""
         return cls(**data)
+
+
+#: Declared field names, in row order.
+PROFILE_FIELDS = tuple(f.name for f in fields(WorkloadProfile))
+#: One C-level pass over the declared fields.
+_declared_fields = attrgetter(*PROFILE_FIELDS)

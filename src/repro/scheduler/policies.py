@@ -35,7 +35,7 @@ from repro.core.placements import Placement
 from repro.ml.arena import predict_fused
 from repro.ml.forest import RandomForestRegressor
 from repro.scheduler.fleet import Fleet, FleetHost, minimal_shape
-from repro.scheduler.registry import ModelRegistry
+from repro.scheduler.registry import ModelRegistry, ProbeRow
 from repro.scheduler.requests import PlacementRequest
 from repro.topology.machine import MachineTopology
 
@@ -350,6 +350,11 @@ class _Lane(NamedTuple):
     fingerprint: Tuple
     #: The model's two input placements: what arrivals are probed in.
     inputs: Tuple[Placement, Placement]
+    #: The registry's :class:`~repro.scheduler.registry.ProbeRow` of each
+    #: input: memo row, simulator and noise-prefix table, keyed once.
+    #: They outlive any lane (the registry never drops a row), so the
+    #: lane's own identity rule is the only one they need.
+    probes: Tuple[ProbeRow, ProbeRow]
     forest: RandomForestRegressor
     #: The set's block scorer, its :func:`block_state_memo` kind, and
     #: each candidate's interconnect score and node count, by index.
@@ -369,11 +374,13 @@ class GoalAwareFleetPolicy(FleetPolicy):
     A decision is two probe observations, one forest call and a host
     search; everything else it needs is a pure function of the ``(shape,
     vCPUs)`` key and lives in that key's **lane** (:class:`_Lane`): the
-    two input placements, the forest, the block scorer with every
-    candidate's target score and size, and the realized placements
-    already validated.  A batch therefore does, per key, one lane lookup,
-    two :meth:`~repro.scheduler.registry.ModelRegistry.probe_ipc_batch`
-    calls and one feature assembly; one
+    two input placements with the registry's probe row of each, the
+    forest, the block scorer with every candidate's target score and
+    size, and the realized placements already validated.  A batch
+    therefore does, per key, one lane lookup, two
+    :meth:`~repro.scheduler.registry.ModelRegistry.probe_ipc_batch`
+    calls (one memo lookup per request each) and one feature assembly
+    over the Python floats they return; one
     :func:`~repro.ml.arena.predict_fused` call across all keys; and per
     request a preference sort over Python floats and a walk down it.
 
@@ -464,11 +471,13 @@ class GoalAwareFleetPolicy(FleetPolicy):
             else:
                 kind, scorer = "interconnect", bandwidth.score_nodes
             i, j = model.input_pair
+            inputs = (placements[i], placements[j])
             lane = _Lane(
                 placements,
                 model,
                 machine.fingerprint(),
-                (placements[i], placements[j]),
+                inputs,
+                tuple(self.registry.probe_row(machine, p) for p in inputs),
                 model.forest,
                 kind,
                 scorer,
@@ -523,28 +532,41 @@ class GoalAwareFleetPolicy(FleetPolicy):
         groups: Dict[int, List[PlacementRequest]] = {}
         for request in requests:
             groups.setdefault(request.vcpus, []).append(request)
+        #: Per group, what every shape probes it with: (vcpus, profiles,
+        #: request ids, the second probe's repetitions).
+        probed: List[Tuple] = []
+        for vcpus, group in groups.items():
+            ids = [request.request_id for request in group]
+            probed.append(
+                (
+                    vcpus,
+                    [request.profile for request in group],
+                    ids,
+                    [request_id + 1 for request_id in ids],
+                )
+            )
         registry, duration_s = self.registry, self.probe_duration_s
         plans: List[Tuple] = []
         for machine in fleet.shapes:
-            for vcpus, group in groups.items():
+            for vcpus, profiles, ids, next_ids in probed:
                 lane = self._lane(machine, vcpus)
                 if lane is None:
                     continue
-                profiles = [request.profile for request in group]
-                ids = [request.request_id for request in group]
                 obs_i = registry.probe_ipc_batch(
                     machine,
                     profiles,
                     lane.inputs[0],
                     duration_s=duration_s,
                     repetitions=ids,
+                    row=lane.probes[0],
                 )
                 obs_j = registry.probe_ipc_batch(
                     machine,
                     profiles,
                     lane.inputs[1],
                     duration_s=duration_s,
-                    repetitions=[request_id + 1 for request_id in ids],
+                    repetitions=next_ids,
+                    row=lane.probes[1],
                 )
                 # The block-state memo is versioned (a promotion bumps
                 # it), so it is asked for per batch, never kept in a lane.

@@ -37,9 +37,8 @@ What depends on a registry's own history stays private to it:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
+from operator import mul
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.enumeration import (
     ImportantPlacementSet,
@@ -57,24 +56,46 @@ from repro.scheduler.fleet import minimal_shape
 from repro.topology.machine import MachineTopology
 
 
+class ProbeRow(NamedTuple):
+    """What probing one placement of one shape keys, resolved:
+    :meth:`ModelRegistry.probe_row` looks the three up once, and a caller
+    that probes the same placement again and again (a policy lane) hands
+    the result back to :meth:`ModelRegistry.probe_ipc_batch`.
+
+    All three are fixed for the registry's lifetime — memo rows are never
+    dropped, a shape keeps its simulator, a simulator keeps its tables —
+    so a held row cannot go stale.
+    """
+
+    #: The placement's ``profile -> noise-free IPC`` memo row.
+    ipcs: Dict[WorkloadProfile, float]
+    simulator: PerformanceSimulator
+    #: The simulator's ``profile name -> noise-seed prefix`` table of the
+    #: placement.
+    prefixes: Dict[str, int]
+
+
 class ModelRegistry:
     """Lazily built, memoized per-(shape, vcpus) scheduler artifacts.
 
     Memo layout.  ``_placements`` / ``_models`` / ``_training_sets`` are
     ``(fingerprint, vcpus)``-keyed views of the process-wide caches.
-    Noise-free IPCs live in **probe rows**: ``_solo_ipc[(fingerprint,
-    placement)]`` is a ``{profile: ipc}`` dict, because the hot caller —
-    :meth:`probe_ipc_batch`, twice per ``(shape, vcpus)`` group of every
-    batch — asks about many profiles in *one* placement: the outer key
-    (a fingerprint that hashes itself once, and the placement) is looked
-    up once per call and each row costs one profile hash, with an
-    all-hit pass that touches nothing else.  :meth:`solo_ipc` reads the
-    same rows one profile at a time; hits and misses are counted per
-    profile either way and :meth:`ipc_cache_info` sums the rows, so the
-    accounting does not show the layout.  ``_baseline_ipc`` stays flat,
-    keyed ``(fingerprint, vcpus, profile, model-version token)``: it is
-    the one memo a promotion must purge.  Rows are pure functions of
-    their keys and are never invalidated.
+    Noise-free IPCs live in **rows** — ``{profile: ipc}`` dicts under an
+    outer key of things that hash themselves once (a fingerprint, a
+    placement) or are small integers, so a lookup costs one short tuple
+    and one cached profile hash, never a tuple wrapped around the
+    profile.  ``_solo_ipc[(fingerprint, placement)]`` is the row of one
+    placement: the hot caller — :meth:`probe_ipc_batch`, twice per
+    ``(shape, vcpus)`` group of every batch — asks about many profiles in
+    *one* placement, and a caller that probes the same placement again
+    and again resolves the row once (:meth:`probe_row`) and hands it
+    back.  :meth:`solo_ipc` reads the same rows one profile at a time;
+    hits and misses are counted per profile either way and
+    :meth:`ipc_cache_info` sums the rows, so the accounting does not
+    show the layout.  ``_baseline_ipc[(fingerprint, vcpus, model-version
+    token)]`` is the row of one key's baseline placement under one model
+    version: the one memo a promotion must purge, a row at a time.
+    Solo rows are pure functions of their keys and are never invalidated.
 
     Parameters
     ----------
@@ -125,9 +146,9 @@ class ModelRegistry:
         self._enumeration_misses = 0
         self._enumeration_hits = 0
         self._simulators: Dict[Tuple, PerformanceSimulator] = {}
-        #: (fingerprint, vcpus, profile, model-version token) -> baseline
-        #: (denominator) IPC.
-        self._baseline_ipc: Dict[Tuple, float] = {}
+        #: (fingerprint, vcpus, model-version token) -> {profile: baseline
+        #: (denominator) IPC}.
+        self._baseline_ipc: Dict[Tuple, Dict[WorkloadProfile, float]] = {}
         #: (fingerprint, placement) -> {profile: noise-free solo IPC}.
         #: Two levels because a probe batch asks about many profiles in
         #: one placement: the outer key is hashed once per call, the
@@ -266,17 +287,17 @@ class ModelRegistry:
         return 0
 
     def assert_version_consistency(self) -> None:
-        """Debug hook: every ``baseline_ipc`` memo entry is keyed with
+        """Debug hook: every ``baseline_ipc`` memo row is keyed with
         its key's *current* model version token.
 
-        Promotion purges the retiring version's entries in the same call
-        that flips the active version, so a surviving entry with a stale
+        Promotion purges the retiring version's rows in the same call
+        that flips the active version, so a surviving row with a stale
         token means a promotion path skipped the purge.  This is the
         runtime counterpart of the memo-invalidation lint's
         ``model-promotion-memos`` surface
         (``repro.analysis.invalidation``).
         """
-        for fingerprint, vcpus, _profile, token in self._baseline_ipc:
+        for fingerprint, vcpus, token in self._baseline_ipc:
             current = self._current_version_token(fingerprint, vcpus)
             if token != current:
                 raise AssertionError(
@@ -328,6 +349,18 @@ class ModelRegistry:
             row = self._solo_ipc[key] = {}
         return row
 
+    def probe_row(
+        self, machine: MachineTopology, placement: Placement
+    ) -> ProbeRow:
+        """Everything :meth:`probe_ipc_batch` looks up by ``(machine,
+        placement)``, looked up."""
+        simulator = self.simulator(machine)
+        return ProbeRow(
+            self._ipc_row(machine, placement),
+            simulator,
+            simulator.noise_prefixes(placement),
+        )
+
     def probe_ipc(
         self,
         machine: MachineTopology,
@@ -371,12 +404,13 @@ class ModelRegistry:
         *,
         duration_s: float,
         repetitions: Sequence[int],
-    ) -> np.ndarray:
+        row: ProbeRow | None = None,
+    ) -> List[float]:
         """Probe observations for a whole request group in one placement.
 
-        The assembly half of the goal-aware hot path: the placement's
-        memo row is looked up once and the deterministic parts gathered
-        from it (misses — distinct profiles the row has never seen — are
+        The assembly half of the goal-aware hot path: the deterministic
+        parts are gathered from the placement's memo row, one lookup per
+        profile (misses — distinct profiles the row has never seen — are
         simulated together through the vectorized
         :meth:`~repro.perfsim.simulator.PerformanceSimulator.
         measured_ipc_batch` kernel), then each probe gets its own fresh
@@ -384,51 +418,55 @@ class ModelRegistry:
         measured_ipc_noise_batch`).  Entry ``k`` is bit-for-bit what
         ``probe_ipc(machine, profiles[k], placement, duration_s=...,
         repetition=repetitions[k])`` returns, including the hit/miss
-        accounting.
+        accounting.  ``row`` is ``probe_row(machine, placement)`` from a
+        caller that already holds it.
         """
         if len(profiles) != len(repetitions):
             raise ValueError("profiles and repetitions must align")
-        simulator = self.simulator(machine)
+        if row is None:
+            row = self.probe_row(machine, placement)
+        ipcs, simulator, prefixes = row
         if not self.memoize_ipc:
             self._ipc_misses += len(profiles)
-            return np.array(
-                [
-                    simulator.measured_ipc(
-                        profile,
-                        placement,
-                        duration_s=duration_s,
-                        repetition=repetition,
-                    )
-                    for profile, repetition in zip(profiles, repetitions)
-                ]
-            )
-        row = self._ipc_row(machine, placement)
+            return [
+                simulator.measured_ipc(
+                    profile,
+                    placement,
+                    duration_s=duration_s,
+                    repetition=repetition,
+                )
+                for profile, repetition in zip(profiles, repetitions)
+            ]
         fresh: Sequence[WorkloadProfile] = ()
         try:
-            found = [row[profile] for profile in profiles]
+            found = list(map(ipcs.__getitem__, profiles))
         except KeyError:
             # Distinct never-seen profiles are simulated together; a
             # repeat in the same group would have hit the just-filled row.
-            fresh = list(dict.fromkeys(p for p in profiles if p not in row))
+            fresh = list(dict.fromkeys(p for p in profiles if p not in ipcs))
             values = simulator.measured_ipc_batch(
                 fresh, [placement], noise=False
             )[:, 0]
-            row.update(zip(fresh, values.tolist()))
-            found = [row[profile] for profile in profiles]
+            ipcs.update(zip(fresh, values.tolist()))
+            found = list(map(ipcs.__getitem__, profiles))
         self._ipc_misses += len(fresh)
         self._ipc_hits += len(found) - len(fresh)
         noise = simulator.measured_ipc_noise_batch(
-            profiles, placement, duration_s=duration_s, repetitions=repetitions
+            profiles,
+            placement,
+            duration_s=duration_s,
+            repetitions=repetitions,
+            prefixes=prefixes,
         )
-        # Python-float products: the same IEEE multiply the arrays did.
-        return np.array([ipc * factor for ipc, factor in zip(found, noise)])
+        # Python-float products: the same IEEE multiply an array would do.
+        return list(map(mul, found, noise))
 
     def baseline_ipc(
         self, machine: MachineTopology, vcpus: int, profile: WorkloadProfile
     ) -> float:
         """The grading denominator: the profile's noise-free IPC in the
-        shape's baseline placement, cached per ``(fingerprint, vcpus,
-        profile)`` so repeated shapes/profiles never re-simulate it."""
+        shape's baseline placement, cached per ``(fingerprint, vcpus)``
+        and profile so repeated shapes/profiles never re-simulate it."""
         if not self.memoize_ipc:
             return self.solo_ipc(
                 machine, profile, self.baseline_placement(machine, vcpus)
@@ -436,20 +474,21 @@ class ModelRegistry:
         # Version-keyed: the denominator depends on the *model's* baseline
         # placement (its input pair's first element), so a promoted model
         # version with a different pair must not be served another
-        # version's entries.  solo_ipc stays unversioned — it is keyed by
+        # version's rows.  solo_ipc stays unversioned — it is keyed by
         # the concrete placement, which no model version can change.
         key = (
             machine.fingerprint(),
             int(vcpus),
-            profile,
             self.model_version_token(machine, vcpus),
         )
-        value = self._baseline_ipc.get(key)
+        row = self._baseline_ipc.get(key)
+        if row is None:
+            row = self._baseline_ipc[key] = {}
+        value = row.get(profile)
         if value is None:
-            value = self.solo_ipc(
+            value = row[profile] = self.solo_ipc(
                 machine, profile, self.baseline_placement(machine, vcpus)
             )
-            self._baseline_ipc[key] = value
         return value
 
     def ipc_cache_info(self) -> CacheInfo:

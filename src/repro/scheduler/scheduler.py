@@ -90,8 +90,9 @@ def grade_decision(
     deterministic, so they go through the registry's memo
     (:meth:`~repro.scheduler.registry.ModelRegistry.solo_ipc` /
     :meth:`~repro.scheduler.registry.ModelRegistry.baseline_ipc`) —
-    repeated (shape, profile, placement) keys cost a dict lookup, not two
-    simulator runs per placed container.
+    repeated (shape, profile, placement) keys cost two row lookups under
+    hashes the profile and the placement already hold, not two simulator
+    runs per placed container.
     """
     if not decision.placed:
         return GradedDecision(decision)

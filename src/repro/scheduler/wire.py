@@ -119,7 +119,6 @@ class ShardSummary:
         )
 
 
-PROFILE_FIELDS = tuple(f.name for f in fields(WorkloadProfile))
 TIMELINE_COLUMNS = FragmentationSample._fields
 _CHURN_COUNTERS = tuple(
     f.name
@@ -127,8 +126,8 @@ _CHURN_COUNTERS = tuple(
     if f.name not in ("migrations", "fragmentation_timeline")
 )
 
-#: ``WorkloadProfile -> row``: one C-level pass over the declared fields.
-profile_row = attrgetter(*PROFILE_FIELDS)
+#: ``WorkloadProfile -> row``: the declared fields, built once per profile.
+profile_row = WorkloadProfile.row
 _request_row = attrgetter(
     "request_id", "vcpus", "goal_fraction", "arrival_time", "lifetime"
 )

@@ -291,7 +291,7 @@ class ModelServer(ModelRegistry):
         assignment; every follow-on effect is cache invalidation scoped to
         exactly this key:
 
-        * stale ``baseline_ipc`` entries (old version token) are purged;
+        * stale ``baseline_ipc`` rows (old version token) are purged;
         * the shape's shared block-score tables are version-bumped (their
           memoized target-match lists were built for the old version's
           candidate placements).
@@ -316,9 +316,7 @@ class ModelServer(ModelRegistry):
         stale = [
             memo_key
             for memo_key in self._baseline_ipc
-            if memo_key[0] == fingerprint
-            and memo_key[1] == int(vcpus)
-            and memo_key[3] != candidate.version
+            if memo_key[:2] == key and memo_key[2] != candidate.version
         ]
         for memo_key in stale:
             del self._baseline_ipc[memo_key]

@@ -179,6 +179,101 @@ class ModelServer:
             assert token in message
 
 
+PROFILE = """
+class WorkloadProfile:
+    def row(self):
+        try:
+            return self._row
+        except AttributeError:
+            self.__dict__["_row"] = row = _declared_fields(self)
+            return row
+
+    def __hash__(self):
+{hash_body}
+
+    def __reduce__(self):
+        return (WorkloadProfile, self.row())
+"""
+
+
+class TestIdentityCaches:
+    """Profiles and placements cache their identity: never invalidated,
+    so the rule pins what makes that sound."""
+
+    def test_profile_identity_clean(self):
+        source = PROFILE.format(
+            hash_body=(
+                "        try:\n"
+                "            return self._hash\n"
+                "        except AttributeError:\n"
+                "            self.__dict__['_hash'] = value = hash(self.row())\n"
+                "            return value"
+            )
+        )
+        assert findings_of(source) == []
+
+    def test_profile_hash_not_taken_over_the_row_flagged(self):
+        # A second way to hash a profile: not cached, and free to
+        # disagree with the row the wire carries.
+        source = PROFILE.format(
+            hash_body="        return hash((self.name, self.ipc_base))"
+        )
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["memo-invalidation"]
+        assert "profile-identity" in findings[0].message
+        assert "_hash, row" in findings[0].message
+
+    def test_placement_field_changed_under_its_hash_flagged(self):
+        source = """
+class Placement:
+    def widen(self, vcpus):
+        self._vcpus += vcpus
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["memo-invalidation"]
+        assert "placement-identity" in findings[0].message
+        assert "self._hash" in findings[0].message
+
+    def test_placement_rehashed_with_the_change_clean(self):
+        source = """
+class Placement:
+    def __init__(self, machine, vcpus):
+        self._vcpus = vcpus
+        self._hash = hash((machine.name, vcpus))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (_rebuild, (self._machine, self._vcpus))
+
+    def widen(self, vcpus):
+        self._vcpus += vcpus
+        self._hash = hash((self._machine.name, self._vcpus))
+"""
+        assert findings_of(source) == []
+
+    def test_lane_probe_rows_resolved_outside_the_lane_flagged(self):
+        # Probe rows are tied to the lane-identity rule: resolved by the
+        # registry inside _lane, for the lane's own inputs.
+        source = """
+class GoalAwareFleetPolicy:
+    def _lane(self, machine, vcpus):
+        placements = self.registry.placements(machine, vcpus)
+        model = self.registry.model(machine, vcpus)
+        return self._lanes[(id(placements), id(model))]
+
+    def decide_batch(self, requests, fleet):
+        lane = self._lane(fleet.machine, 8)
+        memo = block_state_memo(fleet.machine, lane.kind)
+        return lane.inputs, lane.probes, memo
+"""
+        findings = findings_of(source)
+        assert len(findings) == 1
+        assert "policy-lanes" in findings[0].message
+        assert "probe_row" in findings[0].message
+
+
 class TestTable:
     def test_surface_names_unique(self):
         names = [surface.name for surface in CACHE_SURFACES]

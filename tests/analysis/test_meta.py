@@ -94,8 +94,8 @@ class TestCanonicalInjections:
     def test_noise_prefix_that_ignores_the_simulator_seed(self):
         findings = inject(
             "perfsim/simulator.py",
-            "self.seed, self.machine.name, *key, \"\"",
-            "0, self.machine.name, *key, \"\"",
+            "self.seed,\n            self.machine.name,",
+            "0,\n            self.machine.name,",
         )
         assert len(findings) == 1
         assert findings[0].rule == "memo-invalidation"
@@ -114,6 +114,52 @@ class TestCanonicalInjections:
         assert findings[0].path.endswith("scheduler/policies.py")
         assert "policy-lanes" in findings[0].message
         assert "block_state_memo" in findings[0].message
+
+    def test_lane_whose_probe_rows_bypass_the_registry(self):
+        findings = inject(
+            "scheduler/policies.py",
+            "tuple(self.registry.probe_row(machine, p) for p in inputs)",
+            "(None, None)",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "policy-lanes" in findings[0].message
+        assert "probe_row" in findings[0].message
+
+    def test_profile_pickled_with_its_cached_hash(self):
+        findings = inject(
+            "perfsim/workload.py",
+            "return (WorkloadProfile, self.row())",
+            "return (_restore, (dict(self.__dict__),))",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert findings[0].path.endswith("perfsim/workload.py")
+        assert "profile-identity" in findings[0].message
+        assert "__reduce__" in findings[0].message
+
+    def test_placement_unpickled_around_its_constructor(self):
+        findings = inject(
+            "core/placements.py",
+            "            _rebuild,\n",
+            "            _restore,\n",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "placement-identity" in findings[0].message
+        assert "_rebuild" in findings[0].message
+
+    def test_cached_hash_in_a_wire_row(self):
+        findings = inject(
+            "scheduler/wire.py",
+            '"machine.name", "nodes", "vcpus", "l2_share", "l3_groups_per_node"',
+            '"machine.name", "nodes", "vcpus", "l2_share", "_hash"',
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "pipe-safety"
+        assert findings[0].path.endswith("scheduler/wire.py")
+        assert "_hash" in findings[0].message
+        assert "process-local" in findings[0].message
 
     def test_ipc_entry_count_that_skips_the_rows(self):
         findings = inject(

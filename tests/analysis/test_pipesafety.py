@@ -221,6 +221,63 @@ class Anything:
         )
 
 
+class TestProcessLocalCaches:
+    """Cached hashes are salted per interpreter: nothing a transport
+    module builds may reach one."""
+
+    def test_cached_hash_in_row_getter_flagged(self):
+        # The codec's getters are module-level: checked wherever they are.
+        source = """
+from operator import attrgetter
+
+_placement_row = attrgetter("machine.name", "nodes", "_hash")
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["pipe-safety"]
+        assert "_hash" in findings[0].message
+        assert "process-local" in findings[0].message
+
+    def test_cached_hash_read_into_a_row_flagged(self):
+        source = """
+def encode_arrival(request, event_time):
+    return (request.request_id, request.profile._hash, event_time)
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["pipe-safety"]
+        assert "_hash" in findings[0].message
+
+    def test_instance_dict_in_message_flagged(self):
+        # __dict__ carries the caches beside the fields.
+        source = """
+class Client:
+    def push(self, connection, request):
+        connection.send({"profile": vars(request.profile)})
+        connection.send({"profile": request.profile.__dict__})
+        connection.send({"hash": getattr(request.profile, "_hash")})
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["pipe-safety"] * 3
+        assert all("process-local" in f.message for f in findings)
+
+    def test_rows_built_from_declared_fields_clean(self):
+        # What the codec does: the profile's own row, attribute reads of
+        # declared fields — and a cache read that feeds no payload.
+        source = """
+from operator import attrgetter
+
+profile_row = WorkloadProfile.row
+_placement_row = attrgetter("machine.name", "nodes", "vcpus")
+
+def encode_arrival(request, event_time):
+    return (request.request_id, profile_row(request.profile), event_time)
+
+class Key:
+    def __hash__(self):
+        return self._hash
+"""
+        assert findings_of(source) == []
+
+
 class TestSuppression:
     def test_line_suppression(self):
         source = """

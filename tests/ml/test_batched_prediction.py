@@ -106,6 +106,18 @@ class TestPairFeatures:
         with pytest.raises(ValueError):
             _pair_features(np.ones(3), np.ones(4))
 
+    def test_batch_features_from_floats_equal_the_array_kernel(self):
+        """The fleet assembles rows from Python floats; the training path
+        divides whole columns.  Same IEEE divide, same bits."""
+        model = PlacementModel(input_pair=(0, 1))
+        rng = np.random.default_rng(9)
+        for n in (0, 1, 2, 37):
+            ipc_i = rng.uniform(1e-3, 3.0, size=n) * 10.0 ** rng.integers(-3, 4, n)
+            ipc_j = rng.uniform(1e-3, 3.0, size=n)
+            features = model.batch_features(ipc_i.tolist(), ipc_j.tolist())
+            assert features.shape == (n, 3) and features.dtype == np.float64
+            assert np.array_equal(features, _pair_features(ipc_i, ipc_j))
+
     def test_batch_features_accepts_what_it_always_did(self):
         """Lists, scalars, a scalar beside a length-1 array and integer
         arrays all still convert; a NaN observation is not "non-positive"

@@ -137,7 +137,12 @@ class TestNoiseSeed:
                     )
                     draws += 1
         assert draws >= 10_000
-        assert len(simulator._noise_prefixes) == len(profiles) * len(placements)
+        # One table per placement, one prefix per profile name in it.
+        assert len(simulator._noise_prefixes) == len(placements)
+        assert all(
+            len(table) == len(profiles)
+            for table in simulator._noise_prefixes.values()
+        )
 
     def test_prefix_memo_starts_over_when_full(self, amd, monkeypatch):
         """A stream of one-off workload names cannot grow the memo past
@@ -154,12 +159,16 @@ class TestNoiseSeed:
         ]
         monkeypatch.setattr("repro.perfsim.simulator._NOISE_PREFIX_MAX", 3)
         bounded = PerformanceSimulator(amd, seed=5)
+        held = bounded.noise_prefixes(placement)  # as a policy lane does
         for _ in range(2):
             for k, profile in enumerate(profiles):
                 assert expected[k] == bounded._noise_multiplier(
                     profile, placement, 3.0, k
                 )
-                assert len(bounded._noise_prefixes) <= 3
+                assert len(held) <= 3
+        # Starting over empties the tables in place: a held one is still
+        # the one the simulator reads and fills.
+        assert bounded.noise_prefixes(placement) is held and held
 
 
 class TestPerformanceVector:

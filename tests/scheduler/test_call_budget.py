@@ -6,7 +6,8 @@ spreads ±15 % between identical runs — so the gate counts instead:
 function calls under ``cProfile`` on a warm, seeded stream are the same
 on every machine.  What it guards is the shape of the path (state that
 is a pure function of a ``(shape, vCPUs)`` key is compiled into the
-policy's lanes, not re-derived per event), not its speed.
+policy's lanes, not re-derived per event; a value object's identity is
+derived once per object, not once per lookup), not its speed.
 """
 
 import cProfile
@@ -14,6 +15,7 @@ import pstats
 from dataclasses import replace
 
 from repro.core.placements import Placement
+from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler import (
     Fleet,
     GoalAwareFleetPolicy,
@@ -23,21 +25,23 @@ from repro.scheduler import (
     generate_churn_stream,
 )
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from repro.topology import machine as machine_module
 
 ARRIVALS = 400
 #: Python-level and builtin calls per arrival (departures included) the
-#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 486 (the
-#: commit before the lanes: 564), about 14 of them inside numpy's own
+#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 418 (the
+#: commit before the lanes: 564; before profiles, placements and lanes
+#: carried their identity: 495), about 14 of them inside numpy's own
 #: Python wrappers and the lock ``default_rng`` takes — the part another
 #: numpy may count differently, hence the headroom; later interpreters
 #: inline comprehensions and read lower.  Raise it only for a change
 #: that knowingly buys something with the extra calls.
-CALLS_PER_ARRIVAL_BUDGET = 520
+CALLS_PER_ARRIVAL_BUDGET = 450
 
 
-def _stream(seed, first_id):
+def _stream(seed, first_id, arrivals=ARRIVALS):
     stream = generate_churn_stream(
-        ARRIVALS,
+        arrivals,
         seed=seed,
         vcpus_choices=(8, 8, 16, 32),
         arrival_rate=20.0,
@@ -46,9 +50,9 @@ def _stream(seed, first_id):
     return [replace(r, request_id=first_id + r.request_id) for r in stream]
 
 
-def test_decision_path_stays_within_its_call_budget():
+def _engine():
     registry = ModelRegistry(n_estimators=6, n_synthetic=2, seed=0)
-    engine = LifecycleScheduler(
+    return LifecycleScheduler(
         Fleet.mixed(
             [(amd_opteron_6272(), 200), (intel_xeon_e7_4830_v3(), 200)]
         ),
@@ -56,15 +60,40 @@ def test_decision_path_stays_within_its_call_budget():
         registry=registry,
     )
 
-    def replay(requests):
-        for event in events_from_requests(requests).drain():
-            engine.step(event)
 
-    replay(_stream(99, 10**9))  # models, tables, lanes and memos are warm
+def _replay(engine, requests):
+    for event in events_from_requests(requests).drain():
+        engine.step(event)
+
+
+def _key(function):
+    code = function.__code__
+    return (code.co_filename, code.co_firstlineno, code.co_name)
+
+
+def _calls(stats, function):
+    """Times ``function`` ran under the profile."""
+    entry = stats.stats.get(_key(function))
+    return entry[1] if entry else 0
+
+
+def _hash_calls_from(stats, function):
+    """Times ``function`` called the ``hash`` builtin: how often it
+    *computed* a hash, as opposed to handing out a kept one."""
+    for (_, _, name), entry in stats.stats.items():
+        if name == "<built-in method builtins.hash>":
+            made = entry[4].get(_key(function))
+            return made[1] if made else 0
+    return 0
+
+
+def test_decision_path_stays_within_its_call_budget():
+    engine = _engine()
+    _replay(engine, _stream(99, 10**9))  # models, tables, lanes, memos: warm
     engine.begin()
     profile = cProfile.Profile()
     profile.enable()
-    replay(_stream(17, 0))
+    _replay(engine, _stream(17, 0))
     profile.disable()
     stats = pstats.Stats(profile)
 
@@ -81,13 +110,50 @@ def test_decision_path_stays_within_its_call_budget():
         (d.placement.machine.name, d.placement_id, d.placement.nodes)
         for d in placed
     }
-    code = Placement.__init__.__code__
-    constructed = sum(
-        entry[1]
-        for (path, line, name), entry in stats.stats.items()
-        if (path, line, name)
-        == (code.co_filename, code.co_firstlineno, code.co_name)
-    )
     # At most once per distinct realised (candidate, block) — fewer
     # here, the warm-up having realised most of them already.
-    assert constructed <= len(realised) < ARRIVALS // 4
+    assert _calls(stats, Placement.__init__) <= len(realised) < ARRIVALS // 4
+
+
+def test_identity_is_derived_once_per_object(monkeypatch):
+    """From a cold engine through 512 arrivals: a profile hashes its 17
+    fields at most once per object, a placement exactly once (when it is
+    built), a machine builds one fingerprint tuple — however many dict
+    lookups each of them keys — and the lanes did not change how often
+    the registry is probed."""
+    built = []
+
+    class CountedFingerprint(machine_module.Fingerprint):
+        def __new__(cls, fields):
+            built.append(fields[0])
+            return super().__new__(cls, fields)
+
+    monkeypatch.setattr(machine_module, "Fingerprint", CountedFingerprint)
+    requests = _stream(17, 0, arrivals=512)
+    profile = cProfile.Profile()
+    profile.enable()
+    engine = _engine()
+    _replay(engine, requests)
+    profile.disable()
+    stats = pstats.Stats(profile)
+    assert sum(g.decision.placed for g in engine.graded) == len(requests)
+
+    profiles = {id(request.profile) for request in requests}
+    lookups = _calls(stats, WorkloadProfile.__hash__)
+    assert lookups > 4 * len(requests)  # two probes per shape, and grading
+    assert _hash_calls_from(stats, WorkloadProfile.__hash__) <= len(profiles)
+
+    constructed = _calls(stats, Placement.__init__)
+    assert constructed > 0 and _calls(stats, Placement.__hash__) > constructed
+    assert _hash_calls_from(stats, Placement.__init__) == constructed
+    assert _hash_calls_from(stats, Placement.__hash__) == 0
+
+    machines = {id(host.machine): host.machine for host in engine.fleet.hosts}
+    assert sorted(built) == sorted(m.name for m in machines.values())
+
+    # One request per decision: one (shape, vcpus) group per shape, a
+    # lane lookup and two probes for each.
+    decisions = _calls(stats, GoalAwareFleetPolicy.decide_batch)
+    assert decisions == len(requests) and not engine.stats.migrations
+    assert _calls(stats, GoalAwareFleetPolicy._lane) == 2 * decisions
+    assert _calls(stats, ModelRegistry.probe_ipc_batch) == 4 * decisions

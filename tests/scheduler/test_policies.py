@@ -282,6 +282,8 @@ class TestLanes:
             def model(self, machine, vcpus):
                 return model
 
+            probe_row = registry.probe_row
+
         serving = _Serving()
         policy = GoalAwareFleetPolicy(serving)
         policy._lanes_max = 3

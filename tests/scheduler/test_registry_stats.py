@@ -151,7 +151,7 @@ class TestProbeIpcBatch:
             )
             for profile, repetition in zip(profiles, repetitions)
         ]
-        assert list(batch) == sequential
+        assert batch == sequential and type(batch) is list
         sequential_info = sequential_registry.ipc_cache_info()
         assert batch_info.hits == sequential_info.hits
         assert batch_info.misses == sequential_info.misses
@@ -174,7 +174,7 @@ class TestProbeIpcBatch:
             )
             for profile, repetition in zip(profiles, [1, 2])
         ]
-        assert list(batch) == expected
+        assert batch == expected and type(batch) is list
 
     def test_misaligned_inputs_rejected(self):
         import pytest
@@ -312,12 +312,16 @@ class TestProbeBatchProperty:
             placement = placements[turn % 2]
             profiles = [_POOL[k] for k, _ in rows]
             repetitions = [repetition for _, repetition in rows]
+            # Every other turn the caller holds the placement's resolved
+            # row, the way a policy lane does.
+            held = batched.probe_row(machine, placement) if turn % 2 else None
             batch = batched.probe_ipc_batch(
                 machine,
                 profiles,
                 placement,
                 duration_s=3.0,
                 repetitions=repetitions,
+                row=held,
             )
             expected = [
                 sequential.probe_ipc(
@@ -329,5 +333,7 @@ class TestProbeBatchProperty:
                 )
                 for profile, repetition in zip(profiles, repetitions)
             ]
-            assert batch.tolist() == expected
+            assert batch == expected
+            assert type(batch) is list
+            assert all(type(value) is float for value in batch)
             assert batched.ipc_cache_info() == sequential.ipc_cache_info()

@@ -46,7 +46,7 @@ from repro.scheduler import (
     initial_capacity,
 )
 from repro.perfsim.generator import WorkloadGenerator
-from repro.perfsim.workload import WorkloadProfile
+from repro.perfsim.workload import PROFILE_FIELDS, WorkloadProfile
 from repro.scheduler.admission import (
     REASON_BROWNOUT,
     REASON_CAPACITY,
@@ -60,7 +60,6 @@ from repro.scheduler.policies import FleetDecision
 from repro.scheduler.scheduler import FleetReport
 from repro.scheduler.service import SchedulerService, merge_churn_stats
 from repro.scheduler.wire import (
-    PROFILE_FIELDS,
     TIMELINE_COLUMNS,
     PlacementMemo,
     ProfileMemo,

@@ -145,8 +145,8 @@ class TestPromotion:
         # entry keyed at the retired token (the condition the
         # memo-invalidation lint's 'model-promotion-memos' surface
         # forbids statically).
-        stale_key = (machine.fingerprint(), 8, profile, 1)
-        server._baseline_ipc[stale_key] = 1.0
+        stale_key = (machine.fingerprint(), 8, 1)
+        server._baseline_ipc[stale_key] = {profile: 1.0}
         with pytest.raises(AssertionError, match="skipped its cache purge"):
             server.assert_version_consistency()
 
