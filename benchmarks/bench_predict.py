@@ -41,7 +41,21 @@ A fourth pins what the fleet pays around its forest call:
   (full mode; at 1 row per call the two calls' own overhead is most of
   it and is only reported).
 
-The equivalence gates run in *every* mode, smoke included: the batched
+A fifth times the answer that needs neither probe nor forest:
+
+* **reject_path** — a mixed 2-shape fleet driven to saturation through
+  ``LifecycleScheduler.step``, microseconds per arrival by outcome:
+  *placed*, *finally rejected* (``capacity``, read off the fleet index
+  before anything is probed, then a rebalance plan that finds nothing)
+  and *recovered* (rejected, rebalanced, decided once for real) — beside
+  the same stream under ``tests/scheduler/oracle_policy.FullWalkPolicy``,
+  which probes, predicts and walks every rank before it says
+  ``capacity``.  A reject must cost less than **a third** of a placed
+  arrival (full mode).
+
+The equivalence gates run in *every* mode, smoke included: the
+short-circuited policy must decide and migrate exactly as the full walk
+does; the batched
 probe must equal ``probe_ipc`` row by row; every compiled
 form must equal the per-tree path bit for bit on every timed input, mean
 and std, and every batched-built tree must equal the recursion's in every
@@ -64,9 +78,18 @@ from repro.ml import RandomForestRegressor
 from repro.ml import arena as arena_module
 from repro.ml.arena import ForestArena
 from repro.perfsim.library import paper_workloads
+from repro.scheduler import (
+    EventKind,
+    Fleet,
+    GoalAwareFleetPolicy,
+    LifecycleScheduler,
+    events_from_requests,
+    generate_churn_stream,
+)
 from repro.scheduler.registry import ModelRegistry
 from repro.topology.presets import PRESETS
 from tests.ml.oracle_tree import assert_same_forest, forest_problem, oracle_forest
+from tests.scheduler.oracle_policy import FullWalkPolicy
 
 SEED = 21
 N_TREES = 100
@@ -100,6 +123,13 @@ PROBE_CALLS, PROBE_REPEATS = (200, 3) if SMOKE else (3000, 9)
 #: Acceptance ceiling: microseconds per row a probe may spend outside its
 #: seeded draw, at the largest rows-per-call timed.
 PROBE_ASSEMBLY_CEILING_US = 1.5
+
+REJECT_HOSTS_PER_SHAPE = 20
+REJECT_ARRIVALS, REJECT_REPEATS = (400, 2) if SMOKE else (1600, 5)
+#: Offered load: 20 arrivals/s living 8 s on 40 hosts keeps the fleet full.
+REJECT_ARRIVAL_RATE, REJECT_MEAN_LIFETIME = 20.0, 8.0
+#: A reject may cost at most this share of a placed arrival.
+REJECT_CEILING = 1.0 / 3.0
 
 
 def _fitted_forest(n_trees, n_outputs, train_rows):
@@ -495,4 +525,127 @@ def test_probe_row_is_on_its_floor(report):
             f"a probe row may spend {PROBE_ASSEMBLY_CEILING_US} us outside "
             f"its seeded draw at {PROBE_ROWS[-1]} rows per call, spent "
             f"{amortized:.2f} us"
+        )
+
+
+def _saturated_replay(policy, requests):
+    """Step the stream through a fresh saturated fleet, timing each
+    arrival; returns ``(seconds by outcome, decision rows, migrations)``."""
+    fleet = Fleet.mixed(
+        [
+            (PRESETS["amd"](), REJECT_HOSTS_PER_SHAPE),
+            (PRESETS["intel"](), REJECT_HOSTS_PER_SHAPE),
+        ]
+    )
+    engine = LifecycleScheduler(fleet, policy, registry=policy.registry)
+    seconds = {"placed": [], "rejected": [], "recovered": []}
+    rows = []
+    for event in events_from_requests(requests).drain():
+        if event.kind is not EventKind.ARRIVAL:
+            engine.step(event)
+            continue
+        recovered = engine.stats.rebalance_recovered
+        start = time.perf_counter()
+        decision = engine.step(event).decision
+        elapsed = time.perf_counter() - start
+        if engine.stats.rebalance_recovered > recovered:
+            outcome = "recovered"
+        else:
+            outcome = "placed" if decision.placed else "rejected"
+        seconds[outcome].append(elapsed)
+        rows.append(
+            (
+                decision.request.request_id,
+                decision.host_id,
+                decision.placement_id,
+                decision.reject_reason,
+            )
+        )
+    return seconds, rows, engine.stats.migrations
+
+
+def test_reject_path_is_the_cheapest_answer(report):
+    registry = ModelRegistry(seed=0)
+    requests = generate_churn_stream(
+        REJECT_ARRIVALS,
+        seed=SEED,
+        vcpus_choices=(8, 8, 16, 32),
+        arrival_rate=REJECT_ARRIVAL_RATE,
+        mean_lifetime=REJECT_MEAN_LIFETIME,
+    )
+    policies = {
+        "index": GoalAwareFleetPolicy(registry),
+        "full walk": FullWalkPolicy(registry),
+    }
+    # Median per outcome, best of the repeats; the two policies take
+    # turns so a slow spell of the machine falls on both.
+    best = {name: {} for name in policies}
+    outcomes = {}
+    for repeat in range(REJECT_REPEATS + 1):
+        for name, policy in policies.items():
+            seconds, rows, migrations = _saturated_replay(policy, requests)
+            outcomes[name] = (rows, migrations)
+            if repeat == 0:  # warms models, memos and tables; not timed
+                continue
+            for outcome, samples in seconds.items():
+                median_us = 1e6 * float(np.median(samples))
+                best[name][outcome] = min(
+                    best[name].get(outcome, float("inf")), median_us
+                )
+    counts = {outcome: len(samples) for outcome, samples in seconds.items()}
+
+    # The hard gate, every mode: reading capacity off the index changes
+    # no decision and no migration.
+    assert outcomes["index"] == outcomes["full walk"]
+    assert counts["rejected"] >= 20 and counts["recovered"] >= 2, counts
+
+    ratio = best["index"]["rejected"] / best["index"]["placed"]
+    lines = [
+        f"arrival cost by outcome on a saturated fleet ("
+        f"{REJECT_HOSTS_PER_SHAPE} amd + {REJECT_HOSTS_PER_SHAPE} intel "
+        f"hosts, {REJECT_ARRIVALS} arrivals, stream seed {SEED}, median per "
+        f"outcome, best of {REJECT_REPEATS}{', SMOKE' if SMOKE else ''}), "
+        "us per arrival:",
+        "",
+        f"{'outcome':>10} {'arrivals':>9} {'index':>9} {'full walk':>10}",
+    ]
+    for outcome in ("placed", "rejected", "recovered"):
+        lines.append(
+            f"{outcome:>10} {counts[outcome]:>9} "
+            f"{best['index'][outcome]:>9.1f} "
+            f"{best['full walk'][outcome]:>10.1f}"
+        )
+    lines += [
+        "",
+        "equivalence gate: decisions and migrations equal the full walk's "
+        "(asserted)",
+        f"a reject costs {ratio:.2f} of a placed arrival (acceptance "
+        f"ceiling {REJECT_CEILING:.2f}, full mode)",
+    ]
+    report("predict_reject_path", "\n".join(lines))
+
+    record_bench(
+        "reject_path",
+        {
+            "scenario": f"LifecycleScheduler.step on {REJECT_HOSTS_PER_SHAPE} "
+            f"amd + {REJECT_HOSTS_PER_SHAPE} intel hosts offered "
+            f"{REJECT_ARRIVAL_RATE:g}/s x {REJECT_MEAN_LIFETIME:g} s, "
+            f"{REJECT_ARRIVALS} arrivals, stream seed {SEED}, registry seed 0",
+            "numpy": np.__version__,
+            "arrivals_by_outcome": counts,
+            "us_per_arrival": {
+                name: {k: round(v, 1) for k, v in by_outcome.items()}
+                for name, by_outcome in best.items()
+            },
+            "rejects_per_second": round(1e6 / best["index"]["rejected"]),
+            "recovered_per_second": round(1e6 / best["index"]["recovered"]),
+            "reject_share_of_placed": round(ratio, 3),
+            "equivalent": True,
+        },
+        path=BENCH_PREDICT_JSON,
+    )
+    if not SMOKE:
+        assert ratio < REJECT_CEILING, (
+            f"a capacity reject must cost under {REJECT_CEILING:.2f} of a "
+            f"placed arrival, cost {ratio:.2f}"
         )

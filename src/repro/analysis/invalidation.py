@@ -9,8 +9,9 @@ and their per-state answers on ``(fingerprint, kind, version)``,
 ``ModelRegistry`` keys baseline-IPC memos on a model version token and
 keeps noise-free IPCs in per-placement rows, ``ArtifactStore`` hands
 every registry the same trained entries, the goal-aware policy compiles
-a lane per ``(placement set, model)`` pair, the wire decoder interns
-placements, and the value objects under all of it — workload profiles
+a lane per ``(placement set, model)`` pair, the migration planner
+remembers its advice per profile, the wire decoder interns placements,
+and the value objects under all of it — workload profiles
 and placements — cache their own hash (a profile its wire row too).
 Every one of those stays correct only because each mutation path
 bumps the matching version or drops the derived structure.  This rule
@@ -240,9 +241,22 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         # probe rows a lane holds are resolved by the registry, in the
         # same call, for the lane's own input placements (probe_row) and
         # handed back with them: they cannot outlive or mismatch the pair.
+        # A lane's smallest block is what the capacity check compares
+        # with the index and what the rebalancer frees room for: both
+        # read it off the lane, and the check is the only reader of the
+        # index's per-shape largest free count.
         declared={
             "_lane": ("_lanes", "placements", "model", "id", "probe_row"),
-            "decide_batch": ("_lane", "block_state_memo", "probes", "inputs"),
+            "decide_batch": (
+                "_lane",
+                "_has_room",
+                "block_state_memo",
+                "probes",
+                "inputs",
+            ),
+            "_place_indexed": ("_has_room",),
+            "_has_room": ("largest_free", "smallest"),
+            "min_block_nodes": ("_lane", "smallest"),
         },
         derived=(
             "repro.scheduler.policies._Lane.inputs",
@@ -252,6 +266,7 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             "repro.scheduler.policies._Lane.scorer",
             "repro.scheduler.policies._Lane.targets",
             "repro.scheduler.policies._Lane.sizes",
+            "repro.scheduler.policies._Lane.smallest",
             "repro.scheduler.policies._Lane.realized",
         ),
         runtime_check=(
@@ -334,6 +349,30 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         runtime_check=(
             "pickle round trip through a subprocess with another "
             "PYTHONHASHSEED (tests/scheduler/test_identity_caches.py)"
+        ),
+    ),
+    CacheSurface(
+        name="migration-advice",
+        class_name="MigrationPlanner",
+        module_suffix="migration/planner.py",
+        # _advice[(profile, probe_migrations)] is a pure function of its
+        # key (under the profile's own cached hash) and of the three
+        # settings the constructor assigns: nothing invalidates it while
+        # no method changes those in place, and the one method that
+        # fills it computes entries through _advise and starts over at
+        # the bound.
+        guarded_attrs=(
+            "engines",
+            "latency_sensitive_threshold",
+            "max_online_seconds",
+        ),
+        invalidators=("_advice",),
+        declared={
+            "advise": ("_advice", "_advise", "clear", "_ADVICE_MEMO_MAX"),
+        },
+        runtime_check=(
+            "remembered-vs-fresh advice equality and the bound "
+            "(tests/migration/test_migration.py::TestAdviceMemo)"
         ),
     ),
     CacheSurface(

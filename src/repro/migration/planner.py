@@ -19,7 +19,8 @@ time beats the configured rejection penalty
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.migration.engines import (
     DefaultLinuxMigrator,
@@ -31,6 +32,11 @@ from repro.migration.engines import (
 from repro.migration.memory import ContainerMemory
 from repro.perfsim.workload import WorkloadProfile
 
+#: Distinct ``(profile, probe_migrations)`` pairs a planner remembers
+#: advice for before it starts over (jittered streams mint a profile per
+#: request).
+_ADVICE_MEMO_MAX = 4096
+
 
 @dataclass(frozen=True)
 class MigrationAdvice:
@@ -38,7 +44,7 @@ class MigrationAdvice:
 
     memory: ContainerMemory
     recommended: str  # engine name, or "offline"
-    results: dict  # engine name -> MigrationResult
+    results: Mapping  # engine name -> MigrationResult (read-only)
     probe_migrations: int
     total_probe_seconds: float
     reason: str
@@ -59,6 +65,12 @@ class MigrationPlanner:
     max_online_seconds:
         If even the best engine needs more probing time than this, advise
         computing the placement offline (for recurring jobs).
+
+    Advice is a pure function of the profile, ``probe_migrations`` and
+    the three settings above, which nothing changes after construction,
+    so :meth:`advise` keeps what it computed (a fleet runs a few dozen
+    distinct profiles and the rebalancer asks about every container on
+    the host it consolidates, on every fragmentation reject).
     """
 
     def __init__(
@@ -75,6 +87,7 @@ class MigrationPlanner:
         self.engines = list(engines)
         self.latency_sensitive_threshold = latency_sensitive_threshold
         self.max_online_seconds = max_online_seconds
+        self._advice: Dict[Tuple[WorkloadProfile, int], MigrationAdvice] = {}
 
     def evaluate(self, memory: ContainerMemory) -> dict:
         """Cost of every engine for this container."""
@@ -95,8 +108,22 @@ class MigrationPlanner:
         """
         if probe_migrations < 1:
             raise ValueError("probe_migrations must be >= 1")
+        key = (profile, probe_migrations)
+        advice = self._advice.get(key)
+        if advice is None:
+            if len(self._advice) >= _ADVICE_MEMO_MAX:
+                self._advice.clear()
+            advice = self._advice[key] = self._advise(
+                profile, probe_migrations
+            )
+        return advice
+
+    def _advise(
+        self, profile: WorkloadProfile, probe_migrations: int
+    ) -> MigrationAdvice:
         memory = ContainerMemory.from_profile(profile)
-        results = self.evaluate(memory)
+        # Remembered advice is shared by every caller: hand out a view.
+        results = MappingProxyType(self.evaluate(memory))
 
         latency_sensitive = (
             profile.comm_latency_sensitivity > self.latency_sensitive_threshold

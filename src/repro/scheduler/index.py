@@ -267,13 +267,18 @@ class FleetIndex:
                 found.extend(ids)
         return found
 
+    def largest_free(self, fingerprint: Tuple) -> int:
+        """Most free nodes on any one host of an indexed shape — the
+        largest block the shape can still grant.  Empty buckets are
+        deleted, so it is the shape's largest bucket key: O(distinct
+        free counts), never a scan of its hosts."""
+        return max(self._buckets[fingerprint])
+
     def emptiest_host(self, fingerprint: Tuple) -> Tuple[int, int]:
         """``(free-node count, host id)`` of an indexed shape's host with
-        the most free nodes, lowest id on ties — read off the shape's
-        largest non-empty bucket, not a scan of its hosts."""
-        buckets = self._buckets[fingerprint]
-        free = max(buckets)
-        return free, min(buckets[free])
+        the most free nodes, lowest id on ties."""
+        free = self.largest_free(fingerprint)
+        return free, min(self._buckets[fingerprint][free])
 
     def lowest_host(
         self,
@@ -347,6 +352,17 @@ class FleetIndex:
             "index tracks a different host set than the fleet"
         )
         assert set(self._mask_of) == indexed, "mask map tracks other hosts"
+        for fingerprint in self._machines:
+            scanned = max(
+                h.n_free_nodes
+                for h in hosts
+                if h.machine.fingerprint() == fingerprint
+            )
+            largest = self.largest_free(fingerprint)
+            assert largest == scanned, (
+                f"largest_free {largest} != {scanned} for shape "
+                f"{self._machines[fingerprint].name}"
+            )
         in_states: List[int] = []
         for states in self._states.values():
             for mask, bucket in states.items():

@@ -37,15 +37,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.blockscores import block_state_memo
+from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.placements import Placement
-from repro.migration.memory import ContainerMemory
-from repro.migration.planner import MigrationPlanner
+from repro.migration.planner import MigrationAdvice, MigrationPlanner
 from repro.scheduler.events import EventKind, LifecycleEvent, events_from_requests
 from repro.scheduler.fleet import Fleet, FleetHost, scores_match
-from repro.scheduler.policies import FleetPolicy, GoalAwareFleetPolicy
+from repro.scheduler.policies import (
+    FleetDecision,
+    FleetPolicy,
+    GoalAwareFleetPolicy,
+)
 from repro.scheduler.registry import ModelRegistry
 from repro.scheduler.requests import PlacementRequest
 from repro.scheduler.scheduler import (
@@ -346,28 +357,20 @@ class LifecycleScheduler:
     def step(self, event: LifecycleEvent) -> GradedDecision | None:
         """Process one event; returns the graded decision for arrivals
         (appended to :attr:`graded`), None for departures."""
-        entry = None
         if event.kind is EventKind.ARRIVAL:
-            entry = self._handle_arrival(event, self.stats)
-            self.graded.append(entry)
-            if not entry.decision.placed and (
-                entry.decision.reject_reason == "capacity"
-            ):
-                self.fleet.index.record_fit_failure()
-        else:
-            self._handle_departure(event, self.stats)
+            started = time.perf_counter()
+            decision = self.policy.decide(event.request, self.fleet)
+            return self._settle(event, decision, started)
+        self._release(event.request.request_id)
         self._sample(event.time)
-        return entry
+        return None
 
     def depart(self, request_id: int, event_time: float) -> None:
         """Process a departure by request id — :meth:`step`'s departure
         arm without the event envelope.  A departure needs nothing but
-        the id (releasing an unknown or rejected id is a no-op), so the
-        sharded service's wire format ships ``[id, time]`` pairs instead
-        of full request payloads."""
-        if self._active.pop(request_id, None) is not None:
-            self.fleet.release(request_id)
-            self.stats.departures += 1
+        the id, so the sharded service's wire format ships ``[id, time]``
+        pairs instead of full request payloads."""
+        self._release(request_id)
         self._sample(event_time)
 
     def step_batch(
@@ -386,50 +389,15 @@ class LifecycleScheduler:
             raise ValueError("step_batch handles arrival events only")
         if len(events) == 1:
             return [self.step(events[0])]
-        stats = self.stats
-        stats.arrivals += len(events)
-        requests = [event.request for event in events]
-        decide_start = time.perf_counter()
-        decisions = self.policy.decide_batch(requests, self.fleet)
-        per_request = (time.perf_counter() - decide_start) / len(events)
-        entries: List[GradedDecision] = []
-        for event, decision in zip(events, decisions):
-            retry_start = time.perf_counter()
-            if (
-                not decision.placed
-                and decision.reject_reason == "capacity"
-                and self.config.enabled
-            ):
-                plan = self._plan_rebalance(event.request)
-                if plan:
-                    stats.rebalance_attempts += 1
-                    stats.migrations.extend(self._execute_plan(plan, event))
-                    retry = self.policy.decide(event.request, self.fleet)
-                    if retry.placed:
-                        stats.rebalance_recovered += 1
-                        decision = retry
-            decide_seconds = per_request + (
-                time.perf_counter() - retry_start
-            )
-            entry = grade_decision(decision, self.fleet, self.registry)
-            entry.decision_seconds = decide_seconds
-            if decision.placed:
-                self._active[event.request.request_id] = event.request
-                self._graded_by_id[event.request.request_id] = entry
-                if self.online is not None:
-                    self.online.observe(
-                        self.fleet.hosts[decision.host_id].machine,
-                        entry,
-                        event.time,
-                    )
-            self.graded.append(entry)
-            if not entry.decision.placed and (
-                entry.decision.reject_reason == "capacity"
-            ):
-                self.fleet.index.record_fit_failure()
-            self._sample(event.time)
-            entries.append(entry)
-        return entries
+        started = time.perf_counter()
+        decisions = self.policy.decide_batch(
+            [event.request for event in events], self.fleet
+        )
+        per_request = (time.perf_counter() - started) / len(events)
+        return [
+            self._settle(event, decision, time.perf_counter(), per_request)
+            for event, decision in zip(events, decisions)
+        ]
 
     def _sample(self, event_time: float) -> None:
         index = self.fleet.index
@@ -468,13 +436,20 @@ class LifecycleScheduler:
         elapsed = time.perf_counter() - start
         return self.collect_report(len(requests), elapsed)
 
-    def _handle_arrival(
-        self, event: LifecycleEvent, stats: ChurnStats
+    def _settle(
+        self,
+        event: LifecycleEvent,
+        decision: FleetDecision,
+        started: float,
+        spent: float = 0.0,
     ) -> GradedDecision:
+        """Everything an arrival needs after its first decision: a
+        capacity reject gets one rebalance and one retry, the outcome is
+        graded, recorded and fed to the online learner, and the fleet is
+        sampled.  ``decision_seconds`` is ``spent`` plus the time since
+        ``started``."""
+        stats, request = self.stats, event.request
         stats.arrivals += 1
-        request = event.request
-        decide_start = time.perf_counter()
-        decision = self.policy.decide(request, self.fleet)
         if (
             not decision.placed
             and decision.reject_reason == "capacity"
@@ -491,7 +466,7 @@ class LifecycleScheduler:
         # Stop the clock before grading: the one-shot scheduler's
         # decision_seconds also excludes grading, keeping the two modes'
         # latency stats comparable.
-        decide_seconds = time.perf_counter() - decide_start
+        decide_seconds = spent + (time.perf_counter() - started)
         entry = grade_decision(decision, self.fleet, self.registry)
         entry.decision_seconds = decide_seconds
         if decision.placed:
@@ -506,18 +481,19 @@ class LifecycleScheduler:
                     entry,
                     event.time,
                 )
+        elif decision.reject_reason == "capacity":
+            self.fleet.index.record_fit_failure()
+        self.graded.append(entry)
+        self._sample(event.time)
         return entry
 
-    def _handle_departure(
-        self, event: LifecycleEvent, stats: ChurnStats
-    ) -> None:
+    def _release(self, request_id: int) -> None:
         # A departure for a request that was rejected (or already released)
         # is a no-op, not an error: the event pair was scheduled before the
         # placement outcome was known.
-        if self._active.pop(event.request.request_id, None) is None:
-            return
-        self.fleet.release(event.request.request_id)
-        stats.departures += 1
+        if self._active.pop(request_id, None) is not None:
+            self.fleet.release(request_id)
+            self.stats.departures += 1
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -560,6 +536,22 @@ class LifecycleScheduler:
             # moving containers around will not help.
             return []
 
+        # What the victims share is resolved once per plan: same-shape
+        # hosts with their free counts, fullest first (planning allocates
+        # nothing, so both hold; ``claimed`` carries what changes between
+        # victims), the shape's block scorer and its state memo.
+        machine = target.machine
+        buckets = index.buckets(machine.fingerprint())
+        candidates = [
+            (free, self.fleet.hosts[host_id])
+            for free in sorted(buckets)
+            if free
+            for host_id in sorted(buckets[free])
+            if host_id != target.host_id
+        ]
+        scorer = machine.interconnect.aggregate_bandwidth
+        table = block_state_memo(machine, "interconnect")
+
         victims = sorted(
             target.placements.items(),
             key=lambda item: self._footprint_gb(item[0]),
@@ -576,13 +568,15 @@ class LifecycleScheduler:
             victim = self._active.get(victim_id)
             if victim is None:
                 continue
-            advice = self.planner.advise(victim.profile, probe_migrations=1)
+            advice = self._advice(victim)
             if advice.recommended == "offline":
                 continue  # footprint too large to move online at all
             seconds = advice.results[advice.recommended].seconds
             if spent + seconds > self.config.reject_penalty_seconds:
                 continue
-            destination = self._find_destination(target, placement, claimed)
+            destination = self._find_destination(
+                candidates, placement, claimed, scorer, table
+            )
             if destination is None:
                 continue
             dest, block = destination
@@ -596,49 +590,46 @@ class LifecycleScheduler:
             return []  # cannot free a big enough block within the gate
         return plan
 
+    def _advice(self, request: PlacementRequest) -> MigrationAdvice:
+        """The planner's (remembered) advice for one rebalancing move of
+        a running container — engine, seconds and memory footprint."""
+        return self.planner.advise(request.profile, probe_migrations=1)
+
     def _footprint_gb(self, request_id: int) -> float:
         request = self._active.get(request_id)
         if request is None:  # placed outside the engine; move it last
             return float("inf")
-        return ContainerMemory.from_profile(request.profile).total_gb
+        return self._advice(request).memory.total_gb
 
+    @staticmethod
     def _find_destination(
-        self,
-        source: FleetHost,
+        candidates: Sequence[Tuple[int, FleetHost]],
         placement: Placement,
         claimed: Dict[int, set],
+        scorer: Callable,
+        table: BlockStateMemo,
     ) -> Tuple[FleetHost, Tuple[int, ...]] | None:
-        """A same-shape host (never the source) with room for the victim.
+        """The first of ``candidates`` (``(free nodes, host)`` over the
+        source's shape, the source left out, fullest first) with room for
+        the victim.
 
         Fullest-first order: parking victims on already-busy hosts keeps
         the emptier hosts' blocks large, so the rebalancer does not trade
         one fragmentation problem for another.  A block matching the
         victim's current interconnect score is preferred (its graded
         performance transfers); any block of the right size is the
-        fallback.
-
-        Candidates come from the fleet index's same-shape buckets —
-        fullest-first is ascending free-count bucket order, and hosts
-        whose free count cannot cover the victim's block are never
-        visited.  Block search reads the shared per-shape state memo.
+        fallback.  Hosts whose free count cannot cover the victim's block
+        are never searched, and block search reads the shared per-shape
+        state memo.
         """
-        index = self.fleet.index
-        buckets = index.buckets(source.machine.fingerprint())
-        candidates = [
-            self.fleet.hosts[host_id]
-            for size in sorted(buckets)
-            if size >= placement.n_nodes
-            for host_id in sorted(buckets[size])
-            if host_id != source.host_id
-        ]
-        machine = source.machine
-        scorer = lambda nodes: machine.interconnect.aggregate_bandwidth(nodes)  # noqa: E731
-        table = block_state_memo(machine, "interconnect")
+        size = placement.n_nodes
         target_score = scorer(frozenset(placement.nodes))
         for exact in (target_score, None):
-            for host in candidates:
+            for free, host in candidates:
+                if free < size:
+                    continue
                 block = host.find_block(
-                    placement.n_nodes,
+                    size,
                     scorer,
                     target_score=exact,
                     exclude=claimed.get(host.host_id, ()),
@@ -673,9 +664,7 @@ class LifecycleScheduler:
                     dest_host=dest.host_id,
                     engine=engine,
                     seconds=seconds,
-                    moved_gb=ContainerMemory.from_profile(
-                        victim.profile
-                    ).total_gb,
+                    moved_gb=self._advice(victim).memory.total_gb,
                     triggered_by=event.request.request_id,
                 )
             )

@@ -35,6 +35,7 @@ from repro.core.placements import Placement
 from repro.ml.arena import predict_fused
 from repro.ml.forest import RandomForestRegressor
 from repro.scheduler.fleet import Fleet, FleetHost, minimal_shape
+from repro.scheduler.index import FleetIndex
 from repro.scheduler.registry import ModelRegistry, ProbeRow
 from repro.scheduler.requests import PlacementRequest
 from repro.topology.machine import MachineTopology
@@ -362,6 +363,9 @@ class _Lane(NamedTuple):
     scorer: Callable
     targets: Tuple[float, ...]
     sizes: Tuple[int, ...]
+    #: The smallest of ``sizes``: a host with fewer free nodes can hold
+    #: no candidate of this lane, one with as many can hold that one.
+    smallest: int
     #: Per candidate, ``block -> realized Placement``: validated once per
     #: distinct block and shared by every request realized on it
     #: (placements are immutable; hosts only hold references).
@@ -383,6 +387,16 @@ class GoalAwareFleetPolicy(FleetPolicy):
     over the Python floats they return; one
     :func:`~repro.ml.arena.predict_fused` call across all keys; and per
     request a preference sort over Python floats and a walk down it.
+
+    A probe needs a free block to run in, so ``capacity`` is answered
+    before any of that, from the fleet index (:meth:`_has_room`: the
+    shape's largest free-node count against the lane's smallest
+    candidate): a key no hostable shape has room for when the batch
+    begins is not probed or predicted at all, and a request whose key
+    ran out of room to earlier requests of its batch is rejected before
+    its preferences are sorted.  The walk that would have found the same
+    answer is kept as a test oracle
+    (``tests/scheduler/oracle_policy.py``).
 
     Lanes are found through ``registry.placements()`` /
     ``registry.model()`` on every batch, by the identity of what those
@@ -438,7 +452,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
         self.probe_duration_s = probe_duration_s
         self.indexed = indexed
         #: Batched-prediction accounting for the fleet report: one fused
-        #: forest call per decide_batch, however many keys it spans.
+        #: forest call per decide_batch that probed anything, however many
+        #: keys it spans; rows count probed requests only.
         self.predict_calls = 0
         self.predicted_rows = 0
         #: (id(placements), id(model)) -> lane, least recently used
@@ -472,6 +487,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 kind, scorer = "interconnect", bandwidth.score_nodes
             i, j = model.input_pair
             inputs = (placements[i], placements[j])
+            sizes = tuple(c.n_nodes for c in placements)
             lane = _Lane(
                 placements,
                 model,
@@ -482,7 +498,8 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 kind,
                 scorer,
                 tuple(scorer(frozenset(c.nodes)) for c in placements),
-                tuple(c.n_nodes for c in placements),
+                sizes,
+                min(sizes),
                 tuple({} for _ in placements),
             )
         self._lanes[key] = lane  # (re)inserted last: most recently used
@@ -494,11 +511,15 @@ class GoalAwareFleetPolicy(FleetPolicy):
         """The goal-aware policy only instantiates important placements,
         whose smallest block can exceed the minimal balanced shape
         (Algorithm 2 keeps only blocks that tile the whole machine)."""
-        try:
-            placements = self.registry.placements(machine, vcpus)
-            return min(p.n_nodes for p in placements)
-        except ValueError:  # unhostable shape, or no important placements
-            return None
+        lane = self._lane(machine, vcpus)
+        return None if lane is None else lane.smallest
+
+    def _has_room(self, index: FleetIndex, lane: _Lane) -> bool:
+        """Whether any host of the lane's shape can hold any of its
+        candidates right now.  Exact: whole nodes are granted, so a host
+        holds *some* block of a size iff it has that many nodes free,
+        and the shape's emptiest host has ``largest_free`` of them."""
+        return index.largest_free(lane.fingerprint) >= lane.smallest
 
     def _preference_order(
         self,
@@ -532,14 +553,34 @@ class GoalAwareFleetPolicy(FleetPolicy):
         groups: Dict[int, List[PlacementRequest]] = {}
         for request in requests:
             groups.setdefault(request.vcpus, []).append(request)
-        #: Per group, what every shape probes it with: (vcpus, profiles,
-        #: request ids, the second probe's repetitions).
+        index, shapes = fleet.index, fleet.shapes
+        #: vcpus -> (lane, block-state memo, request id -> prediction row)
+        #: per hostable shape, in shape order.  No entry: no shape can
+        #: host the group at all; an empty one: some can, none has room.
+        searches: Dict[int, List[Tuple]] = {}
+        #: Per group still to probe: (vcpus, its lane on each shape,
+        #: profiles, request ids, the second probe's repetitions).
         probed: List[Tuple] = []
         for vcpus, group in groups.items():
+            lanes = [self._lane(machine, vcpus) for machine in shapes]
+            hostable = False
+            for lane in lanes:
+                if lane is not None:
+                    hostable = True
+                    if self._has_room(index, lane):
+                        break
+            else:
+                # A probe needs a free block to run in, and allocations
+                # inside a batch only shrink free space: a group no host
+                # can hold now is answered without probing it.
+                if hostable:
+                    searches[vcpus] = []
+                continue
             ids = [request.request_id for request in group]
             probed.append(
                 (
                     vcpus,
+                    lanes,
                     [request.profile for request in group],
                     ids,
                     [request_id + 1 for request_id in ids],
@@ -547,9 +588,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
             )
         registry, duration_s = self.registry, self.probe_duration_s
         plans: List[Tuple] = []
-        for machine in fleet.shapes:
-            for vcpus, profiles, ids, next_ids in probed:
-                lane = self._lane(machine, vcpus)
+        for shape, machine in enumerate(shapes):
+            for vcpus, lanes, profiles, ids, next_ids in probed:
+                lane = lanes[shape]
                 if lane is None:
                     continue
                 obs_i = registry.probe_ipc_batch(
@@ -577,9 +618,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 )
                 features = lane.model.batch_features(obs_i, obs_j)
                 plans.append((lane, memo, vcpus, ids, features))
-        #: vcpus -> (lane, block-state memo, request id -> prediction row)
-        #: per hostable shape, in shape order.
-        searches: Dict[int, List[Tuple]] = {}
         if plans:
             outputs = predict_fused(
                 [(lane.forest, features) for lane, _, _, _, features in plans]
@@ -623,10 +661,16 @@ class GoalAwareFleetPolicy(FleetPolicy):
         lowest-id host whose free-node *state* admits the block (one memo
         lookup per distinct state present, not one ``find_block`` per
         host), and only that winner is searched and allocated for real."""
-        if not plans:
+        if plans is None:
             return FleetDecision(request, reject_reason="infeasible")
         index = fleet.index
-        if index.free_nodes_total == 0:
+        for lane, _, _ in plans:
+            if self._has_room(index, lane):
+                break
+        else:
+            # Every pass of the walk below would come back empty: its
+            # last resort, any block of the smallest candidate's size,
+            # exists iff some lane has room.
             return FleetDecision(request, reject_reason="capacity")
         ranked = self._ranked(request, plans)
         max_rank = max(len(order) for *_, order in ranked)
@@ -674,12 +718,12 @@ class GoalAwareFleetPolicy(FleetPolicy):
         fleet: Fleet,
         plans: List[Tuple] | None,
     ) -> FleetDecision:
-        if not plans:
+        if plans is None:
             return FleetDecision(request, reject_reason="infeasible")
         candidates = [
             host for host in fleet.hosts if host.n_free_nodes > 0
         ]
-        if not candidates:
+        if not plans or not candidates:
             return FleetDecision(request, reject_reason="capacity")
         by_shape = {
             entry[0].fingerprint: entry

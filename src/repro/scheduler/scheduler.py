@@ -132,9 +132,15 @@ class FleetReport:
     #: served from an already warm cache (a shard behind a front end, a
     #: respawned worker) reports 0.
     enumeration_runs: int = 0
+    #: Fused forest calls and the prediction vectors they returned.  They
+    #: count *probed* requests only: an arrival the goal-aware policy
+    #: rejects for capacity off the fleet index is neither probed nor
+    #: predicted (a batch rejected whole makes no forest call at all), so
+    #: ``predicted_rows`` can be smaller than the requests decided.
     predict_calls: int = 0
     predicted_rows: int = 0
-    #: Noise-free IPC memo accounting (the grader's hot path).
+    #: Noise-free IPC memo accounting (the grader's hot path and the
+    #: policy's probes — again of probed requests only).
     ipc_cache_info: CacheInfo | None = None
     #: Arena-inference accounting (process-wide, like the block-score
     #: cache): compiled forests, fused multi-forest calls, and total

@@ -265,6 +265,8 @@ class GoalAwareFleetPolicy:
 
     def decide_batch(self, requests, fleet):
         lane = self._lane(fleet.machine, 8)
+        if not self._has_room(fleet.index, lane):
+            return []
         memo = block_state_memo(fleet.machine, lane.kind)
         return lane.inputs, lane.probes, memo
 """
@@ -272,6 +274,53 @@ class GoalAwareFleetPolicy:
         assert len(findings) == 1
         assert "policy-lanes" in findings[0].message
         assert "probe_row" in findings[0].message
+
+    def test_second_definition_of_the_smallest_block_flagged(self):
+        # The rebalancer frees what min_block_nodes names and the
+        # capacity check compares what _has_room reads: both must be the
+        # lane's own number, and the check must ask the index.
+        source = """
+class GoalAwareFleetPolicy:
+    def min_block_nodes(self, machine, vcpus):
+        return min(p.n_nodes for p in self.registry.placements(machine, vcpus))
+
+    def _has_room(self, index, lane):
+        return index.free_nodes_total >= lane.smallest
+"""
+        findings = findings_of(source)
+        assert len(findings) == 2
+        assert all("policy-lanes" in f.message for f in findings)
+        assert "_lane, smallest" in findings[0].message
+        assert "largest_free" in findings[1].message
+
+    def test_planner_setting_changed_under_its_advice_flagged(self):
+        source = """
+class MigrationPlanner:
+    def add_engine(self, engine):
+        self.engines.append(engine)
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["memo-invalidation"]
+        assert "migration-advice" in findings[0].message
+        assert "self._advice" in findings[0].message
+
+    def test_planner_memo_filled_through_advise_clean(self):
+        source = """
+class MigrationPlanner:
+    def advise(self, profile, probe_migrations=2):
+        key = (profile, probe_migrations)
+        advice = self._advice.get(key)
+        if advice is None:
+            if len(self._advice) >= _ADVICE_MEMO_MAX:
+                self._advice.clear()
+            advice = self._advice[key] = self._advise(profile, probe_migrations)
+        return advice
+
+    def add_engine(self, engine):
+        self.engines.append(engine)
+        self._advice.clear()
+"""
+        assert findings_of(source) == []
 
 
 class TestTable:

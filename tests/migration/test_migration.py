@@ -209,3 +209,45 @@ class TestPlanner:
     def test_results_include_all_engines(self):
         advice = MigrationPlanner().advise(workload_by_name("gcc"))
         assert set(advice.results) == {"default-linux", "fast", "throttled"}
+
+
+class TestAdviceMemo:
+    """Advice is a pure function of the profile and the probe count, so
+    the planner computes it once — the rebalancer asks about every
+    container on a host, on every fragmentation reject."""
+
+    def test_repeat_is_the_remembered_object(self):
+        planner = MigrationPlanner()
+        gcc = workload_by_name("gcc")
+        first = planner.advise(gcc, probe_migrations=1)
+        assert planner.advise(gcc, probe_migrations=1) is first
+        # An equal profile built elsewhere is the same key ...
+        assert planner.advise(gcc.with_overrides(), probe_migrations=1) is first
+        # ... another probe count or another profile is not.
+        assert planner.advise(gcc, probe_migrations=2) is not first
+        bigger = gcc.with_overrides(memory_gb=2 * gcc.memory_gb)
+        assert planner.advise(bigger, probe_migrations=1).memory.total_gb == (
+            pytest.approx(2 * first.memory.total_gb)
+        )
+
+    def test_remembered_equals_fresh(self):
+        planner = MigrationPlanner()
+        for name in ("gcc", "WTbtree", "kmeans"):
+            profile = workload_by_name(name)
+            planner.advise(profile)
+            assert planner.advise(profile) == MigrationPlanner().advise(profile)
+
+    def test_shared_results_are_read_only(self):
+        advice = MigrationPlanner().advise(workload_by_name("gcc"))
+        with pytest.raises(TypeError):
+            advice.results["fast"] = None
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.migration import planner as planner_module
+
+        monkeypatch.setattr(planner_module, "_ADVICE_MEMO_MAX", 3)
+        planner = MigrationPlanner()
+        gcc = workload_by_name("gcc")
+        for i in range(10):
+            planner.advise(gcc.with_overrides(memory_gb=1.0 + i))
+            assert len(planner._advice) <= 3

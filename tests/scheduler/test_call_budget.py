@@ -14,16 +14,22 @@ import cProfile
 import pstats
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.placements import Placement
+from repro.ml.arena import ForestArena
 from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler import (
+    EventKind,
     Fleet,
+    FleetIndex,
     GoalAwareFleetPolicy,
     LifecycleScheduler,
     ModelRegistry,
     events_from_requests,
     generate_churn_stream,
 )
+from repro.scheduler import policies as policies_module
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 from repro.topology import machine as machine_module
 
@@ -37,6 +43,11 @@ ARRIVALS = 400
 #: inline comprehensions and read lower.  Raise it only for a change
 #: that knowingly buys something with the extra calls.
 CALLS_PER_ARRIVAL_BUDGET = 450
+#: Calls one finally-rejected arrival may cost on the saturated stream
+#: below.  It reads 184-292, nearly all of it the rebalance plan that
+#: finds nothing to move; the probes, forest call and rank walk it no
+#: longer pays for were some 250 more.
+CALLS_PER_REJECT_BUDGET = 330
 
 
 def _stream(seed, first_id, arrivals=ARRIVALS):
@@ -50,11 +61,14 @@ def _stream(seed, first_id, arrivals=ARRIVALS):
     return [replace(r, request_id=first_id + r.request_id) for r in stream]
 
 
-def _engine():
+def _engine(hosts_per_shape=200):
     registry = ModelRegistry(n_estimators=6, n_synthetic=2, seed=0)
     return LifecycleScheduler(
         Fleet.mixed(
-            [(amd_opteron_6272(), 200), (intel_xeon_e7_4830_v3(), 200)]
+            [
+                (amd_opteron_6272(), hosts_per_shape),
+                (intel_xeon_e7_4830_v3(), hosts_per_shape),
+            ]
         ),
         GoalAwareFleetPolicy(registry),
         registry=registry,
@@ -157,3 +171,69 @@ def test_identity_is_derived_once_per_object(monkeypatch):
     assert decisions == len(requests) and not engine.stats.migrations
     assert _calls(stats, GoalAwareFleetPolicy._lane) == 2 * decisions
     assert _calls(stats, ModelRegistry.probe_ipc_batch) == 4 * decisions
+
+
+def test_a_capacity_reject_is_the_cheapest_answer(monkeypatch):
+    """On a fleet driven to saturation: an arrival nothing can hold is
+    answered from the index — no noise draw, no forest call, no rank walk
+    — and one the rebalancer recovers pays for exactly one decision (two
+    probes and one forest call per shape), not a failed one and then a
+    second."""
+    counts = {"draws": 0, "fused": 0}
+    default_rng, predict_fused = np.random.default_rng, policies_module.predict_fused
+
+    def counted_rng(*args, **kwargs):
+        counts["draws"] += 1
+        return default_rng(*args, **kwargs)
+
+    def counted_fused(plans):
+        counts["fused"] += 1
+        return predict_fused(plans)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(policies_module, "predict_fused", counted_fused)
+
+    engine = _engine(hosts_per_shape=20)
+    shapes = len(engine.fleet.shapes)
+
+    def saturating(seed, first_id):
+        # 40 hosts offered what keeps the other tests' 400 half empty.
+        return [
+            replace(r, lifetime=r.lifetime / 7.5)
+            for r in _stream(seed, first_id)
+        ]
+
+    _replay(engine, saturating(99, 10**9))  # warm, and drained again
+    engine.begin()
+    rejected = recovered = 0
+    for event in events_from_requests(saturating(17, 0)).drain():
+        if event.kind is not EventKind.ARRIVAL:
+            engine.step(event)
+            continue
+        counts["draws"] = counts["fused"] = 0
+        recovered_before = engine.stats.rebalance_recovered
+        profile = cProfile.Profile()
+        profile.enable()
+        entry = engine.step(event)
+        profile.disable()
+        stats = pstats.Stats(profile)
+        forests = _calls(stats, ForestArena._mean)
+        walked = _calls(stats, FleetIndex.lowest_host)
+        if engine.stats.rebalance_recovered > recovered_before:
+            recovered += 1
+            assert (counts["draws"], counts["fused"], forests) == (
+                2 * shapes,
+                1,
+                shapes,
+            )
+        elif not entry.decision.placed:
+            rejected += 1
+            assert entry.decision.reject_reason == "capacity"
+            assert (counts["draws"], counts["fused"], forests, walked) == (
+                0,
+                0,
+                0,
+                0,
+            )
+            assert stats.total_calls <= CALLS_PER_REJECT_BUDGET
+    assert rejected >= 20 and recovered >= 2

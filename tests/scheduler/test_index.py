@@ -146,6 +146,37 @@ class TestIndexCounters:
         assert fleet.largest_free_block == 8
         fleet.index.assert_consistent(fleet.hosts)
 
+    def test_largest_free_is_per_shape(self):
+        amd, intel = amd_opteron_6272(), intel_xeon_e7_4830_v3()
+        fleet = Fleet.mixed([(amd, 2), (intel, 2)])
+        index = fleet.index
+        by_shape = {
+            key: [h for h in fleet.hosts if h.machine.fingerprint() == key]
+            for key, _ in index.machines()
+        }
+        assert index.largest_free(amd.fingerprint()) == 8
+        assert index.largest_free(intel.fingerprint()) == 4
+        for host in by_shape[amd.fingerprint()]:
+            host.allocate(
+                host.host_id, Placement(amd, range(7), 56, l2_share=2)
+            )
+        full, spare = by_shape[intel.fingerprint()]
+        full.allocate(100, Placement(intel, range(4), 48, l2_share=2))
+        assert index.largest_free(amd.fingerprint()) == 1
+        assert index.largest_free(intel.fingerprint()) == 4
+        assert index.emptiest_host(intel.fingerprint()) == (4, spare.host_id)
+        assert index.emptiest_host(amd.fingerprint()) == (
+            1,
+            min(h.host_id for h in by_shape[amd.fingerprint()]),
+        )
+        spare.allocate(101, Placement(intel, range(4), 48, l2_share=2))
+        assert index.largest_free(intel.fingerprint()) == 0
+        fleet.release(100)
+        assert index.emptiest_host(intel.fingerprint()) == (4, full.host_id)
+        index.assert_consistent(fleet.hosts)
+        with pytest.raises(KeyError):
+            index.largest_free(_jumbo().fingerprint())
+
     def test_empty_fleet_reports_zero_largest_block(self):
         # An empty host list used to raise ValueError from max(); the
         # aggregate must degrade to 0 instead (a drained fleet is a valid

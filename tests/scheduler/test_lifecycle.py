@@ -179,6 +179,63 @@ class TestRebalancer:
         )
 
 
+    def test_destination_search_over_one_candidate_list(self, monkeypatch):
+        """The plan hands every victim the same fullest-first list: a
+        host with too few free nodes is skipped without a block search, a
+        block scoring like the victim's wins over a fuller host's
+        mismatched one, and nodes claimed for an earlier victim are not
+        offered twice."""
+        from repro.core.blockscores import block_state_memo
+        from repro.core.placements import Placement
+        from repro.scheduler.fleet import FleetHost
+
+        machine = amd_opteron_6272()
+        scorer = machine.interconnect.aggregate_bandwidth
+        table = block_state_memo(machine, "interconnect")
+        pairs = {
+            (a, b): scorer(frozenset((a, b)))
+            for a in range(8)
+            for b in range(a + 1, 8)
+        }
+        victim_nodes = max(pairs, key=pairs.get)
+        other_nodes = next(p for p in pairs if pairs[p] != pairs[victim_nodes])
+        victim = Placement(machine, victim_nodes, 16, l2_share=2)
+
+        def host_with_free(host_id, free_nodes):
+            host = FleetHost(host_id, machine)
+            busy = [n for n in range(8) if n not in free_nodes]
+            host.allocate(
+                host_id, Placement(machine, busy, 8 * len(busy), l2_share=2)
+            )
+            return len(free_nodes), host
+
+        cramped = host_with_free(0, victim_nodes[:1])
+        mismatched = host_with_free(1, other_nodes)
+        spare = next(n for n in range(8) if n not in victim_nodes)
+        matching = host_with_free(2, victim_nodes + (spare,))
+        candidates = [cramped, mismatched, matching]
+        searched = []
+        find_block = FleetHost.find_block
+
+        def counted(self, *args, **kwargs):
+            searched.append(self.host_id)
+            return find_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(FleetHost, "find_block", counted)
+        find = LifecycleScheduler._find_destination
+        dest, block = find(candidates, victim, {}, scorer, table)
+        assert (dest.host_id, block) == (2, victim_nodes)
+        assert 0 not in searched
+        # With the matching block claimed, the fuller host's mismatched
+        # one is the fallback; with that claimed too, nothing is left.
+        claimed = {2: set(victim_nodes)}
+        dest, block = find(candidates, victim, claimed, scorer, table)
+        assert (dest.host_id, block) == (1, other_nodes)
+        claimed[1] = set(other_nodes)
+        assert find(candidates, victim, claimed, scorer, table) is None
+        assert 0 not in searched
+
+
 class TestMinBlockNodes:
     def test_heuristic_policy_uses_minimal_shape(self):
         machine = amd_opteron_6272()

@@ -12,6 +12,7 @@ from repro.scheduler import (
     minimal_l2_share,
     minimal_node_count,
 )
+from repro.core.placements import Placement
 from repro.perfsim import workload_by_name
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 
@@ -217,6 +218,54 @@ class TestGoalAwarePolicy:
         rejected = [d for d in decisions if not d.placed]
         assert rejected
         assert all(d.reject_reason == "capacity" for d in rejected)
+
+    def test_full_fleet_is_answered_without_probing(self, registry):
+        """``capacity`` on a fleet with no room costs no probe and no
+        forest call, for either host-selection path; ``infeasible``
+        keeps its precedence, and the accounting counts probed requests
+        only."""
+        machine = amd_opteron_6272()
+        for indexed in (True, False):
+            fleet = Fleet.homogeneous(machine, 2)
+            policy = GoalAwareFleetPolicy(registry, indexed=indexed)
+            for host in fleet.hosts:
+                host.allocate(
+                    1000 + host.host_id,
+                    Placement(machine, range(8), 64, l2_share=2),
+                )
+            calls, rows = policy.predict_calls, policy.predicted_rows
+            probes = registry.ipc_cache_info()
+            decisions = policy.decide_batch(
+                [
+                    _request(10, vcpus=8),
+                    _request(12, vcpus=machine.total_threads * 2),
+                    _request(14, vcpus=16, goal=1.0),
+                ],
+                fleet,
+            )
+            assert [d.reject_reason for d in decisions] == [
+                "capacity",
+                "infeasible",
+                "capacity",
+            ]
+            assert (policy.predict_calls, policy.predicted_rows) == (calls, rows)
+            assert registry.ipc_cache_info() == probes
+
+    def test_smallest_block_has_one_definition(self, registry):
+        """What the rebalancer frees (``min_block_nodes``) and what the
+        capacity check asks for (the lane's ``smallest``) are one number:
+        the smallest important placement of the key."""
+        policy = GoalAwareFleetPolicy(registry)
+        for machine in (amd_opteron_6272(), intel_xeon_e7_4830_v3()):
+            for vcpus in (8, 16, 32):
+                smallest = min(
+                    p.n_nodes for p in registry.placements(machine, vcpus)
+                )
+                assert policy.min_block_nodes(machine, vcpus) == smallest
+                assert policy._lane(machine, vcpus).smallest == smallest
+            assert policy.min_block_nodes(machine, 4096) is None
+        # 10 vCPUs have no important placement on the AMD shape.
+        assert policy.min_block_nodes(amd_opteron_6272(), 10) is None
 
     def test_rejects_infeasible_everywhere(self, registry):
         machine = amd_opteron_6272()
