@@ -2,8 +2,9 @@
 
 The tree memoizes aggressively — the forest compiles an arena (node
 arrays and bit tables) from ``trees_``, the simulator keeps the constant
-prefix of its noise seeds, ``FleetIndex`` mirrors host capacity in O(1)
-counters and
+prefix of its noise seeds and one record per placement, the
+interconnect both scores of every node set it has scored, ``FleetIndex``
+mirrors host capacity in O(1) counters and
 buckets hosts by free-node state, ``BlockScoreCache`` keys score tables
 and their per-state answers on ``(fingerprint, kind, version)``,
 ``ModelRegistry`` keys baseline-IPC memos on a model version token and
@@ -80,8 +81,12 @@ class CacheSurface:
     setter_resets: Tuple[str, ...] = ()
     #: method name -> tokens (attributes or callables) it must touch.
     declared: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Methods on the class exempt from the guarded-attr check (the
-    #: invalidation primitives themselves).
+    #: method name -> tokens it must *not* touch: a second way around
+    #: the surface's one filler.
+    forbidden: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: Methods on the class exempt from the guarded-attr check: the
+    #: invalidation primitives themselves, or, on a surface without
+    #: invalidators (a memo nothing invalidates), its one writer.
     exempt_methods: Tuple[str, ...] = ()
     #: Dotted paths of state computed from the guarded attributes and
     #: dropped with the invalidators — named so that the table's own
@@ -144,6 +149,80 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         runtime_check=(
             "cached-prefix vs seven-part-seed equality on 10k draws "
             "(tests/perfsim/test_simulator.py)"
+        ),
+    ),
+    CacheSurface(
+        name="placement-record",
+        class_name="PerformanceSimulator",
+        module_suffix="perfsim/simulator.py",
+        # _placement_records[placement] is what the single-container model
+        # reads off one placement (counts, L2 share, L3 score, cross-node
+        # fraction, interconnect and DRAM supply, mean latency): a pure
+        # function of the placement, whose equality covers the machine's
+        # name, and of `machine`, which only the constructor assigns.
+        # Nothing invalidates it, so what must hold is that one method
+        # writes it, checking the placement against the machine first and
+        # starting over at the bound, and that the scalar breakdown and
+        # the batched kernels' placement arrays both read it: the two
+        # models cannot derive a placement's numbers two ways.
+        guarded_attrs=("_placement_records",),
+        exempt_methods=("_placement_record",),
+        declared={
+            "_placement_record": (
+                "_check_placement",
+                "_PlacementRecord",
+                "clear",
+                "_PLACEMENT_RECORD_MAX",
+            ),
+            "breakdown": ("_placement_record",),
+            "_placement_arrays": ("_placement_record",),
+        },
+        runtime_check=(
+            "scalar-vs-grid bit-for-bit equality on every important "
+            "placement (tests/perfsim/test_simulator_batch.py)"
+        ),
+    ),
+    CacheSurface(
+        name="node-set-scores",
+        class_name="Interconnect",
+        module_suffix="topology/interconnect.py",
+        # _node_set_scores[frozenset(nodes)] holds both scores of one node
+        # set: a pure function of the set and of the link and latency
+        # tables, which only the constructor assigns, so never
+        # invalidated.  What must hold is that both readers key it by the
+        # frozen set (a tuple key would file one set once per ordering),
+        # that only the filler writes it, from the link tables and
+        # starting over at the bound, and that it stays out of the
+        # interconnect's identity: unpickling starts it empty and the
+        # signature every fingerprint is built from never reads it.
+        guarded_attrs=("_node_set_scores",),
+        exempt_methods=("_score_node_set",),
+        declared={
+            "aggregate_bandwidth": (
+                "frozenset",
+                "_node_set_scores",
+                "_score_node_set",
+            ),
+            "mean_pairwise_latency_ns": (
+                "frozenset",
+                "_node_set_scores",
+                "_score_node_set",
+            ),
+            "_score_node_set": (
+                "_node_set_scores",
+                "_effective",
+                "latency_ns",
+                "clear",
+                "_NODE_SET_SCORES_MAX",
+            ),
+            "__setstate__": ("_node_set_scores",),
+        },
+        forbidden={"signature": ("_node_set_scores",)},
+        runtime_check=(
+            "memo-vs-recomputation on every node subset of every preset, "
+            "and warm-vs-cold pickle bytes and fingerprints through a "
+            "child with another PYTHONHASHSEED "
+            "(tests/topology/test_node_set_scores.py)"
         ),
     ),
     CacheSurface(
@@ -285,8 +364,10 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         # both fillers reach rows through it (the batch through
         # probe_row, which resolves the row with the shape's simulator
         # and that simulator's prefix table for the same placement) and
-        # store exactly what the simulator returned, and the entry count
-        # the report prints is summed over the rows.
+        # store exactly what the scalar simulator returned (a miss is one
+        # measured_ipc call; the grid kernel, whose fixed numpy passes pay
+        # off only on training grids, is no second miss path), and the
+        # entry count the report prints is summed over the rows.
         guarded_attrs=("_solo_ipc",),
         invalidators=("fingerprint",),
         declared={
@@ -294,15 +375,21 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             "probe_row": ("_ipc_row", "simulator", "noise_prefixes"),
             "probe_ipc_batch": (
                 "probe_row",
-                "measured_ipc_batch",
+                "measured_ipc",
                 "_ipc_misses",
                 "_ipc_hits",
             ),
             "ipc_cache_info": ("_solo_ipc",),
         },
+        forbidden={
+            "solo_ipc": ("measured_ipc_batch",),
+            "probe_ipc_batch": ("measured_ipc_batch",),
+        },
         runtime_check=(
             "batched-vs-sequential value / hit / miss / entry equality "
             "(tests/scheduler/test_registry_stats.py::TestProbeBatchProperty)"
+            " and cold rows vs both simulator kernels on every preset "
+            "(tests/scheduler/test_first_encounter.py)"
         ),
     ),
     CacheSurface(
@@ -553,18 +640,25 @@ class MemoInvalidationRule(Rule):
             stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)
         ]
         for method in methods:
-            declared = surface.declared.get(method.name)
-            if declared:
+            declared = surface.declared.get(method.name, ())
+            forbidden = surface.forbidden.get(method.name, ())
+            if declared or forbidden:
                 tokens = _touched_tokens(method)
+                problems = []
                 missing = [t for t in declared if t not in tokens]
                 if missing:
+                    problems.append(f"never touches {', '.join(missing)}")
+                banned = [t for t in forbidden if t in tokens]
+                if banned:
+                    problems.append(f"touches {', '.join(banned)}")
+                if problems:
                     findings.append(
                         self.finding(
                             module,
                             method,
                             f"{node.name}.{method.name} is declared to "
                             f"maintain the {surface.name!r} surface but "
-                            f"never touches {', '.join(missing)} "
+                            f"{' and '.join(problems)} "
                             f"(runtime check: {surface.runtime_check})",
                         )
                     )
@@ -585,14 +679,19 @@ class MemoInvalidationRule(Rule):
                     [f"self.{t}" for t in surface.invalidators]
                     + [f"reassigning self.{p}" for p in surface.setter_resets]
                 )
+                problem = (
+                    f"without invalidating — expected {expected}"
+                    if expected
+                    else f"outside {' / '.join(surface.exempt_methods)}, "
+                    "the one method that may write it"
+                )
                 findings.append(
                     self.finding(
                         module,
                         sites[0],
                         f"{node.name}.{method.name} mutates "
                         f"{'/'.join(surface.guarded_attrs)} "
-                        f"({surface.name!r} surface) without invalidating "
-                        f"— expected {expected} "
+                        f"({surface.name!r} surface) {problem} "
                         f"(runtime check: {surface.runtime_check})",
                     )
                 )

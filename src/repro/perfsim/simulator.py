@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -48,18 +49,69 @@ def _stable_seed(*parts) -> int:
 #: Noise-seed prefixes a simulator keeps before starting over; a fleet
 #: probes a few placements with a library of workloads, far fewer.
 _NOISE_PREFIX_MAX = 4096
+#: Placement records a simulator keeps before starting over; a shape has
+#: a few hundred distinct placements, far fewer.
+_PLACEMENT_RECORD_MAX = 4096
+#: Placement lists whose stacked arrays the batched kernels keep, least
+#: recently used dropped first: a shape's training and retraining grids
+#: run over a handful of long-lived lists.
+_PLACEMENT_ARRAYS_MAX = 16
+
+
+class _PlacementRecord:
+    """What the single-container model reads off one placement, resolved
+    once per placement.
+
+    Node and vCPU counts, L2 share and L3 score are the placement's own;
+    the cross-node fraction, interconnect supply, mean pairwise latency
+    and DRAM supply follow from them and from the machine.
+    :meth:`PerformanceSimulator.breakdown` reads these where it used to
+    derive them per call, with the same arithmetic, and
+    :class:`_PlacementArrays` stacks them for the batched kernels.
+    """
+
+    __slots__ = (
+        "n_nodes",
+        "vcpus",
+        "l2_share",
+        "l3_score",
+        "cross_fraction",
+        "ic_supply",
+        "mean_latency",
+        "dram_supply",
+    )
+
+    def __init__(self, machine: MachineTopology, placement: Placement) -> None:
+        n_nodes = placement.n_nodes
+        interconnect = machine.interconnect
+        self.n_nodes = n_nodes
+        self.vcpus = placement.vcpus
+        self.l2_share = placement.l2_share
+        self.l3_score = placement.l3_score
+        self.cross_fraction = (n_nodes - 1) / n_nodes
+        # Supply is only read where n_nodes > 1 (single-node demand is
+        # exactly zero there); the placeholder keeps the batched kernels'
+        # masked division warning-free.
+        self.ic_supply = (
+            interconnect.aggregate_bandwidth(placement.nodes)
+            if n_nodes > 1
+            else 1.0
+        )
+        self.mean_latency = interconnect.mean_pairwise_latency_ns(
+            placement.nodes
+        )
+        self.dram_supply = n_nodes * machine.dram_bandwidth_mbps
 
 
 class _PlacementArrays:
-    """Per-placement attribute arrays for one placement list.
+    """The records of one placement list, stacked into per-placement
+    attribute arrays.
 
     The batched kernels evaluate whole (workload x placement) grids in
-    single numpy passes; everything that depends only on the placements —
-    node counts, interconnect supplies, mean latencies — is extracted once
-    here and reused across calls (the placement lists of a shape are
-    long-lived :class:`~repro.core.enumeration.ImportantPlacementSet`
-    objects, so the simulator memoizes these arrays keyed by the tuple of
-    placements).
+    single numpy passes and read these columns; they are stacked once and
+    reused across calls (the placement lists of a shape are long-lived
+    :class:`~repro.core.enumeration.ImportantPlacementSet` objects, so the
+    simulator keeps these arrays keyed by the tuple of placements).
     """
 
     __slots__ = (
@@ -71,30 +123,13 @@ class _PlacementArrays:
         "mean_latency",
     )
 
-    def __init__(
-        self, machine: MachineTopology, placements: Sequence[Placement]
-    ) -> None:
-        self.n_nodes = np.array([p.n_nodes for p in placements], dtype=float)
-        self.vcpus = np.array([p.vcpus for p in placements], dtype=float)
-        self.l2_share = np.array([p.l2_share for p in placements])
-        self.l3_score = np.array([p.l3_score for p in placements], dtype=float)
-        # Supply is only read where n_nodes > 1 (single-node demand is
-        # exactly zero there); the placeholder keeps the masked division
-        # warning-free.
-        self.ic_supply = np.array(
-            [
-                machine.interconnect.aggregate_bandwidth(p.nodes)
-                if p.n_nodes > 1
-                else 1.0
-                for p in placements
-            ]
-        )
-        self.mean_latency = np.array(
-            [
-                machine.interconnect.mean_pairwise_latency_ns(p.nodes)
-                for p in placements
-            ]
-        )
+    def __init__(self, records: Sequence[_PlacementRecord]) -> None:
+        self.n_nodes = np.array([r.n_nodes for r in records], dtype=float)
+        self.vcpus = np.array([r.vcpus for r in records], dtype=float)
+        self.l2_share = np.array([r.l2_share for r in records])
+        self.l3_score = np.array([r.l3_score for r in records], dtype=float)
+        self.ic_supply = np.array([r.ic_supply for r in records])
+        self.mean_latency = np.array([r.mean_latency for r in records])
 
 
 class PerformanceSimulator:
@@ -124,8 +159,14 @@ class PerformanceSimulator:
             calibration if calibration is not None else calibration_for(machine)
         )
         self.seed = seed
-        #: tuple(placements) -> _PlacementArrays, for the batched kernels.
-        self._placement_arrays_cache: Dict[Tuple, _PlacementArrays] = {}
+        #: tuple(placements) -> _PlacementArrays, for the batched kernels,
+        #: least recently used first.
+        self._placement_arrays_cache: OrderedDict[
+            Tuple, _PlacementArrays
+        ] = OrderedDict()
+        #: placement -> _PlacementRecord, a pure function of the placement
+        #: and ``machine``; written by :meth:`_placement_record` alone.
+        self._placement_records: Dict[Placement, _PlacementRecord] = {}
         #: (nodes, l2_share) -> {profile name: CRC of the noise seed's
         #: constant prefix}; a pure function of the two keys, ``seed`` and
         #: the machine name, none of which change after construction.
@@ -143,56 +184,52 @@ class PerformanceSimulator:
         self, profile: WorkloadProfile, placement: Placement
     ) -> Dict[str, float]:
         """Noise-free per-effect multipliers for one placement."""
-        self._check_placement(placement)
+        record = self._placement_records.get(placement)
+        if record is None:
+            record = self._placement_record(placement)
         machine = self.machine
         cal = self.calibration
-        n_nodes = placement.n_nodes
-        vcpus = placement.vcpus
+        vcpus = record.vcpus
 
         smt = effects.smt_factor(
-            placement.l2_share,
+            record.l2_share,
             machine.threads_per_l2,
             cal.smt_efficiency,
             profile.smt_affinity,
         ) * effects.l2_capacity_factor(
             profile.working_set_mb / vcpus,
-            placement.l2_share,
+            record.l2_share,
             machine.l2_size_kb / 1024.0,
             cal.l2_pressure_mb,
         )
 
         ws_per_l3 = effects.effective_working_set_per_l3(
-            profile.working_set_mb, profile.shared_fraction, placement.l3_score
+            profile.working_set_mb, profile.shared_fraction, record.l3_score
         )
         misses = effects.miss_fraction(ws_per_l3, machine.l3_size_mb)
         cache = effects.cache_factor(profile.cache_sensitivity, misses)
 
         dram_demand = vcpus * profile.membw_per_vcpu * misses
-        dram_supply = n_nodes * machine.dram_bandwidth_mbps
         membw = effects.saturation_factor(
-            dram_demand, dram_supply, cal.saturation_sharpness
+            dram_demand, record.dram_supply, cal.saturation_sharpness
         )
 
-        if n_nodes > 1:
-            cross_fraction = (n_nodes - 1) / n_nodes
+        if record.n_nodes > 1:
+            cross_fraction = record.cross_fraction
             ic_demand = (
                 dram_demand * (1.0 - profile.numa_locality) * cross_fraction
                 + vcpus * profile.comm_bytes_per_vcpu * cross_fraction
             )
-            ic_supply = machine.interconnect.aggregate_bandwidth(placement.nodes)
             interconnect = effects.saturation_factor(
-                ic_demand, ic_supply, cal.saturation_sharpness
+                ic_demand, record.ic_supply, cal.saturation_sharpness
             )
         else:
             interconnect = 1.0
 
-        mean_latency = machine.interconnect.mean_pairwise_latency_ns(
-            placement.nodes
-        )
         comm = effects.comm_latency_factor(
             profile.comm_intensity,
             profile.comm_latency_sensitivity,
-            mean_latency,
+            record.mean_latency,
             machine.interconnect.local_latency_ns,
         )
 
@@ -208,18 +245,34 @@ class PerformanceSimulator:
     # Batched kernels: whole (workload x placement) grids per numpy pass
     # ------------------------------------------------------------------
 
+    def _placement_record(self, placement: Placement) -> _PlacementRecord:
+        """The placement's record, built (and the placement checked
+        against the machine) the first time anything asks for it."""
+        records = self._placement_records
+        record = records.get(placement)
+        if record is None:
+            self._check_placement(placement)
+            if len(records) >= _PLACEMENT_RECORD_MAX:
+                records.clear()
+            record = records[placement] = _PlacementRecord(
+                self.machine, placement
+            )
+        return record
+
     def _placement_arrays(
         self, placements: Sequence[Placement]
     ) -> _PlacementArrays:
         key = tuple(placements)
-        arrays = self._placement_arrays_cache.get(key)
+        cache = self._placement_arrays_cache
+        arrays = cache.get(key)
         if arrays is None:
-            for placement in placements:
-                self._check_placement(placement)
-            if len(self._placement_arrays_cache) >= 16:
-                self._placement_arrays_cache.clear()
-            arrays = _PlacementArrays(self.machine, placements)
-            self._placement_arrays_cache[key] = arrays
+            arrays = cache[key] = _PlacementArrays(
+                [self._placement_record(p) for p in placements]
+            )
+            if len(cache) > _PLACEMENT_ARRAYS_MAX:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
         return arrays
 
     @staticmethod

@@ -257,6 +257,40 @@ class RebalanceConfig:
 _PlannedMove = Tuple[int, Placement, FleetHost, Tuple[int, ...], str, float]
 
 
+class _FullestFirst(dict):
+    """One shape's hosts by free-node count, for the rebalancer's
+    destination search: ``free_counts`` ascending (fullest first), and
+    ``self[free]`` the hosts with that many free nodes, lowest id first,
+    the plan's source left out.
+
+    A count's hosts are sorted the first time a search reaches it, so a
+    plan pays only for the counts its victims can use and get to, where it
+    used to sort every same-shape host up front.  The index buckets are
+    read lazily, which holds because planning allocates nothing.
+    """
+
+    __slots__ = ("free_counts", "_hosts", "_buckets", "_source")
+
+    def __init__(
+        self,
+        hosts: Sequence[FleetHost],
+        buckets: Dict[int, set],
+        source: int | None,
+    ) -> None:
+        self.free_counts = sorted(buckets)
+        self._hosts = hosts
+        self._buckets = buckets
+        self._source = source
+
+    def __missing__(self, free: int) -> List[FleetHost]:
+        listed = self[free] = [
+            self._hosts[host_id]
+            for host_id in sorted(self._buckets[free])
+            if host_id != self._source
+        ]
+        return listed
+
+
 class LifecycleScheduler:
     """Event-driven fleet scheduler: arrivals, departures, rebalancing.
 
@@ -537,18 +571,16 @@ class LifecycleScheduler:
             return []
 
         # What the victims share is resolved once per plan: same-shape
-        # hosts with their free counts, fullest first (planning allocates
-        # nothing, so both hold; ``claimed`` carries what changes between
+        # hosts by free count, fullest first, each count's hosts listed
+        # when a search first reaches it (planning allocates nothing, so
+        # the index buckets hold; ``claimed`` carries what changes between
         # victims), the shape's block scorer and its state memo.
         machine = target.machine
-        buckets = index.buckets(machine.fingerprint())
-        candidates = [
-            (free, self.fleet.hosts[host_id])
-            for free in sorted(buckets)
-            if free
-            for host_id in sorted(buckets[free])
-            if host_id != target.host_id
-        ]
+        candidates = _FullestFirst(
+            self.fleet.hosts,
+            index.buckets(machine.fingerprint()),
+            target.host_id,
+        )
         scorer = machine.interconnect.aggregate_bandwidth
         table = block_state_memo(machine, "interconnect")
 
@@ -603,40 +635,41 @@ class LifecycleScheduler:
 
     @staticmethod
     def _find_destination(
-        candidates: Sequence[Tuple[int, FleetHost]],
+        candidates: _FullestFirst,
         placement: Placement,
         claimed: Dict[int, set],
         scorer: Callable,
         table: BlockStateMemo,
     ) -> Tuple[FleetHost, Tuple[int, ...]] | None:
-        """The first of ``candidates`` (``(free nodes, host)`` over the
-        source's shape, the source left out, fullest first) with room for
-        the victim.
+        """The first host of ``candidates`` (the source's shape by free
+        count, fullest first, the source left out) with room for the
+        victim.
 
         Fullest-first order: parking victims on already-busy hosts keeps
         the emptier hosts' blocks large, so the rebalancer does not trade
         one fragmentation problem for another.  A block matching the
         victim's current interconnect score is preferred (its graded
         performance transfers); any block of the right size is the
-        fallback.  Hosts whose free count cannot cover the victim's block
-        are never searched, and block search reads the shared per-shape
-        state memo.
+        fallback.  Free counts that cannot cover the victim's block are
+        never listed, let alone searched, and block search reads the
+        shared per-shape state memo.
         """
         size = placement.n_nodes
         target_score = scorer(frozenset(placement.nodes))
         for exact in (target_score, None):
-            for free, host in candidates:
+            for free in candidates.free_counts:
                 if free < size:
                     continue
-                block = host.find_block(
-                    size,
-                    scorer,
-                    target_score=exact,
-                    exclude=claimed.get(host.host_id, ()),
-                    table=table,
-                )
-                if block is not None:
-                    return host, block
+                for host in candidates[free]:
+                    block = host.find_block(
+                        size,
+                        scorer,
+                        target_score=exact,
+                        exclude=claimed.get(host.host_id, ()),
+                        table=table,
+                    )
+                    if block is not None:
+                        return host, block
         return None
 
     def _execute_plan(

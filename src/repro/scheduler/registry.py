@@ -411,10 +411,11 @@ class ModelRegistry:
         The assembly half of the goal-aware hot path: the deterministic
         parts are gathered from the placement's memo row, one lookup per
         profile (misses — distinct profiles the row has never seen — are
-        simulated together through the vectorized
-        :meth:`~repro.perfsim.simulator.PerformanceSimulator.
-        measured_ipc_batch` kernel), then each probe gets its own fresh
-        noise draw (:meth:`~repro.perfsim.simulator.PerformanceSimulator.
+        simulated one by one by the row's simulator on the scalar
+        :meth:`~repro.perfsim.simulator.PerformanceSimulator.measured_ipc`
+        path: a first encounter is a handful of cells, fewer than pay for
+        a grid kernel's fixed numpy passes), then each probe gets its own
+        fresh noise draw (:meth:`~repro.perfsim.simulator.PerformanceSimulator.
         measured_ipc_noise_batch`).  Entry ``k`` is bit-for-bit what
         ``probe_ipc(machine, profiles[k], placement, duration_s=...,
         repetition=repetitions[k])`` returns, including the hit/miss
@@ -441,13 +442,13 @@ class ModelRegistry:
         try:
             found = list(map(ipcs.__getitem__, profiles))
         except KeyError:
-            # Distinct never-seen profiles are simulated together; a
-            # repeat in the same group would have hit the just-filled row.
+            # Each distinct never-seen profile is simulated once; a
+            # repeat in the same group hits the just-filled row.
             fresh = list(dict.fromkeys(p for p in profiles if p not in ipcs))
-            values = simulator.measured_ipc_batch(
-                fresh, [placement], noise=False
-            )[:, 0]
-            ipcs.update(zip(fresh, values.tolist()))
+            for profile in fresh:
+                ipcs[profile] = simulator.measured_ipc(
+                    profile, placement, noise=False
+                )
             found = list(map(ipcs.__getitem__, profiles))
         self._ipc_misses += len(fresh)
         self._ipc_hits += len(found) - len(fresh)

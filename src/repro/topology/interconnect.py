@@ -19,6 +19,15 @@ Two quantities matter to the rest of the system:
 * ``aggregate_bandwidth(nodes)`` -- the interconnect *score* of a node set:
   the sum of effective bandwidths over all node pairs in the set.  This is
   the quantity the paper's Interconnect scheduling concern consumes.
+
+Both node-set scores -- the aggregate bandwidth and the mean pairwise
+latency the performance simulator reads -- are pure functions of the set
+and of link and latency tables no method changes after construction, so
+the interconnect computes both once per set and remembers them: at most
+``2 ** n_nodes`` entries, 256 on the paper's AMD machine and 16 on its
+Intel one.  The memo is not part of the interconnect's identity: it does
+not pickle, and :meth:`Interconnect.signature` (hence every machine
+fingerprint) never reads it.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 #: A link is identified by the unordered pair of node ids it connects.
 Link = FrozenSet[int]
+
+#: Node sets whose scores an interconnect keeps before starting over:
+#: every subset of a 12-node machine.
+_NODE_SET_SCORES_MAX = 4096
 
 
 def _as_link(a: int, b: int) -> Link:
@@ -113,6 +126,22 @@ class Interconnect:
         self._effective: Dict[Link, float] = {}
         for a, b in itertools.combinations(range(n_nodes), 2):
             self._effective[_as_link(a, b)] = self._compute_effective(a, b)
+        #: frozenset(nodes) -> (aggregate bandwidth, mean pairwise latency,
+        #: None for the empty set); written by _score_node_set alone.
+        self._node_set_scores: Dict[
+            FrozenSet[int], Tuple[float, float | None]
+        ] = {}
+
+    def __getstate__(self) -> Dict:
+        # Derived and process-local: a warm interconnect pickles byte for
+        # byte like a cold one, and the copy starts cold.
+        state = dict(self.__dict__)
+        del state["_node_set_scores"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._node_set_scores = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -251,14 +280,11 @@ class Interconnect:
         Sum of pairwise effective bandwidths inside the set.  Single-node sets
         score 0: they generate no cross-node traffic.
         """
-        node_list = sorted(set(nodes))
-        for n in node_list:
-            if not 0 <= n < self._n_nodes:
-                raise ValueError(f"unknown node {n}")
-        return sum(
-            self._effective[_as_link(a, b)]
-            for a, b in itertools.combinations(node_list, 2)
-        )
+        key = nodes if nodes.__class__ is frozenset else frozenset(nodes)
+        scores = self._node_set_scores.get(key)
+        if scores is None:
+            scores = self._score_node_set(key)
+        return scores[0]
 
     @property
     def is_symmetric(self) -> bool:
@@ -272,20 +298,43 @@ class Interconnect:
         return len(values) <= 1
 
     def mean_pairwise_latency_ns(self, nodes: Sequence[int]) -> float:
-        """Average latency over ordered node pairs of a placement, including
+        """Average latency over ordered node pairs of a node set, including
         same-node pairs.  Used by the communication model in ``perfsim``."""
-        node_list = list(nodes)
-        if not node_list:
+        key = nodes if nodes.__class__ is frozenset else frozenset(nodes)
+        if not key:
             raise ValueError("node set must not be empty")
-        if len(node_list) == 1:
-            return self._local_latency_ns
-        total = 0.0
-        count = 0
-        for a in node_list:
-            for b in node_list:
-                total += self.latency_ns(a, b)
-                count += 1
-        return total / count
+        scores = self._node_set_scores.get(key)
+        if scores is None:
+            scores = self._score_node_set(key)
+        return scores[1]
+
+    def _score_node_set(
+        self, key: FrozenSet[int]
+    ) -> Tuple[float, float | None]:
+        """Compute and remember both scores of one node set, in ascending
+        node order (the memo's one writer)."""
+        node_list = sorted(key)
+        for n in node_list:
+            if not 0 <= n < self._n_nodes:
+                raise ValueError(f"unknown node {n}")
+        bandwidth = sum(
+            self._effective[_as_link(a, b)]
+            for a, b in itertools.combinations(node_list, 2)
+        )
+        if len(node_list) > 1:
+            total = 0.0
+            count = 0
+            for a in node_list:
+                for b in node_list:
+                    total += self.latency_ns(a, b)
+                    count += 1
+            latency = total / count
+        else:
+            latency = self._local_latency_ns if node_list else None
+        if len(self._node_set_scores) >= _NODE_SET_SCORES_MAX:
+            self._node_set_scores.clear()
+        scores = self._node_set_scores[key] = (bandwidth, latency)
+        return scores
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

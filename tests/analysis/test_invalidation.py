@@ -354,3 +354,84 @@ class TestTable:
         assert callable(BlockScoreCache.assert_version_consistency)
         assert callable(ModelRegistry.assert_version_consistency)
         assert callable(FleetIndex.assert_consistent)
+
+
+INTERCONNECT = """
+class Interconnect:
+    def aggregate_bandwidth(self, nodes):
+        key = {key}
+        scores = self._node_set_scores.get(key)
+        if scores is None:
+            scores = self._score_node_set(key)
+        return scores[0]
+
+    def _score_node_set(self, key):
+        if len(self._node_set_scores) >= _NODE_SET_SCORES_MAX:
+            self._node_set_scores.clear()
+        pairs = itertools.combinations(sorted(key), 2)
+        bandwidth = sum(self._effective[frozenset(pair)] for pair in pairs)
+        latency = mean([self.latency_ns(a, b) for a in key for b in key])
+        scores = self._node_set_scores[key] = (bandwidth, latency)
+        return scores
+"""
+
+SIMULATOR = """
+class PerformanceSimulator:
+    def breakdown(self, profile, placement):
+        record = self._placement_records.get(placement)
+        if record is None:
+            record = self._placement_record(placement)
+        return record.ic_supply * profile.ipc_base
+
+    def _placement_arrays(self, placements):
+        return _PlacementArrays([self._placement_record(p) for p in placements])
+
+    def _placement_record(self, placement):
+        record = self._placement_records.get(placement)
+        if record is None:
+{check}
+            if len(self._placement_records) >= _PLACEMENT_RECORD_MAX:
+                self._placement_records.clear()
+            record = _PlacementRecord(self.machine, placement)
+            self._placement_records[placement] = record
+        return record
+"""
+
+
+class TestMemosWithOneWriter:
+    """Pure memos nothing invalidates: the rule pins their key and the one
+    method that may write them."""
+
+    def test_node_set_scores_clean(self):
+        assert findings_of(INTERCONNECT.format(key="frozenset(nodes)")) == []
+
+    def test_node_set_scores_keyed_by_a_spelling_flagged(self):
+        # A tuple key files one node set once per ordering.
+        findings = findings_of(INTERCONNECT.format(key="tuple(nodes)"))
+        assert len(findings) == 1
+        assert "node-set-scores" in findings[0].message
+        assert "never touches frozenset" in findings[0].message
+
+    def test_node_set_scores_written_outside_their_filler_flagged(self):
+        source = INTERCONNECT.format(key="frozenset(nodes)") + (
+            "\n    def prime(self, sets, scores):\n"
+            "        self._node_set_scores.update(zip(sets, scores))\n"
+        )
+        findings = findings_of(source)
+        assert len(findings) == 1
+        assert "Interconnect.prime" in findings[0].message
+        assert "outside _score_node_set" in findings[0].message
+
+    def test_placement_record_clean(self):
+        source = SIMULATOR.format(
+            check="            self._check_placement(placement)"
+        )
+        assert findings_of(source) == []
+
+    def test_placement_record_filed_unchecked_flagged(self):
+        # Filed before the placement is checked against the machine, a
+        # record would serve another machine's placement from then on.
+        findings = findings_of(SIMULATOR.format(check="            pass"))
+        assert len(findings) == 1
+        assert "placement-record" in findings[0].message
+        assert "_check_placement" in findings[0].message

@@ -172,6 +172,40 @@ class TestCanonicalInjections:
         assert "solo-ipc-rows" in findings[0].message
         assert "ipc_cache_info" in findings[0].message
 
+    def test_probe_miss_through_the_grid_kernel(self):
+        findings = inject(
+            "scheduler/registry.py",
+            "ipcs[profile] = simulator.measured_ipc(",
+            "ipcs[profile] = simulator.measured_ipc_batch(",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "solo-ipc-rows" in findings[0].message
+        assert "touches measured_ipc_batch" in findings[0].message
+
+    def test_breakdown_that_derives_its_own_placement_numbers(self):
+        findings = inject(
+            "perfsim/simulator.py",
+            "            record = self._placement_record(placement)\n",
+            "            record = _PlacementRecord(self.machine, placement)\n",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "placement-record" in findings[0].message
+        assert "breakdown" in findings[0].message
+
+    def test_node_set_scores_keyed_by_a_spelling(self):
+        findings = inject(
+            "topology/interconnect.py",
+            "key = nodes if nodes.__class__ is frozenset else frozenset(nodes)"
+            "\n        scores = ",
+            "key = tuple(nodes)\n        scores = ",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "node-set-scores" in findings[0].message
+        assert "frozenset" in findings[0].message
+
     def test_decoded_placement_served_without_resolving_its_machine(self):
         findings = inject(
             "scheduler/wire.py",

@@ -1,8 +1,8 @@
 """Batched simulator kernels vs the scalar loops: bit-for-bit equality.
 
-The batched kernels are the training-data hot path (every memo miss,
-every corpus build, every retrain); the scalar methods stay the reference
-semantics.  Everything here asserts exact equality — the batched path must
+The batched kernels are the training-data hot path (every corpus build,
+every retrain; a memo miss is one scalar cell); the scalar methods stay the
+reference semantics.  Everything here asserts exact equality — the batched path must
 produce the same floats, or models trained before and after the rewrite
 would silently diverge.
 """
@@ -100,6 +100,26 @@ class TestGridKernels:
         for k in range(20):  # push past the bound
             sim._placement_arrays([Placement(machine, [k % machine.n_nodes], 1)])
         assert len(sim._placement_arrays_cache) <= 16
+
+    def test_placement_arrays_cache_drops_only_the_least_recent(self, sim):
+        cache = sim._placement_arrays_cache
+        cache.clear()
+        machine = sim.machine
+        lists = [
+            [Placement(machine, [node], 1)] * repeat
+            for repeat in range(1, 6)
+            for node in range(machine.n_nodes)
+        ][:17]
+        kept = [sim._placement_arrays(placements) for placements in lists[:16]]
+        # Asked for again, the oldest list becomes the most recent, and
+        # the second one the least recently used.
+        assert sim._placement_arrays(lists[0]) is kept[0]
+        sim._placement_arrays(lists[16])  # the 17th key
+        assert len(cache) == 16
+        assert tuple(lists[1]) not in cache
+        for placements, arrays in zip(lists, kept):
+            if placements is not lists[1]:
+                assert cache[tuple(placements)] is arrays
 
     def test_validation(self, sim, profiles):
         with pytest.raises(ValueError):

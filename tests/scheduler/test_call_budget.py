@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.placements import Placement
 from repro.ml.arena import ForestArena
+from repro.perfsim.simulator import PerformanceSimulator
 from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler import (
     EventKind,
@@ -30,12 +31,13 @@ from repro.scheduler import (
     generate_churn_stream,
 )
 from repro.scheduler import policies as policies_module
+from repro.scheduler.events import LifecycleEvent
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 from repro.topology import machine as machine_module
 
 ARRIVALS = 400
 #: Python-level and builtin calls per arrival (departures included) the
-#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 418 (the
+#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 416 (the
 #: commit before the lanes: 564; before profiles, placements and lanes
 #: carried their identity: 495), about 14 of them inside numpy's own
 #: Python wrappers and the lock ``default_rng`` takes — the part another
@@ -48,6 +50,14 @@ CALLS_PER_ARRIVAL_BUDGET = 450
 #: finds nothing to move; the probes, forest call and rank walk it no
 #: longer pays for were some 250 more.
 CALLS_PER_REJECT_BUDGET = 330
+#: Calls the first arrival of a never-seen profile may make above the same
+#: request once its profile is known: one scalar simulation per probe row
+#: and grade it misses (two probe placements on each of two shapes, one or
+#: two grading rows), the noise prefixes of the probe placements and the
+#: profile's identity, each built once.  It reads 195 (323 for the
+#: warm arrival); at the commit before misses took the scalar path, each
+#: probe miss was a one-cell ``breakdown_batch`` grid and it read 457.
+FIRST_ENCOUNTER_EXTRA_CALLS_BUDGET = 225
 
 
 def _stream(seed, first_id, arrivals=ARRIVALS):
@@ -237,3 +247,44 @@ def test_a_capacity_reject_is_the_cheapest_answer(monkeypatch):
             )
             assert stats.total_calls <= CALLS_PER_REJECT_BUDGET
     assert rejected >= 20 and recovered >= 2
+
+
+def test_a_first_encounter_costs_about_a_warm_arrival():
+    """On a warmed engine, the first arrival of a profile no memo row has
+    seen simulates its misses on the scalar path, no grid kernel, and
+    costs a bounded number of calls more than the same request once the
+    profile is known."""
+    engine = _engine()
+    _replay(engine, _stream(99, 10**9))
+    engine.begin()
+    template = _stream(17, 0, arrivals=1)[0]
+    profile = replace(
+        template.profile, name=f"{template.profile.name}-never-seen"
+    )
+    registry = engine.registry
+
+    def arrive(request_id):
+        request = replace(template, request_id=request_id, profile=profile)
+        misses = registry.ipc_cache_info().misses
+        calls = cProfile.Profile()
+        calls.enable()
+        entry = engine.step(
+            LifecycleEvent(0.0, request_id, EventKind.ARRIVAL, request)
+        )
+        calls.disable()
+        engine.depart(request_id, 0.0)
+        assert entry.decision.placed
+        return pstats.Stats(calls), registry.ipc_cache_info().misses - misses
+
+    first, misses = arrive(1)
+    warm, _ = arrive(2)
+    # Two probe placements on each of two shapes missed, at least; each
+    # miss is one scalar simulation.
+    assert misses >= 4
+    assert _calls(first, PerformanceSimulator.measured_ipc) == misses
+    assert _calls(first, PerformanceSimulator.breakdown_batch) == 0
+    extra = first.total_calls - warm.total_calls
+    assert extra <= FIRST_ENCOUNTER_EXTRA_CALLS_BUDGET, (
+        f"a first encounter made {extra} calls more than a warm arrival, "
+        f"budget {FIRST_ENCOUNTER_EXTRA_CALLS_BUDGET}"
+    )

@@ -557,8 +557,8 @@ class TestGradingIpcMemo:
             return original(self, *args, **kwargs)
 
         def counting_batch(self, profiles, placements, *args, **kwargs):
-            # Probe misses are simulated through the batched kernel, one
-            # grid cell per (profile, placement) the memo lacked.
+            # Probe misses run the scalar path; a grid cell here would be
+            # a second miss path, and is counted like one.
             calls["n"] += len(profiles) * len(placements)
             return original_batch(self, profiles, placements, *args, **kwargs)
 

@@ -180,14 +180,15 @@ class TestRebalancer:
 
 
     def test_destination_search_over_one_candidate_list(self, monkeypatch):
-        """The plan hands every victim the same fullest-first list: a
-        host with too few free nodes is skipped without a block search, a
-        block scoring like the victim's wins over a fuller host's
-        mismatched one, and nodes claimed for an earlier victim are not
-        offered twice."""
+        """The plan hands every victim the same fullest-first candidates:
+        a host with too few free nodes is skipped without a block search
+        (its free count is never even listed), a block scoring like the
+        victim's wins over a fuller host's mismatched one, and nodes
+        claimed for an earlier victim are not offered twice."""
         from repro.core.blockscores import block_state_memo
         from repro.core.placements import Placement
         from repro.scheduler.fleet import FleetHost
+        from repro.scheduler.lifecycle import _FullestFirst
 
         machine = amd_opteron_6272()
         scorer = machine.interconnect.aggregate_bandwidth
@@ -207,13 +208,17 @@ class TestRebalancer:
             host.allocate(
                 host_id, Placement(machine, busy, 8 * len(busy), l2_share=2)
             )
-            return len(free_nodes), host
+            return host
 
-        cramped = host_with_free(0, victim_nodes[:1])
-        mismatched = host_with_free(1, other_nodes)
         spare = next(n for n in range(8) if n not in victim_nodes)
-        matching = host_with_free(2, victim_nodes + (spare,))
-        candidates = [cramped, mismatched, matching]
+        hosts = [
+            host_with_free(0, victim_nodes[:1]),  # cramped
+            host_with_free(1, other_nodes),  # mismatched
+            host_with_free(2, victim_nodes + (spare,)),  # matching
+        ]
+        candidates = _FullestFirst(
+            hosts, {host.n_free_nodes: {host.host_id} for host in hosts}, None
+        )
         searched = []
         find_block = FleetHost.find_block
 
@@ -234,6 +239,45 @@ class TestRebalancer:
         claimed[1] = set(other_nodes)
         assert find(candidates, victim, claimed, scorer, table) is None
         assert 0 not in searched
+        assert 1 not in candidates  # the cramped host's count
+
+    def test_candidates_keep_the_eager_order(self):
+        """Listed count by count, the candidates are what one sorted list
+        of every same-shape host was: fullest first, lowest id first
+        within a free count, the source left out."""
+        import random
+
+        from repro.core.placements import Placement
+        from repro.scheduler.lifecycle import _FullestFirst
+
+        machine = amd_opteron_6272()
+        fleet = Fleet.homogeneous(machine, 16)
+        rng = random.Random(5)
+        for host in fleet.hosts:
+            busy = rng.sample(range(8), rng.randint(0, 8))
+            if busy:
+                host.allocate(
+                    host.host_id,
+                    Placement(machine, busy, 8 * len(busy), l2_share=2),
+                )
+        buckets = fleet.index.buckets(machine.fingerprint())
+        source = 3
+        eager = [
+            (free, fleet.hosts[host_id])
+            for free in sorted(buckets)
+            if free
+            for host_id in sorted(buckets[free])
+            if host_id != source
+        ]
+        assert len(eager) > 4 and len({free for free, _ in eager}) > 2
+        lazy = _FullestFirst(fleet.hosts, buckets, source)
+        assert not lazy  # nothing listed before a search asks
+        assert [
+            (free, host)
+            for free in lazy.free_counts
+            if free
+            for host in lazy[free]
+        ] == eager
 
 
 class TestMinBlockNodes:
