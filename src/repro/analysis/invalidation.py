@@ -130,8 +130,11 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         # that changes either in place must drop the memo, and the one
         # method that fills a table must derive entries from exactly
         # those.  Tables are handed out (noise_prefixes) and held by
-        # policy lanes, so starting over empties them in place; the two
-        # draws that read a table fill their misses through _noise_prefix.
+        # policy lanes, so starting over empties them in place.  One
+        # method turns a table into seeds (noise_seeds, filling misses
+        # through _noise_prefix), and the draws reach it only through a
+        # NoiseBatch: none builds a generator of its own, which would be
+        # a second seed -> noise path beside the batched kernel.
         guarded_attrs=("seed", "machine"),
         invalidators=("_noise_prefixes",),
         declared={
@@ -143,12 +146,19 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
                 "machine",
                 "_stable_seed",
             ),
-            "_noise_multiplier": ("noise_prefixes", "_noise_prefix"),
-            "measured_ipc_noise_batch": ("noise_prefixes", "_noise_prefix"),
+            "noise_seeds": ("noise_prefixes", "_noise_prefix"),
+            "_noise_multiplier": ("NoiseBatch",),
+            "_apply_noise_grid": ("NoiseBatch",),
+        },
+        forbidden={
+            name: ("default_rng",)
+            for name in ("noise_seeds", "_noise_multiplier", "_apply_noise_grid")
         },
         runtime_check=(
             "cached-prefix vs seven-part-seed equality on 10k draws "
-            "(tests/perfsim/test_simulator.py)"
+            "(tests/perfsim/test_simulator.py) and every noisy path vs the "
+            "per-row generator on every preset "
+            "(tests/perfsim/test_noise_kernel.py)"
         ),
     ),
     CacheSurface(
@@ -383,7 +393,17 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         },
         forbidden={
             "solo_ipc": ("measured_ipc_batch",),
-            "probe_ipc_batch": ("measured_ipc_batch",),
+            # The caller draws every probe of its batch at once and
+            # hands the multipliers in: a draw here would be a second.
+            "probe_ipc_batch": (
+                "measured_ipc_batch",
+                "default_rng",
+                "standard_normals",
+                "NoiseBatch",
+                "noise_seeds",
+                "measured_ipc_noise",
+                "_noise_multiplier",
+            ),
         },
         runtime_check=(
             "batched-vs-sequential value / hit / miss / entry equality "

@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.placements import Placement
 from repro.perfsim.calibration import MachineCalibration, calibration_for
 from repro.perfsim import effects
+from repro.perfsim.noise import standard_normals
 from repro.perfsim.workload import WorkloadProfile
 from repro.topology.machine import MachineTopology
 
@@ -46,6 +47,9 @@ def _stable_seed(*parts) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+#: The ``extra`` seed part of :meth:`PerformanceSimulator.measured_ipc`'s
+#: noise (the other kernels' draws use 0, or a container's index).
+MEASURED_IPC_NOISE = 1_000_003
 #: Noise-seed prefixes a simulator keeps before starting over; a fleet
 #: probes a few placements with a library of workloads, far fewer.
 _NOISE_PREFIX_MAX = 4096
@@ -384,20 +388,19 @@ class PerformanceSimulator:
         repetition: int,
         extra: int,
     ) -> None:
-        """Multiply each grid cell by its scalar noise draw, in place.
+        """Multiply each grid cell by its noise draw, in place.
 
         Noise stays a per-cell draw by construction: every (workload,
         placement, repetition) key seeds its own generator, which is what
         makes simulated measurements reproducible independent of batch
-        shape — and exactly why the deterministic part is worth batching.
+        shape — and the whole grid's generators are derived in one
+        :class:`NoiseBatch`.
         """
-        for row, profile in enumerate(profiles):
-            if profile.phase_noise <= 0:
-                continue
-            for col, placement in enumerate(placements):
-                values[row, col] *= self._noise_multiplier(
-                    profile, placement, duration_s, repetition, extra=extra
-                )
+        noise = NoiseBatch(duration_s, extra)
+        repetitions = [repetition] * len(profiles)
+        for placement in placements:
+            noise.add(self, profiles, placement, repetitions)
+        values *= np.array(noise.multipliers()).T
 
     def throughput_batch(
         self,
@@ -451,7 +454,7 @@ class PerformanceSimulator:
                 placements,
                 duration_s,
                 repetition,
-                extra=1_000_003,
+                extra=MEASURED_IPC_NOISE,
             )
         return values
 
@@ -535,7 +538,7 @@ class PerformanceSimulator:
             value *= factor
         if noise and profile.phase_noise > 0:
             value *= self._noise_multiplier(
-                profile, placement, duration_s, repetition, extra=1_000_003
+                profile, placement, duration_s, repetition, extra=MEASURED_IPC_NOISE
             )
         return value
 
@@ -557,52 +560,8 @@ class PerformanceSimulator:
         if profile.phase_noise <= 0:
             return 1.0
         return self._noise_multiplier(
-            profile, placement, duration_s, repetition, extra=1_000_003
+            profile, placement, duration_s, repetition, extra=MEASURED_IPC_NOISE
         )
-
-    def measured_ipc_noise_batch(
-        self,
-        profiles: Sequence[WorkloadProfile],
-        placement: Placement,
-        *,
-        duration_s: float,
-        repetitions: Sequence[int],
-        prefixes: Dict[str, int] | None = None,
-    ) -> List[float]:
-        """:meth:`measured_ipc_noise` for one probe per profile in one
-        placement: entry ``k`` is bit-for-bit ``measured_ipc_noise(
-        profiles[k], placement, duration_s=duration_s, repetition=
-        repetitions[k])``.
-
-        What the row-by-row calls re-derive per probe — the duration
-        check, the ``sqrt`` scale and the placement's prefix table
-        (``prefixes``, for a caller that already holds
-        ``noise_prefixes(placement)``) — is resolved once per call; the
-        seed CRC, the generator and its one normal draw stay per row
-        (they *are* the probe).  Like the single call, a group of
-        noise-free profiles never looks at ``duration_s``.
-        """
-        if prefixes is None:
-            prefixes = self.noise_prefixes(placement)
-        scale = None
-        multipliers: List[float] = []
-        for profile, repetition in zip(profiles, repetitions):
-            sigma = profile.phase_noise
-            if sigma <= 0:
-                multipliers.append(1.0)
-                continue
-            if scale is None:
-                if duration_s <= 0:
-                    raise ValueError("duration_s must be positive")
-                scale = float(np.sqrt(max(duration_s, 1e-9) / 10.0))
-            prefix = prefixes.get(profile.name)
-            if prefix is None:
-                prefix = self._noise_prefix(prefixes, profile.name, placement)
-            rng = np.random.default_rng(
-                zlib.crc32(f"{repetition}|1000003".encode("utf-8"), prefix)
-            )
-            multipliers.append(float(np.exp(rng.normal(0.0, sigma / scale))))
-        return multipliers
 
     def performance_vector(
         self,
@@ -1046,26 +1005,44 @@ class PerformanceSimulator:
         *,
         extra: int = 0,
     ) -> float:
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        """One draw: a :class:`NoiseBatch` of one."""
+        noise = NoiseBatch(duration_s, extra)
+        noise.add(self, [profile], placement, [repetition])
+        return noise.multipliers()[0][0]
+
+    def noise_seeds(
+        self,
+        profiles: Sequence[WorkloadProfile],
+        placement: Placement,
+        repetitions: Sequence[int],
+        extra: int,
+        prefixes: Dict[str, int] | None = None,
+    ) -> List[int]:
+        """The generator seed of each noisy profile's draw in
+        ``placement`` (a noise-free profile draws nothing and has none).
+        ``prefixes`` is ``noise_prefixes(placement)``, for a caller that
+        already holds it."""
+        if prefixes is None:
+            prefixes = self.noise_prefixes(placement)
         # The seed is _stable_seed(seed, machine, profile, nodes, l2_share,
         # repetition, extra); a CRC continues, so everything up to the
-        # repetition is hashed once per (profile name, placement).
-        prefixes = self.noise_prefixes(placement)
-        prefix = prefixes.get(profile.name)
-        if prefix is None:
-            prefix = self._noise_prefix(prefixes, profile.name, placement)
-        rng = np.random.default_rng(
-            zlib.crc32(f"{repetition}|{extra}".encode("utf-8"), prefix)
-        )
-        sigma = profile.phase_noise / np.sqrt(max(duration_s, 1e-9) / 10.0)
-        return float(np.exp(rng.normal(0.0, sigma)))
+        # repetition is hashed once per (profile name, placement).  (A
+        # prefix that happens to be 0 is recomputed, to the same value.)
+        known = prefixes.get
+        return [
+            zlib.crc32(
+                f"{repetition}|{extra}".encode("utf-8"),
+                known(profile.name)
+                or self._noise_prefix(prefixes, profile.name, placement),
+            )
+            for profile, repetition in zip(profiles, repetitions)
+            if profile.phase_noise > 0
+        ]
 
     def noise_prefixes(self, placement: Placement) -> Dict[str, int]:
         """The placement's ``profile name -> seed-prefix CRC`` table (the
-        memo both noise draws read and fill).  The table object lives as
-        long as the simulator, so it may be held and passed back to
-        :meth:`measured_ipc_noise_batch`."""
+        memo :meth:`noise_seeds` reads and fills).  The table object lives
+        as long as the simulator, so it may be held and passed back."""
         key = (placement.nodes, placement.l2_share)
         prefixes = self._noise_prefixes.get(key)
         if prefixes is None:
@@ -1076,8 +1053,8 @@ class PerformanceSimulator:
         self, prefixes: Dict[str, int], name: str, placement: Placement
     ) -> int:
         """Compute and memoize the seed-prefix CRC of one profile name in
-        ``prefixes``, the placement's table (the miss arm of the two
-        noise draws)."""
+        ``prefixes``, the placement's table (the miss arm of
+        :meth:`noise_seeds`)."""
         if self._noise_prefix_count >= _NOISE_PREFIX_MAX:
             # A stream of one-off names.  Emptied in place: callers hold
             # the tables.
@@ -1101,3 +1078,66 @@ class PerformanceSimulator:
                 f"placement targets {placement.machine.name}, simulator "
                 f"models {self.machine.name}"
             )
+
+
+class NoiseBatch:
+    """Measurement-noise draws gathered from any number of simulators and
+    drawn together: one :func:`~repro.perfsim.noise.standard_normals`
+    call and one ``exp`` for the whole batch.
+
+    Every draw shares the batch's probe length and ``extra`` seed part.
+    Group ``g`` of :meth:`multipliers` holds, per profile of the ``g``-th
+    :meth:`add`, ``exp(sigma * z)`` — ``z`` the standard normal NumPy's
+    default generator seeded with the profile's seed
+    (:meth:`PerformanceSimulator.noise_seeds`) draws first, ``sigma`` its
+    phase noise scaled to the probe length — or 1.0 for a noise-free
+    profile.  That is bit for bit the ``exp`` of that generator's
+    ``normal(0.0, sigma)``, the draw the simulator's noise is defined by.
+    """
+
+    __slots__ = ("duration_s", "extra", "_seeds", "_groups")
+
+    def __init__(self, duration_s: float, extra: int = MEASURED_IPC_NOISE) -> None:
+        self.duration_s = duration_s
+        self.extra = extra
+        self._seeds: List[int] = []
+        self._groups: List[Sequence[WorkloadProfile]] = []
+
+    def add(
+        self,
+        simulator: PerformanceSimulator,
+        profiles: Sequence[WorkloadProfile],
+        placement: Placement,
+        repetitions: Sequence[int],
+        prefixes: Dict[str, int] | None = None,
+    ) -> None:
+        """Gather one draw per profile of ``profiles`` in ``placement``
+        (``prefixes`` as for :meth:`PerformanceSimulator.noise_seeds`)."""
+        self._seeds += simulator.noise_seeds(
+            profiles, placement, repetitions, self.extra, prefixes
+        )
+        self._groups.append(profiles)
+
+    def multipliers(self) -> List[List[float]]:
+        """Each gathered group's noise multipliers, in gathering order.
+        Only a batch with a noisy profile looks at the probe length."""
+        groups = self._groups
+        if not self._seeds:
+            return [[1.0] * len(profiles) for profiles in groups]
+        if self.duration_s <= 0:
+            raise ValueError("duration_s must be positive")
+        scale = float(np.sqrt(max(self.duration_s, 1e-9) / 10.0))
+        sigmas = [
+            p.phase_noise / scale
+            for profiles in groups
+            for p in profiles
+            if p.phase_noise > 0
+        ]
+        # Generator.normal(0.0, sigma) is 0.0 + sigma * z: adding 0.0
+        # changes only the sign of a zero, which exp ignores.
+        normals = standard_normals(self._seeds)
+        drawn = iter(np.exp([s * z for s, z in zip(sigmas, normals)]).tolist())
+        return [
+            [next(drawn) if p.phase_noise > 0 else 1.0 for p in profiles]
+            for profiles in groups
+        ]

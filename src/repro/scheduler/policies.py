@@ -34,6 +34,7 @@ from repro.core.model import PlacementModel
 from repro.core.placements import Placement
 from repro.ml.arena import predict_fused
 from repro.ml.forest import RandomForestRegressor
+from repro.perfsim.simulator import NoiseBatch
 from repro.scheduler.fleet import Fleet, FleetHost, minimal_shape
 from repro.scheduler.index import FleetIndex
 from repro.scheduler.registry import ModelRegistry, ProbeRow
@@ -384,19 +385,21 @@ class GoalAwareFleetPolicy(FleetPolicy):
     therefore does, per key, one lane lookup, two
     :meth:`~repro.scheduler.registry.ModelRegistry.probe_ipc_batch`
     calls (one memo lookup per request each) and one feature assembly
-    over the Python floats they return; one
-    :func:`~repro.ml.arena.predict_fused` call across all keys; and per
-    request a preference sort over Python floats and a walk down it.
+    over the Python floats they return; across all keys, one noise draw
+    (:class:`~repro.perfsim.simulator.NoiseBatch`: every probe's
+    generator derived in one pass) and one
+    :func:`~repro.ml.arena.predict_fused` call; and per request a
+    preference sort over Python floats and a walk down it.
 
     A probe needs a free block to run in, so ``capacity`` is answered
     before any of that, from the fleet index (:meth:`_has_room`: the
     shape's largest free-node count against the lane's smallest
-    candidate): a key no hostable shape has room for when the batch
-    begins is not probed or predicted at all, and a request whose key
-    ran out of room to earlier requests of its batch is rejected before
-    its preferences are sorted.  The walk that would have found the same
-    answer is kept as a test oracle
-    (``tests/scheduler/oracle_policy.py``).
+    candidate): a lane whose shape has no room when the batch begins is
+    not probed or predicted at all, a key with no other lane is not
+    probed either, and a request whose key ran out of room to earlier
+    requests of its batch is rejected before its preferences are sorted.
+    The walk that would have found the same answer is kept as a test
+    oracle (``tests/scheduler/oracle_policy.py``).
 
     Lanes are found through ``registry.placements()`` /
     ``registry.model()`` on every batch, by the identity of what those
@@ -548,31 +551,36 @@ class GoalAwareFleetPolicy(FleetPolicy):
 
     def decide_batch(self, requests, fleet):
         # Phase 1: probe each (shape, vcpus) group in its lane's input
-        # placements, then predict the *whole batch* — every group of
-        # every shape — in one predict_fused call per fleet event.
+        # placements — every probe of the batch drawn in one NoiseBatch —
+        # then predict the *whole batch* — every group of every shape — in
+        # one predict_fused call per fleet event.
         groups: Dict[int, List[PlacementRequest]] = {}
         for request in requests:
             groups.setdefault(request.vcpus, []).append(request)
         index, shapes = fleet.index, fleet.shapes
         #: vcpus -> (lane, block-state memo, request id -> prediction row)
-        #: per hostable shape, in shape order.  No entry: no shape can
+        #: per shape with room, in shape order.  No entry: no shape can
         #: host the group at all; an empty one: some can, none has room.
         searches: Dict[int, List[Tuple]] = {}
-        #: Per group still to probe: (vcpus, its lane on each shape,
-        #: profiles, request ids, the second probe's repetitions).
+        #: Per group still to probe: (vcpus, its lane on each shape with
+        #: room — None elsewhere — profiles, request ids, the second
+        #: probe's repetitions).
         probed: List[Tuple] = []
         for vcpus, group in groups.items():
-            lanes = [self._lane(machine, vcpus) for machine in shapes]
+            # A probe needs a free block to run in, and allocations inside
+            # a batch only shrink free space: a lane no host of its shape
+            # has room for now is neither probed nor searched, and a group
+            # with no other lane is answered without probing it.
+            lanes = []
             hostable = False
-            for lane in lanes:
+            for machine in shapes:
+                lane = self._lane(machine, vcpus)
                 if lane is not None:
                     hostable = True
-                    if self._has_room(index, lane):
-                        break
-            else:
-                # A probe needs a free block to run in, and allocations
-                # inside a batch only shrink free space: a group no host
-                # can hold now is answered without probing it.
+                    if not self._has_room(index, lane):
+                        lane = None
+                lanes.append(lane)
+            if lanes.count(None) == len(lanes):
                 if hostable:
                     searches[vcpus] = []
                 continue
@@ -586,27 +594,43 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     [request_id + 1 for request_id in ids],
                 )
             )
-        registry, duration_s = self.registry, self.probe_duration_s
-        plans: List[Tuple] = []
+        noise = NoiseBatch(self.probe_duration_s)
+        probes: List[Tuple] = []
         for shape, machine in enumerate(shapes):
             for vcpus, lanes, profiles, ids, next_ids in probed:
                 lane = lanes[shape]
                 if lane is None:
                     continue
+                for probe, placement, repetitions in zip(
+                    lane.probes, lane.inputs, (ids, next_ids)
+                ):
+                    noise.add(
+                        probe.simulator,
+                        profiles,
+                        placement,
+                        repetitions,
+                        probe.prefixes,
+                    )
+                probes.append((machine, lane, vcpus, profiles, ids))
+        if probes:
+            registry = self.registry
+            multipliers = noise.multipliers()
+            plans: List[Tuple] = []
+            for (machine, lane, vcpus, profiles, ids), noise_i, noise_j in zip(
+                probes, multipliers[0::2], multipliers[1::2]
+            ):
                 obs_i = registry.probe_ipc_batch(
                     machine,
                     profiles,
                     lane.inputs[0],
-                    duration_s=duration_s,
-                    repetitions=ids,
+                    multipliers=noise_i,
                     row=lane.probes[0],
                 )
                 obs_j = registry.probe_ipc_batch(
                     machine,
                     profiles,
                     lane.inputs[1],
-                    duration_s=duration_s,
-                    repetitions=next_ids,
+                    multipliers=noise_j,
                     row=lane.probes[1],
                 )
                 # The block-state memo is versioned (a promotion bumps
@@ -618,7 +642,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 )
                 features = lane.model.batch_features(obs_i, obs_j)
                 plans.append((lane, memo, vcpus, ids, features))
-        if plans:
             outputs = predict_fused(
                 [(lane.forest, features) for lane, _, _, _, features in plans]
             )
@@ -630,10 +653,18 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 )
 
         # Phase 2: place each request, in arrival order.
-        place = self._place_indexed if self.indexed else self._place_linear
+        if not self.indexed:
+            return [
+                self._place_linear(request, fleet, searches.get(request.vcpus))
+                for request in requests
+            ]
+        # The first request sees the free space the lanes were filtered
+        # on; a later one may find that earlier ones took it.
         return [
-            place(request, fleet, searches.get(request.vcpus))
-            for request in requests
+            self._place_indexed(
+                request, fleet, searches.get(request.vcpus), recheck=k > 0
+            )
+            for k, request in enumerate(requests)
         ]
 
     def _ranked(self, request: PlacementRequest, plans: List[Tuple]):
@@ -655,19 +686,26 @@ class GoalAwareFleetPolicy(FleetPolicy):
         request: PlacementRequest,
         fleet: Fleet,
         plans: List[Tuple] | None,
+        *,
+        recheck: bool,
     ) -> FleetDecision:
         """The linear triple loop ``(exact, rank, host)`` with the host
         dimension collapsed: per candidate rank the fleet index names the
         lowest-id host whose free-node *state* admits the block (one memo
         lookup per distinct state present, not one ``find_block`` per
-        host), and only that winner is searched and allocated for real."""
+        host), and only that winner is searched and allocated for real.
+        Every lane of ``plans`` had room when the batch began; ``recheck``
+        asks whether one still has."""
         if plans is None:
             return FleetDecision(request, reject_reason="infeasible")
         index = fleet.index
-        for lane, _, _ in plans:
-            if self._has_room(index, lane):
-                break
-        else:
+        if recheck:
+            for lane, _, _ in plans:
+                if self._has_room(index, lane):
+                    break
+            else:
+                plans = []
+        if not plans:
             # Every pass of the walk below would come back empty: its
             # last resort, any block of the smallest candidate's size,
             # exists iff some lane has room.

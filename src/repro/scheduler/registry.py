@@ -402,8 +402,7 @@ class ModelRegistry:
         profiles: Sequence[WorkloadProfile],
         placement: Placement,
         *,
-        duration_s: float,
-        repetitions: Sequence[int],
+        multipliers: Sequence[float],
         row: ProbeRow | None = None,
     ) -> List[float]:
         """Probe observations for a whole request group in one placement.
@@ -414,29 +413,26 @@ class ModelRegistry:
         simulated one by one by the row's simulator on the scalar
         :meth:`~repro.perfsim.simulator.PerformanceSimulator.measured_ipc`
         path: a first encounter is a handful of cells, fewer than pay for
-        a grid kernel's fixed numpy passes), then each probe gets its own
-        fresh noise draw (:meth:`~repro.perfsim.simulator.PerformanceSimulator.
-        measured_ipc_noise_batch`).  Entry ``k`` is bit-for-bit what
+        a grid kernel's fixed numpy passes), then each is multiplied by
+        its probe's noise multiplier, drawn by the caller — a
+        :class:`~repro.perfsim.simulator.NoiseBatch` spanning every probe
+        of its batch.  When ``multipliers`` are what that batch draws for
+        a probe length and ``repetitions``, entry ``k`` is bit-for-bit what
         ``probe_ipc(machine, profiles[k], placement, duration_s=...,
         repetition=repetitions[k])`` returns, including the hit/miss
         accounting.  ``row`` is ``probe_row(machine, placement)`` from a
         caller that already holds it.
         """
-        if len(profiles) != len(repetitions):
-            raise ValueError("profiles and repetitions must align")
+        if len(profiles) != len(multipliers):
+            raise ValueError("profiles and multipliers must align")
         if row is None:
             row = self.probe_row(machine, placement)
-        ipcs, simulator, prefixes = row
+        ipcs, simulator, _ = row
         if not self.memoize_ipc:
             self._ipc_misses += len(profiles)
             return [
-                simulator.measured_ipc(
-                    profile,
-                    placement,
-                    duration_s=duration_s,
-                    repetition=repetition,
-                )
-                for profile, repetition in zip(profiles, repetitions)
+                simulator.measured_ipc(profile, placement, noise=False) * multiplier
+                for profile, multiplier in zip(profiles, multipliers)
             ]
         fresh: Sequence[WorkloadProfile] = ()
         try:
@@ -452,15 +448,9 @@ class ModelRegistry:
             found = list(map(ipcs.__getitem__, profiles))
         self._ipc_misses += len(fresh)
         self._ipc_hits += len(found) - len(fresh)
-        noise = simulator.measured_ipc_noise_batch(
-            profiles,
-            placement,
-            duration_s=duration_s,
-            repetitions=repetitions,
-            prefixes=prefixes,
-        )
-        # Python-float products: the same IEEE multiply an array would do.
-        return list(map(mul, found, noise))
+        # Python-float products: the same IEEE multiply measured_ipc's
+        # noisy arm does.
+        return list(map(mul, found, multipliers))
 
     def baseline_ipc(
         self, machine: MachineTopology, vcpus: int, profile: WorkloadProfile

@@ -183,6 +183,44 @@ class TestCanonicalInjections:
         assert "solo-ipc-rows" in findings[0].message
         assert "touches measured_ipc_batch" in findings[0].message
 
+    def test_probe_batch_that_draws_its_own_noise(self):
+        findings = inject(
+            "scheduler/registry.py",
+            "return list(map(mul, found, multipliers))",
+            "return list(map(mul, found, standard_normals(multipliers)))",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "solo-ipc-rows" in findings[0].message
+        assert "touches standard_normals" in findings[0].message
+
+    def test_noise_seed_that_bypasses_the_prefix_memo(self):
+        findings = inject(
+            "perfsim/simulator.py",
+            "                known(profile.name)\n"
+            "                or self._noise_prefix(prefixes, profile.name, placement),\n",
+            "                known(profile.name, 0),\n",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "noise-seed-prefixes" in findings[0].message
+        assert "noise_seeds" in findings[0].message
+        assert "never touches _noise_prefix" in findings[0].message
+
+    def test_noise_draw_through_a_generator_of_its_own(self):
+        findings = inject(
+            "perfsim/simulator.py",
+            "        noise = NoiseBatch(duration_s, extra)\n"
+            "        noise.add(self, [profile], placement, [repetition])\n"
+            "        return noise.multipliers()[0][0]\n",
+            "        return float(np.random.default_rng(repetition).normal())\n",
+        )
+        assert len(findings) == 1
+        assert findings[0].rule == "memo-invalidation"
+        assert "noise-seed-prefixes" in findings[0].message
+        assert "_noise_multiplier" in findings[0].message
+        assert "touches default_rng" in findings[0].message
+
     def test_breakdown_that_derives_its_own_placement_numbers(self):
         findings = inject(
             "perfsim/simulator.py",

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.placements import Placement
 from repro.ml.arena import ForestArena
+from repro.perfsim import simulator as simulator_module
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler import (
@@ -37,13 +38,16 @@ from repro.topology import machine as machine_module
 
 ARRIVALS = 400
 #: Python-level and builtin calls per arrival (departures included) the
-#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 416 (the
+#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 440 (the
 #: commit before the lanes: 564; before profiles, placements and lanes
-#: carried their identity: 495), about 14 of them inside numpy's own
-#: Python wrappers and the lock ``default_rng`` takes — the part another
-#: numpy may count differently, hence the headroom; later interpreters
-#: inline comprehensions and read lower.  Raise it only for a change
-#: that knowingly buys something with the extra calls.
+#: carried their identity: 495; before a batch's probe generators were
+#: derived in one pass: 416 — that pass is some 25 calls per batch, which
+#: at one request per batch is not repaid in calls, only in time), about
+#: 16 of them inside numpy's own Python wrappers and the lock each
+#: generator takes — the part another numpy may count differently, hence
+#: the headroom; later interpreters inline comprehensions and read lower.
+#: Raise it only for a change that knowingly buys something with the
+#: extra calls.
 CALLS_PER_ARRIVAL_BUDGET = 450
 #: Calls one finally-rejected arrival may cost on the saturated stream
 #: below.  It reads 184-292, nearly all of it the rebalance plan that
@@ -183,28 +187,68 @@ def test_identity_is_derived_once_per_object(monkeypatch):
     assert _calls(stats, ModelRegistry.probe_ipc_batch) == 4 * decisions
 
 
+def _count_draws(monkeypatch):
+    """Counters of the batched noise kernel (calls, rows) and of
+    ``np.random.default_rng``, patched in where the decision path
+    would reach them."""
+    counts = {"kernel": 0, "rows": 0, "generators": 0}
+    standard_normals, default_rng = (
+        simulator_module.standard_normals,
+        np.random.default_rng,
+    )
+
+    def counted_kernel(seeds):
+        counts["kernel"] += 1
+        counts["rows"] += len(seeds)
+        return standard_normals(seeds)
+
+    def counted_rng(*args, **kwargs):
+        counts["generators"] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "standard_normals", counted_kernel)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    return counts
+
+
+def test_a_decision_batch_draws_its_probes_in_one_kernel_call(monkeypatch):
+    """However many groups, shapes and inputs a goal-aware batch probes,
+    their noise is one kernel call with one row per probe, and no
+    generator is built one at a time."""
+    engine = _engine()
+    _replay(engine, _stream(99, 10**9))
+    engine.begin()
+    requests, warm = _stream(17, 0, arrivals=64), _stream(23, 10**6, arrivals=32)
+    counts = _count_draws(monkeypatch)
+    shapes = len(engine.fleet.shapes)
+    for start in range(0, len(requests), 8):
+        window = requests[start : start + 8]
+        counts.update(kernel=0, rows=0)
+        engine.policy.decide_batch(window, engine.fleet)
+        # Every shape has room on this half-empty fleet: two probes per
+        # request on each.
+        assert (counts["kernel"], counts["rows"]) == (1, 2 * shapes * len(window))
+    _replay(engine, warm)
+    assert counts["generators"] == 0
+
+
 def test_a_capacity_reject_is_the_cheapest_answer(monkeypatch):
     """On a fleet driven to saturation: an arrival nothing can hold is
     answered from the index — no noise draw, no forest call, no rank walk
     — and one the rebalancer recovers pays for exactly one decision (two
-    probes and one forest call per shape), not a failed one and then a
-    second."""
-    counts = {"draws": 0, "fused": 0}
-    default_rng, predict_fused = np.random.default_rng, policies_module.predict_fused
-
-    def counted_rng(*args, **kwargs):
-        counts["draws"] += 1
-        return default_rng(*args, **kwargs)
+    probes and one forest call on the shape the rebalancer made room
+    on), not a failed one and then a second."""
+    counts = _count_draws(monkeypatch)
+    counts["fused"] = 0
+    predict_fused = policies_module.predict_fused
 
     def counted_fused(plans):
         counts["fused"] += 1
         return predict_fused(plans)
 
-    monkeypatch.setattr(np.random, "default_rng", counted_rng)
     monkeypatch.setattr(policies_module, "predict_fused", counted_fused)
 
     engine = _engine(hosts_per_shape=20)
-    shapes = len(engine.fleet.shapes)
 
     def saturating(seed, first_id):
         # 40 hosts offered what keeps the other tests' 400 half empty.
@@ -220,7 +264,7 @@ def test_a_capacity_reject_is_the_cheapest_answer(monkeypatch):
         if event.kind is not EventKind.ARRIVAL:
             engine.step(event)
             continue
-        counts["draws"] = counts["fused"] = 0
+        counts.update(kernel=0, rows=0, generators=0, fused=0)
         recovered_before = engine.stats.rebalance_recovered
         profile = cProfile.Profile()
         profile.enable()
@@ -229,22 +273,20 @@ def test_a_capacity_reject_is_the_cheapest_answer(monkeypatch):
         stats = pstats.Stats(profile)
         forests = _calls(stats, ForestArena._mean)
         walked = _calls(stats, FleetIndex.lowest_host)
+        assert counts["generators"] == 0
+        draws = (counts["kernel"], counts["rows"], counts["fused"])
         if engine.stats.rebalance_recovered > recovered_before:
             recovered += 1
-            assert (counts["draws"], counts["fused"], forests) == (
-                2 * shapes,
-                1,
-                shapes,
-            )
+            # The first decision found no shape with room; the rebalancer
+            # then freed a block on one host, so the second decision
+            # probes and predicts on that host's shape only.  (While lanes
+            # without room were still probed, this read four rows and two
+            # forests.)
+            assert draws + (forests,) == (1, 2, 1, 1)
         elif not entry.decision.placed:
             rejected += 1
             assert entry.decision.reject_reason == "capacity"
-            assert (counts["draws"], counts["fused"], forests, walked) == (
-                0,
-                0,
-                0,
-                0,
-            )
+            assert draws + (forests, walked) == (0, 0, 0, 0, 0)
             assert stats.total_calls <= CALLS_PER_REJECT_BUDGET
     assert rejected >= 20 and recovered >= 2
 

@@ -19,6 +19,7 @@ from repro.perfsim.generator import WorkloadGenerator
 from repro.perfsim.library import paper_workloads
 from repro.scheduler.registry import ModelRegistry
 from repro.topology.presets import PRESETS
+from tests.perfsim.oracle_noise import probe_multipliers
 
 _MACHINES = {name: PRESETS[name]() for name in sorted(PRESETS)}
 #: (preset, placement): every important placement of every preset at the
@@ -55,8 +56,9 @@ def test_a_cold_probe_equals_both_kernels(
         machine,
         [profile],
         placement,
-        duration_s=duration_s,
-        repetitions=[repetition],
+        multipliers=probe_multipliers(
+            simulator, [profile], placement, duration_s, [repetition]
+        ),
     )
     assert registry.ipc_cache_info() == CacheInfo(0, 1, 1)
     assert type(probe[0]) is float
@@ -91,8 +93,7 @@ def test_every_cell_of_every_preset_grid_is_a_cold_row():
                 machine,
                 _PROFILES,
                 placement,
-                duration_s=3.0,
-                repetitions=range(len(_PROFILES)),
+                multipliers=[1.0] * len(_PROFILES),
             )
             row = registry.probe_row(machine, placement).ipcs
             assert [row[p] for p in _PROFILES] == grid[:, column].tolist()

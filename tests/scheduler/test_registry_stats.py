@@ -17,6 +17,7 @@ from repro.scheduler import (
     SpreadFleetPolicy,
     generate_churn_stream,
 )
+from repro.perfsim.simulator import NoiseBatch
 from repro.topology import amd_opteron_6272
 
 
@@ -116,6 +117,14 @@ class TestMemoStatsUnderMigrationChurn:
         )
 
 
+def _drawn(registry, machine, profiles, placement, *, duration_s, repetitions):
+    """The noise multipliers a decision batch hands ``probe_ipc_batch``
+    for these probes."""
+    noise = NoiseBatch(duration_s)
+    noise.add(registry.simulator(machine), profiles, placement, repetitions)
+    return noise.multipliers()[0]
+
+
 class TestProbeIpcBatch:
     """The vectorized probe helper must be bit-for-bit (values *and*
     accounting) equal to per-request probe_ipc calls."""
@@ -136,8 +145,17 @@ class TestProbeIpcBatch:
         machine, registry, placement, profiles = self._setup()
         repetitions = [3, 4, 5, 6, 7]
         batch = registry.probe_ipc_batch(
-            machine, profiles, placement, duration_s=3.0,
-            repetitions=repetitions,
+            machine,
+            profiles,
+            placement,
+            multipliers=_drawn(
+                registry,
+                machine,
+                profiles,
+                placement,
+                duration_s=3.0,
+                repetitions=repetitions,
+            ),
         )
         batch_info = registry.ipc_cache_info()
 
@@ -166,7 +184,17 @@ class TestProbeIpcBatch:
         placement = registry.placements(machine, 16)[0]
         profiles = [workload_by_name("gcc"), workload_by_name("WTbtree")]
         batch = registry.probe_ipc_batch(
-            machine, profiles, placement, duration_s=3.0, repetitions=[1, 2]
+            machine,
+            profiles,
+            placement,
+            multipliers=_drawn(
+                registry,
+                machine,
+                profiles,
+                placement,
+                duration_s=3.0,
+                repetitions=[1, 2],
+            ),
         )
         expected = [
             registry.simulator(machine).measured_ipc(
@@ -182,8 +210,7 @@ class TestProbeIpcBatch:
         machine, registry, placement, profiles = self._setup()
         with pytest.raises(ValueError, match="align"):
             registry.probe_ipc_batch(
-                machine, profiles, placement, duration_s=3.0,
-                repetitions=[1],
+                machine, profiles, placement, multipliers=[1.0]
             )
 
 
@@ -217,7 +244,7 @@ _rows = st.lists(
 
 
 class TestNoiseBatch:
-    """``measured_ipc_noise_batch`` is ``measured_ipc_noise`` row by row."""
+    """A ``NoiseBatch`` group is ``measured_ipc_noise`` row by row."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -237,12 +264,14 @@ class TestNoiseBatch:
         # A bound of 3 makes the one-off names overflow the prefix memo
         # in the middle of a batch.
         with mock.patch("repro.perfsim.simulator._NOISE_PREFIX_MAX", 3):
-            batch = PerformanceSimulator(machine, seed=5).measured_ipc_noise_batch(
+            noise = NoiseBatch(duration_s)
+            noise.add(
+                PerformanceSimulator(machine, seed=5),
                 profiles,
                 placement,
-                duration_s=duration_s,
-                repetitions=repetitions,
+                repetitions,
             )
+            batch = noise.multipliers()[0]
             simulator = PerformanceSimulator(machine, seed=5)
             sequential = [
                 simulator.measured_ipc_noise(
@@ -274,12 +303,9 @@ class TestNoiseBatch:
         repetitions = [repetition for _, repetition in rows]
 
         def batch():
-            return simulator.measured_ipc_noise_batch(
-                profiles,
-                placement,
-                duration_s=duration_s,
-                repetitions=repetitions,
-            )
+            noise = NoiseBatch(duration_s)
+            noise.add(simulator, profiles, placement, repetitions)
+            return noise.multipliers()[0]
 
         if any(profile.phase_noise > 0 for profile in profiles):
             with pytest.raises(ValueError, match="duration_s"):
@@ -319,8 +345,14 @@ class TestProbeBatchProperty:
                 machine,
                 profiles,
                 placement,
-                duration_s=3.0,
-                repetitions=repetitions,
+                multipliers=_drawn(
+                    batched,
+                    machine,
+                    profiles,
+                    placement,
+                    duration_s=3.0,
+                    repetitions=repetitions,
+                ),
                 row=held,
             )
             expected = [
