@@ -22,6 +22,7 @@ sum could carry it into the neighbouring lane.  A batch longer than
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -86,6 +87,8 @@ def _program(rows: int) -> Tuple:
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * rows, "little")
     xor0, mult0 = _HASH_A[0]
     return (
+        # One seed per 64-bit lane; "I" refuses a value outside 32 bits.
+        struct.Struct("<" + "I4x" * rows),
         _MASK32 * ones,
         xor0 * ones,
         mult0,
@@ -114,13 +117,12 @@ def seed_states(seeds: Sequence[int]) -> np.ndarray:
                 for start in range(0, rows, _MAX_LANES)
             ]
         )
-    mask, xor0, mult0, start, mixing, output = _program(rows)
-    lanes = np.zeros(2 * rows, "<u4")
+    lanes, mask, xor0, mult0, start, mixing, output = _program(rows)
     try:
-        lanes[::2] = seeds
-    except OverflowError:
+        packed = lanes.pack(*seeds)
+    except struct.error:
         raise ValueError("seeds must lie in [0, 2**32)") from None
-    value = (int.from_bytes(lanes.tobytes(), "little") ^ xor0) * mult0 & mask
+    value = (int.from_bytes(packed, "little") ^ xor0) * mult0 & mask
     pool = list(start)
     pool[0] = (value ^ value >> 16) & mask
     for src, dst, xor, mult in mixing:

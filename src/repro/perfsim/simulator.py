@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -1028,10 +1029,11 @@ class PerformanceSimulator:
         # repetition, extra); a CRC continues, so everything up to the
         # repetition is hashed once per (profile name, placement).  (A
         # prefix that happens to be 0 is recomputed, to the same value.)
+        # An integer's "%d" is its str, in ASCII: the same bytes.
         known = prefixes.get
         return [
             zlib.crc32(
-                f"{repetition}|{extra}".encode("utf-8"),
+                b"%d|%d" % (repetition, extra),
                 known(profile.name)
                 or self._noise_prefix(prefixes, profile.name, placement),
             )
@@ -1126,7 +1128,8 @@ class NoiseBatch:
             return [[1.0] * len(profiles) for profiles in groups]
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        scale = float(np.sqrt(max(self.duration_s, 1e-9) / 10.0))
+        # math.sqrt and np.sqrt both round correctly: the same double.
+        scale = math.sqrt(max(self.duration_s, 1e-9) / 10.0)
         sigmas = [
             p.phase_noise / scale
             for profiles in groups
@@ -1136,8 +1139,11 @@ class NoiseBatch:
         # Generator.normal(0.0, sigma) is 0.0 + sigma * z: adding 0.0
         # changes only the sign of a zero, which exp ignores.
         normals = standard_normals(self._seeds)
-        drawn = iter(np.exp([s * z for s, z in zip(sigmas, normals)]).tolist())
+        drawn = np.exp([s * z for s, z in zip(sigmas, normals)]).tolist()
+        if len(groups) == 1 and len(drawn) == len(groups[0]):
+            return [drawn]
+        values = iter(drawn)
         return [
-            [next(drawn) if p.phase_noise > 0 else 1.0 for p in profiles]
+            [next(values) if p.phase_noise > 0 else 1.0 for p in profiles]
             for profiles in groups
         ]

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from repro.perfsim.simulator import NoiseBatch
 from repro.serving.drift import DriftConfig, DriftMonitor
 from repro.serving.retrain import RetrainConfig, Retrainer
 from repro.serving.server import ModelServer, PromotionRecord
@@ -200,20 +201,23 @@ class OnlineLearner:
         placements = self.server.placements(machine, request.vcpus)
         i, j = active.model.input_pair
         # Bit-for-bit the probes the policy predicted from: the same memo,
-        # the same repetition keys.
-        probe_i = self.server.probe_ipc(
-            machine,
-            request.profile,
-            placements[i],
-            duration_s=self.config.probe_duration_s,
-            repetition=request.request_id,
-        )
-        probe_j = self.server.probe_ipc(
-            machine,
-            request.profile,
-            placements[j],
-            duration_s=self.config.probe_duration_s,
-            repetition=request.request_id + 1,
+        # the same repetition keys, both drawn in one NoiseBatch.
+        probes = [
+            (placements[k], self.server.probe_row(machine, placements[k]))
+            for k in (i, j)
+        ]
+        noise = NoiseBatch(self.config.probe_duration_s)
+        for (placement, row), repetition in zip(
+            probes, (request.request_id, request.request_id + 1)
+        ):
+            noise.add(
+                row.simulator, [request.profile], placement, [repetition], row.prefixes
+            )
+        (probe_i,), (probe_j,) = (
+            self.server.probe_ipc_batch(
+                machine, [request.profile], placement, multipliers=drawn, row=row
+            )
+            for (placement, row), drawn in zip(probes, noise.multipliers())
         )
         observation = PlacementObservation(
             time=time,

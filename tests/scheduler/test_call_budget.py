@@ -38,7 +38,7 @@ from repro.topology import machine as machine_module
 
 ARRIVALS = 400
 #: Python-level and builtin calls per arrival (departures included) the
-#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 440 (the
+#: stream below may cost.  On CPython 3.11 / numpy 2.4 it reads 437 (the
 #: commit before the lanes: 564; before profiles, placements and lanes
 #: carried their identity: 495; before a batch's probe generators were
 #: derived in one pass: 416 — that pass is some 25 calls per batch, which

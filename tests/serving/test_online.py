@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.perfsim import simulator as simulator_module
+from repro.perfsim.simulator import MEASURED_IPC_NOISE
 from repro.scheduler import (
     Fleet,
     GoalAwareFleetPolicy,
@@ -19,6 +21,7 @@ from repro.serving import (
     RetrainConfig,
 )
 from repro.topology import amd_opteron_6272
+from tests.perfsim.oracle_noise import noise_multiplier
 
 
 def _stream(n=220, seed=11):
@@ -95,6 +98,62 @@ class TestObservationFiltering:
             learner.observe(amd_opteron_6272(), rejected, 0.0) is None
         )
         assert learner.stats.observations == 0
+
+
+class TestObservationProbes:
+    def test_probes_are_one_draw_of_two_rows_and_the_oracles(self, monkeypatch):
+        """Each placed observation re-reads its two probes in one kernel
+        call of two rows, and each probe is its memo row's noise-free IPC
+        times the oracle's draw for the request's repetition keys."""
+        calls = []
+        kernel = simulator_module.standard_normals
+
+        def counting(seeds):
+            calls.append(len(seeds))
+            return kernel(seeds)
+
+        monkeypatch.setattr(simulator_module, "standard_normals", counting)
+        seen = []
+
+        class Recording(OnlineLearner):
+            def observe(self, machine, graded, time):
+                before = len(calls)
+                observation = super().observe(machine, graded, time)
+                if observation is not None:
+                    seen.append((machine, observation, calls[before:]))
+                return observation
+
+        server = ModelServer(seed=0)
+        learner = Recording(
+            server, OnlineLearningConfig(drift=DriftConfig(threshold_pct=1e9))
+        )
+        LifecycleScheduler(
+            Fleet.homogeneous(amd_opteron_6272(), 2),
+            GoalAwareFleetPolicy(server),
+            config=RebalanceConfig(),
+            online=learner,
+        ).run(_stream(40))
+        assert len(seen) >= 10
+        for machine, observation, drawn in seen:
+            assert drawn == [2]
+            placements = server.placements(machine, observation.vcpus)
+            i, j = server.input_pair(machine, observation.vcpus)
+            simulator = server.simulator(machine)
+            for probe, k, repetition in (
+                (observation.probe_i, i, observation.request_id),
+                (observation.probe_j, j, observation.request_id + 1),
+            ):
+                placement = placements[k]
+                assert probe == server.solo_ipc(
+                    machine, observation.profile, placement
+                ) * noise_multiplier(
+                    simulator,
+                    observation.profile,
+                    placement,
+                    learner.config.probe_duration_s,
+                    repetition,
+                    MEASURED_IPC_NOISE,
+                )
 
 
 @pytest.mark.slow
