@@ -2,13 +2,14 @@
 
 Runs the heuristic policies (no model, no simulator — pure placement
 machinery, so the host-selection cost dominates) through the same stream
-twice per policy: once on the linear scan over ``fleet.hosts``, once on
-the incremental ``FleetIndex`` + shared block-score tables.  Asserts, in
+twice per policy: once on the linear-scan oracle over ``fleet.hosts``
+(``tests/scheduler/oracle_linear.py``), once on the production path, the
+incremental ``FleetIndex`` + shared block-score tables.  Asserts, in
 every mode including the CI smoke run:
 
-* **decision equivalence** — the indexed scan picks exactly the hosts and
-  node blocks the linear scan picks, request for request (the hard gate;
-  a mismatch fails the build);
+* **decision equivalence** — production picks exactly the hosts and node
+  blocks the linear oracle picks, request for request (the hard gate; a
+  mismatch fails the build);
 * **index consistency** — after the run, every index counter equals a
   from-scratch recomputation;
 * (full mode only) the indexed path is faster at the largest fleet.
@@ -37,6 +38,10 @@ from repro.scheduler import (
     generate_request_stream,
 )
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from tests.scheduler.oracle_linear import (
+    LinearFirstFitPolicy,
+    LinearSpreadPolicy,
+)
 
 N_HOSTS = 40 if SMOKE else 1000
 # Enough requests to fill most of the fleet: the linear scan's cost grows
@@ -108,21 +113,17 @@ def test_indexed_scan_equivalent_and_fast(report):
         f"{'speedup':>8}",
     ]
     results = {}
-    for name, factory in (
-        ("first-fit", FirstFitFleetPolicy),
-        ("spread", SpreadFleetPolicy),
+    for name, factory, oracle in (
+        ("first-fit", FirstFitFleetPolicy, LinearFirstFitPolicy),
+        ("spread", SpreadFleetPolicy, LinearSpreadPolicy),
     ):
-        fleet_linear, linear, linear_rps = _run(
-            lambda: factory(indexed=False)
-        )
-        fleet_indexed, indexed, indexed_rps = _run(
-            lambda: factory(indexed=True)
-        )
+        fleet_linear, linear, linear_rps = _run(oracle)
+        fleet_indexed, indexed, indexed_rps = _run(factory)
 
-        # The hard gate: indexed and linear scans must be
+        # The hard gate: production and the linear oracle must be
         # decision-for-decision identical.
         assert _fingerprints(indexed) == _fingerprints(linear), (
-            f"{name}: indexed scan diverged from the linear scan"
+            f"{name}: production diverged from the linear oracle"
         )
         # And the incrementally maintained index must agree with a
         # from-scratch recomputation after the whole stream.
@@ -141,8 +142,8 @@ def test_indexed_scan_equivalent_and_fast(report):
 
     lines += [
         "",
-        "equivalence gate: indexed decisions identical to linear-scan "
-        "decisions on both policies (asserted), index counters match "
+        "equivalence gate: production decisions identical to the "
+        "linear oracle's on both policies (asserted), index counters match "
         "from-scratch recomputation (asserted)",
     ]
     report("fleet_index", "\n".join(lines))
@@ -161,7 +162,7 @@ def test_indexed_scan_equivalent_and_fast(report):
     if not SMOKE:
         for name, numbers in results.items():
             assert numbers["speedup"] > 1.0, (
-                f"{name}: indexed scan must beat the linear scan at "
+                f"{name}: production must beat the linear oracle at "
                 f"{N_HOSTS} hosts"
             )
 

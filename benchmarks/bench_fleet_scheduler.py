@@ -2,7 +2,7 @@
 
 Three generations of the placement hot path, measured on one stream:
 
-* **indexed** (this PR): host selection through the incremental
+* **indexed** (production): host selection through the incremental
   ``FleetIndex`` (only hosts whose bucketed largest free block fits are
   visited), block search through shared per-shape ``BlockScoreTable``
   lookups, and grading through the registry's noise-free IPC memo;
@@ -11,6 +11,10 @@ Three generations of the placement hot path, measured on one stream:
   combinations per host, and re-simulates both grading IPC runs;
 * **naive per-request** (the PR 1 baseline): additionally re-enumerates
   the Algorithm 1-3 pipeline and predicts one row at a time.
+
+The two baselines are the test oracles of ``tests/scheduler/oracle_linear.py``:
+the linear-scan goal-aware policy over a registry that re-simulates every
+IPC (and, for the naive row, re-enumerates every placement set too).
 
 Asserted (full mode): the indexed path clears 5x over the linear-scan
 baseline at the largest fleet — the decision cost no longer grows with
@@ -34,12 +38,16 @@ from repro.core.memo import DEFAULT_ENUMERATION_CACHE
 from repro.scheduler import (
     Fleet,
     FleetScheduler,
+    GoalAwareFleetPolicy,
     ModelRegistry,
     generate_request_stream,
-    make_policy,
 )
 from repro.scheduler.artifacts import DEFAULT_ARTIFACT_STORE
 from repro.topology import amd_opteron_6272
+from tests.scheduler.oracle_linear import (
+    LinearGoalAwarePolicy,
+    UnmemoizedRegistry,
+)
 
 FLEET_SIZES = (10, 50) if SMOKE else (10, 100, 1000)
 FAST_REQUESTS = 40 if SMOKE else 200
@@ -51,14 +59,15 @@ SEED = 7
 REPEATS = 1 if SMOKE else 3
 
 
-def _registry(*, memoize: bool, memoize_ipc: bool) -> ModelRegistry:
-    registry = ModelRegistry(
-        memoize_enumeration=memoize,
-        n_estimators=40,
-        n_synthetic=32,
-        seed=SEED,
-        memoize_ipc=memoize_ipc,
-    )
+class _UnmemoizedIpcRegistry(UnmemoizedRegistry):
+    """The linear-scan baseline's registry: every IPC re-simulated, the
+    enumeration memo kept."""
+
+    placements = ModelRegistry.placements
+
+
+def _registry(registry_class) -> ModelRegistry:
+    registry = registry_class(n_estimators=40, n_synthetic=32, seed=SEED)
     machine = amd_opteron_6272()
     for vcpus in VCPUS_CHOICES:
         # Prefit outside the timed region, and run one dummy prediction so
@@ -72,10 +81,9 @@ def _run(
     n_hosts: int,
     n_requests: int,
     *,
-    memoize: bool,
+    registry_class,
+    policy_class,
     batch_size: int,
-    indexed: bool,
-    memoize_ipc: bool,
 ):
     requests = generate_request_stream(
         n_requests, seed=SEED, vcpus_choices=VCPUS_CHOICES
@@ -87,11 +95,11 @@ def _run(
         # charged with the pipeline runs.
         DEFAULT_ENUMERATION_CACHE.clear()
         DEFAULT_ARTIFACT_STORE.clear()
-        registry = _registry(memoize=memoize, memoize_ipc=memoize_ipc)
+        registry = _registry(registry_class)
         fleet = Fleet.homogeneous(amd_opteron_6272(), n_hosts)
         scheduler = FleetScheduler(
             fleet,
-            make_policy("ml", registry=registry, indexed=indexed),
+            policy_class(registry),
             registry=registry,
             batch_size=batch_size,
         )
@@ -115,10 +123,9 @@ def test_fleet_scheduler_throughput(report):
         fleet_report, rps = _run(
             n_hosts,
             FAST_REQUESTS,
-            memoize=True,
+            registry_class=ModelRegistry,
+            policy_class=GoalAwareFleetPolicy,
             batch_size=64,
-            indexed=True,
-            memoize_ipc=True,
         )
         indexed_by_size[n_hosts] = rps
         lines.append(
@@ -135,10 +142,9 @@ def test_fleet_scheduler_throughput(report):
     linear_report, linear_rps = _run(
         largest,
         LINEAR_REQUESTS,
-        memoize=True,
+        registry_class=_UnmemoizedIpcRegistry,
+        policy_class=LinearGoalAwarePolicy,
         batch_size=64,
-        indexed=False,
-        memoize_ipc=False,
     )
     lines.append(
         f"{largest:>6} {LINEAR_REQUESTS:>9} {'linear scan (PR2)':>18} "
@@ -148,10 +154,9 @@ def test_fleet_scheduler_throughput(report):
     naive_report, naive_rps = _run(
         100 if not SMOKE else 50,
         NAIVE_REQUESTS,
-        memoize=False,
+        registry_class=UnmemoizedRegistry,
+        policy_class=LinearGoalAwarePolicy,
         batch_size=1,
-        indexed=False,
-        memoize_ipc=False,
     )
     lines.append(
         f"{100 if not SMOKE else 50:>6} {NAIVE_REQUESTS:>9} "

@@ -72,7 +72,8 @@ A sixth times what a workload nobody has seen costs the first time:
 The equivalence gates run in *every* mode, smoke included: the
 short-circuited policy must decide and migrate exactly as the full walk
 does; the batched
-probe must equal ``probe_ipc`` row by row; every row a first encounter
+probe must equal the oracle ``probe_ipc``
+(``tests/scheduler/oracle_linear.py``) row by row; every row a first encounter
 filled must hold the grid kernel's cell; every compiled
 form must equal the per-tree path bit for bit on every timed input, mean
 and std, and every batched-built tree must equal the recursion's in every
@@ -113,6 +114,7 @@ from repro.scheduler.events import LifecycleEvent
 from repro.scheduler.registry import ModelRegistry
 from repro.topology.presets import PRESETS
 from tests.ml.oracle_tree import assert_same_forest, forest_problem, oracle_forest
+from tests.scheduler.oracle_linear import probe_ipc
 from tests.scheduler.oracle_policy import FullWalkPolicy
 
 SEED = 21
@@ -500,10 +502,11 @@ def test_probe_row_is_on_its_floor(report):
             )
 
         # The hard gates, every mode: the kernel is the loop, and the
-        # probe is probe_ipc, row by row.
+        # probe is the oracle probe_ipc, row by row.
         assert kernel() == loop()
         assert probe() == [
-            registry.probe_ipc(
+            probe_ipc(
+                registry,
                 machine,
                 profile,
                 placement,

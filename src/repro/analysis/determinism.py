@@ -2,13 +2,13 @@
 set-order or ``id()``-order dependence in decision code.
 
 The scheduler's correctness story is bit-for-bit equivalence between
-code paths (indexed vs. linear policies, arena vs. per-tree prediction,
-sharded vs. monolithic serving).  Those equivalences only hold if every
-source of randomness is seeded and every ordering is explicit; one
-unseeded ``default_rng()`` or iteration over a ``set`` feeding a
-placement loop breaks them silently.  These rules scope themselves to
-the decision-making subpackages (``core``, ``scheduler``, ``serving``,
-``ml``, ``perfsim``).
+code paths (policies vs. their linear-scan test oracles, arena vs.
+per-tree prediction, sharded vs. monolithic serving).  Those
+equivalences only hold if every source of randomness is seeded and
+every ordering is explicit; one unseeded ``default_rng()`` or iteration
+over a ``set`` feeding a placement loop breaks them silently.  These
+rules scope themselves to the decision-making subpackages (``core``,
+``scheduler``, ``serving``, ``ml``, ``perfsim``).
 """
 
 from __future__ import annotations
@@ -248,8 +248,9 @@ class UnsortedSetIterRule(Rule):
     """Flag ordered iteration over set-valued expressions.
 
     Candidate generation pulls host ids out of ``FleetIndex`` sets; the
-    policies only stay bit-for-bit equivalent to a linear scan because
-    every such set is passed through an explicit sort first
+    policies only stay bit-for-bit equivalent to their linear-scan
+    oracles (``tests/scheduler/oracle_linear.py``) because every such
+    set is passed through an explicit sort first
     (``tests/scheduler/test_index.py`` replays randomized traces to
     prove it).  Iterating a set into a ``for`` loop, list, or ordered
     comprehension reintroduces hash-order dependence.

@@ -343,7 +343,7 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
                 "probes",
                 "inputs",
             ),
-            "_place_indexed": ("_has_room",),
+            "_place": ("_has_room",),
             "_has_room": ("largest_free", "smallest"),
             "min_block_nodes": ("_lane", "smallest"),
         },
@@ -352,7 +352,6 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             "repro.scheduler.policies._Lane.probes",
             "repro.scheduler.policies._Lane.forest",
             "repro.scheduler.policies._Lane.kind",
-            "repro.scheduler.policies._Lane.scorer",
             "repro.scheduler.policies._Lane.targets",
             "repro.scheduler.policies._Lane.sizes",
             "repro.scheduler.policies._Lane.smallest",
@@ -627,10 +626,11 @@ class MemoInvalidationRule(Rule):
     """Flag cached-state mutations that skip the matching invalidation.
 
     Motivated by the memo-correctness gates: arena-vs-per-tree
-    equivalence (``tests/ml/test_arena.py``), indexed-vs-linear decision
-    equivalence (``tests/scheduler/test_index.py``), and the version-
-    token keyed serving memos (``tests/serving/test_server.py``).  The
-    rule is table-driven: see :data:`CACHE_SURFACES`.
+    equivalence (``tests/ml/test_arena.py``), production-vs-linear-oracle
+    decision equivalence (``tests/scheduler/test_index.py`` against
+    ``tests/scheduler/oracle_linear.py``), and the version-token keyed
+    serving memos (``tests/serving/test_server.py``).  The rule is
+    table-driven: see :data:`CACHE_SURFACES`.
     """
 
     id = "memo-invalidation"

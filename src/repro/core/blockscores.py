@@ -15,7 +15,7 @@ scores every node subset of one machine shape exactly once and keeps
   matching a target interconnect score is a bucket probe instead of a
   combinations loop.
 
-Lookups are *bit-for-bit equivalent* to the naive loop
+Lookups are *bit-for-bit equivalent* to the combinations loop
 (:func:`search_blocks`): the same tolerance rules
 (:func:`repro.scheduler.fleet.scores_match`), the same tie-breaking (first
 block in combinations order wins), the same floats (scores come from the
@@ -89,8 +89,8 @@ def scores_match(score: float, target: float) -> bool:
     up to a full rounding step apart — which the enumeration, deduping on
     ``round(score, 3)``, treats as identical.
 
-    This is the single definition both the naive ``find_block`` loop and
-    the table's bucket filter use — they cannot drift apart.
+    This is the single definition both :func:`search_blocks` and the
+    table's bucket filter use — they cannot drift apart.
     """
     return (
         abs(score - target) <= SCORE_TOLERANCE
@@ -194,13 +194,13 @@ class _SizeTable:
         #: Rank is the position in ``itertools.combinations`` order over
         #: the machine's full node list — restricting that enumeration to
         #: the subsets of any free-node set preserves relative order, so
-        #: rank ties break exactly like the naive per-host loop.
+        #: rank ties break exactly like :func:`search_blocks`.
         self.entries: List[Tuple[FrozenSet[int], Tuple[int, ...], float]] = []
         for combo in itertools.combinations(nodes, size):
             block = frozenset(combo)
             self.entries.append((block, combo, scorer(block)))
         #: Ranks sorted best score first, enumeration order within a score
-        #: (the naive loop's strict ``>`` keeps the first max it sees).
+        #: (:func:`search_blocks`'s strict ``>`` keeps the first max).
         self.best_order: Tuple[int, ...] = tuple(
             sorted(
                 range(len(self.entries)),
@@ -314,7 +314,7 @@ class BlockScoreTable(BlockStateMemo):
         target_score: float | None = None,
         exclude: Iterable[int] = (),
     ) -> Tuple[int, ...] | None:
-        """Drop-in table-backed equivalent of the naive ``find_block`` loop.
+        """Table-backed equivalent of :func:`search_blocks`.
 
         With ``target_score``: the first block (in combinations order) of
         ``size`` free nodes whose score matches per the tolerance rules.

@@ -1,7 +1,7 @@
 """One config object for every scheduling surface.
 
 ``repro schedule`` grew ~20 flags (machine, policy, churn shape, online
-learning, scale-optimization toggles), and the sharded service adds more
+learning), and the sharded service adds more
 (shards, window, worker transport).  :class:`ScheduleConfig` folds them
 all into one dataclass shared by the CLI (``repro schedule`` *and*
 ``repro serve``), the benchmarks, and the examples: a new knob is added
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Tuple
 
 from repro.scheduler.fleet import Fleet
@@ -58,8 +58,6 @@ class ScheduleConfig:
     # Policy
     policy: str = "ml"
     batch_size: int | None = None
-    naive: bool = False
-    linear_scan: bool = False
     # Churn
     churn: bool = False
     arrival_rate: float = 1.0
@@ -144,10 +142,6 @@ class ScheduleConfig:
             raise ValueError(
                 "online learning needs policy 'ml' (heuristic policies "
                 "make no predictions to retrain on)"
-            )
-        if self.online_learning and self.naive:
-            raise ValueError(
-                "online learning needs the memoized registry (drop naive)"
             )
         if self.phase_shift and not self.churn:
             raise ValueError(
@@ -255,15 +249,8 @@ class ScheduleConfig:
     # ------------------------------------------------------------------
 
     @property
-    def indexed(self) -> bool:
-        """Whether policies may consult the incremental fleet index."""
-        return not (self.naive or self.linear_scan)
-
-    @property
     def effective_batch_size(self) -> int:
-        """The one-shot scheduler's batch size after the naive override."""
-        if self.naive:
-            return 1
+        """The one-shot scheduler's batch size (64 unless set)."""
         return 64 if self.batch_size is None else self.batch_size
 
     @property
@@ -312,11 +299,7 @@ class ScheduleConfig:
         return Fleet.homogeneous(PRESETS[self.machine](), self.hosts)
 
     def build_registry(self) -> ModelRegistry:
-        return ModelRegistry(
-            seed=self.seed,
-            memoize_enumeration=not self.naive,
-            memoize_ipc=not self.naive,
-        )
+        return ModelRegistry(seed=self.seed)
 
     def build_policy(
         self, registry: ModelRegistry | None = None
@@ -324,7 +307,6 @@ class ScheduleConfig:
         return make_policy(
             self.policy,
             registry=registry if registry is not None else self.build_registry(),
-            indexed=self.indexed,
         )
 
     def build_stream(self) -> List[PlacementRequest]:
@@ -379,21 +361,6 @@ def add_schedule_arguments(
             help="requests decided per policy call (one-shot mode only; "
             "default 64)",
         )
-    parser.add_argument(
-        "--naive",
-        action="store_true",
-        help="disable every scale optimization: enumeration memo cache, "
-        "batched prediction, fleet index, block-score tables, and the "
-        "grading IPC memo (the per-request baseline the benchmark "
-        "compares against)",
-    )
-    parser.add_argument(
-        "--linear-scan",
-        action="store_true",
-        help="keep the caches but scan all hosts per request instead of "
-        "querying the incremental fleet index (the pre-index baseline; "
-        "decisions are identical, only slower)",
-    )
     if not serve:
         parser.add_argument(
             "--trace",

@@ -16,7 +16,7 @@ hosts of two shapes cost two enumerations.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.core.blockscores import (  # noqa: F401  (re-exported API)
     SCORE_TOLERANCE,
@@ -29,10 +29,6 @@ from repro.core.blockscores import (  # noqa: F401  (re-exported API)
 from repro.core.placements import Placement
 from repro.scheduler.index import FleetIndex
 from repro.topology.machine import MachineTopology
-
-#: Scores a candidate node block (higher = better interconnect bandwidth).
-BlockScorer = Callable[[FrozenSet[int]], float]
-
 
 class UnknownNodeError(ValueError):
     """A placement names node ids the host's machine does not have."""
@@ -178,13 +174,17 @@ class FleetHost:
     def find_block(
         self,
         size: int,
-        scorer: BlockScorer,
         *,
+        table: BlockStateMemo,
         target_score: float | None = None,
         exclude: Iterable[int] = (),
-        table: BlockStateMemo | None = None,
     ) -> Tuple[int, ...] | None:
-        """A free node block of ``size`` nodes.
+        """A free node block of ``size`` nodes, read from ``table``: the
+        shape's shared :class:`~repro.core.blockscores.BlockStateMemo`
+        (a :class:`~repro.core.blockscores.BlockScoreTable` for tabulable
+        shapes), which answers per free-node state, once for all hosts in
+        that state, and fills its misses from
+        :func:`~repro.core.blockscores.search_blocks`.
 
         ``exclude`` removes free nodes from consideration — the rebalancer
         plans several migrations before executing any, so nodes already
@@ -199,20 +199,12 @@ class FleetHost:
         block and rejecting the request despite capacity.)  Without one,
         the best-scoring free block wins (the Smart-Aggressive rule:
         highest interconnect bandwidth).
-
-        With a ``table`` (a shared per-shape
-        :class:`~repro.core.blockscores.BlockStateMemo` built from the
-        same scorer — a :class:`~repro.core.blockscores.BlockScoreTable`
-        for tabulable shapes), the answer is read from the shape's
-        per-state memo, computed once for all hosts in this state —
-        bit-for-bit the same block.
         """
         if size < 1:
             raise ValueError("block size must be >= 1")
-        avail = self._free_mask & ~node_mask(exclude)
-        if table is not None:
-            return table.find_mask(avail, size, target_score)
-        return search_blocks(mask_nodes(avail), size, scorer, target_score)
+        return table.find_mask(
+            self._free_mask & ~node_mask(exclude), size, target_score
+        )
 
     def allocate(self, request_id: int, placement: Placement) -> None:
         """Claim the placement's nodes for a request.

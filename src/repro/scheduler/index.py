@@ -38,11 +38,11 @@ lowest id is a peek; stale entries are compacted away once they outnumber
 the live ones, which keeps bucket storage linear in the number of hosts
 under arbitrarily long churn.
 
-The index is an accelerator, not an oracle: policies constructed with
-``indexed=False`` take the original linear-scan path, and
+The index is an accelerator, not an oracle: the linear scans it replaces
+are the test oracles in ``tests/scheduler/oracle_linear.py``, and
 ``tests/scheduler/test_index.py`` asserts both that every counter matches
-a from-scratch recomputation under randomized churn and that indexed and
-linear scans make bit-for-bit identical decisions.
+a from-scratch recomputation under randomized churn and that the policies
+make bit-for-bit the decisions of their linear oracles.
 """
 
 from __future__ import annotations

@@ -663,10 +663,9 @@ class LifecycleScheduler:
                 for host in candidates[free]:
                     block = host.find_block(
                         size,
-                        scorer,
+                        table=table,
                         target_score=exact,
                         exclude=claimed.get(host.host_id, ()),
-                        table=table,
                     )
                     if block is not None:
                         return host, block

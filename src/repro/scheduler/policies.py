@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 
 from repro.core.blockscores import BlockStateMemo, block_state_memo
@@ -157,69 +157,22 @@ class FleetPolicy(abc.ABC):
 class _HeuristicFleetPolicy(FleetPolicy):
     """Shared machinery of the model-free policies.
 
-    Parameters
-    ----------
-    indexed:
-        When True (the default), host selection queries the fleet's
-        incremental :class:`~repro.scheduler.index.FleetIndex` — only
-        hosts whose bucketed largest free block can fit the request are
-        visited, and block search reads the shared per-shape
-        :class:`~repro.core.blockscores.BlockStateMemo`.  ``False`` takes
-        the original linear scan over ``fleet.hosts``; both paths make
-        bit-for-bit identical decisions (asserted in
-        ``tests/scheduler/test_index.py``).
+    Host selection queries the fleet's incremental
+    :class:`~repro.scheduler.index.FleetIndex` — only hosts whose bucketed
+    largest free block can fit the request are visited — and block
+    search reads the shared per-shape
+    :class:`~repro.core.blockscores.BlockStateMemo`.  The linear scan over
+    ``fleet.hosts`` it reproduces, bit for bit, is the test oracle
+    ``tests/scheduler/oracle_linear.py``.
     """
 
-    def __init__(self, *, indexed: bool = True) -> None:
-        self.indexed = indexed
+    def __init__(self) -> None:
         #: (fingerprint, vcpus) -> (n_nodes, l2_share) | None, memoized —
         #: the minimal balanced shape is a pure function of the key.
         self._shape_cache: Dict[Tuple, Tuple[int, int] | None] = {}
 
     def decide_batch(self, requests, fleet):
         return [self._decide_one(request, fleet) for request in requests]
-
-    def _decide_one(
-        self, request: PlacementRequest, fleet: Fleet
-    ) -> FleetDecision:
-        if self.indexed:
-            return self._decide_one_indexed(request, fleet)
-        return self._decide_one_linear(request, fleet)
-
-    # ------------------------------------------------------------------
-    # Linear scan (the reference path the index must reproduce)
-    # ------------------------------------------------------------------
-
-    def _decide_one_linear(
-        self, request: PlacementRequest, fleet: Fleet
-    ) -> FleetDecision:
-        feasible_anywhere = False
-        for host in self._scan_order(fleet):
-            machine = host.machine
-            try:
-                n_nodes, l2_share = minimal_shape(machine, request.vcpus)
-            except ValueError:
-                continue
-            feasible_anywhere = True
-            block = host.find_block(
-                n_nodes,
-                lambda nodes: machine.interconnect.aggregate_bandwidth(nodes),
-            )
-            if block is None:
-                continue
-            placement = Placement(
-                machine, block, request.vcpus, l2_share=l2_share
-            )
-            host.allocate(request.request_id, placement)
-            return FleetDecision(
-                request, host_id=host.host_id, placement=placement
-            )
-        reason = "capacity" if feasible_anywhere else "infeasible"
-        return FleetDecision(request, reject_reason=reason)
-
-    # ------------------------------------------------------------------
-    # Indexed path
-    # ------------------------------------------------------------------
 
     def _shape_plan(
         self, machine: MachineTopology, vcpus: int
@@ -232,7 +185,7 @@ class _HeuristicFleetPolicy(FleetPolicy):
                 self._shape_cache[key] = None
         return self._shape_cache[key]
 
-    def _decide_one_indexed(
+    def _decide_one(
         self, request: PlacementRequest, fleet: Fleet
     ) -> FleetDecision:
         index = fleet.index
@@ -246,19 +199,13 @@ class _HeuristicFleetPolicy(FleetPolicy):
                 continue
             plans[fingerprint] = (machine, shape[0], shape[1])
             feasible_anywhere = True
-        host = (
-            self._select_host_indexed(fleet, plans)
-            if feasible_anywhere
-            else None
-        )
+        host = self._select_host(fleet, plans) if feasible_anywhere else None
         if host is None:
             reason = "capacity" if feasible_anywhere else "infeasible"
             return FleetDecision(request, reject_reason=reason)
         machine, n_nodes, l2_share = plans[host.machine.fingerprint()]
         block = host.find_block(
-            n_nodes,
-            lambda nodes: machine.interconnect.aggregate_bandwidth(nodes),
-            table=block_state_memo(machine, "interconnect"),
+            n_nodes, table=block_state_memo(machine, "interconnect")
         )
         placement = Placement(machine, block, request.vcpus, l2_share=l2_share)
         host.allocate(request.request_id, placement)
@@ -267,17 +214,14 @@ class _HeuristicFleetPolicy(FleetPolicy):
         )
 
     @abc.abstractmethod
-    def _scan_order(self, fleet: Fleet) -> Sequence[FleetHost]:
-        """Host visit order of the linear path."""
-
-    @abc.abstractmethod
-    def _select_host_indexed(
+    def _select_host(
         self,
         fleet: Fleet,
         plans: Dict[Tuple, Tuple[MachineTopology, int, int] | None],
     ) -> FleetHost | None:
-        """The host the linear path would have picked, found via index
-        buckets (hosts that cannot fit the plan are never visited)."""
+        """The host the policy's scan order reaches first among those
+        that can fit the plan, found via index buckets (hosts that cannot
+        fit it are never visited)."""
 
 
 class FirstFitFleetPolicy(_HeuristicFleetPolicy):
@@ -285,10 +229,7 @@ class FirstFitFleetPolicy(_HeuristicFleetPolicy):
 
     name = "first-fit"
 
-    def _scan_order(self, fleet):
-        return fleet.hosts
-
-    def _select_host_indexed(self, fleet, plans):
+    def _select_host(self, fleet, plans):
         best: int | None = None
         for fingerprint, plan in plans.items():
             if plan is None:
@@ -306,12 +247,9 @@ class SpreadFleetPolicy(_HeuristicFleetPolicy):
 
     name = "spread"
 
-    def _scan_order(self, fleet):
-        return fleet.hosts_by_load()
-
-    def _select_host_indexed(self, fleet, plans):
-        # The linear path's order is (node_utilization, thread_utilization,
-        # host_id).  Every host in one (shape, free-count) bucket shares
+    def _select_host(self, fleet, plans):
+        # Spread visits hosts in ``fleet.hosts_by_load()`` order:
+        # (node_utilization, thread_utilization, host_id).  Every host in one (shape, free-count) bucket shares
         # the same node utilization — computed with the same division the
         # per-host property uses, so equal floats stay equal — which lets
         # whole buckets be ranked first and only the winning utilization
@@ -358,10 +296,9 @@ class _Lane(NamedTuple):
     #: lane's own identity rule is the only one they need.
     probes: Tuple[ProbeRow, ProbeRow]
     forest: RandomForestRegressor
-    #: The set's block scorer, its :func:`block_state_memo` kind, and
-    #: each candidate's interconnect score and node count, by index.
+    #: The set's block scorer's :func:`block_state_memo` kind, and each
+    #: candidate's interconnect score and node count, by index.
     kind: str
-    scorer: Callable
     targets: Tuple[float, ...]
     sizes: Tuple[int, ...]
     #: The smallest of ``sizes``: a host with fewer free nodes can hold
@@ -404,9 +341,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
     Lanes are found through ``registry.placements()`` /
     ``registry.model()`` on every batch, by the identity of what those
     return: a promoted model (:class:`~repro.serving.server.ModelServer`)
-    or a fresh placement set (``memoize_enumeration=False``) simply has
-    no lane yet and gets one, the registry's accounting sees the same
-    calls as ever, and nothing has to invalidate anything.  The one
+    or a fresh placement set simply has no lane yet and gets one, the
+    registry's accounting sees the same calls as ever, and nothing has to
+    invalidate anything.  The one
     *versioned* input, the shape's block-state memo, is fetched per batch
     for the same reason.  Lanes are LRU-bounded.
 
@@ -425,13 +362,12 @@ class GoalAwareFleetPolicy(FleetPolicy):
         performance for much denser packing.
     probe_duration_s:
         Simulated probe length ("for a couple of seconds", Section 1).
-    indexed:
-        When True (default), host selection asks the fleet index for the
-        lowest-id host per free-node *state* (one shared per-shape memo
-        lookup per distinct state, one ``find_block`` per placement);
-        False takes the original triple-loop linear scan over the same
-        probes and predictions.  Decisions are bit-for-bit identical
-        either way.
+
+    Host selection asks the fleet index for the lowest-id host per
+    free-node *state* (one shared per-shape memo lookup per distinct
+    state, one ``find_block`` per placement); the triple-loop linear scan
+    over the same probes and predictions that it reproduces, bit for bit,
+    is the test oracle ``tests/scheduler/oracle_linear.py``.
     """
 
     name = "ml"
@@ -443,7 +379,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
         safety_margin: float = 0.05,
         best_effort_slack: float = 0.9,
         probe_duration_s: float = 3.0,
-        indexed: bool = True,
     ) -> None:
         if safety_margin < 0:
             raise ValueError("safety_margin must be >= 0")
@@ -453,7 +388,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
         self.safety_margin = safety_margin
         self.best_effort_slack = best_effort_slack
         self.probe_duration_s = probe_duration_s
-        self.indexed = indexed
         #: Batched-prediction accounting for the fleet report: one fused
         #: forest call per decide_batch that probed anything, however many
         #: keys it spans; rows count probed requests only.
@@ -462,9 +396,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
         #: (id(placements), id(model)) -> lane, least recently used
         #: first.  A lane references both objects, so a cached id can
         #: never be recycled; the bound keeps that from pinning every
-        #: pair a long run ever saw — a memoized registry serves a
-        #: handful of long-lived pairs that stay resident, an unmemoized
-        #: one mints a set per call and only ever evicts its own litter.
+        #: pair a long run ever saw — a registry serves a handful of
+        #: long-lived pairs that stay resident, and one that minted a set
+        #: per call would only ever evict its own litter.
         self._lanes: Dict[Tuple[int, int], _Lane] = {}
         self._lanes_max = 32
 
@@ -499,7 +433,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 tuple(self.registry.probe_row(machine, p) for p in inputs),
                 model.forest,
                 kind,
-                scorer,
                 tuple(scorer(frozenset(c.nodes)) for c in placements),
                 sizes,
                 min(sizes),
@@ -635,11 +568,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 )
                 # The block-state memo is versioned (a promotion bumps
                 # it), so it is asked for per batch, never kept in a lane.
-                memo = (
-                    block_state_memo(machine, lane.kind)
-                    if self.indexed
-                    else None
-                )
+                memo = block_state_memo(machine, lane.kind)
                 features = lane.model.batch_features(obs_i, obs_j)
                 plans.append((lane, memo, vcpus, ids, features))
             outputs = predict_fused(
@@ -652,16 +581,11 @@ class GoalAwareFleetPolicy(FleetPolicy):
                     (lane, memo, dict(zip(ids, vectors.tolist())))
                 )
 
-        # Phase 2: place each request, in arrival order.
-        if not self.indexed:
-            return [
-                self._place_linear(request, fleet, searches.get(request.vcpus))
-                for request in requests
-            ]
-        # The first request sees the free space the lanes were filtered
-        # on; a later one may find that earlier ones took it.
+        # Phase 2: place each request, in arrival order.  The first
+        # request sees the free space the lanes were filtered on; a later
+        # one may find that earlier ones took it.
         return [
-            self._place_indexed(
+            self._place(
                 request, fleet, searches.get(request.vcpus), recheck=k > 0
             )
             for k, request in enumerate(requests)
@@ -681,7 +605,7 @@ class GoalAwareFleetPolicy(FleetPolicy):
             for lane, memo, rows in plans
         ]
 
-    def _place_indexed(
+    def _place(
         self,
         request: PlacementRequest,
         fleet: Fleet,
@@ -689,8 +613,9 @@ class GoalAwareFleetPolicy(FleetPolicy):
         *,
         recheck: bool,
     ) -> FleetDecision:
-        """The linear triple loop ``(exact, rank, host)`` with the host
-        dimension collapsed: per candidate rank the fleet index names the
+        """The linear triple loop ``(exact, rank, host)`` (the oracle in
+        ``tests/scheduler/oracle_linear.py``) with the host dimension
+        collapsed: per candidate rank the fleet index names the
         lowest-id host whose free-node *state* admits the block (one memo
         lookup per distinct state present, not one ``find_block`` per
         host), and only that winner is searched and allocated for real.
@@ -750,55 +675,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
                 return decision
         return FleetDecision(request, reject_reason="capacity")
 
-    def _place_linear(
-        self,
-        request: PlacementRequest,
-        fleet: Fleet,
-        plans: List[Tuple] | None,
-    ) -> FleetDecision:
-        if plans is None:
-            return FleetDecision(request, reject_reason="infeasible")
-        candidates = [
-            host for host in fleet.hosts if host.n_free_nodes > 0
-        ]
-        if not plans or not candidates:
-            return FleetDecision(request, reject_reason="capacity")
-        by_shape = {
-            entry[0].fingerprint: entry
-            for entry in self._ranked(request, plans)
-        }
-
-        # Candidate-major search: the most-preferred placement realizable
-        # *anywhere* in the fleet wins, so a mediocre placement on an early
-        # host never shadows a good one on a later host.  Pass 1 wants a
-        # free block whose interconnect score matches the candidate exactly
-        # (so the prediction transfers verbatim); pass 2 accepts any free
-        # block of the right size.
-        max_rank = max(len(order) for *_, order in by_shape.values())
-        for exact in (True, False):
-            for rank in range(max_rank):
-                for host in candidates:
-                    entry = by_shape.get(host.machine.fingerprint())
-                    if entry is None:
-                        continue
-                    lane, _, vector, order = entry
-                    if rank >= len(order):
-                        continue
-                    candidate = order[rank]
-                    if lane.sizes[candidate] > host.n_free_nodes:
-                        continue
-                    decision = self._try_candidate(
-                        request,
-                        host,
-                        lane,
-                        vector,
-                        candidate,
-                        target=lane.targets[candidate] if exact else None,
-                    )
-                    if decision is not None:
-                        return decision
-        return FleetDecision(request, reject_reason="capacity")
-
     def _try_candidate(
         self,
         request: PlacementRequest,
@@ -808,13 +684,13 @@ class GoalAwareFleetPolicy(FleetPolicy):
         index: int,
         *,
         target: float | None,
-        table: BlockStateMemo | None = None,
+        table: BlockStateMemo,
     ) -> FleetDecision | None:
         """Allocate the candidate on ``host`` if a free block admits it:
         one scoring exactly ``target`` (the prediction then transfers
         verbatim), or, with ``target`` None, any block of its size."""
         block = host.find_block(
-            lane.sizes[index], lane.scorer, target_score=target, table=table
+            lane.sizes[index], table=table, target_score=target
         )
         if block is None:
             return None
@@ -876,7 +752,6 @@ def make_policy(
     name: str,
     *,
     registry: ModelRegistry | None = None,
-    indexed: bool = True,
     **kwargs,
 ) -> FleetPolicy:
     """Instantiate a registered policy by name.
@@ -889,5 +764,5 @@ def make_policy(
     """
     factory = _factory(name)
     if is_model_driven(name):
-        return factory(registry, indexed=indexed, **kwargs)
-    return factory(indexed=indexed, **kwargs)
+        return factory(registry, **kwargs)
+    return factory(**kwargs)

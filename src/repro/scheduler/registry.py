@@ -11,8 +11,10 @@ registry holds per-registry views filled from the process-wide
 registry with equal parameters (another shard, a respawned worker) is
 served the same objects without enumerating or fitting anything:
 
-* **important placements** — the memoization can be disabled to reproduce
-  the naive per-request pipeline (the benchmark's baseline);
+* **important placements** — one
+  :class:`~repro.core.enumeration.ImportantPlacementSet` per key (the
+  unmemoized pipeline, re-enumerating on every call, is the test oracle
+  ``tests/scheduler/oracle_linear.py``);
 * **prediction models** — one fitted :class:`~repro.core.model.PlacementModel`
   per key, and the :class:`~repro.core.training.TrainingSet` it was fitted
   on.  The canonical input pair from :mod:`repro.experiments` is used
@@ -40,10 +42,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.core.enumeration import (
-    ImportantPlacementSet,
-    enumerate_important_placements,
-)
+from repro.core.enumeration import ImportantPlacementSet
 from repro.core.memo import DEFAULT_ENUMERATION_CACHE, CacheInfo
 from repro.core.model import PlacementModel
 from repro.core.placements import Placement
@@ -99,9 +98,6 @@ class ModelRegistry:
 
     Parameters
     ----------
-    memoize_enumeration:
-        When False, every :meth:`placements` call re-runs the Algorithm 1-3
-        pipeline — the naive baseline the benchmark compares against.
     n_estimators:
         Forest size for fleet models.  Smaller than the paper's 100: the
         fleet scheduler calls the model thousands of times and Section 6's
@@ -111,28 +107,18 @@ class ModelRegistry:
         training corpus.
     seed:
         Seeds the training corpus, the simulators, and the forests.
-    memoize_ipc:
-        When False, every :meth:`baseline_ipc` / :meth:`solo_ipc` call
-        re-runs the (deterministic) noise-free simulation — the
-        per-request grading cost the benchmark's baseline pays.
     """
 
     def __init__(
         self,
         *,
-        memoize_enumeration: bool = True,
         n_estimators: int = 40,
         n_synthetic: int = 32,
         seed: int = 0,
-        memoize_ipc: bool = True,
     ) -> None:
-        self.memoize_enumeration = memoize_enumeration
         self.n_estimators = n_estimators
         self.n_synthetic = n_synthetic
         self.seed = seed
-        self.memoize_ipc = memoize_ipc
-        #: Enumeration pipeline runs that bypassed the cache (naive mode).
-        self.uncached_enumerations = 0
         #: (fingerprint, vcpus) -> this registry's view of the process-wide
         #: enumeration cache's placement sets and the artifact store's
         #: models and training sets.  Entries are rebound, never written
@@ -162,17 +148,13 @@ class ModelRegistry:
     def placements(
         self, machine: MachineTopology, vcpus: int
     ) -> ImportantPlacementSet:
-        """Important placements for the key — memoized unless the registry
-        was built with ``memoize_enumeration=False``.
+        """Important placements for the key, memoized.
 
-        A memoized lookup counts as a miss only when it is the one that
+        A lookup counts as a miss only when it is the one that
         made the process-wide cache run the pipeline; a registry served
         from a cache another registry (or the service front end) already
         filled reports hits alone.
         """
-        if not self.memoize_enumeration:
-            self.uncached_enumerations += 1
-            return enumerate_important_placements(machine, vcpus)
         key = (machine.fingerprint(), int(vcpus))
         placements = self._placements.get(key)
         if placements is None:
@@ -237,9 +219,9 @@ class ModelRegistry:
     def model(self, machine: MachineTopology, vcpus: int) -> PlacementModel:
         """A fitted model for the key, trained once per process and reused.
 
-        Model fitting is always memoized, even in naive mode: refitting per
-        request would swamp the enumeration/prediction costs the naive
-        baseline is meant to isolate.
+        Fitting is memoized even by the unmemoized oracle registry in
+        ``tests/scheduler/oracle_linear.py``: refitting per request would
+        swamp the enumeration/prediction costs it is meant to isolate.
         """
         key = (machine.fingerprint(), int(vcpus))
         model = self._models.get(key)
@@ -319,15 +301,9 @@ class ModelRegistry:
         """Noise-free measured IPC of a workload alone in a placement.
 
         Deterministic in its inputs (profiles and placements are frozen
-        and hashable), so it is memoized unless the registry was built
-        with ``memoize_ipc=False``; a cache hit returns the exact float
-        the simulation produced, keeping grading bit-for-bit stable.
+        and hashable), so it is memoized; a cache hit returns the exact
+        float the simulation produced, keeping grading bit-for-bit stable.
         """
-        if not self.memoize_ipc:
-            self._ipc_misses += 1
-            return self.simulator(machine).measured_ipc(
-                profile, placement, noise=False
-            )
         row = self._ipc_row(machine, placement)
         value = row.get(profile)
         if value is None:
@@ -361,41 +337,6 @@ class ModelRegistry:
             simulator.noise_prefixes(placement),
         )
 
-    def probe_ipc(
-        self,
-        machine: MachineTopology,
-        profile: WorkloadProfile,
-        placement: Placement,
-        *,
-        duration_s: float,
-        repetition: int,
-    ) -> float:
-        """A noisy probe observation, with the deterministic part memoized.
-
-        The simulator's measured IPC factors as (noise-free IPC) x (noise
-        multiplier); only the multiplier depends on the repetition, so the
-        expensive deterministic part is served from :meth:`solo_ipc` and
-        the per-probe cost is one noise draw.  Bit-for-bit equal to
-        calling ``measured_ipc(noise=True)`` directly.
-        """
-        simulator = self.simulator(machine)
-        if not self.memoize_ipc:
-            self._ipc_misses += 1
-            return simulator.measured_ipc(
-                profile,
-                placement,
-                duration_s=duration_s,
-                repetition=repetition,
-            )
-        return self.solo_ipc(machine, profile, placement) * (
-            simulator.measured_ipc_noise(
-                profile,
-                placement,
-                duration_s=duration_s,
-                repetition=repetition,
-            )
-        )
-
     def probe_ipc_batch(
         self,
         machine: MachineTopology,
@@ -417,23 +358,19 @@ class ModelRegistry:
         its probe's noise multiplier, drawn by the caller — a
         :class:`~repro.perfsim.simulator.NoiseBatch` spanning every probe
         of its batch.  When ``multipliers`` are what that batch draws for
-        a probe length and ``repetitions``, entry ``k`` is bit-for-bit what
-        ``probe_ipc(machine, profiles[k], placement, duration_s=...,
-        repetition=repetitions[k])`` returns, including the hit/miss
-        accounting.  ``row`` is ``probe_row(machine, placement)`` from a
-        caller that already holds it.
+        a probe length and ``repetitions``, entry ``k`` is bit-for-bit the
+        simulator's noisy ``measured_ipc(profiles[k], placement,
+        duration_s=..., repetition=repetitions[k])``; the per-row
+        reference, with the same hit/miss accounting, is ``probe_ipc`` in
+        ``tests/scheduler/oracle_linear.py``.  ``row`` is
+        ``probe_row(machine, placement)`` from a caller that already holds
+        it.
         """
         if len(profiles) != len(multipliers):
             raise ValueError("profiles and multipliers must align")
         if row is None:
             row = self.probe_row(machine, placement)
         ipcs, simulator, _ = row
-        if not self.memoize_ipc:
-            self._ipc_misses += len(profiles)
-            return [
-                simulator.measured_ipc(profile, placement, noise=False) * multiplier
-                for profile, multiplier in zip(profiles, multipliers)
-            ]
         fresh: Sequence[WorkloadProfile] = ()
         try:
             found = list(map(ipcs.__getitem__, profiles))
@@ -458,10 +395,6 @@ class ModelRegistry:
         """The grading denominator: the profile's noise-free IPC in the
         shape's baseline placement, cached per ``(fingerprint, vcpus)``
         and profile so repeated shapes/profiles never re-simulate it."""
-        if not self.memoize_ipc:
-            return self.solo_ipc(
-                machine, profile, self.baseline_placement(machine, vcpus)
-            )
         # Version-keyed: the denominator depends on the *model's* baseline
         # placement (its input pair's first element), so a promoted model
         # version with a different pair must not be served another
@@ -504,4 +437,4 @@ class ModelRegistry:
         execute.  Summed over every registry of a process (the service
         adds its front end's) this is the process-wide count; a registry
         served entirely from an already warm cache reports 0."""
-        return self._enumeration_misses + self.uncached_enumerations
+        return self._enumeration_misses

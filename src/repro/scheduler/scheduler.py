@@ -7,10 +7,10 @@ placed container — achieved performance relative to the shape's baseline
 placement, measured through the per-shape simulator — and folds everything
 into a :class:`FleetReport`.
 
-The ``batch_size=1`` / ``memoize_enumeration=False`` configuration
-reproduces the naive per-request pipeline (re-enumerate, predict one row at
-a time); the benchmark in ``benchmarks/bench_fleet_scheduler.py`` measures
-the gap.
+``batch_size=1`` predicts one row at a time; with the unmemoized registry
+of ``tests/scheduler/oracle_linear.py`` (re-enumerate per request) it is
+the per-request pipeline ``benchmarks/bench_fleet_scheduler.py`` measures
+the production path against.
 """
 
 from __future__ import annotations
@@ -127,10 +127,9 @@ class FleetReport:
     #: process-wide enumeration cache run the Algorithm 1-3 pipeline, a
     #: hit was served from a registry's view or from that cache.
     cache_info: CacheInfo | None = None
-    #: Pipeline executions those registries caused, naive-mode runs
-    #: included.  Whoever asks the cache first is charged; a registry
-    #: served from an already warm cache (a shard behind a front end, a
-    #: respawned worker) reports 0.
+    #: Pipeline executions those registries caused.  Whoever asks the
+    #: cache first is charged; a registry served from an already warm
+    #: cache (a shard behind a front end, a respawned worker) reports 0.
     enumeration_runs: int = 0
     #: Fused forest calls and the prediction vectors they returned.  They
     #: count *probed* requests only: an arrival the goal-aware policy
@@ -150,8 +149,6 @@ class FleetReport:
     arena_lanes: int = 0
     #: Shared block-score table accounting (per-shape, process-wide).
     blockscore_cache_info: CacheInfo | None = None
-    #: Whether the policy consulted the incremental fleet index.
-    indexed: bool = True
     #: Lifecycle statistics (departures, migrations, fragmentation
     #: timeline) — only set by the event-driven LifecycleScheduler.
     churn: "ChurnStats | None" = None
@@ -202,7 +199,6 @@ class FleetReport:
             arena_fused_calls=ARENA_STATS.fused_calls,
             arena_lanes=ARENA_STATS.lanes_evaluated,
             blockscore_cache_info=DEFAULT_BLOCK_SCORE_CACHE.info(),
-            indexed=getattr(policy, "indexed", True),
             churn=churn,
             online=online,
         )
@@ -321,7 +317,6 @@ class FleetReport:
                 if self.blockscore_cache_info is None
                 else self.blockscore_cache_info.to_dict()
             ),
-            "indexed": self.indexed,
             "churn": None if self.churn is None else self.churn.to_dict(),
             "online": None if self.online is None else self.online.to_dict(),
             "service": (
@@ -377,7 +372,6 @@ class FleetReport:
             arena_fused_calls=data["arena_fused_calls"],
             arena_lanes=data["arena_lanes"],
             blockscore_cache_info=cache(data["blockscore_cache_info"]),
-            indexed=data["indexed"],
             churn=(
                 None
                 if data["churn"] is None
@@ -434,20 +428,15 @@ class FleetReport:
                 if self.cache_info is not None
                 else ""
             ),
-            f"  host selection: "
-            f"{'indexed (fleet buckets)' if self.indexed else 'linear scan'}"
-            + (
-                # The table cache is process-wide; only report it for runs
-                # whose policy actually consulted tables, and say what the
-                # number is (a linear-scan A/B run would otherwise print
-                # another run's accumulation as its own).
-                f", block-score tables: "
+        ]
+        if self.blockscore_cache_info is not None:
+            # The table cache is process-wide: say so, or a run would
+            # seem to claim another run's accumulation as its own.
+            lines.append(
+                f"  block-score tables: "
                 f"{self.blockscore_cache_info.currsize} shape(s) cached "
                 f"process-wide"
-                if self.indexed and self.blockscore_cache_info is not None
-                else ""
-            ),
-        ]
+            )
         if self.ipc_cache_info is not None and (
             self.ipc_cache_info.hits or self.ipc_cache_info.misses
         ):
@@ -493,8 +482,8 @@ class FleetScheduler:
         Defaults to the policy's registry when it has one, so the grader
         shares the policy's caches.
     batch_size:
-        Requests decided per policy call.  1 disables batching (the naive
-        prediction path).
+        Requests decided per policy call.  1 disables batching (one
+        prediction row per forest call).
     """
 
     def __init__(

@@ -532,11 +532,9 @@ class SchedulerService:
         """Train every ``(shape, vcpus)`` key this service routes, through
         a registry built like the shards' — once per process, whatever
         the shard count.  Heuristic policies never consult a model, so
-        only a model-driven policy pays for this; in naive mode every
-        ``placements`` call is a pipeline run charged to the report, so
-        the shards are left to train on first use as before."""
+        only a model-driven policy pays for this."""
         registry = self.config.build_registry()
-        if self.config.naive or not is_model_driven(self.config.policy):
+        if not is_model_driven(self.config.policy):
             return registry
         for machine in self._by_name.values():
             for vcpus in sorted(set(self.config.vcpus)):
@@ -1827,7 +1825,6 @@ class SchedulerService:
             arena_fused_calls=arena_fused_calls,
             arena_lanes=arena_lanes,
             blockscore_cache_info=blockscore,
-            indexed=self.config.indexed,
             churn=merged_churn,
             service=self.stats,
         )

@@ -4,6 +4,7 @@ produces exactly one finding with the right id and location."""
 
 from __future__ import annotations
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -36,6 +37,47 @@ class TestTreeIsClean:
             f"cold lint run took {elapsed:.1f}s; "
             f"budget is {FULL_RUN_BUDGET_SECONDS:.0f}s"
         )
+
+
+def imports_of_tests(source: str) -> list:
+    """Lines importing the top-level ``tests`` package or a module in it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "tests" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneWayDependency:
+    """Tests and benchmarks import the oracles under ``tests/``; the
+    package must never import them back."""
+
+    def test_no_module_under_src_repro_imports_tests(self):
+        paths = sorted(PACKAGE_ROOT.rglob("*.py"))
+        assert len(paths) > 50
+        assert [
+            (path.name, imports_of_tests(path.read_text(encoding="utf-8")))
+            for path in paths
+            if imports_of_tests(path.read_text(encoding="utf-8"))
+        ] == []
+
+    def test_seeded_violation_is_found(self):
+        source = (PACKAGE_ROOT / "scheduler/policies.py").read_text(encoding="utf-8")
+        anchor = "from repro.scheduler.index import FleetIndex\n"
+        assert anchor in source and imports_of_tests(source) == []
+        seeded = source.replace(
+            anchor, anchor + "from tests.scheduler.oracle_linear import SearchBlocks\n"
+        ) + "\n\ndef _reference():\n    import tests.scheduler.oracle_policy\n"
+        line = source[: source.index(anchor)].count("\n") + 2
+        assert imports_of_tests(seeded) == [line, seeded.count("\n")]
+        # A look-alike package and a relative import are not ``tests``.
+        assert imports_of_tests("import testsuite\nfrom .tests import x\n") == []
 
 
 def inject(relative: str, old: str, new: str, prefix: str = "") -> list:

@@ -8,7 +8,8 @@ is the specification, so it is kept here: this policy believes every lane
 always has room, hence probes every hostable group, predicts it, sorts
 its preferences and walks ``2 passes x ranks x lanes`` before it says
 ``capacity``.  ``tests/scheduler/test_capacity_shortcut.py`` holds the
-production policy (indexed and linear) to its decisions, row for row.
+production policy and its linear-scan oracle
+(``tests/scheduler/oracle_linear.py``) to its decisions, row for row.
 """
 
 from repro.scheduler import GoalAwareFleetPolicy

@@ -1,0 +1,71 @@
+"""Drive a lifecycle engine the way a shard does, and keep what it did.
+
+Consecutive arrivals go through ``step_batch`` up to ``window`` at a
+time and a departure flushes the window first.  Everything observable
+comes back in one dict, so two policies that must decide alike (a
+production policy and its oracle) compare with one ``==``.
+"""
+
+from repro.scheduler import (
+    EventKind,
+    LifecycleScheduler,
+    RebalanceConfig,
+    events_from_requests,
+)
+
+
+def replay(policy, fleet, requests, *, window, rebalance=True, registry=None):
+    engine = LifecycleScheduler(
+        fleet,
+        policy,
+        registry=registry or policy.registry,
+        config=RebalanceConfig(enabled=rebalance),
+    )
+    pending = []
+    for event in events_from_requests(requests).drain():
+        if event.kind is EventKind.ARRIVAL:
+            pending.append(event)
+            if len(pending) < window:
+                continue
+        if pending:
+            engine.step_batch(pending)
+            pending = []
+        if event.kind is not EventKind.ARRIVAL:
+            engine.step(event)
+    if pending:
+        engine.step_batch(pending)
+    fleet.index.assert_consistent(fleet.hosts)
+    stats = engine.stats
+    return {
+        "decisions": decision_rows(engine.graded),
+        "migrations": stats.migrations,
+        "rebalance": (stats.rebalance_attempts, stats.rebalance_recovered),
+        "timeline": stats.fragmentation_timeline,
+        "hosts": host_rows(fleet),
+    }
+
+
+def decision_rows(graded):
+    """Per graded decision: request id, host, placement id, reject
+    reason, block exactness, graded performance, nodes, prediction."""
+    return [
+        (
+            g.decision.request.request_id,
+            g.decision.host_id,
+            g.decision.placement_id,
+            g.decision.reject_reason,
+            g.decision.block_exact,
+            g.achieved_relative,
+            None if g.decision.placement is None else g.decision.placement.nodes,
+            g.decision.predicted_relative,
+        )
+        for g in graded
+    ]
+
+
+def host_rows(fleet):
+    """Per host: id, free-node mask and the requests it holds."""
+    return [
+        (host.host_id, host.free_mask, sorted(host.placements))
+        for host in fleet.hosts
+    ]

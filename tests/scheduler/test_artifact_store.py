@@ -108,14 +108,6 @@ class TestSharing:
             served.predict_batch(*PROBES), fresh.predict_batch(*PROBES)
         )
 
-    def test_naive_registry_still_memoizes_the_fit(self, machine):
-        naive = ModelRegistry(**SMALL, memoize_enumeration=False)
-        assert naive.model(machine, 8) is ModelRegistry(**SMALL).model(machine, 8)
-        runs = naive.enumeration_runs()
-        naive.placements(machine, 8)
-        naive.model(machine, 8)
-        assert naive.enumeration_runs() == runs + 1  # placements(), not model()
-
 
 class TestContentKeys:
     @pytest.mark.parametrize(
@@ -274,14 +266,6 @@ class TestServiceWarmUp:
     def test_heuristic_policy_trains_nothing(self, empty_artifact_store):
         assert is_model_driven("ml") and not is_model_driven("first-fit")
         runs = self._trained_at_construction(policy="first-fit", vcpus=(8, 16))
-        assert (runs, empty_artifact_store.info().misses) == (0, 0)
-
-    def test_naive_mode_leaves_training_to_the_shards(
-        self, empty_artifact_store
-    ):
-        # Every naive placements() call is a pipeline run charged to the
-        # report; a front-end warm-up would inflate the baseline's count.
-        runs = self._trained_at_construction(policy="ml", vcpus=(8, 16), naive=True)
         assert (runs, empty_artifact_store.info().misses) == (0, 0)
 
 

@@ -4,7 +4,8 @@ The goal-aware policy rejects for capacity without probing when the
 fleet index says no host of any hostable shape has a candidate's worth
 of free nodes.  That is only an optimisation if it changes nothing, so a
 near-full churn on a mixed fleet is replayed under three policies — the
-production one, its ``indexed=False`` linear twin and
+production one, its linear-scan oracle
+:class:`~tests.scheduler.oracle_linear.LinearGoalAwarePolicy` and
 :class:`~tests.scheduler.oracle_policy.FullWalkPolicy`, which always
 probes, predicts and walks every rank — through the lifecycle engine
 (window 1 and window 8, rebalancer on and off), and everything the
@@ -17,18 +18,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.perfsim import workload_by_name
 from repro.scheduler import (
-    EventKind,
     Fleet,
     GoalAwareFleetPolicy,
-    LifecycleScheduler,
     ModelRegistry,
     PlacementRequest,
-    RebalanceConfig,
-    events_from_requests,
     generate_churn_stream,
 )
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from tests.scheduler.oracle_linear import LinearGoalAwarePolicy
 from tests.scheduler.oracle_policy import FullWalkPolicy
+from tests.scheduler.replay import replay
 
 #: 10 vCPUs have no important placement on the AMD shape (one lane is
 #: None), 200 fit no shape at all (``infeasible`` must keep winning over
@@ -44,7 +43,7 @@ def registry():
 def _policies(registry):
     return {
         "indexed": GoalAwareFleetPolicy(registry),
-        "linear": GoalAwareFleetPolicy(registry, indexed=False),
+        "linear": LinearGoalAwarePolicy(registry),
         "full walk": FullWalkPolicy(registry),
     }
 
@@ -65,51 +64,6 @@ def _stream(seed, mean_lifetime, vcpus_choices):
     )
 
 
-def _replay(policy, fleet, requests, window, rebalance):
-    """Drive the engine the way a shard does: consecutive arrivals go
-    through ``step_batch`` up to ``window`` at a time, a departure
-    flushes the window first.  Returns everything observable."""
-    engine = LifecycleScheduler(
-        fleet,
-        policy,
-        registry=policy.registry,
-        config=RebalanceConfig(enabled=rebalance),
-    )
-    pending = []
-    for event in events_from_requests(requests).drain():
-        if event.kind is EventKind.ARRIVAL:
-            pending.append(event)
-            if len(pending) < window:
-                continue
-        if pending:
-            engine.step_batch(pending)
-            pending = []
-        if event.kind is not EventKind.ARRIVAL:
-            engine.step(event)
-    fleet.index.assert_consistent(fleet.hosts)
-    stats = engine.stats
-    return {
-        "decisions": [
-            (
-                g.decision.request.request_id,
-                g.decision.host_id,
-                g.decision.placement_id,
-                g.decision.reject_reason,
-                g.decision.block_exact,
-                g.achieved_relative,
-            )
-            for g in engine.graded
-        ],
-        "migrations": stats.migrations,
-        "rebalance": (stats.rebalance_attempts, stats.rebalance_recovered),
-        "timeline": stats.fragmentation_timeline,
-        "hosts": [
-            (host.host_id, host.free_mask, sorted(host.placements))
-            for host in fleet.hosts
-        ],
-    }
-
-
 @pytest.mark.parametrize("rebalance", [True, False], ids=["rebalance", "static"])
 @pytest.mark.parametrize("window", [1, 8])
 @settings(max_examples=6, deadline=None)
@@ -126,7 +80,7 @@ def test_near_full_churn_is_decided_identically(
 ):
     requests = _stream(seed, mean_lifetime, vcpus_choices)
     outcomes = {
-        name: _replay(policy, _fleet(), requests, window, rebalance)
+        name: replay(policy, _fleet(), requests, window=window, rebalance=rebalance)
         for name, policy in _policies(registry).items()
     }
     assert outcomes["indexed"] == outcomes["full walk"]
@@ -137,7 +91,7 @@ def test_the_streams_above_do_saturate(registry):
     """The property is only worth its name if rejects of both kinds and
     recoveries happen under it: one fixed draw of it, counted."""
     requests = _stream(2, 40.0, [8, 8, 16, 32, 10, 200])
-    outcome = _replay(FullWalkPolicy(registry), _fleet(), requests, 8, True)
+    outcome = replay(FullWalkPolicy(registry), _fleet(), requests, window=8)
     reasons = [row[3] for row in outcome["decisions"]]
     assert reasons.count("capacity") >= 20
     assert reasons.count("infeasible") >= 5

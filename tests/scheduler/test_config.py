@@ -35,7 +35,6 @@ class TestFromArgs:
                 "4,8,12",
                 "--batch-size",
                 "16",
-                "--linear-scan",
             )
         )
         assert config.machine == "mixed"
@@ -44,8 +43,6 @@ class TestFromArgs:
         assert config.policy == "spread"
         assert config.vcpus == (4, 8, 12)
         assert config.batch_size == 16
-        assert config.linear_scan is True
-        assert config.indexed is False
 
     def test_online_learning_implies_churn(self):
         config = ScheduleConfig.from_args(
@@ -107,10 +104,6 @@ class TestValidate:
                 {"online_learning": True, "churn": True, "policy": "spread"},
                 "policy 'ml'",
             ),
-            (
-                {"online_learning": True, "churn": True, "naive": True},
-                "naive",
-            ),
             ({"phase_shift": True}, "churn"),
             ({"drift_threshold": -3.0}, "drift_threshold"),
             ({"shards": 0}, "shards"),
@@ -136,13 +129,6 @@ class TestDerivedAndBuilders:
     def test_effective_batch_size(self):
         assert ScheduleConfig().effective_batch_size == 64
         assert ScheduleConfig(batch_size=7).effective_batch_size == 7
-        # naive mode means per-request decisions, whatever was asked.
-        assert ScheduleConfig(naive=True, batch_size=7).effective_batch_size == 1
-
-    def test_indexed_property(self):
-        assert ScheduleConfig().indexed is True
-        assert ScheduleConfig(naive=True).indexed is False
-        assert ScheduleConfig(linear_scan=True).indexed is False
 
     def test_machine_list_matches_built_fleet(self):
         """The service partitions machine_list(); it must be the same
@@ -168,10 +154,6 @@ class TestDerivedAndBuilders:
     def test_same_config_builds_identical_streams(self):
         config = ScheduleConfig(requests=25, seed=6, churn=True, heavy_tail=True)
         assert config.build_stream() == config.build_stream()
-
-    def test_build_registry_honors_naive(self):
-        assert ScheduleConfig().build_registry().memoize_enumeration
-        assert not ScheduleConfig(naive=True).build_registry().memoize_enumeration
 
     def test_build_policy_uses_registry_and_name(self):
         config = ScheduleConfig(policy="first-fit")

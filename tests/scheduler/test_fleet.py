@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.blockscores import BlockStateMemo
 from repro.core.placements import Placement
 from repro.scheduler import (
     Fleet,
@@ -16,6 +17,11 @@ from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 
 def _scorer(machine):
     return lambda nodes: machine.interconnect.aggregate_bandwidth(nodes)
+
+
+def _memo(machine):
+    """The shape's block-state memo over the interconnect scorer."""
+    return BlockStateMemo(machine, _scorer(machine))
 
 
 class TestFleetHost:
@@ -64,7 +70,8 @@ class TestFleetHost:
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
         scorer = _scorer(machine)
-        block = host.find_block(2, scorer)
+        table = BlockStateMemo(machine, scorer)
+        block = host.find_block(2, table=table)
         best = max(
             (
                 scorer(frozenset((a, b)))
@@ -79,25 +86,26 @@ class TestFleetHost:
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
         scorer = _scorer(machine)
+        table = BlockStateMemo(machine, scorer)
         target = scorer(frozenset((0, 7)))
-        block = host.find_block(2, scorer, target_score=target)
+        block = host.find_block(2, table=table, target_score=target)
         assert round(scorer(frozenset(block)), 3) == round(target, 3)
 
     def test_find_block_too_large_returns_none(self):
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
         host.allocate(1, Placement(machine, tuple(range(8)), 8))
-        assert host.find_block(1, _scorer(machine)) is None
+        assert host.find_block(1, table=_memo(machine)) is None
 
     def test_find_block_unmatchable_target_returns_none(self):
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
-        assert host.find_block(2, _scorer(machine), target_score=-1.0) is None
+        assert host.find_block(2, table=_memo(machine), target_score=-1.0) is None
 
     def test_find_block_size_validation(self):
         host = FleetHost(0, amd_opteron_6272())
         with pytest.raises(ValueError):
-            host.find_block(0, _scorer(host.machine))
+            host.find_block(0, table=_memo(host.machine))
 
     def test_find_block_tolerates_rounding_boundary_scores(self):
         """Regression: scores a hair's width apart that straddle a
@@ -110,7 +118,8 @@ class TestFleetHost:
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
         scorer = lambda nodes: 1.0014999 if nodes == frozenset((0, 1)) else 0.0
-        block = host.find_block(2, scorer, target_score=1.0015001)
+        table = BlockStateMemo(machine, scorer)
+        block = host.find_block(2, table=table, target_score=1.0015001)
         assert block == (0, 1)
 
     def test_find_block_keeps_matching_same_bucket_scores(self):
@@ -122,24 +131,27 @@ class TestFleetHost:
         # Both round to 1.001, yet sit 8.5e-4 apart — beyond the absolute
         # tolerance, inside the bucket.
         scorer = lambda nodes: 1.00140 if nodes == frozenset((0, 1)) else 0.0
-        assert host.find_block(2, scorer, target_score=1.00055) == (0, 1)
+        table = BlockStateMemo(machine, scorer)
+        assert host.find_block(2, table=table, target_score=1.00055) == (0, 1)
 
     def test_find_block_rejects_scores_outside_tolerance(self):
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
         scorer = lambda nodes: 1.0 if nodes == frozenset((0, 1)) else 0.0
-        assert host.find_block(2, scorer, target_score=1.01) is None
+        table = BlockStateMemo(machine, scorer)
+        assert host.find_block(2, table=table, target_score=1.01) is None
 
     def test_find_block_exclude(self):
         machine = amd_opteron_6272()
         host = FleetHost(0, machine)
         scorer = _scorer(machine)
-        full = host.find_block(2, scorer)
-        excluded = host.find_block(2, scorer, exclude=full)
+        table = BlockStateMemo(machine, scorer)
+        full = host.find_block(2, table=table)
+        excluded = host.find_block(2, table=table, exclude=full)
         assert excluded is not None
         assert not set(excluded) & set(full)
         # Excluding everything leaves nothing to grant.
-        assert host.find_block(8, scorer, exclude=(0,)) is None
+        assert host.find_block(8, table=table, exclude=(0,)) is None
 
     def test_allocate_unknown_nodes_distinct_error(self):
         """A placement built for a bigger machine must fail with
@@ -255,7 +267,7 @@ class TestChurnCycles:
             host.allocate(node, Placement(machine, (node,), 8, l2_share=2))
         assert host.n_free_nodes == 0
         fleet.release(3)
-        block = host.find_block(1, _scorer(machine))
+        block = host.find_block(1, table=_memo(machine))
         assert block == (3,)
         host.allocate(100, Placement(machine, block, 8, l2_share=2))
         assert fleet.locate(100) == 0

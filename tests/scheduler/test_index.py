@@ -8,8 +8,9 @@ Two contracts:
   equals a brute-force scan over the hosts (randomized replay on a fleet
   that includes a shape too large to tabulate);
 * **equivalence** — policies running on the index pick exactly the hosts
-  and placements the original linear scans pick, on both the one-shot
-  reference request stream and the churning lifecycle stream.
+  and placements their linear-scan oracles (``oracle_linear.py``) pick,
+  on both the one-shot reference request stream and the churning
+  lifecycle stream.
 """
 
 import itertools
@@ -43,6 +44,12 @@ from repro.topology import (
     TopologyBuilder,
     amd_opteron_6272,
     intel_xeon_e7_4830_v3,
+)
+from tests.scheduler.oracle_linear import (
+    LinearFirstFitPolicy,
+    LinearGoalAwarePolicy,
+    LinearSpreadPolicy,
+    UnmemoizedRegistry,
 )
 
 
@@ -383,31 +390,36 @@ def _decision_fingerprints(report):
     return out
 
 
+#: The production policy, and its linear-scan oracle, of each policy.
+_FIRST_FIT = (FirstFitFleetPolicy, LinearFirstFitPolicy)
+_SPREAD = (SpreadFleetPolicy, LinearSpreadPolicy)
+_ML = (
+    lambda: GoalAwareFleetPolicy(ModelRegistry(seed=5)),
+    lambda: LinearGoalAwarePolicy(ModelRegistry(seed=5)),
+)
+
+
 class TestIndexedLinearEquivalence:
-    """Indexed and linear scans must be decision-for-decision identical."""
+    """Production and linear-oracle scans must be decision-for-decision
+    identical."""
 
     @pytest.mark.parametrize(
-        "policy_factory",
-        [
-            lambda indexed: FirstFitFleetPolicy(indexed=indexed),
-            lambda indexed: SpreadFleetPolicy(indexed=indexed),
-            lambda indexed: GoalAwareFleetPolicy(
-                ModelRegistry(seed=5), indexed=indexed
-            ),
-        ],
+        "policy_factories",
+        [_FIRST_FIT, _SPREAD, _ML],
         ids=["first-fit", "spread", "ml"],
     )
-    def test_one_shot_reference_stream(self, policy_factory):
+    def test_one_shot_reference_stream(self, policy_factories):
         # Mixed shapes, awkward sizes (10 has no important placement on
         # AMD), and enough requests to fill hosts and hit capacity paths.
         requests = generate_request_stream(
             120, seed=3, vcpus_choices=(4, 8, 16, 10)
         )
+        production, oracle = policy_factories
         indexed = FleetScheduler(
-            _mixed_fleet(), policy_factory(True), batch_size=32
+            _mixed_fleet(), production(), batch_size=32
         ).run(requests)
         linear = FleetScheduler(
-            _mixed_fleet(), policy_factory(False), batch_size=32
+            _mixed_fleet(), oracle(), batch_size=32
         ).run(requests)
         assert _decision_fingerprints(indexed) == _decision_fingerprints(
             linear
@@ -416,16 +428,9 @@ class TestIndexedLinearEquivalence:
         assert indexed.node_utilization == linear.node_utilization
 
     @pytest.mark.parametrize(
-        "policy_factory",
-        [
-            lambda indexed: SpreadFleetPolicy(indexed=indexed),
-            lambda indexed: GoalAwareFleetPolicy(
-                ModelRegistry(seed=5), indexed=indexed
-            ),
-        ],
-        ids=["spread", "ml"],
+        "policy_factories", [_SPREAD, _ML], ids=["spread", "ml"]
     )
-    def test_churn_reference_stream(self, policy_factory):
+    def test_churn_reference_stream(self, policy_factories):
         requests = generate_churn_stream(
             100,
             seed=11,
@@ -435,14 +440,14 @@ class TestIndexedLinearEquivalence:
             vcpus_choices=(8, 8, 8, 32),
         )
 
-        def run(indexed):
+        def run(policy_factory):
             return LifecycleScheduler(
                 Fleet.homogeneous(amd_opteron_6272(), 4),
-                policy_factory(indexed),
+                policy_factory(),
                 config=RebalanceConfig(),
             ).run(requests)
 
-        indexed, linear = run(True), run(False)
+        indexed, linear = map(run, policy_factories)
         assert _decision_fingerprints(indexed) == _decision_fingerprints(
             linear
         )
@@ -467,20 +472,6 @@ class TestIndexedLinearEquivalence:
             fleet, SpreadFleetPolicy(), config=RebalanceConfig()
         ).run(requests)
         fleet.index.assert_consistent(fleet.hosts)
-
-    def test_report_marks_indexed_mode(self):
-        requests = generate_request_stream(5, seed=0)
-        fleet = Fleet.homogeneous(amd_opteron_6272(), 2)
-        report = FleetScheduler(
-            fleet, FirstFitFleetPolicy(indexed=False)
-        ).run(requests)
-        assert report.indexed is False
-        assert "linear scan" in report.describe()
-        report = FleetScheduler(
-            Fleet.homogeneous(amd_opteron_6272(), 2), FirstFitFleetPolicy()
-        ).run(requests)
-        assert report.indexed is True
-        assert "indexed (fleet buckets)" in report.describe()
 
 
 class TestModelServerEquivalence:
@@ -588,14 +579,13 @@ class TestGradingIpcMemo:
             25, seed=9, vcpus_choices=(8, 16)
         )
 
-        def run(memoize_ipc):
-            registry = ModelRegistry(seed=0, memoize_ipc=memoize_ipc)
+        def run(registry):
             return FleetScheduler(
                 Fleet.homogeneous(amd_opteron_6272(), 4),
                 GoalAwareFleetPolicy(registry),
                 registry=registry,
             ).run(requests)
 
-        assert _decision_fingerprints(run(True)) == _decision_fingerprints(
-            run(False)
-        )
+        assert _decision_fingerprints(
+            run(ModelRegistry(seed=0))
+        ) == _decision_fingerprints(run(UnmemoizedRegistry(seed=0)))

@@ -15,6 +15,10 @@ from repro.scheduler import (
 from repro.core.placements import Placement
 from repro.perfsim import workload_by_name
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from tests.scheduler.oracle_linear import (
+    LinearGoalAwarePolicy,
+    UnmemoizedRegistry,
+)
 
 
 def _request(request_id, vcpus=16, goal=None, workload="gcc"):
@@ -221,13 +225,13 @@ class TestGoalAwarePolicy:
 
     def test_full_fleet_is_answered_without_probing(self, registry):
         """``capacity`` on a fleet with no room costs no probe and no
-        forest call, for either host-selection path; ``infeasible``
-        keeps its precedence, and the accounting counts probed requests
-        only."""
+        forest call, for the policy and its linear-scan oracle alike;
+        ``infeasible`` keeps its precedence, and the accounting counts
+        probed requests only."""
         machine = amd_opteron_6272()
-        for indexed in (True, False):
+        for factory in (GoalAwareFleetPolicy, LinearGoalAwarePolicy):
             fleet = Fleet.homogeneous(machine, 2)
-            policy = GoalAwareFleetPolicy(registry, indexed=indexed)
+            policy = factory(registry)
             for host in fleet.hosts:
                 host.allocate(
                     1000 + host.host_id,
@@ -421,16 +425,14 @@ class TestLanes:
         assert len(policy._lanes) == 2
 
     def test_unmemoized_enumeration_stays_under_the_bound(self, registry):
-        """``memoize_enumeration=False`` mints a placement set per call,
+        """A registry that re-enumerates mints a placement set per call,
         hence a lane per batch: the bound evicts them, and the decisions
         are the memoized registry's."""
-        naive = ModelRegistry(
-            n_estimators=6, n_synthetic=2, seed=0, memoize_enumeration=False
-        )
+        unmemoized = UnmemoizedRegistry(n_estimators=6, n_synthetic=2, seed=0)
         machine = amd_opteron_6272()
         requests = _mixed_requests(20)
         signatures = []
-        for source in (registry, naive):
+        for source in (registry, unmemoized):
             policy = GoalAwareFleetPolicy(source)
             policy._lanes_max = 4
             fleet = Fleet.homogeneous(machine, 8)
@@ -440,8 +442,8 @@ class TestLanes:
                 assert len(policy._lanes) <= 4
             signatures.append(_signature(decisions))
         assert signatures[0] == signatures[1]
-        assert len(policy._lanes) == 4  # the naive run filled and evicted
-        assert naive.uncached_enumerations > 10
+        assert len(policy._lanes) == 4  # the unmemoized run filled and evicted
+        assert unmemoized.enumeration_runs() > 10
 
     def test_realized_placements_are_shared_across_hosts(self, registry):
         """Requests realized on the same (candidate, block) of different
@@ -487,14 +489,6 @@ class TestRegistry:
         runs = registry.enumeration_runs()
         registry.placements(amd_opteron_6272(), 16)
         assert registry.enumeration_runs() == runs  # cache hit
-
-    def test_naive_mode_reenumerates(self):
-        registry = ModelRegistry(memoize_enumeration=False)
-        machine = amd_opteron_6272()
-        registry.placements(machine, 16)
-        registry.placements(machine, 16)
-        assert registry.uncached_enumerations == 2
-        assert registry.enumeration_runs() == 2
 
     def test_canonical_pair_for_paper_configuration(self):
         registry = ModelRegistry()

@@ -19,6 +19,7 @@ from repro.scheduler import (
 )
 from repro.perfsim.simulator import NoiseBatch
 from repro.topology import amd_opteron_6272
+from tests.scheduler.oracle_linear import UnmemoizedRegistry, probe_ipc
 
 
 def _churn_requests():
@@ -98,7 +99,7 @@ class TestMemoStatsUnderMigrationChurn:
 
     def test_memoized_stats_match_unmemoized_grades(self):
         memoized = ModelRegistry(seed=0)
-        unmemoized = ModelRegistry(seed=0, memoize_ipc=False)
+        unmemoized = UnmemoizedRegistry(seed=0)
         with_memo = _run(memoized)
         without = _run(unmemoized)
         assert [
@@ -163,8 +164,8 @@ class TestProbeIpcBatch:
             n_estimators=4, n_synthetic=2, seed=0
         )
         sequential = [
-            sequential_registry.probe_ipc(
-                machine, profile, placement, duration_s=3.0,
+            probe_ipc(
+                sequential_registry, machine, profile, placement, duration_s=3.0,
                 repetition=repetition,
             )
             for profile, repetition in zip(profiles, repetitions)
@@ -178,9 +179,7 @@ class TestProbeIpcBatch:
         from repro.perfsim import workload_by_name
 
         machine = amd_opteron_6272()
-        registry = ModelRegistry(
-            n_estimators=4, n_synthetic=2, seed=0, memoize_ipc=False
-        )
+        registry = UnmemoizedRegistry(n_estimators=4, n_synthetic=2, seed=0)
         placement = registry.placements(machine, 16)[0]
         profiles = [workload_by_name("gcc"), workload_by_name("WTbtree")]
         batch = registry.probe_ipc_batch(
@@ -356,7 +355,8 @@ class TestProbeBatchProperty:
                 row=held,
             )
             expected = [
-                sequential.probe_ipc(
+                probe_ipc(
+                    sequential,
                     machine,
                     profile,
                     placement,

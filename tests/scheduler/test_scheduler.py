@@ -11,6 +11,10 @@ from repro.scheduler import (
     generate_request_stream,
 )
 from repro.topology import amd_opteron_6272
+from tests.scheduler.oracle_linear import (
+    LinearGoalAwarePolicy,
+    UnmemoizedRegistry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +141,22 @@ class TestFleetScheduler:
         assert report.cache_info.hits > 0
 
     def test_naive_and_fast_paths_agree(self):
-        """The memo cache and batched prediction are pure optimizations:
-        the naive per-request pipeline must make identical decisions."""
+        """The memo caches, batched prediction and the fleet index are
+        pure optimizations: the per-request pipeline of the oracles
+        (unmemoized registry, linear scan, batches of one) must make
+        identical decisions."""
         requests = generate_request_stream(14, seed=7, vcpus_choices=(8, 16))
 
         fast_registry = ModelRegistry(n_estimators=6, n_synthetic=2, seed=0)
         fast = _ml_scheduler(4, fast_registry, batch_size=8).run(requests)
 
-        naive_registry = ModelRegistry(
-            n_estimators=6, n_synthetic=2, seed=0, memoize_enumeration=False
-        )
-        naive = _ml_scheduler(4, naive_registry, batch_size=1).run(requests)
+        naive_registry = UnmemoizedRegistry(n_estimators=6, n_synthetic=2, seed=0)
+        naive = FleetScheduler(
+            Fleet.homogeneous(amd_opteron_6272(), 4),
+            LinearGoalAwarePolicy(naive_registry),
+            registry=naive_registry,
+            batch_size=1,
+        ).run(requests)
 
         assert naive.enumeration_runs > fast.enumeration_runs
         fast_outcomes = [

@@ -181,8 +181,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["schedule", "--online-learning", "--policy", "first-fit"])
         with pytest.raises(SystemExit):
-            main(["schedule", "--online-learning", "--naive"])
-        with pytest.raises(SystemExit):
             main(["schedule", "--phase-shift"])
         with pytest.raises(SystemExit):
             main(["schedule", "--online-learning", "--drift-threshold", "0"])
@@ -223,25 +221,15 @@ class TestCli:
         assert "policy=ml" in out
         assert "batched prediction" in out
 
-    @pytest.mark.slow
-    def test_schedule_naive_mode(self, capsys):
-        assert main(
-            [
-                "schedule",
-                "--hosts", "2",
-                "--requests", "4",
-                "--naive",
-                "--vcpus", "16",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        # Naive mode re-enumerates per request (plus once per graded
-        # placement) instead of hitting the cache.
-        assert "cache: 0 hits, 0 misses" in out
-        runs = int(
-            out.split("enumeration pipeline runs: ")[1].split()[0]
-        )
-        assert runs >= 4
+    @pytest.mark.parametrize("command", ["schedule", "serve"])
+    @pytest.mark.parametrize("flag", ["--naive", "--linear-scan"])
+    def test_linear_and_naive_flags_are_gone(self, command, flag, capsys):
+        """One production path: the linear-scan and unmemoized pipelines
+        are test oracles, not options."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_predict_with_goal(self, capsys):
