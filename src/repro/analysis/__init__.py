@@ -13,9 +13,9 @@ runtime:
   state bump the matching version/invalidator, table-driven via
   :data:`repro.analysis.invalidation.CACHE_SURFACES`;
 * **pipe-safety** (``pipe-safety``, ``blocking-dispatch``) — shard
-  transport payloads stay JSON-safe, and dispatch loops in the service
-  fire messages through the overlapped send/gather helpers instead of
-  blocking ``client.request()`` calls.
+  transport payloads stay JSON-safe, and the service sends every
+  message through its one send/gather dispatch, never a blocking
+  ``client.request()`` call.
 
 Suppress a finding inline with ``# repro-lint: disable=<rule> — reason``
 or a whole file with ``# repro-lint: disable-file=<rule>``.

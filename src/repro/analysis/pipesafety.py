@@ -18,7 +18,8 @@ equivalence gates run through, and the inline ≡ process digest gates.
 The rule scopes itself to the transport modules (``scheduler/shard.py``,
 ``scheduler/service.py``, the row codec ``scheduler/wire.py``, ...) and
 inspects payload roots only: arguments of ``.send``/``.request``/
-``._send`` calls, and return values of ``handle``/``_handle_*``/
+``.request_many`` calls and of the service's ``._send`` (a dispatch of
+one), and return values of ``handle``/``_handle_*``/
 ``*_message``/``encode_*``/``to_dict`` functions, following local
 variable assignments.  Inside a payload expression, calls into the
 ``numpy`` namespace, wire-class constructors, and ``from_dict`` calls
@@ -61,8 +62,9 @@ TRANSPORT_SUFFIXES = (
     "scheduler/admission.py",
 )
 
-#: Payload-bearing call attributes (the split protocol fires payloads
-#: through ``send``/``request_many`` as well as the blocking ``request``).
+#: Payload-bearing call attributes (the dispatcher fires payloads through
+#: ``send``, journal replay through ``request_many``; ``request`` is the
+#: two halves of the split protocol back to back).
 _SEND_ATTRS = frozenset({"send", "request", "request_many", "_send"})
 
 #: Calls that produce JSON-safe values; descent stops at them.
@@ -320,25 +322,15 @@ class PipeSafetyRule(Rule):
         return
 
 
-#: Functions in ``scheduler/service.py`` allowed to issue a blocking
-#: ``client.request(...)`` — the supervised send helpers (one round trip
-#: each, or the sequential A/B baseline driven through them).  Dispatch
-#: loops everywhere else must fire with ``send()`` and gather.
-SANCTIONED_DISPATCH = frozenset(
-    {"_send", "_send_supervised", "_resolve_supervised", "_tracked_request"}
-)
-
-
 class BlockingDispatchRule(Rule):
-    """Flag blocking ``client.request(...)`` calls inside service loops.
+    """Flag every blocking ``client.request(...)`` call in the service.
 
-    Overlapped dispatch exists precisely because a sequential
-    ``for shard in ...: client.request(...)`` loop serializes the worker
-    processes; after the split-protocol refactor the only sanctioned
-    blocking call sites are the supervised send helpers
-    (:data:`SANCTIONED_DISPATCH`).  A ``.request()`` reappearing inside a
-    loop in ``scheduler/service.py`` is a perf regression waiting to
-    land — fire the messages with ``send()`` and gather instead.
+    A ``for shard in ...: client.request(...)`` loop serializes the
+    worker processes, and a lone ``request()`` is a second dispatch path
+    beside :meth:`SchedulerService._dispatch` — the one way a message
+    leaves the front end (fire with ``send()``, gather, resolve in shard
+    order).  Journal replay's ``request_many`` is a different call and
+    is not flagged.
     """
 
     id = "blocking-dispatch"
@@ -351,45 +343,25 @@ class BlockingDispatchRule(Rule):
         return normalized.endswith("scheduler/service.py")
 
     def check(self, module: ModuleInfo) -> List[Finding]:
-        findings: List[Finding] = []
-        seen: Set[tuple] = set()
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if func.name in SANCTIONED_DISPATCH:
-                continue
-            for loop in ast.walk(func):
-                if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
-                    continue
-                for node in ast.walk(loop):
-                    if not (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "request"
-                    ):
-                        continue
-                    key = (node.lineno, node.col_offset)
-                    if key in seen:
-                        continue  # nested loops / functions walk twice
-                    seen.add(key)
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            "blocking client.request() inside a dispatch "
-                            "loop serializes the shards; fire with send() "
-                            "and gather replies (only the supervised send "
-                            "helpers may call request() directly)",
-                        )
-                    )
-        return findings
+        return [
+            self.finding(
+                module,
+                node,
+                "blocking client.request() in the service serializes the "
+                "shards; fire with send() and gather replies through "
+                "_dispatch",
+            )
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "request"
+        ]
 
 
 __all__ = [
     "BlockingDispatchRule",
     "PROCESS_LOCAL_ATTRS",
     "PipeSafetyRule",
-    "SANCTIONED_DISPATCH",
     "TRANSPORT_SUFFIXES",
     "WIRE_CLASSES",
 ]

@@ -42,8 +42,7 @@ of the routing window and applies three screens, in order:
 
 Every screen outcome is a typed :class:`AdmissionDecision` and every
 counter lives in :class:`AdmissionStats` — both JSON-wire round-trip
-via ``to_dict``/``from_dict`` and stats merge with ``+`` so per-service
-counters aggregate across runs.
+via ``to_dict``/``from_dict``.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class AdmissionDecision:
 
 @dataclass
 class AdmissionStats:
-    """Admission-controller counters; wire round-trippable and mergeable."""
+    """Admission-controller counters; wire round-trippable."""
 
     #: Arrivals screened (one per offered request).
     offered: int = 0
@@ -142,7 +141,7 @@ class AdmissionStats:
     rejected_capacity: int = 0
     #: Best-effort arrivals ever held in the brown-out queue.
     held: int = 0
-    #: High-water mark of the held queue (merge takes the max).
+    #: High-water mark of the held queue.
     held_peak: int = 0
     #: Holds drained back into the routing window on brown-out exit.
     drained: int = 0
@@ -170,30 +169,6 @@ class AdmissionStats:
     @property
     def rejected_total(self) -> int:
         return self.rejected_infeasible + self.rejected_capacity
-
-    def __add__(self, other: "AdmissionStats") -> "AdmissionStats":
-        if not isinstance(other, AdmissionStats):
-            return NotImplemented
-        return AdmissionStats(
-            offered=self.offered + other.offered,
-            admitted=self.admitted + other.admitted,
-            rejected_infeasible=(
-                self.rejected_infeasible + other.rejected_infeasible
-            ),
-            rejected_capacity=(
-                self.rejected_capacity + other.rejected_capacity
-            ),
-            held=self.held + other.held,
-            held_peak=max(self.held_peak, other.held_peak),
-            drained=self.drained + other.drained,
-            shed_queue_full=self.shed_queue_full + other.shed_queue_full,
-            shed_evicted=self.shed_evicted + other.shed_evicted,
-            shed_deadline=self.shed_deadline + other.shed_deadline,
-            shed_expired=self.shed_expired + other.shed_expired,
-            shed_brownout=self.shed_brownout + other.shed_brownout,
-            brownout_entries=self.brownout_entries + other.brownout_entries,
-            brownout_exits=self.brownout_exits + other.brownout_exits,
-        )
 
     def to_dict(self) -> Dict:
         return {

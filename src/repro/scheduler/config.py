@@ -74,11 +74,6 @@ class ScheduleConfig:
     window: int = 8
     workers: str = "inline"
     max_events: int | None = None
-    #: Overlapped dispatch: fire every shard's message for a routing
-    #: phase, then gather replies in shard order.  Results are
-    #: bit-for-bit identical either way; False (--no-overlap) keeps the
-    #: serial one-request-at-a-time baseline for A/B timing.
-    overlap: bool = True
     # Fault tolerance (repro serve; also forced on by a FaultPlan)
     supervised: bool = False
     request_timeout_s: float | None = 30.0
@@ -451,15 +446,6 @@ def add_schedule_arguments(
             "runs; default: drain the whole stream)",
         )
         service.add_argument(
-            "--no-overlap",
-            dest="overlap",
-            action="store_false",
-            help="dispatch shard round trips one at a time instead of "
-            "firing every shard's message and gathering the replies "
-            "(the serial A/B baseline; decisions and reports are "
-            "bit-for-bit identical either way)",
-        )
-        service.add_argument(
             "--emit-json",
             action="store_true",
             help="print the report as machine-readable JSON (the wire "
@@ -485,8 +471,8 @@ def add_schedule_arguments(
             default=defaults.request_timeout_s,
             metavar="S",
             help="per-request reply deadline in seconds on the process "
-            "transport, stamped when the message is sent; overlapped "
-            "dispatch runs every in-flight shard's deadline "
+            "transport, stamped when the message is sent; a routing "
+            "round runs every in-flight shard's deadline "
             "concurrently (default 30)",
         )
         ft.add_argument(

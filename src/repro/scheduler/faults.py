@@ -221,42 +221,11 @@ class FaultInjectingClient:
         #: recv(): ("ok" | "drop" | "wedge", fired message index | None).
         self._outcomes: Deque[tuple] = deque()
 
-    def request(self, message: Dict, timeout_s: float | None = None) -> Dict:
-        if self._latched == "crash":
-            raise ShardCrashError(self.shard_id, "crashed by fault plan")
-        if self._latched == "wedge":
-            raise ShardTimeoutError(self.shard_id, "wedged by fault plan")
-        action = self.schedule.next_action()
-        if action is not None:
-            index = self.schedule.messages_seen - 1
-            if action.kind == "crash":
-                self._latched = "crash"
-                self.inner.kill()
-                raise ShardCrashError(
-                    self.shard_id, f"injected crash at message #{index}"
-                )
-            if action.kind == "wedge":
-                self._latched = "wedge"
-                raise ShardTimeoutError(
-                    self.shard_id, f"injected wedge at message #{index}"
-                )
-            if action.kind == "drop":
-                self.inner.request(message, timeout_s)
-                raise ShardTimeoutError(
-                    self.shard_id,
-                    f"injected dropped reply at message #{index}",
-                )
-            time.sleep(action.delay_ms / 1000.0)
-        return self.inner.request(message, timeout_s)
-
-    # -- split protocol (overlapped dispatch) ---------------------------
-    #
-    # The same fault semantics, decomposed so the front-end can keep
-    # several shards' messages in flight at once: a crash fires at
-    # ``send`` (the pipe is dead before anything else happens), while a
-    # wedge or dropped reply surfaces at ``recv`` — exactly where a real
-    # lost reply is observed.  Outcomes queue FIFO per send, so the
-    # pairing stays deterministic however dispatch is interleaved.
+    # A crash fires at ``send`` (the pipe is dead before anything else
+    # happens), while a wedge or dropped reply surfaces at ``recv`` —
+    # exactly where a real lost reply is observed.  Outcomes queue FIFO
+    # per send, so the pairing stays deterministic however dispatch is
+    # interleaved, and ``request`` is just the two halves back to back.
 
     def send(self, message: Dict, timeout_s: float | None = None) -> None:
         if self._latched == "crash":
@@ -305,6 +274,10 @@ class FaultInjectingClient:
                 f"injected dropped reply at message #{index}",
             )
         return self.inner.recv(timeout_s)
+
+    def request(self, message: Dict, timeout_s: float | None = None) -> Dict:
+        self.send(message, timeout_s)
+        return self.recv()
 
     def request_many(
         self,

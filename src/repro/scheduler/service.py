@@ -34,21 +34,23 @@ With one shard and a window of one, the service is the monolithic
 protocol: the reference-stream tests assert the decisions are
 bit-for-bit identical.
 
-Dispatch is *overlapped* by default: a routing round builds one window
-message per routed shard (its slice of arrivals plus the departures
-waiting in that shard's outbox), journals every one of them first, fires
-them all, and gathers the replies via
+Every message to a shard leaves through one dispatch: a routing round
+builds one window message per routed shard (its slice of arrivals plus
+the departures waiting in that shard's outbox), journals every one of
+them first when supervised, fires them all, and gathers the replies via
 ``multiprocessing.connection.wait`` — processing them in shard order
 regardless of arrival order, so routing, retries, summaries, and merged
-reports are bit-for-bit those of the sequential ``--no-overlap``
-baseline while the worker processes run their slices concurrently.
+reports are deterministic while the worker processes run their slices
+concurrently.  A capacity retry and a failover are dispatches of one;
+the end-of-stream flush and the reports go to every shard at once.
 Failures surface at the gather and are resolved sequentially in shard
-order through the same retry/recovery tail the sequential path uses, so
-fault handling stays deterministic too; the departures a failed message
-carried go back to the front of the outbox, because the journal entry
-was rolled back and nothing was applied.  The standalone ``depart``
-message remains for the one case with no window to ride: the flush at
-the end of a stream, before the reports.
+order through one retry/recovery tail (backoff resends of the same
+message, respawn and journal replay), so fault handling stays
+deterministic too; the departures a failed message carried go back to
+the front of the outbox, because the journal entry was rolled back and
+nothing was applied.  The standalone ``depart`` message remains for the
+one case with no window to ride: the flush at the end of a stream,
+before the reports.
 """
 
 from __future__ import annotations
@@ -141,16 +143,13 @@ class ServiceStats:
     #: Arrivals whose placement was touched by a fault (re-routed, or
     #: placed through a send that needed retries/recovery).
     degraded_arrivals: int = 0
-    #: Routing rounds dispatched overlapped (fire every shard's message,
-    #: then gather); 0 when ``--no-overlap`` forces the serial baseline.
-    overlapped_rounds: int = 0
-    #: Wall-clock seconds spent inside placement rounds.  Under
-    #: overlapped dispatch this is what req/s actually experiences.
+    #: Wall-clock seconds spent inside placement rounds: what req/s
+    #: actually experiences.
     window_wall_seconds: float = 0.0
     #: Summed per-shard service time (send until the reply is ready).
-    #: Serial dispatch pays this sum on the wall clock; overlapped
-    #: dispatch pays roughly the per-round maximum — the gap between the
-    #: two fields is the time the overlap won back.
+    #: A round fires every shard's message before gathering, so it pays
+    #: roughly the per-shard maximum on the wall clock — the gap between
+    #: the two fields is the time the overlap won back.
     shard_service_seconds: float = 0.0
     #: Capacity-reject retry fan-outs skipped because the next shard's
     #: summary (capacity vector + per-shape free totals, exact at that
@@ -162,79 +161,6 @@ class ServiceStats:
     #: keeps the pre-admission wire payload byte-identical).
     admission: "AdmissionStats | None" = None
 
-    def __add__(self, other: "ServiceStats") -> "ServiceStats":
-        """Merge counters from two runs of identically shaped services."""
-        if not isinstance(other, ServiceStats):
-            return NotImplemented
-        if (self.n_shards, self.window, self.transport) != (
-            other.n_shards,
-            other.window,
-            other.transport,
-        ):
-            raise ValueError(
-                "can only merge stats from services with the same shard "
-                "count, window, and transport"
-            )
-        merged_admission = None
-        if self.admission is not None or other.admission is not None:
-            merged_admission = (self.admission or AdmissionStats()) + (
-                other.admission or AdmissionStats()
-            )
-
-        def zipsum(a: List[int], b: List[int]) -> List[int]:
-            if len(a) < len(b):
-                a = a + [0] * (len(b) - len(a))
-            elif len(b) < len(a):
-                b = b + [0] * (len(a) - len(b))
-            return [x + y for x, y in zip(a, b)]
-
-        return ServiceStats(
-            n_shards=self.n_shards,
-            window=self.window,
-            transport=self.transport,
-            rounds=self.rounds + other.rounds,
-            routed=self.routed + other.routed,
-            departures_routed=(
-                self.departures_routed + other.departures_routed
-            ),
-            departure_batches=(
-                self.departure_batches + other.departure_batches
-            ),
-            retries=self.retries + other.retries,
-            recovered_by_retry=(
-                self.recovered_by_retry + other.recovered_by_retry
-            ),
-            exhausted=self.exhausted + other.exhausted,
-            shard_requests=zipsum(self.shard_requests, other.shard_requests),
-            shard_placed=zipsum(self.shard_placed, other.shard_placed),
-            supervised=self.supervised or other.supervised,
-            crashes=self.crashes + other.crashes,
-            timeouts=self.timeouts + other.timeouts,
-            backoff_retries=self.backoff_retries + other.backoff_retries,
-            failovers=self.failovers + other.failovers,
-            journal_replays=self.journal_replays + other.journal_replays,
-            replayed_messages=(
-                self.replayed_messages + other.replayed_messages
-            ),
-            degraded_windows=self.degraded_windows + other.degraded_windows,
-            degraded_arrivals=(
-                self.degraded_arrivals + other.degraded_arrivals
-            ),
-            overlapped_rounds=(
-                self.overlapped_rounds + other.overlapped_rounds
-            ),
-            window_wall_seconds=(
-                self.window_wall_seconds + other.window_wall_seconds
-            ),
-            shard_service_seconds=(
-                self.shard_service_seconds + other.shard_service_seconds
-            ),
-            retries_short_circuited=(
-                self.retries_short_circuited + other.retries_short_circuited
-            ),
-            admission=merged_admission,
-        )
-
     def describe(self) -> str:
         lines = [
             f"  service: {self.n_shards} shard(s) ({self.transport} "
@@ -245,7 +171,7 @@ class ServiceStats:
             f"  optimistic retry: {self.retries} re-routes, "
             f"{self.recovered_by_retry} recovered, "
             f"{self.exhausted} exhausted every shard",
-            f"  dispatch: {self.overlapped_rounds} overlapped round(s), "
+            f"  dispatch: {self.rounds} round(s), "
             f"{self.window_wall_seconds:.3f}s window wall clock / "
             f"{self.shard_service_seconds:.3f}s summed shard service",
         ]
@@ -315,7 +241,6 @@ class ServiceStats:
             "replayed_messages": self.replayed_messages,
             "degraded_windows": self.degraded_windows,
             "degraded_arrivals": self.degraded_arrivals,
-            "overlapped_rounds": self.overlapped_rounds,
             "window_wall_seconds": self.window_wall_seconds,
             "shard_service_seconds": self.shard_service_seconds,
         }
@@ -330,6 +255,9 @@ class ServiceStats:
     @classmethod
     def from_dict(cls, data: Dict) -> "ServiceStats":
         values = dict(data)
+        # Retired with the sequential dispatch mode: it always equalled
+        # ``rounds``.  Older ``--emit-json`` payloads still carry it.
+        values.pop("overlapped_rounds", None)
         admission = values.get("admission")
         if admission is not None:
             values["admission"] = AdmissionStats.from_dict(admission)
@@ -405,10 +333,10 @@ def merge_churn_stats(
 
 @dataclass
 class _DispatchOutcome:
-    """Result of one shard's round trip inside an overlapped dispatch:
-    either a response (with its service time and whether fault handling
-    touched it), or the :class:`ShardDownError` the sequential path
-    would have raised at that point."""
+    """Result of one shard's round trip inside a dispatch: either a
+    response (with its service time and whether fault handling touched
+    it), or the :class:`ShardDownError` of a shard that is (or just
+    went) DOWN with recovery deferred — the caller fails its work over."""
 
     response: Dict | None = None
     elapsed: float = 0.0
@@ -438,6 +366,11 @@ class SchedulerService:
         ``config.supervised`` False, the service's wire bytes and
         decisions are bit-for-bit those of the unsupervised service —
         no ``seq`` keys, no journaling, nothing extra on the pipe.
+
+    Every message to a shard goes through :meth:`_dispatch` — fire,
+    gather, resolve in shard order — whether it is a routing round, a
+    retry on one shard, or the reports; journal replay after a respawn
+    is the one other path.
 
     Use as a context manager (or call :meth:`close`) so process-mode
     workers are shut down.
@@ -703,77 +636,17 @@ class SchedulerService:
     def _update_summary(self, shard: int, response: Dict) -> None:
         self.summaries[shard] = decode_summary(response["summary"], shard)
 
-    def _send(self, shard: int, message: Dict) -> Tuple[Dict, float]:
-        """One worker round-trip; returns (response, seconds), the
-        departures ``message`` carried settled either way.
-
-        With the supervisor off this is the plain request path — no
-        sequence numbers, no journaling, nothing extra on the wire.
-        """
-        if self.supervisor is None:
-            start = time.perf_counter()
-            response = self.clients[shard].request(message)
-            elapsed = time.perf_counter() - start
-            self.stats.shard_service_seconds += elapsed
-            self._update_summary(shard, response)
-        else:
-            try:
-                response, elapsed = self._send_supervised(shard, message)
-            except ShardDownError:
-                self._settle_departures(shard, message, delivered=False)
-                raise
-        self._settle_departures(shard, message, delivered=True)
-        return response, elapsed
-
     def _tracked_request(self, shard: int, wire_message: Dict) -> Dict:
-        """One supervised round trip, accounted on the supervisor's
-        in-flight ledger for its duration."""
-        supervisor = self.supervisor
-        timeout = self.config.request_timeout_s
-        deadline = None if timeout is None else time.monotonic() + timeout
-        supervisor.track_send(shard, deadline)
+        """Re-send an already journaled wire message (same ``seq``, no
+        new journal entry) and wait for its reply, accounted on the
+        supervisor's in-flight ledger for the duration."""
+        client = self.clients[shard]
+        client.send(wire_message, timeout_s=self.config.request_timeout_s)
+        self.supervisor.track_send(shard, client.recv_deadline())
         try:
-            return self.clients[shard].request(
-                wire_message, timeout_s=timeout
-            )
+            return client.recv()
         finally:
-            supervisor.settle_send(shard)
-
-    def _send_supervised(
-        self, shard: int, message: Dict
-    ) -> Tuple[Dict, float]:
-        """One supervised round-trip: journal first (state-mutating ops),
-        then one attempt; failures run the shared
-        :meth:`_resolve_supervised` tail (bounded timeout retries with
-        seeded backoff, then either an immediate respawn-and-replay or a
-        deferred-recovery handoff).
-
-        Raises :class:`~repro.scheduler.supervisor.ShardDownError` when
-        the shard is (or just went) DOWN with recovery deferred — the
-        caller fails the work over to a surviving shard; the journal
-        entry has been rolled back so the eventual replay cannot
-        double-apply it.
-        """
-        supervisor = self.supervisor
-        start = time.perf_counter()
-        if supervisor.health[shard] == HEALTH_DOWN:
-            raise ShardDownError(shard, "down (recovery deferred)")
-        entry = None
-        wire_message = message
-        if message["op"] in MUTATING_OPS:
-            entry = supervisor.journal(shard, message)
-            wire_message = entry.message
-        try:
-            response = self._tracked_request(shard, wire_message)
-        except (ShardTimeoutError, ShardCrashError) as error:
-            return self._resolve_supervised(
-                shard, message, wire_message, entry, error, start
-            )
-        supervisor.mark_up(shard)
-        self._update_summary(shard, response)
-        elapsed = time.perf_counter() - start
-        self.stats.shard_service_seconds += elapsed
-        return response, elapsed
+            self.supervisor.settle_send(shard)
 
     def _resolve_supervised(
         self,
@@ -783,14 +656,13 @@ class SchedulerService:
         entry,
         error: ShardError,
         start: float,
-    ) -> Tuple[Dict, float]:
-        """The shared failure tail of one supervised send: bounded
-        timeout retries with seeded backoff, then either an immediate
+    ) -> _DispatchOutcome:
+        """The failure tail of one supervised send: bounded timeout
+        retries with seeded backoff, then either an immediate
         respawn-and-replay or a deferred-recovery handoff.  ``error`` is
-        the first attempt's failure — the sequential path enters from
-        :meth:`_send_supervised`, the overlapped dispatcher after its
-        gather, always in shard order, so counters, backoff draws, and
-        journal state match the sequential execution exactly.
+        the first attempt's failure; :meth:`_dispatch` enters here after
+        its gather, always in shard order, so counters, backoff draws,
+        and journal state are a function of the traffic alone.
         """
         supervisor = self.supervisor
         attempt = 0
@@ -810,11 +682,9 @@ class SchedulerService:
             except (ShardTimeoutError, ShardCrashError) as caught:
                 error = caught
                 continue
-            supervisor.mark_up(shard)
-            self._update_summary(shard, response)
-            elapsed = time.perf_counter() - start
-            self.stats.shard_service_seconds += elapsed
-            return response, elapsed
+            return self._answered(
+                shard, response, time.perf_counter() - start, faulted=True
+            )
         # The shard is no longer trustworthy.  The only consistent
         # futures are (a) rebuild it now and replay the journal, or
         # (b) roll the in-flight work back and go degraded.
@@ -829,17 +699,24 @@ class SchedulerService:
             # read (summary/report) is needed now, so fall through to
             # the immediate rebuild below.
             supervisor.rollback(shard, entry)
-            raise ShardDownError(shard, f"went down: {error}") from error
+            return _DispatchOutcome(
+                faulted=True,
+                down=ShardDownError(shard, f"went down: {error}"),
+            )
         last_response = self._recover_shard(shard)
         if entry is not None:
             # The failed message was journaled before the send, so the
             # replay just applied it: the final replay response is this
             # message's response.
-            elapsed = time.perf_counter() - start
-            self.stats.shard_service_seconds += elapsed
-            return last_response, elapsed
-        # Read-only message (summary/report): resend to the fresh worker.
-        return self._send_supervised(shard, message)
+            return self._answered(
+                shard,
+                last_response,
+                time.perf_counter() - start,
+                faulted=True,
+            )
+        # Read-only message (summary/report): resend to the fresh worker,
+        # which is UP, so the resend cannot come back DOWN.
+        return replace(self._send(shard, message), faulted=True)
 
     def _recover_shard(self, shard: int) -> Dict | None:
         """Rebuild a dead shard: respawn the worker from the serialized
@@ -938,22 +815,16 @@ class SchedulerService:
     def _flush_outboxes(self) -> None:
         """End of stream: deliver what no window is left to carry, one
         ``depart`` message per shard with pending departures."""
-        sends = [
-            (shard, {"op": "depart", "events": events})
-            for shard in range(self.config.shards)
-            if (events := self._stage_departures(shard))
-        ]
-        if sends and self.config.overlap:
-            self._dispatch(sends)
-            return
-        for shard, message in sends:
-            try:
-                self._send(shard, message)
-            except ShardDownError:
-                pass  # re-queued by _send
+        self._dispatch(
+            [
+                (shard, {"op": "depart", "events": events})
+                for shard in range(self.config.shards)
+                if (events := self._stage_departures(shard))
+            ]
+        )
 
     # ------------------------------------------------------------------
-    # Overlapped dispatch
+    # Dispatch
     # ------------------------------------------------------------------
 
     def _await_replies(
@@ -963,8 +834,7 @@ class SchedulerService:
         reply or has passed its reply deadline; stamps the moment each
         became ready into ``ready_at`` (shards already stamped are
         skipped).  Crashed pipes and expired deadlines count as ready —
-        the subsequent ``recv()`` raises the crash or timeout, exactly
-        where the sequential path would have seen it."""
+        the subsequent ``recv()`` raises the crash or timeout."""
         waiting = [shard for shard in shards if shard not in ready_at]
         while waiting:
             connections = []
@@ -1001,131 +871,115 @@ class SchedulerService:
     def _dispatch(
         self, sends: Sequence[Tuple[int, Dict]]
     ) -> Dict[int, _DispatchOutcome]:
-        """Overlapped multi-shard round trip: fire every message, gather
-        the replies, resolve them in shard order.
+        """The one way a message leaves the front end: fire every
+        message, gather the replies, resolve them in shard order.
 
         ``sends`` holds (shard, message) pairs in ascending shard order,
         at most one per shard.  Returns one :class:`_DispatchOutcome`
-        per shard — outcomes with ``down`` set carry the
-        :class:`ShardDownError` the sequential loop would have raised
-        for that shard.  Like :meth:`_send`, settles the departures each
-        message carried before anyone can route to its shard again.
+        per shard, and settles the departures each message carried
+        before anyone can route to its shard again.
+
+        Supervised, it journals *every* mutating message before anything
+        is fired (the write-ahead ordering is round-wide, and per-shard
+        journals keep per-shard sequence numbers), tracks each fired
+        send with its deadline on the supervisor's in-flight ledger, and
+        resolves failures through :meth:`_resolve_supervised`, in shard
+        order.  Unsupervised, none of that happens: the wire carries no
+        ``seq`` and a crash or timeout propagates to the caller.
         """
-        if self.supervisor is not None:
-            outcomes = self._dispatch_supervised(sends)
-        else:
-            outcomes = self._dispatch_unsupervised(sends)
+        supervisor = self.supervisor
+        # ``except ()`` catches nothing: unsupervised failures propagate.
+        recoverable = (
+            () if supervisor is None else (ShardTimeoutError, ShardCrashError)
+        )
+        outcomes: Dict[int, _DispatchOutcome] = {}
+        entries: Dict[int, object] = {}
+        wires: Dict[int, Dict] = {}
+        for shard, message in sends:
+            if supervisor is not None:
+                if supervisor.health[shard] == HEALTH_DOWN:
+                    outcomes[shard] = _DispatchOutcome(
+                        down=ShardDownError(shard, "down (recovery deferred)")
+                    )
+                    continue
+                if message["op"] in MUTATING_OPS:
+                    entries[shard] = supervisor.journal(shard, message)
+                    message = entries[shard].message
+            wires[shard] = message
+        starts: Dict[int, float] = {}
+        ready_at: Dict[int, float] = {}
+        errors: Dict[int, ShardError] = {}
+        for shard, wire_message in wires.items():
+            client = self.clients[shard]
+            starts[shard] = time.perf_counter()
+            try:
+                client.send(
+                    wire_message, timeout_s=self.config.request_timeout_s
+                )
+            except recoverable as error:
+                errors[shard] = error
+                continue
+            if supervisor is not None:
+                supervisor.track_send(shard, client.recv_deadline())
+            if client.gather_connection() is None:
+                # Inline transport: the work happened inside send(), so
+                # the shard's service time is the send duration alone.
+                ready_at[shard] = time.perf_counter()
+        self._await_replies(
+            [shard for shard in wires if shard not in errors], ready_at
+        )
+        for shard, message in sends:
+            if shard in outcomes:  # DOWN before this dispatch started
+                continue
+            error = errors.get(shard)
+            if error is None:
+                if supervisor is not None:
+                    supervisor.settle_send(shard)
+                try:
+                    response = self.clients[shard].recv()
+                except recoverable as caught:
+                    error = caught
+            if error is None:
+                outcomes[shard] = self._answered(
+                    shard,
+                    response,
+                    ready_at.get(shard, time.perf_counter()) - starts[shard],
+                )
+            else:
+                outcomes[shard] = self._resolve_supervised(
+                    shard,
+                    message,
+                    wires[shard],
+                    entries.get(shard),
+                    error,
+                    starts[shard],
+                )
         for shard, message in sends:
             self._settle_departures(
                 shard, message, outcomes[shard].down is None
             )
         return outcomes
 
-    def _dispatch_unsupervised(
-        self, sends: Sequence[Tuple[int, Dict]]
-    ) -> Dict[int, _DispatchOutcome]:
-        outcomes: Dict[int, _DispatchOutcome] = {}
-        starts: Dict[int, float] = {}
-        ready_at: Dict[int, float] = {}
-        for shard, message in sends:
-            starts[shard] = time.perf_counter()
-            self.clients[shard].send(message)
-            if self.clients[shard].gather_connection() is None:
-                # Inline transport: the work happened inside send(), so
-                # the shard's service time is the send duration alone.
-                ready_at[shard] = time.perf_counter()
-        self._await_replies([shard for shard, _ in sends], ready_at)
-        for shard, _ in sends:
-            response = self.clients[shard].recv()
-            elapsed = ready_at.get(shard, time.perf_counter()) - starts[shard]
-            self.stats.shard_service_seconds += elapsed
-            self._update_summary(shard, response)
-            outcomes[shard] = _DispatchOutcome(
-                response=response, elapsed=elapsed
-            )
-        return outcomes
+    def _send(self, shard: int, message: Dict) -> _DispatchOutcome:
+        """A dispatch of one: a capacity retry, a failover, a resend."""
+        return self._dispatch([(shard, message)])[shard]
 
-    def _dispatch_supervised(
-        self, sends: Sequence[Tuple[int, Dict]]
-    ) -> Dict[int, _DispatchOutcome]:
-        """The supervised overlap: journal *every* mutating message
-        before anything is fired (the write-ahead ordering is
-        phase-wide, and per-shard journals keep per-shard sequence
-        numbers identical to sequential dispatch), fire all sends with
-        per-shard deadlines on the supervisor's in-flight ledger, gather
-        once, then resolve in shard order — failures run the same
-        :meth:`_resolve_supervised` tail, sequentially, so recovery,
-        counters, and backoff draws match the sequential execution."""
-        supervisor = self.supervisor
-        outcomes: Dict[int, _DispatchOutcome] = {}
-        entries: Dict[int, object] = {}
-        wires: Dict[int, Dict] = {}
-        starts: Dict[int, float] = {}
-        ready_at: Dict[int, float] = {}
-        send_errors: Dict[int, ShardError] = {}
-        active: List[int] = []
-        for shard, message in sends:
-            if supervisor.health[shard] == HEALTH_DOWN:
-                outcomes[shard] = _DispatchOutcome(
-                    down=ShardDownError(shard, "down (recovery deferred)")
-                )
-                continue
-            entry = None
-            wire_message = message
-            if message["op"] in MUTATING_OPS:
-                entry = supervisor.journal(shard, message)
-                wire_message = entry.message
-            entries[shard] = entry
-            wires[shard] = wire_message
-            active.append(shard)
-        fired: List[int] = []
-        for shard in active:
-            client = self.clients[shard]
-            starts[shard] = time.perf_counter()
-            try:
-                client.send(
-                    wires[shard], timeout_s=self.config.request_timeout_s
-                )
-            except ShardCrashError as error:
-                send_errors[shard] = error
-                continue
-            supervisor.track_send(shard, client.recv_deadline())
-            fired.append(shard)
-            if client.gather_connection() is None:
-                ready_at[shard] = time.perf_counter()
-        self._await_replies(fired, ready_at)
-        for shard, message in sends:
-            if shard in outcomes:  # DOWN before this dispatch started
-                continue
-            start = starts[shard]
-            error = send_errors.get(shard)
-            response = None
-            if error is None:
-                supervisor.settle_send(shard)
-                try:
-                    response = self.clients[shard].recv()
-                except (ShardTimeoutError, ShardCrashError) as caught:
-                    error = caught
-            if error is None:
-                supervisor.mark_up(shard)
-                self._update_summary(shard, response)
-                elapsed = ready_at.get(shard, time.perf_counter()) - start
-                self.stats.shard_service_seconds += elapsed
-                outcomes[shard] = _DispatchOutcome(
-                    response=response, elapsed=elapsed
-                )
-                continue
-            try:
-                response, elapsed = self._resolve_supervised(
-                    shard, message, wires[shard], entries[shard], error, start
-                )
-            except ShardDownError as down:
-                outcomes[shard] = _DispatchOutcome(faulted=True, down=down)
-                continue
-            outcomes[shard] = _DispatchOutcome(
-                response=response, elapsed=elapsed, faulted=True
-            )
-        return outcomes
+    def _answered(
+        self,
+        shard: int,
+        response: Dict,
+        elapsed: float,
+        faulted: bool = False,
+    ) -> _DispatchOutcome:
+        """Account one shard's reply: the shard is UP, its summary and
+        the summed service time are refreshed."""
+        if self.supervisor is not None:
+            self.supervisor.mark_up(shard)
+        self._update_summary(shard, response)
+        self.stats.shard_service_seconds += elapsed
+        return _DispatchOutcome(
+            response=response, elapsed=elapsed, faulted=faulted
+        )
 
     # ------------------------------------------------------------------
     # Placement rounds
@@ -1162,14 +1016,7 @@ class SchedulerService:
             groups.setdefault(shard, []).append(position)
         results: List[GradedDecision | None] = [None] * len(items)
         finalized: set = set()
-        if self.config.overlap:
-            self._dispatch_window(
-                items, op, groups, results, assigned, finalized
-            )
-        else:
-            self._dispatch_window_sequential(
-                items, op, groups, results, assigned, finalized
-            )
+        self._dispatch_window(items, op, groups, results, assigned, finalized)
 
         finished: List[GradedDecision] = []
         for position, (request, event_time) in enumerate(items):
@@ -1188,45 +1035,6 @@ class SchedulerService:
         self.stats.window_wall_seconds += time.perf_counter() - wall_start
         return finished
 
-    def _dispatch_window_sequential(
-        self,
-        items: Sequence[Tuple[PlacementRequest, float]],
-        op: str,
-        groups: Dict[int, List[int]],
-        results: List[GradedDecision | None],
-        assigned: List[int],
-        finalized: set,
-    ) -> None:
-        """The ``--no-overlap`` baseline: one blocking round trip per
-        shard, in shard order."""
-        for shard in sorted(groups):
-            positions = groups[shard]
-            message = self._window_message(
-                op, shard, [items[position] for position in positions]
-            )
-            faults_before = self.stats.crashes + self.stats.timeouts
-            try:
-                response, elapsed = self._send(shard, message)
-            except ShardDownError:
-                # The shard died mid-window with recovery deferred: fail
-                # its slice over to surviving shards, one request at a
-                # time, through the normal routing machinery.
-                self.stats.failovers += len(positions)
-                self.stats.degraded_arrivals += len(positions)
-                for position in positions:
-                    request, event_time = items[position]
-                    results[position], assigned[position] = self._failover(
-                        request, event_time, op
-                    )
-                    finalized.add(position)
-                continue
-            if self.stats.crashes + self.stats.timeouts != faults_before:
-                # Placed correctly, but only through retries or an
-                # inline respawn-and-replay: these arrivals rode through
-                # a fault window.
-                self.stats.degraded_arrivals += len(positions)
-            self._collect(shard, response, elapsed, items, positions, results)
-
     def _dispatch_window(
         self,
         items: Sequence[Tuple[PlacementRequest, float]],
@@ -1236,14 +1044,12 @@ class SchedulerService:
         assigned: List[int],
         finalized: set,
     ) -> None:
-        """The overlapped round: one dispatch — fire every routed shard's
-        window message (its pending departures inside it) and gather.
-        A shard with no slice this round gets no message: delivering an
-        idle shard's departures would refresh its summary earlier than
-        sequential dispatch does and break bit-for-bit routing
-        equivalence."""
+        """One routing round's dispatch: fire every routed shard's window
+        message (its pending departures inside it) and gather.  A shard
+        with no slice this round gets no message: its departures wait
+        for the next window routed to it, so its summary refreshes only
+        when it has work."""
         shards = sorted(groups)
-        self.stats.overlapped_rounds += 1
         sends = [
             (
                 shard,
@@ -1522,16 +1328,15 @@ class SchedulerService:
             message = self._window_message(
                 op, next_shard, [(request, event_time)]
             )
-            try:
-                response, elapsed = self._send(next_shard, message)
-            except ShardDownError:
+            outcome = self._send(next_shard, message)
+            if outcome.down is not None:
                 # The retry target died mid-retry: skip it and keep
                 # looking at the remaining live shards.
                 self.stats.degraded_arrivals += 1
                 tried.add(next_shard)
                 continue
-            accumulated += elapsed
-            [entry] = self._from_wire(next_shard, response, [request])
+            accumulated += outcome.elapsed
+            [entry] = self._from_wire(next_shard, outcome.response, [request])
             entry.decision_seconds = accumulated
             shard = next_shard
             tried.add(next_shard)
@@ -1570,12 +1375,11 @@ class SchedulerService:
                 continue
             shard = ranked[0]
             message = self._window_message(op, shard, [(request, event_time)])
-            try:
-                response, elapsed = self._send(shard, message)
-            except ShardDownError:
+            outcome = self._send(shard, message)
+            if outcome.down is not None:
                 continue  # that one died too; re-rank the survivors
-            [entry] = self._from_wire(shard, response, [request])
-            entry.decision_seconds = elapsed
+            [entry] = self._from_wire(shard, outcome.response, [request])
+            entry.decision_seconds = outcome.elapsed
             return self._retry_if_rejected(
                 entry, shard, request, event_time, op
             )
@@ -1724,25 +1528,19 @@ class SchedulerService:
         # (the departures re-queued while they were down go out now).
         self._recover_all()
         self._flush_outboxes()
+        shards = range(self.config.shards)
+        outcomes = self._dispatch(
+            [(shard, {"op": "report"}) for shard in shards]
+        )
         reports = []
-        if self.config.overlap:
-            shards = range(self.config.shards)
-            outcomes = self._dispatch(
-                [(shard, {"op": "report"}) for shard in shards]
-            )
-            for shard in shards:
-                outcome = outcomes[shard]
-                if outcome.down is not None:
-                    # Unreachable after _recover_all (reports are
-                    # read-only, so even a fresh fault recovers
-                    # immediately), but propagate like the sequential
-                    # path would rather than merge a partial report.
-                    raise outcome.down
-                reports.append(outcome.response["report"])
-        else:
-            for shard in range(self.config.shards):
-                response, _ = self._send(shard, {"op": "report"})
-                reports.append(response["report"])
+        for shard in shards:
+            outcome = outcomes[shard]
+            if outcome.down is not None:
+                # Unreachable after _recover_all (reports are read-only,
+                # so even a fresh fault recovers immediately), but never
+                # merge a partial report.
+                raise outcome.down
+            reports.append(outcome.response["report"])
 
         def merged_cache(key: str, *own: CacheInfo) -> CacheInfo | None:
             infos = list(own) + [

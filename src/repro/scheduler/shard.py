@@ -59,14 +59,14 @@ decision_seconds)``.  Supervised messages add ``seq``, and every
 response carries ``summary`` — the summary row of
 :func:`~repro.scheduler.wire.encode_summary` — and echoes ``seq``.
 
-Both clients expose the protocol twice: the classic blocking
-``request(message)`` round trip, and the split ``send(message)`` /
-``recv(timeout)`` pair (plus a pipelined ``request_many``) the service's
-overlapped dispatcher uses to fire every shard's message before waiting
-on any reply.  ``send`` stamps the reply deadline, ``recv`` polls only
-the remaining budget, and ``reply_ready`` / ``gather_connection`` /
+Both clients speak the split ``send(message)`` / ``recv(timeout)`` pair
+the service's dispatcher uses to fire every shard's message before
+waiting on any reply.  ``send`` stamps the reply deadline, ``recv`` polls
+only the remaining budget, and ``reply_ready`` / ``gather_connection`` /
 ``recv_deadline`` are the gather surface
-``multiprocessing.connection.wait`` selects over.
+``multiprocessing.connection.wait`` selects over.  ``request(message)``
+is the two halves back to back (the stop handshake, tools and tests),
+and ``request_many`` pipelines a batch for journal replay.
 
 A process worker that has just answered waits for its next message by
 polling the pipe for a short, bounded while before it blocks
@@ -352,7 +352,7 @@ class InlineShardClient:
     says where "a payload that only works inline" is caught instead).
 
     The client speaks the split protocol (:meth:`send` then
-    :meth:`recv`) the overlapped dispatcher uses; because the worker is
+    :meth:`recv`) the dispatcher uses; because the worker is
     in-process, the work happens synchronously inside ``send`` and the
     response waits in a FIFO buffer until ``recv`` collects it.
     """
@@ -405,7 +405,7 @@ class InlineShardClient:
             responses.append(response)
         return responses
 
-    # -- gather surface (overlapped dispatch) ---------------------------
+    # -- gather surface -------------------------------------------------
 
     def reply_ready(self) -> bool:
         """A response is buffered: recv() will not block."""
@@ -652,7 +652,7 @@ class ProcessShardClient:
             responses.append(response)
         return responses
 
-    # -- gather surface (overlapped dispatch) ---------------------------
+    # -- gather surface -------------------------------------------------
 
     def reply_ready(self) -> bool:
         """A reply can be read without blocking (buffered, pending on the

@@ -164,12 +164,11 @@ class ShardSupervisor:
         self._rng = random.Random(seed)
         self._down_round: Dict[int, int] = {}
         #: shard -> monotonic reply deadline (or None) of its in-flight
-        #: send.  Overlapped dispatch keeps one entry per shard it has
-        #: fired and not yet gathered; sequential dispatch keeps at most
-        #: one entry total.
+        #: send: one entry per shard a dispatch has fired and not yet
+        #: gathered.
         self._in_flight: Dict[int, float | None] = {}
         #: High-water mark of concurrently in-flight sends (observability
-        #: for the overlapped dispatcher; 1 under sequential dispatch).
+        #: for the dispatcher; 1 when every send is gathered at once).
         self.max_in_flight = 0
 
     # -- journal -------------------------------------------------------
@@ -184,8 +183,8 @@ class ShardSupervisor:
 
     def track_send(self, shard: int, deadline: float | None) -> None:
         """Account one fired send: the shard's reply is now owed by
-        ``deadline`` (monotonic; None means no deadline).  Overlapped
-        dispatch tracks every shard of a round at once."""
+        ``deadline`` (monotonic; None means no deadline).  A dispatch
+        tracks every shard of a round at once."""
         self._in_flight[shard] = deadline
         self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
 

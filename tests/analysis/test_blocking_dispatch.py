@@ -1,9 +1,8 @@
-"""blocking-dispatch rule: no serial request() loops in the service."""
+"""blocking-dispatch rule: no blocking request() anywhere in the service."""
 
 from __future__ import annotations
 
 from repro.analysis import analyze_source
-from repro.analysis.pipesafety import SANCTIONED_DISPATCH
 
 PATH = "/tmp/fixture.py"
 
@@ -43,6 +42,32 @@ class Service:
 """
         assert len(findings_of(source)) == 1
 
+    def test_request_outside_loop_flagged(self):
+        source = """
+class Service:
+    def _send(self, shard, message):
+        return self.clients[shard].request(message)
+"""
+        assert [f.rule for f in findings_of(source)] == ["blocking-dispatch"]
+
+    def test_former_send_helpers_flagged(self):
+        """The blocking send helpers that once had an exemption are
+        flagged like any other caller: a dispatch of one goes through
+        ``_dispatch`` too."""
+        for name in (
+            "_send",
+            "_send_supervised",
+            "_resolve_supervised",
+            "_tracked_request",
+        ):
+            source = f"""
+class Service:
+    def {name}(self, shard, message):
+        while True:
+            return self.clients[shard].request(message)
+"""
+            assert len(findings_of(source)) == 1, name
+
     def test_pipe_safety_family_still_scans_request_many_payloads(self):
         source = """
 import numpy as np
@@ -56,21 +81,11 @@ class Service:
 
 
 class TestNegatives:
-    def test_sanctioned_helpers_exempt(self):
-        for name in sorted(SANCTIONED_DISPATCH):
-            source = f"""
-class Service:
-    def {name}(self, shard, message):
-        while True:
-            return self.clients[shard].request(message)
-"""
-            assert findings_of(source) == [], name
-
-    def test_request_outside_loop_clean(self):
+    def test_request_many_replay_clean(self):
         source = """
 class Service:
-    def _send(self, shard, message):
-        return self.clients[shard].request(message)
+    def _recover_shard(self, shard, entries):
+        self.clients[shard].request_many(entries)
 """
         assert findings_of(source) == []
 

@@ -71,13 +71,6 @@ class TestFromArgs:
         assert config.batch_size is None
         assert config.online_learning is False
 
-    def test_overlap_defaults_on_and_no_overlap_turns_it_off(self):
-        assert ScheduleConfig.from_args(_serve_args()).overlap is True
-        config = ScheduleConfig.from_args(_serve_args("--no-overlap"))
-        assert config.overlap is False
-        rebuilt = ScheduleConfig.from_dict(config.to_dict())
-        assert rebuilt.overlap is False
-
     def test_parse_vcpus(self):
         assert ScheduleConfig.parse_vcpus("8") == (8,)
         assert ScheduleConfig.parse_vcpus("4, 8,16") == (4, 8, 16)

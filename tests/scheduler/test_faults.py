@@ -45,6 +45,7 @@ from repro.scheduler import (
     ShardSupervisor,
     ShardTimeoutError,
 )
+from tests.scheduler.oracle_dispatch import dispatch_service
 from tests.scheduler.test_service import CHURN_REFERENCE, _fingerprints
 
 #: A fast reference stream (heuristic policy, no model fitting) for the
@@ -80,8 +81,8 @@ def _fast_config(**overrides):
     return ScheduleConfig(**values)
 
 
-def _serve(config, faults=None):
-    with SchedulerService(config, faults=faults) as service:
+def _serve(config, faults=None, service_class=SchedulerService):
+    with service_class(config, faults=faults) as service:
         report = service.serve()
         return report, service.stats
 
@@ -105,10 +106,6 @@ class _RecordingClient:
         self.shard_id = inner.shard_id
         self.transport = inner.transport
         self.sent = sent
-
-    def request(self, message, timeout_s=None):
-        self.sent.append(json.dumps(message, sort_keys=True))
-        return self.inner.request(message, timeout_s)
 
     def send(self, message, timeout_s=None):
         self.sent.append(json.dumps(message, sort_keys=True))
@@ -161,15 +158,12 @@ class _CarriedDepartures:
         self._note(message)
         self.inner.send(message, timeout_s)
 
-    def request(self, message, timeout_s=None):
-        self._note(message)
-        return self.inner.request(message, timeout_s)
 
 
-def _fault_free_probe(config):
+def _fault_free_probe(config, service_class=SchedulerService):
     """(report, stats, per-shard message counts, per-shard indices of the
     departure-carrying messages) of the run no fault touches."""
-    with SchedulerService(config, faults=FaultPlan(actions=[])) as probe:
+    with service_class(config, faults=FaultPlan(actions=[])) as probe:
         carrying = [[] for _ in probe.clients]
         probe.clients = [
             _CarriedDepartures(client, indices)
@@ -453,7 +447,9 @@ class TestCrashRecovery:
                 )
             ]
         )
-        report, stats = _serve(_fast_config(overlap=overlap), faults=plan)
+        report, stats = _serve(
+            _fast_config(), faults=plan, service_class=dispatch_service(overlap)
+        )
         assert _report_signature(report) == _report_signature(plain)
         if kind == "crash":
             assert stats.crashes == 1
@@ -474,14 +470,14 @@ class TestCrashRecovery:
     @pytest.mark.parametrize("overlap", [True, False])
     def test_crash_at_every_message_index_sweep(self, overlap):
         """The property sweep: crashing either shard at *any* point in
-        the stream — including while several sends are in flight under
-        overlapped dispatch — loses nothing, duplicates nothing, and
-        converges to the fault-free merged report."""
-        config = _fast_config(
-            requests=24, seed=7, supervised=True, overlap=overlap
-        )
+        the stream — including while several sends are in flight in one
+        dispatch, and under the sequential oracle — loses nothing,
+        duplicates nothing, and converges to the fault-free merged
+        report."""
+        config = _fast_config(requests=24, seed=7, supervised=True)
+        service_class = dispatch_service(overlap)
         plain, plain_stats, message_counts, carrying = _fault_free_probe(
-            config
+            config, service_class
         )
         signature = _report_signature(plain)
         assert all(count > 0 for count in message_counts)
@@ -489,7 +485,7 @@ class TestCrashRecovery:
         arrivals = len(plain.decisions)
         for shard, count in enumerate(message_counts):
             for index in range(count):
-                with SchedulerService(
+                with service_class(
                     config, faults=FaultPlan.crash_at(shard, index)
                 ) as service:
                     report = service.serve()
@@ -530,16 +526,18 @@ class TestCrashRecovery:
             requests=24,
             seed=7,
             supervised=True,
-            overlap=overlap,
             workers=workers,
             recovery_rounds=recovery_rounds,
             request_timeout_s=20.0 if workers == "process" else None,
         )
-        plain, plain_stats, _, carrying = _fault_free_probe(config)
+        service_class = dispatch_service(overlap)
+        plain, plain_stats, _, carrying = _fault_free_probe(
+            config, service_class
+        )
         assert all(carrying)
         for shard, indices in enumerate(carrying):
             for index in indices:
-                with SchedulerService(
+                with service_class(
                     config, faults=FaultPlan.crash_at(shard, index)
                 ) as service:
                     report = service.serve()

@@ -7,8 +7,8 @@ test client: a delegating wrapper (the shape of ``FaultInjectingClient``)
 that pushes every message and every reply through ``json.dumps`` /
 ``json.loads``, so tuples arrive as lists, dict keys as strings, and
 anything that is not a JSON scalar fails loudly.  The service's
-equivalence gates — inline ≡ process, overlapped ≡ sequential, crash at
-every message index — each run once through it and must produce the
+equivalence gates — inline ≡ process, overlapped ≡ the sequential
+oracle, crash at every message index — each run once through it and must produce the
 digests and counters of the plain run.  The opposite guard runs too: a
 plain inline ``serve`` with ``json.dumps`` / ``json.loads`` disabled, so
 the round trip cannot creep back onto the request path.
@@ -22,6 +22,7 @@ import pytest
 
 from repro.scheduler import FaultPlan, ScheduleConfig, SchedulerService
 from repro.scheduler.wire import decode_summary
+from tests.scheduler.oracle_dispatch import SequentialDispatchService
 from tests.scheduler.test_faults import _fast_config, _report_signature
 from tests.scheduler.test_service import CHURN_REFERENCE
 
@@ -69,8 +70,10 @@ def _through_json(service):
     ]
 
 
-def _serve(config, faults=None, *, through_json):
-    with SchedulerService(config, faults=faults) as service:
+def _serve(
+    config, faults=None, *, through_json, service_class=SchedulerService
+):
+    with service_class(config, faults=faults) as service:
         if through_json:
             _through_json(service)
         report = service.serve()
@@ -153,15 +156,14 @@ class TestJsonRoundTripGates:
         )
         overlapped, on_stats = _serve(config, through_json=True)
         sequential, off_stats = _serve(
-            replace(config, overlap=False), through_json=True
+            config,
+            through_json=True,
+            service_class=SequentialDispatchService,
         )
         plain, _ = _serve(config, through_json=False)
         assert _report_signature(overlapped) == _report_signature(sequential)
         assert _report_signature(overlapped) == _report_signature(plain)
-        assert on_stats.overlapped_rounds > 0
-        assert _counters(replace(on_stats, overlapped_rounds=0)) == _counters(
-            off_stats
-        )
+        assert _counters(on_stats) == _counters(off_stats)
 
     def test_crash_at_every_message_index_through_json(self):
         """The journal stores the row-coded message it sent; replaying it

@@ -9,9 +9,8 @@ wall clock spreads ±15 % between identical runs — so, like
 seeded stream are the same on every machine.
 """
 
-from dataclasses import replace
-
 from repro.scheduler import ScheduleConfig, SchedulerService
+from tests.scheduler.oracle_dispatch import SequentialDispatchService
 
 SHARDS = 2
 CONFIG = ScheduleConfig(
@@ -51,39 +50,28 @@ class CountingClient:
         self._count(message)
         self.inner.send(message, timeout_s)
 
-    def request(self, message, timeout_s=None):
-        self._count(message)
-        return self.inner.request(message, timeout_s)
 
-
-def _serve_counted(config):
+def _serve_counted(config, service_class):
     """(report, message log, per round: routed shards and the slice of
     the log its dispatch sent)."""
     log, rounds = [], []
-    with SchedulerService(config) as service:
+    with service_class(config) as service:
         service.clients = [
             CountingClient(client, log) for client in service.clients
         ]
-        dispatch = (
-            service._dispatch_window
-            if config.overlap
-            else service._dispatch_window_sequential
-        )
+        dispatch = service._dispatch_window
 
         def spy(items, op, groups, *rest):
             begin = len(log)
             dispatch(items, op, groups, *rest)
             rounds.append((sorted(groups), log[begin:]))
 
-        if config.overlap:
-            service._dispatch_window = spy
-        else:
-            service._dispatch_window_sequential = spy
+        service._dispatch_window = spy
         return service.serve(), log, rounds
 
 
-def _assert_one_message_per_routed_shard(config):
-    report, log, rounds = _serve_counted(config)
+def _assert_one_message_per_routed_shard(service_class):
+    report, log, rounds = _serve_counted(CONFIG, service_class)
     stats = report.service
     assert stats.rounds == len(rounds) == 400 // 8
     assert stats.crashes == stats.timeouts == stats.failovers == 0
@@ -121,12 +109,14 @@ def _assert_one_message_per_routed_shard(config):
 
 
 def test_a_round_costs_one_message_per_routed_shard():
-    _assert_one_message_per_routed_shard(CONFIG)
+    _assert_one_message_per_routed_shard(SchedulerService)
 
 
 def test_sequential_dispatch_sends_the_same_messages():
-    overlapped = _assert_one_message_per_routed_shard(CONFIG)
+    """The sequential oracle keeps the budget and sends the very same
+    messages in the very same order."""
+    overlapped = _assert_one_message_per_routed_shard(SchedulerService)
     sequential = _assert_one_message_per_routed_shard(
-        replace(CONFIG, overlap=False)
+        SequentialDispatchService
     )
     assert sequential == overlapped

@@ -10,9 +10,10 @@ The contracts under test:
   ``recv()`` polls with the *remaining* budget, so time the front-end
   spends elsewhere between send and recv is charged against the same
   deadline instead of resetting it.
-* **Equivalence** — overlapped dispatch (the default) produces
-  bit-for-bit the decisions, merged reports, and per-shard wire streams
-  of the ``--no-overlap`` sequential baseline, on both transports.
+* **Equivalence** — the service's overlapped dispatch produces
+  bit-for-bit the decisions, merged reports, counters and journals of
+  the sequential oracle (``tests/scheduler/oracle_dispatch.py``: gather
+  after every send), on both transports.
 """
 
 import gc
@@ -39,6 +40,7 @@ from repro.scheduler.shard import (
     _await_message,
     _shard_worker_main,
 )
+from tests.scheduler.oracle_dispatch import SequentialDispatchService
 from tests.scheduler.test_service import CHURN_REFERENCE, _fingerprints
 
 
@@ -48,8 +50,8 @@ def _client_config(**overrides):
     return ScheduleConfig(**values)
 
 
-def _serve(config):
-    with SchedulerService(config) as service:
+def _serve(config, service_class=SchedulerService):
+    with service_class(config) as service:
         report = service.serve()
         return report, service.stats
 
@@ -277,37 +279,39 @@ def _serve_then_report_frozen(connection, config_data, answer):
     answer.send(gc.get_freeze_count())
 
 
+def _untimed(stats):
+    """Every counter; the wall-clock fields are all two equivalent runs
+    may differ in."""
+    return replace(stats, window_wall_seconds=0.0, shard_service_seconds=0.0)
+
+
 class TestOverlapEquivalence:
     def test_inline_overlap_matches_sequential(self):
-        config = dict(CHURN_REFERENCE, shards=2, window=4)
-        overlapped, on_stats = _serve(ScheduleConfig(**config))
-        sequential, off_stats = _serve(
-            ScheduleConfig(**config, overlap=False)
-        )
+        config = ScheduleConfig(**CHURN_REFERENCE, shards=2, window=4)
+        overlapped, on_stats = _serve(config)
+        sequential, off_stats = _serve(config, SequentialDispatchService)
         assert _signature(overlapped) == _signature(sequential)
-        assert on_stats.overlapped_rounds > 0
-        assert off_stats.overlapped_rounds == 0
+        assert _untimed(on_stats) == _untimed(off_stats)
+        assert on_stats.rounds > 0
 
     def test_supervised_overlap_matches_sequential(self):
-        config = dict(
-            CHURN_REFERENCE, shards=2, window=4, supervised=True
+        config = ScheduleConfig(
+            **CHURN_REFERENCE, shards=2, window=4, supervised=True
         )
 
-        def serve(**overrides):
-            with SchedulerService(
-                ScheduleConfig(**config, **overrides)
-            ) as service:
+        def serve(service_class):
+            with service_class(config) as service:
                 report = service.serve()
                 journals = [
                     journal.to_dict() for journal in service.supervisor.journals
                 ]
                 return report, service.stats, journals
 
-        overlapped, on_stats, on_journals = serve()
-        sequential, off_stats, off_journals = serve(overlap=False)
+        overlapped, on_stats, on_journals = serve(SchedulerService)
+        sequential, off_stats, off_journals = serve(SequentialDispatchService)
         assert _signature(overlapped) == _signature(sequential)
         # The same messages under the same sequence numbers: a window
-        # carries its shard's departures whichever loop sends it.
+        # carries its shard's departures whichever dispatch sends it.
         assert on_journals == off_journals
         carrying = [
             entry
@@ -318,29 +322,19 @@ class TestOverlapEquivalence:
         assert len(carrying) > 10
         assert on_stats.departure_batches == off_stats.departure_batches
         assert on_stats.departure_batches >= len(carrying)
-        assert replace(
-            on_stats,
-            overlapped_rounds=0,
-            window_wall_seconds=0.0,
-            shard_service_seconds=0.0,
-        ) == replace(
-            off_stats, window_wall_seconds=0.0, shard_service_seconds=0.0
-        )
+        assert _untimed(on_stats) == _untimed(off_stats)
 
     def test_process_overlap_matches_sequential(self):
-        config = dict(
-            CHURN_REFERENCE, requests=30, shards=2, window=4
+        config = ScheduleConfig(
+            **dict(CHURN_REFERENCE, requests=30), shards=2, window=4
         )
-        overlapped, on_stats = _serve(
-            ScheduleConfig(**config, workers="process")
-        )
-        sequential, _ = _serve(
-            ScheduleConfig(**config, workers="process", overlap=False)
-        )
-        inline, _ = _serve(ScheduleConfig(**config))
+        process = replace(config, workers="process")
+        overlapped, on_stats = _serve(process)
+        sequential, off_stats = _serve(process, SequentialDispatchService)
+        inline, _ = _serve(config)
         assert _signature(overlapped) == _signature(sequential)
         assert _signature(overlapped) == _signature(inline)
-        assert on_stats.overlapped_rounds > 0
+        assert _untimed(on_stats) == _untimed(off_stats)
 
     def test_overlap_records_split_timing(self):
         config = dict(CHURN_REFERENCE, shards=2, window=4)
@@ -357,15 +351,6 @@ class TestOverlapEquivalence:
             assert service.supervisor.max_in_flight >= 2
             assert service.supervisor.in_flight() == {}
 
-        sequential = ScheduleConfig(
-            **dict(
-                CHURN_REFERENCE,
-                shards=2,
-                window=4,
-                supervised=True,
-                overlap=False,
-            )
-        )
-        with SchedulerService(sequential) as service:
+        with SequentialDispatchService(config) as service:
             service.serve()
             assert service.supervisor.max_in_flight == 1

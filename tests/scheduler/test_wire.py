@@ -529,7 +529,6 @@ class TestStatsWire:
             replayed_messages=17,
             degraded_windows=1,
             degraded_arrivals=6,
-            overlapped_rounds=9,
             window_wall_seconds=1.25,
             shard_service_seconds=3.5,
         )
@@ -537,18 +536,19 @@ class TestStatsWire:
 
     def test_service_stats_accepts_pre_overlap_payloads(self):
         """A payload recorded before overlapped dispatch existed still
-        loads: the dispatch-timing fields default to zero."""
-        stats = ServiceStats(n_shards=2, window=8)
+        loads (the dispatch-timing fields default to zero), and so does
+        one from while it was optional: the retired ``overlapped_rounds``
+        key, which always equalled ``rounds``, is dropped."""
+        stats = ServiceStats(n_shards=2, window=8, rounds=5)
         payload = wire(stats.to_dict())
-        for key in (
-            "overlapped_rounds",
-            "window_wall_seconds",
-            "shard_service_seconds",
-        ):
+        assert "overlapped_rounds" not in payload
+        for key in ("window_wall_seconds", "shard_service_seconds"):
             del payload[key]
         rebuilt = ServiceStats.from_dict(payload)
-        assert rebuilt.overlapped_rounds == 0
         assert rebuilt.window_wall_seconds == 0.0
+        assert rebuilt.shard_service_seconds == 0.0
+        retired = dict(wire(stats.to_dict()), overlapped_rounds=5)
+        assert ServiceStats.from_dict(retired) == stats
 
     def test_service_stats_accepts_pre_supervision_payloads(self):
         """A payload recorded before the fault counters existed still
@@ -836,8 +836,8 @@ class TestAdmissionWire:
         with pytest.raises(ValueError, match="reason"):
             AdmissionDecision(1, "reject")
 
-    def test_admission_stats_round_trip_and_merge(self):
-        a = AdmissionStats(
+    def test_admission_stats_round_trip(self):
+        stats = AdmissionStats(
             offered=10,
             admitted=6,
             rejected_infeasible=1,
@@ -848,15 +848,7 @@ class TestAdmissionWire:
             shed_queue_full=1,
             brownout_entries=1,
         )
-        b = AdmissionStats(
-            offered=5, admitted=5, held=1, held_peak=4, brownout_exits=1
-        )
-        assert AdmissionStats.from_dict(wire(a.to_dict())) == a
-        merged = a + b
-        assert merged.offered == 15
-        assert merged.held_peak == 4  # high-water mark takes the max
-        assert merged.shed_total == a.shed_total + b.shed_total
-        assert merged.rejected_total == 3
+        assert AdmissionStats.from_dict(wire(stats.to_dict())) == stats
 
     def test_service_stats_round_trip_with_admission(self):
         stats = ServiceStats(
@@ -872,21 +864,6 @@ class TestAdmissionWire:
         rebuilt = ServiceStats.from_dict(wire(stats.to_dict()))
         assert rebuilt == stats
         assert isinstance(rebuilt.admission, AdmissionStats)
-
-    def test_service_stats_merge_combines_admission(self):
-        a = ServiceStats(
-            n_shards=2,
-            window=8,
-            routed=4,
-            retries_short_circuited=1,
-            admission=AdmissionStats(offered=4, admitted=4),
-        )
-        b = ServiceStats(n_shards=2, window=8, routed=6)
-        merged = a + b
-        assert merged.routed == 10
-        assert merged.retries_short_circuited == 1
-        assert merged.admission is not None
-        assert merged.admission.offered == 4
 
     def test_admission_off_payload_has_no_new_keys(self):
         """The PR-9 byte-compat gate at the stats layer: admission off

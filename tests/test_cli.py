@@ -222,10 +222,12 @@ class TestCli:
         assert "batched prediction" in out
 
     @pytest.mark.parametrize("command", ["schedule", "serve"])
-    @pytest.mark.parametrize("flag", ["--naive", "--linear-scan"])
+    @pytest.mark.parametrize(
+        "flag", ["--naive", "--linear-scan", "--no-overlap"]
+    )
     def test_linear_and_naive_flags_are_gone(self, command, flag, capsys):
         """One production path: the linear-scan and unmemoized pipelines
-        are test oracles, not options."""
+        and sequential dispatch are test oracles, not options."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, flag])
         assert exit_info.value.code == 2
