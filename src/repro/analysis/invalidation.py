@@ -400,7 +400,6 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
                 "standard_normals",
                 "NoiseBatch",
                 "noise_seeds",
-                "measured_ipc_noise",
                 "_noise_multiplier",
             ),
         },

@@ -151,11 +151,6 @@ class BlockStateMemo:
             Tuple[int, int, float | None], Tuple[int, ...] | None
         ] = {}
 
-    @property
-    def n_states(self) -> int:
-        """Memoized ``(mask, size, target)`` answers held."""
-        return len(self._states)
-
     def find(
         self,
         free: Set[int],
@@ -297,10 +292,6 @@ class BlockScoreTable(BlockStateMemo):
         }
 
     # ------------------------------------------------------------------
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self._scores)
 
     def score(self, nodes: Iterable[int]) -> float:
         """The precomputed score of one block."""

@@ -40,13 +40,6 @@ class BehaviourClusters:
             if assigned == label
         ]
 
-    def label_of(self, name: str) -> int:
-        try:
-            index = self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown workload {name!r}") from None
-        return int(self.labels[index])
-
     def cluster_sizes(self) -> Dict[int, int]:
         return {
             label: int((self.labels == label).sum()) for label in range(self.k)

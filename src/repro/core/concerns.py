@@ -104,12 +104,6 @@ class SchedulingConcern(abc.ABC):
     def score(self, placement: Placement) -> float:
         """Static utilization of the resource by ``placement``."""
 
-    @property
-    def protects_low_scores(self) -> bool:
-        """Whether placements with lower scores must be retained during
-        enumeration (Section 4)."""
-        return self.affects_cost or self.inverse_performance_possible
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(name={self.name!r}, "

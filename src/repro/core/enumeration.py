@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.core.concerns import ConcernSet, ScoreVector, concerns_for
+from repro.core.concerns import ConcernSet, concerns_for
 from repro.core.placements import Placement
 from repro.topology.machine import MachineTopology
 
@@ -210,9 +210,6 @@ class ImportantPlacementSet:
         self.vcpus = vcpus
         self.concerns = concerns
         self._placements: Tuple[Placement, ...] = tuple(placements)
-        self._vectors: Tuple[ScoreVector, ...] = tuple(
-            concerns.score_vector(p) for p in self._placements
-        )
         self.packings_total = packings_total
         self.packings_after_dedup = packings_after_dedup
         self.packings_after_pareto = packings_after_pareto
@@ -230,19 +227,6 @@ class ImportantPlacementSet:
     @property
     def placements(self) -> Tuple[Placement, ...]:
         return self._placements
-
-    @property
-    def score_vectors(self) -> Tuple[ScoreVector, ...]:
-        return self._vectors
-
-    def by_id(self, placement_id: int) -> Placement:
-        """1-based lookup matching the paper's placement numbering."""
-        if not 1 <= placement_id <= len(self._placements):
-            raise IndexError(
-                f"placement id {placement_id} out of range "
-                f"[1, {len(self._placements)}]"
-            )
-        return self._placements[placement_id - 1]
 
     def id_of(self, placement: Placement) -> int:
         """1-based id of a placement in this set."""
@@ -265,11 +249,10 @@ class ImportantPlacementSet:
             f"{self.packings_after_dedup} after dedup, "
             f"{self.packings_after_pareto} after Pareto filter)",
         ]
-        for index, (placement, vector) in enumerate(
-            zip(self._placements, self._vectors), start=1
-        ):
+        for index, placement in enumerate(self._placements, start=1):
             scores = ", ".join(
-                f"{name}={value:g}" for name, value in vector.entries
+                f"{name}={value:g}"
+                for name, value in self.concerns.score_vector(placement).entries
             )
             lines.append(f"#{index:>2}: {placement.describe()}  [{scores}]")
         return "\n".join(lines)

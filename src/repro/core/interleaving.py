@@ -89,22 +89,6 @@ class InterleaveOutcome:
     filler_safe: bool
     interconnect_disjoint: bool
 
-    @property
-    def primary_violation_pct(self) -> float:
-        if not self.primary_achieved:
-            return 0.0
-        worst = min(self.primary_achieved)
-        return max(
-            0.0,
-            (self.primary_goal_value - worst)
-            / self.primary_goal_value
-            * 100.0,
-        )
-
-    @property
-    def primary_meets_goal(self) -> bool:
-        return self.primary_violation_pct == 0.0
-
 
 def interleave_experiment(
     policy: MlPolicy,

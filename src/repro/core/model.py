@@ -346,12 +346,6 @@ class PlacementModel:
             raise RuntimeError("predict_batch() called before fit()")
         return self._forest.predict(self.batch_features(perf_i, perf_j))
 
-    def predict_many(
-        self, perf_i: np.ndarray, perf_j: np.ndarray
-    ) -> np.ndarray:
-        """Backwards-compatible alias of :meth:`predict_batch`."""
-        return self.predict_batch(perf_i, perf_j)
-
     # Evaluation interface (leave_one_workload_out) ---------------------
 
     def predict_row(self, training_set: TrainingSet, row: int) -> np.ndarray:

@@ -141,22 +141,6 @@ class Placement:
         l2_share = machine.threads_per_l2 if use_smt else 1
         return cls(machine, nodes, vcpus, l2_share=l2_share)
 
-    @classmethod
-    def from_l2_score(
-        cls,
-        machine: MachineTopology,
-        nodes: Iterable[int],
-        vcpus: int,
-        l2_score: int,
-    ) -> "Placement":
-        """Build a placement that uses exactly ``l2_score`` L2 groups (the
-        parametrization of the enumeration algorithms)."""
-        if l2_score < 1 or vcpus % l2_score != 0:
-            raise ValueError(
-                f"l2_score {l2_score} does not divide {vcpus} vCPUs evenly"
-            )
-        return cls(machine, nodes, vcpus, l2_share=vcpus // l2_score)
-
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
@@ -316,12 +300,6 @@ class Placement:
     def node_score(self) -> int:
         """Number of NUMA nodes in use."""
         return len(self._nodes)
-
-    def cpu_affinity_masks(self) -> List[Tuple[int, ...]]:
-        """Per-vCPU affinity masks (singleton: each vCPU is pinned to one
-        hardware thread).  This is the boundary where a real backend would
-        call ``sched_setaffinity``/cgroup cpusets."""
-        return [(thread,) for thread in self.threads]
 
     def describe(self) -> str:
         return (

@@ -61,16 +61,6 @@ class PackingOutcome:
         return max(0.0, (self.goal_value - worst) / self.goal_value * 100.0)
 
     @property
-    def mean_violation_pct(self) -> float:
-        if not self.achieved:
-            return 0.0
-        deficits = [
-            max(0.0, (self.goal_value - a) / self.goal_value * 100.0)
-            for a in self.achieved
-        ]
-        return float(np.mean(deficits))
-
-    @property
     def meets_goal(self) -> bool:
         return self.violations_pct == 0.0
 

@@ -116,22 +116,6 @@ class TrainingSet:
             baseline_index=self.baseline_index,
         )
 
-    def renormalized(self, baseline_index: int) -> "TrainingSet":
-        """The same data with vectors normalized to another placement."""
-        if not 0 <= baseline_index < self.n_placements:
-            raise ValueError("baseline_index out of range")
-        vectors = self.vectors / self.vectors[:, baseline_index : baseline_index + 1]
-        return TrainingSet(
-            machine=self.machine,
-            placements=self.placements,
-            workloads=list(self.workloads),
-            ipc=self.ipc,
-            vectors=vectors,
-            hpe_features=self.hpe_features,
-            hpe_names=self.hpe_names,
-            baseline_index=baseline_index,
-        )
-
 
 def build_training_set(
     machine: MachineTopology,
@@ -255,13 +239,6 @@ class FoldResult:
         """Mean absolute relative error over placements, in percent."""
         return float(
             (np.abs(self.predicted - self.actual) / np.abs(self.actual)).mean()
-            * 100.0
-        )
-
-    @property
-    def max_error_pct(self) -> float:
-        return float(
-            (np.abs(self.predicted - self.actual) / np.abs(self.actual)).max()
             * 100.0
         )
 

@@ -15,10 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.enumeration import (
-    ImportantPlacementSet,
-    enumerate_important_placements,
-)
 from repro.core.model import PlacementModel
 from repro.core.training import TrainingSet, build_training_set
 from repro.perfsim.generator import WorkloadGenerator
@@ -126,8 +122,3 @@ def fitted_model(
     model = PlacementModel(input_pair=pair, random_state=random_state)
     model.fit(training_set)
     return model, training_set
-
-
-def important_placement_set(machine: MachineTopology) -> ImportantPlacementSet:
-    """Important placements for the paper's container size on a machine."""
-    return enumerate_important_placements(machine, paper_vcpus(machine))

@@ -69,12 +69,6 @@ class MigrationResult:
     frozen_seconds: float  # how long the container was stopped
     overhead_fraction: float  # throughput loss while migrating (if running)
 
-    @property
-    def effective_rate_gbps(self) -> float:
-        if self.seconds <= 0:
-            return float("inf")
-        return self.migrated_gb / self.seconds
-
 
 class MigrationEngine(abc.ABC):
     """Common interface of the three migration mechanisms."""
@@ -93,11 +87,6 @@ class MigrationEngine(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def moves_page_cache(self) -> bool:
-        """Whether the mechanism migrates the page cache."""
-
-    @property
-    @abc.abstractmethod
     def freezes_container(self) -> bool:
         """Whether the container is stopped during migration."""
 
@@ -106,10 +95,6 @@ class DefaultLinuxMigrator(MigrationEngine):
     """The stock kernel migration path (cpuset rebind + move_pages)."""
 
     name = "default-linux"
-
-    @property
-    def moves_page_cache(self) -> bool:
-        return False
 
     @property
     def freezes_container(self) -> bool:
@@ -145,10 +130,6 @@ class FastMigrator(MigrationEngine):
     workers (including the page cache)."""
 
     name = "fast"
-
-    @property
-    def moves_page_cache(self) -> bool:
-        return True
 
     @property
     def freezes_container(self) -> bool:
@@ -199,10 +180,6 @@ class ThrottledMigrator(MigrationEngine):
         if node_dram_bandwidth_mbps <= 0:
             raise ValueError("node_dram_bandwidth_mbps must be positive")
         self.node_dram_bandwidth_mbps = node_dram_bandwidth_mbps
-
-    @property
-    def moves_page_cache(self) -> bool:
-        return True
 
     @property
     def freezes_container(self) -> bool:

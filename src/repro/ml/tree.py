@@ -412,8 +412,3 @@ class DecisionTreeRegressor:
                     height[left[index]], height[right[index]]
                 )
         return int(height[0])
-
-    @property
-    def n_leaves(self) -> int:
-        """Leaf count, read off the flat arrays."""
-        return int(np.count_nonzero(self._fitted()[0] < 0))

@@ -247,14 +247,3 @@ class HpeMonitor:
                 np.exp(rng.normal(0.0, event.noise * noise_scale))
             )
         return values
-
-    def measurement_cost_s(
-        self, n_events: int, *, seconds_per_group: float = 10.0
-    ) -> float:
-        """Wall-clock cost of measuring ``n_events`` with 4 registers —
-        the quantity that made exhaustive HPE measurement impractical in the
-        paper (weeks for full catalogs across a training corpus)."""
-        if n_events < 1:
-            raise ValueError("n_events must be >= 1")
-        groups = -(-n_events // COUNTER_REGISTERS)
-        return groups * seconds_per_group

@@ -403,31 +403,6 @@ class PerformanceSimulator:
             noise.add(self, profiles, placement, repetitions)
         values *= np.array(noise.multipliers()).T
 
-    def throughput_batch(
-        self,
-        profiles: Sequence[WorkloadProfile],
-        placements: Sequence[Placement],
-        *,
-        noise: bool = True,
-        duration_s: float = 10.0,
-        repetition: int = 0,
-    ) -> np.ndarray:
-        """Application-metric throughput for a whole (workload, placement)
-        grid — one :meth:`breakdown_batch` pass, bit-for-bit identical to
-        per-cell :meth:`throughput` calls."""
-        factors = self.breakdown_batch(profiles, placements)
-        values = (
-            self._profile_column(profiles, "ipc_base")
-            * self._placement_arrays(placements).vcpus[None, :]
-        )
-        for name in ("smt", "cache", "membw", "interconnect", "comm_latency"):
-            values = values * factors[name]
-        if noise:
-            self._apply_noise_grid(
-                values, profiles, placements, duration_s, repetition, extra=0
-            )
-        return values
-
     def measured_ipc_batch(
         self,
         profiles: Sequence[WorkloadProfile],
@@ -542,81 +517,6 @@ class PerformanceSimulator:
                 profile, placement, duration_s, repetition, extra=MEASURED_IPC_NOISE
             )
         return value
-
-    def measured_ipc_noise(
-        self,
-        profile: WorkloadProfile,
-        placement: Placement,
-        *,
-        duration_s: float = 10.0,
-        repetition: int = 0,
-    ) -> float:
-        """The multiplicative noise term of :meth:`measured_ipc` alone.
-
-        ``measured_ipc(noise=True)`` equals ``measured_ipc(noise=False) *
-        measured_ipc_noise(...)`` bit-for-bit (same factor, multiplied in
-        the same order), which lets callers memoize the deterministic part
-        and re-draw only the noise per repetition.
-        """
-        if profile.phase_noise <= 0:
-            return 1.0
-        return self._noise_multiplier(
-            profile, placement, duration_s, repetition, extra=MEASURED_IPC_NOISE
-        )
-
-    def performance_vector(
-        self,
-        profile: WorkloadProfile,
-        placements: Sequence[Placement],
-        *,
-        baseline_index: int = 0,
-        noise: bool = False,
-        repetition: int = 0,
-    ) -> np.ndarray:
-        """Relative performance across a placement list (the model's target
-        quantity): ``perf[i] / perf[baseline]``."""
-        if not placements:
-            raise ValueError("placements must not be empty")
-        if not 0 <= baseline_index < len(placements):
-            raise ValueError(
-                f"baseline_index {baseline_index} out of range for "
-                f"{len(placements)} placements"
-            )
-        values = self.throughput_batch(
-            [profile], placements, noise=noise, repetition=repetition
-        )[0]
-        baseline = values[baseline_index]
-        if baseline <= 0:
-            raise ValueError("baseline throughput is non-positive")
-        return values / baseline
-
-    def performance_vector_batch(
-        self,
-        profiles: Sequence[WorkloadProfile],
-        placements: Sequence[Placement],
-        *,
-        baseline_index: int = 0,
-        noise: bool = False,
-        repetition: int = 0,
-    ) -> np.ndarray:
-        """Relative-performance vectors for many workloads at once: one
-        ``(n_profiles, n_placements)`` grid in one numpy pass, each row
-        bit-for-bit equal to the corresponding :meth:`performance_vector`
-        call."""
-        if not placements:
-            raise ValueError("placements must not be empty")
-        if not 0 <= baseline_index < len(placements):
-            raise ValueError(
-                f"baseline_index {baseline_index} out of range for "
-                f"{len(placements)} placements"
-            )
-        values = self.throughput_batch(
-            profiles, placements, noise=noise, repetition=repetition
-        )
-        baselines = values[:, baseline_index : baseline_index + 1]
-        if np.any(baselines <= 0):
-            raise ValueError("baseline throughput is non-positive")
-        return values / baselines
 
     # ------------------------------------------------------------------
     # Co-located containers (Aggressive policies, Section 7)
@@ -797,202 +697,6 @@ class PerformanceSimulator:
                     profile, placement, 10.0, repetition, extra=index
                 )
             results.append(value)
-        return results
-
-    def simulate_colocated_batch(
-        self,
-        assignments: Sequence[Tuple[WorkloadProfile, Placement]],
-        *,
-        noise: bool = True,
-        repetition: int = 0,
-    ) -> List[float]:
-        """Batched :meth:`simulate_colocated`: same contract, same floats.
-
-        The scalar path walks Python loops of effect-model calls per
-        container and per node; here the (container, node) pair structure
-        is flattened once and every elementwise factor — CPU time-sharing,
-        SMT pressure, cache shares, per-node DRAM saturation — is computed
-        for all pairs in one numpy pass.  The per-container reductions
-        (the ``np.dot`` weightings and the neighbour interconnect
-        accumulation) deliberately run over the same values in the same
-        order as the scalar loop, so results are bit-for-bit identical
-        (asserted in ``tests/perfsim/test_simulator_batch.py``).
-        """
-        if not assignments:
-            raise ValueError("assignments must not be empty")
-        machine = self.machine
-        cal = self.calibration
-        for _, placement in assignments:
-            self._check_placement(placement)
-
-        n = len(assignments)
-        # Flatten (container, node) pairs in scalar iteration order.
-        pair_container: List[int] = []
-        pair_node: List[int] = []
-        pair_count: List[int] = []
-        per_container_nodes: List[Dict[int, int]] = []
-        threads_on_node: Dict[int, float] = {}
-        for index, (_, placement) in enumerate(assignments):
-            counts: Dict[int, int] = {}
-            for thread in placement.threads:
-                node = machine.node_of_thread(thread)
-                counts[node] = counts.get(node, 0) + 1
-            per_container_nodes.append(counts)
-            for node, count in counts.items():
-                threads_on_node[node] = threads_on_node.get(node, 0) + count
-                pair_container.append(index)
-                pair_node.append(node)
-                pair_count.append(count)
-        container_of_pair = np.asarray(pair_container, dtype=np.intp)
-        counts_arr = np.asarray(pair_count, dtype=float)
-        ton = np.array(
-            [threads_on_node[node] for node in pair_node], dtype=float
-        )
-        node_index = {node: k for k, node in enumerate(threads_on_node)}
-        node_of_pair = np.array(
-            [node_index[node] for node in pair_node], dtype=np.intp
-        )
-        bounds = np.concatenate(
-            ([0], np.cumsum([len(c) for c in per_container_nodes]))
-        )
-
-        # Per-container profile/placement columns.
-        profiles = [profile for profile, _ in assignments]
-        working_set = np.array([p.working_set_mb for p in profiles])
-        vcpus = np.array([p.vcpus for _, p in assignments], dtype=float)
-        l2_share = np.array([p.l2_share for _, p in assignments])
-        n_nodes = np.array([p.n_nodes for _, p in assignments], dtype=float)
-        l3_score = np.array([p.l3_score for _, p in assignments], dtype=float)
-
-        # Cache shares and miss fractions: one pass over all pairs.
-        ratio = counts_arr / ton
-        share = np.array(
-            [
-                np.mean(ratio[start:end])
-                for start, end in zip(bounds[:-1], bounds[1:])
-            ]
-        )
-        ws_per_l3 = effects.effective_working_set_per_l3_array(
-            working_set,
-            np.array([p.shared_fraction for p in profiles]),
-            l3_score,
-        )
-        misses = effects.miss_fraction_array(
-            ws_per_l3, machine.l3_size_mb * share
-        )
-
-        # Per-node DRAM demand, accumulated in scalar order (np.add.at
-        # adds element-by-element in pair order — the scalar loop's order).
-        demand = (
-            vcpus * np.array([p.membw_per_vcpu for p in profiles]) * misses
-        )
-        dram_on_node = np.zeros(len(node_index))
-        np.add.at(
-            dram_on_node,
-            node_of_pair,
-            demand[container_of_pair] * counts_arr / vcpus[container_of_pair],
-        )
-
-        # Per-container interconnect demand (zero for single-node).
-        cross = np.where(n_nodes > 1, (n_nodes - 1.0) / n_nodes, 0.0)
-        ic_demands = (
-            demand
-            * (1.0 - np.array([p.numa_locality for p in profiles]))
-            * cross
-            + vcpus * np.array([p.comm_bytes_per_vcpu for p in profiles]) * cross
-        )
-
-        # Per-pair factor values, one numpy pass each.
-        cpu_vals = np.minimum(1.0, machine.threads_per_node / ton)
-        pressure = ton / machine.l2_groups_per_node
-        eff_share = np.maximum(
-            l2_share[container_of_pair],
-            np.minimum(machine.threads_per_l2, pressure),
-        )
-        smt_vals = effects.smt_factor_array(
-            eff_share,
-            machine.threads_per_l2,
-            cal.smt_efficiency,
-            np.array([p.smt_affinity for p in profiles])[container_of_pair],
-        )
-        membw_vals = effects.saturation_factor_array(
-            dram_on_node[node_of_pair],
-            machine.dram_bandwidth_mbps,
-            cal.saturation_sharpness,
-        )
-
-        # Per-container factors.
-        l2cap = effects.l2_capacity_factor_array(
-            working_set / vcpus,
-            l2_share,
-            machine.l2_size_kb / 1024.0,
-            cal.l2_pressure_mb,
-        )
-        cache = effects.cache_factor_array(
-            np.array([p.cache_sensitivity for p in profiles]), misses
-        )
-        comm = effects.comm_latency_factor_array(
-            np.array([p.comm_intensity for p in profiles]),
-            np.array([p.comm_latency_sensitivity for p in profiles]),
-            np.array(
-                [
-                    machine.interconnect.mean_pairwise_latency_ns(p.nodes)
-                    for _, p in assignments
-                ]
-            ),
-            machine.interconnect.local_latency_ns,
-        )
-        ic_supply = [
-            machine.interconnect.aggregate_bandwidth(p.nodes)
-            if p.n_nodes > 1
-            else 0.0
-            for _, p in assignments
-        ]
-        overlap = np.zeros((n, len(node_index)), dtype=np.intp)
-        overlap[container_of_pair, node_of_pair] = 1
-        overlap = overlap @ overlap.T  # exact node-overlap counts
-        n_nodes_int = [p.n_nodes for _, p in assignments]
-
-        results: List[float] = []
-        for index, (profile, placement) in enumerate(assignments):
-            start, end = bounds[index], bounds[index + 1]
-            weights = counts_arr[start:end] / counts_arr[start:end].sum()
-            cpu = float(np.dot(weights, cpu_vals[start:end]))
-            smt = float(np.dot(weights, smt_vals[start:end])) * l2cap[index]
-            membw = float(np.dot(weights, membw_vals[start:end]))
-            if placement.n_nodes > 1:
-                # The neighbour accumulation stays a loop in scalar order;
-                # its inputs (overlap counts) are precomputed above.
-                ic_demand = 0.0
-                for other in range(n):
-                    if other == index:
-                        ic_demand += ic_demands[other]
-                    else:
-                        ic_demand += (
-                            ic_demands[other]
-                            * overlap[index, other]
-                            / n_nodes_int[other]
-                        )
-                interconnect = effects.saturation_factor(
-                    float(ic_demand), ic_supply[index], cal.saturation_sharpness
-                )
-            else:
-                interconnect = 1.0
-            value = (
-                profile.ipc_base
-                * placement.vcpus
-                * cpu
-                * smt
-                * cache[index]
-                * membw
-                * interconnect
-                * comm[index]
-            )
-            if noise and profile.phase_noise > 0:
-                value *= self._noise_multiplier(
-                    profile, placement, 10.0, repetition, extra=index
-                )
-            results.append(float(value))
         return results
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ model of that observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, Tuple
 
@@ -130,11 +130,6 @@ class WorkloadProfile:
             raise ValueError(
                 "n_processes must be in [1, n_tasks]: every process is a task"
             )
-
-    def with_overrides(self, **overrides) -> "WorkloadProfile":
-        """A copy with some characteristics replaced (used by the workload
-        generator and by what-if examples)."""
-        return replace(self, **overrides)
 
     # ------------------------------------------------------------------
     # Identity: computed once per object

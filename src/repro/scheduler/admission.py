@@ -358,10 +358,6 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Held-queue lifecycle
     # ------------------------------------------------------------------
-    @property
-    def held_count(self) -> int:
-        return len(self._held)
-
     def is_held(self, request_id: int) -> bool:
         return request_id in self._held_ids
 

@@ -157,32 +157,6 @@ class FaultPlan:
         ]
         return cls(actions=actions, seed=seed)
 
-    @classmethod
-    def storm(
-        cls,
-        n_shards: int,
-        *,
-        seed: int = 0,
-        n_faults: int = 8,
-        span: int = 32,
-        delay_ms: float = 2.0,
-    ) -> "FaultPlan":
-        """A seeded mixed-mode schedule (crashes, drops, delays, wedges)
-        for soak-style chaos runs."""
-        rng = random.Random(seed)
-        actions = []
-        for _ in range(n_faults):
-            kind = FAULT_KINDS[rng.randrange(len(FAULT_KINDS))]
-            actions.append(
-                FaultAction(
-                    shard=rng.randrange(n_shards),
-                    at_message=rng.randrange(span),
-                    kind=kind,
-                    delay_ms=delay_ms if kind == "delay" else 0.0,
-                )
-            )
-        return cls(actions=actions, seed=seed)
-
 
 class FaultInjectingClient:
     """Wrap a shard client (either transport) with a fault schedule.

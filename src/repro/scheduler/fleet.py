@@ -339,10 +339,6 @@ class Fleet:
         """The distinct machine shapes present, in first-seen order."""
         return self._index.shapes()
 
-    def locate(self, request_id: int) -> int | None:
-        """Host id currently running a request, or None if not placed."""
-        return self._locations.get(request_id)
-
     def release(self, request_id: int) -> Tuple[int, Placement]:
         """Free a departed request's node block, wherever it landed.
 
@@ -355,13 +351,6 @@ class Fleet:
         if host_id is None:
             raise KeyError(f"request {request_id} is not placed in the fleet")
         return host_id, self.hosts[host_id].release(request_id)
-
-    def hosts_by_load(self) -> List[FleetHost]:
-        """Hosts sorted emptiest-first (the spread policy's scan order)."""
-        return sorted(
-            self.hosts,
-            key=lambda h: (h.node_utilization, h.thread_utilization, h.host_id),
-        )
 
     @property
     def total_threads(self) -> int:
@@ -403,11 +392,3 @@ class Fleet:
         if not self.hosts:
             return 0
         return self._index.largest_free_block
-
-    def utilization_summary(self) -> str:
-        per_host = [host.thread_utilization for host in self.hosts]
-        return (
-            f"threads {self.thread_utilization:.1%} "
-            f"(busiest host {max(per_host):.1%}, idlest {min(per_host):.1%}), "
-            f"nodes reserved {self.node_utilization:.1%}"
-        )

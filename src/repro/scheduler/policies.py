@@ -248,12 +248,12 @@ class SpreadFleetPolicy(_HeuristicFleetPolicy):
     name = "spread"
 
     def _select_host(self, fleet, plans):
-        # Spread visits hosts in ``fleet.hosts_by_load()`` order:
-        # (node_utilization, thread_utilization, host_id).  Every host in one (shape, free-count) bucket shares
-        # the same node utilization — computed with the same division the
-        # per-host property uses, so equal floats stay equal — which lets
-        # whole buckets be ranked first and only the winning utilization
-        # class be scanned per host.
+        # Spread visits hosts emptiest first, in (node_utilization,
+        # thread_utilization, host_id) order.  Every host in one (shape,
+        # free-count) bucket shares the same node utilization — computed
+        # with the same division the per-host property uses, so equal
+        # floats stay equal — which lets whole buckets be ranked first and
+        # only the winning utilization class be scanned per host.
         index = fleet.index
         classes: Dict[float, List[int]] = {}
         for fingerprint, plan in plans.items():

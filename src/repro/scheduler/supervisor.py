@@ -193,15 +193,6 @@ class ShardSupervisor:
         crash): it no longer owes a reply."""
         self._in_flight.pop(shard, None)
 
-    def in_flight(self) -> Dict[int, float | None]:
-        """Shard -> reply deadline for every unresolved send."""
-        return dict(self._in_flight)
-
-    def overdue(self, shard: int, now: float) -> bool:
-        """The shard's in-flight reply deadline has passed."""
-        deadline = self._in_flight.get(shard)
-        return deadline is not None and now >= deadline
-
     # -- health --------------------------------------------------------
 
     def mark_suspect(self, shard: int) -> None:
@@ -241,11 +232,6 @@ class ShardSupervisor:
             self.backoff_base_s
             * (2 ** (attempt - 1))
             * (0.5 + self._rng.random())
-        )
-
-    def describe_health(self) -> str:
-        return " ".join(
-            f"{shard}:{self.health[shard]}" for shard in range(self.n_shards)
         )
 
 

@@ -184,12 +184,6 @@ class ModelServer(ModelRegistry):
             self._chains[key] = chain
         return chain
 
-    def versions(
-        self, machine: MachineTopology, vcpus: int
-    ) -> List[ModelVersion]:
-        """The key's full version chain (building v1 if needed)."""
-        return list(self._chain(machine, vcpus))
-
     def active_version(
         self, machine: MachineTopology, vcpus: int
     ) -> ModelVersion:

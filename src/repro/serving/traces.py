@@ -112,10 +112,6 @@ class TraceStore:
 
     # ------------------------------------------------------------------
 
-    def partitions(self) -> List[Tuple]:
-        """Partition keys in first-seen order."""
-        return list(self._partitions)
-
     def recent(
         self, fingerprint: Tuple, vcpus: int, n: int | None = None
     ) -> List[PlacementObservation]:
@@ -139,10 +135,6 @@ class TraceStore:
     def recorded(self) -> int:
         """Total observations ever recorded (evictions included)."""
         return self._recorded
-
-    @property
-    def evicted(self) -> int:
-        return self._evicted
 
     def describe(self) -> str:
         parts = ", ".join(

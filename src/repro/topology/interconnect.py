@@ -10,7 +10,7 @@ per-combination aggregate from them deterministically.
 
 Two quantities matter to the rest of the system:
 
-* ``effective_bandwidth(i, j)`` -- the bandwidth available between a pair of
+* the *effective bandwidth* -- the bandwidth available between a pair of
   nodes.  For adjacent nodes it is the link bandwidth.  For distant nodes the
   traffic is routed over a shortest path and both shares the intermediate
   links with their owners and pays a store-and-forward penalty, so we charge
@@ -267,12 +267,6 @@ class Interconnect:
             )
             best_bottleneck = max(best_bottleneck, bottleneck)
         return best_bottleneck / hops
-
-    def effective_bandwidth(self, a: int, b: int) -> float:
-        """Point-to-point bandwidth between two nodes (MB/s)."""
-        if a == b:
-            raise ValueError("effective_bandwidth is defined for distinct nodes")
-        return self._effective[_as_link(a, b)]
 
     def aggregate_bandwidth(self, nodes: Iterable[int]) -> float:
         """The interconnect score of a node set (MB/s).

@@ -22,7 +22,6 @@ threads of one L2 group are contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.topology.interconnect import Interconnect
 
@@ -181,16 +180,6 @@ class MachineTopology:
         start = group * self.threads_per_l2
         return range(start, start + self.threads_per_l2)
 
-    def l2_groups_of_node(self, node: int) -> range:
-        self._check_node(node)
-        start = node * self.l2_groups_per_node
-        return range(start, start + self.l2_groups_per_node)
-
-    def l3_groups_of_node(self, node: int) -> range:
-        self._check_node(node)
-        start = node * self.l3_groups_per_node
-        return range(start, start + self.l3_groups_per_node)
-
     def _check_thread(self, thread: int) -> None:
         if not 0 <= thread < self.total_threads:
             raise ValueError(
@@ -239,11 +228,6 @@ class MachineTopology:
             # plain __dict__, and writing to it does not trip the freeze.
             self.__dict__["_fingerprint"] = cached
         return cached
-
-    def total_dram_bandwidth(self, nodes: Sequence[int] | None = None) -> float:
-        """Aggregate local DRAM bandwidth over a node set (all nodes if None)."""
-        count = self.n_nodes if nodes is None else len(set(nodes))
-        return count * self.dram_bandwidth_mbps
 
     def summary(self) -> str:
         """A human-readable one-paragraph description (for example scripts)."""

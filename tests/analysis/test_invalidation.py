@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
+import repro
 from repro.analysis import CACHE_SURFACES, analyze_source
 
 PATH = "/tmp/fixture.py"
@@ -323,6 +328,46 @@ class MigrationPlanner:
         assert findings_of(source) == []
 
 
+def src_names() -> set:
+    """Every name ``src/repro`` defines (a ``def``, a ``class``, an
+    attribute it assigns) or imports, and every attribute it reads off an
+    imported module (``np.random.default_rng``)."""
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    names.add(bound)
+                    if isinstance(node, ast.Import):
+                        modules.add(bound)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    names.add(node.attr)
+    return names
+
+
+def unknown_forbidden_tokens(surfaces) -> list:
+    known = src_names()
+    return [
+        (surface.name, method, token)
+        for surface in surfaces
+        for method, tokens in surface.forbidden.items()
+        for token in tokens
+        if token not in known
+    ]
+
+
 class TestTable:
     def test_surface_names_unique(self):
         names = [surface.name for surface in CACHE_SURFACES]
@@ -343,6 +388,16 @@ class TestTable:
             module_name, class_name, attribute = path.rsplit(".", 2)
             owner = getattr(importlib.import_module(module_name), class_name)
             assert hasattr(owner, attribute), path
+
+    def test_forbidden_tokens_name_something_in_src(self):
+        """A ban on a name nothing defines any more passes vacuously."""
+        assert unknown_forbidden_tokens(CACHE_SURFACES) == []
+        seeded = dataclasses.replace(
+            CACHE_SURFACES[0], forbidden={"solo_ipc": ("measured_ipc_noise",)}
+        )
+        assert unknown_forbidden_tokens([seeded]) == [
+            (seeded.name, "solo_ipc", "measured_ipc_noise")
+        ]
 
     def test_registry_hooks_exist(self):
         # The table references runtime debug hooks by name; keep the

@@ -39,10 +39,7 @@ class TestClusterBehaviours:
     def test_members_and_label_of(self):
         vectors, names = synthetic_vectors()
         clusters = cluster_behaviours(vectors, names, random_state=0)
-        label = clusters.label_of("w0")
-        assert "w0" in clusters.members(label)
-        with pytest.raises(KeyError):
-            clusters.label_of("unknown")
+        assert "w0" in clusters.members(int(clusters.labels[0]))
         with pytest.raises(ValueError):
             clusters.members(99)
 
@@ -80,8 +77,8 @@ class TestClusterBehaviours:
         vectors = np.vstack([group1, group2, group3])
         names = [f"w{i}" for i in range(24)]
         clusters = cluster_behaviours(vectors, names, k=2, random_state=0)
-        assert clusters.label_of("w0") == clusters.label_of("w8")
-        assert clusters.label_of("w0") != clusters.label_of("w16")
+        assert clusters.labels[0] == clusters.labels[8]
+        assert clusters.labels[0] != clusters.labels[16]
 
 
 class TestClusterTrainingSet:

@@ -114,7 +114,6 @@ class TestBandwidthConcern:
         concern = BandwidthConcern(amd)
         assert not concern.affects_cost
         assert not concern.inverse_performance_possible
-        assert not concern.protects_low_scores
 
 
 class TestConcernsFor:

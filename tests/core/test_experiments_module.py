@@ -1,10 +1,10 @@
 """Unit tests for the canonical experiment configuration module."""
 
 
+from repro.core.enumeration import enumerate_important_placements
 from repro.experiments import (
     CANONICAL_PAIRS,
     clustering_corpus,
-    important_placement_set,
     paper_vcpus,
     training_corpus,
 )
@@ -53,7 +53,7 @@ class TestPaperVcpus:
 class TestCanonicalConfiguration:
     def test_canonical_pairs_reference_valid_placements(self):
         for machine in (amd_opteron_6272(), intel_xeon_e7_4830_v3()):
-            ips = important_placement_set(machine)
+            ips = enumerate_important_placements(machine, paper_vcpus(machine))
             i, j = CANONICAL_PAIRS[machine.name]
             assert 0 <= i < len(ips)
             assert 0 <= j < len(ips)

@@ -114,8 +114,9 @@ class TestInterleaveExperiment:
         assert outcome.filler_safe
         assert outcome.primary_instances == 1
         assert outcome.filler_instances == amd.n_nodes - top.n_nodes
-        assert outcome.primary_meets_goal, (
-            f"violated by {outcome.primary_violation_pct:.1f}%"
+        worst = min(outcome.primary_achieved)
+        assert worst >= outcome.primary_goal_value, (
+            f"{worst:.3f} is below the goal {outcome.primary_goal_value:.3f}"
         )
         assert all(v > 0 for v in outcome.filler_achieved)
 

@@ -89,7 +89,7 @@ class TestEnumerationCache:
         machine = amd_opteron_6272()
         first = cache.get(machine, 16)
         n_placements = len(first)
-        vectors = tuple(first.score_vectors)
+        vectors = tuple(first.concerns.score_vector(p) for p in first)
 
         # A caller copying the views and mutating the copies must not be
         # able to corrupt the cached entry.
@@ -100,7 +100,7 @@ class TestEnumerationCache:
 
         second = cache.get(machine, 16)
         assert len(second) == n_placements
-        assert tuple(second.score_vectors) == vectors
+        assert tuple(second.concerns.score_vector(p) for p in second) == vectors
         # The exposed views themselves are immutable tuples.
         assert isinstance(second.placements, tuple)
         assert isinstance(second.surviving_packings, tuple)
@@ -110,7 +110,9 @@ class TestEnumerationCache:
         cached = EnumerationCache().get(machine, 16)
         direct = enumerate_important_placements(machine, 16)
         assert list(cached.placements) == list(direct.placements)
-        assert cached.score_vectors == direct.score_vectors
+        assert [cached.concerns.score_vector(p) for p in cached] == [
+            direct.concerns.score_vector(p) for p in direct
+        ]
 
     def test_maxsize_evicts_fifo(self, monkeypatch):
         cache, calls = _counting_cache(monkeypatch)

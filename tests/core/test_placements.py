@@ -60,15 +60,6 @@ class TestScores:
         assert p.l3_score == 8
         assert p.uses_smt
 
-    def test_from_l2_score(self, amd):
-        p = Placement.from_l2_score(amd, [0, 1], 16, 8)
-        assert p.l2_score == 8
-        assert p.l2_share == 2
-
-    def test_from_l2_score_rejects_non_divisor(self, amd):
-        with pytest.raises(ValueError):
-            Placement.from_l2_score(amd, [0, 1], 16, 5)
-
 
 class TestThreadAssignment:
     def test_each_vcpu_gets_own_thread(self, amd):
@@ -90,12 +81,6 @@ class TestThreadAssignment:
         p = Placement.balanced(intel, [0], 24, use_smt=True)
         groups = [intel.l2_group_of_thread(t) for t in p.threads]
         assert len(set(groups)) == 12
-
-    def test_affinity_masks_are_singletons(self, amd):
-        p = Placement.balanced(amd, [0, 1], 16, use_smt=True)
-        masks = p.cpu_affinity_masks()
-        assert len(masks) == 16
-        assert all(len(mask) == 1 for mask in masks)
 
 
 class TestSplitL3:

@@ -1,5 +1,7 @@
 """Unit tests for the migration substrate, including Table-2 claims."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.migration import (
@@ -55,7 +57,6 @@ class TestDefaultLinux:
 
     def test_flags(self):
         engine = DefaultLinuxMigrator()
-        assert not engine.moves_page_cache
         assert not engine.freezes_container
 
 
@@ -189,7 +190,7 @@ class TestPlanner:
     def test_huge_latency_sensitive_container_goes_offline(self):
         # A latency-sensitive container too big to throttle-migrate within
         # the online budget.
-        big = workload_by_name("WTbtree").with_overrides(memory_gb=400.0)
+        big = replace(workload_by_name("WTbtree"), memory_gb=400.0)
         advice = MigrationPlanner(max_online_seconds=60.0).advise(big)
         assert advice.recommended == "offline"
         assert "offline" in advice.reason
@@ -222,10 +223,10 @@ class TestAdviceMemo:
         first = planner.advise(gcc, probe_migrations=1)
         assert planner.advise(gcc, probe_migrations=1) is first
         # An equal profile built elsewhere is the same key ...
-        assert planner.advise(gcc.with_overrides(), probe_migrations=1) is first
+        assert planner.advise(replace(gcc), probe_migrations=1) is first
         # ... another probe count or another profile is not.
         assert planner.advise(gcc, probe_migrations=2) is not first
-        bigger = gcc.with_overrides(memory_gb=2 * gcc.memory_gb)
+        bigger = replace(gcc, memory_gb=2 * gcc.memory_gb)
         assert planner.advise(bigger, probe_migrations=1).memory.total_gb == (
             pytest.approx(2 * first.memory.total_gb)
         )
@@ -249,5 +250,5 @@ class TestAdviceMemo:
         planner = MigrationPlanner()
         gcc = workload_by_name("gcc")
         for i in range(10):
-            planner.advise(gcc.with_overrides(memory_gb=1.0 + i))
+            planner.advise(replace(gcc, memory_gb=1.0 + i))
             assert len(planner._advice) <= 3

@@ -343,3 +343,8 @@ def assert_same_forest(forest, oracle_trees) -> None:
     assert np.array_equal(
         forest.feature_importances_, oracle_importances(oracle_trees)
     )
+
+
+def n_leaves(tree) -> int:
+    """A fitted tree's leaf count, read off its flat arrays."""
+    return int(np.count_nonzero(tree._fitted()[0] < 0))

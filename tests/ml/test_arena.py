@@ -18,6 +18,7 @@ from repro.ml import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml import arena as arena_module
 from repro.ml.arena import ARENA_STATS, MAX_LEAVES, ForestArena, predict_fused
 from repro.topology import amd_opteron_6272
+from tests.ml.oracle_tree import n_leaves
 
 
 def _random_problem(rng, n_outputs):
@@ -94,8 +95,8 @@ class TestBothSidesOfTheRule:
         ).fit(X, Y[:, 0] if n_outputs == 0 else Y)
 
         arena = forest.arena()
-        has_tests = any(tree.n_leaves > 1 for tree in forest.trees_)
-        fits = max(tree.n_leaves for tree in forest.trees_) <= MAX_LEAVES
+        has_tests = any(n_leaves(tree) > 1 for tree in forest.trees_)
+        fits = max(n_leaves(tree) for tree in forest.trees_) <= MAX_LEAVES
         assert (arena.bit_tables is not None) == (has_tests and fits)
 
         Q = _boundary_queries(rng, arena, rows)
@@ -116,21 +117,21 @@ class TestBothSidesOfTheRule:
             fused[2], forest.predict_per_tree(Q), equal_nan=True
         )
 
-    @pytest.mark.parametrize("n_leaves", [MAX_LEAVES, MAX_LEAVES + 1])
-    def test_one_word_of_leaves_is_the_limit(self, n_leaves):
+    @pytest.mark.parametrize("leaves", [MAX_LEAVES, MAX_LEAVES + 1])
+    def test_one_word_of_leaves_is_the_limit(self, leaves):
         """A tree of exactly 64 leaves still fits a mask (its last leaf is
         bit 63); one leaf more sends the whole forest to the descent."""
-        rng = np.random.default_rng(n_leaves)
-        X = rng.permutation(n_leaves)[:, None].astype(float)
-        y = rng.normal(size=n_leaves)
+        rng = np.random.default_rng(leaves)
+        X = rng.permutation(leaves)[:, None].astype(float)
+        y = rng.normal(size=leaves)
         big = DecisionTreeRegressor().fit(X, y)
-        assert big.n_leaves == n_leaves
+        assert n_leaves(big) == leaves
         small = DecisionTreeRegressor(max_depth=2).fit(X, y)
         arena = ForestArena([small, big])
-        assert (arena.bit_tables is not None) == (n_leaves <= MAX_LEAVES)
+        assert (arena.bit_tables is not None) == (leaves <= MAX_LEAVES)
         # Every leaf of the big tree is reached, on and between thresholds.
-        Q = np.arange(-1.0, n_leaves + 1.0, 0.5)[:, None]
-        assert len(np.unique(big.predict(Q))) == n_leaves
+        Q = np.arange(-1.0, leaves + 1.0, 0.5)[:, None]
+        assert len(np.unique(big.predict(Q))) == leaves
         _assert_arena_matches_trees(arena, [small, big], Q)
 
     def test_single_leaf_trees(self):
@@ -141,7 +142,7 @@ class TestBothSidesOfTheRule:
         X = rng.uniform(size=(20, 2))
         stump = DecisionTreeRegressor().fit(X, np.full(20, 1.5))
         tree = DecisionTreeRegressor().fit(X, rng.normal(size=20))
-        assert stump.n_leaves == 1
+        assert n_leaves(stump) == 1
         Q = rng.uniform(size=(5, 2))
         mixed = ForestArena([stump, tree, stump])
         assert mixed.bit_tables is not None

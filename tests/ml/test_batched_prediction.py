@@ -161,14 +161,6 @@ class TestPlacementModelBatching:
             single = model.predict(float(perf_i[k]), float(perf_j[k]))
             assert np.array_equal(batched[k], single)
 
-    def test_predict_many_is_an_alias(self, model):
-        perf_i = np.array([0.9, 1.1])
-        perf_j = np.array([1.2, 0.8])
-        assert np.array_equal(
-            model.predict_many(perf_i, perf_j),
-            model.predict_batch(perf_i, perf_j),
-        )
-
     def test_scalar_inputs_promote(self, model):
         assert model.predict_batch(1.0, 1.2).shape[0] == 1
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ml import DecisionTreeRegressor
 from repro.ml.tree import descend_flat
+from tests.ml.oracle_tree import n_leaves
 
 
 def step_data(n=200, seed=0):
@@ -65,7 +66,7 @@ class TestFitting:
         X = np.arange(10, dtype=float)[:, None]
         y = np.full(10, 3.5)
         tree = DecisionTreeRegressor().fit(X, y)
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
         assert np.allclose(tree.predict(X), 3.5)
 
     def test_max_depth_limits_depth(self):
@@ -88,7 +89,7 @@ class TestFitting:
             np.zeros(len(X), dtype=np.intp),
         )
         leaf_sizes = np.bincount(leaf_of)[feature < 0]
-        assert len(leaf_sizes) == tree.n_leaves > 1
+        assert len(leaf_sizes) == n_leaves(tree) > 1
         assert leaf_sizes.min() >= 20
 
     def test_multi_output(self):
@@ -126,7 +127,7 @@ class TestFitting:
         X = np.ones((20, 1))
         y = np.arange(20, dtype=float)
         tree = DecisionTreeRegressor().fit(X, y)
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
 
 
 @given(
@@ -192,12 +193,12 @@ class TestStructureWithoutRecursion:
         length = sys.getrecursionlimit() + 500
         tree = self._chain_tree(length)
         assert tree.depth == length
-        assert tree.n_leaves == length + 1
+        assert n_leaves(tree) == length + 1
 
     def test_matches_known_small_trees(self):
         tree = self._chain_tree(3)
         assert tree.depth == 3
-        assert tree.n_leaves == 4
+        assert n_leaves(tree) == 4
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(200, 3))
         y = np.sin(X @ np.ones(3))
@@ -216,11 +217,11 @@ class TestStructureWithoutRecursion:
             return walk_leaves(left[node]) + walk_leaves(right[node])
 
         assert fitted.depth == walk_depth(0)
-        assert fitted.n_leaves == walk_leaves(0)
+        assert n_leaves(fitted) == walk_leaves(0)
 
     def test_unfitted_raises(self):
         tree = DecisionTreeRegressor()
         with pytest.raises(RuntimeError):
             tree.depth
         with pytest.raises(RuntimeError):
-            tree.n_leaves
+            n_leaves(tree)

@@ -33,6 +33,7 @@ from tests.ml.oracle_tree import (
     assert_same_forest,
     assert_same_tree,
     forest_problem,
+    n_leaves,
     oracle_forest,
     oracle_grow,
 )
@@ -154,30 +155,30 @@ class TestStopsWhereTheRecursionStopped:
 
     def test_every_position_a_tie(self):
         tree = self._both(np.ones((8, 2)), np.arange(8.0))
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
 
     def test_pure_node(self):
         X = np.arange(12.0)[:, None]
         tree = self._both(X, np.where(X[:, 0] < 6, 1.0, 3.0))
-        assert tree.n_leaves == 2  # both children pure at once
+        assert n_leaves(tree) == 2  # both children pure at once
 
     def test_no_gain(self):
         # XOR on one feature: either side of the only cut keeps the
         # parent's spread, so the gain is exactly zero.
         tree = self._both([[0.0], [0.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0])
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
 
     def test_non_finite_sse(self):
         tree = self._both(
             np.arange(6.0)[:, None], [1e200, -1e200, 1e200, 3.0, 4.0, -1e200]
         )
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
 
     def test_min_samples_leaf_rules_out_every_cut(self):
         tree = self._both(
             np.arange(5.0)[:, None], np.arange(5.0), min_samples_leaf=3
         )
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
 
     def test_min_samples_split_and_depth(self):
         rng = np.random.default_rng(0)
@@ -196,7 +197,7 @@ class TestStopsWhereTheRecursionStopped:
         assert (X[0, 0] + X[1, 0]) / 2.0 == X[1, 0]
         y = np.array([0.0, 1.0])
         tree = DecisionTreeRegressor().fit(X, y)
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:

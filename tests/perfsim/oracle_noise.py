@@ -43,6 +43,18 @@ def noise_multiplier(
     return float(np.exp(rng.normal(0.0, sigma)))
 
 
+def measured_ipc_noise(
+    simulator, profile, placement, *, duration_s=10.0, repetition=0
+) -> float:
+    """The multiplicative noise term of ``measured_ipc`` alone:
+    ``measured_ipc(noise=True)`` is ``measured_ipc(noise=False)`` times
+    this, bit for bit, which is what lets the registry memoize the
+    deterministic part and multiply in a fresh draw per probe."""
+    return noise_multiplier(
+        simulator, profile, placement, duration_s, repetition, MEASURED_IPC_NOISE
+    )
+
+
 def probe_multipliers(
     simulator,
     profiles: Sequence,
@@ -53,8 +65,8 @@ def probe_multipliers(
     """The noise factors of one probe per profile in one placement — what
     ``ModelRegistry.probe_ipc_batch`` multiplies its memo row by."""
     return [
-        noise_multiplier(
-            simulator, profile, placement, duration_s, repetition, MEASURED_IPC_NOISE
+        measured_ipc_noise(
+            simulator, profile, placement, duration_s=duration_s, repetition=repetition
         )
         for profile, repetition in zip(profiles, repetitions)
     ]

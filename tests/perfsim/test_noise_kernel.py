@@ -4,7 +4,9 @@ one generator per draw (``oracle_noise.py``) gives."""
 
 from __future__ import annotations
 
+import inspect
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -100,7 +102,33 @@ def preset(request):
     return PerformanceSimulator(machine, seed=13), placements
 
 
+#: Every production path that multiplies by measurement noise, and the
+#: test of :class:`TestEveryNoisyPath` that checks it against the oracle.
+NOISY_PATHS = {
+    "measured_ipc": "test_measured_ipc_and_its_noise",
+    "measured_ipc_batch": "test_grids",
+    "throughput": "test_throughput_and_run",
+    "run": "test_throughput_and_run",
+    "simulate_colocated": "test_colocated",
+    "NoiseBatch": "test_a_noise_batch_group",
+}
+
+
 class TestEveryNoisyPath:
+    def test_the_list_of_noisy_paths_is_complete(self):
+        """Every simulator method that takes ``noise=`` is listed, and
+        each listed path is called by the test that covers it."""
+        drawing = {
+            name
+            for name, member in vars(PerformanceSimulator).items()
+            if inspect.isfunction(member)
+            and "noise" in inspect.signature(member).parameters
+        }
+        assert drawing | {"NoiseBatch"} == set(NOISY_PATHS)
+        for path, test in NOISY_PATHS.items():
+            source = inspect.getsource(getattr(TestEveryNoisyPath, test))
+            assert re.search(rf"\b{path}\(", source), (path, test)
+
     def test_measured_ipc_and_its_noise(self, preset):
         simulator, placements = preset
         for k, profile in enumerate(_PROFILES):
@@ -113,28 +141,23 @@ class TestEveryNoisyPath:
                     profile, placement, duration_s=3.0, repetition=k
                 )
                 assert noisy == clean * factor
-                assert factor == simulator.measured_ipc_noise(
-                    profile, placement, duration_s=3.0, repetition=k
-                )
 
     def test_grids(self, preset):
         simulator, placements = preset
-        for kernel, extra in (
-            (simulator.measured_ipc_batch, MEASURED_IPC_NOISE),
-            (simulator.throughput_batch, 0),
-        ):
-            clean = kernel(_PROFILES, placements, noise=False)
-            noisy = kernel(_PROFILES, placements, duration_s=0.5, repetition=4)
-            factors = np.array(
+        clean = simulator.measured_ipc_batch(_PROFILES, placements, noise=False)
+        noisy = simulator.measured_ipc_batch(
+            _PROFILES, placements, duration_s=0.5, repetition=4
+        )
+        factors = np.array(
+            [
                 [
-                    [
-                        noise_multiplier(simulator, p, q, 0.5, 4, extra)
-                        for q in placements
-                    ]
-                    for p in _PROFILES
+                    noise_multiplier(simulator, p, q, 0.5, 4, MEASURED_IPC_NOISE)
+                    for q in placements
                 ]
-            )
-            assert (noisy == clean * factors).all()
+                for p in _PROFILES
+            ]
+        )
+        assert (noisy == clean * factors).all()
 
     def test_throughput_and_run(self, preset):
         simulator, placements = preset
@@ -158,13 +181,20 @@ class TestEveryNoisyPath:
             noise_multiplier(simulator, profile, placement, 10.0, 2, index)
             for index, (profile, placement) in enumerate(assignments)
         ]
-        for kernel in (
-            simulator.simulate_colocated,
-            simulator.simulate_colocated_batch,
-        ):
-            clean = kernel(assignments, noise=False)
-            noisy = kernel(assignments, repetition=2)
-            assert noisy == [value * f for value, f in zip(clean, factors)]
+        clean = simulator.simulate_colocated(assignments, noise=False)
+        noisy = simulator.simulate_colocated(assignments, repetition=2)
+        assert noisy == [value * f for value, f in zip(clean, factors)]
+
+    def test_a_noise_batch_group(self, preset):
+        simulator, placements = preset
+        for placement in placements:
+            noise = NoiseBatch(3.0)
+            noise.add(simulator, _PROFILES, placement, range(len(_PROFILES)))
+            assert noise.multipliers() == [
+                probe_multipliers(
+                    simulator, _PROFILES, placement, 3.0, range(len(_PROFILES))
+                )
+            ]
 
     def test_probe_rows_of_a_decision_batch(self, preset, monkeypatch):
         """Every probe row a batch of goal-aware decisions multiplies by

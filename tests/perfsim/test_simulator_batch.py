@@ -14,7 +14,7 @@ from repro.core.enumeration import enumerate_important_placements
 from repro.core.placements import Placement
 from repro.core.training import build_training_set, extend_training_set
 from repro.perfsim.generator import WorkloadGenerator
-from repro.perfsim.library import paper_workloads, workload_by_name
+from repro.perfsim.library import paper_workloads
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 
@@ -66,32 +66,6 @@ class TestGridKernels:
         )
         assert np.array_equal(grid, reference)
 
-    @pytest.mark.parametrize("noise", [False, True])
-    def test_throughput_batch(self, sim, profiles, placements, noise):
-        grid = sim.throughput_batch(
-            profiles, placements, noise=noise, repetition=1
-        )
-        reference = np.array(
-            [
-                [
-                    sim.throughput(p, pl, noise=noise, repetition=1)
-                    for pl in placements
-                ]
-                for p in profiles
-            ]
-        )
-        assert np.array_equal(grid, reference)
-
-    def test_performance_vector_batch_rows(self, sim, profiles, placements):
-        matrix = sim.performance_vector_batch(
-            profiles, placements, baseline_index=1
-        )
-        for row, profile in enumerate(profiles):
-            assert np.array_equal(
-                matrix[row],
-                sim.performance_vector(profile, placements, baseline_index=1),
-            )
-
     def test_placement_arrays_cache_bounded(self, sim, placements):
         sim._placement_arrays_cache.clear()
         first = sim._placement_arrays(placements)
@@ -126,39 +100,6 @@ class TestGridKernels:
             sim.breakdown_batch(profiles, [])
         with pytest.raises(ValueError):
             sim.breakdown_batch([], [Placement(sim.machine, [0], 4)])
-
-
-class TestColocatedBatch:
-    def _scenarios(self, machine):
-        w1 = workload_by_name("gcc")
-        w2 = workload_by_name("WTbtree")
-        w3 = workload_by_name("kmeans")
-        a = Placement(machine, [0, 1], 8)
-        b = Placement(machine, range(4), 8)
-        c = Placement(machine, [0], 4)
-        d = Placement.balanced(machine, [1], 8, use_smt=True)
-        return [
-            [(w1, a)],
-            [(w1, a), (w2, b)],
-            [(w1, a), (w2, b), (w3, c)],
-            [(w1, c), (w2, c), (w3, d), (w1, d)],
-            [(w2, b)] * 3,
-        ]
-
-    @pytest.mark.parametrize("noise", [False, True])
-    def test_matches_scalar(self, sim, noise):
-        for assignments in self._scenarios(sim.machine):
-            batch = sim.simulate_colocated_batch(
-                assignments, noise=noise, repetition=2
-            )
-            reference = sim.simulate_colocated(
-                assignments, noise=noise, repetition=2
-            )
-            assert batch == reference
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            sim.simulate_colocated_batch([])
 
 
 class TestTrainingSetOnBatchedKernels:

@@ -26,6 +26,7 @@ from repro.scheduler import (
     SpreadFleetPolicy,
     minimal_shape,
 )
+from tests.perfsim.oracle_noise import measured_ipc_noise
 
 
 class SearchBlocks:
@@ -88,6 +89,14 @@ class _LinearScan:
         return FleetDecision(request, reject_reason=reason)
 
 
+def hosts_by_load(fleet) -> list:
+    """Hosts sorted emptiest-first (the spread policy's scan order)."""
+    return sorted(
+        fleet.hosts,
+        key=lambda h: (h.node_utilization, h.thread_utilization, h.host_id),
+    )
+
+
 class LinearFirstFitPolicy(_LinearScan, FirstFitFleetPolicy):
     """First-fit over every host, in id order."""
 
@@ -99,7 +108,7 @@ class LinearSpreadPolicy(_LinearScan, SpreadFleetPolicy):
     """Spread over every host, emptiest first."""
 
     def _scan_order(self, fleet):
-        return fleet.hosts_by_load()
+        return hosts_by_load(fleet)
 
 
 # ----------------------------------------------------------------------
@@ -228,12 +237,10 @@ def probe_ipc(
     """One noisy probe observation: the registry's noise-free IPC
     (counted as a hit or a miss by ``solo_ipc``) times one noise draw.
     Bit-for-bit equal to calling ``measured_ipc(noise=True)`` directly."""
-    simulator = registry.simulator(machine)
-    return registry.solo_ipc(machine, profile, placement) * (
-        simulator.measured_ipc_noise(
-            profile,
-            placement,
-            duration_s=duration_s,
-            repetition=repetition,
-        )
+    return registry.solo_ipc(machine, profile, placement) * measured_ipc_noise(
+        registry.simulator(machine),
+        profile,
+        placement,
+        duration_s=duration_s,
+        repetition=repetition,
     )

@@ -149,7 +149,7 @@ class TestAdmissionController:
         admitted, _ = controller.screen(strict[0], 1.0)
         assert held.outcome == "hold"
         assert admitted.outcome == "admit"
-        assert controller.held_count == 1
+        assert len(controller._held) == 1
         assert controller.is_held(best_effort[0].request_id)
 
     def test_drop_newest_rejects_overflow(self):
@@ -162,7 +162,7 @@ class TestAdmissionController:
         assert decision.outcome == "reject"
         assert decision.reason == REASON_QUEUE_FULL
         assert sheds == []
-        assert controller.held_count == 2
+        assert len(controller._held) == 2
 
     def test_drop_oldest_evicts_head(self):
         controller = self._controller(
@@ -192,7 +192,7 @@ class TestAdmissionController:
         sheds = controller.expire(6.0)
         assert [r.request_id for r, _, _ in sheds] == [first.request_id]
         assert sheds[0][2] == REASON_DEADLINE
-        assert controller.held_count == 1
+        assert len(controller._held) == 1
 
     def test_cancel_and_flush(self):
         controller = self._controller()
@@ -206,7 +206,7 @@ class TestAdmissionController:
         flushed = controller.flush()
         assert [r.request_id for r, _, _ in flushed] == [second.request_id]
         assert flushed[0][2] == REASON_BROWNOUT
-        assert controller.held_count == 0
+        assert len(controller._held) == 0
 
     def test_drain_releases_holds_in_order(self):
         controller = self._controller()
@@ -219,7 +219,7 @@ class TestAdmissionController:
             r.request_id for r in held
         ]
         assert controller.stats.drained == 3
-        assert controller.held_count == 0
+        assert len(controller._held) == 0
 
     def test_hysteresis_band(self):
         controller = self._controller(brownout_watermark=0.5)

@@ -81,7 +81,7 @@ class TestSharing:
     def test_model_server_chain_starts_from_the_shared_model(self, machine):
         registry, server = ModelRegistry(**SMALL), ModelServer(**SMALL)
         assert server.model(machine, 8) is registry.model(machine, 8)
-        assert server.versions(machine, 8)[0].model is registry.model(machine, 8)
+        assert server._chain(machine, 8)[0].model is registry.model(machine, 8)
 
     def test_store_model_predicts_what_a_fresh_fit_does(self, machine):
         registry = ModelRegistry(**SMALL)
@@ -179,7 +179,7 @@ class TestImmutability:
         assert promoting.model_version_token(machine, 8) == 2
         assert sibling.model(machine, 8) is shared
         assert sibling.model_version_token(machine, 8) == 1
-        assert [v.version for v in sibling.versions(machine, 8)] == [1]
+        assert [v.version for v in sibling._chain(machine, 8)] == [1]
         # A registry built afterwards is still served the original.
         assert ModelRegistry(**SMALL).model(machine, 8) is shared
         np.testing.assert_array_equal(shared.predict_batch(*PROBES), before)

@@ -45,6 +45,7 @@ from repro.scheduler import (
     ShardSupervisor,
     ShardTimeoutError,
 )
+from tests.scheduler.fault_plans import storm
 from tests.scheduler.oracle_dispatch import dispatch_service
 from tests.scheduler.test_service import CHURN_REFERENCE, _fingerprints
 
@@ -686,7 +687,7 @@ class TestGracefulDegradation:
 
     def test_storm_plan_completes_exactly_once(self):
         config = _fast_config(recovery_rounds=1, requests=60)
-        plan = FaultPlan.storm(2, seed=9, n_faults=6, span=24)
+        plan = storm(2, seed=9, n_faults=6, span=24)
         report, stats = _serve(config, faults=plan)
         ids = [d.decision.request.request_id for d in report.decisions]
         assert len(ids) == len(set(ids))

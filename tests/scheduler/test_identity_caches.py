@@ -120,7 +120,7 @@ def test_replaced_profile_gets_a_fresh_cache():
     assert profile.row() is row  # built once
     for copy in (
         dataclasses.replace(profile, name="gcc-variant"),
-        profile.with_overrides(ipc_base=profile.ipc_base * 2),
+        dataclasses.replace(profile, ipc_base=profile.ipc_base * 2),
     ):
         assert not {"_row", "_hash"} & vars(copy).keys()
         assert copy != profile and copy.row() != row

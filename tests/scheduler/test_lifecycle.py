@@ -68,7 +68,7 @@ class TestDepartures:
         assert report.placed == 1
         assert report.rejected == 1
         assert report.churn.departures == 0  # req 2's departure is ignored
-        assert engine.fleet.locate(1) == 0
+        assert engine.fleet._locations.get(1) == 0
 
     def test_fragmentation_timeline_sampled_per_event(self):
         engine = _engine(1)

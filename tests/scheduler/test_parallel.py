@@ -349,7 +349,7 @@ class TestOverlapEquivalence:
         with SchedulerService(config) as service:
             service.serve()
             assert service.supervisor.max_in_flight >= 2
-            assert service.supervisor.in_flight() == {}
+            assert service.supervisor._in_flight == {}
 
         with SequentialDispatchService(config) as service:
             service.serve()

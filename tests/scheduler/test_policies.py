@@ -396,7 +396,7 @@ class TestLanes:
             decisions = batch(requests[:8])
             retired = server.model(machine, 8)
             old_memo = block_state_memo(machine, "interconnect")
-            old_states = old_memo.n_states
+            old_states = len(old_memo._states)
             candidate = retired.warm_refit(
                 server.training_set(machine, 8), n_grow=4
             )
@@ -413,8 +413,8 @@ class TestLanes:
             # ...and the searches went to the memo the bump minted.
             new_memo = block_state_memo(machine, "interconnect")
             assert new_memo is not old_memo
-            assert new_memo.n_states > 0
-            assert old_memo.n_states == old_states
+            assert len(new_memo._states) > 0
+            assert len(old_memo._states) == old_states
             return _signature(decisions), policy
 
         kept, policy = run(drop_lanes=False)
@@ -470,7 +470,7 @@ class TestLanes:
         fleet.release(first.request.request_id)
         assert set(first.placement.nodes) <= host_a.free_nodes
         assert host_b.free_mask == free_b
-        assert fleet.locate(second.request.request_id) == second.host_id
+        assert fleet._locations.get(second.request.request_id) == second.host_id
         fleet.release(second.request.request_id)
         assert set(second.placement.nodes) <= host_b.free_nodes
         fleet.index.assert_consistent(fleet.hosts)

@@ -19,6 +19,7 @@ from repro.scheduler import (
 )
 from repro.perfsim.simulator import NoiseBatch
 from repro.topology import amd_opteron_6272
+from tests.perfsim.oracle_noise import measured_ipc_noise
 from tests.scheduler.oracle_linear import UnmemoizedRegistry, probe_ipc
 
 
@@ -273,7 +274,8 @@ class TestNoiseBatch:
             batch = noise.multipliers()[0]
             simulator = PerformanceSimulator(machine, seed=5)
             sequential = [
-                simulator.measured_ipc_noise(
+                measured_ipc_noise(
+                    simulator,
                     profile,
                     placement,
                     duration_s=duration_s,
@@ -311,7 +313,8 @@ class TestNoiseBatch:
                 batch()
             with pytest.raises(ValueError, match="duration_s"):
                 for profile, repetition in zip(profiles, repetitions):
-                    simulator.measured_ipc_noise(
+                    measured_ipc_noise(
+                        simulator,
                         profile,
                         placement,
                         duration_s=duration_s,

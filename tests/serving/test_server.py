@@ -37,7 +37,7 @@ def _candidate(server, machine, vcpus, *, time=1.0):
 
 class TestVersionChains:
     def test_initial_chain_is_single_active_v1(self, server, machine):
-        versions = server.versions(machine, 8)
+        versions = server._chain(machine, 8)
         assert [v.version for v in versions] == [1]
         assert versions[0].status is VersionStatus.ACTIVE
         assert server.active_version(machine, 8).version == 1
@@ -82,7 +82,7 @@ class TestPromotion:
         assert server.active_version(machine, 8) is candidate
         assert candidate.status is VersionStatus.ACTIVE
         assert candidate.promoted_time == 9.0
-        v1 = server.versions(machine, 8)[0]
+        v1 = server._chain(machine, 8)[0]
         assert v1.status is VersionStatus.RETIRED
         assert v1.retired_time == 9.0
         assert server.model(machine, 8) is candidate.model

@@ -49,7 +49,7 @@ class TestTraceStore:
         store.record(_observation(2, fingerprint=("a",), vcpus=16))
         store.record(_observation(3, fingerprint=("b",), vcpus=8))
         assert len(store) == 3
-        assert len(store.partitions()) == 3
+        assert len(store._partitions) == 3
         assert [o.request_id for o in store.recent(("a",), 8)] == [1]
 
     def test_bounded_eviction_oldest_first(self):
@@ -57,7 +57,7 @@ class TestTraceStore:
         for request_id in range(1, 6):
             store.record(_observation(request_id))
         assert store.recorded == 5
-        assert store.evicted == 2
+        assert "5 recorded, 2 evicted" in store.describe()
         assert [o.request_id for o in store.recent(("shape-a",), 8)] == [
             3,
             4,

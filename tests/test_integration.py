@@ -5,6 +5,8 @@ presets — the paper's portability claim (Section 8) — and check global
 invariants that no single module owns.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -76,7 +78,7 @@ class TestEnumerationOnRandomMachines:
             return
         assert len(ips) >= 1
         # Invariant 1: score vectors are unique (dedup worked).
-        assert len(set(ips.score_vectors)) == len(ips)
+        assert len({ips.concerns.score_vector(p) for p in ips}) == len(ips)
         concerns = ips.concerns
         for placement in ips:
             # Invariant 2: balanced and feasible.
@@ -134,9 +136,8 @@ class TestSimulatorProperties:
             .build()
         )
         sim = PerformanceSimulator(machine)
-        profile = WorkloadGenerator(seed=seed).sample_one(
-            "bandwidth-bound"
-        ).with_overrides(
+        profile = replace(
+            WorkloadGenerator(seed=seed).sample_one("bandwidth-bound"),
             membw_per_vcpu=membw,
             comm_intensity=0.0,
             comm_bytes_per_vcpu=0.0,

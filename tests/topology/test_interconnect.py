@@ -74,21 +74,17 @@ class TestDistancesAndBandwidth:
 
     def test_direct_effective_bandwidth_is_link_bandwidth(self):
         ic = ring(4, bandwidth=2000.0)
-        assert ic.effective_bandwidth(0, 1) == 2000.0
+        assert ic.aggregate_bandwidth({0, 1}) == 2000.0
 
     def test_two_hop_effective_bandwidth_halves_bottleneck(self):
         ic = ring(4, bandwidth=2000.0)
-        assert ic.effective_bandwidth(0, 2) == pytest.approx(1000.0)
+        assert ic.aggregate_bandwidth({0, 2}) == pytest.approx(1000.0)
 
     def test_effective_bandwidth_picks_widest_shortest_path(self):
         # 0-1-3 bottleneck 500; 0-2-3 bottleneck 2000; both are 2 hops.
         links = {(0, 1): 500.0, (1, 3): 3000.0, (0, 2): 2000.0, (2, 3): 2000.0}
         ic = Interconnect(4, links)
-        assert ic.effective_bandwidth(0, 3) == pytest.approx(1000.0)
-
-    def test_effective_bandwidth_rejects_same_node(self):
-        with pytest.raises(ValueError):
-            ring(4).effective_bandwidth(1, 1)
+        assert ic.aggregate_bandwidth({0, 3}) == pytest.approx(1000.0)
 
     def test_asymmetric_detection(self):
         links = {(0, 1): 1000.0, (1, 2): 2000.0, (0, 2): 1000.0}

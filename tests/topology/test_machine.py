@@ -127,11 +127,6 @@ class TestThreadArithmetic:
 
 
 class TestConvenience:
-    def test_total_dram_bandwidth(self):
-        m = toy_machine(n_nodes=2)
-        assert m.total_dram_bandwidth() == 20_000.0
-        assert m.total_dram_bandwidth([0]) == 10_000.0
-
     def test_summary_mentions_name_and_shape(self):
         text = toy_machine().summary()
         assert "toy" in text

@@ -33,7 +33,7 @@ def _subsets(n_nodes):
 def _bandwidth(interconnect, nodes):
     """Sum of pairwise effective bandwidths, from the link table."""
     return sum(
-        interconnect.effective_bandwidth(a, b)
+        interconnect._effective[frozenset((a, b))]
         for a, b in itertools.combinations(sorted(nodes), 2)
     )
 

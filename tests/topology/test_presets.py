@@ -117,4 +117,4 @@ class TestSection8Machines:
         assert not cod.interconnect.is_symmetric
         # On-die pairs are better connected than cross-socket pairs.
         ic = cod.interconnect
-        assert ic.effective_bandwidth(0, 1) > ic.effective_bandwidth(0, 2)
+        assert ic.aggregate_bandwidth({0, 1}) > ic.aggregate_bandwidth({0, 2})
