@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import Placement
+from repro.core import Placement, important_placements
 from repro.topology import amd_opteron_6272, amd_epyc_zen, intel_xeon_e7_4830_v3
 
 
@@ -60,12 +60,36 @@ class TestScores:
         assert p.l3_score == 8
         assert p.uses_smt
 
+    def test_from_l2_score(self, amd):
+        # Enumeration parametrizes by L2 score: l2_share = vcpus // score.
+        p = Placement(amd, [0, 1], 16, l2_share=16 // 8)
+        assert p.l2_score == 8
+        assert p.l2_share == 2
+
+    def test_from_l2_score_rejects_non_divisor(self, amd, intel):
+        # Enumeration only builds from L2 scores that divide the vCPUs, and
+        # the placement built from one reports it back.
+        for machine in (amd, intel):
+            for vcpus in (12, 16, 24):
+                for p in important_placements(machine, vcpus):
+                    assert vcpus % p.l2_score == 0
+                    rebuilt = Placement(
+                        machine, p.nodes, vcpus, l2_share=vcpus // p.l2_score
+                    )
+                    assert rebuilt.l2_score == p.l2_score
+
 
 class TestThreadAssignment:
     def test_each_vcpu_gets_own_thread(self, amd):
         p = Placement.balanced(amd, [2, 3], 16, use_smt=True)
         assert len(p.threads) == 16
         assert len(set(p.threads)) == 16
+
+    def test_affinity_masks_are_singletons(self, intel):
+        # Every vCPU of a whole-machine SMT placement is pinned to its own
+        # hardware thread, and together they cover every thread once.
+        p = Placement.balanced(intel, range(intel.n_nodes), 96, use_smt=True)
+        assert sorted(p.threads) == list(range(intel.total_threads))
 
     def test_threads_live_on_declared_nodes(self, amd):
         p = Placement.balanced(amd, [2, 5], 16, use_smt=True)

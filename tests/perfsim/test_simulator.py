@@ -39,6 +39,10 @@ def intel_sim(intel):
 def performance_vector(simulator, profile, placements, *, baseline_index=0):
     """Noise-free relative performance across ``placements`` (the model's
     target quantity): ``throughput[i] / throughput[baseline]``."""
+    if not placements:
+        raise ValueError("placements must not be empty")
+    if not 0 <= baseline_index < len(placements):
+        raise ValueError("baseline_index out of range")
     values = np.array(
         [simulator.throughput(profile, p, noise=False) for p in placements]
     )
@@ -178,6 +182,27 @@ class TestNoiseSeed:
         # Starting over empties the tables in place: a held one is still
         # the one the simulator reads and fills.
         assert bounded.noise_prefixes(placement) is held and held
+
+
+class TestPerformanceVector:
+    def test_baseline_entry_is_one(self, amd_sim, amd):
+        placements = important_placements(amd, 16)
+        vec = performance_vector(
+            amd_sim, workload_by_name("gcc"), placements, baseline_index=0
+        )
+        assert vec[0] == pytest.approx(1.0)
+        assert len(vec) == 13
+
+    def test_baseline_index_validated(self, amd_sim, amd):
+        placements = important_placements(amd, 16)
+        with pytest.raises(ValueError):
+            performance_vector(
+                amd_sim, workload_by_name("gcc"), placements, baseline_index=13
+            )
+
+    def test_empty_placements_rejected(self, amd_sim):
+        with pytest.raises(ValueError):
+            performance_vector(amd_sim, workload_by_name("gcc"), [])
 
 
 class TestFigure1Claims:

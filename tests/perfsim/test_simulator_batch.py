@@ -4,7 +4,8 @@ The batched kernels are the training-data hot path (every corpus build,
 every retrain; a memo miss is one scalar cell); the scalar methods stay the
 reference semantics.  Everything here asserts exact equality — the batched path must
 produce the same floats, or models trained before and after the rewrite
-would silently diverge.
+would silently diverge.  (The co-located path is the exception: it sums
+its factors in another order, so it agrees with the solo path to rounding.)
 """
 
 import numpy as np
@@ -14,9 +15,10 @@ from repro.core.enumeration import enumerate_important_placements
 from repro.core.placements import Placement
 from repro.core.training import build_training_set, extend_training_set
 from repro.perfsim.generator import WorkloadGenerator
-from repro.perfsim.library import paper_workloads
+from repro.perfsim.library import paper_workloads, workload_by_name
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from tests.perfsim.oracle_noise import noise_multiplier
 
 
 @pytest.fixture(scope="module", params=["amd", "intel"])
@@ -37,6 +39,25 @@ def profiles(sim):
 @pytest.fixture(scope="module")
 def placements(sim):
     return list(enumerate_important_placements(sim.machine, 16))
+
+
+def throughput_grid(sim, profiles, placements, *, noise, repetition):
+    """``throughput`` of every (profile, placement) cell, built from one
+    :meth:`breakdown_batch` grid: ``ipc_base * vcpus`` times each factor,
+    in the scalar path's order, times the cell's noise draw."""
+    grid = sim.breakdown_batch(profiles, placements)
+    values = np.empty((len(profiles), len(placements)))
+    for row, profile in enumerate(profiles):
+        for col, placement in enumerate(placements):
+            value = profile.ipc_base * placement.vcpus
+            for factor in grid.values():
+                value *= factor[row, col]
+            if noise:
+                value *= noise_multiplier(
+                    sim, profile, placement, 10.0, repetition
+                )
+            values[row, col] = value
+    return values
 
 
 class TestGridKernels:
@@ -65,6 +86,35 @@ class TestGridKernels:
             ]
         )
         assert np.array_equal(grid, reference)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_throughput_batch(self, sim, profiles, placements, noise):
+        grid = throughput_grid(
+            sim, profiles, placements, noise=noise, repetition=1
+        )
+        reference = np.array(
+            [
+                [
+                    sim.throughput(p, pl, noise=noise, repetition=1)
+                    for pl in placements
+                ]
+                for p in profiles
+            ]
+        )
+        assert np.array_equal(grid, reference)
+
+    def test_performance_vector_batch_rows(self, sim, profiles, placements):
+        """Each row of the noise-free grid, over its baseline column, is
+        that profile's relative performance vector (the model's target)."""
+        grid = throughput_grid(
+            sim, profiles, placements, noise=False, repetition=0
+        )
+        matrix = grid / grid[:, 1:2]
+        for row, profile in enumerate(profiles):
+            vector = np.array(
+                [sim.throughput(profile, pl, noise=False) for pl in placements]
+            )
+            assert np.array_equal(matrix[row], vector / vector[1])
 
     def test_placement_arrays_cache_bounded(self, sim, placements):
         sim._placement_arrays_cache.clear()
@@ -100,6 +150,51 @@ class TestGridKernels:
             sim.breakdown_batch(profiles, [])
         with pytest.raises(ValueError):
             sim.breakdown_batch([], [Placement(sim.machine, [0], 4)])
+
+
+class TestColocatedBatch:
+    """``simulate_colocated`` takes a batch of (profile, placement)
+    assignments; a batch of one is the solo scalar path."""
+
+    def _scenarios(self, machine):
+        w1 = workload_by_name("gcc")
+        w2 = workload_by_name("WTbtree")
+        w3 = workload_by_name("kmeans")
+        a = Placement(machine, [0, 1], 8)
+        b = Placement(machine, range(4), 8)
+        c = Placement(machine, [0], 4)
+        d = Placement.balanced(machine, [1], 8, use_smt=True)
+        return [
+            [(w1, a)],
+            [(w1, a), (w2, b)],
+            [(w1, a), (w2, b), (w3, c)],
+            [(w1, c), (w2, c), (w3, d), (w1, d)],
+            [(w2, b)] * 3,
+        ]
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_matches_scalar(self, sim, noise):
+        for assignments in self._scenarios(sim.machine):
+            for profile, placement in assignments:
+                (alone,) = sim.simulate_colocated(
+                    [(profile, placement)], noise=noise, repetition=2
+                )
+                reference = sim.throughput(
+                    profile, placement, noise=noise, repetition=2
+                )
+                assert alone == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_validation(self, sim):
+        with pytest.raises(ValueError):
+            sim.simulate_colocated([])
+        other = (
+            intel_xeon_e7_4830_v3()
+            if sim.machine.name == amd_opteron_6272().name
+            else amd_opteron_6272()
+        )
+        foreign = Placement(other, [0], 4)
+        with pytest.raises(ValueError, match="simulator models"):
+            sim.simulate_colocated([(workload_by_name("gcc"), foreign)])
 
 
 class TestTrainingSetOnBatchedKernels:

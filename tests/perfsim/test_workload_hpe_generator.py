@@ -48,6 +48,13 @@ class TestWorkloadProfile:
         assert w.page_cache_gb == pytest.approx(3.0)
         assert w.anonymous_gb == pytest.approx(7.0)
 
+    def test_with_overrides(self):
+        w = replace(workload_by_name("gcc"), comm_intensity=0.9)
+        assert w.comm_intensity == 0.9
+        assert w.name == "gcc"
+        with pytest.raises(ValueError):
+            replace(w, cache_sensitivity=1.5)  # overrides are validated too
+
     def test_as_dict_round_trip_keys(self):
         d = workload_by_name("gcc").as_dict()
         assert d["name"] == "gcc"
