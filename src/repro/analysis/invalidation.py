@@ -249,26 +249,6 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         ),
     ),
     CacheSurface(
-        name="capacity-vectors",
-        class_name="FleetIndex",
-        module_suffix="scheduler/index.py",
-        declared={
-            # FleetHost.allocate/release notify the index (see the
-            # fleet-index-counters row above); on_allocate/on_release
-            # funnel through _resize, which must forward every
-            # free-count transition to the attached CapacityTracker,
-            # and register must seed newly indexed hosts into it.
-            "register": ("_capacity", "on_register"),
-            "_resize": ("_capacity", "on_resize"),
-            "on_allocate": ("_resize",),
-            "on_release": ("_resize",),
-        },
-        runtime_check=(
-            "incremental-vs-brute-force capacity replay "
-            "(tests/scheduler/test_capacity.py)"
-        ),
-    ),
-    CacheSurface(
         name="fleet-state-buckets",
         class_name="FleetIndex",
         module_suffix="scheduler/index.py",

@@ -89,7 +89,6 @@ WIRE_CLASSES = frozenset(
         "FaultPlan",
         "JournalEntry",
         "ServiceStats",
-        "CapacityVector",
         "AdmissionDecision",
         "AdmissionStats",
     }

@@ -289,20 +289,15 @@ def cmd_serve(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    """What-if capacity queries over the available-space vectors."""
-    from repro.scheduler import (
-        CapacityTracker,
-        brute_force_capacity,
-        minimal_shape,
-    )
+    """What-if capacity queries over the fleet's free-node histograms."""
+    from repro.scheduler import available, brute_force_capacity, needed_nodes
 
+    if args.query is not None and args.query < 1:
+        raise SystemExit("--query must be >= 1")
     if args.fill:
         args.requests = args.fill  # reuse the config's stream builder
     config = _schedule_config(args)
     fleet = config.build_fleet()
-    # Attach before any placement so the counts are maintained
-    # incrementally (and cross-checked against brute force below).
-    tracker = CapacityTracker(fleet.index, config.vcpus)
     if args.fill:
         policy = config.build_policy(config.build_registry())
         decisions = policy.decide_batch(config.build_stream(), fleet)
@@ -316,27 +311,43 @@ def cmd_capacity(args) -> int:
         f"fleet: {len(fleet)} host(s) ({config.machine}), "
         f"{index.free_nodes_total}/{index.total_nodes} nodes free"
     )
+    machines = {machine.name: machine for machine in index.shapes()}
+    histograms = index.histograms()
+    tracked = sorted(set(config.vcpus))
+    classes = tracked
+    if args.query is not None and args.query not in tracked:
+        classes = [*tracked, args.query]
+    counts = {
+        vcpus: available(
+            histograms, lambda name: needed_nodes(machines[name], vcpus)
+        ).count
+        for vcpus in classes
+    }
     print("available space (additional containers that fit):")
-    vector = tracker.vector()
-    for vcpus in vector.classes:
-        shapes = []
-        for machine in index.shapes():
-            try:
-                needed = minimal_shape(machine, vcpus)[0]
-            except ValueError:
-                continue
-            shapes.append(f"{machine.name}: {needed}-node blocks")
+    for vcpus in tracked:
+        shapes = [
+            f"{name}: {needed}-node blocks"
+            for name, machine in machines.items()
+            if (needed := needed_nodes(machine, vcpus)) is not None
+        ]
         detail = "; ".join(shapes) if shapes else "infeasible on every shape"
-        print(f"  vcpus {vcpus:>3}: {vector.count(vcpus):>6}   ({detail})")
-    tracker.assert_consistent(fleet.hosts)
-    print("incremental tracker matches brute-force re-enumeration")
+        print(f"  vcpus {vcpus:>3}: {counts[vcpus]:>6}   ({detail})")
+    expected = brute_force_capacity(fleet.hosts, classes)
+    drift = [
+        f"vcpus {vcpus}: histogram {counts[vcpus]} != actual {expected[vcpus]}"
+        for vcpus in classes
+        if counts[vcpus] != expected[vcpus]
+    ]
+    if drift:
+        raise SystemExit(
+            "free-node histograms drifted from brute force: "
+            + "; ".join(drift)
+        )
+    print("free-node histograms match brute-force re-enumeration")
     if args.query is not None:
-        if args.query < 1:
-            raise SystemExit("--query must be >= 1")
-        count = brute_force_capacity(fleet.hosts, [args.query])[args.query]
         print(
-            f"what-if: {count} more {args.query}-vCPU container(s) "
-            f"fit right now"
+            f"what-if: {counts[args.query]} more {args.query}-vCPU "
+            f"container(s) fit right now"
         )
     return 0
 
@@ -538,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "capacity",
-        help="available-space vectors: what-if capacity queries",
+        help="available space per vCPU class: what-if capacity queries",
         parents=[seed_parent],
     )
     p.add_argument(
@@ -572,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="V",
         help="what-if: how many more V-vCPU containers fit "
-        "(V need not be a tracked class)",
+        "(V need not be one of --vcpus)",
     )
     p.set_defaults(func=cmd_capacity)
 

@@ -25,10 +25,10 @@ from repro.scheduler.admission import (
     AdmissionStats,
 )
 from repro.scheduler.capacity import (
-    CapacityTracker,
-    CapacityVector,
+    Space,
+    available,
     brute_force_capacity,
-    initial_capacity,
+    needed_nodes,
 )
 from repro.scheduler.config import ScheduleConfig, add_schedule_arguments
 from repro.scheduler.faults import (
@@ -115,10 +115,10 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionStats",
+    "available",
     "brute_force_capacity",
-    "CapacityTracker",
-    "CapacityVector",
-    "initial_capacity",
+    "needed_nodes",
+    "Space",
     "SHED_POLICIES",
     "FAULT_KINDS",
     "FaultAction",

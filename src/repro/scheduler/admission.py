@@ -14,8 +14,10 @@ of the routing window and applies three screens, in order:
    important placement in the ML policy's tables) passes this screen
    and is rejected shard-side exactly as without admission.
 2. **Saturation** (``admission:capacity``) — every live shard's
-   capacity vector *and* per-shape free-node totals prove the request
-   cannot be placed (the caller computes that predicate; see
+   free-node histograms prove the request cannot be placed: no host
+   has a big-enough free block, and (with the rebalancer on) no
+   shape's free total could be consolidated into one (the caller
+   computes that predicate from ``scheduler/capacity.py``; see
    ``SchedulerService._fleet_saturated``); reject up front instead of
    fanning out to collect the same answer per shard.
 3. **Brown-out** — when shard health or the fleet-wide capacity
@@ -41,8 +43,8 @@ of the routing window and applies three screens, in order:
    still queued when the stream ends are shed (``admission:brownout``).
 
 Every screen outcome is a typed :class:`AdmissionDecision` and every
-counter lives in :class:`AdmissionStats` — both JSON-wire round-trip
-via ``to_dict``/``from_dict``.
+counter lives in :class:`AdmissionStats`, which JSON-wire round-trips
+via ``to_dict``/``from_dict`` inside the service report.
 """
 
 from __future__ import annotations
@@ -110,21 +112,6 @@ class AdmissionDecision:
         if self.reason is not None:
             text += f" ({self.reason})"
         return text
-
-    def to_dict(self) -> Dict:
-        return {
-            "request_id": self.request_id,
-            "outcome": self.outcome,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "AdmissionDecision":
-        return cls(
-            request_id=data["request_id"],
-            outcome=data["outcome"],
-            reason=data["reason"],
-        )
 
 
 @dataclass

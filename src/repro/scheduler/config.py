@@ -82,8 +82,8 @@ class ScheduleConfig:
     recovery_rounds: int = 0
     # Overload robustness (repro serve --admission)
     #: Screen arrivals through the front-end admission controller:
-    #: feasibility/saturation gates, bounded brown-out queue, and
-    #: per-shard capacity vectors in every ShardSummary.
+    #: feasibility/saturation gates and a bounded brown-out queue, both
+    #: read off the free-node histograms every ShardSummary carries.
     admission: bool = False
     #: Bound on the brown-out held queue (None: unbounded).
     queue_limit: int | None = None
@@ -511,7 +511,7 @@ def add_schedule_arguments(
         adm = parser.add_argument_group(
             "admission control options",
             "overload robustness: feasibility/saturation gates, bounded "
-            "brown-out queue, capacity-vector summaries",
+            "brown-out queue, read off the shards' free-node histograms",
         )
         adm.add_argument(
             "--admission",

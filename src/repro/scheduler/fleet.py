@@ -16,7 +16,7 @@ hosts of two shapes cost two enumerations.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.blockscores import (  # noqa: F401  (re-exported API)
     SCORE_TOLERANCE,
@@ -126,10 +126,6 @@ class FleetHost:
     @property
     def free_mask(self) -> int:
         return self._free_mask
-
-    @property
-    def free_nodes(self) -> FrozenSet[int]:
-        return frozenset(mask_nodes(self._free_mask))
 
     @property
     def n_free_nodes(self) -> int:

@@ -103,8 +103,6 @@ class FleetIndex:
     def __init__(self) -> None:
         #: fingerprint -> machine, in first-registration (= host id) order.
         self._machines: Dict[Tuple, MachineTopology] = {}
-        #: fingerprint -> all host ids of that shape.
-        self._host_ids: Dict[Tuple, Set[int]] = {}
         #: fingerprint -> free-node count -> host ids (the buckets).
         self._buckets: Dict[Tuple, Dict[int, Set[int]]] = {}
         #: fingerprint -> free-node mask -> hosts in exactly that state.
@@ -118,11 +116,6 @@ class FleetIndex:
         #: free-node count -> number of hosts, across all shapes.
         self._size_count: Dict[int, int] = {}
         self._max_free = 0
-        #: Attached available-space tracker (``scheduler/capacity.py``),
-        #: notified of every registration and free-count transition so
-        #: admission-mode capacity vectors ride the same hooks as the
-        #: counters.  Duck-typed to avoid an import cycle.
-        self._capacity = None
 
         # O(1) aggregate counters.
         self.free_nodes_total = 0
@@ -144,7 +137,6 @@ class FleetIndex:
         machine = host.machine
         fingerprint = machine.fingerprint()
         self._machines.setdefault(fingerprint, machine)
-        self._host_ids.setdefault(fingerprint, set()).add(host.host_id)
         mask = host.free_mask
         free = mask.bit_count()
         self._buckets.setdefault(fingerprint, {}).setdefault(
@@ -158,12 +150,6 @@ class FleetIndex:
         self.total_nodes += machine.n_nodes
         self.used_threads += host.used_threads
         self.total_threads += machine.total_threads
-        if self._capacity is not None:
-            self._capacity.on_register(host)
-
-    def attach_capacity(self, tracker) -> None:
-        """Forward free-count transitions to an available-space tracker."""
-        self._capacity = tracker
 
     def on_allocate(self, host: "FleetHost", placement: "Placement") -> None:
         """A host claimed a placement's nodes (called after the mutation)."""
@@ -229,8 +215,6 @@ class FleetIndex:
         elif old == self._max_free and old not in self._size_count:
             while self._max_free > 0 and self._max_free not in self._size_count:
                 self._max_free -= 1
-        if self._capacity is not None:
-            self._capacity.on_resize(host.machine, old, new)
 
     # ------------------------------------------------------------------
     # Queries
@@ -250,13 +234,23 @@ class FleetIndex:
     def shapes(self) -> List[MachineTopology]:
         return list(self._machines.values())
 
-    def host_ids(self, fingerprint: Tuple) -> Set[int]:
-        """All host ids of one shape (empty set for unknown shapes)."""
-        return self._host_ids.get(fingerprint, set())
-
     def buckets(self, fingerprint: Tuple) -> Dict[int, Set[int]]:
         """free-node count -> host ids for one shape.  Treat as read-only."""
         return self._buckets.get(fingerprint, {})
+
+    def histograms(self) -> Dict[str, List[int]]:
+        """machine name -> free-node histogram of that shape: ``h[k]``
+        hosts have ``k`` free nodes, ``len(h) == n_nodes + 1``.  The
+        bucket sizes, shapes in first-seen order: what a shard's summary
+        ships, and all ``scheduler/capacity.py`` needs to answer what
+        fits."""
+        shapes: Dict[str, List[int]] = {}
+        for fingerprint, machine in self._machines.items():
+            histogram = [0] * (machine.n_nodes + 1)
+            for free, ids in self._buckets[fingerprint].items():
+                histogram[free] = len(ids)
+            shapes[machine.name] = histogram
+        return shapes
 
     def candidates(self, fingerprint: Tuple, min_free: int) -> List[int]:
         """Host ids of one shape with at least ``min_free`` free nodes
@@ -385,5 +379,3 @@ class FleetIndex:
         assert self._size_count == sizes, (
             f"size counts {self._size_count} != {sizes}"
         )
-        if self._capacity is not None:
-            self._capacity.assert_consistent(hosts)

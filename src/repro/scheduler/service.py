@@ -63,10 +63,9 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.memo import CacheInfo
 from repro.core.serialize import machines_by_name
 from repro.scheduler.admission import AdmissionController, AdmissionStats
-from repro.scheduler.capacity import initial_capacity
+from repro.scheduler.capacity import Space, available, needed_nodes
 from repro.scheduler.config import ScheduleConfig
 from repro.scheduler.events import EventKind, events_from_requests
-from repro.scheduler.fleet import minimal_shape
 from repro.scheduler.lifecycle import ChurnStats, FragmentationSample
 from repro.scheduler.faults import FaultInjectingClient, FaultPlan
 from repro.scheduler.policies import FleetDecision, is_model_driven
@@ -152,10 +151,9 @@ class ServiceStats:
     #: the two fields is the time the overlap won back.
     shard_service_seconds: float = 0.0
     #: Capacity-reject retry fan-outs skipped because the next shard's
-    #: summary (capacity vector + per-shape free totals, exact at that
-    #: point) already proved the request cannot be placed there.
-    #: Admission mode only — without the vectors every live shard gets
-    #: a round trip.
+    #: summary (its free-node histograms, exact at that point) already
+    #: proved the request cannot be placed there.  Admission mode only —
+    #: without admission every live shard gets a round trip.
     retries_short_circuited: int = 0
     #: Admission-controller counters (None when admission is off, which
     #: keeps the pre-admission wire payload byte-identical).
@@ -414,16 +412,27 @@ class SchedulerService:
         #: without fitting anything.
         self._registry = self._warm_artifact_store()
         self.clients = [self._make_client(shard) for shard in range(n)]
+        #: (machine name, vcpus) -> minimal block nodes | None, memoized.
+        self._needed: Dict[Tuple[str, int], int | None] = {}
+        #: Per shard: the summary last worked out, and vcpus -> its
+        #: :class:`Space` (see :meth:`_space`).
+        self._spaces: List[Tuple[ShardSummary | None, Dict[int, Space]]] = [
+            (None, {}) for _ in range(n)
+        ]
         self.summaries: List[ShardSummary] = [
-            self._initial_summary(shard) for shard in range(n)
+            ShardSummary.initial(shard, self._shard_machines[shard])
+            for shard in range(n)
         ]
         #: Front-end admission controller (``--admission``); None keeps
-        #: every code path and wire byte identical to the
-        #: pre-admission service.
+        #: every code path identical to the pre-admission service.
         self.admission: AdmissionController | None = None
         #: Empty-fleet capacity totals per class — the denominator of
         #: the brown-out capacity fraction.
-        self._initial_capacity_total: Dict[int, int] = {}
+        self._empty_fleet_counts: Dict[int, int] = {}
+        #: ``((down shards, *summaries), fraction)``: the brown-out
+        #: fraction is a function of those alone, so arrivals between
+        #: two replies or health changes reuse it.
+        self._fraction: Tuple[tuple, float | None] = ((), None)
         if config.admission:
             self.admission = AdmissionController(
                 machines=machines,
@@ -433,9 +442,10 @@ class SchedulerService:
                 deadline_budget_s=config.deadline_budget_s,
                 brownout_watermark=config.brownout_watermark,
             )
-            self._initial_capacity_total = dict(
-                initial_capacity(machines, config.vcpus).counts
-            )
+            self._empty_fleet_counts = {
+                vcpus: sum(self._space(shard, vcpus).count for shard in range(n))
+                for vcpus in map(int, config.vcpus)
+            }
         self.stats = ServiceStats(
             n_shards=n,
             window=config.window,
@@ -456,9 +466,7 @@ class SchedulerService:
         #: departure costs no round trip of its own; the batch rides
         #: inside the owning shard's next window message.
         self._outbox: List[List[List]] = [[] for _ in range(n)]
-        #: (machine name, vcpus) -> minimal block nodes | None, memoized.
-        self._needed: Dict[Tuple[str, int], int | None] = {}
-        #: vcpus -> in-window routing debit, memoized beside it.
+        #: vcpus -> in-window routing debit, memoized beside ``_needed``.
         self._min_debits: Dict[int, int] = {}
 
     def _warm_artifact_store(self) -> ModelRegistry:
@@ -496,19 +504,6 @@ class SchedulerService:
             )
         return client
 
-    def _initial_summary(self, shard: int) -> ShardSummary:
-        """The router's view of a freshly built (or respawned-empty)
-        shard.  In admission mode it carries the shard's empty-fleet
-        capacity vector, matching what the worker's own tracker reports
-        before any placement."""
-        machines = self._shard_machines[shard]
-        capacity = (
-            initial_capacity(machines, self.config.vcpus)
-            if self.config.admission
-            else None
-        )
-        return ShardSummary.initial(shard, machines, capacity=capacity)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -534,25 +529,33 @@ class SchedulerService:
         retry path absorbs, so the router never consults a model."""
         key = (name, vcpus)
         if key not in self._needed:
-            try:
-                self._needed[key] = minimal_shape(
-                    self._by_name[name], vcpus
-                )[0]
-            except ValueError:
-                self._needed[key] = None
+            self._needed[key] = needed_nodes(self._by_name[name], vcpus)
         return self._needed[key]
+
+    def _space(self, shard: int, vcpus: int) -> Space:
+        """What shard ``shard``'s stored summary says about ``vcpus``
+        (``scheduler/capacity.py``).  A summary is immutable, so each
+        class is worked out once per summary, not once per arrival."""
+        summary = self.summaries[shard]
+        seen, spaces = self._spaces[shard]
+        if seen is not summary:
+            spaces = {}
+            self._spaces[shard] = (summary, spaces)
+        space = spaces.get(vcpus)
+        if space is None:
+            space = spaces[vcpus] = available(
+                summary.shapes, lambda name: self._needed_nodes(name, vcpus)
+            )
+        return space
 
     def _feasible_shards(self, vcpus: int) -> List[bool]:
         """Per shard: does its summary show a big-enough free block for
-        ``vcpus`` on some hostable shape?  A function of the summaries
-        alone, so one routing loop asks once per distinct ``vcpus``."""
+        ``vcpus`` on some hostable shape, i.e. room for at least one
+        more?  A function of the summaries alone, so one routing loop
+        asks once per distinct ``vcpus``."""
         return [
-            any(
-                (needed := self._needed_nodes(name, vcpus)) is not None
-                and entry["largest_free_block"] >= needed
-                for name, entry in summary.shapes.items()
-            )
-            for summary in self.summaries
+            self._space(shard, vcpus).count > 0
+            for shard in range(len(self.summaries))
         ]
 
     def _rank_shards(
@@ -737,7 +740,9 @@ class SchedulerService:
             supervisor.mark_recovering(shard)
             self.clients[shard].kill()
             self.clients[shard] = self._make_client(shard)
-            self.summaries[shard] = self._initial_summary(shard)
+            self.summaries[shard] = ShardSummary.initial(
+                shard, self._shard_machines[shard]
+            )
             replayed: List[Dict] = []
             try:
                 # request_many pipelines the replay on the process
@@ -1167,32 +1172,27 @@ class SchedulerService:
         """True only when shard ``shard`` is *guaranteed* to reject a
         ``vcpus`` request right now.
 
+        Admission mode only (the retry short-circuit and the saturation
+        gate are its two readers); without admission it is never true.
         The cached summary is exact at call time (single-threaded front
         end, every response refreshes it) *except* for this shard's
         pending outbox departures, which would free capacity — so a
-        non-empty outbox disables the guarantee.  ``count == 0`` alone
-        is still not sufficient while the rebalancer is enabled: its
-        consolidation migrations move containers between same-shape
-        hosts, so it can recover a reject whenever some shape's
-        shard-wide free total covers the minimal block.  Placements
+        non-empty outbox disables the guarantee.  Otherwise it reads the
+        summary's histograms: no host has a big-enough free block
+        (``count == 0``) and, while the rebalancer is enabled, no
+        hostable shape's shard-wide free total covers the minimal block
+        either — consolidation migrations move containers between
+        same-shape hosts, so they could recover the reject.  Placements
         only consume capacity and migrations preserve per-shape free
         totals, so once true the predicate stays true for the rest of
         the routing window.
         """
-        if self._outbox[shard]:
+        if self.admission is None or self._outbox[shard]:
             return False
-        vector = self.summaries[shard].capacity
-        if vector is None:
+        space = self._space(shard, vcpus)
+        if space.count > 0:
             return False
-        count = vector.count(vcpus)
-        if count is None or count > 0:
-            return False
-        if self.config.rebalance_enabled:
-            for name, entry in self.summaries[shard].shapes.items():
-                needed = self._needed_nodes(name, vcpus)
-                if needed is not None and entry["free_nodes"] >= needed:
-                    return False
-        return True
+        return not (self.config.rebalance_enabled and space.coverable)
 
     def _fleet_saturated(self, vcpus: int) -> bool:
         """Every live shard provably rejects ``vcpus`` right now — the
@@ -1213,26 +1213,28 @@ class SchedulerService:
 
     def _capacity_fraction(self) -> float | None:
         """Live capacity as a fraction of the empty fleet's, minimized
-        over tracked classes — the brown-out watermark signal.  DOWN
+        over the configured classes — the brown-out watermark signal.  DOWN
         shards contribute nothing (their capacity is unreachable)."""
-        if not self._initial_capacity_total:
+        if not self._empty_fleet_counts:
             return None
         down = self._down_shards()
+        key = (down, *self.summaries)
+        seen, fraction = self._fraction
+        if key == seen:
+            return fraction
         fractions: List[float] = []
-        for vcpus, total in self._initial_capacity_total.items():
+        for vcpus, total in self._empty_fleet_counts.items():
             if total <= 0:
                 continue
-            live = 0
-            for summary in self.summaries:
-                if summary.shard_id in down or summary.capacity is None:
-                    continue
-                count = summary.capacity.count(vcpus)
-                if count is not None:
-                    live += count
+            live = sum(
+                self._space(shard, vcpus).count
+                for shard in range(len(self.summaries))
+                if shard not in down
+            )
             fractions.append(live / total)
-        if not fractions:
-            return None
-        return min(fractions)
+        fraction = min(fractions) if fractions else None
+        self._fraction = (key, fraction)
+        return fraction
 
     def _admission_entry(
         self, request: PlacementRequest, reason: str

@@ -89,7 +89,6 @@ from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
 from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
-from repro.scheduler.capacity import CapacityTracker
 from repro.scheduler.scheduler import FleetReport, GradedDecision, grade_decision
 from repro.scheduler.wire import (
     ProfileMemo,
@@ -169,13 +168,6 @@ class ShardWorker:
                 reject_penalty_seconds=config.penalty_seconds,
             ),
         )
-        #: Incremental available-space tracker (admission mode only —
-        #: built *after* the fleet so the hosts are already indexed, and
-        #: only then so the admission-off wire bytes carry no capacity
-        #: key).
-        self.capacity: CapacityTracker | None = None
-        if getattr(config, "admission", False):
-            self.capacity = CapacityTracker(self.fleet.index, config.vcpus)
         self._next_seq = 0
         #: Decoded workload profiles, validated once per distinct row.
         self._profiles = ProfileMemo()
@@ -297,17 +289,6 @@ class ShardWorker:
     def summary(self) -> ShardSummary:
         """The shard's routing summary, from the index's O(1) state."""
         index = self.fleet.index
-        shapes: Dict[str, Dict[str, int]] = {}
-        for fingerprint, machine in index.machines():
-            buckets = index.buckets(fingerprint)
-            sizes = [size for size, ids in buckets.items() if ids]
-            shapes[machine.name] = {
-                "n_hosts": len(index.host_ids(fingerprint)),
-                "free_nodes": sum(
-                    size * len(ids) for size, ids in buckets.items()
-                ),
-                "largest_free_block": max(sizes, default=0),
-            }
         return ShardSummary(
             shard_id=self.shard_id,
             n_hosts=len(self.fleet),
@@ -316,10 +297,7 @@ class ShardWorker:
             used_threads=index.used_threads,
             total_threads=index.total_threads,
             active_containers=len(self.engine._active),
-            shapes=shapes,
-            capacity=(
-                None if self.capacity is None else self.capacity.vector()
-            ),
+            shapes=index.histograms(),
         )
 
     def report(self) -> FleetReport:

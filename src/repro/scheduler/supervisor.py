@@ -59,13 +59,6 @@ class JournalEntry:
     seq: int
     message: Dict
 
-    def to_dict(self) -> Dict:
-        return {"seq": self.seq, "message": dict(self.message)}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "JournalEntry":
-        return cls(seq=data["seq"], message=dict(data["message"]))
-
 
 class ShardJournal:
     """Write-ahead journal of one shard's state-mutating messages.
@@ -105,21 +98,6 @@ class ShardJournal:
 
     def __iter__(self) -> Iterator[JournalEntry]:
         return iter(self.entries)
-
-    def to_dict(self) -> Dict:
-        return {
-            "next_seq": self.next_seq,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShardJournal":
-        journal = cls()
-        journal.next_seq = data["next_seq"]
-        journal.entries = [
-            JournalEntry.from_dict(entry) for entry in data["entries"]
-        ]
-        return journal
 
 
 class ShardSupervisor:

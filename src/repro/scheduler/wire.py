@@ -14,9 +14,10 @@ fixed-layout row of scalars, not a dict of dicts:
 * **churn statistics** cross the ``report`` reply with migrations as
   rows and the fragmentation timeline as one column per sample field;
 * a **summary** (:class:`ShardSummary`, on every reply) is its scalar
-  fields as declared, then ``shapes`` as ``(name, n_hosts, free_nodes,
-  largest_free_block)`` sub-rows, then ``capacity`` as sorted ``(vcpus,
-  count)`` pairs or ``None``.
+  fields as declared, then ``shapes`` as one ``(name, *h)`` sub-row per
+  machine shape, ``h`` being the shape's free-node histogram (``h[k]``
+  hosts have ``k`` free nodes; ``scheduler/capacity.py`` derives every
+  free-space answer from it).
 
 Rows hold JSON-safe scalars only, so a message is immutable on the
 inline transport, pickles small over the pipe, and decodes to equal
@@ -31,13 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import starmap
-from operator import attrgetter, itemgetter
-from typing import Dict, Mapping, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.placements import Placement
 from repro.core.serialize import resolve_machine
 from repro.perfsim.workload import WorkloadProfile
-from repro.scheduler.capacity import CapacityVector
 from repro.scheduler.lifecycle import (
     ChurnStats,
     FragmentationSample,
@@ -47,9 +47,6 @@ from repro.scheduler.policies import FleetDecision
 from repro.scheduler.requests import PlacementRequest
 from repro.scheduler.scheduler import GradedDecision
 from repro.topology.machine import MachineTopology
-
-#: The per-shape entry of a summary, in row order.
-SHAPE_COLUMNS = ("n_hosts", "free_nodes", "largest_free_block")
 
 
 class ShardError(RuntimeError):
@@ -66,12 +63,13 @@ class ShardError(RuntimeError):
 class ShardSummary:
     """The cheap per-shard state the front-end routes on.
 
-    Deliberately tiny — a few counters plus one entry per machine
-    *shape* (not per host), so refreshing it costs O(#shapes) reads of
-    the shard's incremental index, and shipping it costs a few hundred
-    bytes however many hosts the shard owns.  The router treats it as
-    *advisory*: between refreshes it goes stale, and a placement routed
-    on stale numbers is recovered by the service's optimistic retry.
+    Deliberately tiny — a few counters plus one free-node histogram per
+    machine *shape* (not per host, ``n_nodes + 1`` ints), so refreshing
+    it costs O(#shapes) reads of the shard's incremental index, and
+    shipping it costs a few hundred bytes however many hosts the shard
+    owns.  The router treats it as *advisory*: between refreshes it goes
+    stale, and a placement routed on stale numbers is recovered by the
+    service's optimistic retry.
     """
 
     shard_id: int
@@ -81,31 +79,22 @@ class ShardSummary:
     used_threads: int
     total_threads: int
     active_containers: int
-    #: machine name -> {"n_hosts", "free_nodes", "largest_free_block"}.
-    shapes: Dict[str, Dict[str, int]]
-    #: Available-space vector (admission mode only).
-    capacity: "CapacityVector | None" = None
+    #: machine name -> free-node histogram ``h`` (``h[k]`` hosts of the
+    #: shape have ``k`` free nodes).
+    shapes: Dict[str, List[int]]
 
     @classmethod
     def initial(
-        cls,
-        shard_id: int,
-        machines: Sequence[MachineTopology],
-        *,
-        capacity: "CapacityVector | None" = None,
+        cls, shard_id: int, machines: Sequence[MachineTopology]
     ) -> "ShardSummary":
         """The summary of a freshly built (empty) shard — what the router
         knows before the shard's first response arrives."""
-        shapes: Dict[str, Dict[str, int]] = {}
+        shapes: Dict[str, List[int]] = {}
         for machine in machines:
-            entry = shapes.setdefault(
-                machine.name, dict.fromkeys(SHAPE_COLUMNS, 0)
+            histogram = shapes.setdefault(
+                machine.name, [0] * (machine.n_nodes + 1)
             )
-            entry["n_hosts"] += 1
-            entry["free_nodes"] += machine.n_nodes
-            entry["largest_free_block"] = max(
-                entry["largest_free_block"], machine.n_nodes
-            )
+            histogram[machine.n_nodes] += 1
         return cls(
             shard_id=shard_id,
             n_hosts=len(machines),
@@ -115,7 +104,6 @@ class ShardSummary:
             total_threads=sum(m.total_threads for m in machines),
             active_containers=0,
             shapes=shapes,
-            capacity=capacity,
         )
 
 
@@ -140,12 +128,9 @@ _decision_row = attrgetter(
 _grade_row = attrgetter("achieved_relative", "violated", "decision_seconds")
 _migration_row = attrgetter(*(f.name for f in fields(MigrationRecord)))
 _SUMMARY_SCALARS = tuple(
-    f.name
-    for f in fields(ShardSummary)
-    if f.name not in ("shapes", "capacity")
+    f.name for f in fields(ShardSummary) if f.name != "shapes"
 )
 _summary_row = attrgetter(*_SUMMARY_SCALARS)
-_shape_row = itemgetter(*SHAPE_COLUMNS)
 
 
 class ProfileMemo:
@@ -286,33 +271,33 @@ def decode_churn(payload: Dict) -> ChurnStats:
 
 
 def encode_summary(summary: ShardSummary) -> tuple:
-    capacity = summary.capacity
     return (
         *_summary_row(summary),
         tuple(
-            (name, *_shape_row(entry))
-            for name, entry in summary.shapes.items()
+            (name, *histogram)
+            for name, histogram in summary.shapes.items()
         ),
-        None if capacity is None else tuple(sorted(capacity.counts.items())),
     )
 
 
 def decode_summary(row: Sequence, shard_id: int) -> ShardSummary:
     """Rebuild the summary shard ``shard_id`` attached to a reply; a row
-    of the wrong shape, or one written by another shard, is a
-    :class:`ShardError` against the shard that sent it."""
+    of the wrong shape, one whose histograms do not count its hosts, or
+    one written by another shard, is a :class:`ShardError` against the
+    shard that sent it."""
     try:
-        *scalars, shapes, capacity = row
+        *scalars, shapes = row
         summary = ShardSummary(
             **dict(zip(_SUMMARY_SCALARS, scalars, strict=True)),
-            shapes={
-                name: dict(zip(SHAPE_COLUMNS, columns, strict=True))
-                for name, *columns in shapes
-            },
-            capacity=None if capacity is None else CapacityVector(dict(capacity)),
+            shapes={name: histogram for name, *histogram in shapes},
         )
         if summary.shard_id != shard_id:
             raise ValueError(f"it is the summary of shard {summary.shard_id}")
+        counted = sum(map(sum, summary.shapes.values()))
+        if counted != summary.n_hosts:
+            raise ValueError(
+                f"its histograms count {counted} hosts, not {summary.n_hosts}"
+            )
     except (TypeError, ValueError) as error:
         raise ShardError(
             shard_id, f"malformed summary row: {error}"

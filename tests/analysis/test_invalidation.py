@@ -147,7 +147,6 @@ class FleetIndex:
     def _resize(self, host):
         if host.n_free_nodes == self._free_of[host.host_id]:
             return
-        self._capacity.on_resize(host.machine, 0, host.n_free_nodes)
 """
         findings = findings_of(source)
         assert len(findings) == 1

@@ -155,12 +155,12 @@ class TestBlockScoreTable:
         host.allocate(1, Placement(machine, (0, 3), 16, l2_share=2))
         for size in (1, 2, 4, 6, 7):
             assert host.find_block(size, table=table) == (
-                _naive_find(host.free_nodes, size, scorer)
+                _naive_find(frozenset(mask_nodes(host.free_mask)), size, scorer)
             )
         target = scorer(frozenset((1, 2)))
         assert host.find_block(
             2, table=table, target_score=target
-        ) == _naive_find(host.free_nodes, 2, scorer, target_score=target)
+        ) == _naive_find(frozenset(mask_nodes(host.free_mask)), 2, scorer, target_score=target)
 
     @pytest.mark.parametrize(
         "factory", [amd_opteron_6272, intel_xeon_e7_4830_v3]
@@ -202,7 +202,7 @@ class TestBlockScoreTable:
         for exclude in ((), (1,), (1, 2, 4), tuple(machine.nodes)):
             assert host.find_block(
                 2, exclude=exclude, table=table
-            ) == _naive_find(host.free_nodes, 2, scorer, exclude=exclude)
+            ) == _naive_find(frozenset(mask_nodes(host.free_mask)), 2, scorer, exclude=exclude)
 
     def test_oversized_machine_rejected(self):
         machine = _jumbo()

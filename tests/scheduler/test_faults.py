@@ -397,9 +397,14 @@ class TestSupervisor:
     def test_journal_rollback_only_newest(self):
         journal = ShardJournal()
         first = journal.append({"op": "arrive", "events": []})
-        journal.append({"op": "depart", "events": []})
+        newest = journal.append({"op": "depart", "events": []})
         with pytest.raises(ValueError):
             journal.rollback(first)
+        journal.rollback(newest)
+        journal.append({"op": "decide", "requests": []})
+        # Sequence numbers are never reused, even across rollback.
+        assert journal.next_seq == 3
+        assert [entry.seq for entry in journal] == [0, 2]
 
 
 class TestNoFaultEquivalence:

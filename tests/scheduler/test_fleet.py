@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.blockscores import BlockStateMemo
+from repro.core.blockscores import BlockStateMemo, mask_nodes
 from repro.core.placements import Placement
 from repro.scheduler import (
     Fleet,
@@ -39,7 +39,7 @@ class TestFleetHost:
         host = FleetHost(0, machine)
         placement = Placement(machine, (0, 1), 16, l2_share=2)
         host.allocate(7, placement)
-        assert host.free_nodes == frozenset(range(2, 8))
+        assert frozenset(mask_nodes(host.free_mask)) == frozenset(range(2, 8))
         assert host.used_threads == 16
         assert host.placements == {7: placement}
 
@@ -217,11 +217,11 @@ class TestChurnCycles:
         for cycle in range(3):
             host.allocate(cycle, placement)
             assert host.used_threads == 16
-            assert host.free_nodes == frozenset(machine.nodes) - {2, 3}
+            assert frozenset(mask_nodes(host.free_mask)) == frozenset(machine.nodes) - {2, 3}
             assert host.release(cycle) is placement
             assert host.used_threads == 0
             assert host.node_utilization == 0.0
-            assert host.free_nodes == frozenset(machine.nodes)
+            assert frozenset(mask_nodes(host.free_mask)) == frozenset(machine.nodes)
 
     def test_fleet_release_by_request_id(self):
         machine = amd_opteron_6272()

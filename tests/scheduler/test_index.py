@@ -22,6 +22,7 @@ from repro.core.blockscores import (
     MAX_TABLE_NODES,
     BlockScoreCache,
     BlockScoreTable,
+    mask_nodes,
     scores_match,
 )
 from repro.core.memo import cached_enumerate_important_placements
@@ -220,10 +221,10 @@ class TestRandomizedReplayConsistency:
                 for host in fleet.hosts:
                     if host.machine.fingerprint() != fingerprint:
                         continue
-                    key = (fingerprint, host.free_nodes, size, target)
+                    key = (fingerprint, frozenset(mask_nodes(host.free_mask)), size, target)
                     if key not in oracle:
                         oracle[key] = _naive_find(
-                            host.free_nodes, size, scorer, target
+                            frozenset(mask_nodes(host.free_mask)), size, scorer, target
                         )
                     if oracle[key] is not None:
                         expected = host.host_id
@@ -267,7 +268,7 @@ class TestRandomizedReplayConsistency:
                     n_nodes, l2_share = minimal_shape(host.machine, vcpus)
                 except ValueError:
                     continue
-                free = sorted(host.free_nodes)
+                free = mask_nodes(host.free_mask)
                 if len(free) < n_nodes:
                     continue
                 nodes = tuple(rng.sample(free, n_nodes))
@@ -298,7 +299,7 @@ class TestRandomizedReplayConsistency:
                     continue
                 dest = rng.choice(same_shape)
                 nodes = tuple(
-                    rng.sample(sorted(dest.free_nodes), placement.n_nodes)
+                    rng.sample(mask_nodes(dest.free_mask), placement.n_nodes)
                 )
                 dest.allocate(
                     request_id,
@@ -334,7 +335,7 @@ class TestLongChurnStaysBounded:
                 fleet.release(live.pop(rng.randrange(len(live))))
             elif host.n_free_nodes:
                 n_nodes = rng.randint(1, min(4, host.n_free_nodes))
-                nodes = rng.sample(sorted(host.free_nodes), n_nodes)
+                nodes = rng.sample(mask_nodes(host.free_mask), n_nodes)
                 host.allocate(
                     next_id, Placement(machine, nodes, 8 * n_nodes, l2_share=2)
                 )

@@ -128,7 +128,7 @@ class TestJsonRoundTripGates:
             assert len(carried) > 10
             for shard, client in enumerate(service.clients):
                 row = client.request({"op": "summary"})["summary"]
-                assert type(row) is list and type(row[-2]) is list
+                assert type(row) is list and type(row[-1]) is list
                 assert decode_summary(row, shard) == service.summaries[shard]
 
     def test_one_shot_decide_through_json_matches_plain(self):

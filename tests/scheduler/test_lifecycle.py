@@ -3,6 +3,7 @@ and migration-driven rebalancing."""
 
 import pytest
 
+from repro.core.blockscores import mask_nodes
 from repro.perfsim import workload_by_name
 from repro.scheduler import (
     FirstFitFleetPolicy,
@@ -173,7 +174,7 @@ class TestRebalancer:
             for placement in host.placements.values():
                 assert not claimed & set(placement.nodes), "node double-booked"
                 claimed |= set(placement.nodes)
-            assert claimed | set(host.free_nodes) == set(host.machine.nodes)
+            assert claimed | set(mask_nodes(host.free_mask)) == set(host.machine.nodes)
         assert report.churn.migrated_gb == pytest.approx(
             sum(r.moved_gb for r in report.churn.migrations)
         )

@@ -303,7 +303,8 @@ class TestOverlapEquivalence:
             with service_class(config) as service:
                 report = service.serve()
                 journals = [
-                    journal.to_dict() for journal in service.supervisor.journals
+                    (journal.next_seq, list(journal))
+                    for journal in service.supervisor.journals
                 ]
                 return report, service.stats, journals
 
@@ -315,9 +316,9 @@ class TestOverlapEquivalence:
         assert on_journals == off_journals
         carrying = [
             entry
-            for journal in on_journals
-            for entry in journal["entries"]
-            if entry["message"].get("departures")
+            for _, entries in on_journals
+            for entry in entries
+            if entry.message.get("departures")
         ]
         assert len(carrying) > 10
         assert on_stats.departure_batches == off_stats.departure_batches

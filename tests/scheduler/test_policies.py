@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.blockscores import mask_nodes
 from repro.scheduler import (
     Fleet,
     FirstFitFleetPolicy,
@@ -468,11 +469,11 @@ class TestLanes:
         host_a, host_b = fleet.hosts[first.host_id], fleet.hosts[second.host_id]
         free_b = host_b.free_mask
         fleet.release(first.request.request_id)
-        assert set(first.placement.nodes) <= host_a.free_nodes
+        assert set(first.placement.nodes) <= frozenset(mask_nodes(host_a.free_mask))
         assert host_b.free_mask == free_b
         assert fleet._locations.get(second.request.request_id) == second.host_id
         fleet.release(second.request.request_id)
-        assert set(second.placement.nodes) <= host_b.free_nodes
+        assert set(second.placement.nodes) <= frozenset(mask_nodes(host_b.free_mask))
         fleet.index.assert_consistent(fleet.hosts)
 
 

@@ -24,26 +24,25 @@ from repro.core.serialize import machines_by_name
 from repro.scheduler import (
     AdmissionDecision,
     AdmissionStats,
-    CapacityVector,
     ChurnStats,
     FaultAction,
     FaultPlan,
     FleetScheduler,
     FragmentationSample,
     GradedDecision,
-    JournalEntry,
     LifecycleScheduler,
     MigrationRecord,
     PlacementRequest,
     RebalanceConfig,
     ScheduleConfig,
     ServiceStats,
-    ShardJournal,
     ShardSummary,
     ShardWorker,
     generate_churn_stream,
+    available,
+    brute_force_capacity,
     generate_request_stream,
-    initial_capacity,
+    needed_nodes,
 )
 from repro.perfsim.generator import WorkloadGenerator
 from repro.perfsim.workload import PROFILE_FIELDS, WorkloadProfile
@@ -611,25 +610,6 @@ class TestFaultWire:
         with pytest.raises(ValueError):
             FaultAction(shard=-1, at_message=0, kind="crash")
 
-    def test_journal_entry_round_trip(self):
-        entry = JournalEntry(
-            seq=3,
-            message={"op": "depart", "events": [[4, 1.5]], "seq": 3},
-        )
-        assert JournalEntry.from_dict(wire(entry.to_dict())) == entry
-
-    def test_shard_journal_round_trip_preserves_sequence(self):
-        journal = ShardJournal()
-        journal.append({"op": "arrive", "events": []})
-        rolled = journal.append({"op": "depart", "events": [[1, 2.0]]})
-        journal.rollback(rolled)
-        journal.append({"op": "decide", "requests": []})
-        rebuilt = ShardJournal.from_dict(wire(journal.to_dict()))
-        assert rebuilt.to_dict() == journal.to_dict()
-        # Sequence numbers are never reused, even across rollback.
-        assert rebuilt.next_seq == 3
-        assert [entry.seq for entry in rebuilt] == [0, 2]
-
 
 class TestConfigWire:
     def test_schedule_config_round_trip(self):
@@ -689,24 +669,19 @@ class TestSummaryWire:
 
     def test_summary_row_covers_every_declared_field(self):
         names = [f.name for f in dataclasses.fields(ShardSummary)]
-        assert names[-2:] == ["shapes", "capacity"]
+        assert names[-1] == "shapes"
         summary = _live_worker(admission=True).summary()
         row = encode_summary(summary)
         assert len(row) == len(names)
-        assert list(row[:-2]) == [getattr(summary, n) for n in names[:-2]]
-        assert row[-2] == tuple(
-            (name, e["n_hosts"], e["free_nodes"], e["largest_free_block"])
-            for name, e in summary.shapes.items()
+        assert list(row[:-1]) == [getattr(summary, n) for n in names[:-1]]
+        assert row[-1] == tuple(
+            (name, *histogram) for name, histogram in summary.shapes.items()
         )
-        assert row[-1] == tuple(sorted(summary.capacity.counts.items()))
 
     def test_initial_summary_round_trips(self):
         config = ScheduleConfig(machine="mixed", hosts=5, shards=2)
         machines = config.machine_list()[1::2]
-        for capacity in (None, initial_capacity(machines, config.vcpus)):
-            _assert_summary_row_round_trips(
-                ShardSummary.initial(1, machines, capacity=capacity)
-            )
+        _assert_summary_row_round_trips(ShardSummary.initial(1, machines))
 
     @pytest.mark.parametrize(
         "mangle, match",
@@ -714,14 +689,8 @@ class TestSummaryWire:
             (lambda row: row[:-1], "malformed summary row"),
             (lambda row: (*row, 0), "malformed summary row"),
             (lambda row: None, "malformed summary row"),
-            (
-                lambda row: (*row[:-2], [["amd", 1, 2]], row[-1]),
-                "malformed summary row",
-            ),
-            (
-                lambda row: (*row[:-1], [[8, 1, 2]]),
-                "malformed summary row",
-            ),
+            (lambda row: (*row[:-1], [["amd", 1, 2]]), "count 3 hosts, not 4"),
+            (lambda row: (*row[:-1], [8]), "malformed summary row"),
         ],
     )
     def test_malformed_summary_row_raises_shard_error(self, mangle, match):
@@ -781,56 +750,45 @@ class TestReportWire:
 
 class TestCapacityWire:
     def test_capacity_vector_round_trip_restores_int_keys(self):
-        """A vector crosses inside its summary's row, as sorted pairs:
-        no dict keys for JSON to turn into strings."""
-        vector = CapacityVector(counts={16: 6, 8: 12, 32: 0})
-        summary = dataclasses.replace(
-            _live_worker().summary(), capacity=vector
-        )
-        row = encode_summary(summary)
-        assert row[-1] == ((8, 12), (16, 6), (32, 0))
-        rebuilt = decode_summary(wire(row), 0).capacity
-        assert rebuilt == vector
-        assert rebuilt.classes == (8, 16, 32)  # int keys, not strings
-        assert rebuilt.count(16) == 6
-        assert rebuilt.count(64) is None  # untracked stays untracked
-
-    def test_capacity_vector_merge_union_sums(self):
-        merged = CapacityVector(counts={8: 3, 16: 1}) + CapacityVector(
-            counts={8: 2, 32: 4}
-        )
-        assert merged.counts == {8: 5, 16: 1, 32: 4}
+        """A histogram crosses as the tail of its shape's sub-row: free
+        counts are positions, not dict keys JSON would turn into
+        strings."""
+        worker = _live_worker()
+        rebuilt = decode_summary(wire(encode_summary(worker.summary())), 0)
+        assert rebuilt.shapes == worker.summary().shapes
+        for machine in worker.fleet.index.shapes():
+            histogram = rebuilt.shapes[machine.name]
+            assert len(histogram) == machine.n_nodes + 1
+            assert all(type(hosts) is int for hosts in histogram)
 
     def test_live_summary_capacity_round_trips(self):
-        summary = _live_worker(admission=True).summary()
-        assert summary.capacity is not None
-        assert summary.capacity.count(8) is not None
+        worker = _live_worker(admission=True)
+        summary = worker.summary()
         row = _assert_summary_row_round_trips(summary)
         rebuilt = decode_summary(wire(row), 0)
-        assert rebuilt.capacity == summary.capacity
-        assert rebuilt.capacity.classes == summary.capacity.classes  # ints
+        machines = {m.name: m for m in worker.fleet.index.shapes()}
+        classes = (8, 16, 24, 1024)
+        counts = {
+            vcpus: available(
+                rebuilt.shapes,
+                lambda name: needed_nodes(machines[name], vcpus),
+            ).count
+            for vcpus in classes
+        }
+        assert counts == brute_force_capacity(worker.fleet.hosts, classes)
 
     def test_summary_without_admission_omits_capacity_key(self):
-        """Admission off ships no capacity vector: the row's last slot
-        is ``None``, and decodes to None."""
-        config = ScheduleConfig(machine="amd", hosts=2, requests=4, shards=1)
-        worker = ShardWorker(0, config)
-        row = wire(encode_summary(worker.summary()))
-        assert row[-1] is None
-        assert decode_summary(row, 0).capacity is None
+        """No summary carries a capacity slot, admission or not: both
+        modes ship the same row, whose last slot is the free-node
+        histograms every class is counted from."""
+        off, on = _live_worker(), _live_worker(admission=True)
+        row = wire(encode_summary(off.summary()))
+        assert len(row) == len(dataclasses.fields(ShardSummary))
+        assert row == wire(encode_summary(on.summary()))
+        assert decode_summary(row, 0).shapes == off.summary().shapes
 
 
 class TestAdmissionWire:
-    def test_admission_decision_round_trip(self):
-        for decision in (
-            AdmissionDecision(3, "admit"),
-            AdmissionDecision(4, "hold"),
-            AdmissionDecision(5, "reject", "admission:queue-full"),
-        ):
-            assert AdmissionDecision.from_dict(
-                wire(decision.to_dict())
-            ) == decision
-
     def test_admission_decision_validates(self):
         with pytest.raises(ValueError, match="outcome"):
             AdmissionDecision(1, "defer")
@@ -902,5 +860,5 @@ class TestAdmissionWire:
             machine="mixed", hosts=4, requests=4, shards=1, admission=True
         )
         worker = ShardWorker(0, config)
-        expected = initial_capacity(config.machine_list(), config.vcpus)
-        assert worker.summary().capacity == expected
+        expected = ShardSummary.initial(0, config.machine_list())
+        assert worker.summary() == expected
