@@ -57,6 +57,7 @@ from repro.scheduler.index import FleetIndex
 from repro.scheduler.lifecycle import (
     ChurnStats,
     FragmentationSample,
+    FragmentationTimeline,
     LifecycleScheduler,
     MigrationRecord,
     RebalanceConfig,
@@ -160,6 +161,7 @@ __all__ = [
     "FleetPolicy",
     "FirstFitFleetPolicy",
     "FragmentationSample",
+    "FragmentationTimeline",
     "LifecycleEvent",
     "LifecycleScheduler",
     "MigrationRecord",

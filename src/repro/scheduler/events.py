@@ -30,7 +30,7 @@ class EventKind(enum.Enum):
     DEPARTURE = "departure"
 
 
-@dataclass(order=True, frozen=True)
+@dataclass(order=True, frozen=True, slots=True)
 class LifecycleEvent:
     """One timestamped thing happening to one container.
 

@@ -27,25 +27,31 @@ nodes.  :class:`LifecycleScheduler` models that regime end to end:
    penalty.  Every executed move is recorded as a
    :class:`MigrationRecord` decision trace, and the arrival is retried.
 
-The engine samples a :class:`FragmentationSample` after every event, so
-reports can plot largest-free-block and fit-failure trajectories over
-simulated time — the observable the rebalancer exists to improve (see
-``benchmarks/bench_churn.py`` for the with/without comparison).
+The engine samples the fleet after every event into a columnar
+:class:`FragmentationTimeline`, so reports can plot largest-free-block
+and fit-failure trajectories over simulated time — the observable the
+rebalancer exists to improve (see ``benchmarks/bench_churn.py`` for the
+with/without comparison).
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     NamedTuple,
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.placements import Placement
@@ -72,9 +78,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 class FragmentationSample(NamedTuple):
     """Fleet capacity state right after one lifecycle event.
 
-    A named tuple, not a frozen dataclass: one is built per event in the
-    shard, again when the report is decoded and again when timelines are
-    merged, and a tuple is built in C.
+    What reading a :class:`FragmentationTimeline` yields; the timeline
+    itself stores no samples, only their columns, so one is built when
+    it is read (a report's ``describe``, ``to_dict`` or a test), never
+    per event on the serving path.
     """
 
     time: float
@@ -92,7 +99,145 @@ class FragmentationSample(NamedTuple):
         return cls(**data)
 
 
-@dataclass(frozen=True)
+#: One ``array`` type code per sample field: the time as a C double, the
+#: four counts as signed 64-bit ints — 40 bytes per event in all.
+_TIMELINE_TYPECODES = ("d", "q", "q", "q", "q")
+
+
+class FragmentationTimeline:
+    """The per-event :class:`FragmentationSample` s of one run, stored as
+    five ``array`` columns named after the sample fields.
+
+    The timeline is the one part of the serving path's state that grows
+    with the stream rather than with the live containers, so it costs
+    bytes, not objects: appending an event is one C append per column.
+    Reading it — ``len``, an index, iteration, ``==`` against another
+    timeline or a list of samples — yields samples, so callers read it
+    like the list it replaced.
+    """
+
+    __slots__ = FragmentationSample._fields
+
+    def __init__(self, samples: Iterable[FragmentationSample] = ()) -> None:
+        for name, code in zip(self.__slots__, _TIMELINE_TYPECODES):
+            setattr(self, name, array(code))
+        for sample in samples:
+            self.append(*sample)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence) -> "FragmentationTimeline":
+        """A timeline adopting one sequence per field, in field order
+        (the wire's lists, or another timeline's arrays)."""
+        timeline = cls.__new__(cls)
+        for name, code, column in zip(
+            cls.__slots__, _TIMELINE_TYPECODES, columns, strict=True
+        ):
+            setattr(timeline, name, array(code, column))
+        if len({len(column) for column in timeline.columns}) > 1:
+            raise ValueError("timeline columns differ in length")
+        return timeline
+
+    @classmethod
+    def merged(
+        cls,
+        timelines: Sequence["FragmentationTimeline"],
+        initial: Sequence[FragmentationSample],
+    ) -> "FragmentationTimeline":
+        """The fleet timeline of several shards' timelines: at every
+        shard's event, in ``(time, shard, position)`` order, the sum of
+        the shards' latest free nodes, active containers and fit failures
+        and the max of their latest largest blocks, ``initial[shard]``
+        standing in before a shard's first sample.
+
+        A shard's timeline is not in time order — a window's arrivals
+        are sampled before a departure with an earlier time that rides
+        in the next message — so there are no sorted runs to merge.  One
+        stable sort of every shard's times, concatenated in shard order,
+        puts the samples in order; then, per shard, a running maximum of
+        its sample positions names its latest sample at every step, and
+        each count column is folded over the shards' latest values —
+        integers, so exactly the running totals of a sample-by-sample
+        fold.
+        """
+
+        def stacked(name: str, dtype) -> np.ndarray:
+            return np.concatenate(
+                [np.frombuffer(getattr(t, name), dtype=dtype) for t in timelines]
+            )
+
+        def adopt(name: str, values: np.ndarray) -> None:
+            getattr(fleet, name).frombytes(memoryview(values).cast("B"))
+
+        fleet = cls()
+        times = stacked("time", np.float64)
+        order = np.argsort(times, kind="stable")
+        adopt("time", times[order])
+        owner = np.repeat(
+            np.arange(len(timelines)), [len(t) for t in timelines]
+        )[order]
+        steps = np.arange(len(order))
+        latest = [
+            np.maximum.accumulate(np.where(owner == shard, steps, -1))
+            for shard in range(len(timelines))
+        ]
+        for name in cls.__slots__[1:]:
+            values = stacked(name, np.int64)[order]
+            fold = np.maximum if name == "largest_free_block" else np.add
+            column = None
+            for last, start in zip(latest, initial, strict=True):
+                mine = values[last]
+                mine[last < 0] = getattr(start, name)
+                column = mine if column is None else fold(column, mine, out=column)
+            adopt(name, column)
+        return fleet
+
+    @property
+    def columns(self) -> Tuple[array, ...]:
+        """The five columns, in :class:`FragmentationSample` field order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def append(
+        self,
+        time: float,
+        free_nodes_total: int,
+        largest_free_block: int,
+        active_containers: int,
+        fit_failures: int,
+    ) -> None:
+        self.time.append(time)
+        self.free_nodes_total.append(free_nodes_total)
+        self.largest_free_block.append(largest_free_block)
+        self.active_containers.append(active_containers)
+        self.fit_failures.append(fit_failures)
+
+    def copy(self) -> "FragmentationTimeline":
+        return self.from_columns(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, position: int) -> FragmentationSample:
+        return FragmentationSample(
+            *(column[position] for column in self.columns)
+        )
+
+    def __iter__(self) -> Iterator[FragmentationSample]:
+        return map(FragmentationSample, *self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FragmentationTimeline):
+            return self.columns == other.columns
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"FragmentationTimeline({list(self)!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class MigrationRecord:
     """One executed container move, with its priced cost — the decision
     trace of the rebalancer."""
@@ -145,8 +290,9 @@ class ChurnStats:
     rebalance_attempts: int = 0
     #: Rejected arrivals that placed successfully after migrations.
     rebalance_recovered: int = 0
-    fragmentation_timeline: List[FragmentationSample] = field(
-        default_factory=list
+    #: One sample per event, in columns (see :class:`FragmentationTimeline`).
+    fragmentation_timeline: FragmentationTimeline = field(
+        default_factory=FragmentationTimeline
     )
 
     @property
@@ -164,9 +310,8 @@ class ChurnStats:
 
     @property
     def fit_failures(self) -> int:
-        if not self.fragmentation_timeline:
-            return 0
-        return self.fragmentation_timeline[-1].fit_failures
+        failures = self.fragmentation_timeline.fit_failures
+        return failures[-1] if failures else 0
 
     @property
     def fit_failure_rate(self) -> float:
@@ -219,10 +364,9 @@ class ChurnStats:
             ],
             rebalance_attempts=data["rebalance_attempts"],
             rebalance_recovered=data["rebalance_recovered"],
-            fragmentation_timeline=[
-                FragmentationSample.from_dict(s)
-                for s in data["fragmentation_timeline"]
-            ],
+            fragmentation_timeline=FragmentationTimeline(
+                map(FragmentationSample.from_dict, data["fragmentation_timeline"])
+            ),
         )
 
 
@@ -379,7 +523,11 @@ class LifecycleScheduler:
         :meth:`collect_report`.
         """
         self.stats = ChurnStats()
+        #: Every arrival :meth:`step` decided, in order: the report's
+        #: decisions.  :meth:`step_batch` returns its entries instead.
         self.graded: List[GradedDecision] = []
+        #: The entries of live containers this run placed, re-graded when
+        #: the rebalancer moves them; a departure drops its entry.
         self._graded_by_id: Dict[int, GradedDecision] = {}
         # Every value the per-event fragmentation sample needs is an O(1)
         # counter on the fleet index (kept fresh by host allocate/release
@@ -394,7 +542,9 @@ class LifecycleScheduler:
         if event.kind is EventKind.ARRIVAL:
             started = time.perf_counter()
             decision = self.policy.decide(event.request, self.fleet)
-            return self._settle(event, decision, started)
+            entry = self._settle(event, decision, started)
+            self.graded.append(entry)
+            return entry
         self._release(event.request.request_id)
         self._sample(event.time)
         return None
@@ -414,16 +564,23 @@ class LifecycleScheduler:
 
         The sharded service batches arrivals per shard so the goal-aware
         policy's fused prediction amortizes across the window.  A window
-        of one is bit-identical to :meth:`step`; larger windows trade
+        of one decides exactly as :meth:`step`; larger windows trade
         strict time order *inside the window* for batching (all window
         decisions allocate before any rebalance retry runs), exactly like
         the one-shot scheduler's batches.
+
+        The entries are returned, not kept: :attr:`graded` is the
+        :meth:`step` / :meth:`run` report's list, and a shard, whose
+        front end keeps what it decoded, would only grow with the stream
+        holding a second copy.
         """
         if any(e.kind is not EventKind.ARRIVAL for e in events):
             raise ValueError("step_batch handles arrival events only")
-        if len(events) == 1:
-            return [self.step(events[0])]
         started = time.perf_counter()
+        if len(events) == 1:
+            [event] = events
+            decision = self.policy.decide(event.request, self.fleet)
+            return [self._settle(event, decision, started)]
         decisions = self.policy.decide_batch(
             [event.request for event in events], self.fleet
         )
@@ -435,14 +592,13 @@ class LifecycleScheduler:
 
     def _sample(self, event_time: float) -> None:
         index = self.fleet.index
-        self.stats.fragmentation_timeline.append(
-            FragmentationSample(
-                event_time,
-                index.free_nodes_total,
-                index.largest_free_block,
-                len(self._active),
-                index.fit_failures - self._fit_failures_before,
-            )
+        timeline = self.stats.fragmentation_timeline
+        timeline.time.append(event_time)
+        timeline.free_nodes_total.append(index.free_nodes_total)
+        timeline.largest_free_block.append(index.largest_free_block)
+        timeline.active_containers.append(len(self._active))
+        timeline.fit_failures.append(
+            index.fit_failures - self._fit_failures_before
         )
 
     def collect_report(
@@ -479,7 +635,8 @@ class LifecycleScheduler:
     ) -> GradedDecision:
         """Everything an arrival needs after its first decision: a
         capacity reject gets one rebalance and one retry, the outcome is
-        graded, recorded and fed to the online learner, and the fleet is
+        graded, fed to the online learner and, while the container lives,
+        kept for re-grading after a migration, and the fleet is
         sampled.  ``decision_seconds`` is ``spent`` plus the time since
         ``started``."""
         stats, request = self.stats, event.request
@@ -517,15 +674,16 @@ class LifecycleScheduler:
                 )
         elif decision.reject_reason == "capacity":
             self.fleet.index.record_fit_failure()
-        self.graded.append(entry)
         self._sample(event.time)
         return entry
 
     def _release(self, request_id: int) -> None:
         # A departure for a request that was rejected (or already released)
         # is a no-op, not an error: the event pair was scheduled before the
-        # placement outcome was known.
+        # placement outcome was known.  A container placed before the last
+        # begin() has no graded entry to drop.
         if self._active.pop(request_id, None) is not None:
+            self._graded_by_id.pop(request_id, None)
             self.fleet.release(request_id)
             self.stats.departures += 1
 

@@ -42,7 +42,7 @@ from repro.scheduler.requests import PlacementRequest
 from repro.topology.machine import MachineTopology
 
 
-@dataclass
+@dataclass(slots=True)
 class FleetDecision:
     """What the fleet did with one request."""
 

@@ -31,7 +31,7 @@ from repro.perfsim.library import paper_workloads
 from repro.perfsim.workload import WorkloadProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementRequest:
     """One container arriving at the fleet scheduler.
 

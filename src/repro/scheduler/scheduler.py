@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.serving.online import OnlineStats
 
 
-@dataclass
+@dataclass(slots=True)
 class GradedDecision:
     """A policy decision plus the scheduler's post-hoc grading."""
 

@@ -66,7 +66,11 @@ from repro.scheduler.admission import AdmissionController, AdmissionStats
 from repro.scheduler.capacity import Space, available, needed_nodes
 from repro.scheduler.config import ScheduleConfig
 from repro.scheduler.events import EventKind, events_from_requests
-from repro.scheduler.lifecycle import ChurnStats, FragmentationSample
+from repro.scheduler.lifecycle import (
+    ChurnStats,
+    FragmentationSample,
+    FragmentationTimeline,
+)
 from repro.scheduler.faults import FaultInjectingClient, FaultPlan
 from repro.scheduler.policies import FleetDecision, is_model_driven
 from repro.scheduler.registry import ModelRegistry
@@ -287,45 +291,21 @@ def merge_churn_stats(
             only,
             arrivals=arrivals,
             migrations=list(only.migrations),
-            fragmentation_timeline=list(only.fragmentation_timeline),
+            fragmentation_timeline=only.fragmentation_timeline.copy(),
         )
     merged = ChurnStats(
         arrivals=arrivals,
         departures=sum(s.departures for s in per_shard),
         rebalance_attempts=sum(s.rebalance_attempts for s in per_shard),
         rebalance_recovered=sum(s.rebalance_recovered for s in per_shard),
+        fragmentation_timeline=FragmentationTimeline.merged(
+            [s.fragmentation_timeline for s in per_shard], initial
+        ),
     )
     merged.migrations = sorted(
         (m for s in per_shard for m in s.migrations),
         key=lambda m: (m.time, m.triggered_by, m.request_id),
     )
-    # (shard, position) is unique, so the sort never compares samples.
-    tagged = sorted(
-        (sample.time, shard, position, sample)
-        for shard, stats in enumerate(per_shard)
-        for position, sample in enumerate(stats.fragmentation_timeline)
-    )
-    # Running totals: a sample replaces its shard's previous one, so each
-    # sum moves by the difference (all integers: exact) and only the
-    # largest block needs a pass over the shards' latest values.
-    latest = list(initial)
-    free = sum(s.free_nodes_total for s in latest)
-    active = sum(s.active_containers for s in latest)
-    failures = sum(s.fit_failures for s in latest)
-    blocks = [s.largest_free_block for s in latest]
-    timeline = merged.fragmentation_timeline
-    for event_time, shard, _, sample in tagged:
-        previous = latest[shard]
-        latest[shard] = sample
-        free += sample.free_nodes_total - previous.free_nodes_total
-        active += sample.active_containers - previous.active_containers
-        failures += sample.fit_failures - previous.fit_failures
-        blocks[shard] = sample.largest_free_block
-        timeline.append(
-            FragmentationSample(
-                event_time, free, max(blocks), active, failures
-            )
-        )
     return merged
 
 

@@ -45,8 +45,8 @@ decide    one-shot batch (no churn): ``requests=[arrival_row, ...]``,
 depart    departures with no window left to ride, at the end of a
           stream: ``events=[[request_id, time], ...]``
 summary   just the shard's routing summary
-report    the shard's counters in the FleetReport format (without
-          decisions), its churn statistics row-coded: migrations as
+report    the shard's counters in the FleetReport format (a shard keeps
+          no decisions), its churn statistics row-coded: migrations as
           rows, the fragmentation timeline as one column per field
 stop      shut the worker down (process transport exits its loop)
 ========= ==========================================================
@@ -89,7 +89,7 @@ from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
 from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
-from repro.scheduler.scheduler import FleetReport, GradedDecision, grade_decision
+from repro.scheduler.scheduler import FleetReport, grade_decision
 from repro.scheduler.wire import (
     ProfileMemo,
     ShardError,
@@ -171,9 +171,9 @@ class ShardWorker:
         self._next_seq = 0
         #: Decoded workload profiles, validated once per distinct row.
         self._profiles = ProfileMemo()
-        #: One-shot ("decide") accounting, separate from the lifecycle
-        #: engine's graded list.
-        self._one_shot_graded: List[GradedDecision] = []
+        #: Requests decided one-shot ("decide"): the shard keeps no
+        #: decision, the front end keeps what it decoded.
+        self._one_shot_decided = 0
         #: Wall-clock seconds spent inside handle() — the shard's own
         #: busy time, reported alongside the front-end's elapsed time.
         self.busy_seconds = 0.0
@@ -263,13 +263,13 @@ class ShardWorker:
         start = time.perf_counter()
         decisions = self.policy.decide_batch(batch, self.fleet)
         per_request = (time.perf_counter() - start) / max(len(batch), 1)
-        graded = []
+        rows = []
         for decision in decisions:
             entry = grade_decision(decision, self.fleet, self.registry)
             entry.decision_seconds = per_request
-            graded.append(entry)
-        self._one_shot_graded.extend(graded)
-        return {"graded": [encode_graded(entry) for entry in graded]}
+            rows.append(encode_graded(entry))
+        self._one_shot_decided += len(rows)
+        return {"graded": rows}
 
     def _report_payload(self) -> Dict:
         """The ``report`` reply: this shard's counters in the report
@@ -301,14 +301,15 @@ class ShardWorker:
         )
 
     def report(self) -> FleetReport:
-        """This shard's own FleetReport (local host ids, local counters)."""
-        if self._one_shot_graded and not self.engine.graded:
+        """This shard's own FleetReport (local host ids, local counters,
+        no decisions: the front end keeps those)."""
+        if self._one_shot_decided and not self.engine.stats.arrivals:
             return FleetReport.collect(
                 policy=self.policy,
                 fleet=self.fleet,
                 registry=self.registry,
-                n_requests=len(self._one_shot_graded),
-                decisions=self._one_shot_graded,
+                n_requests=self._one_shot_decided,
+                decisions=[],
                 elapsed_seconds=self.busy_seconds,
             )
         return self.engine.collect_report(

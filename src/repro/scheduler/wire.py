@@ -12,7 +12,9 @@ fixed-layout row of scalars, not a dict of dicts:
   achieved_relative, violated, decision_seconds)`` — no request echo:
   the front end re-attaches the request it sent, by position;
 * **churn statistics** cross the ``report`` reply with migrations as
-  rows and the fragmentation timeline as one column per sample field;
+  rows and the fragmentation timeline as its five columns, each a list
+  (the shard stores them as ``array`` columns and the decoder adopts
+  them as such: no sample object is built on either side);
 * a **summary** (:class:`ShardSummary`, on every reply) is its scalar
   fields as declared, then ``shapes`` as one ``(name, *h)`` sub-row per
   machine shape, ``h`` being the shape's free-node histogram (``h[k]``
@@ -41,6 +43,7 @@ from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler.lifecycle import (
     ChurnStats,
     FragmentationSample,
+    FragmentationTimeline,
     MigrationRecord,
 )
 from repro.scheduler.policies import FleetDecision
@@ -252,19 +255,17 @@ def decode_graded(
 def encode_churn(stats: ChurnStats) -> Dict:
     payload = {name: getattr(stats, name) for name in _CHURN_COUNTERS}
     payload["migrations"] = [_migration_row(m) for m in stats.migrations]
-    # Samples are tuples in column order: the transpose is one zip (which
-    # yields nothing for an empty timeline, hence the explicit columns).
     payload["timeline"] = [
-        list(column) for column in zip(*stats.fragmentation_timeline)
-    ] or [[] for _ in TIMELINE_COLUMNS]
+        column.tolist() for column in stats.fragmentation_timeline.columns
+    ]
     return payload
 
 
 def decode_churn(payload: Dict) -> ChurnStats:
     return ChurnStats(
         migrations=list(starmap(MigrationRecord, payload["migrations"])),
-        fragmentation_timeline=list(
-            map(FragmentationSample._make, zip(*payload["timeline"]))
+        fragmentation_timeline=FragmentationTimeline.from_columns(
+            payload["timeline"]
         ),
         **{name: payload[name] for name in _CHURN_COUNTERS},
     )

@@ -1,9 +1,13 @@
 """Drive a lifecycle engine the way a shard does, and keep what it did.
 
 Consecutive arrivals go through ``step_batch`` up to ``window`` at a
-time and a departure flushes the window first.  Everything observable
-comes back in one dict, so two policies that must decide alike (a
-production policy and its oracle) compare with one ``==``.
+time and a departure flushes the window first.  ``step_batch`` keeps
+nothing, so the replay keeps the entries it returns, one per arrival
+(a migration re-grades them in place, as it re-grades ``graded``).
+Everything observable comes back in one dict, so two policies that must
+decide alike (a production policy and its oracle) compare with one
+``==``.  ``after_event(engine)``, when given, runs after every message
+a shard would have handled: each window and each departure.
 """
 
 from repro.scheduler import (
@@ -14,13 +18,23 @@ from repro.scheduler import (
 )
 
 
-def replay(policy, fleet, requests, *, window, rebalance=True, registry=None):
+def replay(
+    policy,
+    fleet,
+    requests,
+    *,
+    window,
+    rebalance=True,
+    registry=None,
+    after_event=lambda engine: None,
+):
     engine = LifecycleScheduler(
         fleet,
         policy,
         registry=registry or policy.registry,
         config=RebalanceConfig(enabled=rebalance),
     )
+    graded = []
     pending = []
     for event in events_from_requests(requests).drain():
         if event.kind is EventKind.ARRIVAL:
@@ -28,16 +42,19 @@ def replay(policy, fleet, requests, *, window, rebalance=True, registry=None):
             if len(pending) < window:
                 continue
         if pending:
-            engine.step_batch(pending)
+            graded.extend(engine.step_batch(pending))
+            after_event(engine)
             pending = []
         if event.kind is not EventKind.ARRIVAL:
             engine.step(event)
+            after_event(engine)
     if pending:
-        engine.step_batch(pending)
+        graded.extend(engine.step_batch(pending))
+        after_event(engine)
     fleet.index.assert_consistent(fleet.hosts)
     stats = engine.stats
     return {
-        "decisions": decision_rows(engine.graded),
+        "decisions": decision_rows(graded),
         "migrations": stats.migrations,
         "rebalance": (stats.rebalance_attempts, stats.rebalance_recovered),
         "timeline": stats.fragmentation_timeline,

@@ -17,6 +17,7 @@ from repro.scheduler import (
     SchedulerService,
     ShardSummary,
     ShardWorker,
+    generate_churn_stream,
     generate_request_stream,
 )
 from repro.scheduler.wire import encode_arrival
@@ -162,6 +163,91 @@ class TestSingleShardEquivalence:
         assert svc.rejected == mono.rejected
 
 
+#: ``serve-overload``'s fleet and stream without admission, on one shard
+#: with a window of one: the setting in which the service is the lifecycle
+#: engine behind the wire — until the rebalancer moves a container.
+MIGRATING = dict(
+    machine="amd",
+    hosts=200,
+    shards=1,
+    window=1,
+    requests=2000,
+    seed=0,
+    churn=True,
+    arrival_rate=20.0,
+    mean_lifetime=48.0,
+    vcpus=(8, 8, 16, 32),
+)
+
+
+@pytest.fixture(scope="module")
+def migrating_reports():
+    """(service report, lifecycle engine report) of one seeded stream."""
+    config = ScheduleConfig(**MIGRATING)
+    stream = generate_churn_stream(
+        config.requests,
+        seed=17,
+        vcpus_choices=config.vcpus,
+        arrival_rate=config.arrival_rate,
+        mean_lifetime=config.mean_lifetime,
+    )
+    with SchedulerService(config) as service:
+        served = service.serve(stream)
+    registry = config.build_registry()
+    engine = LifecycleScheduler(
+        config.build_fleet(),
+        config.build_policy(registry),
+        registry=registry,
+        config=RebalanceConfig(
+            enabled=config.rebalance_enabled,
+            reject_penalty_seconds=config.penalty_seconds,
+        ),
+    )
+    return served, engine.run(stream)
+
+
+class TestMigratedDecisionsInTheServiceReport:
+    """A migration re-grades the shard's own entry
+    (``LifecycleScheduler._regrade_migrated``), but nothing ships it back:
+    the front end reports the host, placement and grade it decoded at
+    decision time."""
+
+    def test_reports_differ_on_migrated_containers_only(
+        self, migrating_reports
+    ):
+        served, mono = migrating_reports
+        assert served.churn.migrations == mono.churn.migrations
+        assert served.churn.fragmentation_timeline == (
+            mono.churn.fragmentation_timeline
+        )
+        moved = {m.request_id for m in mono.churn.migrations}
+        differing = {
+            a[0]
+            for a, b in zip(
+                _fingerprints(served.decisions), _fingerprints(mono.decisions)
+            )
+            if a != b
+        }
+        assert moved and differing
+        assert differing <= moved
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the front end keeps the host, placement and grade it decoded "
+            "at decision time; a shard re-grades a migrated container's "
+            "entry but ships nothing back, so the service report is stale "
+            "for migrated containers"
+        ),
+    )
+    def test_service_report_matches_the_engine_after_migrations(
+        self, migrating_reports
+    ):
+        served, mono = migrating_reports
+        assert _fingerprints(served.decisions) == _fingerprints(mono.decisions)
+        assert served.violations == mono.violations
+
+
 class TestConflictRetry:
     def test_request_placed_or_rejected_exactly_once(self):
         """The service-level invariant: every arrival shows up in the
@@ -279,15 +365,19 @@ class TestConflictRetry:
 def _shard_state(worker, response):
     """Everything a message can change on a shard, minus wall-clock
     fields: the reply's graded rows and summary row, the engine's live
-    set and churn statistics, the one-shot ledger, and every host's
-    occupancy.  Also runs the index's from-scratch cross-check."""
+    set, its live containers' graded entries and churn statistics, the
+    one-shot count, and every host's occupancy.  Also runs the index's
+    from-scratch cross-check."""
     worker.fleet.index.assert_consistent(worker.fleet.hosts)
     return (
         [row[:-1] for row in response["graded"]],  # drop decision_seconds
         response["summary"],
         sorted(worker.engine._active),
         worker.engine.stats.to_dict(),
-        _fingerprints(worker.engine.graded + worker._one_shot_graded),
+        _fingerprints(
+            entry for _, entry in sorted(worker.engine._graded_by_id.items())
+        ),
+        worker._one_shot_decided,
         [
             (host.free_mask, sorted(host.placements))
             for host in worker.fleet.hosts

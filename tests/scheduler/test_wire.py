@@ -29,6 +29,7 @@ from repro.scheduler import (
     FaultPlan,
     FleetScheduler,
     FragmentationSample,
+    FragmentationTimeline,
     GradedDecision,
     LifecycleScheduler,
     MigrationRecord,
@@ -407,7 +408,7 @@ class TestChurnMerge:
     )
     def test_running_totals_equal_the_resummed_timeline(self, timelines, data):
         per_shard = [
-            ChurnStats(fragmentation_timeline=timeline)
+            ChurnStats(fragmentation_timeline=FragmentationTimeline(timeline))
             for timeline in timelines
         ]
         initial = [data.draw(_samples) for _ in timelines]
@@ -422,8 +423,9 @@ class TestChurnMerge:
         merged = merge_churn_stats([stats], arrivals=99, initial=[])
         assert merged.arrivals == 99
         assert dataclasses.replace(merged, arrivals=stats.arrivals) == stats
-        merged.fragmentation_timeline.clear()
-        assert stats.fragmentation_timeline
+        samples = len(stats.fragmentation_timeline)
+        merged.fragmentation_timeline.append(*stats.fragmentation_timeline[0])
+        assert len(stats.fragmentation_timeline) == samples
 
 
 class TestRequestWire:
