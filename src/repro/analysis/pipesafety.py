@@ -5,10 +5,11 @@ transports: ``ProcessShardClient`` pickles each message onto a
 ``multiprocessing.Pipe``, and ``InlineShardClient`` hands the very same
 object to an in-process worker without serializing anything.  Neither
 would notice a numpy scalar or a dataclass instance in a payload — both
-pickle, both survive a function call — but the write-ahead journal's
-stored form (``ShardJournal.to_dict``) and the benchmark's tracer write
-the same payloads as JSON, and a mutable object shared by reference
-across the inline boundary would let one side edit the other's state.
+pickle, both survive a function call — but the benchmark's tracer
+writes the same payloads as JSON (the write-ahead journal is in-memory
+only: it keeps the messages as sent), and a mutable object shared by
+reference across the inline boundary would let one side edit the
+other's state.
 The guarantee that the in-process path cannot cheat used to be paid per
 message (a ``json.dumps``/``loads`` pair in the inline client); it now
 rests on three checks that cost nothing at serving time: this rule,

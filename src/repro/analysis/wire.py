@@ -1,31 +1,23 @@
 """Wire-schema rule: ``to_dict``/``from_dict`` must round-trip every
 declared field.
 
-Reports, configs and fault plans travel as ``to_dict`` payloads
-(``repro/core/serialize.py`` holds the shared helpers:
-``tupled``/``listed`` for sequence fields, ``machines_by_name``/
-``resolve_machine`` for by-name machine references).  A field added to a
-dataclass but forgotten in ``from_dict`` survives the in-process path
-and silently zeroes out across a pipe or in ``--emit-json`` output.
-``tests/scheduler/test_wire.py`` round-trips a hand-listed set of types;
-this rule proves the property for *every* wire class the tree grows.
+Reports, configs and fault plans travel as ``to_dict`` payloads, most
+of them :class:`repro.core.serialize.Record` dataclasses whose pair is
+derived from the fields.  A field forgotten by a hand-written pair or a
+record's override survives the in-process path and silently zeroes out
+across a pipe or in ``--emit-json`` output.  Shard *messages* (rows
+laid out by ``dataclasses.fields``, ``repro/scheduler/wire.py``) are the
+pipe-safety rule's business, not this one's.
 
-Shard *messages* are outside this rule: requests, graded decisions and
-shard summaries cross the shard boundary as rows
-(``repro/scheduler/wire.py``) whose layouts are taken from
-``dataclasses.fields``, so there is no hand-written key list to keep in
-step — the pipe-safety rule scans the ``encode_*`` functions, and a
-hypothesis property round-trips the rows through JSON and pickle.  ``to_dict``/``from_dict`` on
-``PlacementRequest``/``FleetDecision``/``GradedDecision`` remain, as the
-report format, and stay under this rule.
+Checks, per class that defines ``to_dict`` (or is a ``Record``):
 
-Checks, per class that defines ``to_dict``:
-
-* a ``from_dict`` must exist;
+* a ``from_dict`` must exist (a ``Record`` inherits one that reads
+  every field, like ``cls(**values)``);
 * for dataclasses, every declared field must appear in the emitted keys
-  (``asdict(self)`` counts as all fields) and must be handled by
-  ``from_dict`` (``cls(**values)`` counts as all fields minus keys the
-  body pops without reading);
+  (``asdict(self)`` and ``super().to_dict()`` count as all fields, less
+  keys popped outside any branch) and must be handled by ``from_dict``
+  (``cls(**values)`` and ``super().from_dict(values)`` count as all
+  fields minus keys the body pops without reading);
 * for plain classes, the emitted key set and the handled key set are
   compared directly.
 
@@ -42,6 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.engine import Finding, ModuleInfo, Rule
 
 _DATACLASS_NAMES = frozenset({"dataclass", "dataclasses.dataclass"})
+_RECORD_NAME = "repro.core.serialize.Record"
 
 
 def _is_dataclass(node: ast.ClassDef, module: ModuleInfo) -> bool:
@@ -50,6 +43,21 @@ def _is_dataclass(node: ast.ClassDef, module: ModuleInfo) -> bool:
         if module.resolve(target) in _DATACLASS_NAMES:
             return True
     return False
+
+
+def _is_record(node: ast.ClassDef, module: ModuleInfo) -> bool:
+    return any(module.resolve(base) == _RECORD_NAME for base in node.bases)
+
+
+def _is_super_call(node: ast.expr, method: str) -> bool:
+    """``super().method`` or ``super(Cls, obj).method``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == method
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "super"
+    )
 
 
 def _declared_fields(node: ast.ClassDef) -> List[str]:
@@ -88,7 +96,9 @@ def _emitted_keys(
     is_dataclass: bool,
 ) -> _KeySet:
     """Keys the ``to_dict`` body can emit, via local dataflow over dict
-    literals, ``asdict(self)``, subscript stores, ``update``/``pop``."""
+    literals, ``asdict(self)``/``super().to_dict()``, subscript stores,
+    ``update``, and ``pop`` at the body's top level (one under a branch
+    or loop may not run)."""
 
     env: Dict[str, _KeySet] = {}
     result = _KeySet()
@@ -111,7 +121,9 @@ def _emitted_keys(
             return keyset
         if isinstance(node, ast.Call):
             name = module.resolve(node.func)
-            if name in {"asdict", "dataclasses.asdict"}:
+            if name in {"asdict", "dataclasses.asdict"} or _is_super_call(
+                node.func, "to_dict"
+            ):
                 return _KeySet(set(fields), known=is_dataclass)
             if name == "dict":
                 if not node.args and not node.keywords:
@@ -129,11 +141,7 @@ def _emitted_keys(
             return keyset
         return _KeySet.unknown()
 
-    # Two passes: build the variable environment first, then evaluate
-    # return expressions — ast.walk is breadth-first, so a return at
-    # statement level would otherwise be seen before a nested
-    # ``payload["key"] = ...`` store inside an ``if`` block.
-    for node in ast.walk(func):
+    def apply(node: ast.AST, conditional: bool) -> None:
         if isinstance(node, ast.Assign):
             value = eval_expr(node.value)
             for target in node.targets:
@@ -155,7 +163,7 @@ def _emitted_keys(
         ):
             owner = node.func.value
             if not (isinstance(owner, ast.Name) and owner.id in env):
-                continue
+                return
             keyset = env[owner.id]
             if node.func.attr == "update":
                 for arg in node.args:
@@ -167,7 +175,8 @@ def _emitted_keys(
                         keyset.known = False
             elif node.func.attr in {"pop", "__delitem__"}:
                 if (
-                    node.args
+                    not conditional
+                    and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, str)
                 ):
@@ -179,6 +188,14 @@ def _emitted_keys(
                     and isinstance(node.args[0].value, str)
                 ):
                     keyset.keys.add(node.args[0].value)
+
+    # Statement order first, so a key deleted and then re-added under a
+    # branch stays emitted; return expressions are evaluated last,
+    # against the final environment.
+    for stmt in func.body:
+        conditional = hasattr(stmt, "body")  # if / for / while / try / with
+        for node in ast.walk(stmt):
+            apply(node, conditional)
     for node in ast.walk(func):
         if isinstance(node, ast.Return) and node.value is not None:
             result.merge(eval_expr(node.value))
@@ -190,8 +207,9 @@ def _handled_keys(
 ) -> Tuple[Set[str], bool, Set[str]]:
     """Keys ``from_dict`` reads: (handled, wildcard, popped_unread).
 
-    ``wildcard`` is set by ``cls(**values)`` where ``values`` aliases the
-    payload — every remaining key reaches the constructor.
+    ``wildcard`` is set by ``cls(**values)`` or
+    ``super().from_dict(values)`` where ``values`` aliases the payload —
+    every remaining key reaches the constructor.
     ``popped_unread`` collects keys removed with a bare ``pop`` whose
     value is discarded: those never reach the object at all.
     """
@@ -251,6 +269,12 @@ def _handled_keys(
             for keyword in node.keywords:
                 if keyword.arg is None and is_alias(keyword.value):
                     wildcard = True
+            if (
+                _is_super_call(node.func, "from_dict")
+                and node.args
+                and is_alias(node.args[0])
+            ):
+                wildcard = True  # Record.from_dict reads every field
     # A bare `values.pop("k")` statement drops the key without reading it
     # anywhere else: under a wildcard construction that key is lost.
     for node in ast.walk(func):
@@ -271,11 +295,8 @@ def _handled_keys(
 class WireSchemaRule(Rule):
     """Flag wire classes whose ``to_dict``/``from_dict`` drop fields.
 
-    Motivated by ``tests/scheduler/test_wire.py`` (hand-listed
-    round-trip checks) and the sharded/monolithic report equivalence in
-    ``tests/scheduler/test_service.py``: a field that does not survive
-    ``from_dict(to_dict(x))`` diverges the moment a shard crosses a
-    process boundary.
+    A field that does not survive ``from_dict(to_dict(x))`` diverges
+    the moment a report crosses a process boundary.
     """
 
     id = "wire-schema"
@@ -298,9 +319,10 @@ class WireSchemaRule(Rule):
         }
         to_dict = methods.get("to_dict")
         from_dict = methods.get("from_dict")
-        if to_dict is None:
+        record = _is_record(node, module)
+        if to_dict is None and not record:
             return []
-        if from_dict is None:
+        if from_dict is None and not record:
             return [
                 self.finding(
                     module,
@@ -311,8 +333,17 @@ class WireSchemaRule(Rule):
             ]
         is_dc = _is_dataclass(node, module)
         fields = _declared_fields(node) if is_dc else []
-        emitted = _emitted_keys(to_dict, module, fields, is_dc)
-        handled, wildcard, popped_unread = _handled_keys(from_dict)
+        # A record's inherited pair emits and reads every field.
+        emitted = (
+            _KeySet(set(fields), known=is_dc)
+            if to_dict is None
+            else _emitted_keys(to_dict, module, fields, is_dc)
+        )
+        handled, wildcard, popped_unread = (
+            (set(), True, set())
+            if from_dict is None
+            else _handled_keys(from_dict)
+        )
         findings: List[Finding] = []
         if is_dc:
             if emitted.known:

@@ -25,31 +25,17 @@ from repro.core.enumeration import (
     ImportantPlacementSet,
     enumerate_important_placements,
 )
+from repro.core.serialize import Record
 from repro.topology.machine import MachineTopology
 
 
 @dataclass(frozen=True)
-class CacheInfo:
+class CacheInfo(Record):
     """Snapshot of a cache's accounting counters."""
 
     hits: int
     misses: int
     currsize: int
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "currsize": self.currsize,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "CacheInfo":
-        return cls(
-            hits=data["hits"],
-            misses=data["misses"],
-            currsize=data["currsize"],
-        )
 
     def __add__(self, other: "CacheInfo") -> "CacheInfo":
         """Merge two caches' accounting (the sharded service sums its

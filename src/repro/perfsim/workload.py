@@ -177,15 +177,15 @@ class WorkloadProfile:
     def page_cache_gb(self) -> float:
         return self.memory_gb * self.page_cache_fraction
 
-    def as_dict(self) -> Dict[str, float | int | str]:
-        """Flat dictionary (tabular reports, and the wire format:
+    def to_dict(self) -> Dict[str, float | int | str]:
+        """Flat dictionary (tabular reports, and the report format:
         ``WorkloadProfile(**d)`` / :meth:`from_dict` reconstructs an equal
         profile — every field is a JSON-safe scalar)."""
         return dict(zip(PROFILE_FIELDS, self.row()))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "WorkloadProfile":
-        """Inverse of :meth:`as_dict` (validation re-runs in __init__)."""
+        """Inverse of :meth:`to_dict` (validation re-runs in __init__)."""
         return cls(**data)
 
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.core.serialize import Record
 from repro.scheduler.fleet import minimal_shape
 from repro.scheduler.requests import PlacementRequest
 from repro.topology.machine import MachineTopology
@@ -115,7 +116,7 @@ class AdmissionDecision:
 
 
 @dataclass
-class AdmissionStats:
+class AdmissionStats(Record):
     """Admission-controller counters; wire round-trippable."""
 
     #: Arrivals screened (one per offered request).
@@ -156,28 +157,6 @@ class AdmissionStats:
     @property
     def rejected_total(self) -> int:
         return self.rejected_infeasible + self.rejected_capacity
-
-    def to_dict(self) -> Dict:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected_infeasible": self.rejected_infeasible,
-            "rejected_capacity": self.rejected_capacity,
-            "held": self.held,
-            "held_peak": self.held_peak,
-            "drained": self.drained,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_evicted": self.shed_evicted,
-            "shed_deadline": self.shed_deadline,
-            "shed_expired": self.shed_expired,
-            "shed_brownout": self.shed_brownout,
-            "brownout_entries": self.brownout_entries,
-            "brownout_exits": self.brownout_exits,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "AdmissionStats":
-        return cls(**data)
 
 
 class AdmissionController:

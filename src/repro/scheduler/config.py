@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
+from repro.core.serialize import Record
 from repro.scheduler.fleet import Fleet
 from repro.scheduler.policies import POLICIES, FleetPolicy, make_policy
 from repro.scheduler.registry import ModelRegistry
@@ -40,7 +41,7 @@ WORKER_MODES = ("inline", "process")
 
 
 @dataclass
-class ScheduleConfig:
+class ScheduleConfig(Record):
     """Everything ``repro schedule`` / ``repro serve`` can be told.
 
     Field defaults are the CLI defaults; :meth:`validate` enforces the
@@ -223,21 +224,6 @@ class ScheduleConfig:
             raise ValueError(
                 f"vcpus must be a comma-separated int list, got {text!r}"
             )
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        data = asdict(self)
-        data["vcpus"] = list(self.vcpus)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ScheduleConfig":
-        values = dict(data)
-        values["vcpus"] = tuple(values["vcpus"])
-        return cls(**values)
 
     # ------------------------------------------------------------------
     # Derived values and builders

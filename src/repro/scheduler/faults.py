@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List
 
+from repro.core.serialize import Record
 from repro.scheduler.shard import ShardCrashError, ShardTimeoutError
 
 #: The supported failure modes.
@@ -38,7 +39,7 @@ FAULT_KINDS = ("crash", "delay", "drop", "wedge")
 
 
 @dataclass(frozen=True)
-class FaultAction:
+class FaultAction(Record):
     """One injected failure: shard ``shard``, at its ``at_message``-th
     request (0-based, counted across respawns), do ``kind``."""
 
@@ -61,18 +62,6 @@ class FaultAction:
             )
         if self.delay_ms < 0:
             raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
-
-    def to_dict(self) -> Dict:
-        return {
-            "shard": self.shard,
-            "at_message": self.at_message,
-            "kind": self.kind,
-            "delay_ms": self.delay_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultAction":
-        return cls(**data)
 
 
 class ShardFaultSchedule:
@@ -108,27 +97,12 @@ class ShardFaultSchedule:
 
 
 @dataclass
-class FaultPlan:
+class FaultPlan(Record):
     """A reproducible schedule of :class:`FaultAction`\\ s plus the seed
     that generated it (kept for provenance in benchmark payloads)."""
 
     actions: List[FaultAction] = field(default_factory=list)
     seed: int = 0
-
-    def to_dict(self) -> Dict:
-        return {
-            "actions": [action.to_dict() for action in self.actions],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultPlan":
-        return cls(
-            actions=[
-                FaultAction.from_dict(entry) for entry in data["actions"]
-            ],
-            seed=data["seed"],
-        )
 
     def bind(self, shard_id: int) -> ShardFaultSchedule:
         """The mutable per-shard schedule a client consumes.  Bind once

@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.placements import Placement
+from repro.core.serialize import Record
 from repro.migration.planner import MigrationAdvice, MigrationPlanner
 from repro.scheduler.events import EventKind, LifecycleEvent, events_from_requests
 from repro.scheduler.fleet import Fleet, FleetHost, scores_match
@@ -123,6 +124,11 @@ class FragmentationTimeline:
             setattr(self, name, array(code))
         for sample in samples:
             self.append(*sample)
+
+    @classmethod
+    def from_dict(cls, data: Sequence[Dict]) -> "FragmentationTimeline":
+        """Inverse of the report form: a list of sample dicts."""
+        return cls(map(FragmentationSample.from_dict, data))
 
     @classmethod
     def from_columns(cls, columns: Sequence) -> "FragmentationTimeline":
@@ -238,7 +244,7 @@ class FragmentationTimeline:
 
 
 @dataclass(frozen=True, slots=True)
-class MigrationRecord:
+class MigrationRecord(Record):
     """One executed container move, with its priced cost — the decision
     trace of the rebalancer."""
 
@@ -261,26 +267,9 @@ class MigrationRecord:
             f"{self.seconds:.1f}s (for req#{self.triggered_by})"
         )
 
-    def to_dict(self) -> Dict:
-        return {
-            "time": self.time,
-            "request_id": self.request_id,
-            "workload": self.workload,
-            "source_host": self.source_host,
-            "dest_host": self.dest_host,
-            "engine": self.engine,
-            "seconds": self.seconds,
-            "moved_gb": self.moved_gb,
-            "triggered_by": self.triggered_by,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MigrationRecord":
-        return cls(**data)
-
 
 @dataclass
-class ChurnStats:
+class ChurnStats(Record):
     """Lifecycle-specific counters carried inside a FleetReport."""
 
     arrivals: int = 0
@@ -337,37 +326,6 @@ class ChurnStats:
                 f"nodes, {last.active_containers} containers active"
             )
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "arrivals": self.arrivals,
-            "departures": self.departures,
-            "migrations": [m.to_dict() for m in self.migrations],
-            "rebalance_attempts": self.rebalance_attempts,
-            "rebalance_recovered": self.rebalance_recovered,
-            "fragmentation_timeline": [
-                s.to_dict() for s in self.fragmentation_timeline
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ChurnStats":
-        return cls(
-            arrivals=data["arrivals"],
-            departures=data["departures"],
-            migrations=[
-                MigrationRecord.from_dict(m) for m in data["migrations"]
-            ],
-            rebalance_attempts=data["rebalance_attempts"],
-            rebalance_recovered=data["rebalance_recovered"],
-            fragmentation_timeline=FragmentationTimeline(
-                map(FragmentationSample.from_dict, data["fragmentation_timeline"])
-            ),
-        )
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.enumeration import ImportantPlacementSet
 from repro.core.model import PlacementModel
 from repro.core.placements import Placement
+from repro.core.serialize import Record
 from repro.ml.arena import predict_fused
 from repro.ml.forest import RandomForestRegressor
 from repro.perfsim.simulator import NoiseBatch
@@ -43,7 +44,7 @@ from repro.topology.machine import MachineTopology
 
 
 @dataclass(slots=True)
-class FleetDecision:
+class FleetDecision(Record):
     """What the fleet did with one request."""
 
     request: PlacementRequest
@@ -74,44 +75,6 @@ class FleetDecision:
         if not self.block_exact:
             parts.append("score-mismatched block")
         return f"{self.request.describe()} -> {', '.join(parts)}"
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """JSON-safe decision trace (the report format; shard messages
-        carry :mod:`repro.scheduler.wire` rows instead)."""
-        return {
-            "request": self.request.to_dict(),
-            "host_id": self.host_id,
-            "placement": (
-                None if self.placement is None else self.placement.to_dict()
-            ),
-            "placement_id": self.placement_id,
-            "predicted_relative": self.predicted_relative,
-            "block_exact": self.block_exact,
-            "reject_reason": self.reject_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict, machines) -> "FleetDecision":
-        """Inverse of :meth:`to_dict`; ``machines`` maps name -> topology
-        for placement reconstruction."""
-        placement = data["placement"]
-        return cls(
-            request=PlacementRequest.from_dict(data["request"]),
-            host_id=data["host_id"],
-            placement=(
-                None
-                if placement is None
-                else Placement.from_dict(placement, machines)
-            ),
-            placement_id=data["placement_id"],
-            predicted_relative=data["predicted_relative"],
-            block_exact=data["block_exact"],
-            reject_reason=data["reject_reason"],
-        )
 
 
 class FleetPolicy(abc.ABC):

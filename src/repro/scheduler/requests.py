@@ -26,13 +26,14 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.serialize import Record
 from repro.perfsim.generator import WorkloadGenerator
 from repro.perfsim.library import paper_workloads
 from repro.perfsim.workload import WorkloadProfile
 
 
 @dataclass(frozen=True, slots=True)
-class PlacementRequest:
+class PlacementRequest(Record):
     """One container arriving at the fleet scheduler.
 
     ``arrival_time`` and ``lifetime`` (both in simulated seconds) only
@@ -75,33 +76,6 @@ class PlacementRequest:
             else "best-effort"
         )
         return f"req#{self.request_id} {self.profile.name} x{self.vcpus} ({goal})"
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """JSON-safe payload; :meth:`from_dict` reconstructs an equal
-        request (floats survive json round-trips exactly)."""
-        return {
-            "request_id": self.request_id,
-            "profile": self.profile.as_dict(),
-            "vcpus": self.vcpus,
-            "goal_fraction": self.goal_fraction,
-            "arrival_time": self.arrival_time,
-            "lifetime": self.lifetime,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PlacementRequest":
-        return cls(
-            request_id=data["request_id"],
-            profile=WorkloadProfile.from_dict(data["profile"]),
-            vcpus=data["vcpus"],
-            goal_fraction=data["goal_fraction"],
-            arrival_time=data["arrival_time"],
-            lifetime=data["lifetime"],
-        )
 
 
 def generate_request_stream(

@@ -16,12 +16,13 @@ the production path against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.memo import CacheInfo
+from repro.core.serialize import Record
 from repro.scheduler.fleet import Fleet
 from repro.scheduler.policies import (
     FleetDecision,
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 
 @dataclass(slots=True)
-class GradedDecision:
+class GradedDecision(Record):
     """A policy decision plus the scheduler's post-hoc grading."""
 
     decision: FleetDecision
@@ -57,25 +58,6 @@ class GradedDecision:
             if self.violated:
                 text += " [VIOLATION]"
         return text
-
-    def to_dict(self) -> Dict:
-        """JSON-safe graded trace (the report format; shard messages
-        carry :mod:`repro.scheduler.wire` rows instead)."""
-        return {
-            "decision": self.decision.to_dict(),
-            "achieved_relative": self.achieved_relative,
-            "violated": self.violated,
-            "decision_seconds": self.decision_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict, machines) -> "GradedDecision":
-        return cls(
-            decision=FleetDecision.from_dict(data["decision"], machines),
-            achieved_relative=data["achieved_relative"],
-            violated=data["violated"],
-            decision_seconds=data["decision_seconds"],
-        )
 
 
 def grade_decision(
@@ -111,7 +93,7 @@ def grade_decision(
 
 
 @dataclass
-class FleetReport:
+class FleetReport(Record):
     """Fleet-level outcome of scheduling one request stream."""
 
     policy: str
@@ -272,122 +254,42 @@ class FleetReport:
             float(np.percentile(latencies, p) * 1000.0) for p in percentiles
         )
 
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
     def to_dict(self, *, include_decisions: bool = True) -> Dict:
-        """JSON-safe report.
-
-        With ``include_decisions`` (the default) the payload round-trips
-        through :meth:`from_dict` into an equal report — every derived
-        property (placed, violations, latency percentiles) recomputes
-        from the decision list.  Without it, the payload is a compact
-        machine-readable summary (what ``repro serve --emit-json``
-        prints): the derived scalars are snapshotted into a ``summary``
-        block instead, and ``from_dict`` reconstructs a report with an
-        empty decision list.
-        """
+        """The fields, a ``summary`` block of derived scalars, then the
+        decisions.  Without ``include_decisions`` (what ``repro serve
+        --emit-json`` prints) the summary is all that is left of them,
+        and :meth:`from_dict` rebuilds a report with none."""
+        shown = self if include_decisions else replace(self, decisions=[])
+        payload = super(FleetReport, shown).to_dict()
+        decisions = payload.pop("decisions")
         mean_ms, p95_ms = self.decision_latency_ms()
         p50_ms, p99_ms = self.latency_percentiles_ms()
-        payload: Dict = {
-            "policy": self.policy,
-            "n_hosts": self.n_hosts,
-            "n_requests": self.n_requests,
-            "elapsed_seconds": self.elapsed_seconds,
-            "thread_utilization": self.thread_utilization,
-            "node_utilization": self.node_utilization,
-            "busiest_host_utilization": self.busiest_host_utilization,
-            "cache_info": (
-                None if self.cache_info is None else self.cache_info.to_dict()
-            ),
-            "enumeration_runs": self.enumeration_runs,
-            "predict_calls": self.predict_calls,
-            "predicted_rows": self.predicted_rows,
-            "ipc_cache_info": (
-                None
-                if self.ipc_cache_info is None
-                else self.ipc_cache_info.to_dict()
-            ),
-            "arena_forests": self.arena_forests,
-            "arena_fused_calls": self.arena_fused_calls,
-            "arena_lanes": self.arena_lanes,
-            "blockscore_cache_info": (
-                None
-                if self.blockscore_cache_info is None
-                else self.blockscore_cache_info.to_dict()
-            ),
-            "churn": None if self.churn is None else self.churn.to_dict(),
-            "online": None if self.online is None else self.online.to_dict(),
-            "service": (
-                None if self.service is None else self.service.to_dict()
-            ),
-            "summary": {
-                "placed": self.placed,
-                "rejected": self.rejected,
-                "violations": self.violations,
-                "admission_pct": self.admission_pct,
-                "violation_pct": self.violation_pct,
-                "requests_per_second": self.requests_per_second,
-                "latency_mean_ms": mean_ms,
-                "latency_p50_ms": p50_ms,
-                "latency_p95_ms": p95_ms,
-                "latency_p99_ms": p99_ms,
-            },
+        payload["summary"] = {
+            "placed": self.placed,
+            "rejected": self.rejected,
+            "violations": self.violations,
+            "admission_pct": self.admission_pct,
+            "violation_pct": self.violation_pct,
+            "requests_per_second": self.requests_per_second,
+            "latency_mean_ms": mean_ms,
+            "latency_p50_ms": p50_ms,
+            "latency_p95_ms": p95_ms,
+            "latency_p99_ms": p99_ms,
         }
         if include_decisions:
-            payload["decisions"] = [g.to_dict() for g in self.decisions]
+            payload["decisions"] = decisions
         return payload
 
     @classmethod
-    def from_dict(cls, data: Dict, machines) -> "FleetReport":
-        """Inverse of :meth:`to_dict`; a payload without decisions comes
-        back with an empty decision list (its derived counts then read 0
-        — consult the payload's ``summary`` block for the snapshot)."""
-        from repro.scheduler.lifecycle import ChurnStats
-        from repro.scheduler.service import ServiceStats
-        from repro.serving.online import OnlineStats
-
-        def cache(entry):
-            return None if entry is None else CacheInfo.from_dict(entry)
-
-        return cls(
-            policy=data["policy"],
-            n_hosts=data["n_hosts"],
-            n_requests=data["n_requests"],
-            decisions=[
-                GradedDecision.from_dict(entry, machines)
-                for entry in data.get("decisions", [])
-            ],
-            elapsed_seconds=data["elapsed_seconds"],
-            thread_utilization=data["thread_utilization"],
-            node_utilization=data["node_utilization"],
-            busiest_host_utilization=data["busiest_host_utilization"],
-            cache_info=cache(data["cache_info"]),
-            enumeration_runs=data["enumeration_runs"],
-            predict_calls=data["predict_calls"],
-            predicted_rows=data["predicted_rows"],
-            ipc_cache_info=cache(data["ipc_cache_info"]),
-            arena_forests=data["arena_forests"],
-            arena_fused_calls=data["arena_fused_calls"],
-            arena_lanes=data["arena_lanes"],
-            blockscore_cache_info=cache(data["blockscore_cache_info"]),
-            churn=(
-                None
-                if data["churn"] is None
-                else ChurnStats.from_dict(data["churn"])
-            ),
-            online=(
-                None
-                if data["online"] is None
-                else OnlineStats.from_dict(data["online"])
-            ),
-            service=(
-                None
-                if data["service"] is None
-                else ServiceStats.from_dict(data["service"])
-            ),
-        )
+    def from_dict(cls, data: Dict, machines=None) -> "FleetReport":
+        """Inverse of :meth:`to_dict`, dropping the derived summary."""
+        values = dict(data)
+        values.pop("summary", None)
+        if values.get("online") is not None:
+            # OnlineStats' module imports this one (its annotation here
+            # resolves by name): load it only when a payload carries one.
+            import repro.serving.online  # noqa: F401
+        return super().from_dict(values, machines)
 
     def rejects_by_reason(self) -> Dict[str, int]:
         reasons: Dict[str, int] = {}

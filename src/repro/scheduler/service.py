@@ -61,7 +61,7 @@ from multiprocessing import connection as mp_connection
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.memo import CacheInfo
-from repro.core.serialize import machines_by_name
+from repro.core.serialize import Record, machines_by_name
 from repro.scheduler.admission import AdmissionController, AdmissionStats
 from repro.scheduler.capacity import Space, available, needed_nodes
 from repro.scheduler.config import ScheduleConfig
@@ -99,7 +99,7 @@ from repro.scheduler.wire import (
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(Record):
     """Routing counters carried inside a FleetReport."""
 
     n_shards: int
@@ -216,54 +216,23 @@ class ServiceStats:
             )
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
     def to_dict(self) -> Dict:
-        data = {
-            "n_shards": self.n_shards,
-            "window": self.window,
-            "transport": self.transport,
-            "rounds": self.rounds,
-            "routed": self.routed,
-            "departures_routed": self.departures_routed,
-            "departure_batches": self.departure_batches,
-            "retries": self.retries,
-            "recovered_by_retry": self.recovered_by_retry,
-            "exhausted": self.exhausted,
-            "shard_requests": list(self.shard_requests),
-            "shard_placed": list(self.shard_placed),
-            "supervised": self.supervised,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "backoff_retries": self.backoff_retries,
-            "failovers": self.failovers,
-            "journal_replays": self.journal_replays,
-            "replayed_messages": self.replayed_messages,
-            "degraded_windows": self.degraded_windows,
-            "degraded_arrivals": self.degraded_arrivals,
-            "window_wall_seconds": self.window_wall_seconds,
-            "shard_service_seconds": self.shard_service_seconds,
-        }
-        # Admission-era keys are emitted only when the controller ran,
-        # keeping the admission-off payload byte-identical to PR 9's.
-        if self.admission is not None or self.retries_short_circuited:
-            data["retries_short_circuited"] = self.retries_short_circuited
-        if self.admission is not None:
-            data["admission"] = self.admission.to_dict()
+        data = super().to_dict()
+        # Admission-era keys are emitted only when the controller ran:
+        # the admission-off payload is the pre-admission format.
+        if self.admission is None:
+            data.pop("admission")
+            if not self.retries_short_circuited:
+                data.pop("retries_short_circuited")
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "ServiceStats":
+    def from_dict(cls, data: Dict, machines=None) -> "ServiceStats":
         values = dict(data)
         # Retired with the sequential dispatch mode: it always equalled
         # ``rounds``.  Older ``--emit-json`` payloads still carry it.
         values.pop("overlapped_rounds", None)
-        admission = values.get("admission")
-        if admission is not None:
-            values["admission"] = AdmissionStats.from_dict(admission)
-        return cls(**values)
+        return super().from_dict(values, machines)
 
 
 def merge_churn_stats(
@@ -702,9 +671,9 @@ class SchedulerService:
         return replace(self._send(shard, message), faulted=True)
 
     def _recover_shard(self, shard: int) -> Dict | None:
-        """Rebuild a dead shard: respawn the worker from the serialized
-        config (its registry is served from the artifact store the front
-        end filled at start-up, so nothing is re-trained), reset the
+        """Rebuild a dead shard: respawn the worker from the config (its
+        registry is served from the artifact store the front end filled
+        at start-up, so nothing is re-trained), reset the
         front-end's cached :class:`ShardSummary` (the fresh worker is
         empty until the replay finishes), and replay the journal in
         sequence order to reconstruct the shard's exact pre-crash state.
@@ -1514,7 +1483,8 @@ class SchedulerService:
         outcomes = self._dispatch(
             [(shard, {"op": "report"}) for shard in shards]
         )
-        reports = []
+        reports: List[FleetReport] = []
+        churn_rows: List[Dict] = []
         for shard in shards:
             outcome = outcomes[shard]
             if outcome.down is not None:
@@ -1522,20 +1492,14 @@ class SchedulerService:
                 # so even a fresh fault recovers immediately), but never
                 # merge a partial report.
                 raise outcome.down
-            reports.append(outcome.response["report"])
+            payload = dict(outcome.response["report"])
+            # Churn crosses row-coded (see ShardWorker._report_payload).
+            churn_rows.append(payload.pop("churn"))
+            reports.append(FleetReport.from_dict(payload))
 
-        def merged_cache(key: str, *own: CacheInfo) -> CacheInfo | None:
-            infos = list(own) + [
-                CacheInfo.from_dict(r[key])
-                for r in reports
-                if r[key] is not None
-            ]
-            if not infos:
-                return None
-            total = infos[0]
-            for info in infos[1:]:
-                total = total + info
-            return total
+        def merged_cache(*infos: CacheInfo | None) -> CacheInfo | None:
+            present = [info for info in infos if info is not None]
+            return sum(present[1:], present[0]) if present else None
 
         used = sum(s.used_threads for s in self.summaries)
         total = sum(s.total_threads for s in self.summaries)
@@ -1553,17 +1517,19 @@ class SchedulerService:
             arena_lanes = ARENA_STATS.lanes_evaluated
             blockscore = DEFAULT_BLOCK_SCORE_CACHE.info()
         else:
-            arena_forests = sum(r["arena_forests"] for r in reports)
-            arena_fused_calls = sum(r["arena_fused_calls"] for r in reports)
-            arena_lanes = sum(r["arena_lanes"] for r in reports)
-            blockscore = merged_cache("blockscore_cache_info")
+            arena_forests = sum(r.arena_forests for r in reports)
+            arena_fused_calls = sum(r.arena_fused_calls for r in reports)
+            arena_lanes = sum(r.arena_lanes for r in reports)
+            blockscore = merged_cache(
+                *(r.blockscore_cache_info for r in reports)
+            )
 
         merged_churn = None
         if churn:
             merged_churn = merge_churn_stats(
                 [
-                    self._localized_churn(r["churn"], shard)
-                    for shard, r in enumerate(reports)
+                    self._localized_churn(row, shard)
+                    for shard, row in enumerate(churn_rows)
                 ],
                 arrivals=n_requests,
                 initial=[
@@ -1591,16 +1557,17 @@ class SchedulerService:
             thread_utilization=(used / total) if total else 0.0,
             node_utilization=(1.0 - free / nodes) if nodes else 0.0,
             busiest_host_utilization=max(
-                r["busiest_host_utilization"] for r in reports
+                r.busiest_host_utilization for r in reports
             ),
             cache_info=merged_cache(
-                "cache_info", self._registry.enumeration_info()
+                self._registry.enumeration_info(),
+                *(r.cache_info for r in reports),
             ),
             enumeration_runs=self._registry.enumeration_runs()
-            + sum(r["enumeration_runs"] for r in reports),
-            predict_calls=sum(r["predict_calls"] for r in reports),
-            predicted_rows=sum(r["predicted_rows"] for r in reports),
-            ipc_cache_info=merged_cache("ipc_cache_info"),
+            + sum(r.enumeration_runs for r in reports),
+            predict_calls=sum(r.predict_calls for r in reports),
+            predicted_rows=sum(r.predicted_rows for r in reports),
+            ipc_cache_info=merged_cache(*(r.ipc_cache_info for r in reports)),
             arena_forests=arena_forests,
             arena_fused_calls=arena_fused_calls,
             arena_lanes=arena_lanes,

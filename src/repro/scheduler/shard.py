@@ -446,12 +446,10 @@ def _await_message(connection, poll: bool) -> bool:
 
 
 def _shard_worker_main(
-    connection, shard_id: int, config_data: Dict, parent_connection=None
+    connection, shard_id: int, config, parent_connection=None
 ) -> None:
-    """Entry point of one shard worker process: rebuild the shard from
-    the serialized config, then serve the message loop until ``stop``."""
-    from repro.scheduler.config import ScheduleConfig
-
+    """Entry point of one shard worker process: build the shard from
+    ``config``, then serve the message loop until ``stop``."""
     if parent_connection is not None:
         # Drop the fork-inherited copy of the parent's pipe end: while
         # the child holds it open, the parent closing its end would
@@ -465,7 +463,7 @@ def _shard_worker_main(
     # 2-shard benchmark: one 22-25 ms pause and ~1200 page faults per
     # worker, in the middle of serving).
     gc.freeze()
-    worker = ShardWorker(shard_id, ScheduleConfig.from_dict(config_data))
+    worker = ShardWorker(shard_id, config)
     # Yielding between passes is what keeps the polling polite; where
     # the platform cannot yield, the worker only ever blocks in recv().
     can_poll = hasattr(os, "sched_yield")
@@ -487,9 +485,12 @@ def _shard_worker_main(
 class ProcessShardClient:
     """One worker process per shard, connected by a pipe.
 
-    The child rebuilds its fleet, registry, and policy from the
-    serialized :class:`~repro.scheduler.config.ScheduleConfig` — nothing
-    but dicts of JSON-safe scalars and rows crosses the pipe.  Trained
+    The child builds its fleet, registry, and policy from the
+    :class:`~repro.scheduler.config.ScheduleConfig` it is started with
+    (inherited under fork, pickled otherwise: a dataclass of scalars) —
+    nothing but dicts of JSON-safe scalars and rows crosses the pipe.
+    Decoding a config dict instead would make each forked worker compile
+    its field annotations, which costs it ~0.3 MB of fresh memory.  Trained
     models never travel on the wire: a forked child inherits the
     parent's artifact store, and a child started any other way trains
     the same artifacts from the same seed and preset names the parent
@@ -522,7 +523,7 @@ class ProcessShardClient:
         self._connection = parent
         self._process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(child, shard_id, config.to_dict(), parent),
+            args=(child, shard_id, config, parent),
             daemon=True,
         )
         try:

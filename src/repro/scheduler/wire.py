@@ -25,9 +25,11 @@ Rows hold JSON-safe scalars only, so a message is immutable on the
 inline transport, pickles small over the pipe, and decodes to equal
 objects after a JSON round trip (tuples come back as lists; decoders
 take both).  A type flattened whole takes its layout from
-``dataclasses.fields``, so a new field cannot be forgotten.  ``to_dict``
-/ ``from_dict`` remain the *report* format; nothing on the shard
-boundary calls them for requests, decisions or summaries.
+``dataclasses.fields``, so a new field cannot be forgotten.  The
+*report* format is :class:`~repro.core.serialize.Record`'s ``to_dict``
+/ ``from_dict``; on the shard boundary only the ``report`` reply uses
+it (its churn statistics row-coded), never requests, decisions or
+summaries.
 """
 
 from __future__ import annotations

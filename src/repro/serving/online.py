@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from repro.core.serialize import Record
 from repro.perfsim.simulator import NoiseBatch
 from repro.serving.drift import DriftConfig, DriftMonitor
 from repro.serving.retrain import RetrainConfig, Retrainer
@@ -78,7 +79,7 @@ class OnlineLearningConfig:
 
 
 @dataclass
-class OnlineStats:
+class OnlineStats(Record):
     """Serving-loop counters carried inside a FleetReport."""
 
     observations: int = 0
@@ -118,39 +119,6 @@ class OnlineStats:
         if final is not None:
             lines.append(f"  final rolling MAPE: {final:.1f}%")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "observations": self.observations,
-            "drift_events": self.drift_events,
-            "retrains": self.retrains,
-            "shadow_discards": self.shadow_discards,
-            "promotions": [record.to_dict() for record in self.promotions],
-            "mape_timeline": [
-                [time, vcpus, mape] for time, vcpus, mape in self.mape_timeline
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "OnlineStats":
-        return cls(
-            observations=data["observations"],
-            drift_events=data["drift_events"],
-            retrains=data["retrains"],
-            shadow_discards=data["shadow_discards"],
-            promotions=[
-                PromotionRecord.from_dict(record)
-                for record in data["promotions"]
-            ],
-            mape_timeline=[
-                (time, vcpus, mape)
-                for time, vcpus, mape in data["mape_timeline"]
-            ],
-        )
 
 
 class OnlineLearner:

@@ -27,6 +27,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.blockscores import DEFAULT_BLOCK_SCORE_CACHE
 from repro.core.model import PlacementModel
+from repro.core.serialize import Record
 from repro.scheduler.registry import ModelRegistry
 from repro.topology.machine import MachineTopology
 
@@ -95,7 +96,7 @@ class ModelVersion:
 
 
 @dataclass(frozen=True)
-class PromotionRecord:
+class PromotionRecord(Record):
     """One candidate clearing the holdout gate — the audit trail."""
 
     time: float
@@ -113,35 +114,6 @@ class PromotionRecord:
             f"{self.shadow_mape_pct:.1f}% beat incumbent "
             f"{self.incumbent_mape_pct:.1f}% over "
             f"{self.n_shadow_observations} paired obs"
-        )
-
-    def to_dict(self) -> Dict:
-        """JSON-safe record; the machine fingerprint (a nested tuple — the
-        interconnect signature nests) serializes as nested lists."""
-        from repro.core.serialize import listed
-
-        return {
-            "time": self.time,
-            "fingerprint": listed(self.fingerprint),
-            "vcpus": self.vcpus,
-            "version": self.version,
-            "shadow_mape_pct": self.shadow_mape_pct,
-            "incumbent_mape_pct": self.incumbent_mape_pct,
-            "n_shadow_observations": self.n_shadow_observations,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PromotionRecord":
-        from repro.core.serialize import tupled
-
-        return cls(
-            time=data["time"],
-            fingerprint=tupled(data["fingerprint"]),
-            vcpus=data["vcpus"],
-            version=data["version"],
-            shadow_mape_pct=data["shadow_mape_pct"],
-            incumbent_mape_pct=data["incumbent_mape_pct"],
-            n_shadow_observations=data["n_shadow_observations"],
         )
 
 

@@ -28,6 +28,18 @@ class Summary:
 """
 
 
+RECORD = """
+from dataclasses import dataclass
+
+from repro.core.serialize import Record
+
+@dataclass
+class Summary(Record):
+    shard_id: int
+    n_hosts: int
+"""
+
+
 class TestTrueNegatives:
     def test_matching_pair_clean(self):
         assert findings_of(MATCHING) == []
@@ -89,6 +101,41 @@ class Report:
     def test_class_without_to_dict_ignored(self):
         assert findings_of("class Plain:\n    pass\n") == []
 
+    def test_bare_record_clean(self):
+        assert findings_of(RECORD) == []
+
+    def test_super_override_clean(self):
+        # ServiceStats' shape: every field via super(), two of them
+        # dropped only on one branch; from_dict drops a retired key.
+        source = RECORD + """
+    def to_dict(self):
+        data = super().to_dict()
+        if self.n_hosts == 0:
+            data.pop("n_hosts")
+            data.pop("shard_id")
+        return data
+
+    @classmethod
+    def from_dict(cls, data, machines=None):
+        values = dict(data)
+        values.pop("retired", None)
+        return super().from_dict(values, machines)
+"""
+        assert findings_of(source) == []
+
+    def test_super_override_moving_a_field_last_clean(self):
+        # FleetReport's shape: a field popped, then re-added on a branch.
+        source = RECORD + """
+    def to_dict(self, include_hosts=True):
+        payload = super().to_dict()
+        hosts = payload.pop("n_hosts")
+        payload["summary"] = {}
+        if include_hosts:
+            payload["n_hosts"] = hosts
+        return payload
+"""
+        assert findings_of(source) == []
+
 
 class TestTruePositives:
     def test_missing_from_dict(self):
@@ -139,6 +186,38 @@ class Config:
         messages = " | ".join(f.message for f in findings)
         assert "never reads declared field 'n_hosts'" in messages
         assert "reads key 'hosts' that to_dict never emits" in messages
+
+    def test_hand_built_record_override_drops_field(self):
+        source = RECORD + """
+    def to_dict(self):
+        return {"shard_id": self.shard_id}
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["wire-schema"]
+        assert "to_dict omits declared field 'n_hosts'" in findings[0].message
+
+    def test_unconditional_pop_after_super_drops_field(self):
+        source = RECORD + """
+    def to_dict(self):
+        data = super().to_dict()
+        data.pop("n_hosts")
+        return data
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["wire-schema"]
+        assert "to_dict omits declared field 'n_hosts'" in findings[0].message
+
+    def test_record_from_dict_override_pop_drops_field(self):
+        source = RECORD + """
+    @classmethod
+    def from_dict(cls, data, machines=None):
+        values = dict(data)
+        values.pop("n_hosts")
+        return super().from_dict(values, machines)
+"""
+        findings = findings_of(source)
+        assert [f.rule for f in findings] == ["wire-schema"]
+        assert "drops declared field 'n_hosts'" in findings[0].message
 
     def test_plain_class_key_mismatch(self):
         source = """

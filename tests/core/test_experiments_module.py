@@ -16,7 +16,7 @@ class TestCorpora:
         a = training_corpus()
         b = training_corpus()
         assert [w.name for w in a] == [w.name for w in b]
-        assert [w.as_dict() for w in a] == [w.as_dict() for w in b]
+        assert [w.to_dict() for w in a] == [w.to_dict() for w in b]
 
     def test_training_corpus_contains_paper_workloads(self):
         names = {w.name for w in training_corpus()}
@@ -29,7 +29,7 @@ class TestCorpora:
     def test_seeds_change_the_corpus(self):
         a = training_corpus(seed=1, n_synthetic=4)
         b = training_corpus(seed=2, n_synthetic=4)
-        assert [w.as_dict() for w in a[18:]] != [w.as_dict() for w in b[18:]]
+        assert [w.to_dict() for w in a[18:]] != [w.to_dict() for w in b[18:]]
 
 
 class TestPaperVcpus:

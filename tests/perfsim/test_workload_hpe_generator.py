@@ -56,7 +56,7 @@ class TestWorkloadProfile:
             replace(w, cache_sensitivity=1.5)  # overrides are validated too
 
     def test_as_dict_round_trip_keys(self):
-        d = workload_by_name("gcc").as_dict()
+        d = workload_by_name("gcc").to_dict()
         assert d["name"] == "gcc"
         assert "membw_per_vcpu" in d
 
@@ -174,7 +174,7 @@ class TestGenerator:
     def test_deterministic_given_seed(self):
         a = WorkloadGenerator(seed=7).sample(5)
         b = WorkloadGenerator(seed=7).sample(5)
-        assert [x.as_dict() for x in a] == [y.as_dict() for y in b]
+        assert [x.to_dict() for x in a] == [y.to_dict() for y in b]
 
     def test_unknown_archetype_rejected(self):
         with pytest.raises(KeyError):

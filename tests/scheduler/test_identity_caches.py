@@ -136,7 +136,7 @@ def test_caches_stay_out_of_every_declared_view():
     profile = workload_by_name("gcc")
     hash(profile)
     names = {f.name for f in dataclasses.fields(WorkloadProfile)}
-    assert profile.as_dict().keys() == names
+    assert profile.to_dict().keys() == names
     assert dataclasses.asdict(profile).keys() == names
     assert len(profile.row()) == len(names)
     assert "_hash" not in repr(profile) and "_row" not in repr(profile)

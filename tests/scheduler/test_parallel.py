@@ -259,7 +259,7 @@ class TestWorkersInheritTheArtifactStore:
         config = ScheduleConfig(**CHURN_REFERENCE, shards=1, policy="first-fit")
         process = context.Process(
             target=_serve_then_report_frozen,
-            args=(child, config.to_dict(), answer),
+            args=(child, config, answer),
             daemon=True,
         )
         process.start()
@@ -274,8 +274,8 @@ class TestWorkersInheritTheArtifactStore:
                 end.close()
 
 
-def _serve_then_report_frozen(connection, config_data, answer):
-    _shard_worker_main(connection, 0, config_data)
+def _serve_then_report_frozen(connection, config, answer):
+    _shard_worker_main(connection, 0, config)
     answer.send(gc.get_freeze_count())
 
 

@@ -9,18 +9,22 @@ untouched, the process transport pickles them, and journals and traces
 may store them as JSON.  Reports (``--emit-json``) use ``to_dict`` ->
 ``json`` -> ``from_dict``.  The tests push real objects (produced by
 real scheduler runs, not hand-built minimal ones) through an actual
-round trip.
+round trip; every :class:`~repro.core.serialize.Record` in the package
+must be round-tripped by some test here (the guard at the end checks).
 """
 
 import dataclasses
+import importlib
 import json
 import pickle
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.memo import CacheInfo
-from repro.core.serialize import machines_by_name
+from repro.core.serialize import Record, machines_by_name
 from repro.scheduler import (
     AdmissionDecision,
     AdmissionStats,
@@ -75,11 +79,33 @@ from repro.scheduler.wire import (
     profile_row,
 )
 from repro.serving.online import OnlineStats
+from repro.serving.server import PromotionRecord
 
 
 def wire(payload):
     """One actual JSON round trip — what the transports do."""
     return json.loads(json.dumps(payload))
+
+
+#: Records the tests below round-trip, nested ones included.
+ROUND_TRIPPED = set()
+
+
+def round_trips(*records):
+    """Mark a test as the round trip of ``records``."""
+    ROUND_TRIPPED.update(records)
+    return lambda test: test
+
+
+def assert_round_trips(record, machines=None):
+    """``to_dict`` -> JSON -> ``from_dict`` rebuilds an equal record
+    whose payload is the one it was rebuilt from."""
+    payload = wire(record.to_dict())
+    rebuilt = type(record).from_dict(payload, machines)
+    assert type(rebuilt) is type(record)
+    assert rebuilt == record
+    assert rebuilt.to_dict() == payload
+    return rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -429,62 +455,52 @@ class TestChurnMerge:
 
 
 class TestRequestWire:
+    @round_trips(PlacementRequest)
     def test_request_stream_round_trips(self):
         stream = generate_churn_stream(
             30, seed=2, vcpus_choices=(4, 8), heavy_tail=True
         ) + generate_request_stream(10, seed=2)
         for request in stream:
-            rebuilt = PlacementRequest.from_dict(wire(request.to_dict()))
-            assert rebuilt == request  # frozen dataclass: field equality
+            assert_round_trips(request)
 
     def test_goal_and_lifetime_optionals_survive(self):
         stream = generate_churn_stream(40, seed=0, vcpus_choices=(8,))
         assert any(r.goal_fraction is None for r in stream)
         assert any(r.goal_fraction is not None for r in stream)
         for request in stream:
-            rebuilt = PlacementRequest.from_dict(wire(request.to_dict()))
+            rebuilt = assert_round_trips(request)
             assert rebuilt.goal_fraction == request.goal_fraction
             assert rebuilt.lifetime == request.lifetime
 
 
 class TestDecisionWire:
+    @round_trips(GradedDecision, FleetDecision)
     def test_graded_decisions_round_trip(self, churn_report):
         machines = machines_by_name(
             ScheduleConfig(machine="amd", hosts=1).machine_list()
         )
         assert churn_report.rejected > 0  # exercise the reject arm too
         for graded in churn_report.decisions:
-            rebuilt = GradedDecision.from_dict(
-                wire(graded.to_dict()), machines
-            )
-            assert rebuilt.to_dict() == graded.to_dict()
-            assert rebuilt.decision.placed == graded.decision.placed
-            if graded.decision.placed:
-                assert (
-                    tuple(rebuilt.decision.placement.nodes)
-                    == tuple(graded.decision.placement.nodes)
-                )
-                assert (
-                    rebuilt.decision.placement.l2_share
-                    == graded.decision.placement.l2_share
-                )
+            assert_round_trips(graded, machines)  # Placement == covers nodes, L2 share
 
 
 class TestStatsWire:
+    @round_trips(CacheInfo)
     def test_cache_info_round_trip_and_merge(self):
         a = CacheInfo(hits=3, misses=2, currsize=2)
         b = CacheInfo(hits=10, misses=0, currsize=4)
-        assert CacheInfo.from_dict(wire(a.to_dict())) == a
+        assert_round_trips(a)
         assert a + b == CacheInfo(hits=13, misses=2, currsize=6)
 
+    @round_trips(ChurnStats)
     def test_churn_stats_round_trip(self, churn_report):
         stats = churn_report.churn
         assert stats.fragmentation_timeline  # non-trivial payload
-        rebuilt = ChurnStats.from_dict(wire(stats.to_dict()))
-        assert rebuilt.to_dict() == stats.to_dict()
+        rebuilt = assert_round_trips(stats)
         assert rebuilt.fit_failures == stats.fit_failures
         assert rebuilt.n_migrations == stats.n_migrations
 
+    @round_trips(MigrationRecord)
     def test_fragmentation_and_migration_round_trip(self):
         sample = FragmentationSample(
             time=3.5,
@@ -505,8 +521,9 @@ class TestStatsWire:
             moved_gb=1.75,
             triggered_by=9,
         )
-        assert MigrationRecord.from_dict(wire(record.to_dict())) == record
+        assert_round_trips(record)
 
+    @round_trips(ServiceStats)
     def test_service_stats_round_trip(self):
         stats = ServiceStats(
             n_shards=4,
@@ -533,7 +550,7 @@ class TestStatsWire:
             window_wall_seconds=1.25,
             shard_service_seconds=3.5,
         )
-        assert ServiceStats.from_dict(wire(stats.to_dict())) == stats
+        assert_round_trips(stats)
 
     def test_service_stats_accepts_pre_overlap_payloads(self):
         """A payload recorded before overlapped dispatch existed still
@@ -573,22 +590,42 @@ class TestStatsWire:
         assert rebuilt.crashes == 0
         assert rebuilt.n_shards == 2
 
+    @round_trips(OnlineStats, PromotionRecord)
     def test_online_stats_round_trip(self):
-        stats = OnlineStats()
-        assert OnlineStats.from_dict(wire(stats.to_dict())).to_dict() == (
-            stats.to_dict()
+        assert_round_trips(OnlineStats())
+        fingerprint = ScheduleConfig(machine="amd", hosts=1).machine_list()[
+            0
+        ].fingerprint()
+        stats = OnlineStats(
+            observations=12,
+            drift_events=1,
+            retrains=1,
+            promotions=[
+                PromotionRecord(
+                    time=40.5,
+                    fingerprint=fingerprint,  # nested tuples
+                    vcpus=8,
+                    version=2,
+                    shadow_mape_pct=4.25,
+                    incumbent_mape_pct=19.5,
+                    n_shadow_observations=6,
+                )
+            ],
+            mape_timeline=[(1.5, 8, None), (2.0, 16, 12.75)],
         )
+        assert_round_trips(stats)
 
 
 class TestFaultWire:
+    @round_trips(FaultAction)
     def test_fault_action_round_trip(self):
         action = FaultAction(shard=2, at_message=7, kind="delay", delay_ms=3.5)
-        assert FaultAction.from_dict(wire(action.to_dict())) == action
+        assert_round_trips(action)
 
+    @round_trips(FaultPlan, FaultAction)
     def test_fault_plan_round_trip(self):
         plan = FaultPlan.kill_each_shard_once(4, seed=11)
-        rebuilt = FaultPlan.from_dict(wire(plan.to_dict()))
-        assert rebuilt == plan
+        rebuilt = assert_round_trips(plan)
         assert rebuilt.seed == 11
         # A rebuilt plan binds to identical per-shard schedules.
         for shard in range(4):
@@ -614,6 +651,7 @@ class TestFaultWire:
 
 
 class TestConfigWire:
+    @round_trips(ScheduleConfig)
     def test_schedule_config_round_trip(self):
         config = ScheduleConfig(
             machine="mixed",
@@ -634,8 +672,7 @@ class TestConfigWire:
             backoff_base_s=0.01,
             recovery_rounds=2,
         )
-        rebuilt = ScheduleConfig.from_dict(wire(config.to_dict()))
-        assert rebuilt == config
+        rebuilt = assert_round_trips(config)
         assert rebuilt.vcpus == (4, 8, 12)  # tuple restored, not list
 
 
@@ -708,18 +745,12 @@ class TestSummaryWire:
 
 
 class TestReportWire:
+    @round_trips(FleetReport)
     def test_full_report_round_trips(self, churn_report, machines):
         amd = machines_by_name(
             ScheduleConfig(machine="amd", hosts=1).machine_list()
         )
-        payload = wire(churn_report.to_dict())
-        rebuilt = FleetReport.from_dict(payload, amd)
-        assert rebuilt.to_dict() == payload
-        assert rebuilt.placed == churn_report.placed
-        assert rebuilt.rejected == churn_report.rejected
-        assert rebuilt.latency_percentiles_ms() == (
-            churn_report.latency_percentiles_ms()
-        )
+        assert_round_trips(churn_report, amd)  # so derived counts are equal too
 
     def test_summary_only_report_snapshots_derived_values(self, churn_report):
         payload = wire(churn_report.to_dict(include_decisions=False))
@@ -734,6 +765,7 @@ class TestReportWire:
         rebuilt = FleetReport.from_dict(payload, amd)
         assert rebuilt.decisions == []  # compact form drops the traces
 
+    @round_trips(FleetReport)
     def test_one_shot_report_round_trips(self, machines):
         config = ScheduleConfig(
             machine="mixed", hosts=2, requests=20, seed=4, vcpus=(4, 8)
@@ -746,8 +778,7 @@ class TestReportWire:
             batch_size=8,
         )
         report = scheduler.run(config.build_stream())
-        payload = wire(report.to_dict())
-        assert FleetReport.from_dict(payload, machines).to_dict() == payload
+        assert_round_trips(report, machines)
 
 
 class TestCapacityWire:
@@ -797,6 +828,7 @@ class TestAdmissionWire:
         with pytest.raises(ValueError, match="reason"):
             AdmissionDecision(1, "reject")
 
+    @round_trips(AdmissionStats)
     def test_admission_stats_round_trip(self):
         stats = AdmissionStats(
             offered=10,
@@ -809,8 +841,9 @@ class TestAdmissionWire:
             shed_queue_full=1,
             brownout_entries=1,
         )
-        assert AdmissionStats.from_dict(wire(stats.to_dict())) == stats
+        assert_round_trips(stats)
 
+    @round_trips(ServiceStats, AdmissionStats)
     def test_service_stats_round_trip_with_admission(self):
         stats = ServiceStats(
             n_shards=2,
@@ -822,8 +855,7 @@ class TestAdmissionWire:
                 offered=24, admitted=20, rejected_capacity=4
             ),
         )
-        rebuilt = ServiceStats.from_dict(wire(stats.to_dict()))
-        assert rebuilt == stats
+        rebuilt = assert_round_trips(stats)
         assert isinstance(rebuilt.admission, AdmissionStats)
 
     def test_admission_off_payload_has_no_new_keys(self):
@@ -841,6 +873,7 @@ class TestAdmissionWire:
         assert rebuilt.admission is None
         assert rebuilt.retries_short_circuited == 0
 
+    @round_trips(ScheduleConfig)
     def test_schedule_config_round_trip_with_admission_knobs(self):
         config = ScheduleConfig(
             machine="amd",
@@ -854,8 +887,7 @@ class TestAdmissionWire:
             deadline_budget_s=5.0,
             brownout_watermark=0.25,
         )
-        rebuilt = ScheduleConfig.from_dict(wire(config.to_dict()))
-        assert rebuilt == config
+        assert_round_trips(config)
 
     def test_initial_capacity_matches_empty_worker_summary(self):
         config = ScheduleConfig(
@@ -864,3 +896,45 @@ class TestAdmissionWire:
         worker = ShardWorker(0, config)
         expected = ShardSummary.initial(0, config.machine_list())
         assert worker.summary() == expected
+
+
+class TestRecords:
+    def test_every_record_has_a_round_trip_test(self):
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):  # that runs the CLI
+                importlib.import_module(module.name)
+        records, pending = set(), [Record]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                pending.append(cls)
+                if cls.__module__.startswith("repro."):
+                    records.add(cls.__qualname__)
+        assert len(records) >= 14
+        assert records - {cls.__qualname__ for cls in ROUND_TRIPPED} == set()
+
+    def test_slotted_records_get_no_instance_dict(self, churn_report):
+        # A mixin without ``__slots__`` would add a __dict__ (24 bytes)
+        # to every decision a run keeps.
+        graded = churn_report.decisions[0]
+        for record in (graded, graded.decision, graded.decision.request):
+            assert not hasattr(record, "__dict__")
+
+    def test_unknown_key_raises_and_derived_or_retired_keys_load(
+        self, churn_report
+    ):
+        action = FaultAction(shard=0, at_message=3, kind="crash")
+        with pytest.raises(TypeError, match="no field named 'bogus'"):
+            FaultAction.from_dict(dict(action.to_dict(), bogus=1))
+        with pytest.raises(TypeError):
+            FaultAction.from_dict({"shard": 0, "kind": "crash"})
+        # FleetReport's derived summary block and ServiceStats' retired
+        # overlapped_rounds are the two extras a payload may carry.
+        payload = wire(churn_report.to_dict(include_decisions=False))
+        assert "summary" in payload
+        rebuilt = FleetReport.from_dict(payload)
+        assert rebuilt.churn == churn_report.churn
+        with pytest.raises(TypeError, match="no field named 'bogus'"):
+            FleetReport.from_dict(dict(payload, bogus=None))
+        stats = ServiceStats(n_shards=2, window=4, rounds=3)
+        retired = dict(wire(stats.to_dict()), overlapped_rounds=3)
+        assert ServiceStats.from_dict(retired) == stats
