@@ -1,6 +1,8 @@
-"""Fleet scheduler throughput: indexed vs linear-scan vs naive pipeline.
+"""One-shot scheduling throughput: indexed vs linear-scan vs naive pipeline.
 
-Three generations of the placement hot path, measured on one stream:
+Three generations of the placement hot path, measured on one stream that
+nothing departs from, through the lifecycle engine with the rebalancer
+off (``LifecycleScheduler.run(requests, window=...)``):
 
 * **indexed** (production): host selection through the incremental
   ``FleetIndex`` (only hosts whose bucketed largest free block fits are
@@ -10,7 +12,8 @@ Three generations of the placement hot path, measured on one stream:
   prediction, but every request scans all hosts, re-scores free-node
   combinations per host, and re-simulates both grading IPC runs;
 * **naive per-request** (the PR 1 baseline): additionally re-enumerates
-  the Algorithm 1-3 pipeline and predicts one row at a time.
+  the Algorithm 1-3 pipeline and predicts one row at a time (a window
+  of one).
 
 The two baselines are the test oracles of ``tests/scheduler/oracle_linear.py``:
 the linear-scan goal-aware policy over a registry that re-simulates every
@@ -37,9 +40,10 @@ from conftest import record_bench
 from repro.core.memo import DEFAULT_ENUMERATION_CACHE
 from repro.scheduler import (
     Fleet,
-    FleetScheduler,
     GoalAwareFleetPolicy,
+    LifecycleScheduler,
     ModelRegistry,
+    RebalanceConfig,
     generate_request_stream,
 )
 from repro.scheduler.artifacts import DEFAULT_ARTIFACT_STORE
@@ -83,7 +87,7 @@ def _run(
     *,
     registry_class,
     policy_class,
-    batch_size: int,
+    window: int,
 ):
     requests = generate_request_stream(
         n_requests, seed=SEED, vcpus_choices=VCPUS_CHOICES
@@ -97,14 +101,14 @@ def _run(
         DEFAULT_ARTIFACT_STORE.clear()
         registry = _registry(registry_class)
         fleet = Fleet.homogeneous(amd_opteron_6272(), n_hosts)
-        scheduler = FleetScheduler(
+        engine = LifecycleScheduler(
             fleet,
             policy_class(registry),
             registry=registry,
-            batch_size=batch_size,
+            config=RebalanceConfig(enabled=False),
         )
         start = time.perf_counter()
-        fleet_report = scheduler.run(requests)
+        fleet_report = engine.run(requests, window=window)
         elapsed = time.perf_counter() - start
         if n_requests / elapsed > best_rps:
             best_rps, report = n_requests / elapsed, fleet_report
@@ -125,7 +129,7 @@ def test_fleet_scheduler_throughput(report):
             FAST_REQUESTS,
             registry_class=ModelRegistry,
             policy_class=GoalAwareFleetPolicy,
-            batch_size=64,
+            window=64,
         )
         indexed_by_size[n_hosts] = rps
         lines.append(
@@ -144,7 +148,7 @@ def test_fleet_scheduler_throughput(report):
         LINEAR_REQUESTS,
         registry_class=_UnmemoizedIpcRegistry,
         policy_class=LinearGoalAwarePolicy,
-        batch_size=64,
+        window=64,
     )
     lines.append(
         f"{largest:>6} {LINEAR_REQUESTS:>9} {'linear scan (PR2)':>18} "
@@ -156,7 +160,7 @@ def test_fleet_scheduler_throughput(report):
         NAIVE_REQUESTS,
         registry_class=UnmemoizedRegistry,
         policy_class=LinearGoalAwarePolicy,
-        batch_size=1,
+        window=1,
     )
     lines.append(
         f"{100 if not SMOKE else 50:>6} {NAIVE_REQUESTS:>9} "

@@ -1,7 +1,7 @@
 """Dynamic fleet lifecycle walkthrough: churn, fragmentation, rebalancing.
 
-The one-shot scheduler (examples/fleet_scheduling.py) only sees arrivals.
-This example runs the event-driven lifecycle engine on a churning stream —
+A one-shot stream (examples/fleet_scheduling.py) only has arrivals.
+This example runs the same lifecycle engine on a churning stream —
 Poisson arrivals, heavy-tailed lifetimes, real departures — and shows the
 problem that regime creates: free capacity *fragments*.  Mostly-1-node
 containers scatter across hosts, each host keeps a couple of free nodes,

@@ -1,10 +1,11 @@
 """Fleet scheduling walkthrough: a request stream over a mixed fleet.
 
 Builds a small mixed fleet (AMD Opteron and Intel Xeon shapes), generates a
-deterministic stream of heterogeneous container requests, and runs it
-through all three fleet policies — first-fit bin-packing, load-balanced
-spread, and the paper's goal-aware ML policy — printing each fleet report
-and a few per-request decision traces.
+deterministic stream of heterogeneous container requests (nothing ever
+departs: a one-shot stream, for the lifecycle engine with its rebalancer
+off), and runs it through all three fleet policies — first-fit
+bin-packing, load-balanced spread, and the paper's goal-aware ML policy —
+printing each fleet report and a few per-request decision traces.
 
 Watch two things in the output:
 
@@ -19,8 +20,9 @@ Run:  python examples/fleet_scheduling.py
 from repro.scheduler import (
     POLICIES,
     Fleet,
-    FleetScheduler,
+    LifecycleScheduler,
     ModelRegistry,
+    RebalanceConfig,
     generate_request_stream,
     make_policy,
 )
@@ -50,10 +52,13 @@ def main() -> None:
     for name in ("ml", "first-fit", "spread"):
         assert name in POLICIES
         policy = make_policy(name, registry=registry)
-        scheduler = FleetScheduler(
-            build_fleet(), policy, registry=registry, batch_size=32
+        engine = LifecycleScheduler(
+            build_fleet(),
+            policy,
+            registry=registry,
+            config=RebalanceConfig(enabled=False),
         )
-        report = scheduler.run(requests)
+        report = engine.run(requests, window=32)
         print(report.describe())
         for graded in report.decisions[:3]:
             print(f"    {graded.describe()}")

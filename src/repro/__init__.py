@@ -61,7 +61,6 @@ from repro.core import (
 )
 from repro.scheduler import (
     Fleet,
-    FleetScheduler,
     FirstFitFleetPolicy,
     SpreadFleetPolicy,
     GoalAwareFleetPolicy,
@@ -95,7 +94,6 @@ __all__ = [
     "HpeModel",
     "PlacementScheduler",
     "Fleet",
-    "FleetScheduler",
     "FirstFitFleetPolicy",
     "SpreadFleetPolicy",
     "GoalAwareFleetPolicy",

@@ -182,11 +182,7 @@ def _schedule_config(args):
 
 
 def cmd_schedule(args) -> int:
-    from repro.scheduler import (
-        FleetScheduler,
-        LifecycleScheduler,
-        RebalanceConfig,
-    )
+    from repro.scheduler import LifecycleScheduler, RebalanceConfig
 
     if args.trace < 0:
         raise SystemExit("--trace must be >= 0")
@@ -214,26 +210,20 @@ def cmd_schedule(args) -> int:
     policy = config.build_policy(registry)
     requests = config.build_stream()
 
-    if config.churn:
-        engine = LifecycleScheduler(
-            fleet,
-            policy,
-            registry=registry,
-            config=RebalanceConfig(
-                enabled=config.rebalance_enabled,
-                reject_penalty_seconds=config.penalty_seconds,
-            ),
-            online=learner,
-        )
-        report = engine.run(requests)
-    else:
-        scheduler = FleetScheduler(
-            fleet,
-            policy,
-            registry=registry,
-            batch_size=config.effective_batch_size,
-        )
-        report = scheduler.run(requests)
+    engine = LifecycleScheduler(
+        fleet,
+        policy,
+        registry=registry,
+        config=RebalanceConfig(
+            enabled=config.churn and config.rebalance_enabled,
+            reject_penalty_seconds=config.penalty_seconds,
+        ),
+        online=learner,
+    )
+    report = engine.run(
+        requests,
+        window=config.effective_batch_size if not config.churn else 1,
+    )
     print(report.describe())
     if config.online_learning:
         print()

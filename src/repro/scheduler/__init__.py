@@ -12,10 +12,12 @@ with: the topology-fingerprint memo cache around placement enumeration
 (:meth:`repro.core.model.PlacementModel.predict_batch`), which together
 turn a per-request cost into a per-machine-shape cost.
 
-:mod:`repro.scheduler.lifecycle` extends the one-shot scheduler into an
-online system: timestamped arrival/departure events, fleet-level release,
-fragmentation tracking, and a migration-driven rebalancer that consults
-:class:`repro.migration.planner.MigrationPlanner` before moving anything.
+:mod:`repro.scheduler.lifecycle` is the one engine: timestamped
+arrival/departure events decided a window of arrivals at a time,
+fleet-level release, fragmentation tracking, and a migration-driven
+rebalancer that consults :class:`repro.migration.planner.MigrationPlanner`
+before moving anything.  A one-shot stream, where nothing departs, is the
+same engine with the rebalancer off.
 """
 
 from repro.scheduler.admission import (
@@ -81,7 +83,6 @@ from repro.scheduler.requests import (
 )
 from repro.scheduler.scheduler import (
     FleetReport,
-    FleetScheduler,
     GradedDecision,
     grade_decision,
 )
@@ -179,7 +180,6 @@ __all__ = [
     "generate_churn_stream",
     "generate_request_stream",
     "FleetReport",
-    "FleetScheduler",
     "GradedDecision",
     "grade_decision",
 ]

@@ -125,8 +125,8 @@ class ScheduleConfig(Record):
             raise ValueError("batch_size must be >= 1")
         if self.churn and self.batch_size is not None:
             raise ValueError(
-                "batch_size applies to the one-shot scheduler; the "
-                "lifecycle engine decides one event at a time"
+                "batch_size applies to one-shot streams; a churn "
+                "stream is decided one event at a time"
             )
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
@@ -231,7 +231,8 @@ class ScheduleConfig(Record):
 
     @property
     def effective_batch_size(self) -> int:
-        """The one-shot scheduler's batch size (64 unless set)."""
+        """Arrivals per policy batch on a one-shot stream (64 unless
+        set): the lifecycle engine's ``run`` window without churn."""
         return 64 if self.batch_size is None else self.batch_size
 
     @property
@@ -314,8 +315,8 @@ def add_schedule_arguments(
     ``repro schedule`` and ``repro serve`` expose the same fleet, stream,
     policy, and churn knobs; ``serve=True`` adds the service group
     (shards, window, worker transport) and drops the flags that only
-    make sense for the monolithic command (one-shot batching, online
-    learning, decision tracing).
+    make sense for the monolithic command (``--batch-size``, the policy
+    batch of a one-shot stream; online learning; decision tracing).
     """
     defaults = ScheduleConfig()
     parser.add_argument(
@@ -339,8 +340,8 @@ def add_schedule_arguments(
             "--batch-size",
             type=int,
             default=None,
-            help="requests decided per policy call (one-shot mode only; "
-            "default 64)",
+            help="arrivals decided per policy call on a one-shot stream "
+            "(not with --churn; default 64)",
         )
     if not serve:
         parser.add_argument(
@@ -396,8 +397,8 @@ def add_schedule_arguments(
         "one rejected request (default 120)",
     )
     if serve:
-        # The service ingests a lifecycle event stream: serve mode is
-        # always churn mode (there is no one-shot serve).
+        # The service ingests a churn event stream: serve mode is
+        # always churn mode (the stream builder draws lifetimes).
         parser.set_defaults(churn=True)
         service = parser.add_argument_group(
             "service options", "sharded scheduler service"

@@ -1,18 +1,23 @@
-"""The dynamic lifecycle engine: churn, fragmentation, and rebalancing.
+"""The lifecycle engine: arrivals, churn, fragmentation, rebalancing.
 
-PR 1's :class:`~repro.scheduler.scheduler.FleetScheduler` is one-shot —
-containers arrive, nothing ever leaves.  Real warehouse-scale placement is
-a *churn* problem: departures punch holes in the fleet's node blocks, and
-over time the spare capacity fragments into per-host chunks too small for
-the next container even though the fleet as a whole has plenty of free
-nodes.  :class:`LifecycleScheduler` models that regime end to end:
+The paper's goal-aware policy decides each arriving container against
+the current state of a host; whether anything ever leaves is a property
+of the stream, not of the scheduler.  :class:`LifecycleScheduler` is the
+one engine for both kinds of stream.  A one-shot stream — containers
+arrive, nothing leaves — is its :meth:`~LifecycleScheduler.run` over
+arrivals alone with the rebalancer off, ``window`` arrivals per policy
+batch.  Real warehouse-scale placement is a *churn* problem: departures
+punch holes in the fleet's node blocks, and over time the spare capacity
+fragments into per-host chunks too small for the next container even
+though the fleet as a whole has plenty of free nodes.  The engine models
+that regime end to end:
 
 1. A request stream with arrival times and lifetimes (see
    :func:`~repro.scheduler.requests.generate_churn_stream`) becomes a
    time-ordered event queue (:mod:`repro.scheduler.events`).
 2. Arrivals go through any :class:`~repro.scheduler.policies.FleetPolicy`
-   exactly as in the one-shot scheduler, and are graded with the same
-   shared :func:`~repro.scheduler.scheduler.grade_decision`.
+   (``decide_batch``, a window of consecutive arrivals at a time) and
+   are graded with :func:`~repro.scheduler.scheduler.grade_decision`.
 3. Departures free their node blocks through
    :meth:`~repro.scheduler.fleet.Fleet.release` (request-id -> host index,
    O(1)).
@@ -53,10 +58,15 @@ from typing import (
 
 import numpy as np
 
-from repro.core.blockscores import BlockStateMemo, block_state_memo
+from repro.core.blockscores import (
+    DEFAULT_BLOCK_SCORE_CACHE,
+    BlockStateMemo,
+    block_state_memo,
+)
 from repro.core.placements import Placement
 from repro.core.serialize import Record
 from repro.migration.planner import MigrationAdvice, MigrationPlanner
+from repro.ml.arena import ARENA_STATS
 from repro.scheduler.events import EventKind, LifecycleEvent, events_from_requests
 from repro.scheduler.fleet import Fleet, FleetHost, scores_match
 from repro.scheduler.policies import (
@@ -402,8 +412,9 @@ class LifecycleScheduler:
         The hosts (shared bookkeeping with the policies).
     policy:
         Any fleet policy; defaults to the goal-aware ML policy.  Arrivals
-        are decided one event at a time (batching across *time* would let
-        the policy see the future).
+        are decided a window of consecutive arrivals at a time
+        (:meth:`step_batch`); :meth:`step` and ``run(window=1)`` decide
+        them one event at a time.
     registry:
         Grading artifacts, defaulting to the policy's registry.
     planner:
@@ -520,12 +531,12 @@ class LifecycleScheduler:
     ) -> List[GradedDecision]:
         """Decide a window of consecutive arrivals in one policy batch.
 
-        The sharded service batches arrivals per shard so the goal-aware
-        policy's fused prediction amortizes across the window.  A window
-        of one decides exactly as :meth:`step`; larger windows trade
-        strict time order *inside the window* for batching (all window
-        decisions allocate before any rebalance retry runs), exactly like
-        the one-shot scheduler's batches.
+        :meth:`run` and the sharded service's shards batch arrivals so
+        the goal-aware policy's fused prediction amortizes across the
+        window.  A window of one decides exactly as :meth:`step`; larger
+        windows trade strict time order *inside the window* for batching
+        (all window decisions allocate before any rebalance retry runs).
+        An empty window decides nothing.
 
         The entries are returned, not kept: :attr:`graded` is the
         :meth:`step` / :meth:`run` report's list, and a shard, whose
@@ -534,6 +545,8 @@ class LifecycleScheduler:
         """
         if any(e.kind is not EventKind.ARRIVAL for e in events):
             raise ValueError("step_batch handles arrival events only")
+        if not events:
+            return []
         started = time.perf_counter()
         if len(events) == 1:
             [event] = events
@@ -545,7 +558,7 @@ class LifecycleScheduler:
         per_request = (time.perf_counter() - started) / len(events)
         return [
             self._settle(event, decision, time.perf_counter(), per_request)
-            for event, decision in zip(events, decisions)
+            for event, decision in zip(events, decisions, strict=True)
         ]
 
     def _sample(self, event_time: float) -> None:
@@ -562,25 +575,71 @@ class LifecycleScheduler:
     def collect_report(
         self, n_requests: int, elapsed_seconds: float
     ) -> FleetReport:
-        """Fold the accumulated decisions and stats into a FleetReport."""
-        return FleetReport.collect(
-            policy=self.policy,
-            fleet=self.fleet,
-            registry=self.registry,
+        """Fold the accumulated decisions and stats, and the fleet,
+        registry and policy counters, into a FleetReport."""
+        fleet, registry, policy = self.fleet, self.registry, self.policy
+        per_host = [h.thread_utilization for h in fleet.hosts]
+        return FleetReport(
+            policy=policy.name,
+            n_hosts=len(fleet),
             n_requests=n_requests,
             decisions=self.graded,
             elapsed_seconds=elapsed_seconds,
+            thread_utilization=fleet.thread_utilization,
+            node_utilization=fleet.node_utilization,
+            busiest_host_utilization=max(per_host) if per_host else 0.0,
+            cache_info=registry.enumeration_info(),
+            enumeration_runs=registry.enumeration_runs(),
+            predict_calls=getattr(policy, "predict_calls", 0),
+            predicted_rows=getattr(policy, "predicted_rows", 0),
+            ipc_cache_info=registry.ipc_cache_info(),
+            arena_forests=ARENA_STATS.forests_compiled,
+            arena_fused_calls=ARENA_STATS.fused_calls,
+            arena_lanes=ARENA_STATS.lanes_evaluated,
+            blockscore_cache_info=DEFAULT_BLOCK_SCORE_CACHE.info(),
             churn=self.stats,
             online=self.online.stats if self.online is not None else None,
         )
 
-    def run(self, requests: Sequence[PlacementRequest]) -> FleetReport:
+    def run(
+        self, requests: Sequence[PlacementRequest], *, window: int = 1
+    ) -> FleetReport:
         """Replay the stream's events in time order; report with churn
-        statistics attached."""
+        statistics attached.
+
+        Each run of ``window`` consecutive arrivals is decided in one
+        :meth:`step_batch`.  A departure falling inside an open window is
+        held until that window is decided — the sharded service's rule,
+        so one shard serving at window ``W`` decides like ``run(window=W)``
+        — and ``window=1`` steps event by event.  A one-shot stream
+        (nothing departs) with ``RebalanceConfig(enabled=False)`` is plain
+        batched placement: ``decide_batch`` per window, then a grade per
+        decision.
+        """
+        if window < 1:
+            raise ValueError("window must be >= 1")
         start = time.perf_counter()
         self.begin()
+        pending: List[LifecycleEvent] = []
+        held: List[LifecycleEvent] = []
+
+        def decide_pending() -> None:
+            self.graded.extend(self.step_batch(pending))
+            for event in held:
+                self.depart(event.request.request_id, event.time)
+            pending.clear()
+            held.clear()
+
         for event in events_from_requests(requests).drain():
-            self.step(event)
+            if event.kind is EventKind.ARRIVAL:
+                pending.append(event)
+                if len(pending) == window:
+                    decide_pending()
+            elif pending:
+                held.append(event)
+            else:
+                self.depart(event.request.request_id, event.time)
+        decide_pending()
         elapsed = time.perf_counter() - start
         return self.collect_report(len(requests), elapsed)
 
@@ -612,9 +671,8 @@ class LifecycleScheduler:
                 if retry.placed:
                     stats.rebalance_recovered += 1
                     decision = retry
-        # Stop the clock before grading: the one-shot scheduler's
-        # decision_seconds also excludes grading, keeping the two modes'
-        # latency stats comparable.
+        # Stop the clock before grading: decision_seconds is the time to
+        # decide (and rebalance), for a window of one or of many alike.
         decide_seconds = spent + (time.perf_counter() - started)
         entry = grade_decision(decision, self.fleet, self.registry)
         entry.decision_seconds = decide_seconds

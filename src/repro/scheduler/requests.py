@@ -36,9 +36,9 @@ from repro.perfsim.workload import WorkloadProfile
 class PlacementRequest(Record):
     """One container arriving at the fleet scheduler.
 
-    ``arrival_time`` and ``lifetime`` (both in simulated seconds) only
-    matter to the event-driven lifecycle engine; the one-shot scheduler
-    ignores them.  ``lifetime=None`` means the container never departs.
+    ``arrival_time`` and ``lifetime`` (both in simulated seconds) order
+    the lifecycle engine's events.  ``lifetime=None`` means the container
+    never departs; a stream of such requests is a one-shot stream.
     """
 
     request_id: int

@@ -1,21 +1,17 @@
-"""The fleet scheduler: drive a request stream through a policy and report.
+"""Graded decisions and the fleet report.
 
-:class:`FleetScheduler` is the control loop: it cuts the stream into
-batches (so the goal-aware policy can predict a whole batch in one
-vectorized call), lets the policy decide-and-allocate, then grades every
-placed container — achieved performance relative to the shape's baseline
-placement, measured through the per-shape simulator — and folds everything
-into a :class:`FleetReport`.
-
-``batch_size=1`` predicts one row at a time; with the unmemoized registry
-of ``tests/scheduler/oracle_linear.py`` (re-enumerate per request) it is
-the per-request pipeline ``benchmarks/bench_fleet_scheduler.py`` measures
-the production path against.
+:func:`grade_decision` grades one placed container — achieved
+performance relative to the shape's baseline placement, measured through
+the per-shape simulator — and :class:`FleetReport` is what a run of the
+lifecycle engine (:class:`~repro.scheduler.lifecycle.LifecycleScheduler`)
+or of the sharded service reports.  There is one engine: a one-shot
+stream, where nothing ever leaves, is the lifecycle engine's ``run`` over
+arrivals alone, decided ``window`` requests per policy batch with the
+rebalancer off.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
@@ -24,13 +20,8 @@ import numpy as np
 from repro.core.memo import CacheInfo
 from repro.core.serialize import Record
 from repro.scheduler.fleet import Fleet
-from repro.scheduler.policies import (
-    FleetDecision,
-    FleetPolicy,
-    GoalAwareFleetPolicy,
-)
+from repro.scheduler.policies import FleetDecision
 from repro.scheduler.registry import ModelRegistry
-from repro.scheduler.requests import PlacementRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.scheduler.lifecycle import ChurnStats
@@ -66,9 +57,8 @@ def grade_decision(
     """Grade one decision: achieved performance in the realized placement
     relative to the shape's baseline, through the registry's simulator.
 
-    Shared by the one-shot :class:`FleetScheduler` and the event-driven
-    :class:`~repro.scheduler.lifecycle.LifecycleScheduler`, so both grade
-    bit-for-bit identically.  Both IPC evaluations are noise-free and
+    The lifecycle engine grades every arrival with it, and re-grades a
+    container the rebalancer moved.  Both IPC evaluations are noise-free and
     deterministic, so they go through the registry's memo
     (:meth:`~repro.scheduler.registry.ModelRegistry.solo_ipc` /
     :meth:`~repro.scheduler.registry.ModelRegistry.baseline_ipc`) —
@@ -132,7 +122,7 @@ class FleetReport(Record):
     #: Shared block-score table accounting (per-shape, process-wide).
     blockscore_cache_info: CacheInfo | None = None
     #: Lifecycle statistics (departures, migrations, fragmentation
-    #: timeline) — only set by the event-driven LifecycleScheduler.
+    #: timeline); every run of the lifecycle engine or the service sets it.
     churn: "ChurnStats | None" = None
     #: Serving-loop statistics (observations, drift, retrains,
     #: promotions) — only set when an OnlineLearner was attached.
@@ -140,50 +130,6 @@ class FleetReport(Record):
     #: Routing statistics (shards, retries, per-shard load) — only set by
     #: the sharded :class:`~repro.scheduler.service.SchedulerService`.
     service: "ServiceStats | None" = None
-
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def collect(
-        cls,
-        *,
-        policy: FleetPolicy,
-        fleet: Fleet,
-        registry: ModelRegistry,
-        n_requests: int,
-        decisions: List[GradedDecision],
-        elapsed_seconds: float,
-        churn: "ChurnStats | None" = None,
-        online: "OnlineStats | None" = None,
-    ) -> "FleetReport":
-        """Assemble a report from end-of-run state — the single place the
-        fleet/registry/policy counters are folded in, shared by the
-        one-shot and lifecycle schedulers so their reports cannot drift."""
-        from repro.core.blockscores import DEFAULT_BLOCK_SCORE_CACHE
-        from repro.ml.arena import ARENA_STATS
-
-        per_host = [h.thread_utilization for h in fleet.hosts]
-        return cls(
-            policy=policy.name,
-            n_hosts=len(fleet),
-            n_requests=n_requests,
-            decisions=decisions,
-            elapsed_seconds=elapsed_seconds,
-            thread_utilization=fleet.thread_utilization,
-            node_utilization=fleet.node_utilization,
-            busiest_host_utilization=max(per_host) if per_host else 0.0,
-            cache_info=registry.enumeration_info(),
-            enumeration_runs=registry.enumeration_runs(),
-            predict_calls=getattr(policy, "predict_calls", 0),
-            predicted_rows=getattr(policy, "predicted_rows", 0),
-            ipc_cache_info=registry.ipc_cache_info(),
-            arena_forests=ARENA_STATS.forests_compiled,
-            arena_fused_calls=ARENA_STATS.fused_calls,
-            arena_lanes=ARENA_STATS.lanes_evaluated,
-            blockscore_cache_info=DEFAULT_BLOCK_SCORE_CACHE.info(),
-            churn=churn,
-            online=online,
-        )
 
     @property
     def placed(self) -> int:
@@ -368,73 +314,3 @@ class FleetReport(Record):
         )
         return "\n".join(lines)
 
-
-class FleetScheduler:
-    """Streams requests through a fleet policy in batches.
-
-    Parameters
-    ----------
-    fleet:
-        The hosts.
-    policy:
-        Any :class:`~repro.scheduler.policies.FleetPolicy`; defaults to the
-        goal-aware ML policy with a fresh registry.
-    registry:
-        Used for post-hoc grading (baseline placements and simulators).
-        Defaults to the policy's registry when it has one, so the grader
-        shares the policy's caches.
-    batch_size:
-        Requests decided per policy call.  1 disables batching (one
-        prediction row per forest call).
-    """
-
-    def __init__(
-        self,
-        fleet: Fleet,
-        policy: FleetPolicy | None = None,
-        *,
-        registry: ModelRegistry | None = None,
-        batch_size: int = 64,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.fleet = fleet
-        self.policy = policy or GoalAwareFleetPolicy()
-        if registry is None:
-            registry = getattr(self.policy, "registry", None) or ModelRegistry()
-        self.registry = registry
-        self.batch_size = batch_size
-
-    # ------------------------------------------------------------------
-
-    def _grade(self, decision: FleetDecision) -> GradedDecision:
-        return grade_decision(decision, self.fleet, self.registry)
-
-    def run(self, requests: Sequence[PlacementRequest]) -> FleetReport:
-        """Schedule the whole stream and return the fleet report."""
-        start = time.perf_counter()
-        graded: List[GradedDecision] = []
-        for begin in range(0, len(requests), self.batch_size):
-            batch = requests[begin : begin + self.batch_size]
-            batch_start = time.perf_counter()
-            decisions = self.policy.decide_batch(batch, self.fleet)
-            if len(decisions) != len(batch):
-                raise RuntimeError(
-                    f"policy {self.policy.name} returned {len(decisions)} "
-                    f"decisions for a {len(batch)}-request batch"
-                )
-            per_request = (time.perf_counter() - batch_start) / len(batch)
-            for decision in decisions:
-                entry = self._grade(decision)
-                entry.decision_seconds = per_request
-                graded.append(entry)
-        elapsed = time.perf_counter() - start
-
-        return FleetReport.collect(
-            policy=self.policy,
-            fleet=self.fleet,
-            registry=self.registry,
-            n_requests=len(requests),
-            decisions=graded,
-            elapsed_seconds=elapsed,
-        )

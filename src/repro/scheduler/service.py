@@ -21,18 +21,17 @@ Why it is fast, independent of transport parallelism:
   with the shard count;
 * arrivals are batched into routing windows and each shard decides its
   window slice in one ``decide_batch`` call, so the goal-aware policy's
-  fused forest call amortizes across the window instead of running per
-  event as the monolithic lifecycle engine does;
+  fused forest call amortizes across the window;
 * departures are deferred into per-shard outboxes ([id, time] pairs —
   a release needs nothing else) and ride *inside* the owning shard's
   next window message, applied before the window is decided, so the
   dominant event type in a churn stream costs no round trip at all: a
   routing round is one message per routed shard.
 
-With one shard and a window of one, the service is the monolithic
-:class:`~repro.scheduler.lifecycle.LifecycleScheduler` behind a wire
-protocol: the reference-stream tests assert the decisions are
-bit-for-bit identical.
+With one shard and a window of ``W``, the service is the monolithic
+:class:`~repro.scheduler.lifecycle.LifecycleScheduler`'s
+``run(window=W)`` behind a wire protocol: the reference-stream tests
+assert the same decisions, migrations and fragmentation timeline.
 
 Every message to a shard leaves through one dispatch: a routing round
 builds one window message per routed shard (its slice of arrivals plus
@@ -940,12 +939,11 @@ class SchedulerService:
     # ------------------------------------------------------------------
 
     def _place_window(
-        self, items: Sequence[Tuple[PlacementRequest, float]], op: str
+        self, items: Sequence[Tuple[PlacementRequest, float]]
     ) -> List[GradedDecision]:
         """Route one window of requests, batch per shard, retry rejects.
 
-        ``items`` are (request, event time) pairs in arrival order;
-        ``op`` is ``"arrive"`` (lifecycle) or ``"decide"`` (one-shot).
+        ``items`` are (request, event time) pairs in arrival order.
         Returns one graded decision per item, in order.
         """
         wall_start = time.perf_counter()
@@ -970,7 +968,7 @@ class SchedulerService:
             groups.setdefault(shard, []).append(position)
         results: List[GradedDecision | None] = [None] * len(items)
         finalized: set = set()
-        self._dispatch_window(items, op, groups, results, assigned, finalized)
+        self._dispatch_window(items, groups, results, assigned, finalized)
 
         finished: List[GradedDecision] = []
         for position, (request, event_time) in enumerate(items):
@@ -978,7 +976,7 @@ class SchedulerService:
             shard = assigned[position]
             if position not in finalized:
                 entry, shard = self._retry_if_rejected(
-                    entry, shard, request, event_time, op
+                    entry, shard, request, event_time
                 )
             self._owner[request.request_id] = shard
             self.stats.shard_requests[shard] += 1
@@ -992,7 +990,6 @@ class SchedulerService:
     def _dispatch_window(
         self,
         items: Sequence[Tuple[PlacementRequest, float]],
-        op: str,
         groups: Dict[int, List[int]],
         results: List[GradedDecision | None],
         assigned: List[int],
@@ -1008,7 +1005,7 @@ class SchedulerService:
             (
                 shard,
                 self._window_message(
-                    op, shard, [items[position] for position in groups[shard]]
+                    shard, [items[position] for position in groups[shard]]
                 ),
             )
             for shard in shards
@@ -1023,7 +1020,7 @@ class SchedulerService:
                 for position in positions:
                     request, event_time = items[position]
                     results[position], assigned[position] = self._failover(
-                        request, event_time, op
+                        request, event_time
                     )
                     finalized.add(position)
                 continue
@@ -1093,22 +1090,19 @@ class SchedulerService:
 
     def _window_message(
         self,
-        op: str,
         shard: int,
         items: Sequence[Tuple[PlacementRequest, float]],
     ) -> Dict:
-        """One window slice for ``shard``; ``arrive`` and ``decide``
-        carry the same arrival rows under their own key.  The shard's
-        pending departures are staged onto the message (no key when
-        there are none), so whoever sends it settles them."""
-        rows = [
-            encode_arrival(request, event_time)
-            for request, event_time in items
-        ]
-        if op == "decide":
-            message = {"op": "decide", "requests": rows}
-        else:
-            message = {"op": "arrive", "events": rows}
+        """One ``arrive`` message: the window slice for ``shard``.  The
+        shard's pending departures are staged onto the message (no key
+        when there are none), so whoever sends it settles them."""
+        message = {
+            "op": "arrive",
+            "events": [
+                encode_arrival(request, event_time)
+                for request, event_time in items
+            ],
+        }
         if self._outbox[shard]:
             message["departures"] = self._stage_departures(shard)
         return message
@@ -1239,7 +1233,6 @@ class SchedulerService:
         shard: int,
         request: PlacementRequest,
         event_time: float,
-        op: str,
     ) -> Tuple[GradedDecision, int]:
         """The optimistic-concurrency arm: a rejected request is retried
         on the next-best untried shard until placed or exhausted.  The
@@ -1277,7 +1270,7 @@ class SchedulerService:
                 continue
             self.stats.retries += 1
             message = self._window_message(
-                op, next_shard, [(request, event_time)]
+                next_shard, [(request, event_time)]
             )
             outcome = self._send(next_shard, message)
             if outcome.down is not None:
@@ -1306,7 +1299,6 @@ class SchedulerService:
         self,
         request: PlacementRequest,
         event_time: float,
-        op: str,
     ) -> Tuple[GradedDecision, int]:
         """Place one arrival whose routed shard went down mid-window:
         re-route to the best surviving shard (force-recovering one if
@@ -1325,14 +1317,14 @@ class SchedulerService:
                 self._recover_shard(sorted(exclude)[0])
                 continue
             shard = ranked[0]
-            message = self._window_message(op, shard, [(request, event_time)])
+            message = self._window_message(shard, [(request, event_time)])
             outcome = self._send(shard, message)
             if outcome.down is not None:
                 continue  # that one died too; re-rank the survivors
             [entry] = self._from_wire(shard, outcome.response, [request])
             entry.decision_seconds = outcome.elapsed
             return self._retry_if_rejected(
-                entry, shard, request, event_time, op
+                entry, shard, request, event_time
             )
 
     # ------------------------------------------------------------------
@@ -1345,7 +1337,7 @@ class SchedulerService:
         *,
         max_events: int | None = None,
     ) -> FleetReport:
-        """Ingest a churn event stream and return the merged report.
+        """Ingest an event stream and return the merged report.
 
         Arrivals are buffered into windows of ``config.window``
         consecutive arrivals.  Departures never cost a round trip of
@@ -1356,9 +1348,10 @@ class SchedulerService:
         out as one ``depart`` message per shard.  A departure falling
         *inside* a buffered window is held until the window flushes —
         window semantics already trade strict time order within the
-        window for batching, and with ``window=1`` the buffer is empty
-        when every departure arrives, which keeps the single-shard
-        reference stream bit-identical to the monolithic engine.
+        window for batching.  It is the rule
+        :meth:`~repro.scheduler.lifecycle.LifecycleScheduler.run` keeps,
+        so one shard decides like the monolithic engine at the same
+        window.
         ``max_events`` bounds ingestion for smoke runs.
         """
         if requests is None:
@@ -1387,7 +1380,7 @@ class SchedulerService:
                 for item in admitted:
                     pending.append(item)
                     if len(pending) >= self.config.window:
-                        self._place_window(pending, "arrive")
+                        self._place_window(pending)
                         pending = []
                         self._defer_departures(held)
                         held = []
@@ -1411,49 +1404,11 @@ class SchedulerService:
             # Holds outliving the stream never exit brown-out: shed them.
             self._emit_sheds(controller.flush())
         if pending:
-            self._place_window(pending, "arrive")
+            self._place_window(pending)
         self._defer_departures(held)
         self._flush_outboxes()
         elapsed = time.perf_counter() - start
-        return self._merge_report(arrivals, elapsed, churn=True)
-
-    def run(
-        self, requests: Sequence[PlacementRequest] | None = None
-    ) -> FleetReport:
-        """One-shot mode: place a whole request stream batch by batch
-        (the service-shaped :class:`~repro.scheduler.scheduler.FleetScheduler`)."""
-        if requests is None:
-            requests = self.config.build_stream()
-        requests = list(requests)
-        start = time.perf_counter()
-        batch_size = self.config.effective_batch_size
-        for begin in range(0, len(requests), batch_size):
-            batch = requests[begin : begin + batch_size]
-            items = [
-                (request, request.arrival_time) for request in batch
-            ]
-            if self.admission is not None:
-                # One-shot mode has no health/churn clock, so only the
-                # feasibility and saturation gates apply (brown-out
-                # never engages and nothing is ever held).
-                kept: List[Tuple[PlacementRequest, float]] = []
-                for request, event_time in items:
-                    decision, _ = self.admission.screen(
-                        request,
-                        event_time,
-                        saturated=self._fleet_saturated(request.vcpus),
-                    )
-                    if decision.outcome == "reject":
-                        self.graded.append(
-                            self._admission_entry(request, decision.reason)
-                        )
-                    else:
-                        kept.append((request, event_time))
-                items = kept
-            if items:
-                self._place_window(items, "decide")
-        elapsed = time.perf_counter() - start
-        return self._merge_report(len(requests), elapsed, churn=False)
+        return self._merge_report(arrivals, elapsed)
 
     def _defer_departures(
         self, pairs: Sequence[Tuple[int, float]]
@@ -1473,7 +1428,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
 
     def _merge_report(
-        self, n_requests: int, elapsed_seconds: float, *, churn: bool
+        self, n_requests: int, elapsed_seconds: float
     ) -> FleetReport:
         # Every shard must answer a report: bring DOWN shards back first
         # (the departures re-queued while they were down go out now).
@@ -1524,29 +1479,25 @@ class SchedulerService:
                 *(r.blockscore_cache_info for r in reports)
             )
 
-        merged_churn = None
-        if churn:
-            merged_churn = merge_churn_stats(
-                [
-                    self._localized_churn(row, shard)
-                    for shard, row in enumerate(churn_rows)
-                ],
-                arrivals=n_requests,
-                initial=[
-                    FragmentationSample(
-                        time=0.0,
-                        free_nodes_total=sum(
-                            m.n_nodes for m in machines
-                        ),
-                        largest_free_block=max(
-                            (m.n_nodes for m in machines), default=0
-                        ),
-                        active_containers=0,
-                        fit_failures=0,
-                    )
-                    for machines in self._shard_machines
-                ],
-            )
+        merged_churn = merge_churn_stats(
+            [
+                self._localized_churn(row, shard)
+                for shard, row in enumerate(churn_rows)
+            ],
+            arrivals=n_requests,
+            initial=[
+                FragmentationSample(
+                    time=0.0,
+                    free_nodes_total=sum(m.n_nodes for m in machines),
+                    largest_free_block=max(
+                        (m.n_nodes for m in machines), default=0
+                    ),
+                    active_containers=0,
+                    fit_failures=0,
+                )
+                for machines in self._shard_machines
+            ],
+        )
 
         return FleetReport(
             policy=self.config.policy,

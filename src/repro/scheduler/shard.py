@@ -32,16 +32,14 @@ Worker message protocol (every payload JSON-safe and picklable):
 ========= ==========================================================
 op        meaning
 ========= ==========================================================
-arrive    lifecycle arrivals: ``events=[arrival_row, ...]`` decided
+arrive    arrivals: ``events=[arrival_row, ...]`` decided
           in one ``step_batch`` window; returns ``graded=[row, ...]``,
           one graded row per arrival, in order.  The departures the
           front end deferred for this shard ride along as
           ``departures=[[request_id, time], ...]`` (a departure needs
           nothing but the id; the key is absent when there are none)
-          and are applied before the window is decided
-decide    one-shot batch (no churn): ``requests=[arrival_row, ...]``,
-          the same rows, the same optional ``departures`` and the same
-          ``graded`` reply as ``arrive``
+          and are applied before the window is decided; an empty
+          window decides nothing and returns ``graded=[]``
 depart    departures with no window left to ride, at the end of a
           stream: ``events=[[request_id, time], ...]``
 summary   just the shard's routing summary
@@ -89,7 +87,7 @@ from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
 from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
-from repro.scheduler.scheduler import FleetReport, grade_decision
+from repro.scheduler.scheduler import FleetReport
 from repro.scheduler.wire import (
     ProfileMemo,
     ShardError,
@@ -171,9 +169,6 @@ class ShardWorker:
         self._next_seq = 0
         #: Decoded workload profiles, validated once per distinct row.
         self._profiles = ProfileMemo()
-        #: Requests decided one-shot ("decide"): the shard keeps no
-        #: decision, the front end keeps what it decoded.
-        self._one_shot_decided = 0
         #: Wall-clock seconds spent inside handle() — the shard's own
         #: busy time, reported alongside the front-end's elapsed time.
         self.busy_seconds = 0.0
@@ -215,8 +210,6 @@ class ShardWorker:
             response = self._handle_arrive(message["events"])
         elif op == "depart":
             response = self._handle_depart(message["events"])
-        elif op == "decide":
-            response = self._handle_decide(message["requests"])
         elif op == "summary":
             response = {}
         elif op == "report":
@@ -255,22 +248,6 @@ class ShardWorker:
             self.engine.depart(request_id, event_time)
         return {"departed": len(events)}
 
-    def _handle_decide(self, requests: Sequence) -> Dict:
-        """One-shot batch: decide + grade, no lifecycle bookkeeping —
-        exactly what :class:`~repro.scheduler.scheduler.FleetScheduler`
-        does with one of its batches."""
-        batch = [decode_arrival(row, self._profiles)[0] for row in requests]
-        start = time.perf_counter()
-        decisions = self.policy.decide_batch(batch, self.fleet)
-        per_request = (time.perf_counter() - start) / max(len(batch), 1)
-        rows = []
-        for decision in decisions:
-            entry = grade_decision(decision, self.fleet, self.registry)
-            entry.decision_seconds = per_request
-            rows.append(encode_graded(entry))
-        self._one_shot_decided += len(rows)
-        return {"graded": rows}
-
     def _report_payload(self) -> Dict:
         """The ``report`` reply: this shard's counters in the report
         format, its churn statistics row-coded (the fragmentation
@@ -278,8 +255,7 @@ class ShardWorker:
         that grows with the stream)."""
         report = self.report()
         payload = replace(report, churn=None).to_dict(include_decisions=False)
-        if report.churn is not None:
-            payload["churn"] = encode_churn(report.churn)
+        payload["churn"] = encode_churn(report.churn)
         return payload
 
     # ------------------------------------------------------------------
@@ -303,15 +279,6 @@ class ShardWorker:
     def report(self) -> FleetReport:
         """This shard's own FleetReport (local host ids, local counters,
         no decisions: the front end keeps those)."""
-        if self._one_shot_decided and not self.engine.stats.arrivals:
-            return FleetReport.collect(
-                policy=self.policy,
-                fleet=self.fleet,
-                registry=self.registry,
-                n_requests=self._one_shot_decided,
-                decisions=[],
-                elapsed_seconds=self.busy_seconds,
-            )
         return self.engine.collect_report(
             self.engine.stats.arrivals, self.busy_seconds
         )

@@ -10,7 +10,7 @@ trusted, retried, or rebuilt:
   journal).  A ``down`` shard's client has been killed; it must be
   respawned before reuse.
 * **Write-ahead journal** per shard — every state-mutating message
-  (``arrive`` / ``depart`` / ``decide``) is appended *before* the send,
+  (``arrive`` / ``depart``) is appended *before* the send,
   stamped with a monotonic sequence number that is embedded in the wire
   message itself.  Replay after a respawn re-sends the journal in order
   and rebuilds the shard's exact pre-crash state; the worker dedups on
@@ -42,7 +42,7 @@ HEALTH_STATES = (HEALTH_UP, HEALTH_SUSPECT, HEALTH_DOWN, HEALTH_RECOVERING)
 
 #: Ops that mutate shard state and therefore must be journaled; reads
 #: ("summary" / "report") and the stop handshake are replay-free.
-MUTATING_OPS = frozenset({"arrive", "depart", "decide"})
+MUTATING_OPS = frozenset({"arrive", "depart"})
 
 
 class ShardDownError(ShardError):

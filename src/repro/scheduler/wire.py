@@ -3,7 +3,7 @@
 What the front end and a shard say to each other about a request is a
 fixed-layout row of scalars, not a dict of dicts:
 
-* an **arrival** (``arrive`` events and ``decide`` requests alike) is
+* an **arrival** (one of an ``arrive`` message's events) is
   ``(request_id, vcpus, goal_fraction, arrival_time, lifetime,
   profile_row, event_time)``, ``profile_row`` being the
   :class:`~repro.perfsim.workload.WorkloadProfile` fields as declared;

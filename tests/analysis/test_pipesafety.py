@@ -76,7 +76,7 @@ def encode_summary(summary):
     def test_from_dict_in_payload_flagged(self):
         source = """
 class Worker:
-    def _handle_decide(self, message):
+    def _handle_arrive(self, message):
         return {"graded": GradedDecision.from_dict(message)}
 """
         findings = findings_of(source)

@@ -401,7 +401,7 @@ class TestSupervisor:
         with pytest.raises(ValueError):
             journal.rollback(first)
         journal.rollback(newest)
-        journal.append({"op": "decide", "requests": []})
+        journal.append({"op": "arrive", "events": []})
         # Sequence numbers are never reused, even across rollback.
         assert journal.next_seq == 3
         assert [entry.seq for entry in journal] == [0, 2]

@@ -30,7 +30,6 @@ from repro.core.placements import Placement
 from repro.scheduler import (
     Fleet,
     FleetIndex,
-    FleetScheduler,
     FirstFitFleetPolicy,
     GoalAwareFleetPolicy,
     LifecycleScheduler,
@@ -52,6 +51,7 @@ from tests.scheduler.oracle_linear import (
     LinearSpreadPolicy,
     UnmemoizedRegistry,
 )
+from tests.scheduler.oracle_one_shot import one_shot_engine
 
 
 def _mixed_fleet():
@@ -416,12 +416,12 @@ class TestIndexedLinearEquivalence:
             120, seed=3, vcpus_choices=(4, 8, 16, 10)
         )
         production, oracle = policy_factories
-        indexed = FleetScheduler(
-            _mixed_fleet(), production(), batch_size=32
-        ).run(requests)
-        linear = FleetScheduler(
-            _mixed_fleet(), oracle(), batch_size=32
-        ).run(requests)
+        indexed = one_shot_engine(_mixed_fleet(), production()).run(
+            requests, window=32
+        )
+        linear = one_shot_engine(_mixed_fleet(), oracle()).run(
+            requests, window=32
+        )
         assert _decision_fingerprints(indexed) == _decision_fingerprints(
             linear
         )
@@ -489,11 +489,9 @@ class TestModelServerEquivalence:
         )
 
         def run(registry):
-            return FleetScheduler(
-                _mixed_fleet(),
-                GoalAwareFleetPolicy(registry),
-                batch_size=32,
-            ).run(requests)
+            return one_shot_engine(
+                _mixed_fleet(), GoalAwareFleetPolicy(registry)
+            ).run(requests, window=32)
 
         served = run(ModelServer(seed=5))
         frozen = run(ModelRegistry(seed=5))
@@ -562,9 +560,9 @@ class TestGradingIpcMemo:
             30, seed=4, vcpus_choices=(8,), goal_choices=(0.9,)
         )
         fleet = Fleet.homogeneous(machine, 4)
-        report = FleetScheduler(
+        report = one_shot_engine(
             fleet, GoalAwareFleetPolicy(registry), registry=registry
-        ).run(requests)
+        ).run(requests, window=64)
         placed = report.placed
         assert placed > 10
         # Without the memo the grader alone would run 2 simulations per
@@ -581,11 +579,11 @@ class TestGradingIpcMemo:
         )
 
         def run(registry):
-            return FleetScheduler(
+            return one_shot_engine(
                 Fleet.homogeneous(amd_opteron_6272(), 4),
                 GoalAwareFleetPolicy(registry),
                 registry=registry,
-            ).run(requests)
+            ).run(requests, window=64)
 
         assert _decision_fingerprints(
             run(ModelRegistry(seed=0))

@@ -131,25 +131,6 @@ class TestJsonRoundTripGates:
                 assert type(row) is list and type(row[-1]) is list
                 assert decode_summary(row, shard) == service.summaries[shard]
 
-    def test_one_shot_decide_through_json_matches_plain(self):
-        """``decide`` shares the codec with ``arrive``."""
-        config = ScheduleConfig(
-            machine="mixed", hosts=6, requests=60, seed=3, shards=2,
-            vcpus=(4, 8, 16, 10), batch_size=16,
-        )
-
-        def run(through_json):
-            with SchedulerService(config) as service:
-                if through_json:
-                    _through_json(service)
-                return service.run()
-
-        plain, carried = run(False), run(True)
-        assert carried.placed > 0 and carried.rejected > 0
-        for a, b in zip(carried.decisions, plain.decisions, strict=True):
-            a.decision_seconds = b.decision_seconds = 0.0
-            assert a.to_dict() == b.to_dict()
-
     def test_overlapped_matches_sequential_through_json(self):
         config = ScheduleConfig(
             **CHURN_REFERENCE, shards=2, window=4, supervised=True

@@ -2,8 +2,7 @@
 
 The front end keeps every decision it decoded (``serve()`` returns them),
 so a shard keeps none: ``LifecycleScheduler.step_batch`` returns its
-entries without retaining them, the one-shot ``decide`` path counts what
-it decided, and the re-grade table a migration reads
+entries without retaining them, and the re-grade table a migration reads
 (``LifecycleScheduler._graded_by_id``) holds exactly the containers that
 are still running — a departure drops its entry.  Each check runs after
 every message a shard handles, so a leak shows at the first message it
@@ -78,22 +77,6 @@ def test_served_shards_keep_only_live_decisions(admission):
     assert report.churn.departures > 0
     assert report.churn.n_migrations > 0
     assert live == 0  # the stream drained: nothing is kept at all
-    assert len(report.decisions) == report.n_requests
-
-
-def test_one_shot_shards_keep_a_count():
-    config = ScheduleConfig(**dict(CHURN, churn=False))
-
-    def one_shot(worker):
-        _live_only(worker.engine)
-        assert worker.engine._active == {}
-
-    with SchedulerService(config) as service:
-        checked = _checked_after_every_dispatch(service, one_shot)
-        report = service.run()
-        decided = [client.worker._one_shot_decided for client in service.clients]
-    assert len(checked) > 1
-    assert sum(decided) >= report.n_requests  # retries decide twice
     assert len(report.decisions) == report.n_requests
 
 

@@ -61,9 +61,9 @@ def _serve_counted(config, service_class):
         ]
         dispatch = service._dispatch_window
 
-        def spy(items, op, groups, *rest):
+        def spy(items, groups, *rest):
             begin = len(log)
-            dispatch(items, op, groups, *rest)
+            dispatch(items, groups, *rest)
             rounds.append((sorted(groups), log[begin:]))
 
         service._dispatch_window = spy

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.scheduler import (
     Fleet,
-    FleetScheduler,
     ModelRegistry,
     generate_churn_stream,
     generate_request_stream,
@@ -26,6 +25,7 @@ from tests.scheduler.oracle_linear import (
     LinearGoalAwarePolicy,
     LinearSpreadPolicy,
 )
+from tests.scheduler.oracle_one_shot import one_shot_engine
 from tests.scheduler.replay import decision_rows, host_rows, replay
 
 #: 10 vCPUs have no important placement on the AMD shape, 200 fit no
@@ -70,9 +70,9 @@ def test_one_shot_stream(registry, name, mix, vcpus, seed, batch):
     outcomes = []
     for policy in _pair(name, registry):
         fleet = _fleet(mix)
-        report = FleetScheduler(
-            fleet, policy, registry=registry, batch_size=batch
-        ).run(requests)
+        report = one_shot_engine(fleet, policy, registry=registry).run(
+            requests, window=batch
+        )
         outcomes.append((decision_rows(report.decisions), host_rows(fleet)))
     assert outcomes[0] == outcomes[1]
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.perfsim import workload_by_name
 from repro.scheduler import (
-    FleetScheduler,
     LifecycleScheduler,
     PlacementRequest,
     RebalanceConfig,
@@ -72,41 +71,50 @@ def _fingerprints(decisions):
     return out
 
 
-def _monolithic_churn_report(config):
-    fleet = config.build_fleet()
+def _served_and_run(config, stream):
+    """(one shard's ``serve()`` report, ``run(window=config.window)``
+    report) of one stream."""
+    with SchedulerService(config) as service:
+        served = service.serve(stream)
     registry = config.build_registry()
-    policy = config.build_policy(registry)
     engine = LifecycleScheduler(
-        fleet,
-        policy,
+        config.build_fleet(),
+        config.build_policy(registry),
         registry=registry,
         config=RebalanceConfig(
             enabled=config.rebalance_enabled,
             reject_penalty_seconds=config.penalty_seconds,
         ),
     )
-    return engine.run(config.build_stream())
+    return served, engine.run(stream, window=config.window)
+
+
+def _assert_same_lifecycle(served, mono):
+    """Fragmentation timeline, arrivals, departures and migrations."""
+    assert [s.to_dict() for s in served.churn.fragmentation_timeline] == [
+        s.to_dict() for s in mono.churn.fragmentation_timeline
+    ]
+    assert served.churn.arrivals == mono.churn.arrivals
+    assert served.churn.departures == mono.churn.departures
+    assert [m.to_dict() for m in served.churn.migrations] == [
+        m.to_dict() for m in mono.churn.migrations
+    ]
 
 
 class TestSingleShardEquivalence:
-    def test_churn_stream_bit_identical_to_lifecycle_engine(self):
-        """One shard, window 1: the service is the monolithic lifecycle
-        engine behind the wire protocol — decisions, fragmentation
-        timeline, and churn counters must match bit for bit."""
-        config = ScheduleConfig(**CHURN_REFERENCE, shards=1, window=1)
-        mono = _monolithic_churn_report(config)
-        with SchedulerService(config) as service:
-            svc = service.serve()
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    def test_churn_stream_bit_identical_to_lifecycle_engine(self, window):
+        """One shard at window ``W``: the service is the monolithic
+        lifecycle engine's ``run(window=W)`` behind the wire protocol —
+        decisions, fragmentation timeline, and churn counters must match
+        bit for bit on a stream the rebalancer moves nothing in."""
+        config = ScheduleConfig(**CHURN_REFERENCE, shards=1, window=window)
+        svc, mono = _served_and_run(config, config.build_stream())
+        assert svc.churn.departures > 0
+        assert not mono.churn.migrations
 
         assert _fingerprints(svc.decisions) == _fingerprints(mono.decisions)
-        assert [s.to_dict() for s in svc.churn.fragmentation_timeline] == [
-            s.to_dict() for s in mono.churn.fragmentation_timeline
-        ]
-        assert svc.churn.arrivals == mono.churn.arrivals
-        assert svc.churn.departures == mono.churn.departures
-        assert [m.to_dict() for m in svc.churn.migrations] == [
-            m.to_dict() for m in mono.churn.migrations
-        ]
+        _assert_same_lifecycle(svc, mono)
         assert svc.service is not None
         assert svc.service.retries == 0  # one shard: nothing to retry on
 
@@ -134,43 +142,14 @@ class TestSingleShardEquivalence:
         assert one.rejected == 0
         assert _fingerprints(one.decisions) == _fingerprints(eight.decisions)
 
-    def test_one_shot_bit_identical_to_fleet_scheduler(self):
-        """Service.run (op=decide) against the one-shot FleetScheduler on
-        a mixed fleet: same batches, same decisions."""
-        config = ScheduleConfig(
-            machine="mixed",
-            hosts=6,
-            requests=120,
-            seed=3,
-            vcpus=(4, 8, 16, 10),
-            batch_size=32,
-        )
-        requests = generate_request_stream(
-            config.requests, seed=config.seed, vcpus_choices=config.vcpus
-        )
-        registry = config.build_registry()
-        scheduler = FleetScheduler(
-            config.build_fleet(),
-            config.build_policy(registry),
-            registry=registry,
-            batch_size=config.effective_batch_size,
-        )
-        mono = scheduler.run(requests)
-        with SchedulerService(config) as service:
-            svc = service.run(requests)
-        assert _fingerprints(svc.decisions) == _fingerprints(mono.decisions)
-        assert svc.placed == mono.placed
-        assert svc.rejected == mono.rejected
 
-
-#: ``serve-overload``'s fleet and stream without admission, on one shard
-#: with a window of one: the setting in which the service is the lifecycle
-#: engine behind the wire — until the rebalancer moves a container.
+#: ``serve-overload``'s fleet and stream without admission, on one shard:
+#: the setting in which the service is the lifecycle engine behind the
+#: wire — until the rebalancer moves a container.
 MIGRATING = dict(
     machine="amd",
     hosts=200,
     shards=1,
-    window=1,
     requests=2000,
     seed=0,
     churn=True,
@@ -182,28 +161,24 @@ MIGRATING = dict(
 
 @pytest.fixture(scope="module")
 def migrating_reports():
-    """(service report, lifecycle engine report) of one seeded stream."""
-    config = ScheduleConfig(**MIGRATING)
-    stream = generate_churn_stream(
-        config.requests,
-        seed=17,
-        vcpus_choices=config.vcpus,
-        arrival_rate=config.arrival_rate,
-        mean_lifetime=config.mean_lifetime,
-    )
-    with SchedulerService(config) as service:
-        served = service.serve(stream)
-    registry = config.build_registry()
-    engine = LifecycleScheduler(
-        config.build_fleet(),
-        config.build_policy(registry),
-        registry=registry,
-        config=RebalanceConfig(
-            enabled=config.rebalance_enabled,
-            reject_penalty_seconds=config.penalty_seconds,
-        ),
-    )
-    return served, engine.run(stream)
+    """window -> (service report, lifecycle engine report) of one seeded
+    stream, each computed once."""
+    reports = {}
+
+    def at(window):
+        if window not in reports:
+            config = ScheduleConfig(**MIGRATING, window=window)
+            stream = generate_churn_stream(
+                config.requests,
+                seed=17,
+                vcpus_choices=config.vcpus,
+                arrival_rate=config.arrival_rate,
+                mean_lifetime=config.mean_lifetime,
+            )
+            reports[window] = _served_and_run(config, stream)
+        return reports[window]
+
+    return at
 
 
 class TestMigratedDecisionsInTheServiceReport:
@@ -212,14 +187,16 @@ class TestMigratedDecisionsInTheServiceReport:
     the front end reports the host, placement and grade it decoded at
     decision time."""
 
+    @pytest.mark.parametrize("window", [1, 3, 8])
     def test_reports_differ_on_migrated_containers_only(
-        self, migrating_reports
+        self, migrating_reports, window
     ):
-        served, mono = migrating_reports
-        assert served.churn.migrations == mono.churn.migrations
-        assert served.churn.fragmentation_timeline == (
-            mono.churn.fragmentation_timeline
-        )
+        """One shard at window ``W`` against ``run(window=W)``: the same
+        fleet timeline, arrivals, departures and migrations, and the same
+        decisions except the migrated containers' — the strict xfail
+        below holds that gap open until the front end learns of moves."""
+        served, mono = migrating_reports(window)
+        _assert_same_lifecycle(served, mono)
         moved = {m.request_id for m in mono.churn.migrations}
         differing = {
             a[0]
@@ -243,7 +220,7 @@ class TestMigratedDecisionsInTheServiceReport:
     def test_service_report_matches_the_engine_after_migrations(
         self, migrating_reports
     ):
-        served, mono = migrating_reports
+        served, mono = migrating_reports(1)
         assert _fingerprints(served.decisions) == _fingerprints(mono.decisions)
         assert served.violations == mono.violations
 
@@ -319,9 +296,7 @@ class TestConflictRetry:
             churn=True,
         )
         with SchedulerService(config) as service:
-            [first] = service._place_window(
-                [(_request(1, vcpus=64), 0.0)], "arrive"
-            )
+            [first] = service._place_window([(_request(1, vcpus=64), 0.0)])
             assert first.decision.placed
             full_shard = service._owner[1]
             # Undo everything the router learned: both shards look empty.
@@ -329,9 +304,7 @@ class TestConflictRetry:
                 ShardSummary.initial(shard, service._shard_machines[shard])
                 for shard in range(config.shards)
             ]
-            [second] = service._place_window(
-                [(_request(2, vcpus=64), 1.0)], "arrive"
-            )
+            [second] = service._place_window([(_request(2, vcpus=64), 1.0)])
         assert second.decision.placed
         assert service._owner[2] != full_shard
         assert service.stats.retries == 1
@@ -365,9 +338,9 @@ class TestConflictRetry:
 def _shard_state(worker, response):
     """Everything a message can change on a shard, minus wall-clock
     fields: the reply's graded rows and summary row, the engine's live
-    set, its live containers' graded entries and churn statistics, the
-    one-shot count, and every host's occupancy.  Also runs the index's
-    from-scratch cross-check."""
+    set, its live containers' graded entries and churn statistics, and
+    every host's occupancy.  Also runs the index's from-scratch
+    cross-check."""
     worker.fleet.index.assert_consistent(worker.fleet.hosts)
     return (
         [row[:-1] for row in response["graded"]],  # drop decision_seconds
@@ -377,7 +350,6 @@ def _shard_state(worker, response):
         _fingerprints(
             entry for _, entry in sorted(worker.engine._graded_by_id.items())
         ),
-        worker._one_shot_decided,
         [
             (host.free_mask, sorted(host.placements))
             for host in worker.fleet.hosts
@@ -399,25 +371,23 @@ class TestDeparturesRideTheWindow:
         return ShardWorker(0, config), ShardWorker(0, config)
 
     @staticmethod
-    def _window(op, rows, departures=None, seq=None):
-        key = "requests" if op == "decide" else "events"
-        message = {"op": op, key: rows}
+    def _window(rows, departures=None, seq=None):
+        message = {"op": "arrive", "events": rows}
         if departures is not None:
             message["departures"] = departures
         if seq is not None:
             message["seq"] = seq
         return message
 
-    def _assert_equivalent(self, op, merged, split, departures, rows):
-        one = merged.handle(self._window(op, rows, departures))
+    def _assert_equivalent(self, merged, split, departures, rows):
+        one = merged.handle(self._window(rows, departures))
         split.handle({"op": "depart", "events": departures})
-        two = split.handle(self._window(op, rows))
+        two = split.handle(self._window(rows))
         assert _shard_state(merged, one) == _shard_state(split, two)
         return one
 
-    @pytest.mark.parametrize("op", ["arrive", "decide"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_streams_equal_depart_then_window(self, op, seed):
+    def test_seeded_streams_equal_depart_then_window(self, seed):
         """Random live ids, ids never seen, ids already released and
         duplicates inside one batch, round after round on one shard."""
         rng = random.Random(seed)
@@ -436,37 +406,41 @@ class TestDeparturesRideTheWindow:
                 encode_arrival(request, float(begin))
                 for request in stream[begin : begin + 6]
             ]
-            self._assert_equivalent(op, merged, split, departures, rows)
+            self._assert_equivalent(merged, split, departures, rows)
             seen.extend(request.request_id for request in stream[begin : begin + 6])
         assert merged.engine.stats.departures == split.engine.stats.departures
-        if op == "arrive":
-            assert merged.engine.stats.departures > 0
+        assert merged.engine.stats.departures > 0
 
-    @pytest.mark.parametrize("op", ["arrive", "decide"])
-    def test_empty_batch_on_an_empty_fleet_and_unknown_ids(self, op):
+    def test_empty_batch_on_an_empty_fleet_and_unknown_ids(self):
         merged, split = self._pair()
+        # An empty window decides nothing: no arrival, no sample.
+        assert merged.engine.step_batch([]) == []
+        assert merged.handle(self._window([]))["graded"] == []
+        assert split.handle(self._window([]))["graded"] == []
+        assert merged.engine.stats.arrivals == 0
+        assert not merged.engine.stats.fragmentation_timeline
         rows = [encode_arrival(_request(1, vcpus=8), 0.0)]
-        # An empty batch is a no-op either way; the service never sends
-        # the key empty, a hand-built message may.
-        absent = merged.handle(self._window(op, rows))
-        empty = split.handle(self._window(op, rows, departures=[]))
+        # An empty departure list is a no-op either way; the service
+        # never sends the key empty, a hand-built message may.
+        absent = merged.handle(self._window(rows))
+        empty = split.handle(self._window(rows, departures=[]))
         assert _shard_state(merged, absent) == _shard_state(split, empty)
-        # Nothing placed yet under these ids: releases of unknown ids.
+        # Nothing placed yet under these ids: releases of unknown ids,
+        # riding an empty window and then a window of one.
+        self._assert_equivalent(merged, split, [[9, 0.5]], [])
         rows = [encode_arrival(_request(2, vcpus=8), 1.0)]
-        self._assert_equivalent(op, merged, split, [[7, 1.0], [8, 1.0]], rows)
+        self._assert_equivalent(merged, split, [[7, 1.0], [8, 1.0]], rows)
 
     def test_departure_frees_the_block_the_window_then_takes(self):
         """Order inside the message: the releases come first, so an
         arrival in the same message can take what they freed."""
         merged, split = self._pair(machine="amd", hosts=1)
-        fill = self._window("arrive", [encode_arrival(_request(1, vcpus=64), 0.0)])
+        fill = self._window([encode_arrival(_request(1, vcpus=64), 0.0)])
         for worker in (merged, split):
             [row] = worker.handle(fill)["graded"]
             assert row[1] is not None  # placed: the host is now full
         rows = [encode_arrival(_request(2, vcpus=64), 5.0)]
-        response = self._assert_equivalent(
-            "arrive", merged, split, [[1, 5.0]], rows
-        )
+        response = self._assert_equivalent(merged, split, [[1, 5.0]], rows)
         [row] = response["graded"]
         assert row[1] is not None and row[6] is None  # placed, no reject
         assert sorted(merged.engine._active) == [2]
@@ -477,10 +451,9 @@ class TestDeparturesRideTheWindow:
         is acknowledged, and neither releases or samples anything."""
         [worker, _] = self._pair(machine="amd", hosts=1)
         worker.handle(
-            self._window("arrive", [encode_arrival(_request(1, vcpus=64), 0.0)], seq=0)
+            self._window([encode_arrival(_request(1, vcpus=64), 0.0)], seq=0)
         )
         message = self._window(
-            "arrive",
             [encode_arrival(_request(2, vcpus=64), 5.0)],
             departures=[[1, 5.0]],
             seq=1,

@@ -31,7 +31,6 @@ from repro.scheduler import (
     ChurnStats,
     FaultAction,
     FaultPlan,
-    FleetScheduler,
     FragmentationSample,
     FragmentationTimeline,
     GradedDecision,
@@ -78,6 +77,7 @@ from repro.scheduler.wire import (
     encode_summary,
     profile_row,
 )
+from tests.scheduler.oracle_one_shot import one_shot_engine
 from repro.serving.online import OnlineStats
 from repro.serving.server import PromotionRecord
 
@@ -341,7 +341,7 @@ class TestRowCodec:
         one, other = generate_request_stream(2, seed=3, vcpus_choices=(8,))
         with SchedulerService(config) as service:
             response = service.clients[0].request(
-                {"op": "decide", "requests": [encode_arrival(one, 0.0)]}
+                {"op": "arrive", "events": [encode_arrival(one, 0.0)]}
             )
             [entry] = service._from_wire(0, response, [one])
             assert entry.decision.request is one
@@ -771,13 +771,11 @@ class TestReportWire:
             machine="mixed", hosts=2, requests=20, seed=4, vcpus=(4, 8)
         )
         registry = config.build_registry()
-        scheduler = FleetScheduler(
+        report = one_shot_engine(
             config.build_fleet(),
             config.build_policy(registry),
             registry=registry,
-            batch_size=8,
-        )
-        report = scheduler.run(config.build_stream())
+        ).run(config.build_stream(), window=8)
         assert_round_trips(report, machines)
 
 
