@@ -1,14 +1,12 @@
 """Invariant-aware static analysis for the repro tree (``repro lint``).
 
-Four rule families guard the invariants the equivalence tests probe at
+Three rule families guard the invariants the equivalence tests probe at
 runtime:
 
 * **determinism** (``unseeded-rng``, ``wall-clock``,
   ``unsorted-set-iter``, ``id-ordering``) — every RNG seeded, no
   wall-clock decisions, no hash-order or address-order dependence in
   the decision-making subpackages;
-* **wire-schema** (``wire-schema``) — ``to_dict``/``from_dict`` pairs
-  round-trip every declared field;
 * **memo-invalidation** (``memo-invalidation``) — mutations of memoized
   state bump the matching version/invalidator, table-driven via
   :data:`repro.analysis.invalidation.CACHE_SURFACES`;
@@ -46,7 +44,6 @@ from repro.analysis.invalidation import (
     MemoInvalidationRule,
 )
 from repro.analysis.pipesafety import BlockingDispatchRule, PipeSafetyRule
-from repro.analysis.wire import WireSchemaRule
 
 #: Every registered rule class, keyed by rule id.  ``default_rules()``
 #: instantiates all of them; ``--rules`` filters by these ids.
@@ -57,7 +54,6 @@ RULE_CLASSES: Dict[str, Type[Rule]] = {
         WallClockRule,
         UnsortedSetIterRule,
         IdOrderingRule,
-        WireSchemaRule,
         MemoInvalidationRule,
         PipeSafetyRule,
         BlockingDispatchRule,

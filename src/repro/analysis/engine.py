@@ -11,7 +11,7 @@ Suppression syntax (mirrors the familiar ``# noqa`` shape)::
 
     risky_call()  # repro-lint: disable=unseeded-rng — reason why
 
-    # repro-lint: disable-file=wire-schema — whole-module opt-out
+    # repro-lint: disable-file=pipe-safety — whole-module opt-out
 
 ``disable=all`` suppresses every rule on that line; rule lists may be
 comma-separated.  Everything after the rule list (a dash and a reason)
@@ -262,7 +262,10 @@ class Analyzer:
             key = self.cache.key(str(path), source, self.signature)
             cached = self.cache.get(key)
             if cached is not None:
-                return [Finding.from_dict(entry) for entry in cached]
+                try:
+                    return [Finding.from_dict(entry) for entry in cached]
+                except (KeyError, TypeError, ValueError):
+                    pass  # an entry that does not decode is a miss
         findings = self.analyze_source(source, str(path))
         if self.cache is not None:
             self.cache.put(key, [f.to_dict() for f in findings])

@@ -6,7 +6,12 @@ counters around them — is a tree of dataclasses, and its wire form
 (``repro serve --emit-json``, a shard's ``report`` reply, a fault plan
 in a benchmark payload) is their fields.  :class:`Record` derives that
 form from the field declarations, so no field can be forgotten in one
-direction of the round trip.  Payloads hold JSON-safe values only, and
+direction of the round trip.  What guards the codecs — this one and
+the few hand-written pairs (``Placement``, ``FragmentationSample``,
+the lint ``Finding``) — is a generated property
+(``tests/scheduler/test_wire.py``): it draws instances of every class in
+``repro`` with a ``to_dict`` and checks that each rebuilds equal after
+a JSON round trip.  Payloads hold JSON-safe values only, and
 Python round-trips floats exactly through ``json``, so a payload that
 has been through ``json.dumps``/``loads`` rebuilds bit-for-bit equal
 objects.  Tuples (fingerprints, node blocks) cross as lists and are

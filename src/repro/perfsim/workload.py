@@ -19,12 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, Tuple
+from typing import Tuple
+
+from repro.core.serialize import Record
 
 
 @dataclass(frozen=True)
-class WorkloadProfile:
+class WorkloadProfile(Record):
     """Characteristics of one containerized workload.
+
+    Its report form is :class:`~repro.core.serialize.Record`'s: every
+    field, a JSON-safe scalar, in :data:`PROFILE_FIELDS` order; decoding
+    re-runs the validation in ``__init__``.
 
     Performance-model characteristics
     ---------------------------------
@@ -176,17 +182,6 @@ class WorkloadProfile:
     @property
     def page_cache_gb(self) -> float:
         return self.memory_gb * self.page_cache_fraction
-
-    def to_dict(self) -> Dict[str, float | int | str]:
-        """Flat dictionary (tabular reports, and the report format:
-        ``WorkloadProfile(**d)`` / :meth:`from_dict` reconstructs an equal
-        profile — every field is a JSON-safe scalar)."""
-        return dict(zip(PROFILE_FIELDS, self.row()))
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "WorkloadProfile":
-        """Inverse of :meth:`to_dict` (validation re-runs in __init__)."""
-        return cls(**data)
 
 
 #: Declared field names, in row order.

@@ -21,7 +21,7 @@ from repro.analysis.engine import ModuleInfo, _subpackage_of
 class TestFinding:
     def test_round_trips_through_dict(self):
         finding = Finding(
-            path="a.py", line=3, col=7, rule="wire-schema", message="m"
+            path="a.py", line=3, col=7, rule="pipe-safety", message="m"
         )
         assert Finding.from_dict(finding.to_dict()) == finding
 
@@ -42,8 +42,8 @@ class TestRegistry:
         assert {rule.id for rule in default_rules()} == set(RULE_CLASSES)
 
     def test_rules_named_selects(self):
-        rules = rules_named(["wire-schema", "pipe-safety"])
-        assert [rule.id for rule in rules] == ["wire-schema", "pipe-safety"]
+        rules = rules_named(["memo-invalidation", "pipe-safety"])
+        assert [rule.id for rule in rules] == ["memo-invalidation", "pipe-safety"]
 
     def test_rules_named_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -81,7 +81,7 @@ class TestSuppressions:
         assert analyze_source(self.SOURCE, path="/tmp/fixture.py") == []
 
     def test_wrong_rule_does_not_suppress(self):
-        source = self.SOURCE.replace("unseeded-rng", "wire-schema")
+        source = self.SOURCE.replace("unseeded-rng", "pipe-safety")
         findings = analyze_source(source, path="/tmp/fixture.py")
         assert [f.rule for f in findings] == ["unseeded-rng"]
 
@@ -177,7 +177,7 @@ class TestCache:
         assert len(full.analyze_file(source_file)) == 1
         full.cache.save()
         narrowed = Analyzer(
-            rules_named(["wire-schema"]), cache=LintCache(cache_file)
+            rules_named(["pipe-safety"]), cache=LintCache(cache_file)
         )
         assert narrowed.analyze_file(source_file) == []
 
@@ -189,6 +189,18 @@ class TestCache:
         source_file = tmp_path / "a.py"
         source_file.write_text("x = 1\n")
         assert Analyzer(cache=cache).analyze_file(source_file) == []
+        # An entry that does not decode (an older or hand-edited cache)
+        # is a miss: the file is analysed again and the entry replaced.
+        source_file.write_text("import random\nr = random.Random()\n")
+        for entry in ([{"path": "a.py"}], ["junk"]):
+            analyzer = Analyzer(cache=LintCache(cache_file))
+            key = analyzer.cache.key(
+                str(source_file), source_file.read_text(), analyzer.signature
+            )
+            analyzer.cache.put(key, entry)
+            findings = analyzer.analyze_file(source_file)
+            assert [f.rule for f in findings] == ["unseeded-rng"]
+            assert analyzer.cache.get(key) == [f.to_dict() for f in findings]
 
     def test_cache_file_is_plain_json(self, tmp_path):
         source_file = tmp_path / "a.py"

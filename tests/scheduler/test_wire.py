@@ -9,21 +9,27 @@ untouched, the process transport pickles them, and journals and traces
 may store them as JSON.  Reports (``--emit-json``) use ``to_dict`` ->
 ``json`` -> ``from_dict``.  The tests push real objects (produced by
 real scheduler runs, not hand-built minimal ones) through an actual
-round trip; every :class:`~repro.core.serialize.Record` in the package
-must be round-tripped by some test here (the guard at the end checks).
+round trip.  Beside them, one generated property (``TestRecords``)
+round-trips drawn instances of every class in the package that has a
+``to_dict``, and seeded codec faults must fail it.
 """
 
 import dataclasses
 import importlib
+import inspect
 import json
 import pickle
 import pkgutil
+import types
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, reject, settings, strategies as st
 
 import repro
-from repro.core.memo import CacheInfo
+from repro.analysis import Finding
+from repro.core.memo import CacheInfo, cached_enumerate_important_placements
+from repro.core.placements import Placement
 from repro.core.serialize import Record, machines_by_name
 from repro.scheduler import (
     AdmissionDecision,
@@ -49,6 +55,7 @@ from repro.scheduler import (
     needed_nodes,
 )
 from repro.perfsim.generator import WorkloadGenerator
+from repro.perfsim.library import paper_workloads
 from repro.perfsim.workload import PROFILE_FIELDS, WorkloadProfile
 from repro.scheduler.admission import (
     REASON_BROWNOUT,
@@ -59,6 +66,7 @@ from repro.scheduler.admission import (
     REASON_INFEASIBLE,
     REASON_QUEUE_FULL,
 )
+from repro.scheduler.faults import FAULT_KINDS
 from repro.scheduler.policies import FleetDecision
 from repro.scheduler.scheduler import FleetReport
 from repro.scheduler.service import SchedulerService, merge_churn_stats
@@ -80,6 +88,8 @@ from repro.scheduler.wire import (
 from tests.scheduler.oracle_one_shot import one_shot_engine
 from repro.serving.online import OnlineStats
 from repro.serving.server import PromotionRecord
+from repro.topology.machine import MachineTopology
+from repro.topology.presets import PRESETS
 
 
 def wire(payload):
@@ -87,21 +97,16 @@ def wire(payload):
     return json.loads(json.dumps(payload))
 
 
-#: Records the tests below round-trip, nested ones included.
-ROUND_TRIPPED = set()
-
-
-def round_trips(*records):
-    """Mark a test as the round trip of ``records``."""
-    ROUND_TRIPPED.update(records)
-    return lambda test: test
-
-
 def assert_round_trips(record, machines=None):
-    """``to_dict`` -> JSON -> ``from_dict`` rebuilds an equal record
-    whose payload is the one it was rebuilt from."""
+    """``to_dict`` -> JSON -> ``from_dict`` (handed ``machines`` if it
+    takes them) rebuilds an equal record whose payload is the one it was
+    rebuilt from."""
     payload = wire(record.to_dict())
-    rebuilt = type(record).from_dict(payload, machines)
+    decode = type(record).from_dict
+    if len(inspect.signature(decode).parameters) > 1:
+        rebuilt = decode(payload, machines)
+    else:
+        rebuilt = decode(payload)
     assert type(rebuilt) is type(record)
     assert rebuilt == record
     assert rebuilt.to_dict() == payload
@@ -455,7 +460,6 @@ class TestChurnMerge:
 
 
 class TestRequestWire:
-    @round_trips(PlacementRequest)
     def test_request_stream_round_trips(self):
         stream = generate_churn_stream(
             30, seed=2, vcpus_choices=(4, 8), heavy_tail=True
@@ -474,7 +478,6 @@ class TestRequestWire:
 
 
 class TestDecisionWire:
-    @round_trips(GradedDecision, FleetDecision)
     def test_graded_decisions_round_trip(self, churn_report):
         machines = machines_by_name(
             ScheduleConfig(machine="amd", hosts=1).machine_list()
@@ -485,14 +488,12 @@ class TestDecisionWire:
 
 
 class TestStatsWire:
-    @round_trips(CacheInfo)
     def test_cache_info_round_trip_and_merge(self):
         a = CacheInfo(hits=3, misses=2, currsize=2)
         b = CacheInfo(hits=10, misses=0, currsize=4)
         assert_round_trips(a)
         assert a + b == CacheInfo(hits=13, misses=2, currsize=6)
 
-    @round_trips(ChurnStats)
     def test_churn_stats_round_trip(self, churn_report):
         stats = churn_report.churn
         assert stats.fragmentation_timeline  # non-trivial payload
@@ -500,7 +501,6 @@ class TestStatsWire:
         assert rebuilt.fit_failures == stats.fit_failures
         assert rebuilt.n_migrations == stats.n_migrations
 
-    @round_trips(MigrationRecord)
     def test_fragmentation_and_migration_round_trip(self):
         sample = FragmentationSample(
             time=3.5,
@@ -523,7 +523,6 @@ class TestStatsWire:
         )
         assert_round_trips(record)
 
-    @round_trips(ServiceStats)
     def test_service_stats_round_trip(self):
         stats = ServiceStats(
             n_shards=4,
@@ -590,7 +589,6 @@ class TestStatsWire:
         assert rebuilt.crashes == 0
         assert rebuilt.n_shards == 2
 
-    @round_trips(OnlineStats, PromotionRecord)
     def test_online_stats_round_trip(self):
         assert_round_trips(OnlineStats())
         fingerprint = ScheduleConfig(machine="amd", hosts=1).machine_list()[
@@ -617,12 +615,10 @@ class TestStatsWire:
 
 
 class TestFaultWire:
-    @round_trips(FaultAction)
     def test_fault_action_round_trip(self):
         action = FaultAction(shard=2, at_message=7, kind="delay", delay_ms=3.5)
         assert_round_trips(action)
 
-    @round_trips(FaultPlan, FaultAction)
     def test_fault_plan_round_trip(self):
         plan = FaultPlan.kill_each_shard_once(4, seed=11)
         rebuilt = assert_round_trips(plan)
@@ -651,7 +647,6 @@ class TestFaultWire:
 
 
 class TestConfigWire:
-    @round_trips(ScheduleConfig)
     def test_schedule_config_round_trip(self):
         config = ScheduleConfig(
             machine="mixed",
@@ -745,7 +740,6 @@ class TestSummaryWire:
 
 
 class TestReportWire:
-    @round_trips(FleetReport)
     def test_full_report_round_trips(self, churn_report, machines):
         amd = machines_by_name(
             ScheduleConfig(machine="amd", hosts=1).machine_list()
@@ -765,7 +759,6 @@ class TestReportWire:
         rebuilt = FleetReport.from_dict(payload, amd)
         assert rebuilt.decisions == []  # compact form drops the traces
 
-    @round_trips(FleetReport)
     def test_one_shot_report_round_trips(self, machines):
         config = ScheduleConfig(
             machine="mixed", hosts=2, requests=20, seed=4, vcpus=(4, 8)
@@ -826,7 +819,6 @@ class TestAdmissionWire:
         with pytest.raises(ValueError, match="reason"):
             AdmissionDecision(1, "reject")
 
-    @round_trips(AdmissionStats)
     def test_admission_stats_round_trip(self):
         stats = AdmissionStats(
             offered=10,
@@ -841,7 +833,6 @@ class TestAdmissionWire:
         )
         assert_round_trips(stats)
 
-    @round_trips(ServiceStats, AdmissionStats)
     def test_service_stats_round_trip_with_admission(self):
         stats = ServiceStats(
             n_shards=2,
@@ -871,7 +862,6 @@ class TestAdmissionWire:
         assert rebuilt.admission is None
         assert rebuilt.retries_short_circuited == 0
 
-    @round_trips(ScheduleConfig)
     def test_schedule_config_round_trip_with_admission_knobs(self):
         config = ScheduleConfig(
             machine="amd",
@@ -896,19 +886,248 @@ class TestAdmissionWire:
         assert worker.summary() == expected
 
 
+# ----------------------------------------------------------------------
+# The round-trip property: every codec class in the package
+# ----------------------------------------------------------------------
+
+
+def _codec_classes():
+    """Every class defined in ``repro`` that has a ``to_dict``, its own
+    or inherited (the :class:`Record` mixin itself aside)."""
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):  # that runs the CLI
+            continue
+        for value in vars(importlib.import_module(info.name)).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == info.name
+                and hasattr(value, "to_dict")
+                and value is not Record
+            ):
+                found.add(value)
+    return sorted(found, key=lambda cls: (cls.__qualname__, cls.__module__))
+
+
+CODEC_CLASSES = _codec_classes()
+PRESET_MACHINES = tuple(factory() for factory in PRESETS.values())
+PRESETS_BY_NAME = machines_by_name(PRESET_MACHINES)
+
+_ints = st.integers(1, 10**6)
+_floats = st.floats(0.001, 1e6)
+_samples = st.builds(FragmentationSample, _floats, _ints, _ints, _ints, _ints)
+
+#: Values by annotated type.  Scalars stay inside what every validating
+#: constructor accepts and never equal a zero default, so a field lost
+#: on the way shows as an unequal record; domain types come from the
+#: catalogues the scheduler itself uses.
+STRATEGIES = {
+    int: _ints,
+    float: _floats,
+    str: st.text(min_size=1, max_size=8),
+    bool: st.booleans(),
+    type(None): st.none(),
+    MachineTopology: st.sampled_from(PRESET_MACHINES),
+    Placement: st.tuples(
+        st.sampled_from(PRESET_MACHINES), st.sampled_from((4, 8, 16))
+    ).flatmap(
+        lambda shape: st.sampled_from(
+            list(cached_enumerate_important_placements(*shape))
+        )
+    ),
+    WorkloadProfile: st.sampled_from(paper_workloads()),
+    FragmentationSample: _samples,
+    FragmentationTimeline: st.lists(_samples, max_size=3).map(
+        FragmentationTimeline
+    ),
+}
+#: Fields whose constructor accepts only named values.
+FIELD_STRATEGIES = {(FaultAction, "kind"): st.sampled_from(FAULT_KINDS)}
+
+
+def _constructed(cls, values):
+    try:
+        return cls(**values)
+    except ValueError:  # a validating constructor refused the draw
+        reject()
+
+
+def strategy_for(hint):
+    """Values annotated ``hint``: a registered type, ``X | None``, a list
+    or tuple (at most three items), or a dataclass built from its own
+    field annotations.  Any other type raises — a new codec class whose
+    fields need one registers it in :data:`STRATEGIES`."""
+    if hint in STRATEGIES:
+        return STRATEGIES[hint]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        return st.one_of(*map(strategy_for, args))
+    if origin is list:
+        return st.lists(strategy_for(args[0]), max_size=3)
+    if origin is tuple and not args:  # a bare Tuple
+        return st.lists(_ints, max_size=3).map(tuple)
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(strategy_for(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(strategy_for, args))
+    if dataclasses.is_dataclass(hint):
+        # Annotations may name a record their module imports only under
+        # TYPE_CHECKING; every codec class resolves by name.
+        hints = get_type_hints(
+            hint, localns={cls.__name__: cls for cls in CODEC_CLASSES}
+        )
+        return st.fixed_dictionaries(
+            {
+                spec.name: FIELD_STRATEGIES[hint, spec.name]
+                if (hint, spec.name) in FIELD_STRATEGIES
+                else strategy_for(hints[spec.name])
+                for spec in dataclasses.fields(hint)
+                if spec.init
+            }
+        ).map(lambda values: _constructed(hint, values))
+    raise TypeError(f"no strategy for {hint!r}: register one in STRATEGIES")
+
+
+def check_round_trips(cls):
+    """The property: drawn instances of ``cls`` survive ``to_dict`` ->
+    JSON -> ``from_dict`` (:func:`assert_round_trips`).  A failure is
+    reported as drawn, unshrunk: shrinking a nested report takes a
+    minute, and the first broken field is already in the message.  No
+    example database, so a mutant's failures are never replayed."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        database=None,
+        phases=[Phase.explicit, Phase.generate],
+        report_multiple_bugs=False,
+    )
+    @given(strategy_for(cls))
+    def round_trip(record):
+        assert_round_trips(record, PRESETS_BY_NAME)
+
+    round_trip()
+
+
+def _editing_to_dict(cls, edit):
+    """``cls.to_dict`` with ``edit`` applied to every payload it emits."""
+    original = cls.to_dict
+
+    def to_dict(self):
+        data = original(self)
+        edit(data)
+        return data
+
+    return to_dict
+
+
+def _editing_from_dict(cls, edit):
+    """``cls.from_dict`` with ``edit`` applied to every payload it reads."""
+    original = cls.from_dict
+
+    def from_dict(_, data, machines=None):
+        values = dict(data)
+        edit(values)
+        return original(values, machines)
+
+    return classmethod(from_dict)
+
+
+#: Hand-written codec faults, each seeded into one class as (class,
+#: method, replacement or None to delete it): the property on that class
+#: must fail.
+MUTANTS = {
+    "to-dict-without-from-dict": (Placement, "from_dict", None),
+    "from-dict-never-reads-a-field": (
+        Placement,
+        "from_dict",
+        _editing_from_dict(Placement, lambda d: d.update(l2_share=1)),
+    ),
+    "to-dict-omits-a-field": (
+        Finding,
+        "to_dict",
+        _editing_to_dict(Finding, lambda d: d.pop("message")),
+    ),
+    "wildcard-from-dict-pops-a-field": (
+        WorkloadProfile,
+        "from_dict",
+        _editing_from_dict(WorkloadProfile, lambda d: d.pop("n_tasks")),
+    ),
+    "from-dict-reads-a-key-never-emitted": (
+        CacheInfo,
+        "from_dict",
+        _editing_from_dict(CacheInfo, lambda d: d.update(currsize=d["size"])),
+    ),
+    "hand-built-record-override-drops-a-field": (
+        AdmissionStats,
+        "to_dict",
+        lambda self: {"offered": self.offered},
+    ),
+    "pop-after-super-to-dict": (
+        ServiceStats,
+        "to_dict",
+        _editing_to_dict(ServiceStats, lambda d: d.pop("retries")),
+    ),
+    "from-dict-override-pops-a-field": (
+        FleetReport,
+        "from_dict",
+        _editing_from_dict(FleetReport, lambda d: d.pop("elapsed_seconds")),
+    ),
+    "service-stats-from-dict-pops-window": (
+        ServiceStats,
+        "from_dict",
+        _editing_from_dict(ServiceStats, lambda d: d.pop("window")),
+    ),
+    "plain-class-key-mismatch": (
+        Placement,
+        "to_dict",
+        _editing_to_dict(Placement, lambda d: d.update(share=d.pop("l2_share"))),
+    ),
+    "fragmentation-sample-drops-fit-failures": (
+        FragmentationSample,
+        "to_dict",
+        _editing_to_dict(FragmentationSample, lambda d: d.pop("fit_failures")),
+    ),
+}
+
+
 class TestRecords:
-    def test_every_record_has_a_round_trip_test(self):
-        for module in pkgutil.walk_packages(repro.__path__, "repro."):
-            if not module.name.endswith("__main__"):  # that runs the CLI
-                importlib.import_module(module.name)
+    @pytest.mark.parametrize(
+        "cls", CODEC_CLASSES, ids=[cls.__qualname__ for cls in CODEC_CLASSES]
+    )
+    def test_every_codec_class_round_trips(self, cls):
+        check_round_trips(cls)
+
+    def test_the_scan_finds_every_record(self):
         records, pending = set(), [Record]
         while pending:
             for cls in pending.pop().__subclasses__():
                 pending.append(cls)
                 if cls.__module__.startswith("repro."):
                     records.add(cls.__qualname__)
-        assert len(records) >= 14
-        assert records - {cls.__qualname__ for cls in ROUND_TRIPPED} == set()
+        assert len(CODEC_CLASSES) >= 18
+        assert records - {cls.__qualname__ for cls in CODEC_CLASSES} == set()
+
+    def test_a_field_type_without_a_strategy_errors(self):
+        @dataclasses.dataclass
+        class Unregistered:
+            machine: MachineTopology
+            when: complex
+
+        with pytest.raises(TypeError, match="no strategy for <class 'complex'>"):
+            check_round_trips(Unregistered)
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_round_trip_property_catches(self, mutant, monkeypatch):
+        cls, name, method = MUTANTS[mutant]
+        if method is None:
+            monkeypatch.delattr(cls, name)
+        else:
+            monkeypatch.setattr(cls, name, method)
+        with pytest.raises(
+            (AssertionError, AttributeError, KeyError, TypeError, ValueError)
+        ):
+            check_round_trips(cls)
 
     def test_slotted_records_get_no_instance_dict(self, churn_report):
         # A mixin without ``__slots__`` would add a __dict__ (24 bytes)
