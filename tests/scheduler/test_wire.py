@@ -1091,6 +1091,44 @@ MUTANTS = {
 }
 
 
+def _omit_none(*keys):
+    def edit(data):
+        for key in keys:
+            if data[key] is None:
+                data.pop(key)
+
+    return edit
+
+
+#: Codec shapes that lose nothing, seeded the same way: the property on
+#: that class must still pass, so it asks only that every field survive,
+#: not that each payload carry exactly the fields in declaration order.
+LEGAL_VARIANTS = {
+    "extra-emitted-key-the-decoder-drops": (
+        ServiceStats,
+        "to_dict",
+        _editing_to_dict(ServiceStats, lambda d: d.update(overlapped_rounds=1)),
+    ),
+    "field-emitted-only-off-its-default": (
+        ServiceStats,
+        "to_dict",
+        _editing_to_dict(
+            ServiceStats, lambda d: d["supervised"] or d.pop("supervised")
+        ),
+    ),
+    "override-drops-two-fields-on-one-branch": (
+        PlacementRequest,
+        "to_dict",
+        _editing_to_dict(PlacementRequest, _omit_none("goal_fraction", "lifetime")),
+    ),
+    "override-moves-a-field-last": (
+        AdmissionStats,
+        "to_dict",
+        _editing_to_dict(AdmissionStats, lambda d: d.update(offered=d.pop("offered"))),
+    ),
+}
+
+
 class TestRecords:
     @pytest.mark.parametrize(
         "cls", CODEC_CLASSES, ids=[cls.__qualname__ for cls in CODEC_CLASSES]
@@ -1128,6 +1166,12 @@ class TestRecords:
             (AssertionError, AttributeError, KeyError, TypeError, ValueError)
         ):
             check_round_trips(cls)
+
+    @pytest.mark.parametrize("variant", sorted(LEGAL_VARIANTS))
+    def test_round_trip_property_passes(self, variant, monkeypatch):
+        cls, name, method = LEGAL_VARIANTS[variant]
+        monkeypatch.setattr(cls, name, method)
+        check_round_trips(cls)
 
     def test_slotted_records_get_no_instance_dict(self, churn_report):
         # A mixin without ``__slots__`` would add a __dict__ (24 bytes)
