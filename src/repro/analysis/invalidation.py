@@ -105,9 +105,9 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         invalidators=("_arena",),
         setter_resets=("trees_",),
         exempt_methods=("trees_",),
-        # The arena is compiled whole from trees_ — bit tables included,
-        # in ForestArena.__init__ — and held only by _arena, so the one
-        # `_arena = None` drops node arrays and tables together.  Sealed
+        # The arena is compiled whole from trees_ — bit tables or node
+        # arrays, in ForestArena.__init__ — and held only by _arena, so the
+        # one `_arena = None` drops whichever form was built.  Sealed
         # arenas reach workers by fork, never over the shard wire.
         derived=(
             "repro.ml.arena.ForestArena.bit_tables",

@@ -11,23 +11,32 @@ forms:
   right and every internal node owns a 64-bit mask that clears the leaves
   of its *left* subtree — the leaves a row can no longer reach once the
   node's test ``x[f] <= threshold`` fails.  Per feature, the forest's
-  thresholds are sorted and the masks prefix-ANDed per tree into a
-  ``(n_thresholds + 1, n_trees)`` ``uint64`` table, so row ``k`` holds,
-  for every tree, the AND of all failed tests when ``k`` thresholds lie
-  strictly below the value.  A prediction is one ``searchsorted`` and one
-  row gather per feature, an ``&`` across features, and the lowest set
-  bit of each word is the exit leaf: about ten numpy calls however deep
-  the trees are.
+  distinct thresholds are sorted and the masks ANDed per tree into a
+  ``(n_distinct_thresholds + 1, n_trees)`` ``uint64`` table, then
+  prefix-ANDed, so row ``k`` holds, for every tree, the AND of all failed
+  tests when ``k`` distinct thresholds lie strictly below the value.
+  Equal thresholds share a row: ``searchsorted`` could never return the
+  rows between them.  A prediction is one ``searchsorted`` and one row
+  gather per feature, an ``&`` across features, and the lowest set bit of
+  each word is the exit leaf: about ten numpy calls however deep the
+  trees are.
 * **lock-step descent** (:func:`repro.ml.tree.descend_flat` over the
   stacked node arrays, one pass per tree level) for forests the tables do
   not fit.
 
+Each form keeps only what it reads: a table arena holds its tables, the
+leaf values and each tree's first leaf, and no node array; a lock-step
+arena holds the stacked node arrays and no table.  The trees keep their
+own flat arrays either way.
+
 The choice is made once per compiled arena and is a pure function of the
 forest: every tree has at most :data:`MAX_LEAVES` leaves (one machine
-word) and the tables take at most :data:`BIT_TABLE_MAX_BYTES` (they grow
-with thresholds x trees: the fleet's 40-tree arenas need about 0.4 MB,
-a 100-tree forest fitted on 400 rows would need about 80 MB).  There is
-no parameter, flag or environment variable.
+word) and the tables take at most :data:`BIT_TABLE_MAX_BYTES`, estimated
+as (internal nodes + features) x trees x 8 bytes, an upper bound on one
+row per distinct threshold (the fleet's 40-tree arenas hold 92-108 KiB
+of tables for about 300-350 distinct thresholds; a 100-tree forest
+fitted on 400 rows is estimated at about 80 MB).  There is no parameter,
+flag or environment variable.
 
 Bit-for-bit equivalence with the per-tree path is the design invariant:
 both forms gather the same ``(n_trees, n_rows, n_outputs)`` C-contiguous
@@ -81,24 +90,27 @@ class ForestArena:
     Built from the trees' own flat arrays — what a fitted tree *is*;
     there is no node graph to flatten first — with leaf values carried
     verbatim, so evaluating the arena is bit-for-bit identical to
-    evaluating the trees.  Instances are immutable; the forest caches one
-    and replaces it — bit tables included — wholesale when refitted.
+    evaluating the trees.  Only the compiled form's arrays are set; the
+    other form's slots are None.  Instances are immutable; the forest
+    caches one and replaces it wholesale when refitted.
     """
 
     __slots__ = (
+        "n_trees",
+        "n_features",
+        "n_outputs",
+        "squeeze",
+        # The bit-table form reads these ...
+        "bit_tables",
+        "leaf_values",
+        "leaf_base",
+        # ... and the lock-step form these; the other form's are None.
         "feature",
         "threshold",
         "left",
         "right",
         "values",
         "roots",
-        "n_trees",
-        "n_features",
-        "n_outputs",
-        "squeeze",
-        "bit_tables",
-        "leaf_values",
-        "leaf_base",
     )
 
     def __init__(self, trees: Sequence) -> None:
@@ -119,8 +131,18 @@ class ForestArena:
                     "all trees of a forest must share feature/output shape"
                 )
         flats = [tree._fitted() for tree in trees]
-        counts = np.array([len(flat[0]) for flat in flats], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.bit_tables = self.leaf_values = self.leaf_base = None
+        self.feature = self.threshold = self.left = self.right = None
+        self.values = self.roots = None
+        offsets = np.cumsum([0] + [len(flat[0]) for flat in flats])
+        if not self._compile_bit_tables(flats, offsets):
+            self._compile_descent(flats, offsets)
+        ARENA_STATS.forests_compiled += 1
+
+    def _compile_descent(
+        self, flats: Sequence[tuple], offsets: np.ndarray
+    ) -> None:
+        """Stack the trees' node arrays for the lock-step descent."""
         self.feature = np.concatenate([flat[0] for flat in flats])
         self.threshold = np.concatenate([flat[1] for flat in flats])
         # Child indices rebased to the arena: the descent never leaves a
@@ -133,65 +155,70 @@ class ForestArena:
         )
         self.values = np.vstack([flat[4] for flat in flats])
         self.roots = offsets[:-1].astype(np.intp)
-        self._compile_bit_tables(offsets)
-        ARENA_STATS.forests_compiled += 1
 
-    def _compile_bit_tables(self, offsets: np.ndarray) -> None:
-        """Build the per-feature tables, or record that the forest is over
-        the rule (``bit_tables = None``).
+    def _compile_bit_tables(
+        self, flats: Sequence[tuple], offsets: np.ndarray
+    ) -> bool:
+        """Build the per-feature tables and the leaf values they index;
+        False (and nothing built) when the forest is over the rule.
 
         Relies on the flat format's depth-first preorder: a node's left
         subtree is the index range ``[left, right)``, and leaves met in
         index order are the tree's leaves left to right.
         """
-        is_leaf = self.feature < 0
+        feature = np.concatenate([flat[0] for flat in flats])
+        is_leaf = feature < 0
         leaves_before = np.concatenate(([0], np.cumsum(is_leaf)))
         first_leaf = leaves_before[offsets]  # per tree, plus the total
         internal = np.flatnonzero(~is_leaf)
         table_bytes = (len(internal) + self.n_features) * self.n_trees * 8
-        self.bit_tables = self.leaf_values = self.leaf_base = None
         if (
             not len(internal)  # nothing to test: the descent is a no-op
             or np.diff(first_leaf).max() > MAX_LEAVES
             or table_bytes > BIT_TABLE_MAX_BYTES
         ):
-            return
+            return False
         tree_of = np.searchsorted(offsets, internal, side="right") - 1
-        lo = leaves_before[self.left[internal]]
-        width = (leaves_before[self.right[internal]] - lo).astype(np.uint64)
+        base = offsets[tree_of]
+        left = np.concatenate([flat[2] for flat in flats])[internal] + base
+        right = np.concatenate([flat[3] for flat in flats])[internal] + base
+        lo = leaves_before[left]
+        width = (leaves_before[right] - lo).astype(np.uint64)
         one = np.uint64(1)
         # At most 63 leaves sit left of a node, so the shifts never wrap.
         mask = ~(
             ((one << width) - one)
             << (lo - first_leaf[tree_of]).astype(np.uint64)
         )
-        # Sorted by (feature, threshold): each feature's nodes are one run.
-        order = np.lexsort((self.threshold[internal], self.feature[internal]))
-        runs = np.searchsorted(
-            self.feature[internal][order], np.arange(self.n_features + 1)
-        )
+        threshold = np.concatenate([flat[1] for flat in flats])[internal]
+        feature = feature[internal]
         tables = []
-        for feature, (start, end) in enumerate(zip(runs[:-1], runs[1:])):
-            if start == end:
-                continue  # no tree tests this feature
-            nodes = order[start:end]
-            table = np.full((end - start + 1, self.n_trees), ~np.uint64(0))
-            table[np.arange(1, len(table)), tree_of[nodes]] = mask[nodes]
+        for tested in np.unique(feature).tolist():  # features some tree tests
+            nodes = np.flatnonzero(feature == tested)
+            # One row per distinct threshold: of equal cuts searchsorted
+            # only ever returns the first, so the rows it would skip are
+            # never built; every node ANDs into its threshold's row.
+            cuts, row = np.unique(threshold[nodes], return_inverse=True)
+            table = np.full((len(cuts) + 1, self.n_trees), ~np.uint64(0))
+            np.bitwise_and.at(table, (row + 1, tree_of[nodes]), mask[nodes])
             np.bitwise_and.accumulate(table, axis=0, out=table)
-            tables.append((feature, self.threshold[internal[nodes]], table))
+            tables.append((tested, cuts, table))
         self.bit_tables = tuple(tables)
-        self.leaf_values = self.values[is_leaf]
+        self.leaf_values = np.concatenate(
+            [flat[4][flat[0] < 0] for flat in flats]
+        )
         # frexp's exponent of the lowest set bit is its index plus one.
         self.leaf_base = (first_leaf[:-1] - 1)[:, None]
+        return True
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
-        """Every array the arena owns — what the artifact store seals."""
-        owned = [self.feature, self.threshold, self.left, self.right,
-                 self.values, self.roots]
-        if self.bit_tables is not None:
-            owned += [self.leaf_values, self.leaf_base]
-            owned += [a for _, *pair in self.bit_tables for a in pair]
-        return tuple(owned)
+        """Every array the arena owns — the compiled form's own, which is
+        what the artifact store seals."""
+        if self.bit_tables is None:
+            return (self.feature, self.threshold, self.left, self.right,
+                    self.values, self.roots)
+        return (self.leaf_values, self.leaf_base,
+                *(a for _, *pair in self.bit_tables for a in pair))
 
     # ------------------------------------------------------------------
 

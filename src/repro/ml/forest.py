@@ -90,11 +90,11 @@ class RandomForestRegressor:
         self._arena: ForestArena | None = None
 
     def arena(self) -> ForestArena:
-        """The forest compiled into one contiguous arena, bit tables
-        included (:mod:`repro.ml.arena`) — built on first request, cached
-        until ``fit``/``grow``/``prune`` (or any ``trees_`` reassignment)
-        drops it whole.  Evaluating the arena is bit-for-bit identical to
-        the per-tree path."""
+        """The forest compiled into its serving form, bit tables or
+        stacked node arrays (:mod:`repro.ml.arena`) — built on first
+        request, cached until ``fit``/``grow``/``prune`` (or any
+        ``trees_`` reassignment) drops it whole.  Evaluating the arena is
+        bit-for-bit identical to the per-tree path."""
         if not self._trees:
             raise RuntimeError("arena() requested before fit()")
         if self._arena is None:

@@ -398,16 +398,20 @@ def _await_message(connection, poll: bool) -> bool:
     Polling after a short wait and blocking after a long one is the
     adaptive-spin rule: a worker in a busy stream never sleeps between
     messages, one in a sparse stream wastes at most one budget per burst.
+    A message already on the pipe is a short wait whatever the clock
+    says (a descheduled caller may read it late).
     """
+    if connection.poll(0):
+        return True
     start = previous = time.perf_counter()
     while poll:
-        if connection.poll(0):
-            return True
         os.sched_yield()
         now = time.perf_counter()
         if now - previous > POLL_LOST_SECONDS or now - start > POLL_SECONDS:
             break
         previous = now
+        if connection.poll(0):
+            return True
     connection.poll(None)
     return time.perf_counter() - start < POLL_SECONDS
 

@@ -17,7 +17,9 @@ from repro.experiments import CANONICAL_PAIRS, training_corpus
 from repro.ml import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml import arena as arena_module
 from repro.ml.arena import ARENA_STATS, MAX_LEAVES, ForestArena, predict_fused
+from repro.scheduler.registry import ModelRegistry
 from repro.topology import amd_opteron_6272
+from repro.topology.presets import PRESETS
 from tests.ml.oracle_tree import n_leaves
 
 
@@ -32,6 +34,10 @@ def _random_problem(rng, n_outputs):
     return X, Y
 
 
+#: What only the lock-step form reads.
+DESCENT_SLOTS = ("feature", "threshold", "left", "right", "values", "roots")
+
+
 def _lock_step_arena(trees):
     """The same trees compiled on the far side of the rule: a byte budget
     no table fits sends the forest to the lock-step descent."""
@@ -41,17 +47,27 @@ def _lock_step_arena(trees):
     return arena
 
 
-def _boundary_queries(rng, arena, rows):
+def _tests(trees):
+    """``(feature, threshold)`` of every internal node, read off the
+    trees' own flat arrays (a table arena keeps no node arrays)."""
+    feature = np.concatenate([tree._fitted()[0] for tree in trees])
+    threshold = np.concatenate([tree._fitted()[1] for tree in trees])
+    internal = feature >= 0
+    return feature[internal], threshold[internal]
+
+
+def _boundary_queries(rng, trees, rows):
     """Random rows, with cells moved exactly onto the forest's thresholds
     (the ``<=`` boundary) and onto the values no threshold orders."""
-    Q = rng.uniform(-2.5, 2.5, size=(rows, arena.n_features))
-    internal = np.flatnonzero(arena.feature >= 0)
-    if rows and len(internal):
-        for node in rng.choice(internal, size=3 * rows):
-            Q[rng.integers(rows), arena.feature[node]] = arena.threshold[node]
+    n_features = trees[0]._n_features
+    Q = rng.uniform(-2.5, 2.5, size=(rows, n_features))
+    feature, threshold = _tests(trees)
+    if rows and len(feature):
+        for node in rng.integers(len(feature), size=3 * rows):
+            Q[rng.integers(rows), feature[node]] = threshold[node]
     for value in (np.inf, -np.inf, np.nan):
         if rows:
-            Q[rng.integers(rows), rng.integers(arena.n_features)] = value
+            Q[rng.integers(rows), rng.integers(n_features)] = value
     return Q
 
 
@@ -99,7 +115,7 @@ class TestBothSidesOfTheRule:
         fits = max(n_leaves(tree) for tree in forest.trees_) <= MAX_LEAVES
         assert (arena.bit_tables is not None) == (has_tests and fits)
 
-        Q = _boundary_queries(rng, arena, rows)
+        Q = _boundary_queries(rng, forest.trees_, rows)
         for compiled in (arena, _lock_step_arena(forest.trees_)):
             _assert_arena_matches_trees(compiled, forest.trees_, Q)
         clean = Q[np.isfinite(Q).all(axis=1)]
@@ -157,9 +173,10 @@ class TestBothSidesOfTheRule:
             rng.uniform(size=(30, 3)), rng.normal(size=30)
         )
         arena = forest.arena()
-        n_internal = int(np.count_nonzero(arena.feature >= 0))
+        n_internal = len(_tests(forest.trees_)[0])
         table_bytes = sum(table.nbytes for _, _, table in arena.bit_tables)
-        # One row per threshold plus the all-ones first row per used feature.
+        # At most one row per threshold plus the all-ones first row per
+        # tested feature: the estimate the rule budgets.
         assert table_bytes <= (n_internal + 3) * 4 * 8
         with mock.patch.object(
             arena_module, "BIT_TABLE_MAX_BYTES", (n_internal + 3) * 4 * 8 - 1
@@ -167,20 +184,117 @@ class TestBothSidesOfTheRule:
             assert ForestArena(forest.trees_).bit_tables is None
 
     def test_arrays_names_every_array_the_arena_owns(self):
-        """What the artifact store seals: every array slot, tables included."""
+        """What the artifact store seals: exactly the compiled form's own
+        arrays, tables included, and nothing of the other form."""
         rng = np.random.default_rng(2)
         forest = RandomForestRegressor(n_estimators=3, random_state=0).fit(
             rng.uniform(size=(30, 3)), rng.normal(size=(30, 2))
         )
         for arena in (forest.arena(), _lock_step_arena(forest.trees_)):
-            owned = {id(array) for array in arena.arrays()}
-            for slot in ForestArena.__slots__:
-                value = getattr(arena, slot)
-                if isinstance(value, np.ndarray):
-                    assert id(value) in owned, slot
+            held = [
+                getattr(arena, slot)
+                for slot in ForestArena.__slots__
+                if isinstance(getattr(arena, slot), np.ndarray)
+            ]
             for _, cuts, table in arena.bit_tables or ():
-                assert id(cuts) in owned and id(table) in owned
+                held += [cuts, table]
                 assert table.dtype == np.uint64
+            assert sorted(map(id, arena.arrays())) == sorted(map(id, held))
+            tabled = arena.bit_tables is not None
+            assert (arena.leaf_values is not None) == tabled
+            assert all(
+                (getattr(arena, slot) is None) == tabled
+                for slot in DESCENT_SLOTS
+            )
+
+
+def _assert_compact(arena, trees):
+    """A table arena keeps one row per distinct threshold of each tested
+    feature, plus the all-ones row, and no descent array."""
+    if arena.bit_tables is None:
+        return
+    assert all(getattr(arena, slot) is None for slot in DESCENT_SLOTS)
+    feature, threshold = _tests(trees)
+    assert [tested for tested, _, _ in arena.bit_tables] == sorted(
+        set(feature.tolist())
+    )
+    for tested, cuts, table in arena.bit_tables:
+        distinct = np.unique(threshold[feature == tested])
+        assert np.array_equal(cuts, distinct)
+        assert table.shape == (len(distinct) + 1, len(trees))
+
+
+def _assert_serves_exactly(forest, Q):
+    """predict, predict_std and predict_fused against the per-tree path,
+    bit for bit."""
+    expected = forest.predict_per_tree(Q)
+    assert np.array_equal(forest.predict(Q), expected)
+    assert np.array_equal(predict_fused([(forest, Q)])[0], expected)
+    assert np.array_equal(forest.predict_std(Q), forest.predict_std_per_tree(Q))
+
+
+def _fleet_keys():
+    """Every (preset, vCPU class) the fleet trains a model for."""
+    registry = ModelRegistry(seed=0)
+    return [
+        (name, vcpus)
+        for name in sorted(PRESETS)
+        for vcpus in (8, 16, 32)
+        if len(registry.placements(PRESETS[name](), vcpus)) >= 2
+    ]
+
+
+class TestCompactTables:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(2, 80),
+        n_features=st.integers(1, 3),
+        levels=st.integers(1, 4),
+        n_trees=st.integers(1, 10),
+        max_depth=st.one_of(st.none(), st.integers(1, 8)),
+        n_grow=st.integers(1, 4),
+        budget=st.integers(1, 12),
+        rows=st.integers(0, 16),
+    )
+    def test_tables_hold_distinct_thresholds_and_serve_exactly(
+        self, seed, n_train, n_features, levels, n_trees, max_depth, n_grow,
+        budget, rows,
+    ):
+        """Few distinct values per feature, so thresholds recur within and
+        across trees; queries sit on them, between them, at +-inf and NaN."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.uniform(-1.0, 1.0, size=(n_train, n_features)) * levels)
+        y = np.tanh(X @ rng.normal(size=n_features))
+        y += rng.normal(scale=0.1, size=n_train)
+        forest = RandomForestRegressor(
+            n_estimators=n_trees, max_depth=max_depth, random_state=seed % 997
+        ).fit(X, y)
+        for step in ("fit", "grow", "prune"):
+            if step == "grow":
+                forest.grow(X, y, n_grow)
+            elif step == "prune":
+                forest.prune(budget)
+            _assert_compact(forest.arena(), forest.trees_)
+            _assert_serves_exactly(
+                forest, _boundary_queries(rng, forest.trees_, rows)
+            )
+
+    @pytest.mark.parametrize("name, vcpus", _fleet_keys())
+    def test_every_fleet_key_before_and_after_warm_refit(self, name, vcpus):
+        machine = PRESETS[name]()
+        registry = ModelRegistry(seed=0)
+        model = registry.model(machine, vcpus)
+        candidate = model.warm_refit(
+            registry.training_set(machine, vcpus), n_grow=4
+        )
+        rng = np.random.default_rng(vcpus)
+        for forest in (model.forest, candidate.forest):
+            assert forest.arena().bit_tables is not None
+            _assert_compact(forest.arena(), forest.trees_)
+            _assert_serves_exactly(
+                forest, _boundary_queries(rng, forest.trees_, 12)
+            )
 
 
 class TestArenaEquivalence:

@@ -151,9 +151,7 @@ class TestImmutability:
             training_set.ipc,
             training_set.vectors,
             training_set.hpe_features,
-            arena.values,
-            arena.threshold,
-            arena.left,
+            arena.leaf_values,
             *(table for _, _, table in arena.bit_tables),
             *arena.arrays(),
         ):
