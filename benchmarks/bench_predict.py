@@ -40,10 +40,11 @@ A fourth pins what the fleet pays around its forest call:
   the caller), and *everything else* — that probe with the kernel
   stubbed: seed CRCs, memo and prefix lookups, the ``exp`` and the
   multiply.  The kernel must cost at most **0.6x** the loop at 9 rows
-  and **0.8x** at 4, and everything else must stay under **1.5 us per
-  row** at 9 rows (full mode; at 1 row the kernel costs more than the
-  loop and the calls' own overhead is most of everything else: both are
-  only reported).
+  and **0.8x** at 4, and everything else at most **0.121x** the loop at
+  9 rows, timed in turns with it (1.5 us per row against the loop's
+  12.39 us when the ceiling was set; full mode; at 1 row the kernel
+  costs more than the loop and the calls' own overhead is most of
+  everything else: both are only reported).
 
 A fifth times the answer that needs neither probe nor forest:
 
@@ -151,9 +152,11 @@ PROBE_CALLS = {rows: max(8, (400 if SMOKE else 6000) // rows) for rows in PROBE_
 PROBE_REPEATS = 3 if SMOKE else 9
 #: Acceptance ceilings: the kernel's share of the per-row loop's time.
 PROBE_KERNEL_CEILINGS = {4: 0.8, 9: 0.6}
-#: Acceptance ceiling: microseconds per row a probe may spend outside its
-#: seeded draws, at 9 rows per call.
-PROBE_ASSEMBLY_ROWS, PROBE_ASSEMBLY_CEILING_US = 9, 1.5
+#: Acceptance ceiling: the share of the per-row loop's time a probe may
+#: spend outside its seeded draws, at 9 rows per call — 1.5 us against the
+#: 12.39 us the loop read at 9 rows when the bound was set, as a share, so
+#: that a slow spell of the machine moves both sides of it.
+PROBE_ASSEMBLY_ROWS, PROBE_ASSEMBLY_CEILING = 9, round(1.5 / 12.39, 3)
 
 REJECT_HOSTS_PER_SHAPE = 20
 REJECT_ARRIVALS, REJECT_REPEATS = (400, 2) if SMOKE else (1600, 5)
@@ -516,15 +519,23 @@ def test_probe_row_is_on_its_floor(report):
             for profile, repetition in zip(profiles, ids)
         ]
 
-        calls = PROBE_CALLS[rows]
-        kernel_us, loop_us, probe_us = (
-            us / rows for us in _best_us_each(kernel, loop, probe, calls=calls)
+        def everything_else(kernel=simulator_module.standard_normals):
+            # The same probe with the kernel stubbed out: what is left is
+            # everything a probe does besides its seeded draws — measured,
+            # not the difference of two numbers several times its size, and
+            # in turns with the loop it is bounded against.
+            simulator_module.standard_normals = _zero_normals
+            try:
+                return probe()
+            finally:
+                simulator_module.standard_normals = kernel
+
+        kernel_us, loop_us, probe_us, else_us = (
+            us / rows
+            for us in _best_us_each(
+                kernel, loop, probe, everything_else, calls=PROBE_CALLS[rows]
+            )
         )
-        # The same probe with the kernel stubbed out: what is left is
-        # everything a probe does besides its seeded draws — measured, not
-        # the difference of two numbers several times its size.
-        with mock.patch.object(simulator_module, "standard_normals", _zero_normals):
-            else_us = _best_us_each(probe, calls=calls)[0] / rows
         share = kernel_us / loop_us
         results[str(rows)] = {
             "kernel_us_per_row": round(kernel_us, 2),
@@ -532,6 +543,7 @@ def test_probe_row_is_on_its_floor(report):
             "kernel_share_of_loop": round(share, 3),
             "probe_us_per_row": round(probe_us, 2),
             "everything_else_us_per_row": round(else_us, 2),
+            "everything_else_share_of_loop": round(else_us / loop_us, 3),
             "kernel_rows_per_second": round(1e6 / kernel_us),
             "probe_rows_per_second": round(1e6 / probe_us),
         }
@@ -541,6 +553,7 @@ def test_probe_row_is_on_its_floor(report):
         )
 
     amortized = results[str(PROBE_ASSEMBLY_ROWS)]["everything_else_us_per_row"]
+    else_share = results[str(PROBE_ASSEMBLY_ROWS)]["everything_else_share_of_loop"]
     lines += [
         "",
         "equivalence gates: kernel == default_rng loop and probe == probe_ipc "
@@ -551,8 +564,8 @@ def test_probe_row_is_on_its_floor(report):
             for rows, ceiling in PROBE_KERNEL_CEILINGS.items()
         ),
         f"everything else at {PROBE_ASSEMBLY_ROWS} rows per call: "
-        f"{amortized:.2f} us per row (acceptance ceiling "
-        f"{PROBE_ASSEMBLY_CEILING_US} us, full mode)",
+        f"{amortized:.2f} us per row, {else_share:.3f}x the loop (acceptance "
+        f"ceiling {PROBE_ASSEMBLY_CEILING}x, full mode)",
     ]
     report("predict_probe_row", "\n".join(lines))
 
@@ -577,10 +590,10 @@ def test_probe_row_is_on_its_floor(report):
                 f"the seeded-draw kernel may cost {ceiling}x the per-row "
                 f"loop at {rows} rows per call, cost {share:.2f}x"
             )
-        assert amortized < PROBE_ASSEMBLY_CEILING_US, (
-            f"a probe row may spend {PROBE_ASSEMBLY_CEILING_US} us outside "
-            f"its seeded draws at {PROBE_ASSEMBLY_ROWS} rows per call, spent "
-            f"{amortized:.2f} us"
+        assert else_share <= PROBE_ASSEMBLY_CEILING, (
+            f"a probe row may spend {PROBE_ASSEMBLY_CEILING}x the per-row "
+            f"loop outside its seeded draws at {PROBE_ASSEMBLY_ROWS} rows per "
+            f"call, spent {else_share:.3f}x ({amortized:.2f} us)"
         )
 
 

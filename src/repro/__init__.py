@@ -34,71 +34,57 @@ Quickstart
 13
 """
 
-from repro.topology import (
-    MachineTopology,
-    TopologyBuilder,
-    Interconnect,
-    amd_opteron_6272,
-    intel_xeon_e7_4830_v3,
-    amd_epyc_zen,
-    intel_haswell_cod,
-)
-from repro.core import (
-    SchedulingConcern,
-    CountingConcern,
-    BandwidthConcern,
-    ConcernSet,
-    concerns_for,
-    Placement,
-    ScoreVector,
-    important_placements,
-    enumerate_important_placements,
-    cached_enumerate_important_placements,
-    EnumerationCache,
-    PlacementModel,
-    HpeModel,
-    PlacementScheduler,
-)
-from repro.scheduler import (
-    Fleet,
-    FirstFitFleetPolicy,
-    SpreadFleetPolicy,
-    GoalAwareFleetPolicy,
-    ModelRegistry,
-    PlacementRequest,
-    generate_request_stream,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MachineTopology",
-    "TopologyBuilder",
-    "Interconnect",
-    "amd_opteron_6272",
-    "intel_xeon_e7_4830_v3",
-    "amd_epyc_zen",
-    "intel_haswell_cod",
-    "SchedulingConcern",
-    "CountingConcern",
-    "BandwidthConcern",
-    "ConcernSet",
-    "concerns_for",
-    "Placement",
-    "ScoreVector",
-    "important_placements",
-    "enumerate_important_placements",
-    "cached_enumerate_important_placements",
-    "EnumerationCache",
-    "PlacementModel",
-    "HpeModel",
-    "PlacementScheduler",
-    "Fleet",
-    "FirstFitFleetPolicy",
-    "SpreadFleetPolicy",
-    "GoalAwareFleetPolicy",
-    "ModelRegistry",
-    "PlacementRequest",
-    "generate_request_stream",
-    "__version__",
-]
+#: Public name -> the subpackage that re-exports it (whose own table
+#: names the defining module), imported on first read.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "MachineTopology",
+            "TopologyBuilder",
+            "Interconnect",
+            "amd_opteron_6272",
+            "intel_xeon_e7_4830_v3",
+            "amd_epyc_zen",
+            "intel_haswell_cod",
+        ),
+        "repro.topology",
+    ),
+    **dict.fromkeys(
+        (
+            "SchedulingConcern",
+            "CountingConcern",
+            "BandwidthConcern",
+            "ConcernSet",
+            "concerns_for",
+            "Placement",
+            "ScoreVector",
+            "important_placements",
+            "enumerate_important_placements",
+            "cached_enumerate_important_placements",
+            "EnumerationCache",
+            "PlacementModel",
+            "HpeModel",
+            "PlacementScheduler",
+        ),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        (
+            "Fleet",
+            "FirstFitFleetPolicy",
+            "SpreadFleetPolicy",
+            "GoalAwareFleetPolicy",
+            "ModelRegistry",
+            "PlacementRequest",
+            "generate_request_stream",
+        ),
+        "repro.scheduler",
+    ),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,7 +9,14 @@ default mapping), models interference between co-located containers, and
 reports the online performance metric the model consumes.
 """
 
-from repro.containers.container import VirtualContainer
-from repro.containers.host import Deployment, SimulatedHost
+from repro._lazy import lazy_exports
 
-__all__ = ["VirtualContainer", "Deployment", "SimulatedHost"]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "VirtualContainer": "repro.containers.container",
+    "Deployment": "repro.containers.host",
+    "SimulatedHost": "repro.containers.host",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,123 +5,63 @@ NOTE: imports grow as modules land; the full public API is re-exported from
 :mod:`repro` once complete.
 """
 
-from repro.core.concerns import (
-    SchedulingConcern,
-    CountingConcern,
-    BandwidthConcern,
-    ConcernSet,
-    ScoreVector,
-    concerns_for,
-)
-from repro.core.placements import Placement
-from repro.core.enumeration import (
-    ImportantPlacementSet,
-    Packing,
-    enumerate_important_placements,
-    generate_scores,
-    gen_packings,
-    important_placements,
-    pareto_filter_packings,
-)
-from repro.core.memo import (
-    DEFAULT_ENUMERATION_CACHE,
-    CacheInfo,
-    EnumerationCache,
-    cached_block_score_table,
-    cached_enumerate_important_placements,
-)
-from repro.core.blockscores import (
-    DEFAULT_BLOCK_SCORE_CACHE,
-    SCORE_TOLERANCE,
-    BlockScoreCache,
-    BlockScoreTable,
-    BlockStateMemo,
-    block_score_table,
-    block_state_memo,
-    scores_match,
-)
-from repro.core.model import HpeModel, ModelEvaluation, PlacementModel
-from repro.core.training import (
-    FoldResult,
-    TrainingSet,
-    build_training_set,
-    leave_one_workload_out,
-    workload_family,
-)
-from repro.core.clustering import (
-    BehaviourClusters,
-    cluster_behaviours,
-    cluster_training_set,
-)
-from repro.core.policies import (
-    AggressivePolicy,
-    ConservativePolicy,
-    MlPolicy,
-    PackingOutcome,
-    PlacementPolicy,
-    SmartAggressivePolicy,
-    best_min_node_sets,
-    evaluate_policy,
-)
-from repro.core.runtime import PlacementScheduler, SchedulerReport
-from repro.core.interleaving import (
-    InterleaveOutcome,
-    interconnect_disjoint,
-    interleave_experiment,
-    is_safe_filler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InterleaveOutcome",
-    "interconnect_disjoint",
-    "interleave_experiment",
-    "is_safe_filler",
-    "PlacementPolicy",
-    "MlPolicy",
-    "ConservativePolicy",
-    "AggressivePolicy",
-    "SmartAggressivePolicy",
-    "PackingOutcome",
-    "best_min_node_sets",
-    "evaluate_policy",
-    "PlacementScheduler",
-    "SchedulerReport",
-    "PlacementModel",
-    "HpeModel",
-    "ModelEvaluation",
-    "FoldResult",
-    "TrainingSet",
-    "build_training_set",
-    "leave_one_workload_out",
-    "workload_family",
-    "BehaviourClusters",
-    "cluster_behaviours",
-    "cluster_training_set",
-    "SchedulingConcern",
-    "CountingConcern",
-    "BandwidthConcern",
-    "ConcernSet",
-    "ScoreVector",
-    "concerns_for",
-    "Placement",
-    "ImportantPlacementSet",
-    "Packing",
-    "CacheInfo",
-    "EnumerationCache",
-    "DEFAULT_ENUMERATION_CACHE",
-    "BlockScoreCache",
-    "BlockScoreTable",
-    "BlockStateMemo",
-    "DEFAULT_BLOCK_SCORE_CACHE",
-    "SCORE_TOLERANCE",
-    "block_score_table",
-    "block_state_memo",
-    "scores_match",
-    "cached_block_score_table",
-    "cached_enumerate_important_placements",
-    "enumerate_important_placements",
-    "generate_scores",
-    "gen_packings",
-    "important_placements",
-    "pareto_filter_packings",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "InterleaveOutcome": "repro.core.interleaving",
+    "interconnect_disjoint": "repro.core.interleaving",
+    "interleave_experiment": "repro.core.interleaving",
+    "is_safe_filler": "repro.core.interleaving",
+    "PlacementPolicy": "repro.core.policies",
+    "MlPolicy": "repro.core.policies",
+    "ConservativePolicy": "repro.core.policies",
+    "AggressivePolicy": "repro.core.policies",
+    "SmartAggressivePolicy": "repro.core.policies",
+    "PackingOutcome": "repro.core.policies",
+    "best_min_node_sets": "repro.core.policies",
+    "evaluate_policy": "repro.core.policies",
+    "PlacementScheduler": "repro.core.runtime",
+    "SchedulerReport": "repro.core.runtime",
+    "PlacementModel": "repro.core.model",
+    "HpeModel": "repro.core.model",
+    "ModelEvaluation": "repro.core.model",
+    "FoldResult": "repro.core.training",
+    "TrainingSet": "repro.core.training",
+    "build_training_set": "repro.core.training",
+    "leave_one_workload_out": "repro.core.training",
+    "workload_family": "repro.core.training",
+    "BehaviourClusters": "repro.core.clustering",
+    "cluster_behaviours": "repro.core.clustering",
+    "cluster_training_set": "repro.core.clustering",
+    "SchedulingConcern": "repro.core.concerns",
+    "CountingConcern": "repro.core.concerns",
+    "BandwidthConcern": "repro.core.concerns",
+    "ConcernSet": "repro.core.concerns",
+    "ScoreVector": "repro.core.concerns",
+    "concerns_for": "repro.core.concerns",
+    "Placement": "repro.core.placements",
+    "ImportantPlacementSet": "repro.core.enumeration",
+    "Packing": "repro.core.enumeration",
+    "CacheInfo": "repro.core.memo",
+    "EnumerationCache": "repro.core.memo",
+    "DEFAULT_ENUMERATION_CACHE": "repro.core.memo",
+    "BlockScoreCache": "repro.core.blockscores",
+    "BlockScoreTable": "repro.core.blockscores",
+    "BlockStateMemo": "repro.core.blockscores",
+    "DEFAULT_BLOCK_SCORE_CACHE": "repro.core.blockscores",
+    "SCORE_TOLERANCE": "repro.core.blockscores",
+    "block_score_table": "repro.core.blockscores",
+    "block_state_memo": "repro.core.blockscores",
+    "scores_match": "repro.core.blockscores",
+    "cached_block_score_table": "repro.core.memo",
+    "cached_enumerate_important_placements": "repro.core.memo",
+    "enumerate_important_placements": "repro.core.enumeration",
+    "generate_scores": "repro.core.enumeration",
+    "gen_packings": "repro.core.enumeration",
+    "important_placements": "repro.core.enumeration",
+    "pareto_filter_packings": "repro.core.enumeration",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

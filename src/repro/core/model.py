@@ -35,8 +35,6 @@ import numpy as np
 
 from repro.core.training import TrainingSet
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.selection import sequential_forward_selection
-from repro.ml.validation import KFold
 
 
 @dataclass
@@ -143,6 +141,8 @@ class PlacementModel:
             raise ValueError("need at least 2 samples to select a pair")
         if n_estimators is None:
             n_estimators = self.selection_estimators
+        from repro.ml.validation import KFold  # pair search only: off the serving path
+
         errors: List[float] = []
         for repeat in range(n_repeats):
             splitter = KFold(
@@ -403,6 +403,8 @@ class HpeModel:
         folds = min(self.selection_folds, n)
         if folds < 2:
             raise ValueError("need at least 2 samples to select features")
+        from repro.ml.validation import KFold  # feature selection only
+
         errors: List[float] = []
         splitter = KFold(folds, shuffle=True, random_state=self.random_state)
         X_sub = X[:, list(feature_indices)]
@@ -435,6 +437,8 @@ class HpeModel:
                 raise ValueError(f"unknown HPE features: {unknown}")
             self._feature_indices = [name_to_index[f] for f in self.features]
         else:
+            from repro.ml.selection import sequential_forward_selection
+
             selected, history = sequential_forward_selection(
                 X.shape[1],
                 lambda indices: -self._subset_cv_error(X, Y, indices),

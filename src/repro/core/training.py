@@ -12,7 +12,7 @@ spark-pr-lj may inform a Spark prediction) — during training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +20,14 @@ from repro.core.enumeration import (
     ImportantPlacementSet,
     enumerate_important_placements,
 )
-from repro.perfsim.hpe import HpeMonitor
+from repro.core.placements import Placement
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.perfsim.workload import WorkloadProfile
 from repro.topology.machine import MachineTopology
+
+#: HPE rows not yet measured: ``workloads`` run on ``simulator`` in
+#: ``placement`` at ``repetition``.
+HpeRun = Tuple[PerformanceSimulator, Placement, Sequence[WorkloadProfile], int]
 
 
 def workload_family(name: str) -> str:
@@ -43,7 +47,6 @@ def workload_family(name: str) -> str:
     return name
 
 
-@dataclass
 class TrainingSet:
     """Measured executions of a workload corpus across important placements.
 
@@ -60,32 +63,87 @@ class TrainingSet:
         ``baseline_index`` (the model's target).
     hpe_features:
         HPE values measured in the baseline placement, aligned with
-        ``hpe_names``.
+        ``hpe_names``.  Only the HPE baseline reads them, so a set built
+        by :func:`build_training_set`, or extended from an unread one by
+        :func:`extend_training_set`, measures both the first time either
+        is read; each row is seeded per (profile, placement, repetition),
+        so the values do not depend on when that happens.
     baseline_index:
         Column the vectors are normalized to.
+
+    Pass either ``hpe_features`` and ``hpe_names``, or ``hpe_runs``: the
+    ``(simulator, placement, workloads, repetition)`` runs whose rows,
+    stacked in order, are the set's HPE matrix, measured once, on first
+    read.
     """
 
-    machine: MachineTopology
-    placements: ImportantPlacementSet
-    workloads: List[WorkloadProfile]
-    ipc: np.ndarray
-    vectors: np.ndarray
-    hpe_features: np.ndarray
-    hpe_names: List[str]
-    baseline_index: int
-
-    def __post_init__(self) -> None:
-        n, k = self.ipc.shape
-        if len(self.workloads) != n:
+    def __init__(
+        self,
+        machine: MachineTopology,
+        placements: ImportantPlacementSet,
+        workloads: List[WorkloadProfile],
+        ipc: np.ndarray,
+        vectors: np.ndarray,
+        *,
+        baseline_index: int,
+        hpe_features: np.ndarray | None = None,
+        hpe_names: List[str] | None = None,
+        hpe_runs: Tuple[HpeRun, ...] | None = None,
+    ) -> None:
+        self.machine = machine
+        self.placements = placements
+        self.workloads = workloads
+        self.ipc = ipc
+        self.vectors = vectors
+        self.baseline_index = baseline_index
+        n, k = ipc.shape
+        if len(workloads) != n:
             raise ValueError("workload count does not match matrix rows")
-        if k != len(self.placements):
+        if k != len(placements):
             raise ValueError("placement count does not match matrix columns")
-        if self.vectors.shape != (n, k):
+        if vectors.shape != (n, k):
             raise ValueError("vectors shape mismatch")
-        if self.hpe_features.shape[0] != n:
+        if (hpe_runs is None) == (hpe_features is None or hpe_names is None):
+            raise ValueError("pass hpe_features and hpe_names, or hpe_runs")
+        if hpe_features is not None and hpe_features.shape[0] != n:
             raise ValueError("hpe_features row mismatch")
-        if not 0 <= self.baseline_index < k:
+        if not 0 <= baseline_index < k:
             raise ValueError("baseline_index out of range")
+        self._hpe_features = hpe_features
+        self._hpe_names = hpe_names
+        self._hpe_runs = hpe_runs
+        self._sealed = False
+
+    @property
+    def hpe_features(self) -> np.ndarray:
+        if self._hpe_runs is not None:
+            self._measure()
+        return self._hpe_features
+
+    @property
+    def hpe_names(self) -> List[str]:
+        if self._hpe_runs is not None:
+            self._measure()
+        return self._hpe_names
+
+    def _measure(self) -> None:
+        blocks, names = [], None
+        for simulator, placement, workloads, repetition in self._hpe_runs:
+            rows, names = _measure_hpe(
+                simulator, placement, workloads, repetition, names
+            )
+            blocks.append(rows)
+        self._hpe_features, self._hpe_names = np.vstack(blocks), names
+        self._hpe_runs = None
+        if self._sealed:
+            self._hpe_features.flags.writeable = False
+
+    def seal(self) -> None:
+        """Make the matrices read-only, the HPE matrix once it is measured."""
+        self._sealed = True
+        for array in (self.ipc, self.vectors, self._hpe_features):
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def names(self) -> List[str]:
@@ -117,6 +175,26 @@ class TrainingSet:
         )
 
 
+def _measure_hpe(
+    simulator: PerformanceSimulator,
+    placement: Placement,
+    workloads: Sequence[WorkloadProfile],
+    repetition: int,
+    names: Sequence[str] | None = None,
+) -> Tuple[np.ndarray, List[str]]:
+    """One HPE row per workload measured in ``placement``, its columns in
+    ``names`` order (the machine's event catalog when None)."""
+    from repro.perfsim.hpe import HpeMonitor  # only the HPE baseline reads it
+
+    monitor = HpeMonitor(simulator)
+    names = list(monitor.event_names if names is None else names)
+    rows = []
+    for profile in workloads:
+        values = monitor.measure(profile, placement, repetition=repetition)
+        rows.append([values[name] for name in names])
+    return np.asarray(rows), names
+
+
 def build_training_set(
     machine: MachineTopology,
     vcpus: int,
@@ -129,7 +207,7 @@ def build_training_set(
     repetition: int = 0,
 ) -> TrainingSet:
     """Run every workload in every important placement and collect the
-    matrices the models train on.
+    matrices the models train on (the HPE rows on first read).
 
     On real hardware this is the expensive step the paper's methodology
     minimizes (each row is one run per important placement — a couple dozen
@@ -141,34 +219,23 @@ def build_training_set(
         simulator = PerformanceSimulator(machine)
     if placements is None:
         placements = enumerate_important_placements(machine, vcpus)
-    monitor = HpeMonitor(simulator)
+    workloads = list(workloads)
 
     # The whole (workload x placement) IPC matrix in one vectorized
     # simulator pass — bit-for-bit what the per-cell measured_ipc loop
     # produced, so models trained before and after the batched kernels
     # are identical.
     ipc = simulator.measured_ipc_batch(
-        list(workloads), list(placements), noise=noise, repetition=repetition
+        workloads, list(placements), noise=noise, repetition=repetition
     )
-    vectors = ipc / ipc[:, baseline_index : baseline_index + 1]
-
-    baseline_placement = placements[baseline_index]
-    hpe_rows = []
-    for profile in workloads:
-        values = monitor.measure(
-            profile, baseline_placement, repetition=repetition
-        )
-        hpe_rows.append([values[name] for name in monitor.event_names])
-
     return TrainingSet(
         machine=machine,
         placements=placements,
-        workloads=list(workloads),
+        workloads=workloads,
         ipc=ipc,
-        vectors=vectors,
-        hpe_features=np.asarray(hpe_rows),
-        hpe_names=list(monitor.event_names),
+        vectors=ipc / ipc[:, baseline_index : baseline_index + 1],
         baseline_index=baseline_index,
+        hpe_runs=((simulator, placements[baseline_index], workloads, repetition),),
     )
 
 
@@ -189,7 +256,9 @@ def extend_training_set(
     a retrain costs ``len(new_workloads) x len(placements)`` simulator runs
     however large the accumulated corpus is.  Workloads whose *name* is
     already in the base set are skipped (an arrival stream repeats
-    profiles; duplicated rows would just re-weight them).
+    profiles; duplicated rows would just re-weight them).  The HPE rows of
+    the fresh workloads are measured now only if ``base`` has read its
+    own; otherwise both wait for the extension's first read.
     """
     existing = set(base.names)
     fresh = [w for w in new_workloads if w.name not in existing]
@@ -198,19 +267,23 @@ def extend_training_set(
     if simulator is None:
         simulator = PerformanceSimulator(base.machine)
     placements = base.placements
-    monitor = HpeMonitor(simulator)
 
     # Only the fresh rows are simulated, and all of them in one batched
     # kernel call — the per-retrain cost every serving-loop round pays.
     ipc_rows = simulator.measured_ipc_batch(
         fresh, list(placements), noise=noise, repetition=repetition
     )
-    hpe_rows = []
-    for profile in fresh:
-        values = monitor.measure(
-            profile, placements[base.baseline_index], repetition=repetition
+    run = (simulator, placements[base.baseline_index], fresh, repetition)
+    if base._hpe_runs is not None:
+        # Neither set has read its HPE rows: the extension measures the
+        # base's runs and its own on first read (retraining never does).
+        hpe = dict(hpe_runs=base._hpe_runs + (run,))
+    else:
+        hpe_rows, hpe_names = _measure_hpe(*run, base.hpe_names)
+        hpe = dict(
+            hpe_features=np.vstack([base.hpe_features, hpe_rows]),
+            hpe_names=hpe_names,
         )
-        hpe_rows.append([values[name] for name in base.hpe_names])
 
     ipc = np.vstack([base.ipc, ipc_rows])
     return TrainingSet(
@@ -219,9 +292,8 @@ def extend_training_set(
         workloads=list(base.workloads) + fresh,
         ipc=ipc,
         vectors=ipc / ipc[:, base.baseline_index : base.baseline_index + 1],
-        hpe_features=np.vstack([base.hpe_features, np.asarray(hpe_rows)]),
-        hpe_names=list(base.hpe_names),
         baseline_index=base.baseline_index,
+        **hpe,
     )
 
 

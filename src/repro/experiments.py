@@ -13,6 +13,7 @@ this once to demonstrate the full pipeline.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.core.model import PlacementModel
@@ -64,9 +65,21 @@ def training_corpus(
     n_synthetic: int = TRAINING_CORPUS_SIZE,
     jitter: float = TRAINING_CORPUS_JITTER,
 ) -> List[WorkloadProfile]:
-    """The 18 paper workloads plus the synthetic training population."""
+    """The 18 paper workloads plus the synthetic training population.
+
+    The corpus is a pure function of its arguments and is sampled once
+    per process (every model key of a fleet trains on the same one); each
+    caller gets its own list of the shared, immutable profiles.
+    """
+    return list(_sampled_corpus(seed, n_synthetic, jitter))
+
+
+@lru_cache(maxsize=8)
+def _sampled_corpus(
+    seed: int, n_synthetic: int, jitter: float
+) -> Tuple[WorkloadProfile, ...]:
     generator = WorkloadGenerator(seed=seed, jitter=jitter)
-    return paper_workloads() + generator.sample(n_synthetic)
+    return tuple(paper_workloads() + generator.sample(n_synthetic))
 
 
 def clustering_corpus(

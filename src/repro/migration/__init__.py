@@ -23,25 +23,20 @@ support Section 7 ends with: is online placement worth the migration cost
 for this container, or should the placement be computed offline?
 """
 
-from repro.migration.memory import ContainerMemory
-from repro.migration.engines import (
-    MigrationEngine,
-    MigrationResult,
-    DefaultLinuxMigrator,
-    FastMigrator,
-    ThrottledMigrator,
-    MigrationCostConstants,
-)
-from repro.migration.planner import MigrationPlanner, MigrationAdvice
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ContainerMemory",
-    "MigrationEngine",
-    "MigrationResult",
-    "DefaultLinuxMigrator",
-    "FastMigrator",
-    "ThrottledMigrator",
-    "MigrationCostConstants",
-    "MigrationPlanner",
-    "MigrationAdvice",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "ContainerMemory": "repro.migration.memory",
+    "MigrationEngine": "repro.migration.engines",
+    "MigrationResult": "repro.migration.engines",
+    "DefaultLinuxMigrator": "repro.migration.engines",
+    "FastMigrator": "repro.migration.engines",
+    "ThrottledMigrator": "repro.migration.engines",
+    "MigrationCostConstants": "repro.migration.engines",
+    "MigrationPlanner": "repro.migration.planner",
+    "MigrationAdvice": "repro.migration.planner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,38 +22,29 @@ algorithms on plain numpy:
 Everything is deterministic given a ``random_state``.
 """
 
-from repro.ml.arena import ARENA_STATS, ForestArena, predict_fused
-from repro.ml.tree import DecisionTreeRegressor
-from repro.ml.forest import RandomForestRegressor
-from repro.ml.kmeans import KMeans, silhouette_score, choose_k_by_silhouette
-from repro.ml.selection import sequential_forward_selection
-from repro.ml.validation import KFold, LeaveOneGroupOut, cross_val_score
-from repro.ml.metrics import (
-    mean_absolute_error,
-    mean_absolute_percentage_error,
-    mean_squared_error,
-    root_mean_squared_error,
-    r2_score,
-    max_error,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARENA_STATS",
-    "ForestArena",
-    "predict_fused",
-    "DecisionTreeRegressor",
-    "RandomForestRegressor",
-    "KMeans",
-    "silhouette_score",
-    "choose_k_by_silhouette",
-    "sequential_forward_selection",
-    "KFold",
-    "LeaveOneGroupOut",
-    "cross_val_score",
-    "mean_absolute_error",
-    "mean_absolute_percentage_error",
-    "mean_squared_error",
-    "root_mean_squared_error",
-    "r2_score",
-    "max_error",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "ARENA_STATS": "repro.ml.arena",
+    "ForestArena": "repro.ml.arena",
+    "predict_fused": "repro.ml.arena",
+    "DecisionTreeRegressor": "repro.ml.tree",
+    "RandomForestRegressor": "repro.ml.forest",
+    "KMeans": "repro.ml.kmeans",
+    "silhouette_score": "repro.ml.kmeans",
+    "choose_k_by_silhouette": "repro.ml.kmeans",
+    "sequential_forward_selection": "repro.ml.selection",
+    "KFold": "repro.ml.validation",
+    "LeaveOneGroupOut": "repro.ml.validation",
+    "cross_val_score": "repro.ml.validation",
+    "mean_absolute_error": "repro.ml.metrics",
+    "mean_absolute_percentage_error": "repro.ml.metrics",
+    "mean_squared_error": "repro.ml.metrics",
+    "root_mean_squared_error": "repro.ml.metrics",
+    "r2_score": "repro.ml.metrics",
+    "max_error": "repro.ml.metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -193,7 +193,9 @@ class ForestArena:
         threshold = np.concatenate([flat[1] for flat in flats])[internal]
         feature = feature[internal]
         tables = []
-        for tested in np.unique(feature).tolist():  # features some tree tests
+        # The features some tree tests.  (np.unique without return_inverse
+        # asks numpy.ma whether the input is masked, importing it.)
+        for tested in sorted(set(feature.tolist())):
             nodes = np.flatnonzero(feature == tested)
             # One row per distinct threshold: of equal cuts searchsorted
             # only ever returns the first, so the rows it would skip are

@@ -23,24 +23,23 @@ testbed with an analytical performance simulator:
   six behavioural archetypes for training corpora.
 """
 
-from repro.perfsim.workload import WorkloadProfile
-from repro.perfsim.calibration import MachineCalibration, calibration_for
-from repro.perfsim.simulator import PerformanceSimulator, ContainerRun
-from repro.perfsim.hpe import HpeDefinition, HpeMonitor, hpe_names_for
-from repro.perfsim.library import paper_workloads, workload_by_name
-from repro.perfsim.generator import WorkloadGenerator, ARCHETYPES
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WorkloadProfile",
-    "MachineCalibration",
-    "calibration_for",
-    "PerformanceSimulator",
-    "ContainerRun",
-    "HpeDefinition",
-    "HpeMonitor",
-    "hpe_names_for",
-    "paper_workloads",
-    "workload_by_name",
-    "WorkloadGenerator",
-    "ARCHETYPES",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "WorkloadProfile": "repro.perfsim.workload",
+    "MachineCalibration": "repro.perfsim.calibration",
+    "calibration_for": "repro.perfsim.calibration",
+    "PerformanceSimulator": "repro.perfsim.simulator",
+    "ContainerRun": "repro.perfsim.simulator",
+    "HpeDefinition": "repro.perfsim.hpe",
+    "HpeMonitor": "repro.perfsim.hpe",
+    "hpe_names_for": "repro.perfsim.hpe",
+    "paper_workloads": "repro.perfsim.library",
+    "workload_by_name": "repro.perfsim.library",
+    "WorkloadGenerator": "repro.perfsim.generator",
+    "ARCHETYPES": "repro.perfsim.generator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

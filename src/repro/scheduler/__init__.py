@@ -20,166 +20,80 @@ before moving anything.  A one-shot stream, where nothing departs, is the
 same engine with the rebalancer off.
 """
 
-from repro.scheduler.admission import (
-    SHED_POLICIES,
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionStats,
-)
-from repro.scheduler.capacity import (
-    Space,
-    available,
-    brute_force_capacity,
-    needed_nodes,
-)
-from repro.scheduler.config import ScheduleConfig, add_schedule_arguments
-from repro.scheduler.faults import (
-    FAULT_KINDS,
-    FaultAction,
-    FaultInjectingClient,
-    FaultPlan,
-    ShardFaultSchedule,
-)
-from repro.scheduler.events import (
-    EventKind,
-    EventQueue,
-    LifecycleEvent,
-    events_from_requests,
-)
-from repro.scheduler.fleet import (
-    Fleet,
-    FleetHost,
-    NodesBusyError,
-    UnknownNodeError,
-    minimal_l2_share,
-    minimal_node_count,
-    minimal_shape,
-)
-from repro.scheduler.index import FleetIndex
-from repro.scheduler.lifecycle import (
-    ChurnStats,
-    FragmentationSample,
-    FragmentationTimeline,
-    LifecycleScheduler,
-    MigrationRecord,
-    RebalanceConfig,
-)
-from repro.scheduler.policies import (
-    POLICIES,
-    FirstFitFleetPolicy,
-    FleetDecision,
-    FleetPolicy,
-    GoalAwareFleetPolicy,
-    SpreadFleetPolicy,
-    make_policy,
-)
-from repro.scheduler.registry import ModelRegistry
-from repro.scheduler.requests import (
-    ArrivalPhase,
-    PlacementRequest,
-    drift_phase_schedule,
-    generate_churn_stream,
-    generate_request_stream,
-)
-from repro.scheduler.scheduler import (
-    FleetReport,
-    GradedDecision,
-    grade_decision,
-)
-from repro.scheduler.service import (
-    SchedulerService,
-    ServiceStats,
-    merge_churn_stats,
-)
-from repro.scheduler.shard import (
-    InlineShardClient,
-    ProcessShardClient,
-    ShardCrashError,
-    ShardTimeoutError,
-    ShardWorker,
-)
-from repro.scheduler.supervisor import (
-    HEALTH_DOWN,
-    HEALTH_RECOVERING,
-    HEALTH_STATES,
-    HEALTH_SUSPECT,
-    HEALTH_UP,
-    JournalEntry,
-    MUTATING_OPS,
-    ShardDownError,
-    ShardJournal,
-    ShardSupervisor,
-)
-from repro.scheduler.wire import ShardError, ShardSummary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "add_schedule_arguments",
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionStats",
-    "available",
-    "brute_force_capacity",
-    "needed_nodes",
-    "Space",
-    "SHED_POLICIES",
-    "FAULT_KINDS",
-    "FaultAction",
-    "FaultInjectingClient",
-    "FaultPlan",
-    "HEALTH_DOWN",
-    "HEALTH_RECOVERING",
-    "HEALTH_STATES",
-    "HEALTH_SUSPECT",
-    "HEALTH_UP",
-    "InlineShardClient",
-    "JournalEntry",
-    "MUTATING_OPS",
-    "ShardCrashError",
-    "ShardDownError",
-    "ShardError",
-    "ShardFaultSchedule",
-    "ShardJournal",
-    "ShardSupervisor",
-    "ShardTimeoutError",
-    "make_policy",
-    "merge_churn_stats",
-    "POLICIES",
-    "ProcessShardClient",
-    "ScheduleConfig",
-    "SchedulerService",
-    "ServiceStats",
-    "ShardSummary",
-    "ShardWorker",
-    "ArrivalPhase",
-    "ChurnStats",
-    "drift_phase_schedule",
-    "EventKind",
-    "EventQueue",
-    "Fleet",
-    "FleetHost",
-    "FleetDecision",
-    "FleetIndex",
-    "FleetPolicy",
-    "FirstFitFleetPolicy",
-    "FragmentationSample",
-    "FragmentationTimeline",
-    "LifecycleEvent",
-    "LifecycleScheduler",
-    "MigrationRecord",
-    "NodesBusyError",
-    "RebalanceConfig",
-    "SpreadFleetPolicy",
-    "GoalAwareFleetPolicy",
-    "UnknownNodeError",
-    "events_from_requests",
-    "minimal_node_count",
-    "minimal_l2_share",
-    "minimal_shape",
-    "ModelRegistry",
-    "PlacementRequest",
-    "generate_churn_stream",
-    "generate_request_stream",
-    "FleetReport",
-    "GradedDecision",
-    "grade_decision",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "add_schedule_arguments": "repro.scheduler.config",
+    "AdmissionController": "repro.scheduler.admission",
+    "AdmissionDecision": "repro.scheduler.admission",
+    "AdmissionStats": "repro.scheduler.admission",
+    "available": "repro.scheduler.capacity",
+    "brute_force_capacity": "repro.scheduler.capacity",
+    "needed_nodes": "repro.scheduler.capacity",
+    "Space": "repro.scheduler.capacity",
+    "SHED_POLICIES": "repro.scheduler.admission",
+    "FAULT_KINDS": "repro.scheduler.faults",
+    "FaultAction": "repro.scheduler.faults",
+    "FaultInjectingClient": "repro.scheduler.faults",
+    "FaultPlan": "repro.scheduler.faults",
+    "HEALTH_DOWN": "repro.scheduler.supervisor",
+    "HEALTH_RECOVERING": "repro.scheduler.supervisor",
+    "HEALTH_STATES": "repro.scheduler.supervisor",
+    "HEALTH_SUSPECT": "repro.scheduler.supervisor",
+    "HEALTH_UP": "repro.scheduler.supervisor",
+    "InlineShardClient": "repro.scheduler.shard",
+    "JournalEntry": "repro.scheduler.supervisor",
+    "MUTATING_OPS": "repro.scheduler.supervisor",
+    "ShardCrashError": "repro.scheduler.shard",
+    "ShardDownError": "repro.scheduler.supervisor",
+    "ShardError": "repro.scheduler.wire",
+    "ShardFaultSchedule": "repro.scheduler.faults",
+    "ShardJournal": "repro.scheduler.supervisor",
+    "ShardSupervisor": "repro.scheduler.supervisor",
+    "ShardTimeoutError": "repro.scheduler.shard",
+    "make_policy": "repro.scheduler.policies",
+    "merge_churn_stats": "repro.scheduler.service",
+    "POLICIES": "repro.scheduler.policies",
+    "ProcessShardClient": "repro.scheduler.shard",
+    "ScheduleConfig": "repro.scheduler.config",
+    "SchedulerService": "repro.scheduler.service",
+    "ServiceStats": "repro.scheduler.service",
+    "ShardSummary": "repro.scheduler.wire",
+    "ShardWorker": "repro.scheduler.shard",
+    "ArrivalPhase": "repro.scheduler.requests",
+    "ChurnStats": "repro.scheduler.lifecycle",
+    "drift_phase_schedule": "repro.scheduler.requests",
+    "EventKind": "repro.scheduler.events",
+    "EventQueue": "repro.scheduler.events",
+    "Fleet": "repro.scheduler.fleet",
+    "FleetHost": "repro.scheduler.fleet",
+    "FleetDecision": "repro.scheduler.policies",
+    "FleetIndex": "repro.scheduler.index",
+    "FleetPolicy": "repro.scheduler.policies",
+    "FirstFitFleetPolicy": "repro.scheduler.policies",
+    "FragmentationSample": "repro.scheduler.lifecycle",
+    "FragmentationTimeline": "repro.scheduler.lifecycle",
+    "LifecycleEvent": "repro.scheduler.events",
+    "LifecycleScheduler": "repro.scheduler.lifecycle",
+    "MigrationRecord": "repro.scheduler.lifecycle",
+    "NodesBusyError": "repro.scheduler.fleet",
+    "RebalanceConfig": "repro.scheduler.lifecycle",
+    "SpreadFleetPolicy": "repro.scheduler.policies",
+    "GoalAwareFleetPolicy": "repro.scheduler.policies",
+    "UnknownNodeError": "repro.scheduler.fleet",
+    "events_from_requests": "repro.scheduler.events",
+    "minimal_node_count": "repro.scheduler.fleet",
+    "minimal_l2_share": "repro.scheduler.fleet",
+    "minimal_shape": "repro.scheduler.fleet",
+    "ModelRegistry": "repro.scheduler.registry",
+    "PlacementRequest": "repro.scheduler.requests",
+    "generate_churn_stream": "repro.scheduler.requests",
+    "generate_request_stream": "repro.scheduler.requests",
+    "FleetReport": "repro.scheduler.scheduler",
+    "GradedDecision": "repro.scheduler.scheduler",
+    "grade_decision": "repro.scheduler.scheduler",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

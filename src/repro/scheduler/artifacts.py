@@ -20,7 +20,8 @@ Two consequences the sharded service relies on:
   child's store starts empty and the same code path trains; there is no
   transport- or platform-specific branch;
 * entries are shared, so they are immutable: the training matrices and the
-  compiled arena are sealed read-only on insertion, and a write through
+  compiled arena are sealed read-only on insertion (the HPE matrix, which
+  serving never reads, when it is first measured), and a write through
   any registry raises instead of leaking into its siblings.  Online
   learning never needed to write — ``warm_refit`` and
   ``extend_training_set`` return fresh objects and ``ModelServer.promote``
@@ -126,7 +127,7 @@ class ArtifactStore:
         return entry
 
     def info(self) -> CacheInfo:
-        """A miss is one corpus simulation plus one ``PlacementModel.fit``."""
+        """A miss is one IPC grid plus one ``PlacementModel.fit``."""
         return CacheInfo(self._hits, self._misses, len(self._entries))
 
     def clear(self) -> None:
@@ -136,15 +137,11 @@ class ArtifactStore:
 
 
 def _sealed(entry: TrainedArtifacts) -> TrainedArtifacts:
-    """Make the entry's training matrices and compiled arena — node
-    arrays and bit tables, built here and never again — read-only."""
-    training_set = entry.training_set
-    for array in (
-        training_set.ipc,
-        training_set.vectors,
-        training_set.hpe_features,
-        *entry.model.forest.arena().arrays(),
-    ):
+    """Make the entry's training matrices (the HPE matrix once it is
+    measured) and compiled arena — node arrays and bit tables, built here
+    and never again — read-only."""
+    entry.training_set.seal()
+    for array in entry.model.forest.arena().arrays():
         array.flags.writeable = False
     return entry
 

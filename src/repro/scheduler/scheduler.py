@@ -231,9 +231,14 @@ class FleetReport(Record):
         """Inverse of :meth:`to_dict`, dropping the derived summary."""
         values = dict(data)
         values.pop("summary", None)
+        # The modules of these fields' records import this one, so their
+        # annotations here resolve by name once the module is loaded: load
+        # each only when a payload carries its field.
+        if values.get("churn") is not None:
+            import repro.scheduler.lifecycle  # noqa: F401
+        if values.get("service") is not None:
+            import repro.scheduler.service  # noqa: F401
         if values.get("online") is not None:
-            # OnlineStats' module imports this one (its annotation here
-            # resolves by name): load it only when a payload carries one.
             import repro.serving.online  # noqa: F401
         return super().from_dict(values, machines)
 

@@ -24,34 +24,25 @@ the fleet makes is bit-for-bit what the frozen pipeline decides — the
 equivalence tests assert it.
 """
 
-from repro.serving.drift import DriftConfig, DriftEvent, DriftMonitor
-from repro.serving.online import (
-    OnlineLearner,
-    OnlineLearningConfig,
-    OnlineStats,
-)
-from repro.serving.retrain import RetrainConfig, Retrainer
-from repro.serving.server import (
-    ModelServer,
-    ModelVersion,
-    PromotionRecord,
-    VersionStatus,
-)
-from repro.serving.traces import PlacementObservation, TraceStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DriftConfig",
-    "DriftEvent",
-    "DriftMonitor",
-    "ModelServer",
-    "ModelVersion",
-    "OnlineLearner",
-    "OnlineLearningConfig",
-    "OnlineStats",
-    "PlacementObservation",
-    "PromotionRecord",
-    "RetrainConfig",
-    "Retrainer",
-    "TraceStore",
-    "VersionStatus",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "DriftConfig": "repro.serving.drift",
+    "DriftEvent": "repro.serving.drift",
+    "DriftMonitor": "repro.serving.drift",
+    "ModelServer": "repro.serving.server",
+    "ModelVersion": "repro.serving.server",
+    "OnlineLearner": "repro.serving.online",
+    "OnlineLearningConfig": "repro.serving.online",
+    "OnlineStats": "repro.serving.online",
+    "PlacementObservation": "repro.serving.traces",
+    "PromotionRecord": "repro.serving.server",
+    "RetrainConfig": "repro.serving.retrain",
+    "Retrainer": "repro.serving.retrain",
+    "TraceStore": "repro.serving.traces",
+    "VersionStatus": "repro.serving.server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

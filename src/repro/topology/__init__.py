@@ -11,31 +11,24 @@ calibrated so that every structural statement in Section 4 of the paper holds
 (see ``DESIGN.md`` for the calibration targets).
 """
 
-from repro.topology.interconnect import Interconnect, Link
-from repro.topology.machine import MachineTopology
-from repro.topology.builder import TopologyBuilder
-from repro.topology.presets import (
-    PRESETS,
-    amd_opteron_6272,
-    intel_xeon_e7_4830_v3,
-    amd_epyc_zen,
-    intel_haswell_cod,
-)
-from repro.topology.stream import StreamProbe, build_bandwidth_table
-from repro.topology.sysfs import machine_to_sysfs, machine_from_sysfs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interconnect",
-    "Link",
-    "MachineTopology",
-    "TopologyBuilder",
-    "PRESETS",
-    "amd_opteron_6272",
-    "intel_xeon_e7_4830_v3",
-    "amd_epyc_zen",
-    "intel_haswell_cod",
-    "StreamProbe",
-    "build_bandwidth_table",
-    "machine_to_sysfs",
-    "machine_from_sysfs",
-]
+#: Public name -> the module that defines it, imported on first read.
+_EXPORTS = {
+    "Interconnect": "repro.topology.interconnect",
+    "Link": "repro.topology.interconnect",
+    "MachineTopology": "repro.topology.machine",
+    "TopologyBuilder": "repro.topology.builder",
+    "PRESETS": "repro.topology.presets",
+    "amd_opteron_6272": "repro.topology.presets",
+    "intel_xeon_e7_4830_v3": "repro.topology.presets",
+    "amd_epyc_zen": "repro.topology.presets",
+    "intel_haswell_cod": "repro.topology.presets",
+    "StreamProbe": "repro.topology.stream",
+    "build_bandwidth_table": "repro.topology.stream",
+    "machine_to_sysfs": "repro.topology.sysfs",
+    "machine_from_sysfs": "repro.topology.sysfs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,6 +26,14 @@ class TestCorpora:
     def test_clustering_corpus_is_paper_sized(self):
         assert len(clustering_corpus()) == 18 + 30
 
+    def test_training_corpus_is_sampled_once_into_fresh_lists(self):
+        a = training_corpus(seed=5, n_synthetic=4)
+        a.pop()
+        b = training_corpus(seed=5, n_synthetic=4)
+        assert len(b) == 18 + 4 and b is not a
+        assert all(x is y for x, y in zip(a, b))  # the same immutable profiles
+        assert training_corpus(seed=5, n_synthetic=4, jitter=0.1)[-1] is not b[-1]
+
     def test_seeds_change_the_corpus(self):
         a = training_corpus(seed=1, n_synthetic=4)
         b = training_corpus(seed=2, n_synthetic=4)

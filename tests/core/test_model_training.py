@@ -15,8 +15,28 @@ from repro.core import (
     leave_one_workload_out,
     workload_family,
 )
-from repro.perfsim import WorkloadGenerator, paper_workloads
-from repro.topology import amd_opteron_6272
+from repro.core.training import extend_training_set
+from repro.experiments import standard_training_set
+from repro.perfsim import (
+    HpeMonitor,
+    PerformanceSimulator,
+    WorkloadGenerator,
+    paper_workloads,
+)
+from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+
+
+def eager_hpe_rows(training_set, simulator, repetition=0):
+    """The HPE matrix and names as one monitor measures them row by row in
+    the baseline placement: what training sets held before the rows were
+    deferred to their first read."""
+    monitor = HpeMonitor(simulator)
+    baseline = training_set.placements[training_set.baseline_index]
+    rows = []
+    for profile in training_set.workloads:
+        values = monitor.measure(profile, baseline, repetition=repetition)
+        rows.append([values[name] for name in monitor.event_names])
+    return np.asarray(rows), list(monitor.event_names)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +106,78 @@ class TestTrainingSet:
                 hpe_names=small_ts.hpe_names,
                 baseline_index=99,
             )
+        with pytest.raises(ValueError, match="hpe_runs"):
+            TrainingSet(
+                machine=small_ts.machine,
+                placements=small_ts.placements,
+                workloads=small_ts.workloads,
+                ipc=small_ts.ipc,
+                vectors=small_ts.vectors,
+                baseline_index=0,
+            )
+
+
+class TestDeferredHpe:
+    """HPE rows are measured on first read, bit for bit what the eager
+    loop measured."""
+
+    @pytest.mark.parametrize("preset", [amd_opteron_6272, intel_xeon_e7_4830_v3])
+    def test_standard_training_set_matches_the_eager_loop(self, preset):
+        machine = preset()
+        training_set = standard_training_set(machine)
+        features, names = eager_hpe_rows(training_set, PerformanceSimulator(machine))
+        np.testing.assert_array_equal(training_set.hpe_features, features)
+        assert training_set.hpe_names == names
+
+    def test_subset_and_extend_give_the_parents_matrices(self, amd):
+        corpus = paper_workloads() + WorkloadGenerator(seed=9, jitter=0.25).sample(6)
+        parent = build_training_set(amd, 16, corpus, baseline_index=3)
+        rows = [0, 4, 5, 20]
+        sub = parent.subset(rows)
+        np.testing.assert_array_equal(sub.hpe_features, parent.hpe_features[rows])
+        assert sub.hpe_names == parent.hpe_names
+
+        fresh = WorkloadGenerator(seed=77, namespace="live").sample(3)
+        extended = extend_training_set(parent, fresh)
+        np.testing.assert_array_equal(
+            extended.hpe_features[: len(parent)], parent.hpe_features
+        )
+        features, names = eager_hpe_rows(extended, PerformanceSimulator(amd))
+        np.testing.assert_array_equal(extended.hpe_features, features)
+        assert extended.hpe_names == names == parent.hpe_names
+
+    def test_extending_an_unread_set_defers_both_runs(self, amd, monkeypatch):
+        calls = []
+        measure = HpeMonitor.measure
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0].name)
+            return measure(self, *args, **kwargs)
+
+        monkeypatch.setattr(HpeMonitor, "measure", spy)
+        corpus = paper_workloads()[:6]
+        parent = build_training_set(amd, 16, corpus, baseline_index=2)
+        fresh = WorkloadGenerator(seed=77, namespace="live").sample(3)
+        once = extend_training_set(parent, fresh[:2], repetition=1)
+        twice = extend_training_set(
+            once, fresh[2:], simulator=PerformanceSimulator(amd, seed=5)
+        )
+        assert calls == []
+
+        features = twice.hpe_features
+        assert calls == twice.names
+        rows = [
+            eager_hpe_rows(parent, PerformanceSimulator(amd))[0],
+            eager_hpe_rows(
+                once.subset(range(6, 8)), PerformanceSimulator(amd), repetition=1
+            )[0],
+            eager_hpe_rows(
+                twice.subset([8]), PerformanceSimulator(amd, seed=5)
+            )[0],
+        ]
+        np.testing.assert_array_equal(features, np.vstack(rows))
+        np.testing.assert_array_equal(once.hpe_features, features[:8])
+        assert twice.hpe_names == once.hpe_names == parent.hpe_names
 
 
 class TestPlacementModel:

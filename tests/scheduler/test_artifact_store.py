@@ -13,6 +13,9 @@ The contracts under test:
   registry's view.
 * **Bounded** — LRU eviction at the cap, and an evicted key re-trains to an
   equal model.
+* **HPE rows on first read** — serving and online retraining never measure
+  a hardware-event row; a stored set measures its rows the first time they
+  are read, equal to the eager loop and read-only.
 """
 
 import json
@@ -28,16 +31,36 @@ from repro.core.memo import (
     DEFAULT_ENUMERATION_CACHE,
     cached_enumerate_important_placements,
 )
-from repro.core.model import PlacementModel
+from repro.core.model import HpeModel, PlacementModel
 from repro.core.training import build_training_set
 from repro.experiments import training_corpus
 from repro.perfsim.generator import WorkloadGenerator
+from repro.perfsim.hpe import HpeMonitor
 from repro.perfsim.simulator import PerformanceSimulator
-from repro.scheduler import ModelRegistry, ScheduleConfig, SchedulerService
+from repro.scheduler import (
+    Fleet,
+    GoalAwareFleetPolicy,
+    LifecycleScheduler,
+    ModelRegistry,
+    RebalanceConfig,
+    ScheduleConfig,
+    SchedulerService,
+    drift_phase_schedule,
+    generate_churn_stream,
+)
 from repro.scheduler.artifacts import ArtifactStore
 from repro.scheduler.policies import is_model_driven
-from repro.serving import ModelServer, RetrainConfig, Retrainer
-from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from repro.serving import (
+    DriftConfig,
+    ModelServer,
+    OnlineLearner,
+    OnlineLearningConfig,
+    RetrainConfig,
+    Retrainer,
+)
+from repro.topology import PRESETS, amd_opteron_6272, intel_xeon_e7_4830_v3
+from tests.core.test_model_training import eager_hpe_rows
+from tests.ml.test_arena import _fleet_keys
 from tests.serving.test_retrain import _trace
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -140,6 +163,102 @@ class TestContentKeys:
         assert len({id(model) for model in models}) == 3
         assert empty_artifact_store.info().currsize == 3
         assert DEFAULT_ENUMERATION_CACHE.info().misses == 3
+
+
+def _spy_hpe(monkeypatch) -> list:
+    """Count ``HpeMonitor.measure`` calls from here on."""
+    calls = []
+    measure = HpeMonitor.measure
+
+    def spy(self, *args, **kwargs):
+        calls.append(args[0].name)
+        return measure(self, *args, **kwargs)
+
+    monkeypatch.setattr(HpeMonitor, "measure", spy)
+    return calls
+
+
+class TestDeferredHpe:
+    @pytest.mark.parametrize("name, vcpus", _fleet_keys())
+    def test_every_fleet_key_measures_the_eager_rows_on_first_read(
+        self, name, vcpus, empty_artifact_store, monkeypatch
+    ):
+        machine = PRESETS[name]()
+        calls = _spy_hpe(monkeypatch)
+        training_set = ModelRegistry(seed=0).training_set(machine, vcpus)
+        assert calls == []  # trained, fitted and sealed without one row
+        features = training_set.hpe_features
+        assert calls == training_set.names
+        expected, names = eager_hpe_rows(
+            training_set, PerformanceSimulator(machine, seed=0)
+        )
+        np.testing.assert_array_equal(features, expected)
+        assert training_set.hpe_names == names
+        assert training_set.hpe_features is features  # measured once
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 0
+
+    def test_serving_measures_no_row_and_the_hpe_model_does(
+        self, empty_artifact_store, monkeypatch
+    ):
+        calls = _spy_hpe(monkeypatch)
+        stream = dict(
+            requests=40,
+            seed=3,
+            churn=True,
+            vcpus=(8, 16, 32),
+            arrival_rate=2.0,
+            mean_lifetime=20.0,
+        )
+        config = ScheduleConfig(machine="mixed", hosts=8, **stream)
+        registry = config.build_registry()
+        LifecycleScheduler(
+            config.build_fleet(), config.build_policy(registry), registry=registry
+        ).run(config.build_stream(), window=1)
+        assert empty_artifact_store.info().misses >= 1
+        empty_artifact_store.clear()
+        with SchedulerService(
+            ScheduleConfig(machine="amd", hosts=8, shards=2, window=4, **stream)
+        ) as service:
+            service.serve()
+        assert empty_artifact_store.info().misses >= 1
+        assert calls == []
+
+        # Online learning: every retrain extends the key's corpus and
+        # warm-refits on the vectors alone.
+        server = ModelServer(seed=0)
+        learner = OnlineLearner(
+            server,
+            OnlineLearningConfig(
+                drift=DriftConfig(window=8, min_observations=4, threshold_pct=0.01),
+                retrain=RetrainConfig(max_new_workloads=4, n_grow=2),
+                retrain_cooldown=4,
+                shadow_min_observations=2,
+                shadow_max_observations=4,
+            ),
+        )
+        LifecycleScheduler(
+            Fleet.homogeneous(amd_opteron_6272(), 4),
+            GoalAwareFleetPolicy(server),
+            config=RebalanceConfig(),
+            online=learner,
+        ).run(
+            generate_churn_stream(
+                60,
+                seed=11,
+                arrival_rate=2.0,
+                mean_lifetime=25.0,
+                vcpus_choices=(8,),
+                phases=drift_phase_schedule(),
+            )
+        )
+        assert learner.stats.retrains >= 2
+        assert calls == []
+
+        HpeModel(features=["LLC_MISSES"], n_estimators=4, random_state=0).fit(
+            registry.training_set(amd_opteron_6272(), 8)
+        )
+        assert calls
 
 
 class TestImmutability:
