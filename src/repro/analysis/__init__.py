@@ -1,19 +1,19 @@
 """Invariant-aware static analysis for the repro tree (``repro lint``).
 
-Three rule families guard the invariants the equivalence tests probe at
-runtime:
+Two rule families guard invariants that a property test cannot draw:
 
 * **determinism** (``unseeded-rng``, ``wall-clock``,
   ``unsorted-set-iter``, ``id-ordering``) — every RNG seeded, no
   wall-clock decisions, no hash-order or address-order dependence in
   the decision-making subpackages;
-* **memo-invalidation** (``memo-invalidation``) — mutations of memoized
-  state bump the matching version/invalidator, table-driven via
-  :data:`repro.analysis.invalidation.CACHE_SURFACES`;
 * **pipe-safety** (``pipe-safety``, ``blocking-dispatch``) — shard
   transport payloads stay JSON-safe, and the service sends every
   message through its one send/gather dispatch, never a blocking
   ``client.request()`` call.
+
+Memos are checked by what they answer, not by what their code mentions:
+``tests/test_memo_surfaces.py`` compares every memoized surface with a
+cold twin after each drawn mutation.
 
 Suppress a finding inline with ``# repro-lint: disable=<rule> — reason``
 or a whole file with ``# repro-lint: disable-file=<rule>``.
@@ -38,11 +38,6 @@ from repro.analysis.engine import (
     ModuleInfo,
     Rule,
 )
-from repro.analysis.invalidation import (
-    CACHE_SURFACES,
-    CacheSurface,
-    MemoInvalidationRule,
-)
 from repro.analysis.pipesafety import BlockingDispatchRule, PipeSafetyRule
 
 #: Every registered rule class, keyed by rule id.  ``default_rules()``
@@ -54,7 +49,6 @@ RULE_CLASSES: Dict[str, Type[Rule]] = {
         WallClockRule,
         UnsortedSetIterRule,
         IdOrderingRule,
-        MemoInvalidationRule,
         PipeSafetyRule,
         BlockingDispatchRule,
     )
@@ -94,8 +88,6 @@ def analyze_source(
 __all__ = [
     "ANALYZER_VERSION",
     "Analyzer",
-    "CACHE_SURFACES",
-    "CacheSurface",
     "DECISION_PACKAGES",
     "DEFAULT_CACHE_NAME",
     "Finding",

@@ -11,8 +11,8 @@ Subcommands mirror the paper's steps:
 * ``migrate-plan`` — price the migration of a workload and recommend a
   mechanism (Table 2 / Section 7);
 * ``lint`` — run the invariant-aware static analysis suite
-  (``repro.analysis``) over the tree: determinism, memo-invalidation,
-  and pipe-safety rules; exits non-zero on findings;
+  (``repro.analysis``) over the tree: determinism and pipe-safety
+  rules; exits non-zero on findings;
 * ``schedule`` — place a stream of heterogeneous container requests across
   a simulated fleet and print the fleet report (the scheduler subsystem).
   With ``--churn``, requests also *depart*: the event-driven lifecycle

@@ -125,11 +125,6 @@ class SimulatedHost:
         del self._deployments[container.container_id]
         return self.deploy(container, placement)
 
-    def remove(self, container: VirtualContainer) -> None:
-        if container.container_id not in self._deployments:
-            raise KeyError(f"{container.name} is not deployed")
-        del self._deployments[container.container_id]
-
     # ------------------------------------------------------------------
     # Linux default mapping model
     # ------------------------------------------------------------------

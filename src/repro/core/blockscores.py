@@ -430,9 +430,9 @@ class BlockScoreCache:
 
         :meth:`invalidate` bumps ``_versions`` and drops the orphaned
         tables in the same call, so a surviving table keyed at an older
-        version means some mutation path skipped the bump.  This is the
-        runtime counterpart of the memo-invalidation lint's
-        ``block-score-tables`` surface (``repro.analysis.invalidation``).
+        version means some mutation path skipped the bump.
+        ``tests/test_memo_surfaces.py`` runs it after every step of its
+        block-score property.
         """
         for fingerprint, kind, version in self._tables:
             current = self._versions.get(fingerprint, 0)

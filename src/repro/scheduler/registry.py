@@ -274,10 +274,10 @@ class ModelRegistry:
 
         Promotion purges the retiring version's rows in the same call
         that flips the active version, so a surviving row with a stale
-        token means a promotion path skipped the purge.  This is the
-        runtime counterpart of the memo-invalidation lint's
-        ``model-promotion-memos`` surface
-        (``repro.analysis.invalidation``).
+        token means a promotion path skipped the purge.
+        ``ModelServer.promote`` runs it after every purge, and
+        ``tests/test_memo_surfaces.py`` after every step of its promotion
+        property.
         """
         for fingerprint, vcpus, token in self._baseline_ipc:
             current = self._current_version_token(fingerprint, vcpus)

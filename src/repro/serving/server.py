@@ -288,8 +288,7 @@ class ModelServer(ModelRegistry):
             del self._baseline_ipc[memo_key]
         DEFAULT_BLOCK_SCORE_CACHE.invalidate(fingerprint)
         # Cheap post-condition: the purge above left no entry keyed at a
-        # retired version token (the memo-invalidation lint's
-        # 'model-promotion-memos' surface, checked statically too).
+        # retired version token.
         self.assert_version_consistency()
 
         record = PromotionRecord(

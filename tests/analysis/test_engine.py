@@ -42,8 +42,8 @@ class TestRegistry:
         assert {rule.id for rule in default_rules()} == set(RULE_CLASSES)
 
     def test_rules_named_selects(self):
-        rules = rules_named(["memo-invalidation", "pipe-safety"])
-        assert [rule.id for rule in rules] == ["memo-invalidation", "pipe-safety"]
+        rules = rules_named(["blocking-dispatch", "pipe-safety"])
+        assert [rule.id for rule in rules] == ["blocking-dispatch", "pipe-safety"]
 
     def test_rules_named_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown rule"):

@@ -25,14 +25,12 @@ FULL_RUN_BUDGET_SECONDS = 30.0
 
 class TestTreeIsClean:
     def test_zero_findings_over_src_repro(self):
+        """One timed cold run: the tree lints clean, within the budget."""
+        start = time.perf_counter()
         findings, n_files = Analyzer().analyze_paths([PACKAGE_ROOT])
+        elapsed = time.perf_counter() - start
         assert n_files > 50  # the walk really covered the tree
         assert findings == [], "\n".join(f.describe() for f in findings)
-
-    def test_full_run_stays_fast(self):
-        start = time.perf_counter()
-        Analyzer().analyze_paths([PACKAGE_ROOT])
-        elapsed = time.perf_counter() - start
         assert elapsed < FULL_RUN_BUDGET_SECONDS, (
             f"cold lint run took {elapsed:.1f}s; "
             f"budget is {FULL_RUN_BUDGET_SECONDS:.0f}s"
@@ -111,75 +109,6 @@ class TestCanonicalInjections:
         n_lines = source.count("\n")
         assert findings[0].line == n_lines  # the injected return line
 
-    def test_trees_mutation_without_arena_invalidation(self):
-        findings = inject(
-            "ml/forest.py",
-            "self.trees_ = self.trees_ + self._grow_trees(rng, X, y, n_more)",
-            "self.trees_.extend(self._grow_trees(rng, X, y, n_more))",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert findings[0].path.endswith("ml/forest.py")
-        assert "grow" in findings[0].message
-
-    def test_noise_prefix_that_ignores_the_simulator_seed(self):
-        findings = inject(
-            "perfsim/simulator.py",
-            "self.seed,\n            self.machine.name,",
-            "0,\n            self.machine.name,",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert findings[0].path.endswith("perfsim/simulator.py")
-        assert "noise-seed-prefixes" in findings[0].message
-        assert "seed" in findings[0].message
-
-    def test_lane_that_keeps_the_versioned_block_memo(self):
-        findings = inject(
-            "scheduler/policies.py",
-            "block_state_memo(machine, lane.kind)",
-            "lane.memo",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert findings[0].path.endswith("scheduler/policies.py")
-        assert "policy-lanes" in findings[0].message
-        assert "block_state_memo" in findings[0].message
-
-    def test_lane_whose_probe_rows_bypass_the_registry(self):
-        findings = inject(
-            "scheduler/policies.py",
-            "tuple(self.registry.probe_row(machine, p) for p in inputs)",
-            "(None, None)",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "policy-lanes" in findings[0].message
-        assert "probe_row" in findings[0].message
-
-    def test_profile_pickled_with_its_cached_hash(self):
-        findings = inject(
-            "perfsim/workload.py",
-            "return (WorkloadProfile, self.row())",
-            "return (_restore, (dict(self.__dict__),))",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert findings[0].path.endswith("perfsim/workload.py")
-        assert "profile-identity" in findings[0].message
-        assert "__reduce__" in findings[0].message
-
-    def test_placement_unpickled_around_its_constructor(self):
-        findings = inject(
-            "core/placements.py",
-            "            _rebuild,\n",
-            "            _restore,\n",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "placement-identity" in findings[0].message
-        assert "_rebuild" in findings[0].message
-
     def test_cached_hash_in_a_wire_row(self):
         findings = inject(
             "scheduler/wire.py",
@@ -191,111 +120,6 @@ class TestCanonicalInjections:
         assert findings[0].path.endswith("scheduler/wire.py")
         assert "_hash" in findings[0].message
         assert "process-local" in findings[0].message
-
-    def test_ipc_entry_count_that_skips_the_rows(self):
-        findings = inject(
-            "scheduler/registry.py",
-            "sum(len(row) for row in self._solo_ipc.values())",
-            "self._ipc_misses",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "solo-ipc-rows" in findings[0].message
-        assert "ipc_cache_info" in findings[0].message
-
-    def test_probe_miss_through_the_grid_kernel(self):
-        findings = inject(
-            "scheduler/registry.py",
-            "ipcs[profile] = simulator.measured_ipc(",
-            "ipcs[profile] = simulator.measured_ipc_batch(",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "solo-ipc-rows" in findings[0].message
-        assert "touches measured_ipc_batch" in findings[0].message
-
-    def test_probe_batch_that_draws_its_own_noise(self):
-        findings = inject(
-            "scheduler/registry.py",
-            "return list(map(mul, found, multipliers))",
-            "return list(map(mul, found, standard_normals(multipliers)))",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "solo-ipc-rows" in findings[0].message
-        assert "touches standard_normals" in findings[0].message
-
-    def test_noise_seed_that_bypasses_the_prefix_memo(self):
-        findings = inject(
-            "perfsim/simulator.py",
-            "                known(profile.name)\n"
-            "                or self._noise_prefix(prefixes, profile.name, placement),\n",
-            "                known(profile.name, 0),\n",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "noise-seed-prefixes" in findings[0].message
-        assert "noise_seeds" in findings[0].message
-        assert "never touches _noise_prefix" in findings[0].message
-
-    def test_noise_draw_through_a_generator_of_its_own(self):
-        findings = inject(
-            "perfsim/simulator.py",
-            "        noise = NoiseBatch(duration_s, extra)\n"
-            "        noise.add(self, [profile], placement, [repetition])\n"
-            "        return noise.multipliers()[0][0]\n",
-            "        return float(np.random.default_rng(repetition).normal())\n",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "noise-seed-prefixes" in findings[0].message
-        assert "_noise_multiplier" in findings[0].message
-        assert "touches default_rng" in findings[0].message
-
-    def test_breakdown_that_derives_its_own_placement_numbers(self):
-        findings = inject(
-            "perfsim/simulator.py",
-            "            record = self._placement_record(placement)\n",
-            "            record = _PlacementRecord(self.machine, placement)\n",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "placement-record" in findings[0].message
-        assert "breakdown" in findings[0].message
-
-    def test_node_set_scores_keyed_by_a_spelling(self):
-        findings = inject(
-            "topology/interconnect.py",
-            "key = nodes if nodes.__class__ is frozenset else frozenset(nodes)"
-            "\n        scores = ",
-            "key = tuple(nodes)\n        scores = ",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert "node-set-scores" in findings[0].message
-        assert "frozenset" in findings[0].message
-
-    def test_decoded_placement_served_without_resolving_its_machine(self):
-        findings = inject(
-            "scheduler/wire.py",
-            "machine = resolve_machine(name, machines)",
-            "machine = machines[name]",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert findings[0].path.endswith("scheduler/wire.py")
-        assert "decoded-placements" in findings[0].message
-
-    def test_unsealed_entry_in_artifact_store(self):
-        findings = inject(
-            "scheduler/artifacts.py",
-            "entry = _sealed(TrainedArtifacts(training_set, model))",
-            "entry = TrainedArtifacts(training_set, model)",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "memo-invalidation"
-        assert findings[0].path.endswith("scheduler/artifacts.py")
-        assert "artifact-store" in findings[0].message
 
     def test_numpy_scalar_in_shard_message(self):
         findings = inject(
@@ -344,9 +168,11 @@ class TestLintCli:
         assert code == 0
 
     def test_unknown_rule_rejected(self, tmp_path):
-        # ``wire-schema`` is retired: the report codecs' round-trip
-        # property (tests/scheduler/test_wire.py) checks them instead.
-        for name in ("nope", "wire-schema"):
+        # ``wire-schema`` and ``memo-invalidation`` are retired: the
+        # report codecs' round-trip property (tests/scheduler/test_wire.py)
+        # and the memo surfaces' differential properties
+        # (tests/test_memo_surfaces.py) check them instead.
+        for name in ("nope", "wire-schema", "memo-invalidation"):
             with pytest.raises(SystemExit, match="unknown rule"):
                 cli_main(["lint", str(tmp_path), "--rules", name, "--no-cache"])
 
@@ -361,7 +187,6 @@ class TestLintCli:
         for rule_id in (
             "unseeded-rng",
             "blocking-dispatch",
-            "memo-invalidation",
             "pipe-safety",
         ):
             assert rule_id in out

@@ -7,7 +7,10 @@ live, and so is the body of every live definition; a ``def`` / ``class``
 in ``src/repro`` is live once a live body names it (a fixpoint).  A name
 is a ``Name`` id, an ``Attribute`` attr, an import alias, a keyword
 argument or an identifier-shaped string constant (so ``__all__`` counts);
-docstrings and comments do not.  Dunders are exempt.
+docstrings and comments do not.  A dunder is code of the scope that
+defines it, not a definition: the interpreter calls ``__init__``,
+``__hash__`` or a module's ``__getattr__`` without any code naming it, so
+its body is live exactly when its class (or module) is.
 
 A definition that only tests call does not belong in ``src/``: delete it
 or move it next to the tests that use it.  ``KEPT`` lists the few that
@@ -19,6 +22,7 @@ while this answer for one file depends on every other file.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import time
 from dataclasses import dataclass, field
@@ -87,15 +91,24 @@ def _collect_refs(node: ast.AST, refs: set) -> None:
         )
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _walk_body(body: list, path: str, in_src: bool, live: set, defs: list) -> None:
     """Sort a module or class body into definitions and code.
 
     Under ``src`` every function and class, and every member of a class,
     becomes a :class:`Definition` (a function's nested functions are part
-    of its body); everything else adds its names to ``live``.
+    of its body); everything else, dunder methods included, adds its
+    names to ``live``.
     """
     for statement in body:
-        if not (in_src and isinstance(statement, _DEFINITION)):
+        if not (
+            in_src
+            and isinstance(statement, _DEFINITION)
+            and not _is_dunder(statement.name)
+        ):
             _collect_refs(statement, live)
             continue
         definition = Definition(
@@ -134,12 +147,24 @@ def tree_sources(overrides: dict | None = None) -> dict:
     return sources
 
 
+@functools.lru_cache(maxsize=None)
+def _scan_file(path: str, source: str, in_src: bool) -> tuple:
+    """One file's definitions and the names its live code mentions,
+    parsed once per text (a seeded override re-parses only its file)."""
+    defs: list = []
+    roots: set = set()
+    _walk_body(ast.parse(source).body, path, in_src, roots, defs)
+    return tuple(defs), frozenset(roots)
+
+
 def scan(sources: dict) -> tuple:
     """The definitions under ``src`` and the names live code mentions."""
     defs: list = []
     roots: set = set()
     for path, (source, in_src) in sources.items():
-        _walk_body(ast.parse(source).body, path, in_src, roots, defs)
+        file_defs, file_roots = _scan_file(path, source, in_src)
+        defs.extend(file_defs)
+        roots |= file_roots
     return defs, roots
 
 
@@ -160,11 +185,7 @@ def live_names(defs: list, roots) -> set:
 
 def unreachable(defs: list, roots: set, kept) -> list:
     live = live_names(defs, roots | set(kept))
-    return [
-        d
-        for d in defs
-        if d.name not in live and not (d.name.startswith("__") and d.name.endswith("__"))
-    ]
+    return [d for d in defs if d.name not in live]
 
 
 def stale_kept(defs: list, roots: set, kept) -> list:
@@ -256,6 +277,17 @@ class TestSeededViolations:
     def test_a_name_an_example_uses_is_not_reported(self):
         seeded = _with_twin()
         seeded.update(_appended(EXAMPLE, "\ndef _use(module):\n    return module._seeded_twin\n"))
+        assert _dead_names(seeded) == []
+
+    def test_a_helper_only_a_dunder_calls_is_not_reported(self):
+        # No code names __bool__: the interpreter calls it on a truth test.
+        defs, roots = scan(tree_sources())
+        assert all("__bool__" not in names for names in [roots, *(d.refs for d in defs)])
+        seeded = _with_twin(
+            "\nclass _SeededBox:\n    def __bool__(self):\n"
+            "        return bool(_seeded_twin())\n\n"
+        )
+        seeded[POLICIES] += "\n_SEEDED = _SeededBox()\n"
         assert _dead_names(seeded) == []
 
     def test_a_kept_entry_that_is_not_defined_fails(self):

@@ -71,14 +71,6 @@ class TestDeployment:
         with pytest.raises(ValueError, match="vCPUs"):
             host.deploy(container(vcpus=8), p)
 
-    def test_remove_frees_capacity(self, host):
-        c = container()
-        host.deploy(c)
-        host.remove(c)
-        assert host.free_threads() == 64
-        with pytest.raises(KeyError):
-            host.remove(c)
-
     def test_migrate_changes_placement(self, host, amd):
         c = container()
         host.deploy(c, Placement.balanced(amd, [0, 1], 16, use_smt=True))

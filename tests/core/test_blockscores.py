@@ -311,8 +311,7 @@ class TestVersionConsistencyHook:
         machine = amd_opteron_6272()
         cache.get(machine)
         # Simulate a buggy mutation path: bump the version without
-        # dropping the shape's tables (exactly what the memo-invalidation
-        # lint's 'block-score-tables' surface forbids statically).
+        # dropping the shape's tables.
         fingerprint = machine.fingerprint()
         cache._versions[fingerprint] = cache._versions.get(fingerprint, 0) + 1
         with pytest.raises(AssertionError, match="invalidation was skipped"):

@@ -201,6 +201,32 @@ def _assert_departed_exactly_once(service, report, plain_stats):
     assert service._owner == {} and not any(service._outbox)
 
 
+def assert_crashes_deliver_departures_once(
+    config, service_class=SchedulerService
+):
+    """Crash ``config``'s stream once at each message that carries
+    departures, in a fresh service per crash: every pair is applied
+    exactly once, every arrival decided once, and with recovery immediate
+    (``recovery_rounds == 0``) the report is the fault-free one."""
+    plain, plain_stats, _, carrying = _fault_free_probe(config, service_class)
+    assert all(carrying)
+    for shard, indices in enumerate(carrying):
+        for index in indices:
+            with service_class(
+                config, faults=FaultPlan.crash_at(shard, index)
+            ) as service:
+                report = service.serve()
+                _assert_departed_exactly_once(service, report, plain_stats)
+                assert service.stats.crashes == 1
+                assert service.stats.journal_replays >= 1
+            ids = [d.decision.request.request_id for d in report.decisions]
+            assert sorted(ids) == sorted(
+                d.decision.request.request_id for d in plain.decisions
+            )
+            if config.recovery_rounds == 0:
+                assert _report_signature(report) == _report_signature(plain)
+
+
 def _record_messages(config, faults=None):
     with SchedulerService(config, faults=faults) as service:
         sent = []
@@ -536,32 +562,9 @@ class TestCrashRecovery:
             recovery_rounds=recovery_rounds,
             request_timeout_s=20.0 if workers == "process" else None,
         )
-        service_class = dispatch_service(overlap)
-        plain, plain_stats, _, carrying = _fault_free_probe(
-            config, service_class
+        assert_crashes_deliver_departures_once(
+            config, dispatch_service(overlap)
         )
-        assert all(carrying)
-        for shard, indices in enumerate(carrying):
-            for index in indices:
-                with service_class(
-                    config, faults=FaultPlan.crash_at(shard, index)
-                ) as service:
-                    report = service.serve()
-                    _assert_departed_exactly_once(
-                        service, report, plain_stats
-                    )
-                    assert service.stats.crashes == 1
-                    assert service.stats.journal_replays >= 1
-                ids = [
-                    d.decision.request.request_id for d in report.decisions
-                ]
-                assert sorted(ids) == sorted(
-                    d.decision.request.request_id for d in plain.decisions
-                )
-                if recovery_rounds == 0:
-                    assert _report_signature(report) == _report_signature(
-                        plain
-                    )
 
     def test_dropped_reply_retry_does_not_release_twice(self):
         """The message was applied and its reply lost: the same-``seq``

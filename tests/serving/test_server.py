@@ -142,9 +142,7 @@ class TestPromotion:
         server.assert_version_consistency()
 
         # Simulate a buggy promotion that skips the purge: re-insert an
-        # entry keyed at the retired token (the condition the
-        # memo-invalidation lint's 'model-promotion-memos' surface
-        # forbids statically).
+        # entry keyed at the retired token.
         stale_key = (machine.fingerprint(), 8, 1)
         server._baseline_ipc[stale_key] = {profile: 1.0}
         with pytest.raises(AssertionError, match="skipped its cache purge"):
