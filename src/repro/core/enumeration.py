@@ -14,20 +14,37 @@ that a model must distinguish:
    matter because the scheduler may later need to place further containers
    on the remaining nodes, so the enumeration must retain the placements
    those packings use — even when they are not the best for a single
-   container (the paper's {0,1,6,7} example).
-3. **Algorithm 3** (:func:`pareto_filter_packings` + the variant expansion in
-   :func:`enumerate_important_placements`): drop duplicate packings, drop
-   packings that are Pareto-dominated on the interconnect score (the one
-   concern that neither affects cost nor can invert), then expand every
-   surviving block with every feasible L2 (and, on split-L3 machines, L3)
-   score and dedup by score vector.
+   container (the paper's {0,1,6,7} example).  The pipeline streams the
+   partitions from a generator (:func:`_partitions`) and dedups them as
+   they arrive, so of the ~1 500 partitions of an 8-node machine only the
+   couple dozen distinct packings are ever built or held.
+3. **Algorithm 3** (the on-the-fly dedup, :func:`pareto_filter_packings`
+   and the variant expansion in :func:`enumerate_important_placements`):
+   drop duplicate packings, drop packings that are Pareto-dominated on the
+   interconnect score (the one concern that neither affects cost nor can
+   invert), then expand every surviving block with every feasible L2
+   (and, on split-L3 machines, L3) score and dedup by score vector.
+
+Nothing here forms a reference cycle, so what an enumeration throws away
+is freed when it is dropped, not at the next full collection; a service
+that forks its shard workers right after set-up would otherwise copy
+that garbage into every child.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.concerns import ConcernSet, concerns_for
 from repro.core.placements import Placement
@@ -83,28 +100,16 @@ class Packing:
         """Sorted interconnect scores of the blocks."""
         return tuple(sorted(scorer(block) for block in self.blocks))
 
-    def signature(self, scorer: BlockScorer) -> Tuple[Tuple[int, float], ...]:
-        """Dedup key: the multiset of (size, interconnect score) per block."""
-        return tuple(
-            sorted((len(block), round(scorer(block), 3)) for block in self.blocks)
-        )
-
     def __len__(self) -> int:
         return len(self.blocks)
 
 
-def gen_packings(
+def _partition_inputs(
     block_sizes: Iterable[int], nodes: Iterable[int]
-) -> List[Packing]:
-    """Algorithm 2: enumerate all partitions of ``nodes`` into blocks whose
-    sizes are valid node scores.
-
-    The paper's recursive formulation enumerates each partition many times
-    (once per block ordering); we canonicalize by always assigning the
-    smallest remaining node to the next block, which generates each
-    partition exactly once.
-    """
-    sizes = sorted({int(s) for s in block_sizes})
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Algorithm 2's inputs, checked: sorted distinct block sizes and
+    sorted distinct nodes."""
+    sizes = tuple(sorted({int(s) for s in block_sizes}))
     if not sizes:
         raise ValueError("no valid block sizes — the container does not fit")
     if sizes[0] < 1:
@@ -112,46 +117,83 @@ def gen_packings(
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
         raise ValueError("node set must not be empty")
-
-    packings: List[Packing] = []
-
-    def recurse(remaining: Tuple[int, ...], blocks: List[FrozenSet[int]]) -> None:
-        if not remaining:
-            packings.append(Packing(tuple(blocks)))
-            return
-        first, rest = remaining[0], remaining[1:]
-        for size in sizes:
-            if size > len(remaining):
-                continue
-            for combo in itertools.combinations(rest, size - 1):
-                block = frozenset((first, *combo))
-                combo_set = set(combo)
-                blocks.append(block)
-                recurse(
-                    tuple(x for x in rest if x not in combo_set), blocks
-                )
-                blocks.pop()
-
-    recurse(node_tuple, [])
-    return packings
+    return sizes, node_tuple
 
 
-def dedup_packings(
-    packings: Sequence[Packing], scorer: BlockScorer
-) -> List[Packing]:
-    """Remove packings whose (size, interconnect score) multisets coincide.
+def _partitions(
+    remaining: Tuple[int, ...],
+    sizes: Tuple[int, ...],
+    blocks: Tuple[FrozenSet[int], ...] = (),
+) -> Iterator[Tuple[FrozenSet[int], ...]]:
+    """Algorithm 2 as a stream: every partition of ``remaining`` into
+    blocks of ``sizes`` (ascending), each after the ``blocks`` already
+    chosen, in canonical order.
 
-    Such packings use the same amounts of every scored resource, so the
-    model treats them identically (Section 3).
+    The paper's recursive formulation enumerates each partition many
+    times (once per block ordering); the smallest remaining node always
+    opens the next block, which generates each partition exactly once and
+    its blocks sorted by their smallest node.  The recursion goes through
+    this module-level name, not a closure that refers to itself: such a
+    closure is a reference cycle, and everything it reached — every
+    partition of the machine — would outlive the call until a full
+    collection.
     """
+    if not remaining:
+        yield blocks
+        return
+    first, rest = remaining[0], remaining[1:]
+    for size in sizes:
+        if size > len(remaining):
+            break
+        for combo in itertools.combinations(rest, size - 1):
+            taken = set(combo)
+            yield from _partitions(
+                tuple(x for x in rest if x not in taken),
+                sizes,
+                (*blocks, frozenset((first, *combo))),
+            )
+
+
+def gen_packings(
+    block_sizes: Iterable[int], nodes: Iterable[int]
+) -> List[Packing]:
+    """Algorithm 2, materialised: every partition of ``nodes`` into blocks
+    whose sizes are valid node scores, as :class:`Packing` objects in
+    canonical order.  Bad inputs raise here, before anything is
+    enumerated."""
+    sizes, node_tuple = _partition_inputs(block_sizes, nodes)
+    return [Packing(blocks) for blocks in _partitions(node_tuple, sizes)]
+
+
+def _distinct_packings(
+    block_sizes: Iterable[int], nodes: Iterable[int], scorer: BlockScorer
+) -> Tuple[List[Packing], int]:
+    """Algorithm 2 with Algorithm 3's dedup applied as partitions arrive:
+    the first packing (in canonical order) of each signature, and the
+    number of partitions enumerated.
+
+    A packing's signature is the multiset of ``(size, rounded interconnect
+    score)`` over its blocks: packings that share one use the same amounts
+    of every scored resource, so the model treats them identically
+    (Section 3).  Each block is scored once per enumeration, and only a
+    new signature becomes a :class:`Packing`; the partitions it drops are
+    never held.
+    """
+    sizes, node_tuple = _partition_inputs(block_sizes, nodes)
+    keys: Dict[FrozenSet[int], Tuple[int, float]] = {}
     seen: set = set()
     unique: List[Packing] = []
-    for packing in packings:
-        signature = packing.signature(scorer)
+    total = 0
+    for blocks in _partitions(node_tuple, sizes):
+        total += 1
+        for block in blocks:
+            if block not in keys:
+                keys[block] = (len(block), round(scorer(block), 3))
+        signature = tuple(sorted(keys[block] for block in blocks))
         if signature not in seen:
             seen.add(signature)
-            unique.append(packing)
-    return unique
+            unique.append(Packing(blocks))
+    return unique, total
 
 
 def pareto_filter_packings(
@@ -298,9 +340,9 @@ def enumerate_important_placements(
     l3_scores = set(l3_concern.possible_scores(vcpus))
 
     # Algorithm 2 + dedup + Pareto filter (Algorithm 3, first half).
-    packings = gen_packings(node_scores, machine.nodes)
-    packings_total = len(packings)
-    packings = dedup_packings(packings, scorer)
+    packings, packings_total = _distinct_packings(
+        node_scores, machine.nodes, scorer
+    )
     packings_after_dedup = len(packings)
     packings = pareto_filter_packings(packings, scorer)
     packings_after_pareto = len(packings)

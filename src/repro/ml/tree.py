@@ -122,12 +122,12 @@ def _best_splits(
     """
     G, n, k = Xf.shape
     lanes = np.arange(G)
-    order = np.argsort(Xf, axis=1, kind="stable")
-    x_sorted = np.take_along_axis(Xf, order, axis=1)
+    order = Xf.argsort(axis=1, kind="stable")
+    x_sorted = Xf[lanes[:, None, None], order, np.arange(k)]
     y_sorted = Y[lanes[:, None, None], order]  # (G, n, k, m)
 
-    csum = np.cumsum(y_sorted, axis=1)
-    csum_sq = np.cumsum(y_sorted**2, axis=1)
+    csum = y_sorted.cumsum(axis=1)
+    csum_sq = np.square(y_sorted, out=y_sorted).cumsum(axis=1)
     del y_sorted
     left_n = np.arange(1, n, dtype=float)[:, None, None]  # (n-1, 1, 1)
     right_n = n - left_n
@@ -249,10 +249,8 @@ def fit_trees(
                 # split: children are strictly smaller than their parent.
                 found &= (to_left > 0) & (to_left < n)
                 lanes, go_left = lanes[found], go_left[found]
-                partition = np.argsort(~go_left, axis=1, kind="stable")
-                rows[at[lanes]] = np.take_along_axis(
-                    R[lanes], partition, axis=1
-                )
+                partition = (~go_left).argsort(axis=1, kind="stable")
+                rows[at[lanes]] = R[lanes[:, None], partition]
                 feature[lanes] = column[found]
                 threshold[lanes] = cut[found]
                 weight[lanes] = gain[found] * n / n_rows

@@ -16,9 +16,13 @@ Two consequences the sharded service relies on:
 
 * worker processes started with ``fork`` inherit the parent's store, so a
   front end that resolves its keys before spawning hands every shard — and
-  every respawn after a crash — its models for free.  Under ``spawn`` the
-  child's store starts empty and the same code path trains; there is no
-  transport- or platform-specific branch;
+  every respawn after a crash — its models for free.  A fork copies
+  set-up's garbage too: whatever training or enumeration left in
+  reference cycles is not freed until a full collection, so each worker
+  would carry its own copy of it (the enumeration builds no cycles for
+  this reason).  Under ``spawn`` the child's store starts empty and the
+  same code path trains; there is no transport- or platform-specific
+  branch;
 * entries are shared, so they are immutable: the training matrices and the
   compiled arena are sealed read-only on insertion (the HPE matrix, which
   serving never reads, when it is first measured), and a write through

@@ -303,16 +303,17 @@ class ModelRegistry:
         Deterministic in its inputs (profiles and placements are frozen
         and hashable), so it is memoized; a cache hit returns the exact
         float the simulation produced, keeping grading bit-for-bit stable.
+        A lookup that raises (a placement of another machine) counts
+        nothing and files no row: both happen once the value is measured.
         """
-        row = self._ipc_row(machine, placement)
-        value = row.get(profile)
-        if value is None:
-            self._ipc_misses += 1
-            value = row[profile] = self.simulator(machine).measured_ipc(
-                profile, placement, noise=False
-            )
-        else:
+        row = self._solo_ipc.get((machine.fingerprint(), placement))
+        value = None if row is None else row.get(profile)
+        if value is not None:
             self._ipc_hits += 1
+            return value
+        value = self.simulator(machine).measured_ipc(profile, placement, noise=False)
+        self._ipc_misses += 1
+        self._ipc_row(machine, placement)[profile] = value
         return value
 
     def _ipc_row(

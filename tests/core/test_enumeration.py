@@ -1,5 +1,6 @@
 """Unit and property tests for Algorithms 1-3 (important placements)."""
 
+import gc
 import itertools
 
 import pytest
@@ -14,13 +15,34 @@ from repro.core import (
     important_placements,
     pareto_filter_packings,
 )
-from repro.core.enumeration import dedup_packings
+from repro.core.enumeration import _distinct_packings
+from repro.core.policies import best_min_node_sets
 from repro.topology import (
+    PRESETS,
     TopologyBuilder,
     amd_epyc_zen,
     amd_opteron_6272,
     intel_xeon_e7_4830_v3,
 )
+from tests.core import oracle_enumeration as oracle
+
+#: Container sizes the fleet services route (the benchmark's 8, 16 and
+#: 32 among them); a size a preset cannot host raises, as it must.
+VCPU_CLASSES = (4, 8, 16, 24, 32)
+
+
+def _enumerations(enumerate_fn):
+    """``(preset, vcpus) -> ImportantPlacementSet or the error type`` for
+    every preset and vCPU class."""
+    results = {}
+    for name, factory in sorted(PRESETS.items()):
+        machine = factory()
+        for vcpus in VCPU_CLASSES:
+            try:
+                results[name, vcpus] = enumerate_fn(machine, vcpus)
+            except ValueError as error:
+                results[name, vcpus] = type(error)
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -189,15 +211,11 @@ class TestParetoFilter:
         assert set(survivors) == {a, b}
 
     def test_dedup_collapses_identical_signatures(self):
-        table = {
-            frozenset([0, 1]): 5.0,
-            frozenset([2, 3]): 5.0,
-            frozenset([0, 2]): 5.0,
-            frozenset([1, 3]): 5.0,
-        }
-        a = Packing((frozenset([0, 1]), frozenset([2, 3])))
-        b = Packing((frozenset([0, 2]), frozenset([1, 3])))
-        assert dedup_packings([a, b], self.scorer_from(table)) == [a]
+        # All three pairings of four nodes score alike: the first is kept,
+        # and all three are counted.
+        unique, total = _distinct_packings([2], range(4), lambda block: 5.0)
+        assert unique == [Packing((frozenset([0, 1]), frozenset([2, 3])))]
+        assert total == 3
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -420,3 +438,108 @@ class TestEdgeCasesAndExtensions:
         for p in ips:
             assert vcpus % p.n_nodes == 0
             assert len(set(p.threads)) == vcpus
+
+
+class TestStreamedEnumeration:
+    """The streamed Algorithm 2 with on-the-fly dedup against the
+    materialise-then-dedup pipeline it replaced
+    (``tests/core/oracle_enumeration.py``)."""
+
+    @staticmethod
+    def assert_same(streamed, materialised):
+        assert streamed.placements == materialised.placements
+        assert [streamed.id_of(p) for p in streamed] == [
+            materialised.id_of(p) for p in materialised
+        ]
+        assert (
+            streamed.packings_total,
+            streamed.packings_after_dedup,
+            streamed.packings_after_pareto,
+        ) == (
+            materialised.packings_total,
+            materialised.packings_after_dedup,
+            materialised.packings_after_pareto,
+        )
+        assert streamed.surviving_packings == materialised.surviving_packings
+
+    def test_every_preset_and_class_matches_the_oracle(self):
+        streamed = _enumerations(enumerate_important_placements)
+        materialised = _enumerations(oracle.oracle_enumerate_important_placements)
+        assert streamed.keys() == materialised.keys()
+        hosted = 0
+        for key, result in streamed.items():
+            if isinstance(result, type):
+                assert materialised[key] is result, key
+                continue
+            hosted += 1
+            self.assert_same(result, materialised[key])
+        assert hosted >= 2 * len(PRESETS)
+
+    @given(
+        n_nodes=st.integers(min_value=1, max_value=8),
+        sizes=st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+        # Scores that tie only after rounding to three decimals, or not.
+        levels=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5, 100.0]),
+                st.sampled_from([0.0, 1e-4, 4e-4, 6e-4, 2e-3]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        salt=st.integers(min_value=1, max_value=997),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_partitions_and_scorers_match_the_oracle(
+        self, n_nodes, sizes, levels, salt
+    ):
+        scores = [base + offset for base, offset in levels]
+
+        def scorer(block):
+            mask = sum(1 << node for node in block)
+            return scores[(mask * salt) % len(scores)]
+
+        nodes = range(n_nodes)
+        materialised = oracle.gen_packings(sizes, nodes)
+        expected = oracle.dedup_packings(materialised, scorer)
+        unique, total = _distinct_packings(sizes, nodes, scorer)
+        assert total == len(materialised)
+        assert unique == expected
+        assert pareto_filter_packings(unique, scorer) == pareto_filter_packings(
+            expected, scorer
+        )
+        assert gen_packings(sizes, nodes) == materialised
+
+    def test_rejects_what_the_oracle_rejects(self):
+        for sizes, nodes in (([], range(4)), ([0, 2], range(4)), ([2], [])):
+            with pytest.raises(ValueError):
+                oracle.gen_packings(sizes, nodes)
+            with pytest.raises(ValueError):
+                gen_packings(sizes, nodes)
+            with pytest.raises(ValueError):
+                _distinct_packings(sizes, nodes, lambda block: 0.0)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    """What an enumeration throws away is freed at once: nothing is left
+    for the cycle collector (a service that forks after set-up would copy
+    it into every worker)."""
+    gc.collect()
+    gc.disable()
+    try:
+        kept = [
+            _enumerations(enumerate_important_placements),
+            gen_packings([2, 4, 8], range(8)),
+            best_min_node_sets(amd_opteron_6272(), 2, 4),
+        ]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    finally:
+        gc.enable()
+    assert kept
+    assert found == 0, sorted({type(o).__name__ for o in garbage})

@@ -415,7 +415,8 @@ _IPC_STEPS = st.lists(
 @given(seed=st.integers(0, 3), steps=_IPC_STEPS)
 def solo_ipc_memo(seed, steps):
     """``solo_ipc`` / ``probe_ipc_batch``: values are a cold registry's,
-    and ``ipc_cache_info`` counts what the rows hold."""
+    ``ipc_cache_info`` counts what the rows hold, and a lookup that
+    raises leaves the counters and the rows as they were."""
     machine = MACHINES["amd"]
     registry = ModelRegistry(seed=seed)
     seen, asked = set(), set()
@@ -426,8 +427,10 @@ def solo_ipc_memo(seed, steps):
         if op == "foreign":
             # A run that raises files nothing.
             foreign = PLACEMENTS["intel"][index % len(PLACEMENTS["intel"])]
+            rows = {key: dict(row) for key, row in registry._solo_ipc.items()}
             assert _raises(ValueError, registry.solo_ipc, machine, profiles[0], foreign)
-            assert registry.ipc_cache_info().currsize == before.currsize
+            assert registry.ipc_cache_info() == before
+            assert registry._solo_ipc == rows
             continue
         # A repeat in the group: a hit, or a second ask of a fresh profile.
         profiles.append(profiles[0])
@@ -862,6 +865,19 @@ def _allocate_unindexed(self, request_id, placement):
         self._fleet_index = index
 
 
+def _solo_ipc_counting_before_it_measures(self, machine, profile, placement):
+    row = self._ipc_row(machine, placement)
+    value = row.get(profile)
+    if value is None:
+        self._ipc_misses += 1
+        value = row[profile] = self.simulator(machine).measured_ipc(
+            profile, placement, noise=False
+        )
+    else:
+        self._ipc_hits += 1
+    return value
+
+
 def _states_outliving_their_version(self, machine, kind="interconnect"):
     kept = self.__dict__.setdefault("_kept", {})
     key = (machine.fingerprint(), kind)
@@ -938,11 +954,6 @@ MUTANTS = {
     "lane-probe-rows-of-the-other-input": ("promotion", [_edit(
         GoalAwareFleetPolicy, "_lane", "for p in inputs)", "for p in reversed(inputs))"
     )]),
-    "ipc-entry-count-is-the-miss-count": ("solo-ipc-rows", [_edit(
-        ModelRegistry, "ipc_cache_info",
-        "sum(len(row) for row in self._solo_ipc.values())",
-        "self._ipc_misses",
-    )]),
     "probe-batch-draws-its-own-noise": (
         "solo-ipc-rows",
         [(ModelRegistry, "probe_ipc_batch", _probe_batch_drawing_its_own_noise)],
@@ -1014,6 +1025,10 @@ MUTANTS = {
     "solo-ipc-hit-goes-uncounted": ("solo-ipc-rows", [_edit(
         ModelRegistry, "solo_ipc", "self._ipc_hits += 1", "pass"
     )]),
+    "solo-ipc-counts-a-miss-that-raises": (
+        "solo-ipc-rows",
+        [(ModelRegistry, "solo_ipc", _solo_ipc_counting_before_it_measures)],
+    ),
     "probe-batch-counts-a-repeat-twice": ("solo-ipc-rows", [_edit(
         ModelRegistry, "probe_ipc_batch",
         "fresh = list(dict.fromkeys(p for p in profiles if p not in ipcs))",
