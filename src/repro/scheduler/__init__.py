@@ -53,7 +53,6 @@ _EXPORTS = {
     "ShardSupervisor": "repro.scheduler.supervisor",
     "ShardTimeoutError": "repro.scheduler.shard",
     "make_policy": "repro.scheduler.policies",
-    "merge_churn_stats": "repro.scheduler.service",
     "POLICIES": "repro.scheduler.policies",
     "ProcessShardClient": "repro.scheduler.shard",
     "ScheduleConfig": "repro.scheduler.config",
@@ -62,6 +61,7 @@ _EXPORTS = {
     "ShardSummary": "repro.scheduler.wire",
     "ShardWorker": "repro.scheduler.shard",
     "ArrivalPhase": "repro.scheduler.requests",
+    "ChurnFold": "repro.scheduler.lifecycle",
     "ChurnStats": "repro.scheduler.lifecycle",
     "drift_phase_schedule": "repro.scheduler.requests",
     "EventKind": "repro.scheduler.events",
@@ -79,6 +79,7 @@ _EXPORTS = {
     "MigrationRecord": "repro.scheduler.lifecycle",
     "NodesBusyError": "repro.scheduler.fleet",
     "RebalanceConfig": "repro.scheduler.lifecycle",
+    "StateChange": "repro.scheduler.lifecycle",
     "SpreadFleetPolicy": "repro.scheduler.policies",
     "GoalAwareFleetPolicy": "repro.scheduler.policies",
     "UnknownNodeError": "repro.scheduler.fleet",

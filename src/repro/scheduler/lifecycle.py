@@ -32,18 +32,22 @@ that regime end to end:
    penalty.  Every executed move is recorded as a
    :class:`MigrationRecord` decision trace, and the arrival is retried.
 
-The engine samples the fleet after every event into a columnar
-:class:`FragmentationTimeline`, so reports can plot largest-free-block
-and fit-failure trajectories over simulated time — the observable the
-rebalancer exists to improve (see ``benchmarks/bench_churn.py`` for the
-with/without comparison).
+The engine keeps only live state and reports what happened as one
+:class:`StateChange` per placement, reject, move, re-grade and
+departure, the record closing each event carrying the fleet's sample
+right after it.  :class:`ChurnFold` folds them into the report's
+counters, migrations and columnar :class:`FragmentationTimeline`, so
+reports can plot largest-free-block and fit-failure trajectories over
+simulated time — the observable the rebalancer exists to improve (see
+``benchmarks/bench_churn.py`` for the with/without comparison).
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -110,6 +114,8 @@ class FragmentationSample(NamedTuple):
         return cls(**data)
 
 
+_new_tuple = tuple.__new__
+
 #: One ``array`` type code per sample field: the time as a C double, the
 #: four counts as signed 64-bit ints — 40 bytes per event in all.
 _TIMELINE_TYPECODES = ("d", "q", "q", "q", "q")
@@ -139,19 +145,6 @@ class FragmentationTimeline:
     def from_dict(cls, data: Sequence[Dict]) -> "FragmentationTimeline":
         """Inverse of the report form: a list of sample dicts."""
         return cls(map(FragmentationSample.from_dict, data))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence) -> "FragmentationTimeline":
-        """A timeline adopting one sequence per field, in field order
-        (the wire's lists, or another timeline's arrays)."""
-        timeline = cls.__new__(cls)
-        for name, code, column in zip(
-            cls.__slots__, _TIMELINE_TYPECODES, columns, strict=True
-        ):
-            setattr(timeline, name, array(code, column))
-        if len({len(column) for column in timeline.columns}) > 1:
-            raise ValueError("timeline columns differ in length")
-        return timeline
 
     @classmethod
     def merged(
@@ -225,9 +218,6 @@ class FragmentationTimeline:
         self.largest_free_block.append(largest_free_block)
         self.active_containers.append(active_containers)
         self.fit_failures.append(fit_failures)
-
-    def copy(self) -> "FragmentationTimeline":
-        return self.from_columns(self.columns)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -336,6 +326,98 @@ class ChurnStats(Record):
                 f"nodes, {last.active_containers} containers active"
             )
         return "\n".join(lines)
+
+
+#: The kinds of :class:`StateChange`.
+PLACED = "placed"
+REJECTED = "rejected"
+MIGRATED = "migrated"
+REGRADED = "regraded"
+DEPARTED = "departed"
+OUTCOMES = frozenset({PLACED, REJECTED})
+
+
+@dataclass(slots=True)
+class StateChange:
+    """One thing that happened to one container, as the engine emits it.
+
+    The record closing an event (an arrival's outcome, any departure)
+    carries the fleet's sample right after it; the rebalancer's moves
+    (``migrated``, then ``regraded``) come before the outcome of the
+    arrival they made room for.
+    """
+
+    kind: str
+    request_id: int
+    #: An outcome's graded entry (the engine's own: a move later in its
+    #: window re-grades it in place), or a re-grade's new entry.
+    entry: GradedDecision | None = None
+    migration: MigrationRecord | None = None
+    #: Whether a departure released a running container.
+    released: bool = False
+    sample: FragmentationSample | None = None
+
+
+class ChurnFold:
+    """The one consumer of :class:`StateChange` records: counters and
+    migrations into ``stats``, samples into one timeline per shard
+    (``stats``' own is shard 0's), joined once by :meth:`churn`.  A
+    rebalance attempt is an outcome right after moves made for it; it
+    recovered the arrival when the outcome is ``placed``.
+    """
+
+    __slots__ = ("stats", "timelines", "_moved_for")
+
+    def __init__(self, shards: int = 1) -> None:
+        self.stats = ChurnStats()
+        self.timelines = [self.stats.fragmentation_timeline] + [
+            FragmentationTimeline() for _ in range(shards - 1)
+        ]
+        #: Per shard: the arrival the last folded moves were made for.
+        self._moved_for: List[int | None] = [None] * shards
+
+    def fold(self, changes: Iterable[StateChange], shard: int = 0) -> None:
+        """Fold one shard's ``changes``, in the order they happened."""
+        stats, timeline = self.stats, self.timelines[shard]
+        for change in changes:
+            kind = change.kind
+            if kind == DEPARTED:
+                stats.departures += change.released
+            elif kind == PLACED or kind == REJECTED:
+                stats.arrivals += 1
+                if self._moved_for[shard] == change.request_id:
+                    stats.rebalance_attempts += 1
+                    stats.rebalance_recovered += kind == PLACED
+                self._moved_for[shard] = None
+            else:
+                if kind == MIGRATED:
+                    stats.migrations.append(change.migration)
+                    self._moved_for[shard] = change.migration.triggered_by
+                continue  # a re-grade changes no churn counter
+            timeline.append(*change.sample)
+
+    def churn(
+        self, arrivals: int, initial: Sequence[FragmentationSample]
+    ) -> ChurnStats:
+        """A copy with the caller's ``arrivals`` (a retried request
+        reaches several shards) and, over several shards, migrations in
+        time order and the timelines merged from ``initial`` (one sample
+        per shard); one shard's stay in the order it handled them."""
+        if len(self.timelines) == 1:
+            churn = deepcopy(self.stats)
+        else:
+            churn = replace(
+                self.stats,
+                migrations=sorted(
+                    self.stats.migrations,
+                    key=lambda m: (m.time, m.triggered_by, m.request_id),
+                ),
+                fragmentation_timeline=FragmentationTimeline.merged(
+                    self.timelines, initial
+                ),
+            )
+        churn.arrivals = arrivals
+        return churn
 
 
 @dataclass(frozen=True)
@@ -484,16 +566,19 @@ class LifecycleScheduler:
     # ------------------------------------------------------------------
 
     def begin(self) -> None:
-        """Reset the per-run accumulators (stats, graded decisions).
+        """Reset the per-run report (graded decisions and churn stats).
 
-        :meth:`run` calls this itself; incremental drivers — the sharded
-        service's workers feed events one batch at a time — call it once,
-        then :meth:`step` / :meth:`step_batch` per event, then
-        :meth:`collect_report`.
+        :meth:`run` calls this itself; an incremental caller that wants
+        the engine's report calls it once, then :meth:`step` per event,
+        then :meth:`collect_report`.  The sharded service's shards call
+        only :meth:`step_batch` and :meth:`depart`, so this report stays
+        empty on a shard.
         """
-        self.stats = ChurnStats()
-        #: Every arrival :meth:`step` decided, in order: the report's
-        #: decisions.  :meth:`step_batch` returns its entries instead.
+        #: Folds what :meth:`step` and :meth:`run` did into :attr:`stats`.
+        self._fold = ChurnFold()
+        self.stats = self._fold.stats
+        #: Every arrival :meth:`step` / :meth:`run` decided, in order: the
+        #: report's decisions.
         self.graded: List[GradedDecision] = []
         #: The entries of live containers this run placed, re-graded when
         #: the rebalancer moves them; a departure drops its entry.
@@ -506,70 +591,80 @@ class LifecycleScheduler:
         self._fit_failures_before = self.fleet.index.fit_failures
 
     def step(self, event: LifecycleEvent) -> GradedDecision | None:
-        """Process one event; returns the graded decision for arrivals
-        (appended to :attr:`graded`), None for departures."""
+        """Process one event into this engine's report; returns the
+        graded decision for arrivals (appended to :attr:`graded`), None
+        for departures."""
         if event.kind is EventKind.ARRIVAL:
             started = time.perf_counter()
             decision = self.policy.decide(event.request, self.fleet)
-            entry = self._settle(event, decision, started)
-            self.graded.append(entry)
-            return entry
-        self._release(event.request.request_id)
-        self._sample(event.time)
+            moves: List[StateChange] = []
+            outcome = self._settle(event, decision, started, moves)
+            self._fold.fold((*moves, outcome))
+            self.graded.append(outcome.entry)
+            return outcome.entry
+        self._fold.fold((self._release(event.request.request_id, event.time),))
         return None
 
-    def depart(self, request_id: int, event_time: float) -> None:
+    def depart(self, request_id: int, event_time: float) -> StateChange:
         """Process a departure by request id — :meth:`step`'s departure
-        arm without the event envelope.  A departure needs nothing but
-        the id, so the sharded service's wire format ships ``[id, time]``
-        pairs instead of full request payloads."""
-        self._release(request_id)
-        self._sample(event_time)
+        arm without the event envelope, reported as its record instead
+        of kept.  A departure needs nothing but the id, so the sharded
+        service's wire format ships ``[id, time]`` pairs instead of full
+        request payloads."""
+        return self._release(request_id, event_time)
 
     def step_batch(
         self, events: Sequence[LifecycleEvent]
-    ) -> List[GradedDecision]:
-        """Decide a window of consecutive arrivals in one policy batch.
+    ) -> List[StateChange]:
+        """Decide a window of consecutive arrivals in one policy batch;
+        returns what happened, one :class:`StateChange` per change in
+        the order it happened, and keeps none of it.
 
         :meth:`run` and the sharded service's shards batch arrivals so
         the goal-aware policy's fused prediction amortizes across the
         window.  A window of one decides exactly as :meth:`step`; larger
         windows trade strict time order *inside the window* for batching
         (all window decisions allocate before any rebalance retry runs).
-        An empty window decides nothing.
-
-        The entries are returned, not kept: :attr:`graded` is the
-        :meth:`step` / :meth:`run` report's list, and a shard, whose
-        front end keeps what it decoded, would only grow with the stream
-        holding a second copy.
+        An empty window decides nothing.  A shard ships the records to
+        its front end; :meth:`run` folds them into this engine's report.
         """
         if any(e.kind is not EventKind.ARRIVAL for e in events):
             raise ValueError("step_batch handles arrival events only")
+        changes: List[StateChange] = []
         if not events:
-            return []
+            return changes
         started = time.perf_counter()
         if len(events) == 1:
             [event] = events
             decision = self.policy.decide(event.request, self.fleet)
-            return [self._settle(event, decision, started)]
+            changes.append(self._settle(event, decision, started, changes))
+            return changes
         decisions = self.policy.decide_batch(
             [event.request for event in events], self.fleet
         )
         per_request = (time.perf_counter() - started) / len(events)
-        return [
-            self._settle(event, decision, time.perf_counter(), per_request)
-            for event, decision in zip(events, decisions, strict=True)
-        ]
+        for event, decision in zip(events, decisions, strict=True):
+            changes.append(
+                self._settle(
+                    event, decision, time.perf_counter(), changes, per_request
+                )
+            )
+        return changes
 
-    def _sample(self, event_time: float) -> None:
+    def _sample(self, event_time: float) -> FragmentationSample:
         index = self.fleet.index
-        timeline = self.stats.fragmentation_timeline
-        timeline.time.append(event_time)
-        timeline.free_nodes_total.append(index.free_nodes_total)
-        timeline.largest_free_block.append(index.largest_free_block)
-        timeline.active_containers.append(len(self._active))
-        timeline.fit_failures.append(
-            index.fit_failures - self._fit_failures_before
+        fit_failures = index.fit_failures - self._fit_failures_before
+        # Built as the named tuple's own ``__new__`` builds it, minus that
+        # Python frame: one sample per event.
+        return _new_tuple(
+            FragmentationSample,
+            (
+                event_time,
+                index.free_nodes_total,
+                index.largest_free_block,
+                len(self._active),
+                fit_failures,
+            ),
         )
 
     def collect_report(
@@ -623,10 +718,13 @@ class LifecycleScheduler:
         pending: List[LifecycleEvent] = []
         held: List[LifecycleEvent] = []
 
+        fold = self._fold.fold
+
         def decide_pending() -> None:
-            self.graded.extend(self.step_batch(pending))
-            for event in held:
-                self.depart(event.request.request_id, event.time)
+            changes = self.step_batch(pending)
+            fold(changes)
+            self.graded.extend(c.entry for c in changes if c.kind in OUTCOMES)
+            fold([self.depart(e.request.request_id, e.time) for e in held])
             pending.clear()
             held.clear()
 
@@ -638,7 +736,7 @@ class LifecycleScheduler:
             elif pending:
                 held.append(event)
             else:
-                self.depart(event.request.request_id, event.time)
+                fold((self.depart(event.request.request_id, event.time),))
         decide_pending()
         elapsed = time.perf_counter() - start
         return self.collect_report(len(requests), elapsed)
@@ -648,16 +746,17 @@ class LifecycleScheduler:
         event: LifecycleEvent,
         decision: FleetDecision,
         started: float,
+        moves: List[StateChange],
         spent: float = 0.0,
-    ) -> GradedDecision:
+    ) -> StateChange:
         """Everything an arrival needs after its first decision: a
         capacity reject gets one rebalance and one retry, the outcome is
         graded, fed to the online learner and, while the container lives,
-        kept for re-grading after a migration, and the fleet is
-        sampled.  ``decision_seconds`` is ``spent`` plus the time since
+        kept for re-grading after a migration.  The rebalancer's moves go
+        onto ``moves``; returns the outcome, with the fleet's sample.
+        ``decision_seconds`` is ``spent`` plus the time since
         ``started``."""
-        stats, request = self.stats, event.request
-        stats.arrivals += 1
+        request = event.request
         if (
             not decision.placed
             and decision.reject_reason == "capacity"
@@ -665,11 +764,9 @@ class LifecycleScheduler:
         ):
             plan = self._plan_rebalance(request)
             if plan:
-                stats.rebalance_attempts += 1
-                stats.migrations.extend(self._execute_plan(plan, event))
+                self._execute_plan(plan, event, moves)
                 retry = self.policy.decide(request, self.fleet)
                 if retry.placed:
-                    stats.rebalance_recovered += 1
                     decision = retry
         # Stop the clock before grading: decision_seconds is the time to
         # decide (and rebalance), for a window of one or of many alike.
@@ -677,6 +774,7 @@ class LifecycleScheduler:
         entry = grade_decision(decision, self.fleet, self.registry)
         entry.decision_seconds = decide_seconds
         if decision.placed:
+            kind = PLACED
             self._active[request.request_id] = request
             self._graded_by_id[request.request_id] = entry
             if self.online is not None:
@@ -688,20 +786,26 @@ class LifecycleScheduler:
                     entry,
                     event.time,
                 )
-        elif decision.reject_reason == "capacity":
-            self.fleet.index.record_fit_failure()
-        self._sample(event.time)
-        return entry
+        else:
+            kind = REJECTED
+            if decision.reject_reason == "capacity":
+                self.fleet.index.record_fit_failure()
+        return StateChange(
+            kind, request.request_id, entry, None, False, self._sample(event.time)
+        )
 
-    def _release(self, request_id: int) -> None:
+    def _release(self, request_id: int, event_time: float) -> StateChange:
         # A departure for a request that was rejected (or already released)
-        # is a no-op, not an error: the event pair was scheduled before the
-        # placement outcome was known.  A container placed before the last
-        # begin() has no graded entry to drop.
-        if self._active.pop(request_id, None) is not None:
+        # releases nothing but is still an event: the event pair was
+        # scheduled before the placement outcome was known.  A container
+        # placed before the last begin() has no graded entry to drop.
+        released = self._active.pop(request_id, None) is not None
+        if released:
             self._graded_by_id.pop(request_id, None)
             self.fleet.release(request_id)
-            self.stats.departures += 1
+        return StateChange(
+            DEPARTED, request_id, None, None, released, self._sample(event_time)
+        )
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -846,9 +950,11 @@ class LifecycleScheduler:
         return None
 
     def _execute_plan(
-        self, plan: List[_PlannedMove], event: LifecycleEvent
-    ) -> List[MigrationRecord]:
-        records: List[MigrationRecord] = []
+        self,
+        plan: List[_PlannedMove],
+        event: LifecycleEvent,
+        changes: List[StateChange],
+    ) -> None:
         for victim_id, placement, dest, block, engine, seconds in plan:
             source_host, _ = self.fleet.release(victim_id)
             realized = Placement(
@@ -859,22 +965,27 @@ class LifecycleScheduler:
                 l3_groups_per_node=placement.l3_score // placement.n_nodes,
             )
             dest.allocate(victim_id, realized)
-            self._regrade_migrated(victim_id, placement, realized, dest)
             victim = self._active[victim_id]
-            records.append(
-                MigrationRecord(
-                    time=event.time,
-                    request_id=victim_id,
-                    workload=victim.workload_name,
-                    source_host=source_host,
-                    dest_host=dest.host_id,
-                    engine=engine,
-                    seconds=seconds,
-                    moved_gb=self._advice(victim).memory.total_gb,
-                    triggered_by=event.request.request_id,
+            changes.append(
+                StateChange(
+                    MIGRATED,
+                    victim_id,
+                    migration=MigrationRecord(
+                        time=event.time,
+                        request_id=victim_id,
+                        workload=victim.workload_name,
+                        source_host=source_host,
+                        dest_host=dest.host_id,
+                        engine=engine,
+                        seconds=seconds,
+                        moved_gb=self._advice(victim).memory.total_gb,
+                        triggered_by=event.request.request_id,
+                    ),
                 )
             )
-        return records
+            regraded = self._regrade_migrated(victim_id, placement, realized, dest)
+            if regraded is not None:
+                changes.append(StateChange(REGRADED, victim_id, entry=regraded))
 
     def _regrade_migrated(
         self,
@@ -882,21 +993,29 @@ class LifecycleScheduler:
         old: Placement,
         realized: Placement,
         dest: FleetHost,
-    ) -> None:
+    ) -> GradedDecision | None:
         """Point the victim's graded decision at its post-migration
         placement and re-grade it, so the report describes the fleet the
         engine actually produced (a move to a lower-scored block can turn
-        a met goal into a violation — that must be visible)."""
+        a met goal into a violation — that must be visible).  Returns the
+        re-graded entry (None for a container this run did not place)."""
         entry = self._graded_by_id.get(victim_id)
         if entry is None:
-            return
-        decision = entry.decision
-        decision.host_id = dest.host_id
-        decision.placement = realized
-        scorer = lambda nodes: dest.machine.interconnect.aggregate_bandwidth(nodes)  # noqa: E731
-        decision.block_exact = decision.block_exact and scores_match(
-            scorer(frozenset(realized.nodes)), scorer(frozenset(old.nodes))
+            return None
+        scorer = dest.machine.interconnect.aggregate_bandwidth
+        # A new decision, not an edit: the re-grade records of earlier
+        # moves keep theirs.
+        entry.decision = replace(
+            entry.decision,
+            host_id=dest.host_id,
+            placement=realized,
+            block_exact=entry.decision.block_exact
+            and scores_match(
+                scorer(frozenset(realized.nodes)), scorer(frozenset(old.nodes))
+            ),
         )
-        regraded = grade_decision(decision, self.fleet, self.registry)
+        regraded = grade_decision(entry.decision, self.fleet, self.registry)
+        regraded.decision_seconds = entry.decision_seconds
         entry.achieved_relative = regraded.achieved_relative
         entry.violated = regraded.violated
+        return regraded

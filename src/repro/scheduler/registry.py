@@ -369,20 +369,30 @@ class ModelRegistry:
         """
         if len(profiles) != len(multipliers):
             raise ValueError("profiles and multipliers must align")
-        if row is None:
-            row = self.probe_row(machine, placement)
-        ipcs, simulator, _ = row
+        held = row is not None
+        if held:
+            ipcs, simulator, _ = row
+        else:  # looked up, not filed: see below
+            ipcs = self._solo_ipc.get((machine.fingerprint(), placement), {})
+            simulator = self.simulator(machine)
         fresh: Sequence[WorkloadProfile] = ()
         try:
             found = list(map(ipcs.__getitem__, profiles))
         except KeyError:
             # Each distinct never-seen profile is simulated once; a
-            # repeat in the same group hits the just-filled row.
+            # repeat in the same group hits the just-filled row.  As in
+            # solo_ipc, a lookup that raises (another machine's
+            # placement) files and counts nothing: the row is filed and
+            # filled once every miss is measured.
             fresh = list(dict.fromkeys(p for p in profiles if p not in ipcs))
+            measured = {}
             for profile in fresh:
-                ipcs[profile] = simulator.measured_ipc(
+                measured[profile] = simulator.measured_ipc(
                     profile, placement, noise=False
                 )
+            if not held:
+                ipcs = self._ipc_row(machine, placement)
+            ipcs.update(measured)
             found = list(map(ipcs.__getitem__, profiles))
         self._ipc_misses += len(fresh)
         self._ipc_hits += len(found) - len(fresh)

@@ -38,8 +38,8 @@ builds one window message per routed shard (its slice of arrivals plus
 the departures waiting in that shard's outbox), journals every one of
 them first when supervised, fires them all, and gathers the replies via
 ``multiprocessing.connection.wait`` — processing them in shard order
-regardless of arrival order, so routing, retries, summaries, and merged
-reports are deterministic while the worker processes run their slices
+regardless of arrival order, so routing, retries, summaries, and the
+report are deterministic while the worker processes run their slices
 concurrently.  A capacity retry and a failover are dispatches of one;
 the end-of-stream flush and the reports go to every shard at once.
 Failures surface at the gather and are resolved sequentially in shard
@@ -50,6 +50,12 @@ the front of the outbox, because the journal entry was rolled back and
 nothing was applied.  The standalone ``depart`` message remains for the
 one case with no window to ride: the flush at the end of a stream,
 before the reports.
+
+A shard keeps only live state.  Each window or ``depart`` reply carries
+what happened — one :class:`~repro.scheduler.lifecycle.StateChange`
+row per placement, reject, move, re-grade and departure — and the front
+end folds it once, as the reply is consumed, into the report's churn
+statistics; the ``report`` message returns process counters only.
 """
 
 from __future__ import annotations
@@ -66,9 +72,10 @@ from repro.scheduler.capacity import Space, available, needed_nodes
 from repro.scheduler.config import ScheduleConfig
 from repro.scheduler.events import EventKind, events_from_requests
 from repro.scheduler.lifecycle import (
-    ChurnStats,
+    OUTCOMES,
+    REGRADED,
+    ChurnFold,
     FragmentationSample,
-    FragmentationTimeline,
 )
 from repro.scheduler.faults import FaultInjectingClient, FaultPlan
 from repro.scheduler.policies import FleetDecision, is_model_driven
@@ -90,8 +97,7 @@ from repro.scheduler.supervisor import (
 from repro.scheduler.wire import (
     ShardError,
     ShardSummary,
-    decode_churn,
-    decode_graded,
+    decode_change,
     decode_summary,
     encode_arrival,
 )
@@ -234,49 +240,6 @@ class ServiceStats(Record):
         return super().from_dict(values, machines)
 
 
-def merge_churn_stats(
-    per_shard: Sequence[ChurnStats],
-    *,
-    arrivals: int,
-    initial: Sequence[FragmentationSample],
-) -> ChurnStats:
-    """Fold per-shard churn statistics into one fleet-wide view.
-
-    Counters sum; migration traces interleave by time.  The
-    fragmentation timeline is merged by carrying each shard's latest
-    sample forward: at every event time, fleet free nodes / active
-    containers / fit failures are the *sum* of the shards' latest
-    values and the largest free block is their *max* (a block lives on
-    one host, hence in one shard).  ``initial`` supplies each shard's
-    pre-stream state (an empty shard: all nodes free) so sums are right
-    before every shard has reported a sample.  ``arrivals`` overrides
-    the summed arrival count: a retried request arrives at several
-    shards but only once at the service.
-    """
-    if len(per_shard) == 1:
-        only = per_shard[0]
-        return replace(
-            only,
-            arrivals=arrivals,
-            migrations=list(only.migrations),
-            fragmentation_timeline=only.fragmentation_timeline.copy(),
-        )
-    merged = ChurnStats(
-        arrivals=arrivals,
-        departures=sum(s.departures for s in per_shard),
-        rebalance_attempts=sum(s.rebalance_attempts for s in per_shard),
-        rebalance_recovered=sum(s.rebalance_recovered for s in per_shard),
-        fragmentation_timeline=FragmentationTimeline.merged(
-            [s.fragmentation_timeline for s in per_shard], initial
-        ),
-    )
-    merged.migrations = sorted(
-        (m for s in per_shard for m in s.migrations),
-        key=lambda m: (m.time, m.triggered_by, m.request_id),
-    )
-    return merged
-
-
 @dataclass
 class _DispatchOutcome:
     """Result of one shard's round trip inside a dispatch: either a
@@ -406,6 +369,8 @@ class SchedulerService:
             # The report's stats object shares the controller's counters.
             self.stats.admission = self.admission.stats
         self.graded: List[GradedDecision] = []
+        #: What the shards did, folded from every reply as it arrives.
+        self._churn = ChurnFold(n)
         #: request id -> shard that finally owns it (placed it, or issued
         #: the terminal rejection) — the departure routing table; an
         #: entry leaves with its departure.
@@ -551,38 +516,59 @@ class SchedulerService:
     # Wire helpers
     # ------------------------------------------------------------------
 
-    def _from_wire(
+    def _fold_reply(
         self,
         shard: int,
         response: Dict,
         requests: Sequence[PlacementRequest],
     ) -> List[GradedDecision]:
-        """Decode a window reply: one graded row per request sent, in
-        order, each re-attached to the request this front end holds
-        (the reply does not echo it) and with its shard-local host id
-        translated to the global fleet id."""
-        rows = response["graded"]
-        if len(rows) != len(requests):
+        """Fold one reply's records into the report, host ids made
+        global, and return the outcomes of ``requests`` (the arrivals the
+        message carried, in order), each re-attached to the request this
+        front end holds: a row does not echo it.  The caller that
+        consumes a reply folds it, so each is folded once (a journal
+        replay's replies reach no caller but the last, which answers the
+        failed message).  A reply that does not grade ``requests`` is a
+        :class:`ShardError` and folds nothing.  Re-grades are skipped:
+        the front end keeps the grade it decoded at decision time.
+        """
+        n, changes, outcomes, graded = self.config.shards, [], [], 0
+        for row in response.get("records", ()):
+            kind = row[0]
+            if kind == REGRADED:
+                continue
+            request = None
+            if kind in OUTCOMES:
+                graded += 1
+                if graded > len(requests):
+                    continue  # more outcomes than requests: raised below
+                request = requests[graded - 1]
+                if row[1] != request.request_id:
+                    raise ShardError(
+                        shard,
+                        f"reply row is for request {row[1]}, expected "
+                        f"{request.request_id} at this position",
+                    )
+            change = decode_change(row, self._by_name, request)
+            if request is not None:
+                decision = change.entry.decision
+                if decision.host_id is not None:
+                    decision.host_id = decision.host_id * n + shard
+                outcomes.append(change.entry)
+            elif change.migration is not None and n > 1:
+                move = change.migration
+                change.migration = replace(
+                    move,
+                    source_host=move.source_host * n + shard,
+                    dest_host=move.dest_host * n + shard,
+                )
+            changes.append(change)
+        if graded != len(requests):
             raise ShardError(
-                shard,
-                f"reply grades {len(rows)} request(s), "
-                f"{len(requests)} were sent",
+                shard, f"reply grades {graded} request(s), {len(requests)} were sent"
             )
-        entries = []
-        for row, request in zip(rows, requests):
-            if row[0] != request.request_id:
-                raise ShardError(
-                    shard,
-                    f"reply row is for request {row[0]}, expected "
-                    f"{request.request_id} at this position",
-                )
-            entry = decode_graded(row, request, self._by_name)
-            if entry.decision.host_id is not None:
-                entry.decision.host_id = (
-                    entry.decision.host_id * self.config.shards + shard
-                )
-            entries.append(entry)
-        return entries
+        self._churn.fold(changes, shard)
+        return outcomes
 
     def _update_summary(self, shard: int, response: Dict) -> None:
         self.summaries[shard] = decode_summary(response["summary"], shard)
@@ -768,13 +754,16 @@ class SchedulerService:
     def _flush_outboxes(self) -> None:
         """End of stream: deliver what no window is left to carry, one
         ``depart`` message per shard with pending departures."""
-        self._dispatch(
+        outcomes = self._dispatch(
             [
                 (shard, {"op": "depart", "events": events})
                 for shard in range(self.config.shards)
                 if (events := self._stage_departures(shard))
             ]
         )
+        for shard, outcome in outcomes.items():
+            if outcome.down is None:  # else the pairs went back to the outbox
+                self._fold_reply(shard, outcome.response, ())
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -1026,33 +1015,15 @@ class SchedulerService:
                 continue
             if outcome.faulted:
                 self.stats.degraded_arrivals += len(positions)
-            self._collect(
+            # The round trip's time is shared equally among the slice.
+            entries = self._fold_reply(
                 shard,
                 outcome.response,
-                outcome.elapsed,
-                items,
-                positions,
-                results,
+                [items[position][0] for position in positions],
             )
-
-    def _collect(
-        self,
-        shard: int,
-        response: Dict,
-        elapsed: float,
-        items: Sequence[Tuple[PlacementRequest, float]],
-        positions: Sequence[int],
-        results: List[GradedDecision | None],
-    ) -> None:
-        """File one shard's window reply under its items' positions, the
-        round trip's time shared equally among them."""
-        entries = self._from_wire(
-            shard, response, [items[position][0] for position in positions]
-        )
-        per_request = elapsed / len(positions)
-        for position, entry in zip(positions, entries):
-            entry.decision_seconds = per_request
-            results[position] = entry
+            for position, entry in zip(positions, entries):
+                entry.decision_seconds = outcome.elapsed / len(positions)
+                results[position] = entry
 
     def _begin_round(self) -> frozenset:
         """Recover shards whose deferred-recovery window has elapsed;
@@ -1280,7 +1251,9 @@ class SchedulerService:
                 tried.add(next_shard)
                 continue
             accumulated += outcome.elapsed
-            [entry] = self._from_wire(next_shard, outcome.response, [request])
+            [entry] = self._fold_reply(
+                next_shard, outcome.response, [request]
+            )
             entry.decision_seconds = accumulated
             shard = next_shard
             tried.add(next_shard)
@@ -1321,7 +1294,7 @@ class SchedulerService:
             outcome = self._send(shard, message)
             if outcome.down is not None:
                 continue  # that one died too; re-rank the survivors
-            [entry] = self._from_wire(shard, outcome.response, [request])
+            [entry] = self._fold_reply(shard, outcome.response, [request])
             entry.decision_seconds = outcome.elapsed
             return self._retry_if_rejected(
                 entry, shard, request, event_time
@@ -1430,6 +1403,10 @@ class SchedulerService:
     def _merge_report(
         self, n_requests: int, elapsed_seconds: float
     ) -> FleetReport:
+        """The service's report: the decisions this front end finalized,
+        the churn statistics folded from every reply (the shards'
+        timelines joined here, once), and each shard's process counters
+        (caches, arena, utilisation) from one ``report`` message."""
         # Every shard must answer a report: bring DOWN shards back first
         # (the departures re-queued while they were down go out now).
         self._recover_all()
@@ -1439,7 +1416,6 @@ class SchedulerService:
             [(shard, {"op": "report"}) for shard in shards]
         )
         reports: List[FleetReport] = []
-        churn_rows: List[Dict] = []
         for shard in shards:
             outcome = outcomes[shard]
             if outcome.down is not None:
@@ -1447,10 +1423,7 @@ class SchedulerService:
                 # so even a fresh fault recovers immediately), but never
                 # merge a partial report.
                 raise outcome.down
-            payload = dict(outcome.response["report"])
-            # Churn crosses row-coded (see ShardWorker._report_payload).
-            churn_rows.append(payload.pop("churn"))
-            reports.append(FleetReport.from_dict(payload))
+            reports.append(FleetReport.from_dict(outcome.response["report"]))
 
         def merged_cache(*infos: CacheInfo | None) -> CacheInfo | None:
             present = [info for info in infos if info is not None]
@@ -1479,21 +1452,16 @@ class SchedulerService:
                 *(r.blockscore_cache_info for r in reports)
             )
 
-        merged_churn = merge_churn_stats(
+        # Before its first sample, a shard is empty: every node free.
+        churn = self._churn.churn(
+            n_requests,
             [
-                self._localized_churn(row, shard)
-                for shard, row in enumerate(churn_rows)
-            ],
-            arrivals=n_requests,
-            initial=[
                 FragmentationSample(
-                    time=0.0,
-                    free_nodes_total=sum(m.n_nodes for m in machines),
-                    largest_free_block=max(
-                        (m.n_nodes for m in machines), default=0
-                    ),
-                    active_containers=0,
-                    fit_failures=0,
+                    0.0,
+                    sum(m.n_nodes for m in machines),
+                    max(m.n_nodes for m in machines),
+                    0,
+                    0,
                 )
                 for machines in self._shard_machines
             ],
@@ -1523,21 +1491,6 @@ class SchedulerService:
             arena_fused_calls=arena_fused_calls,
             arena_lanes=arena_lanes,
             blockscore_cache_info=blockscore,
-            churn=merged_churn,
+            churn=churn,
             service=self.stats,
         )
-
-    def _localized_churn(self, data: Dict, shard: int) -> ChurnStats:
-        """Rebuild one shard's churn stats with migration host ids
-        translated to global fleet ids."""
-        stats = decode_churn(data)
-        n = self.config.shards
-        stats.migrations = [
-            replace(
-                m,
-                source_host=m.source_host * n + shard,
-                dest_host=m.dest_host * n + shard,
-            )
-            for m in stats.migrations
-        ]
-        return stats

@@ -13,9 +13,10 @@ forest call amortizes per shard.
 
 Messages are dicts of JSON-safe scalars and *rows*
 (:mod:`repro.scheduler.wire`): an arrival is one flat tuple with its
-workload profile as a nested row, a graded decision is one flat tuple
-that does not echo the request (the front end re-attaches the one it
-sent, by position, and checks the echoed id), and a
+workload profile as a nested row, what the shard did comes back as one
+row per :class:`~repro.scheduler.lifecycle.StateChange` (a graded row
+does not echo the request: the front end re-attaches the one it sent,
+by position, and checks the echoed id), and a
 :class:`~repro.scheduler.wire.ShardSummary` rides on every response as
 one more row, so the router's view refreshes for free.  Rows are
 immutable, so :class:`InlineShardClient` hands a message straight to
@@ -32,29 +33,26 @@ Worker message protocol (every payload JSON-safe and picklable):
 ========= ==========================================================
 op        meaning
 ========= ==========================================================
-arrive    arrivals: ``events=[arrival_row, ...]`` decided
-          in one ``step_batch`` window; returns ``graded=[row, ...]``,
-          one graded row per arrival, in order.  The departures the
-          front end deferred for this shard ride along as
-          ``departures=[[request_id, time], ...]`` (a departure needs
-          nothing but the id; the key is absent when there are none)
-          and are applied before the window is decided; an empty
-          window decides nothing and returns ``graded=[]``
+arrive    arrivals: ``events=[arrival_row, ...]`` decided in one
+          ``step_batch`` window.  The departures the front end deferred
+          for this shard ride along as ``departures=[[request_id,
+          time], ...]`` (absent when there are none) and are applied
+          first.  Returns ``records=[row, ...]``: the departures', then
+          the window's, in the order they happened (one outcome per
+          arrival, after any moves made for it)
 depart    departures with no window left to ride, at the end of a
-          stream: ``events=[[request_id, time], ...]``
+          stream: ``events=[[request_id, time], ...]``; returns
+          ``records``, one per departure
 summary   just the shard's routing summary
-report    the shard's counters in the FleetReport format (a shard keeps
-          no decisions), its churn statistics row-coded: migrations as
-          rows, the fragmentation timeline as one column per field
+report    the shard's process counters in the FleetReport format:
+          caches, arena, utilisation (no decisions, no churn)
 stop      shut the worker down (process transport exits its loop)
 ========= ==========================================================
 
 ``arrival_row`` is ``(request_id, vcpus, goal_fraction, arrival_time,
-lifetime, profile_row, event_time)``; a graded row is ``(request_id,
-host_id, placement_row | None, placement_id, predicted_relative,
-block_exact, reject_reason, achieved_relative, violated,
-decision_seconds)``.  Supervised messages add ``seq``, and every
-response carries ``summary`` — the summary row of
+lifetime, profile_row, event_time)``; a record row is
+:func:`~repro.scheduler.wire.encode_change`'s.  Supervised messages add
+``seq``, and every response carries ``summary`` — the summary row of
 :func:`~repro.scheduler.wire.encode_summary` — and echoes ``seq``.
 
 Both clients speak the split ``send(message)`` / ``recv(timeout)`` pair
@@ -86,15 +84,18 @@ from dataclasses import replace
 from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
-from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
+from repro.scheduler.lifecycle import (
+    LifecycleScheduler,
+    RebalanceConfig,
+    StateChange,
+)
 from repro.scheduler.scheduler import FleetReport
 from repro.scheduler.wire import (
     ProfileMemo,
     ShardError,
     ShardSummary,
     decode_arrival,
-    encode_churn,
-    encode_graded,
+    encode_change,
     encode_summary,
 )
 from repro.topology.machine import MachineTopology
@@ -116,6 +117,11 @@ class ShardTimeoutError(ShardError):
 
 class ShardWorker:
     """One shard: a fleet slice plus the engines that schedule on it.
+
+    It holds live state only — the fleet, its index and the engine's
+    running containers.  What happened is shipped in the reply to the
+    message that made it happen, as state change records, and kept by
+    the front end, never here.
 
     Parameters
     ----------
@@ -166,12 +172,10 @@ class ShardWorker:
                 reject_penalty_seconds=config.penalty_seconds,
             ),
         )
+        #: Arrivals decoded so far: the next arrival's event sequence.
         self._next_seq = 0
         #: Decoded workload profiles, validated once per distinct row.
         self._profiles = ProfileMemo()
-        #: Wall-clock seconds spent inside handle() — the shard's own
-        #: busy time, reported alongside the front-end's elapsed time.
-        self.busy_seconds = 0.0
         #: Highest supervised sequence number applied, and its response.
         #: A retried message whose reply was lost is answered from here
         #: instead of being applied twice (see ShardTimeoutError).
@@ -190,8 +194,9 @@ class ShardWorker:
         A message is applied once or not at all: the ``seq`` check comes
         first, so a retried or replayed window releases the departures
         it carries exactly as often as it places its arrivals.  Those
-        are released before the op runs — the order in which the shard
-        would have seen them as a message of their own."""
+        are released before the window is decided — the order in which
+        the shard would have seen them as a message of their own — and
+        their records come first in the reply."""
         seq = message.get("seq")
         if seq is not None and seq <= self._applied_seq:
             if seq == self._applied_seq and self._last_response is not None:
@@ -201,25 +206,23 @@ class ShardWorker:
                 "seq": seq,
                 "summary": encode_summary(self.summary()),
             }
-        start = time.perf_counter()
         op = message["op"]
-        departures = message.get("departures")
-        if departures:
-            self._handle_depart(departures)
         if op == "arrive":
-            response = self._handle_arrive(message["events"])
+            changes = self._depart(message.get("departures", ()))
+            changes += self.engine.step_batch(self._arrivals(message["events"]))
+            response = {"records": list(map(encode_change, changes))}
         elif op == "depart":
-            response = self._handle_depart(message["events"])
+            changes = self._depart(message["events"])
+            response = {"records": list(map(encode_change, changes))}
         elif op == "summary":
             response = {}
         elif op == "report":
-            response = {"report": self._report_payload()}
+            response = {"report": self.report().to_dict(include_decisions=False)}
         elif op == "stop":
             response = {"stopped": True}
         else:
             raise ValueError(f"unknown shard op {op!r}")
         response["summary"] = encode_summary(self.summary())
-        self.busy_seconds += time.perf_counter() - start
         if seq is not None:
             # Echo the sequence number so a client that timed out and
             # retried can discard the stale reply of an earlier attempt
@@ -230,9 +233,9 @@ class ShardWorker:
             self._last_response = response
         return response
 
-    def _handle_arrive(self, events: Sequence) -> Dict:
+    def _arrivals(self, rows: Sequence) -> List[LifecycleEvent]:
         arrivals = []
-        for row in events:
+        for row in rows:
             request, event_time = decode_arrival(row, self._profiles)
             arrivals.append(
                 LifecycleEvent(
@@ -240,23 +243,11 @@ class ShardWorker:
                 )
             )
             self._next_seq += 1
-        window = self.engine.step_batch(arrivals)
-        return {"graded": [encode_graded(entry) for entry in window]}
+        return arrivals
 
-    def _handle_depart(self, events: Sequence) -> Dict:
-        for request_id, event_time in events:
-            self.engine.depart(request_id, event_time)
-        return {"departed": len(events)}
-
-    def _report_payload(self) -> Dict:
-        """The ``report`` reply: this shard's counters in the report
-        format, its churn statistics row-coded (the fragmentation
-        timeline has one sample per event — the one part of a report
-        that grows with the stream)."""
-        report = self.report()
-        payload = replace(report, churn=None).to_dict(include_decisions=False)
-        payload["churn"] = encode_churn(report.churn)
-        return payload
+    def _depart(self, pairs: Sequence) -> List[StateChange]:
+        depart = self.engine.depart
+        return [depart(request_id, event_time) for request_id, event_time in pairs]
 
     # ------------------------------------------------------------------
     # State views
@@ -277,11 +268,11 @@ class ShardWorker:
         )
 
     def report(self) -> FleetReport:
-        """This shard's own FleetReport (local host ids, local counters,
-        no decisions: the front end keeps those)."""
-        return self.engine.collect_report(
-            self.engine.stats.arrivals, self.busy_seconds
-        )
+        """This shard's process counters in the report format: caches,
+        arena, utilisation, local host ids.  No decisions and no churn
+        statistics: the front end folds both from the records every reply
+        carries."""
+        return replace(self.engine.collect_report(self._next_seq, 0.0), churn=None)
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,15 @@ fixed-layout row of scalars, not a dict of dicts:
   ``(request_id, vcpus, goal_fraction, arrival_time, lifetime,
   profile_row, event_time)``, ``profile_row`` being the
   :class:`~repro.perfsim.workload.WorkloadProfile` fields as declared;
-* a **graded reply** is ``(request_id, host_id, placement_row | None,
+* a **state change** (:class:`~repro.scheduler.lifecycle.StateChange`,
+  a reply's ``records``) is its kind, then its content: an outcome's or
+  a re-grade's graded row ``(request_id, host_id, placement_row | None,
   placement_id, predicted_relative, block_exact, reject_reason,
   achieved_relative, violated, decision_seconds)`` — no request echo:
-  the front end re-attaches the request it sent, by position;
-* **churn statistics** cross the ``report`` reply with migrations as
-  rows and the fragmentation timeline as its five columns, each a list
-  (the shard stores them as ``array`` columns and the decoder adopts
-  them as such: no sample object is built on either side);
+  the front end re-attaches the request it sent, by position — a move's
+  :class:`~repro.scheduler.lifecycle.MigrationRecord` fields, or a
+  departure's ``request_id, released``; an outcome's and a departure's
+  row end with the fleet's sample, its five fields;
 * a **summary** (:class:`ShardSummary`, on every reply) is its scalar
   fields as declared, then ``shapes`` as one ``(name, *h)`` sub-row per
   machine shape, ``h`` being the shape's free-node histogram (``h[k]``
@@ -28,14 +29,12 @@ take both).  A type flattened whole takes its layout from
 ``dataclasses.fields``, so a new field cannot be forgotten.  The
 *report* format is :class:`~repro.core.serialize.Record`'s ``to_dict``
 / ``from_dict``; on the shard boundary only the ``report`` reply uses
-it (its churn statistics row-coded), never requests, decisions or
-summaries.
+it (process counters only), never requests, records or summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import starmap
 from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -43,10 +42,13 @@ from repro.core.placements import Placement
 from repro.core.serialize import resolve_machine
 from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler.lifecycle import (
-    ChurnStats,
+    DEPARTED,
+    MIGRATED,
+    OUTCOMES,
+    REGRADED,
     FragmentationSample,
-    FragmentationTimeline,
     MigrationRecord,
+    StateChange,
 )
 from repro.scheduler.policies import FleetDecision
 from repro.scheduler.requests import PlacementRequest
@@ -112,12 +114,8 @@ class ShardSummary:
         )
 
 
-TIMELINE_COLUMNS = FragmentationSample._fields
-_CHURN_COUNTERS = tuple(
-    f.name
-    for f in fields(ChurnStats)
-    if f.name not in ("migrations", "fragmentation_timeline")
-)
+#: The fields of the sample an outcome's and a departure's row end with.
+SAMPLE_WIDTH = len(FragmentationSample._fields)
 
 #: ``WorkloadProfile -> row``: the declared fields, built once per profile.
 profile_row = WorkloadProfile.row
@@ -254,23 +252,46 @@ def decode_graded(
     )
 
 
-def encode_churn(stats: ChurnStats) -> Dict:
-    payload = {name: getattr(stats, name) for name in _CHURN_COUNTERS}
-    payload["migrations"] = [_migration_row(m) for m in stats.migrations]
-    payload["timeline"] = [
-        column.tolist() for column in stats.fragmentation_timeline.columns
-    ]
-    return payload
+def encode_change(change: StateChange) -> tuple:
+    kind = change.kind
+    if kind == MIGRATED:
+        return (kind, *_migration_row(change.migration))
+    if kind == DEPARTED:
+        return (kind, change.request_id, change.released, *change.sample)
+    if kind == REGRADED:
+        return (kind, *encode_graded(change.entry))
+    return (kind, *encode_graded(change.entry), *change.sample)
 
 
-def decode_churn(payload: Dict) -> ChurnStats:
-    return ChurnStats(
-        migrations=list(starmap(MigrationRecord, payload["migrations"])),
-        fragmentation_timeline=FragmentationTimeline.from_columns(
-            payload["timeline"]
-        ),
-        **{name: payload[name] for name in _CHURN_COUNTERS},
-    )
+def decode_change(
+    row: Sequence,
+    machines: Mapping[str, MachineTopology],
+    request: PlacementRequest | None = None,
+) -> StateChange:
+    """Inverse of :func:`encode_change`.  A graded row does not echo its
+    request: ``request`` is the caller's (checking ``row[1]`` against it
+    is the caller's job, as it knows which shard to blame)."""
+    kind = row[0]
+    if kind == DEPARTED:
+        return StateChange(kind, row[1], None, None, row[2], _sample(row[3:]))
+    if kind == MIGRATED:
+        migration = MigrationRecord(*row[1:])
+        return StateChange(kind, migration.request_id, migration=migration)
+    if kind == REGRADED:
+        return StateChange(kind, row[1], decode_graded(row[1:], request, machines))
+    if kind not in OUTCOMES:
+        raise ValueError(f"unknown state change {kind!r}")
+    entry = decode_graded(row[1:-SAMPLE_WIDTH], request, machines)
+    return StateChange(kind, row[1], entry, None, False, _sample(row[-SAMPLE_WIDTH:]))
+
+
+def _sample(fields: Sequence) -> FragmentationSample:
+    """A sample from its five row fields, built without the named
+    tuple's Python ``__new__`` frame (one per event decoded); any other
+    count is a ``ValueError``."""
+    if len(fields) != SAMPLE_WIDTH:
+        raise ValueError(f"a sample has {SAMPLE_WIDTH} fields, not {len(fields)}")
+    return tuple.__new__(FragmentationSample, fields)
 
 
 def encode_summary(summary: ShardSummary) -> tuple:

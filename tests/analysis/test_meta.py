@@ -124,8 +124,8 @@ class TestCanonicalInjections:
     def test_numpy_scalar_in_shard_message(self):
         findings = inject(
             "scheduler/shard.py",
-            '{"departed": len(events)}',
-            '{"departed": np.int64(len(events))}',
+            '{"stopped": True}',
+            '{"stopped": True, "handled": np.int64(self._next_seq)}',
             prefix="import numpy as np\n",
         )
         assert len(findings) == 1

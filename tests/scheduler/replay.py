@@ -1,9 +1,11 @@
 """Drive a lifecycle engine the way a shard does, and keep what it did.
 
 Consecutive arrivals go through ``step_batch`` up to ``window`` at a
-time and a departure flushes the window first.  ``step_batch`` keeps
-nothing, so the replay keeps the entries it returns, one per arrival
-(a migration re-grades them in place, as it re-grades ``graded``).
+time and a departure flushes the window first.  ``step_batch`` and
+``depart`` keep nothing, so the replay folds the records they return
+(a :class:`~repro.scheduler.lifecycle.ChurnFold`) and keeps the
+outcomes' entries, one per arrival (a migration re-grades them in
+place, as it re-grades ``graded``).
 Everything observable comes back in one dict, so two policies that must
 decide alike (a production policy and its oracle) compare with one
 ``==``.  ``after_event(engine)``, when given, runs after every message
@@ -11,11 +13,13 @@ a shard would have handled: each window and each departure.
 """
 
 from repro.scheduler import (
+    ChurnFold,
     EventKind,
     LifecycleScheduler,
     RebalanceConfig,
     events_from_requests,
 )
+from repro.scheduler.lifecycle import OUTCOMES
 
 
 def replay(
@@ -34,7 +38,14 @@ def replay(
         registry=registry or policy.registry,
         config=RebalanceConfig(enabled=rebalance),
     )
+    fold = ChurnFold()
     graded = []
+
+    def keep(changes):
+        fold.fold(changes)
+        graded.extend(c.entry for c in changes if c.kind in OUTCOMES)
+        after_event(engine)
+
     pending = []
     for event in events_from_requests(requests).drain():
         if event.kind is EventKind.ARRIVAL:
@@ -42,17 +53,14 @@ def replay(
             if len(pending) < window:
                 continue
         if pending:
-            graded.extend(engine.step_batch(pending))
-            after_event(engine)
+            keep(engine.step_batch(pending))
             pending = []
         if event.kind is not EventKind.ARRIVAL:
-            engine.step(event)
-            after_event(engine)
+            keep([engine.depart(event.request.request_id, event.time)])
     if pending:
-        graded.extend(engine.step_batch(pending))
-        after_event(engine)
+        keep(engine.step_batch(pending))
     fleet.index.assert_consistent(fleet.hosts)
-    stats = engine.stats
+    stats = fold.stats
     return {
         "decisions": decision_rows(graded),
         "migrations": stats.migrations,

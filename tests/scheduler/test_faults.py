@@ -177,14 +177,12 @@ def _fault_free_probe(config, service_class=SchedulerService):
 
 
 def _applied_departures(service):
-    """Departure pairs the live shards have applied, replays included: a
-    shard samples its fragmentation timeline once per arrival it handled
-    and once per departure pair, whatever the pair released."""
-    applied = 0
-    for client in service.clients:
-        churn = client.request({"op": "report"})["report"]["churn"]
-        applied += len(churn["timeline"][0]) - churn["arrivals"]
-    return applied
+    """Departure pairs the front end folded from the shards' replies: a
+    reply carries one record with a fragmentation sample per arrival
+    outcome and one per departure pair, whatever the pair released, and
+    each reply is folded once (a replay's are not)."""
+    fold = service._churn
+    return sum(map(len, fold.timelines)) - fold.stats.arrivals
 
 
 def _assert_departed_exactly_once(service, report, plain_stats):
@@ -309,7 +307,7 @@ class TestFaultInjectingClient:
         # from the dedup cache rather than re-applied.
         response = client.request(request)
         assert client.inner.worker._applied_seq == 0
-        assert client.inner.worker.engine.stats.arrivals == 1
+        assert client.inner.worker._next_seq == 1
         assert "summary" in response
 
 
@@ -324,7 +322,7 @@ class TestWorkerDedup:
         again = client.request(message)
         assert again == first
         # Applied exactly once: the retry came from the dedup cache.
-        assert client.worker.engine.stats.arrivals == 1
+        assert client.worker._next_seq == 1
 
     def test_unsequenced_messages_never_dedup(self):
         config = ScheduleConfig(
@@ -567,13 +565,20 @@ class TestCrashRecovery:
         )
 
     def test_dropped_reply_retry_does_not_release_twice(self):
-        """The message was applied and its reply lost: the same-``seq``
-        retry is answered from ``_last_response``, so the departures it
-        carries are not applied again."""
+        """Drop the reply to either shard's message at *any* index, as
+        the crash sweep crashes them: the message was applied and its
+        reply lost, so the same-``seq`` retry is answered from
+        ``_last_response`` — the departures it carries are not applied
+        again, and the records the reply carries are folded exactly once
+        (~4 s)."""
         config = _fast_config(requests=24, seed=7, supervised=True)
-        plain, plain_stats, _, carrying = _fault_free_probe(config)
-        for shard, indices in enumerate(carrying):
-            for index in indices[:3]:
+        plain, plain_stats, message_counts, carrying = _fault_free_probe(
+            config
+        )
+        signature = _report_signature(plain)
+        assert all(carrying)  # the sweep does drop loaded replies
+        for shard, count in enumerate(message_counts):
+            for index in range(count):
                 plan = FaultPlan(actions=[FaultAction(shard, index, "drop")])
                 with SchedulerService(config, faults=plan) as service:
                     report = service.serve()
@@ -582,7 +587,9 @@ class TestCrashRecovery:
                     )
                     assert service.stats.backoff_retries == 1
                     assert service.stats.journal_replays == 0
-                assert _report_signature(report) == _report_signature(plain)
+                assert _report_signature(report) == signature, (
+                    f"dropped reply at shard {shard} message {index} diverged"
+                )
 
     def test_kill_each_shard_once_on_reference_churn_stream(self):
         """The acceptance gate on the ML reference stream: the seeded

@@ -1,12 +1,15 @@
 """What a shard holds is proportional to its live containers.
 
-The front end keeps every decision it decoded (``serve()`` returns them),
-so a shard keeps none: ``LifecycleScheduler.step_batch`` returns its
-entries without retaining them, and the re-grade table a migration reads
-(``LifecycleScheduler._graded_by_id``) holds exactly the containers that
-are still running — a departure drops its entry.  Each check runs after
-every message a shard handles, so a leak shows at the first message it
-survives, not at the end of a stream that happened to drain.
+A shard ships what happened in every reply and keeps none of it:
+``LifecycleScheduler.step_batch`` and ``depart`` return their state
+change records, the front end folds them into its decisions, churn
+counters, migrations and timelines, and the shard's engine holds no
+decision, no migration record and no fragmentation sample.  The re-grade
+table a migration reads (``LifecycleScheduler._graded_by_id``) holds
+exactly the containers that are still running — a departure drops its
+entry.  Each check runs after every message a shard handles, so a leak
+shows at the first message it survives, not at the end of a stream that
+happened to drain.
 """
 
 import pytest
@@ -38,9 +41,11 @@ CHURN = dict(
 
 
 def _live_only(engine):
-    """The engine retains no decision, and its re-grade table is its live
-    set."""
+    """The engine retains no decision, no timeline sample and no
+    migration record, and its re-grade table is its live set."""
     assert engine.graded == []
+    assert len(engine.stats.fragmentation_timeline) == 0
+    assert engine.stats.migrations == []
     assert engine._graded_by_id.keys() == engine._active.keys()
 
 
@@ -91,8 +96,7 @@ def test_replay_regrade_table_is_the_live_set(window):
     messages = []
 
     def live_keys(engine):
-        assert engine.graded == []  # step_batch returns, never keeps
-        assert engine._graded_by_id.keys() == engine._active.keys()
+        _live_only(engine)  # step_batch and depart return, never keep
         messages.append(len(engine._active))
 
     requests = _stream()

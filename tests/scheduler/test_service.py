@@ -335,18 +335,20 @@ class TestConflictRetry:
         assert report.service.departures_routed == 1
 
 
-def _shard_state(worker, response):
+def _shard_state(worker, records, summary):
     """Everything a message can change on a shard, minus wall-clock
-    fields: the reply's graded rows and summary row, the engine's live
-    set, its live containers' graded entries and churn statistics, and
-    every host's occupancy.  Also runs the index's from-scratch
-    cross-check."""
+    fields: the reply's records (outcomes and re-grades without their
+    ``decision_seconds``) and summary row, the engine's live set, its
+    live containers' graded entries, and every host's occupancy.  Also
+    runs the index's from-scratch cross-check."""
     worker.fleet.index.assert_consistent(worker.fleet.hosts)
     return (
-        [row[:-1] for row in response["graded"]],  # drop decision_seconds
-        response["summary"],
+        [
+            row[:10] + row[11:] if row[0] in GRADED_KINDS else row
+            for row in records
+        ],
+        summary,
         sorted(worker.engine._active),
-        worker.engine.stats.to_dict(),
         _fingerprints(
             entry for _, entry in sorted(worker.engine._graded_by_id.items())
         ),
@@ -355,6 +357,16 @@ def _shard_state(worker, response):
             for host in worker.fleet.hosts
         ],
     )
+
+
+#: Record kinds whose row carries a graded entry (``decision_seconds``
+#: is its tenth field).
+GRADED_KINDS = ("placed", "rejected", "regraded")
+
+
+def _released(records):
+    """Departure records in ``records`` that released a container."""
+    return sum(1 for row in records if row[0] == "departed" and row[2])
 
 
 class TestDeparturesRideTheWindow:
@@ -381,9 +393,13 @@ class TestDeparturesRideTheWindow:
 
     def _assert_equivalent(self, merged, split, departures, rows):
         one = merged.handle(self._window(rows, departures))
-        split.handle({"op": "depart", "events": departures})
+        gone = split.handle({"op": "depart", "events": departures})
         two = split.handle(self._window(rows))
-        assert _shard_state(merged, one) == _shard_state(split, two)
+        assert _shard_state(
+            merged, one["records"], one["summary"]
+        ) == _shard_state(
+            split, gone["records"] + two["records"], two["summary"]
+        )
         return one
 
     @pytest.mark.parametrize("seed", range(6))
@@ -395,7 +411,7 @@ class TestDeparturesRideTheWindow:
         stream = generate_request_stream(
             48, seed=seed, vcpus_choices=(8, 16, 32, 64)
         )
-        seen = []
+        seen, released = [], 0
         for begin in range(0, len(stream), 6):
             pool = seen + [10_000 + begin, 10_001 + begin]  # never placed
             departures = [
@@ -406,25 +422,25 @@ class TestDeparturesRideTheWindow:
                 encode_arrival(request, float(begin))
                 for request in stream[begin : begin + 6]
             ]
-            self._assert_equivalent(merged, split, departures, rows)
+            response = self._assert_equivalent(merged, split, departures, rows)
+            released += _released(response["records"])
             seen.extend(request.request_id for request in stream[begin : begin + 6])
-        assert merged.engine.stats.departures == split.engine.stats.departures
-        assert merged.engine.stats.departures > 0
+        assert released > 0
 
     def test_empty_batch_on_an_empty_fleet_and_unknown_ids(self):
         merged, split = self._pair()
         # An empty window decides nothing: no arrival, no sample.
         assert merged.engine.step_batch([]) == []
-        assert merged.handle(self._window([]))["graded"] == []
-        assert split.handle(self._window([]))["graded"] == []
-        assert merged.engine.stats.arrivals == 0
-        assert not merged.engine.stats.fragmentation_timeline
+        assert merged.handle(self._window([]))["records"] == []
+        assert split.handle(self._window([]))["records"] == []
         rows = [encode_arrival(_request(1, vcpus=8), 0.0)]
         # An empty departure list is a no-op either way; the service
         # never sends the key empty, a hand-built message may.
         absent = merged.handle(self._window(rows))
         empty = split.handle(self._window(rows, departures=[]))
-        assert _shard_state(merged, absent) == _shard_state(split, empty)
+        assert _shard_state(
+            merged, absent["records"], absent["summary"]
+        ) == _shard_state(split, empty["records"], empty["summary"])
         # Nothing placed yet under these ids: releases of unknown ids,
         # riding an empty window and then a window of one.
         self._assert_equivalent(merged, split, [[9, 0.5]], [])
@@ -437,12 +453,13 @@ class TestDeparturesRideTheWindow:
         merged, split = self._pair(machine="amd", hosts=1)
         fill = self._window([encode_arrival(_request(1, vcpus=64), 0.0)])
         for worker in (merged, split):
-            [row] = worker.handle(fill)["graded"]
-            assert row[1] is not None  # placed: the host is now full
+            [row] = worker.handle(fill)["records"]
+            assert row[:3] == ("placed", 1, 0)  # the host is now full
         rows = [encode_arrival(_request(2, vcpus=64), 5.0)]
         response = self._assert_equivalent(merged, split, [[1, 5.0]], rows)
-        [row] = response["graded"]
-        assert row[1] is not None and row[6] is None  # placed, no reject
+        [gone, row] = response["records"]
+        assert gone[:3] == ("departed", 1, True)  # released first
+        assert row[:3] == ("placed", 2, 0) and row[7] is None  # no reject
         assert sorted(merged.engine._active) == [2]
 
     def test_retried_window_releases_its_departures_once(self):
@@ -459,12 +476,14 @@ class TestDeparturesRideTheWindow:
             seq=1,
         )
         first = worker.handle(message)
-        samples = len(worker.engine.stats.fragmentation_timeline)
+        assert [row[:3] for row in first["records"]] == [
+            ("departed", 1, True),
+            ("placed", 2, 0),
+        ]
         assert worker.handle(message) is first
-        assert worker.handle(dict(message, seq=0))["deduped"] is True
-        assert worker.engine.stats.departures == 1
-        assert worker.engine.stats.arrivals == 2
-        assert len(worker.engine.stats.fragmentation_timeline) == samples
+        deduped = worker.handle(dict(message, seq=0))
+        assert deduped["deduped"] is True and "records" not in deduped
+        assert worker._next_seq == 2  # two arrivals decoded, once each
         assert sorted(worker.engine._active) == [2]
 
 

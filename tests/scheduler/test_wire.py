@@ -1,8 +1,8 @@
 """Round-trip tests for the wire surface.
 
 Two formats cross process boundaries.  Shard messages are row-coded
-(:mod:`repro.scheduler.wire`): arrivals in, graded rows out, churn
-statistics in the ``report`` reply, the shard summary on every reply —
+(:mod:`repro.scheduler.wire`): arrivals in, state change records out,
+the shard summary on every reply —
 each must decode to an equal object after a JSON round trip *and* after
 a pickle round trip, because the inline transport hands rows over
 untouched, the process transport pickles them, and journals and traces
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
 
 import repro
+import repro.scheduler.wire as wire_codec
 from repro.analysis import Finding
 from repro.core.memo import CacheInfo, cached_enumerate_important_placements
 from repro.core.placements import Placement
@@ -34,6 +35,7 @@ from repro.core.serialize import Record, machines_by_name
 from repro.scheduler import (
     AdmissionDecision,
     AdmissionStats,
+    ChurnFold,
     ChurnStats,
     FaultAction,
     FaultPlan,
@@ -48,6 +50,8 @@ from repro.scheduler import (
     ServiceStats,
     ShardSummary,
     ShardWorker,
+    StateChange,
+    events_from_requests,
     generate_churn_stream,
     available,
     brute_force_capacity,
@@ -66,21 +70,30 @@ from repro.scheduler.admission import (
     REASON_INFEASIBLE,
     REASON_QUEUE_FULL,
 )
+from repro.scheduler.events import EventKind
 from repro.scheduler.faults import FAULT_KINDS
+from repro.scheduler.lifecycle import (
+    DEPARTED,
+    MIGRATED,
+    OUTCOMES,
+    PLACED,
+    REGRADED,
+    REJECTED,
+)
 from repro.scheduler.policies import FleetDecision
 from repro.scheduler.scheduler import FleetReport
-from repro.scheduler.service import SchedulerService, merge_churn_stats
+from repro.scheduler.service import SchedulerService
 from repro.scheduler.wire import (
-    TIMELINE_COLUMNS,
+    SAMPLE_WIDTH,
     PlacementMemo,
     ProfileMemo,
     ShardError,
     decode_arrival,
-    decode_churn,
+    decode_change,
     decode_graded,
     decode_summary,
     encode_arrival,
-    encode_churn,
+    encode_change,
     encode_graded,
     encode_summary,
     profile_row,
@@ -135,6 +148,40 @@ def churn_report():
         config=RebalanceConfig(enabled=True),
     )
     return engine.run(config.build_stream())
+
+
+@pytest.fixture(scope="module")
+def churn_changes():
+    """Every state change record of a stream driven through
+    ``step_batch`` (windows of four) and ``depart`` as a shard drives
+    it, near full: outcomes of both kinds, departures that release and
+    ones that do not, and rebalancer moves with their re-grades."""
+    config = ScheduleConfig(
+        machine="amd",
+        hosts=8,
+        requests=200,
+        seed=3,
+        churn=True,
+        arrival_rate=1.0,
+        mean_lifetime=30.0,
+        vcpus=(8, 8, 16, 32),
+    )
+    registry = config.build_registry()
+    engine = LifecycleScheduler(
+        config.build_fleet(), config.build_policy(registry), registry=registry
+    )
+    changes, pending = [], []
+    for event in events_from_requests(config.build_stream()).drain():
+        if event.kind is EventKind.ARRIVAL:
+            pending.append(event)
+            if len(pending) < 4:
+                continue
+        changes.extend(engine.step_batch(pending))
+        pending = []
+        if event.kind is not EventKind.ARRIVAL:
+            changes.append(engine.depart(event.request.request_id, event.time))
+    changes.extend(engine.step_batch(pending))
+    return changes
 
 
 @pytest.fixture(scope="module")
@@ -348,42 +395,40 @@ class TestRowCodec:
             response = service.clients[0].request(
                 {"op": "arrive", "events": [encode_arrival(one, 0.0)]}
             )
-            [entry] = service._from_wire(0, response, [one])
-            assert entry.decision.request is one
             with pytest.raises(ShardError, match="expected 2 at this position"):
-                service._from_wire(0, response, [other])
+                service._fold_reply(0, response, [other])
             with pytest.raises(ShardError, match="grades 1 request"):
-                service._from_wire(0, response, [one, other])
+                service._fold_reply(0, response, [one, other])
+            with pytest.raises(ShardError, match="grades 1 request"):
+                service._fold_reply(0, response, [])
+            # A reply that raised folded nothing; this one folds once.
+            assert service._churn.stats.arrivals == 0
+            [entry] = service._fold_reply(0, response, [one])
+            assert entry.decision.request is one
+            assert service._churn.stats.arrivals == 1
 
-    def test_churn_stats_cross_as_columns(self, churn_report):
-        record = MigrationRecord(
-            time=9.25,
-            request_id=4,
-            workload="gcc",
-            source_host=1,
-            dest_host=3,
-            engine="criu",
-            seconds=12.5,
-            moved_gb=1.75,
-            triggered_by=9,
+    def test_state_change_rows_survive_json_and_pickle(
+        self, churn_changes
+    ):
+        kinds = {change.kind for change in churn_changes}
+        assert kinds == {PLACED, REJECTED, MIGRATED, REGRADED, DEPARTED}
+        released = {c.released for c in churn_changes if c.kind == DEPARTED}
+        assert released == {False, True}
+        amd = machines_by_name(
+            ScheduleConfig(machine="amd", hosts=1).machine_list()
         )
-        stats = dataclasses.replace(churn_report.churn, migrations=[record])
-        payload = encode_churn(stats)
-        assert len(payload["timeline"]) == len(TIMELINE_COLUMNS) == 5
-        assert all(
-            len(column) == len(stats.fragmentation_timeline) > 0
-            for column in payload["timeline"]
-        )
-        for carried in (payload, wire(payload), pickled(payload)):
-            assert decode_churn(carried) == stats
-        assert decode_churn(wire(encode_churn(ChurnStats()))) == ChurnStats()
-        # An empty timeline still crosses as five (empty) columns, and a
-        # column is a list whichever way the samples were transposed.
-        assert encode_churn(ChurnStats())["timeline"] == [[], [], [], [], []]
-        assert all(type(column) is list for column in payload["timeline"])
-        assert TIMELINE_COLUMNS == tuple(
-            FragmentationSample(0.0, 1, 2, 3, 4).to_dict()
-        )
+        for change in churn_changes:
+            row = encode_change(change)
+            request = None if change.entry is None else change.entry.decision.request
+            for carried in (row, wire(row), pickled(row)):
+                assert decode_change(carried, amd, request) == change
+            assert row[0] == change.kind
+            if change.sample is not None:  # an event's closing record
+                assert row[-SAMPLE_WIDTH:] == tuple(change.sample)
+
+    def test_unknown_state_change_raises(self):
+        with pytest.raises(ValueError, match="unknown state change 'moved'"):
+            decode_change(("moved", 1), {})
 
 
 def _merge_by_summing(per_shard, initial):
@@ -429,6 +474,11 @@ _samples = st.builds(
 )
 
 
+def _departure(sample):
+    """A departure record closing with ``sample``."""
+    return StateChange(DEPARTED, 0, released=True, sample=sample)
+
+
 class TestChurnMerge:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -438,25 +488,57 @@ class TestChurnMerge:
         data=st.data(),
     )
     def test_running_totals_equal_the_resummed_timeline(self, timelines, data):
+        fold = ChurnFold(len(timelines))
+        for shard, timeline in enumerate(timelines):
+            fold.fold(map(_departure, timeline), shard)
         per_shard = [
             ChurnStats(fragmentation_timeline=FragmentationTimeline(timeline))
             for timeline in timelines
         ]
         initial = [data.draw(_samples) for _ in timelines]
-        merged = merge_churn_stats(per_shard, arrivals=7, initial=initial)
+        merged = fold.churn(arrivals=7, initial=initial)
         assert merged.fragmentation_timeline == _merge_by_summing(
             per_shard, initial
         )
         assert merged.arrivals == 7
+        assert merged.departures == sum(map(len, timelines))
 
-    def test_single_shard_merge_is_an_independent_copy(self, churn_report):
+    def test_single_shard_churn_is_an_independent_copy(self, churn_report):
         stats = churn_report.churn
-        merged = merge_churn_stats([stats], arrivals=99, initial=[])
-        assert merged.arrivals == 99
-        assert dataclasses.replace(merged, arrivals=stats.arrivals) == stats
+        fold = ChurnFold()
+        fold.fold(map(_departure, stats.fragmentation_timeline))
+        churn = fold.churn(arrivals=99, initial=[])
+        assert churn.arrivals == 99
+        assert churn.fragmentation_timeline == stats.fragmentation_timeline
         samples = len(stats.fragmentation_timeline)
-        merged.fragmentation_timeline.append(*stats.fragmentation_timeline[0])
-        assert len(stats.fragmentation_timeline) == samples
+        churn.fragmentation_timeline.append(*stats.fragmentation_timeline[0])
+        assert len(fold.timelines[0]) == samples
+
+    def test_fold_of_a_shards_records_is_the_engines_report(
+        self, churn_changes
+    ):
+        """Folding what ``step_batch`` and ``depart`` returned gives the
+        churn statistics ``step()`` would have kept, rebalance attempts
+        and recoveries included (read off the moves before an outcome)."""
+        fold = ChurnFold()
+        fold.fold(churn_changes)
+        stats = fold.stats
+        outcomes = [c for c in churn_changes if c.kind in OUTCOMES]
+        assert stats.arrivals == len(outcomes)
+        assert stats.departures == sum(
+            c.released for c in churn_changes if c.kind == DEPARTED
+        )
+        assert stats.migrations == [
+            c.migration for c in churn_changes if c.kind == MIGRATED
+        ]
+        triggers = {m.triggered_by for m in stats.migrations}
+        assert 0 < stats.rebalance_attempts == len(triggers)
+        assert stats.rebalance_recovered == sum(
+            c.kind == PLACED for c in outcomes if c.request_id in triggers
+        )
+        assert list(stats.fragmentation_timeline) == [
+            c.sample for c in churn_changes if c.sample is not None
+        ]
 
 
 class TestRequestWire:
@@ -1129,6 +1211,94 @@ LEGAL_VARIANTS = {
 }
 
 
+def _state_changes():
+    """State change records of every kind, their graded entries and
+    moves drawn from those classes' own field annotations."""
+    graded = strategy_for(GradedDecision)
+
+    def request_id(entry):
+        return entry.decision.request.request_id
+
+    return st.one_of(
+        st.builds(
+            lambda kind, entry, sample: StateChange(
+                kind, request_id(entry), entry=entry, sample=sample
+            ),
+            st.sampled_from(sorted(OUTCOMES)),
+            graded,
+            _samples,
+        ),
+        graded.map(
+            lambda entry: StateChange(REGRADED, request_id(entry), entry=entry)
+        ),
+        strategy_for(MigrationRecord).map(
+            lambda move: StateChange(MIGRATED, move.request_id, migration=move)
+        ),
+        st.builds(
+            lambda request_id, released, sample: StateChange(
+                DEPARTED, request_id, released=released, sample=sample
+            ),
+            _ints,
+            st.booleans(),
+            _samples,
+        ),
+    )
+
+
+def check_change_rows():
+    """The row codec's property: a drawn record survives
+    ``encode_change`` -> JSON (or pickle) -> ``decode_change``, handed
+    the request a graded row does not echo, and re-encodes to the row it
+    was rebuilt from.  Read through the module, so a seeded fault in
+    either half is what runs."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        database=None,
+        phases=[Phase.explicit, Phase.generate],
+        report_multiple_bugs=False,
+    )
+    @given(_state_changes())
+    def round_trip(change):
+        row = wire_codec.encode_change(change)
+        request = None if change.entry is None else change.entry.decision.request
+        for carried in (wire(row), pickled(row)):
+            rebuilt = wire_codec.decode_change(carried, PRESETS_BY_NAME, request)
+            assert rebuilt == change
+            assert wire(wire_codec.encode_change(rebuilt)) == wire(row)
+
+    round_trip()
+
+
+def _editing_rows(kind, edit):
+    """``encode_change`` with ``edit`` applied to every ``kind`` row."""
+    original = wire_codec.encode_change
+
+    def encode_change(change):
+        row = original(change)
+        return edit(row) if row[0] == kind else row
+
+    return encode_change
+
+
+#: Seeded faults of the row codec: the property must fail on each.
+CHANGE_MUTANTS = {
+    "departure-row-drops-released": _editing_rows(
+        DEPARTED, lambda row: row[:2] + row[3:]
+    ),
+    "outcome-row-drops-its-sample": _editing_rows(
+        PLACED, lambda row: row[:-SAMPLE_WIDTH]
+    ),
+    "regrade-row-carries-a-sample": _editing_rows(
+        REGRADED, lambda row: row + (0.0, 1, 1, 1, 1)
+    ),
+    "migration-row-swaps-its-hosts": _editing_rows(
+        MIGRATED, lambda row: row[:4] + (row[5], row[4]) + row[6:]
+    ),
+}
+
+
 class TestRecords:
     @pytest.mark.parametrize(
         "cls", CODEC_CLASSES, ids=[cls.__qualname__ for cls in CODEC_CLASSES]
@@ -1154,6 +1324,15 @@ class TestRecords:
 
         with pytest.raises(TypeError, match="no strategy for <class 'complex'>"):
             check_round_trips(Unregistered)
+
+    def test_state_change_rows_round_trip(self):
+        check_change_rows()
+
+    @pytest.mark.parametrize("mutant", sorted(CHANGE_MUTANTS))
+    def test_change_row_property_catches(self, mutant, monkeypatch):
+        monkeypatch.setattr(wire_codec, "encode_change", CHANGE_MUTANTS[mutant])
+        with pytest.raises((AssertionError, TypeError, ValueError)):
+            check_change_rows()
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_round_trip_property_catches(self, mutant, monkeypatch):

@@ -425,10 +425,18 @@ def solo_ipc_memo(seed, steps):
         placement = PLACEMENTS["amd"][index]
         before = registry.ipc_cache_info()
         if op == "foreign":
-            # A run that raises files nothing.
+            # A run that raises files nothing, through either entry.
             foreign = PLACEMENTS["intel"][index % len(PLACEMENTS["intel"])]
             rows = {key: dict(row) for key, row in registry._solo_ipc.items()}
             assert _raises(ValueError, registry.solo_ipc, machine, profiles[0], foreign)
+            assert _raises(
+                ValueError,
+                registry.probe_ipc_batch,
+                machine,
+                profiles,
+                foreign,
+                multipliers=[1.0] * len(profiles),
+            )
             assert registry.ipc_cache_info() == before
             assert registry._solo_ipc == rows
             continue
@@ -878,6 +886,29 @@ def _solo_ipc_counting_before_it_measures(self, machine, profile, placement):
     return value
 
 
+def _probe_batch_filing_before_it_measures(
+    self, machine, profiles, placement, *, multipliers, row=None
+):
+    """``probe_ipc_batch`` as it was: the row is looked up through
+    ``probe_row``, which files it, and each miss is filed as measured."""
+    if len(profiles) != len(multipliers):
+        raise ValueError("profiles and multipliers must align")
+    if row is None:
+        row = self.probe_row(machine, placement)
+    ipcs, simulator, _ = row
+    fresh = ()
+    try:
+        found = list(map(ipcs.__getitem__, profiles))
+    except KeyError:
+        fresh = list(dict.fromkeys(p for p in profiles if p not in ipcs))
+        for profile in fresh:
+            ipcs[profile] = simulator.measured_ipc(profile, placement, noise=False)
+        found = list(map(ipcs.__getitem__, profiles))
+    self._ipc_misses += len(fresh)
+    self._ipc_hits += len(found) - len(fresh)
+    return [value * m for value, m in zip(found, multipliers)]
+
+
 def _states_outliving_their_version(self, machine, kind="interconnect"):
     kept = self.__dict__.setdefault("_kept", {})
     key = (machine.fingerprint(), kind)
@@ -1028,6 +1059,10 @@ MUTANTS = {
     "solo-ipc-counts-a-miss-that-raises": (
         "solo-ipc-rows",
         [(ModelRegistry, "solo_ipc", _solo_ipc_counting_before_it_measures)],
+    ),
+    "probe-batch-files-before-it-measures": (
+        "solo-ipc-rows",
+        [(ModelRegistry, "probe_ipc_batch", _probe_batch_filing_before_it_measures)],
     ),
     "probe-batch-counts-a-repeat-twice": ("solo-ipc-rows", [_edit(
         ModelRegistry, "probe_ipc_batch",
