@@ -359,6 +359,29 @@ class PlacementModel:
         return training_set.ipc[row] / training_set.ipc[row, i]
 
 
+def goal_order(
+    sizes: Sequence[int], predicted: Sequence[float], threshold: float
+) -> List[int]:
+    """The goal rule over a predicted performance vector: candidate
+    indices, most preferred first.  Those predicted to reach
+    ``threshold`` come first, cheapest first (``sizes`` holds their node
+    counts), ties broken by higher prediction, then by lower index; the
+    rest follow by prediction, ties by index.  A NaN prediction is in
+    neither.  The paper's policy places its container at the first
+    index; the fleet policy walks the order until a host has the block.
+    """
+    meeting: List[Tuple] = []
+    rest: List[Tuple] = []
+    for k, value in enumerate(predicted):
+        if value >= threshold:
+            meeting.append((sizes[k], -value, k))
+        elif value < threshold:
+            rest.append((-value, k))
+    meeting.sort()
+    rest.sort()
+    return [key[-1] for key in meeting + rest]
+
+
 class HpeModel:
     """The single-placement HPE baseline (Sections 5-6).
 

@@ -33,7 +33,7 @@ import numpy as np
 from repro.containers.container import VirtualContainer
 from repro.containers.host import SimulatedHost
 from repro.core.enumeration import ImportantPlacementSet, gen_packings
-from repro.core.model import PlacementModel
+from repro.core.model import PlacementModel, goal_order
 from repro.core.placements import Placement
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.perfsim.workload import WorkloadProfile
@@ -226,19 +226,12 @@ class MlPolicy(PlacementPolicy):
         placement meets it when its predicted relative performance is at
         least ``goal_fraction``.
         """
-        vector = self.predict_vector(profile)
-        threshold = goal_fraction * (1.0 + self.safety_margin)
-        candidates = [
-            (placement, predicted)
-            for placement, predicted in zip(self.placements, vector)
-            if predicted >= threshold
-        ]
-        if candidates:
-            # Cheapest first; break ties by predicted performance.
-            best = min(candidates, key=lambda c: (c[0].n_nodes, -c[1]))
-            return best[0]
-        index = int(np.argmax(vector))
-        return self.placements[index]
+        order = goal_order(
+            [placement.n_nodes for placement in self.placements],
+            self.predict_vector(profile),
+            goal_fraction * (1.0 + self.safety_margin),
+        )
+        return self.placements[order[0]]
 
     def _block_lookup(self) -> Dict[Tuple[int, float], List[int]]:
         """Map (node count, interconnect score) to the important-placement

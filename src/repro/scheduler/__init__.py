@@ -79,7 +79,6 @@ _EXPORTS = {
     "MigrationRecord": "repro.scheduler.lifecycle",
     "NodesBusyError": "repro.scheduler.fleet",
     "RebalanceConfig": "repro.scheduler.lifecycle",
-    "StateChange": "repro.scheduler.lifecycle",
     "SpreadFleetPolicy": "repro.scheduler.policies",
     "GoalAwareFleetPolicy": "repro.scheduler.policies",
     "UnknownNodeError": "repro.scheduler.fleet",

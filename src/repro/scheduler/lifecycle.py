@@ -33,13 +33,14 @@ that regime end to end:
    :class:`MigrationRecord` decision trace, and the arrival is retried.
 
 The engine keeps only live state and reports what happened as one
-:class:`StateChange` per placement, reject, move, re-grade and
-departure, the record closing each event carrying the fleet's sample
-right after it.  :class:`ChurnFold` folds them into the report's
-counters, migrations and columnar :class:`FragmentationTimeline`, so
-reports can plot largest-free-block and fit-failure trajectories over
-simulated time — the observable the rebalancer exists to improve (see
-``benchmarks/bench_churn.py`` for the with/without comparison).
+record per placement, reject, move, re-grade and departure: the tuple
+``(kind, request_id, payload, *sample)``, the record closing each event
+ending with the fleet's sample right after it.  :class:`ChurnFold` folds
+them into the report's counters, migrations and columnar
+:class:`FragmentationTimeline`, so reports can plot largest-free-block
+and fit-failure trajectories over simulated time — the observable the
+rebalancer exists to improve (see ``benchmarks/bench_churn.py`` for the
+with/without comparison).
 """
 
 from __future__ import annotations
@@ -113,8 +114,6 @@ class FragmentationSample(NamedTuple):
     def from_dict(cls, data: Dict) -> "FragmentationSample":
         return cls(**data)
 
-
-_new_tuple = tuple.__new__
 
 #: One ``array`` type code per sample field: the time as a C double, the
 #: four counts as signed 64-bit ints — 40 bytes per event in all.
@@ -328,7 +327,16 @@ class ChurnStats(Record):
         return "\n".join(lines)
 
 
-#: The kinds of :class:`StateChange`.
+#: The kinds of a state change record, the tuple ``(kind, request_id,
+#: payload, *sample)``.  The payload is an outcome's or a re-grade's
+#: :class:`GradedDecision` (an outcome's is the engine's own: a move later
+#: in its window re-grades it in place), a move's :class:`MigrationRecord`,
+#: or whether a departure released a running container.  The record
+#: closing an event (an outcome, any departure) ends with the five fields
+#: of the fleet's :class:`FragmentationSample` right after it; the
+#: rebalancer's moves (``migrated``, then ``regraded``) come before the
+#: outcome of the arrival they made room for.  A shard's wire row has the
+#: same layout, its payload encoded (:func:`~repro.scheduler.wire.encode_change`).
 PLACED = "placed"
 REJECTED = "rejected"
 MIGRATED = "migrated"
@@ -337,33 +345,15 @@ DEPARTED = "departed"
 OUTCOMES = frozenset({PLACED, REJECTED})
 
 
-@dataclass(slots=True)
-class StateChange:
-    """One thing that happened to one container, as the engine emits it.
-
-    The record closing an event (an arrival's outcome, any departure)
-    carries the fleet's sample right after it; the rebalancer's moves
-    (``migrated``, then ``regraded``) come before the outcome of the
-    arrival they made room for.
-    """
-
-    kind: str
-    request_id: int
-    #: An outcome's graded entry (the engine's own: a move later in its
-    #: window re-grades it in place), or a re-grade's new entry.
-    entry: GradedDecision | None = None
-    migration: MigrationRecord | None = None
-    #: Whether a departure released a running container.
-    released: bool = False
-    sample: FragmentationSample | None = None
-
-
 class ChurnFold:
-    """The one consumer of :class:`StateChange` records: counters and
-    migrations into ``stats``, samples into one timeline per shard
-    (``stats``' own is shard 0's), joined once by :meth:`churn`.  A
-    rebalance attempt is an outcome right after moves made for it; it
-    recovered the arrival when the outcome is ``placed``.
+    """The one consumer of state change records: counters and migrations
+    into ``stats``, samples into one timeline per shard (``stats``' own
+    is shard 0's), joined once by :meth:`churn`.  It reads a record's
+    kind, request id, a departure's or a move's payload and the sample,
+    never an outcome's payload, so it folds the engine's records and a
+    reply's rows alike (a move's payload must be decoded).  A rebalance
+    attempt is an outcome right after moves made for it; it recovered the
+    arrival when the outcome is ``placed``.
     """
 
     __slots__ = ("stats", "timelines", "_moved_for")
@@ -376,25 +366,25 @@ class ChurnFold:
         #: Per shard: the arrival the last folded moves were made for.
         self._moved_for: List[int | None] = [None] * shards
 
-    def fold(self, changes: Iterable[StateChange], shard: int = 0) -> None:
-        """Fold one shard's ``changes``, in the order they happened."""
-        stats, timeline = self.stats, self.timelines[shard]
-        for change in changes:
-            kind = change.kind
+    def fold(self, records: Iterable[tuple], shard: int = 0) -> None:
+        """Fold one shard's ``records``, in the order they happened."""
+        stats, append = self.stats, self.timelines[shard].append
+        for record in records:
+            kind = record[0]
             if kind == DEPARTED:
-                stats.departures += change.released
+                stats.departures += record[2]
             elif kind == PLACED or kind == REJECTED:
                 stats.arrivals += 1
-                if self._moved_for[shard] == change.request_id:
+                if self._moved_for[shard] == record[1]:
                     stats.rebalance_attempts += 1
                     stats.rebalance_recovered += kind == PLACED
                 self._moved_for[shard] = None
             else:
                 if kind == MIGRATED:
-                    stats.migrations.append(change.migration)
-                    self._moved_for[shard] = change.migration.triggered_by
+                    stats.migrations.append(record[2])
+                    self._moved_for[shard] = record[2].triggered_by
                 continue  # a re-grade changes no churn counter
-            timeline.append(*change.sample)
+            append(*record[3:])
 
     def churn(
         self, arrivals: int, initial: Sequence[FragmentationSample]
@@ -597,15 +587,16 @@ class LifecycleScheduler:
         if event.kind is EventKind.ARRIVAL:
             started = time.perf_counter()
             decision = self.policy.decide(event.request, self.fleet)
-            moves: List[StateChange] = []
+            moves: List[tuple] = []
             outcome = self._settle(event, decision, started, moves)
             self._fold.fold((*moves, outcome))
-            self.graded.append(outcome.entry)
-            return outcome.entry
+            entry = outcome[2]
+            self.graded.append(entry)
+            return entry
         self._fold.fold((self._release(event.request.request_id, event.time),))
         return None
 
-    def depart(self, request_id: int, event_time: float) -> StateChange:
+    def depart(self, request_id: int, event_time: float) -> tuple:
         """Process a departure by request id — :meth:`step`'s departure
         arm without the event envelope, reported as its record instead
         of kept.  A departure needs nothing but the id, so the sharded
@@ -615,10 +606,10 @@ class LifecycleScheduler:
 
     def step_batch(
         self, events: Sequence[LifecycleEvent]
-    ) -> List[StateChange]:
+    ) -> List[tuple]:
         """Decide a window of consecutive arrivals in one policy batch;
-        returns what happened, one :class:`StateChange` per change in
-        the order it happened, and keeps none of it.
+        returns what happened, one state change record per change in the
+        order it happened, and keeps none of it.
 
         :meth:`run` and the sharded service's shards batch arrivals so
         the goal-aware policy's fused prediction amortizes across the
@@ -630,7 +621,7 @@ class LifecycleScheduler:
         """
         if any(e.kind is not EventKind.ARRIVAL for e in events):
             raise ValueError("step_batch handles arrival events only")
-        changes: List[StateChange] = []
+        changes: List[tuple] = []
         if not events:
             return changes
         started = time.perf_counter()
@@ -651,20 +642,21 @@ class LifecycleScheduler:
             )
         return changes
 
-    def _sample(self, event_time: float) -> FragmentationSample:
+    def _closing(
+        self, kind: str, request_id: int, payload, event_time: float
+    ) -> tuple:
+        """The record closing an event: ``payload`` then the fleet's
+        sample right after the event, every field an O(1) read."""
         index = self.fleet.index
-        fit_failures = index.fit_failures - self._fit_failures_before
-        # Built as the named tuple's own ``__new__`` builds it, minus that
-        # Python frame: one sample per event.
-        return _new_tuple(
-            FragmentationSample,
-            (
-                event_time,
-                index.free_nodes_total,
-                index.largest_free_block,
-                len(self._active),
-                fit_failures,
-            ),
+        return (
+            kind,
+            request_id,
+            payload,
+            event_time,
+            index.free_nodes_total,
+            index.largest_free_block,
+            len(self._active),
+            index.fit_failures - self._fit_failures_before,
         )
 
     def collect_report(
@@ -723,7 +715,7 @@ class LifecycleScheduler:
         def decide_pending() -> None:
             changes = self.step_batch(pending)
             fold(changes)
-            self.graded.extend(c.entry for c in changes if c.kind in OUTCOMES)
+            self.graded.extend(r[2] for r in changes if r[0] in OUTCOMES)
             fold([self.depart(e.request.request_id, e.time) for e in held])
             pending.clear()
             held.clear()
@@ -746,9 +738,9 @@ class LifecycleScheduler:
         event: LifecycleEvent,
         decision: FleetDecision,
         started: float,
-        moves: List[StateChange],
+        moves: List[tuple],
         spent: float = 0.0,
-    ) -> StateChange:
+    ) -> tuple:
         """Everything an arrival needs after its first decision: a
         capacity reject gets one rebalance and one retry, the outcome is
         graded, fed to the online learner and, while the container lives,
@@ -790,11 +782,9 @@ class LifecycleScheduler:
             kind = REJECTED
             if decision.reject_reason == "capacity":
                 self.fleet.index.record_fit_failure()
-        return StateChange(
-            kind, request.request_id, entry, None, False, self._sample(event.time)
-        )
+        return self._closing(kind, request.request_id, entry, event.time)
 
-    def _release(self, request_id: int, event_time: float) -> StateChange:
+    def _release(self, request_id: int, event_time: float) -> tuple:
         # A departure for a request that was rejected (or already released)
         # releases nothing but is still an event: the event pair was
         # scheduled before the placement outcome was known.  A container
@@ -803,9 +793,7 @@ class LifecycleScheduler:
         if released:
             self._graded_by_id.pop(request_id, None)
             self.fleet.release(request_id)
-        return StateChange(
-            DEPARTED, request_id, None, None, released, self._sample(event_time)
-        )
+        return self._closing(DEPARTED, request_id, released, event_time)
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -953,7 +941,7 @@ class LifecycleScheduler:
         self,
         plan: List[_PlannedMove],
         event: LifecycleEvent,
-        changes: List[StateChange],
+        changes: List[tuple],
     ) -> None:
         for victim_id, placement, dest, block, engine, seconds in plan:
             source_host, _ = self.fleet.release(victim_id)
@@ -966,26 +954,21 @@ class LifecycleScheduler:
             )
             dest.allocate(victim_id, realized)
             victim = self._active[victim_id]
-            changes.append(
-                StateChange(
-                    MIGRATED,
-                    victim_id,
-                    migration=MigrationRecord(
-                        time=event.time,
-                        request_id=victim_id,
-                        workload=victim.workload_name,
-                        source_host=source_host,
-                        dest_host=dest.host_id,
-                        engine=engine,
-                        seconds=seconds,
-                        moved_gb=self._advice(victim).memory.total_gb,
-                        triggered_by=event.request.request_id,
-                    ),
-                )
+            move = MigrationRecord(
+                time=event.time,
+                request_id=victim_id,
+                workload=victim.workload_name,
+                source_host=source_host,
+                dest_host=dest.host_id,
+                engine=engine,
+                seconds=seconds,
+                moved_gb=self._advice(victim).memory.total_gb,
+                triggered_by=event.request.request_id,
             )
+            changes.append((MIGRATED, victim_id, move))
             regraded = self._regrade_migrated(victim_id, placement, realized, dest)
             if regraded is not None:
-                changes.append(StateChange(REGRADED, victim_id, entry=regraded))
+                changes.append((REGRADED, victim_id, regraded))
 
     def _regrade_migrated(
         self,

@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.blockscores import BlockStateMemo, block_state_memo
 from repro.core.enumeration import ImportantPlacementSet
-from repro.core.model import PlacementModel
+from repro.core.model import PlacementModel, goal_order
 from repro.core.placements import Placement
 from repro.core.serialize import Record
 from repro.ml.arena import predict_fused
@@ -420,31 +420,6 @@ class GoalAwareFleetPolicy(FleetPolicy):
         and the shape's emptiest host has ``largest_free`` of them."""
         return index.largest_free(lane.fingerprint) >= lane.smallest
 
-    def _preference_order(
-        self,
-        sizes: Sequence[int],
-        predicted: Sequence[float],
-        goal_fraction: float | None,
-    ) -> List[int]:
-        """Candidate important-placement indices, most preferred first:
-        goal-meeting (or, for best-effort requests, near-best) ones
-        cheapest-first (``sizes`` holds their node counts), then the rest
-        by prediction; ties keep index order."""
-        if goal_fraction is None:
-            threshold = self.best_effort_slack * max(predicted)
-        else:
-            threshold = goal_fraction * (1.0 + self.safety_margin)
-        meeting: List[Tuple] = []
-        rest: List[Tuple] = []
-        for k, value in enumerate(predicted):
-            if value >= threshold:
-                meeting.append((sizes[k], -value, k))
-            elif value < threshold:  # a NaN prediction is in neither
-                rest.append((-value, k))
-        meeting.sort()
-        rest.sort()
-        return [key[-1] for key in meeting + rest]
-
     def decide_batch(self, requests, fleet):
         # Phase 1: probe each (shape, vcpus) group in its lane's input
         # placements — every probe of the batch drawn in one NoiseBatch —
@@ -556,17 +531,20 @@ class GoalAwareFleetPolicy(FleetPolicy):
 
     def _ranked(self, request: PlacementRequest, plans: List[Tuple]):
         """Per hostable shape ``(lane, memo, the request's prediction
-        row, its preference order)``."""
+        row, its preference order)``: the goal rule
+        (:func:`~repro.core.model.goal_order`) at the request's goal, or
+        for a best-effort request at ``best_effort_slack`` of the row's
+        best prediction."""
         request_id, goal = request.request_id, request.goal_fraction
-        return [
-            (
-                lane,
-                memo,
-                rows[request_id],
-                self._preference_order(lane.sizes, rows[request_id], goal),
-            )
-            for lane, memo, rows in plans
-        ]
+        ranked = []
+        for lane, memo, rows in plans:
+            row = rows[request_id]
+            if goal is None:
+                threshold = self.best_effort_slack * max(row)
+            else:
+                threshold = goal * (1.0 + self.safety_margin)
+            ranked.append((lane, memo, row, goal_order(lane.sizes, row, threshold)))
+        return ranked
 
     def _place(
         self,

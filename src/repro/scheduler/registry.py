@@ -330,8 +330,10 @@ class ModelRegistry:
         self, machine: MachineTopology, placement: Placement
     ) -> ProbeRow:
         """Everything :meth:`probe_ipc_batch` looks up by ``(machine,
-        placement)``, looked up."""
+        placement)``, looked up; a placement of another machine is a
+        ``ValueError`` before any row is filed."""
         simulator = self.simulator(machine)
+        simulator._check_placement(placement)
         return ProbeRow(
             self._ipc_row(machine, placement),
             simulator,

@@ -52,10 +52,13 @@ one case with no window to ride: the flush at the end of a stream,
 before the reports.
 
 A shard keeps only live state.  Each window or ``depart`` reply carries
-what happened — one :class:`~repro.scheduler.lifecycle.StateChange`
-row per placement, reject, move, re-grade and departure — and the front
-end folds it once, as the reply is consumed, into the report's churn
-statistics; the ``report`` message returns process counters only.
+what happened — one state change row ``(kind, request_id, payload,
+*sample)`` per placement, reject, move, re-grade and departure — and the
+front end folds it once, as the reply is consumed, into the report's
+churn statistics (:meth:`SchedulerService._fold_reply`): it decodes the
+outcomes it returns and the moves, whose host ids it makes global, and
+folds every other row as it arrived.  The ``report`` message returns
+process counters only.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ from repro.scheduler.capacity import Space, available, needed_nodes
 from repro.scheduler.config import ScheduleConfig
 from repro.scheduler.events import EventKind, events_from_requests
 from repro.scheduler.lifecycle import (
+    DEPARTED,
+    MIGRATED,
     OUTCOMES,
     REGRADED,
     ChurnFold,
@@ -95,9 +100,11 @@ from repro.scheduler.supervisor import (
     ShardSupervisor,
 )
 from repro.scheduler.wire import (
+    SAMPLE_WIDTH,
     ShardError,
     ShardSummary,
-    decode_change,
+    decode_graded,
+    decode_move,
     decode_summary,
     encode_arrival,
 )
@@ -522,52 +529,56 @@ class SchedulerService:
         response: Dict,
         requests: Sequence[PlacementRequest],
     ) -> List[GradedDecision]:
-        """Fold one reply's records into the report, host ids made
-        global, and return the outcomes of ``requests`` (the arrivals the
-        message carried, in order), each re-attached to the request this
-        front end holds: a row does not echo it.  The caller that
-        consumes a reply folds it, so each is folded once (a journal
-        replay's replies reach no caller but the last, which answers the
-        failed message).  A reply that does not grade ``requests`` is a
-        :class:`ShardError` and folds nothing.  Re-grades are skipped:
-        the front end keeps the grade it decoded at decision time.
+        """Fold one reply's records into the report and return the
+        outcomes of ``requests`` (the arrivals the message carried, in
+        order), each re-attached to the request this front end holds: a
+        row does not echo it.  Only those outcomes and the moves are
+        decoded, their host ids made global; every other row is folded
+        as it arrived.  The caller that consumes a reply folds it, so
+        each is folded once (a journal replay's replies reach no caller
+        but the last, which answers the failed message).  A row of an
+        unknown kind, a closing row without a five-field sample, and a
+        reply that does not grade ``requests`` are a :class:`ShardError`
+        and fold nothing.  Re-grades are skipped: the front end keeps the
+        grade it decoded at decision time.
         """
-        n, changes, outcomes, graded = self.config.shards, [], [], 0
+        n, graded, records, outcomes = self.config.shards, 0, [], []
         for row in response.get("records", ()):
             kind = row[0]
-            if kind == REGRADED:
-                continue
-            request = None
-            if kind in OUTCOMES:
-                graded += 1
-                if graded > len(requests):
-                    continue  # more outcomes than requests: raised below
-                request = requests[graded - 1]
-                if row[1] != request.request_id:
+            if kind == DEPARTED or kind in OUTCOMES:
+                if len(row) != 3 + SAMPLE_WIDTH:
                     raise ShardError(
                         shard,
-                        f"reply row is for request {row[1]}, expected "
-                        f"{request.request_id} at this position",
+                        f"a {kind} row ends with {len(row) - 3} sample "
+                        f"field(s), not {SAMPLE_WIDTH}",
                     )
-            change = decode_change(row, self._by_name, request)
-            if request is not None:
-                decision = change.entry.decision
-                if decision.host_id is not None:
-                    decision.host_id = decision.host_id * n + shard
-                outcomes.append(change.entry)
-            elif change.migration is not None and n > 1:
-                move = change.migration
-                change.migration = replace(
-                    move,
-                    source_host=move.source_host * n + shard,
-                    dest_host=move.dest_host * n + shard,
-                )
-            changes.append(change)
+                if kind != DEPARTED:
+                    graded += 1
+                    if graded <= len(requests):
+                        request = requests[graded - 1]
+                        if row[1] != request.request_id:
+                            raise ShardError(
+                                shard,
+                                f"reply row is for request {row[1]}, expected "
+                                f"{request.request_id} at this position",
+                            )
+                        entry = decode_graded(row[2], request, self._by_name)
+                        decision = entry.decision
+                        if decision.host_id is not None:
+                            decision.host_id = decision.host_id * n + shard
+                        outcomes.append(entry)
+            elif kind == MIGRATED:
+                row = (kind, row[1], decode_move(row[2], shard, n))
+            elif kind == REGRADED:
+                continue
+            else:
+                raise ShardError(shard, f"unknown state change {kind!r}")
+            records.append(row)
         if graded != len(requests):
             raise ShardError(
                 shard, f"reply grades {graded} request(s), {len(requests)} were sent"
             )
-        self._churn.fold(changes, shard)
+        self._churn.fold(records, shard)
         return outcomes
 
     def _update_summary(self, shard: int, response: Dict) -> None:

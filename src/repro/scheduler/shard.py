@@ -13,10 +13,10 @@ forest call amortizes per shard.
 
 Messages are dicts of JSON-safe scalars and *rows*
 (:mod:`repro.scheduler.wire`): an arrival is one flat tuple with its
-workload profile as a nested row, what the shard did comes back as one
-row per :class:`~repro.scheduler.lifecycle.StateChange` (a graded row
-does not echo the request: the front end re-attaches the one it sent,
-by position, and checks the echoed id), and a
+workload profile as a nested row, what the shard did comes back as the
+engine's own state change records with their payloads encoded (a graded
+payload does not echo the request: the front end re-attaches the one it
+sent, by position, and checks the echoed id), and a
 :class:`~repro.scheduler.wire.ShardSummary` rides on every response as
 one more row, so the router's view refreshes for free.  Rows are
 immutable, so :class:`InlineShardClient` hands a message straight to
@@ -50,9 +50,21 @@ stop      shut the worker down (process transport exits its loop)
 ========= ==========================================================
 
 ``arrival_row`` is ``(request_id, vcpus, goal_fraction, arrival_time,
-lifetime, profile_row, event_time)``; a record row is
-:func:`~repro.scheduler.wire.encode_change`'s.  Supervised messages add
-``seq``, and every response carries ``summary`` — the summary row of
+lifetime, profile_row, event_time)``; a record row is ``(kind,
+request_id, payload, *sample)``, the engine's record with the payload
+mapped by :func:`~repro.scheduler.wire.encode_change`:
+
+================= =================== ========================
+record            engine payload      wire payload
+================= =================== ========================
+outcome, re-grade ``GradedDecision``  ``encode_graded(entry)``
+move              ``MigrationRecord`` its field row
+departure         ``released``        ``released``, unchanged
+================= =================== ========================
+
+Only an outcome and a departure end with the five sample fields.
+Supervised messages add ``seq``, and every response carries
+``summary`` — the summary row of
 :func:`~repro.scheduler.wire.encode_summary` — and echoes ``seq``.
 
 Both clients speak the split ``send(message)`` / ``recv(timeout)`` pair
@@ -84,11 +96,7 @@ from dataclasses import replace
 from typing import Deque, Dict, List, Sequence
 
 from repro.scheduler.events import EventKind, LifecycleEvent
-from repro.scheduler.lifecycle import (
-    LifecycleScheduler,
-    RebalanceConfig,
-    StateChange,
-)
+from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
 from repro.scheduler.scheduler import FleetReport
 from repro.scheduler.wire import (
     ProfileMemo,
@@ -245,7 +253,7 @@ class ShardWorker:
             self._next_seq += 1
         return arrivals
 
-    def _depart(self, pairs: Sequence) -> List[StateChange]:
+    def _depart(self, pairs: Sequence) -> List[tuple]:
         depart = self.engine.depart
         return [depart(request_id, event_time) for request_id, event_time in pairs]
 

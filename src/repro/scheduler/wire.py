@@ -7,15 +7,17 @@ fixed-layout row of scalars, not a dict of dicts:
   ``(request_id, vcpus, goal_fraction, arrival_time, lifetime,
   profile_row, event_time)``, ``profile_row`` being the
   :class:`~repro.perfsim.workload.WorkloadProfile` fields as declared;
-* a **state change** (:class:`~repro.scheduler.lifecycle.StateChange`,
-  a reply's ``records``) is its kind, then its content: an outcome's or
-  a re-grade's graded row ``(request_id, host_id, placement_row | None,
-  placement_id, predicted_relative, block_exact, reject_reason,
-  achieved_relative, violated, decision_seconds)`` — no request echo:
-  the front end re-attaches the request it sent, by position — a move's
-  :class:`~repro.scheduler.lifecycle.MigrationRecord` fields, or a
-  departure's ``request_id, released``; an outcome's and a departure's
-  row end with the fleet's sample, its five fields;
+* a **state change** (a reply's ``records``) is the engine's record
+  ``(kind, request_id, payload, *sample)``
+  (:mod:`repro.scheduler.lifecycle`) with its payload encoded and
+  nothing else touched: an outcome's or a re-grade's graded row
+  ``(request_id, host_id, placement_row | None, placement_id,
+  predicted_relative, block_exact, reject_reason, achieved_relative,
+  violated, decision_seconds)`` nested as one element — no request
+  echo: the front end re-attaches the request it sent, by position — a
+  move's :class:`~repro.scheduler.lifecycle.MigrationRecord` fields as
+  one row, and a departure's ``released`` as it is; an outcome's and a
+  departure's row end with the fleet's sample, its five fields;
 * a **summary** (:class:`ShardSummary`, on every reply) is its scalar
   fields as declared, then ``shapes`` as one ``(name, *h)`` sub-row per
   machine shape, ``h`` being the shape's free-node histogram (``h[k]``
@@ -34,7 +36,7 @@ it (process counters only), never requests, records or summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -42,13 +44,12 @@ from repro.core.placements import Placement
 from repro.core.serialize import resolve_machine
 from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler.lifecycle import (
-    DEPARTED,
     MIGRATED,
-    OUTCOMES,
+    PLACED,
     REGRADED,
+    REJECTED,
     FragmentationSample,
     MigrationRecord,
-    StateChange,
 )
 from repro.scheduler.policies import FleetDecision
 from repro.scheduler.requests import PlacementRequest
@@ -252,46 +253,35 @@ def decode_graded(
     )
 
 
-def encode_change(change: StateChange) -> tuple:
-    kind = change.kind
-    if kind == MIGRATED:
-        return (kind, *_migration_row(change.migration))
-    if kind == DEPARTED:
-        return (kind, change.request_id, change.released, *change.sample)
-    if kind == REGRADED:
-        return (kind, *encode_graded(change.entry))
-    return (kind, *encode_graded(change.entry), *change.sample)
+#: kind -> the wire form of its record's payload; a departure's
+#: ``released`` crosses as it is.
+_PAYLOADS = {
+    PLACED: encode_graded,
+    REJECTED: encode_graded,
+    REGRADED: encode_graded,
+    MIGRATED: _migration_row,
+}
 
 
-def decode_change(
-    row: Sequence,
-    machines: Mapping[str, MachineTopology],
-    request: PlacementRequest | None = None,
-) -> StateChange:
-    """Inverse of :func:`encode_change`.  A graded row does not echo its
-    request: ``request`` is the caller's (checking ``row[1]`` against it
-    is the caller's job, as it knows which shard to blame)."""
-    kind = row[0]
-    if kind == DEPARTED:
-        return StateChange(kind, row[1], None, None, row[2], _sample(row[3:]))
-    if kind == MIGRATED:
-        migration = MigrationRecord(*row[1:])
-        return StateChange(kind, migration.request_id, migration=migration)
-    if kind == REGRADED:
-        return StateChange(kind, row[1], decode_graded(row[1:], request, machines))
-    if kind not in OUTCOMES:
-        raise ValueError(f"unknown state change {kind!r}")
-    entry = decode_graded(row[1:-SAMPLE_WIDTH], request, machines)
-    return StateChange(kind, row[1], entry, None, False, _sample(row[-SAMPLE_WIDTH:]))
+def encode_change(record: tuple) -> tuple:
+    """A state change record's wire row: the record with its payload
+    encoded, kind, request id and sample untouched."""
+    encode = _PAYLOADS.get(record[0])
+    if encode is None:
+        return record
+    return (record[0], record[1], encode(record[2]), *record[3:])
 
 
-def _sample(fields: Sequence) -> FragmentationSample:
-    """A sample from its five row fields, built without the named
-    tuple's Python ``__new__`` frame (one per event decoded); any other
-    count is a ``ValueError``."""
-    if len(fields) != SAMPLE_WIDTH:
-        raise ValueError(f"a sample has {SAMPLE_WIDTH} fields, not {len(fields)}")
-    return tuple.__new__(FragmentationSample, fields)
+def decode_move(row: Sequence, shard: int, shards: int) -> MigrationRecord:
+    """A move's field row, its host ids made fleet-global: local host
+    ``h`` of shard ``shard`` (of ``shards``) is global host
+    ``h * shards + shard``."""
+    move = MigrationRecord(*row)
+    return replace(
+        move,
+        source_host=move.source_host * shards + shard,
+        dest_host=move.dest_host * shards + shard,
+    )
 
 
 def encode_summary(summary: ShardSummary) -> tuple:

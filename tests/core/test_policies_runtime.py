@@ -29,6 +29,7 @@ from repro.experiments import (
     standard_training_set,
 )
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
+from tests.core.oracle_goal_rule import choose_placement
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,19 @@ class TestMlPolicy:
         vector = policy.predict_vector(workload_by_name("WTbtree"))
         index = ts.placements.placements.index(chosen)
         assert vector[index] >= 1.0
+
+    def test_choice_is_the_former_rule(self, amd_sim, amd_model):
+        """The shared goal rule picks what the policy's own body picked,
+        the best prediction included when no placement meets the goal."""
+        model, ts = amd_model
+        policy = MlPolicy(model, ts.placements, amd_sim)
+        sizes = [placement.n_nodes for placement in policy.placements]
+        for name in ("WTbtree", "swaptions", "gcc"):
+            vector = policy.predict_vector(workload_by_name(name))
+            for goal in (0.5, 0.9, 1.0, 1.1, 99.0):
+                threshold = goal * (1.0 + policy.safety_margin)
+                expected = policy.placements[choose_placement(sizes, vector, threshold)]
+                assert policy.choose_placement(workload_by_name(name), goal) is expected
 
     def test_impossible_goal_falls_back_to_best(self, amd, amd_sim, amd_model):
         model, ts = amd_model

@@ -43,7 +43,7 @@ def replay(
 
     def keep(changes):
         fold.fold(changes)
-        graded.extend(c.entry for c in changes if c.kind in OUTCOMES)
+        graded.extend(r[2] for r in changes if r[0] in OUTCOMES)
         after_event(engine)
 
     pending = []

@@ -11,6 +11,7 @@ derived once per object, not once per lookup), not its speed.
 """
 
 import cProfile
+import operator
 import pstats
 from dataclasses import replace
 
@@ -22,17 +23,21 @@ from repro.perfsim import simulator as simulator_module
 from repro.perfsim.simulator import PerformanceSimulator
 from repro.perfsim.workload import WorkloadProfile
 from repro.scheduler import (
+    ChurnFold,
     EventKind,
     Fleet,
     FleetIndex,
     GoalAwareFleetPolicy,
     LifecycleScheduler,
     ModelRegistry,
+    ScheduleConfig,
+    SchedulerService,
     events_from_requests,
     generate_churn_stream,
 )
 from repro.scheduler import policies as policies_module
 from repro.scheduler.events import LifecycleEvent
+from repro.scheduler.lifecycle import FragmentationSample
 from repro.topology import amd_opteron_6272, intel_xeon_e7_4830_v3
 from repro.topology import machine as machine_module
 
@@ -330,3 +335,59 @@ def test_a_first_encounter_costs_about_a_warm_arrival():
         f"a first encounter made {extra} calls more than a warm arrival, "
         f"budget {FIRST_ENCOUNTER_EXTRA_CALLS_BUDGET}"
     )
+
+
+#: Python-level and builtin calls the front end may spend per departure
+#: row of a shard's reply, over what a reply costs whatever its length.
+#: It reads 8: a length check and an append to the rows it folds, then
+#: the timeline's append and its five column appends.  When the front
+#: end decoded each row into a state change object and a fragmentation
+#: sample first, it read 12.
+FOLD_CALLS_PER_DEPARTURE_BUDGET = 8
+
+
+def test_a_departure_row_is_folded_as_it_arrived():
+    """The front end folds a reply's departure rows without decoding
+    them: the fold is handed the very rows the shard sent, builds no
+    ``FragmentationSample``, and each row costs a pinned number of calls
+    (the marginal cost between a reply of ``n`` rows and one of ``2n``)."""
+    config = ScheduleConfig(machine="amd", hosts=4, policy="first-fit", shards=2)
+    with SchedulerService(config) as service:
+
+        def reply(rows):
+            return service.clients[0].request(
+                {"op": "depart", "events": [[k, float(k)] for k in range(rows)]}
+            )
+
+        def fold_calls(response):
+            service._churn = ChurnFold(2)
+            profile = cProfile.Profile()
+            profile.enable()
+            service._fold_reply(0, response, ())
+            profile.disable()
+            return pstats.Stats(profile)
+
+        n = 200
+        short, long = reply(n), reply(2 * n)
+        per_row = (fold_calls(long).total_calls - fold_calls(short).total_calls) / n
+        assert per_row <= FOLD_CALLS_PER_DEPARTURE_BUDGET, (
+            f"{per_row:.1f} calls per departure row folded, budget "
+            f"{FOLD_CALLS_PER_DEPARTURE_BUDGET}"
+        )
+        assert _calls(fold_calls(long), FragmentationSample.__new__) == 0
+
+        folded = []
+
+        class Spy(ChurnFold):
+            __slots__ = ()
+
+            def fold(self, records, shard=0):
+                folded.extend(records)
+                super().fold(records, shard)
+
+        service._churn = Spy(2)
+        service._fold_reply(0, long, ())
+        assert len(folded) == 2 * n
+        assert all(map(operator.is_, folded, long["records"]))
+        assert service._churn.stats.departures == 0  # nothing was placed
+        assert len(service._churn.timelines[0]) == 2 * n

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.blockscores import mask_nodes
+from repro.core.model import goal_order
 from repro.scheduler import (
     Fleet,
     FirstFitFleetPolicy,
@@ -182,9 +183,13 @@ class TestGoalAwarePolicy:
             sizes = tuple(int(size) for size in rng.integers(1, 5, size=n))
             vector = np.round(rng.uniform(0.6, 1.3, size=n), 1)
             for goal in (None, 0.9, 1.0):
-                assert policy._preference_order(
-                    sizes, vector, goal
-                ) == reference(policy, sizes, vector, goal)
+                if goal is None:
+                    threshold = policy.best_effort_slack * max(vector)
+                else:
+                    threshold = goal * (1.0 + policy.safety_margin)
+                assert goal_order(sizes, vector, threshold) == reference(
+                    policy, sizes, vector, goal
+                )
 
     def test_goal_bearing_prefers_cheap_placements(self, registry):
         fleet = Fleet.homogeneous(amd_opteron_6272(), 1)

@@ -344,7 +344,7 @@ def _shard_state(worker, records, summary):
     worker.fleet.index.assert_consistent(worker.fleet.hosts)
     return (
         [
-            row[:10] + row[11:] if row[0] in GRADED_KINDS else row
+            (*row[:2], row[2][:-1], *row[3:]) if row[0] in GRADED_KINDS else row
             for row in records
         ],
         summary,
@@ -359,8 +359,8 @@ def _shard_state(worker, records, summary):
     )
 
 
-#: Record kinds whose row carries a graded entry (``decision_seconds``
-#: is its tenth field).
+#: Record kinds whose payload is a graded row (``decision_seconds`` is
+#: its last field).
 GRADED_KINDS = ("placed", "rejected", "regraded")
 
 
@@ -454,12 +454,13 @@ class TestDeparturesRideTheWindow:
         fill = self._window([encode_arrival(_request(1, vcpus=64), 0.0)])
         for worker in (merged, split):
             [row] = worker.handle(fill)["records"]
-            assert row[:3] == ("placed", 1, 0)  # the host is now full
+            assert row[:2] == ("placed", 1) and row[2][1] == 0  # host full
         rows = [encode_arrival(_request(2, vcpus=64), 5.0)]
         response = self._assert_equivalent(merged, split, [[1, 5.0]], rows)
         [gone, row] = response["records"]
         assert gone[:3] == ("departed", 1, True)  # released first
-        assert row[:3] == ("placed", 2, 0) and row[7] is None  # no reject
+        assert row[:2] == ("placed", 2) and row[2][1:2] == (0,)
+        assert row[2][6] is None  # no reject reason
         assert sorted(merged.engine._active) == [2]
 
     def test_retried_window_releases_its_departures_once(self):
@@ -476,10 +477,11 @@ class TestDeparturesRideTheWindow:
             seq=1,
         )
         first = worker.handle(message)
-        assert [row[:3] for row in first["records"]] == [
-            ("departed", 1, True),
-            ("placed", 2, 0),
+        assert [row[:2] for row in first["records"]] == [
+            ("departed", 1),
+            ("placed", 2),
         ]
+        assert first["records"][0][2] is True and first["records"][1][2][1] == 0
         assert worker.handle(message) is first
         deduped = worker.handle(dict(message, seq=0))
         assert deduped["deduped"] is True and "records" not in deduped

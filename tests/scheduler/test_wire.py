@@ -27,6 +27,7 @@ import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
 
 import repro
+import repro.scheduler.service as service_module
 import repro.scheduler.wire as wire_codec
 from repro.analysis import Finding
 from repro.core.memo import CacheInfo, cached_enumerate_important_placements
@@ -50,7 +51,6 @@ from repro.scheduler import (
     ServiceStats,
     ShardSummary,
     ShardWorker,
-    StateChange,
     events_from_requests,
     generate_churn_stream,
     available,
@@ -89,8 +89,8 @@ from repro.scheduler.wire import (
     ProfileMemo,
     ShardError,
     decode_arrival,
-    decode_change,
     decode_graded,
+    decode_move,
     decode_summary,
     encode_arrival,
     encode_change,
@@ -410,25 +410,54 @@ class TestRowCodec:
     def test_state_change_rows_survive_json_and_pickle(
         self, churn_changes
     ):
-        kinds = {change.kind for change in churn_changes}
+        """A real stream's records, shard-encoded, keep their layout and
+        decode to the engine's payloads; a departure's row is its record."""
+        kinds = {record[0] for record in churn_changes}
         assert kinds == {PLACED, REJECTED, MIGRATED, REGRADED, DEPARTED}
-        released = {c.released for c in churn_changes if c.kind == DEPARTED}
+        released = {r[2] for r in churn_changes if r[0] == DEPARTED}
         assert released == {False, True}
         amd = machines_by_name(
             ScheduleConfig(machine="amd", hosts=1).machine_list()
         )
-        for change in churn_changes:
-            row = encode_change(change)
-            request = None if change.entry is None else change.entry.decision.request
+        for record in churn_changes:
+            kind, request_id, payload, *sample = record
+            row = encode_change(record)
+            assert len(sample) == (SAMPLE_WIDTH if kind in (*OUTCOMES, DEPARTED) else 0)
             for carried in (row, wire(row), pickled(row)):
-                assert decode_change(carried, amd, request) == change
-            assert row[0] == change.kind
-            if change.sample is not None:  # an event's closing record
-                assert row[-SAMPLE_WIDTH:] == tuple(change.sample)
+                assert len(carried) == len(record)
+                assert tuple(carried[:2]) == (kind, request_id)
+                assert list(carried[3:]) == sample
+                if kind == MIGRATED:
+                    assert decode_move(carried[2], 0, 1) == payload
+                elif kind == DEPARTED:
+                    assert carried[2] is payload
+                else:
+                    rebuilt = decode_graded(
+                        carried[2], payload.decision.request, amd
+                    )
+                    assert _graded_fields(rebuilt) == _graded_fields(payload)
+            if kind == DEPARTED:
+                assert row is record
 
     def test_unknown_state_change_raises(self):
-        with pytest.raises(ValueError, match="unknown state change 'moved'"):
-            decode_change(("moved", 1), {})
+        """A row of no known kind, or a closing row whose sample is not
+        five fields, is a ``ShardError`` against the shard that sent it,
+        and the reply folds nothing."""
+        config = ScheduleConfig(
+            machine="amd", hosts=2, policy="first-fit", shards=2
+        )
+        good = (DEPARTED, 1, True, 0.0, 8, 8, 0, 0)
+        bad = {
+            "unknown state change 'moved'": ("moved", 1),
+            "ends with 1 sample field": (DEPARTED, 1, True, 0.0),
+        }
+        with SchedulerService(config) as service:
+            for match, row in bad.items():
+                with pytest.raises(ShardError, match=match) as raised:
+                    service._fold_reply(1, {"records": [good, row]}, ())
+                assert raised.value.shard_id == 1
+            assert service._churn.stats.departures == 0
+            assert len(service._churn.timelines[1]) == 0
 
 
 def _merge_by_summing(per_shard, initial):
@@ -476,7 +505,7 @@ _samples = st.builds(
 
 def _departure(sample):
     """A departure record closing with ``sample``."""
-    return StateChange(DEPARTED, 0, released=True, sample=sample)
+    return (DEPARTED, 0, True, *sample)
 
 
 class TestChurnMerge:
@@ -523,21 +552,21 @@ class TestChurnMerge:
         fold = ChurnFold()
         fold.fold(churn_changes)
         stats = fold.stats
-        outcomes = [c for c in churn_changes if c.kind in OUTCOMES]
+        outcomes = [r for r in churn_changes if r[0] in OUTCOMES]
         assert stats.arrivals == len(outcomes)
         assert stats.departures == sum(
-            c.released for c in churn_changes if c.kind == DEPARTED
+            r[2] for r in churn_changes if r[0] == DEPARTED
         )
         assert stats.migrations == [
-            c.migration for c in churn_changes if c.kind == MIGRATED
+            r[2] for r in churn_changes if r[0] == MIGRATED
         ]
         triggers = {m.triggered_by for m in stats.migrations}
         assert 0 < stats.rebalance_attempts == len(triggers)
         assert stats.rebalance_recovered == sum(
-            c.kind == PLACED for c in outcomes if c.request_id in triggers
+            r[0] == PLACED for r in outcomes if r[1] in triggers
         )
         assert list(stats.fragmentation_timeline) == [
-            c.sample for c in churn_changes if c.sample is not None
+            FragmentationSample(*r[3:]) for r in churn_changes if len(r) > 3
         ]
 
 
@@ -1211,90 +1240,155 @@ LEGAL_VARIANTS = {
 }
 
 
-def _state_changes():
-    """State change records of every kind, their graded entries and
-    moves drawn from those classes' own field annotations."""
+@st.composite
+def _engine_events(draw):
+    """One event's state change records as a shard's engine emits them:
+    a departure, or an arrival's outcome after the moves the rebalancer
+    made for it (mostly), each maybe followed by its re-grade.  Graded
+    entries and moves are drawn from their classes' field annotations."""
+    sample = tuple(draw(_samples))
+    if draw(st.booleans()):
+        return [(DEPARTED, draw(_ints), draw(st.booleans()), *sample)]
     graded = strategy_for(GradedDecision)
+    entry = draw(graded)
+    request_id = entry.decision.request.request_id
+    records = []
+    for move in draw(st.lists(strategy_for(MigrationRecord), max_size=2)):
+        if draw(st.booleans()):
+            move = dataclasses.replace(move, triggered_by=request_id)
+        records.append((MIGRATED, move.request_id, move))
+        if draw(st.booleans()):
+            records.append((REGRADED, move.request_id, draw(graded)))
+    kind = draw(st.sampled_from(sorted(OUTCOMES)))
+    return records + [(kind, request_id, entry, *sample)]
 
-    def request_id(entry):
-        return entry.decision.request.request_id
 
-    return st.one_of(
-        st.builds(
-            lambda kind, entry, sample: StateChange(
-                kind, request_id(entry), entry=entry, sample=sample
-            ),
-            st.sampled_from(sorted(OUTCOMES)),
-            graded,
-            _samples,
-        ),
-        graded.map(
-            lambda entry: StateChange(REGRADED, request_id(entry), entry=entry)
-        ),
-        strategy_for(MigrationRecord).map(
-            lambda move: StateChange(MIGRATED, move.request_id, migration=move)
-        ),
-        st.builds(
-            lambda request_id, released, sample: StateChange(
-                DEPARTED, request_id, released=released, sample=sample
-            ),
-            _ints,
-            st.booleans(),
-            _samples,
-        ),
+def _made_global(entry, shard, shards):
+    """``_graded_fields`` of ``entry`` with its host id as the front end
+    numbers it."""
+    decision, graded = _graded_fields(entry)
+    if decision["host_id"] is not None:
+        decision["host_id"] = decision["host_id"] * shards + shard
+    return decision, graded
+
+
+def check_record_fold():
+    """The record property: drawn engine records, shard-encoded
+    (``encode_change``) and carried through JSON and through pickle, are
+    folded by a 2-shard front end (``_fold_reply``, as shard 1) into the
+    engine's own fold, moves' host ids made global; every outcome it
+    returns is the engine's entry around the request it sent, and every
+    row keeps its record's layout.  Read through the modules, so a
+    seeded fault in the encoder or the front end's decoding is what
+    runs."""
+    shard, shards = 1, 2
+    config = ScheduleConfig(
+        machine="amd", hosts=2, policy="first-fit", shards=shards
     )
+    with SchedulerService(config) as service:
+        service._by_name = PRESETS_BY_NAME  # drawn placements: every preset
 
+        @settings(
+            max_examples=40,
+            deadline=None,
+            database=None,
+            phases=[Phase.explicit, Phase.generate],
+            report_multiple_bugs=False,
+        )
+        @given(st.lists(_engine_events(), max_size=5))
+        def fold_matches(events):
+            records = [record for event in events for record in event]
+            rows = [wire_codec.encode_change(record) for record in records]
+            engine = ChurnFold()
+            engine.fold(records)
+            expected = engine.stats
+            entries = [r[2] for r in records if r[0] in OUTCOMES]
+            requests = [entry.decision.request for entry in entries]
+            for carried in (wire(rows), pickled(rows)):
+                service._churn = ChurnFold(shards)
+                outcomes = service._fold_reply(
+                    shard, {"records": carried}, requests
+                )
+                front = service._churn.stats
+                assert (
+                    front.arrivals,
+                    front.departures,
+                    front.rebalance_attempts,
+                    front.rebalance_recovered,
+                ) == (
+                    expected.arrivals,
+                    expected.departures,
+                    expected.rebalance_attempts,
+                    expected.rebalance_recovered,
+                )
+                assert front.migrations == [
+                    dataclasses.replace(
+                        move,
+                        source_host=move.source_host * shards + shard,
+                        dest_host=move.dest_host * shards + shard,
+                    )
+                    for move in expected.migrations
+                ]
+                assert service._churn.timelines[shard] == engine.timelines[0]
+                assert len(service._churn.timelines[0]) == 0
+                assert [o.decision.request for o in outcomes] == requests
+                assert [_graded_fields(o) for o in outcomes] == [
+                    _made_global(entry, shard, shards) for entry in entries
+                ]
+            # The front end skips re-grades, so their layout is checked
+            # here: a row is its record with the payload mapped.
+            assert [(len(r), r[:2], r[3:]) for r in rows] == [
+                (len(r), r[:2], r[3:]) for r in records
+            ]
 
-def check_change_rows():
-    """The row codec's property: a drawn record survives
-    ``encode_change`` -> JSON (or pickle) -> ``decode_change``, handed
-    the request a graded row does not echo, and re-encodes to the row it
-    was rebuilt from.  Read through the module, so a seeded fault in
-    either half is what runs."""
-
-    @settings(
-        max_examples=40,
-        deadline=None,
-        database=None,
-        phases=[Phase.explicit, Phase.generate],
-        report_multiple_bugs=False,
-    )
-    @given(_state_changes())
-    def round_trip(change):
-        row = wire_codec.encode_change(change)
-        request = None if change.entry is None else change.entry.decision.request
-        for carried in (wire(row), pickled(row)):
-            rebuilt = wire_codec.decode_change(carried, PRESETS_BY_NAME, request)
-            assert rebuilt == change
-            assert wire(wire_codec.encode_change(rebuilt)) == wire(row)
-
-    round_trip()
+        fold_matches()
 
 
 def _editing_rows(kind, edit):
     """``encode_change`` with ``edit`` applied to every ``kind`` row."""
     original = wire_codec.encode_change
 
-    def encode_change(change):
-        row = original(change)
+    def encode_change(record):
+        row = original(record)
         return edit(row) if row[0] == kind else row
 
     return encode_change
 
 
-#: Seeded faults of the row codec: the property must fail on each.
+def _swapping_hosts(row):
+    """A move's row with its source and destination hosts swapped."""
+    fields = row[2]
+    return (*row[:2], (*fields[:3], fields[4], fields[3], *fields[5:]))
+
+
+#: Seeded faults of the shard encoder (patched over ``encode_change``)
+#: and of the front end's decoding (over what ``_fold_reply`` calls):
+#: the record property must fail on each.
 CHANGE_MUTANTS = {
-    "departure-row-drops-released": _editing_rows(
-        DEPARTED, lambda row: row[:2] + row[3:]
+    "departure-row-drops-released": (
+        wire_codec,
+        "encode_change",
+        _editing_rows(DEPARTED, lambda row: row[:2] + row[3:]),
     ),
-    "outcome-row-drops-its-sample": _editing_rows(
-        PLACED, lambda row: row[:-SAMPLE_WIDTH]
+    "outcome-row-drops-its-sample": (
+        wire_codec,
+        "encode_change",
+        _editing_rows(PLACED, lambda row: row[:-SAMPLE_WIDTH]),
     ),
-    "regrade-row-carries-a-sample": _editing_rows(
-        REGRADED, lambda row: row + (0.0, 1, 1, 1, 1)
+    "regrade-row-carries-a-sample": (
+        wire_codec,
+        "encode_change",
+        _editing_rows(REGRADED, lambda row: row + (0.0, 1, 1, 1, 1)),
     ),
-    "migration-row-swaps-its-hosts": _editing_rows(
-        MIGRATED, lambda row: row[:4] + (row[5], row[4]) + row[6:]
+    "migration-row-swaps-its-hosts": (
+        wire_codec,
+        "encode_change",
+        _editing_rows(MIGRATED, _swapping_hosts),
+    ),
+    "fold-leaves-move-hosts-local": (
+        service_module,
+        "decode_move",
+        lambda row, shard, shards: MigrationRecord(*row),
     ),
 }
 
@@ -1325,14 +1419,14 @@ class TestRecords:
         with pytest.raises(TypeError, match="no strategy for <class 'complex'>"):
             check_round_trips(Unregistered)
 
-    def test_state_change_rows_round_trip(self):
-        check_change_rows()
+    def test_front_end_fold_of_shard_rows_is_the_engines(self):
+        check_record_fold()
 
     @pytest.mark.parametrize("mutant", sorted(CHANGE_MUTANTS))
-    def test_change_row_property_catches(self, mutant, monkeypatch):
-        monkeypatch.setattr(wire_codec, "encode_change", CHANGE_MUTANTS[mutant])
-        with pytest.raises((AssertionError, TypeError, ValueError)):
-            check_change_rows()
+    def test_record_fold_property_catches(self, mutant, monkeypatch):
+        monkeypatch.setattr(*CHANGE_MUTANTS[mutant])
+        with pytest.raises((AssertionError, ShardError)):
+            check_record_fold()
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_round_trip_property_catches(self, mutant, monkeypatch):

@@ -425,9 +425,11 @@ def solo_ipc_memo(seed, steps):
         placement = PLACEMENTS["amd"][index]
         before = registry.ipc_cache_info()
         if op == "foreign":
-            # A run that raises files nothing, through either entry.
+            # A run that raises files nothing, through any entry.
             foreign = PLACEMENTS["intel"][index % len(PLACEMENTS["intel"])]
             rows = {key: dict(row) for key, row in registry._solo_ipc.items()}
+            assert _raises(ValueError, registry.probe_row, machine, foreign)
+            assert len(registry._solo_ipc) == len(rows)
             assert _raises(ValueError, registry.solo_ipc, machine, profiles[0], foreign)
             assert _raises(
                 ValueError,
@@ -889,12 +891,13 @@ def _solo_ipc_counting_before_it_measures(self, machine, profile, placement):
 def _probe_batch_filing_before_it_measures(
     self, machine, profiles, placement, *, multipliers, row=None
 ):
-    """``probe_ipc_batch`` as it was: the row is looked up through
-    ``probe_row``, which files it, and each miss is filed as measured."""
+    """``probe_ipc_batch`` as it was: the row is filed (``_ipc_row``,
+    which ``probe_row`` then called unchecked) before anything is
+    measured, and each miss is filed as measured."""
     if len(profiles) != len(multipliers):
         raise ValueError("profiles and multipliers must align")
     if row is None:
-        row = self.probe_row(machine, placement)
+        row = (self._ipc_row(machine, placement), self.simulator(machine), None)
     ipcs, simulator, _ = row
     fresh = ()
     try:
@@ -1068,6 +1071,9 @@ MUTANTS = {
         ModelRegistry, "probe_ipc_batch",
         "fresh = list(dict.fromkeys(p for p in profiles if p not in ipcs))",
         "fresh = [p for p in profiles if p not in ipcs]",
+    )]),
+    "probe-row-files-a-foreign-placement": ("solo-ipc-rows", [_edit(
+        ModelRegistry, "probe_row", "simulator._check_placement(placement)", "pass"
     )]),
     "ipc-rows-keyed-by-machine-alone": ("solo-ipc-rows", [_edit(
         ModelRegistry, "_ipc_row",
